@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-stress vet bench fmt cover staticcheck govulncheck lint-metrics ci
+.PHONY: all build test race race-stress vet bench bench-e2e bench-check fmt cover staticcheck govulncheck lint-metrics ci
 
 all: build
 
@@ -13,11 +13,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-stress re-runs the concurrency suites (snapshot isolation,
-# interleaved reader/writer query stress, shutdown drains, fleet monitor
-# ingest/sweep/federate) under the race detector with caching disabled,
-# so an interleaving-dependent regression cannot hide behind a cached
-# pass.
+# race-stress re-runs the concurrency suites (snapshot isolation and the
+# WAL commit-failure path under a hammering reader, index-vs-scan
+# equivalence beside a batched writer, interleaved reader/writer query
+# stress, shutdown drains, fleet monitor ingest/sweep/federate) under the
+# race detector with caching disabled, so an interleaving-dependent
+# regression cannot hide behind a cached pass.
 race-stress:
 	$(GO) test -race -count=1 -run 'Concurrent|Snapshot|Stress' ./...
 
@@ -30,6 +31,18 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkRPCMiddlewareOverhead -benchtime=1s -benchmem ./internal/transport/
 	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s ./internal/query/
 	$(GO) test -run=NONE -bench=BenchmarkFramestore -benchtime=2s ./internal/framestore/
+	$(GO) test -run=NONE -bench=BenchmarkSnapshotQueryBySize -benchtime=2s ./internal/trajstore/
+
+# bench-e2e runs the end-to-end ladder (bench/README.md): four workloads
+# over the real loopback-TCP deployment, ~15 minutes, results in
+# bench/out/results.json. bench-check compares that run with the checked-in
+# baseline and exits 1 on a regression. Neither is part of ci: they time a
+# shared host.
+bench-e2e:
+	$(GO) run ./bench
+
+bench-check:
+	$(GO) run ./bench -compare bench/baseline/results.json bench/out/results.json
 
 fmt:
 	gofmt -l -w cmd internal examples

@@ -14,11 +14,9 @@ type cacheEntry struct {
 }
 
 // queryCache is a bounded LRU of whole query results. Entries are
-// version-checked on lookup (a stale entry is evicted, never served)
-// and the whole cache is purged by the store's write-path mutation
-// hook, so invalidation is belt and suspenders: the hook frees memory
-// promptly, the version tag guarantees correctness even for writes
-// that bypass the hook.
+// version-checked on lookup: one computed at another snapshot version is
+// evicted, never served. Nothing purges on write; the bound is what caps
+// the memory stale entries hold.
 type queryCache struct {
 	mu    sync.Mutex
 	max   int
@@ -75,14 +73,6 @@ func (c *queryCache) put(key queryKey, version uint64, val any) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// purge drops every entry. Wired to the store's write path.
-func (c *queryCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[queryKey]*list.Element)
 }
 
 // len returns the live entry count (tests and debugging).

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
@@ -123,25 +122,45 @@ func BestTrack(g GraphView, eventID protocol.EventID, limits TraceLimits) (Track
 }
 
 // SightingsOf lists every sighting whose simulation ground truth
-// matches the vehicle ID, in time order — an evaluation convenience for
-// comparing reconstructed tracks with what actually happened.
+// matches the vehicle ID, in time order (ties in vertex-ID order) — an
+// evaluation convenience for comparing reconstructed tracks with what
+// actually happened. It probes IDs 1..maxVertexID through the view, which
+// is what the remote per-vertex fallback can do; the server answers the
+// sightings op from the index (Snapshot.Sightings), and tests hold the two
+// equal.
 func SightingsOf(g GraphView, maxVertexID int64, vehicleID string) ([]Hop, error) {
 	if g == nil {
 		return nil, errors.New("trajstore: nil graph view")
 	}
 	var out []Hop
 	for vid := int64(1); vid <= maxVertexID; vid++ {
-		v, err := g.Vertex(vid)
-		if err != nil {
-			continue
+		if v, err := g.Vertex(vid); err == nil && v.Event.TruthID == vehicleID {
+			out = append(out, sighting(v))
 		}
-		if v.Event.TruthID != vehicleID {
-			continue
-		}
-		out = append(out, Hop{VertexID: vid, Camera: v.Event.CameraID, Time: v.Event.Timestamp})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	return out, nil
+	return sortSightings(out), nil
+}
+
+// Sightings is SightingsOf answered from the vehicle index: the cost is
+// the vehicle's own sightings, not the graph's size. maxVertexID <= 0
+// means the whole view.
+func (sn *Snapshot) Sightings(vehicleID string, maxVertexID int64) []Hop {
+	var out []Hop
+	for _, vid := range sn.truthIDs(vehicleID, maxVertexID) {
+		out = append(out, sighting(sn.verts[vid-1].v))
+	}
+	return sortSightings(out)
+}
+
+func sighting(v Vertex) Hop {
+	return Hop{VertexID: v.ID, Camera: v.Event.CameraID, Time: v.Event.Timestamp}
+}
+
+// sortSightings orders hops by time; the sort is stable over its
+// ascending-vertex-ID input, so equal timestamps keep ID order.
+func sortSightings(hops []Hop) []Hop {
+	sort.SliceStable(hops, func(i, j int) bool { return hops[i].Time.Before(hops[j].Time) })
+	return hops
 }
 
 func buildTrack(g GraphView, path []int64) (Track, error) {
@@ -154,7 +173,7 @@ func buildTrack(g GraphView, path []int64) (Track, error) {
 		if err != nil {
 			return Track{}, err
 		}
-		hop := Hop{VertexID: vid, Camera: v.Event.CameraID, Time: v.Event.Timestamp}
+		hop := sighting(v)
 		if i > 0 {
 			w, err := edgeWeight(g, path[i-1], vid)
 			if err != nil {
@@ -223,11 +242,10 @@ type queryKey struct {
 }
 
 // queryEngine executes the reconstruct/best/sightings ops against a
-// store snapshot, memoizing whole results in a bounded LRU cache.
-// Cache entries are tagged with the snapshot version they were computed
-// at and checked on every lookup, so a stale entry can never be served
-// even if an invalidation is missed; the store's mutation hook
-// additionally purges the cache eagerly on every write.
+// store snapshot, memoizing whole results in a bounded LRU cache. An
+// entry is tagged with the snapshot version it was computed at and
+// checked on every lookup, so an answer older than the newest committed
+// write is never served; the LRU bound caps what stale entries can hold.
 type queryEngine struct {
 	store *Store
 	cache *queryCache // nil disables caching
@@ -245,21 +263,13 @@ func newQueryEngine(store *Store, cacheSize int, reg *obs.Registry) *queryEngine
 	}
 	if cacheSize > 0 {
 		e.cache = newQueryCache(cacheSize)
-		store.OnMutate(e.cache.purge)
 	}
 	return e
 }
 
-// tracerClock reads the store's tracer and clock under its lock.
-func (s *Store) tracerClock() (*obs.Tracer, clock.Clock) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tracer, s.clk
-}
-
-// do runs one query: take (or reuse) a snapshot, consult the result
-// cache, compute on miss, and record metrics plus a "query" child span
-// when the request carried a sampled trace context.
+// do runs one query: load the newest snapshot, consult the result cache,
+// compute on miss, and record metrics plus a "query" child span when the
+// request carried a sampled trace context.
 func (e *queryEngine) do(ctx context.Context, key queryKey, compute func(*Snapshot) (any, error)) (any, error) {
 	tr, clk := e.store.tracerClock()
 	e.m.inflight.Inc()

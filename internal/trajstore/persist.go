@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -73,10 +74,12 @@ type WALStats struct {
 	TailTruncations int64
 }
 
-// commitBatch is one writer's records awaiting group commit. done
-// receives exactly one result.
+// commitBatch is one writer's records awaiting group commit, with the
+// watermark over the store as of its last record. done receives exactly
+// one result.
 type commitBatch struct {
 	recs []walRecord
+	snap *Snapshot
 	done chan error
 }
 
@@ -84,11 +87,19 @@ type commitBatch struct {
 // holding the store lock, which fixes WAL order) and wait outside the
 // lock; a background committer encodes everything pending with a single
 // flush — and a single fsync when configured — so concurrent writers
-// share the disk cost (group commit).
+// share the disk cost (group commit). A group that commits makes its
+// writes visible: the committer publishes the group's last watermark, with
+// one atomic store and no store lock, before it acknowledges anyone.
+//
+// The WAL is fail-stop. The first group that fails latches its error:
+// that group, everything queued behind it and every later write fail with
+// it until the store is reopened. Otherwise a later group could commit an
+// edge whose vertex was in the failed one.
 type persister struct {
-	dir    string
-	fsync  bool
-	window time.Duration
+	dir       string
+	fsync     bool
+	window    time.Duration
+	published *atomic.Pointer[Snapshot]
 
 	f   *os.File
 	w   *bufio.Writer
@@ -97,6 +108,7 @@ type persister struct {
 	mu      sync.Mutex
 	pending []*commitBatch
 	stopped bool
+	err     error // the latched commit failure
 
 	kick chan struct{}
 	stop chan struct{}
@@ -107,22 +119,23 @@ type persister struct {
 	syncs   atomic.Int64
 }
 
-func newPersister(dir string, cfg StoreConfig) (*persister, error) {
+func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapshot]) (*persister, error) {
 	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("trajstore: open wal: %w", err)
 	}
 	w := bufio.NewWriter(f)
 	p := &persister{
-		dir:    dir,
-		fsync:  cfg.Fsync,
-		window: cfg.GroupCommitWindow,
-		f:      f,
-		w:      w,
-		enc:    json.NewEncoder(w),
-		kick:   make(chan struct{}, 1),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		dir:       dir,
+		fsync:     cfg.Fsync,
+		window:    cfg.GroupCommitWindow,
+		published: published,
+		f:         f,
+		w:         w,
+		enc:       json.NewEncoder(w),
+		kick:      make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	go p.run()
 	return p, nil
@@ -131,13 +144,19 @@ func newPersister(dir string, cfg StoreConfig) (*persister, error) {
 // enqueue joins the records to the next group commit as one atomic unit
 // and returns the channel carrying the commit result. Callers hold the
 // store lock, which makes the WAL order match the in-memory apply order;
-// they must receive from the channel after releasing it.
-func (p *persister) enqueue(recs []walRecord) <-chan error {
-	b := &commitBatch{recs: recs, done: make(chan error, 1)}
+// they must receive from the channel after releasing it. An empty batch
+// is a barrier: its result arrives once everything queued before it has
+// committed or failed.
+func (p *persister) enqueue(recs []walRecord, snap *Snapshot) <-chan error {
+	b := &commitBatch{recs: recs, snap: snap, done: make(chan error, 1)}
 	p.mu.Lock()
-	if p.stopped {
+	err := p.err
+	if err == nil && p.stopped {
+		err = errors.New("trajstore: wal closed")
+	}
+	if err != nil {
 		p.mu.Unlock()
-		b.done <- errors.New("trajstore: wal closed")
+		b.done <- err
 		return b.done
 	}
 	p.pending = append(p.pending, b)
@@ -147,6 +166,13 @@ func (p *persister) enqueue(recs []walRecord) <-chan error {
 	default:
 	}
 	return b.done
+}
+
+// failure returns the latched commit error, nil while the WAL is healthy.
+func (p *persister) failure() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
 }
 
 // run is the committer loop: wake on the first pending batch, optionally
@@ -176,47 +202,57 @@ func (p *persister) run() {
 }
 
 // commitPending writes every pending batch with a single flush (and a
-// single fsync when configured) and delivers the shared result to all
-// waiting writers.
+// single fsync when configured), publishes the last one's watermark, and
+// delivers the shared result to all waiting writers. A failure is latched
+// and publishes nothing.
 func (p *persister) commitPending() {
 	p.mu.Lock()
-	batch := p.pending
+	batch, err := p.pending, p.err
 	p.pending = nil
 	p.mu.Unlock()
 	if len(batch) == 0 {
 		return
 	}
-	var err error
-	var n int64
-encode:
-	for _, b := range batch {
-		for _, rec := range b.recs {
-			if e := p.enc.Encode(rec); e != nil {
-				err = fmt.Errorf("trajstore: wal append: %w", e)
-				break encode
-			}
-			n++
-		}
-	}
 	if err == nil {
-		if e := p.w.Flush(); e != nil {
-			err = fmt.Errorf("trajstore: wal flush: %w", e)
-		}
-	}
-	if err == nil && p.fsync {
-		if e := p.f.Sync(); e != nil {
-			err = fmt.Errorf("trajstore: wal fsync: %w", e)
+		if err = p.write(batch); err == nil {
+			p.published.Store(batch[len(batch)-1].snap)
 		} else {
-			p.syncs.Add(1)
+			p.mu.Lock()
+			p.err = err
+			p.mu.Unlock()
 		}
-	}
-	if err == nil {
-		p.commits.Add(1)
-		p.records.Add(n)
 	}
 	for _, b := range batch {
 		b.done <- err
 	}
+}
+
+// write appends the batches' records to the log and makes them durable.
+func (p *persister) write(batch []*commitBatch) error {
+	var n int64
+	for _, b := range batch {
+		for _, rec := range b.recs {
+			if err := p.enc.Encode(rec); err != nil {
+				return fmt.Errorf("trajstore: wal append: %w", err)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		return nil // only barriers
+	}
+	if err := p.w.Flush(); err != nil {
+		return fmt.Errorf("trajstore: wal flush: %w", err)
+	}
+	if p.fsync {
+		if err := p.f.Sync(); err != nil {
+			return fmt.Errorf("trajstore: wal fsync: %w", err)
+		}
+		p.syncs.Add(1)
+	}
+	p.commits.Add(1)
+	p.records.Add(n)
+	return nil
 }
 
 // close drains pending commits, flushes, and closes the WAL file.
@@ -272,7 +308,7 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 	if err := s.replayWAL(filepath.Join(dir, walFileName)); err != nil {
 		return nil, err
 	}
-	p, err := newPersister(dir, cfg)
+	p, err := newPersister(dir, cfg, &s.published)
 	if err != nil {
 		return nil, err
 	}
@@ -297,63 +333,42 @@ func (s *Store) loadSnapshot(path string) error {
 	return s.restore(snap)
 }
 
+// restore loads the compacted state. Files written before Compact ordered
+// its output list vertices in map order, so they are sorted here: the
+// vertex slice and the vehicle index fill in ascending ID order.
 func (s *Store) restore(snap snapshotFile) error {
-	for i := range snap.Vertices {
-		v := snap.Vertices[i]
-		s.vertices[v.ID] = &v
-		if v.ID >= s.nextID {
-			s.nextID = v.ID + 1
-		}
+	sort.Slice(snap.Vertices, func(i, j int) bool { return snap.Vertices[i].ID < snap.Vertices[j].ID })
+	for _, v := range snap.Vertices {
+		s.putVertexLocked(v)
 	}
-	if snap.NextID > s.nextID {
-		s.nextID = snap.NextID
+	// NextID past the last vertex: IDs handed out and never committed are
+	// not reused.
+	if !s.growLocked(snap.NextID - 1) {
+		return fmt.Errorf("trajstore: snapshot nextId %d implausible after %d vertices", snap.NextID, len(s.verts))
 	}
 	for _, e := range snap.Edges {
-		s.out[e.From] = append(s.out[e.From], e)
-		s.in[e.To] = append(s.in[e.To], e)
+		_, _ = s.applyEdgeLocked(e.From, e.To, e.Weight) // as replay: skip a dangling or duplicate edge
 	}
-	s.version++
+	s.published.Store(s.snapshotLocked())
 	return nil
 }
 
-// applyWALRecord replays one record idempotently: vertices are keyed by
-// ID, and edges duplicating an existing (from, to) pair — the store's own
-// uniqueness invariant — are skipped. Idempotence is what makes the
-// compaction crash window safe: if the process dies after the snapshot
-// is installed but before the WAL is truncated, restart replays every
-// edge already in the snapshot without skewing trajectory weights.
+// applyWALRecord replays one record idempotently and publishes the result
+// (nothing else can see the store yet): a vertex whose ID is already
+// loaded is kept as loaded, and an edge duplicating an existing (from, to)
+// pair — the store's own uniqueness invariant — or missing an endpoint is
+// skipped. Idempotence is what makes the compaction crash window safe: if
+// the process dies after the snapshot is installed but before the WAL is
+// truncated, restart replays every edge already in the snapshot without
+// skewing trajectory weights.
 func (s *Store) applyWALRecord(rec walRecord) {
-	switch rec.Op {
-	case "v":
-		if rec.Vertex == nil {
-			return
-		}
-		v := *rec.Vertex
-		s.vertices[v.ID] = &v
-		s.version++
-		if v.ID >= s.nextID {
-			s.nextID = v.ID + 1
-		}
-	case "e":
-		if rec.Edge == nil {
-			return
-		}
-		e := *rec.Edge
-		if _, ok := s.vertices[e.From]; !ok {
-			return
-		}
-		if _, ok := s.vertices[e.To]; !ok {
-			return
-		}
-		for _, existing := range s.out[e.From] {
-			if existing.To == e.To {
-				return
-			}
-		}
-		s.out[e.From] = append(s.out[e.From], e)
-		s.in[e.To] = append(s.in[e.To], e)
-		s.version++
+	switch {
+	case rec.Op == "v" && rec.Vertex != nil:
+		s.putVertexLocked(*rec.Vertex)
+	case rec.Op == "e" && rec.Edge != nil:
+		_, _ = s.applyEdgeLocked(rec.Edge.From, rec.Edge.To, rec.Edge.Weight)
 	}
+	s.published.Store(s.snapshotLocked())
 }
 
 // isWALRecordLine reports whether a line parses as a well-formed WAL
@@ -437,26 +452,33 @@ func (s *Store) truncateWALTail(path string, offset int64) error {
 	return nil
 }
 
-// Compact writes the current state as a snapshot and truncates the WAL.
-// Safe to call while the store is serving writes. If the process crashes
-// between installing the snapshot and truncating the WAL, the next open
-// replays the stale log idempotently (see applyWALRecord), so no write is
-// duplicated or lost.
+// Compact writes the committed state as a snapshot and truncates the WAL.
+// Safe to call while the store is serving writes: it first waits for the
+// committer to settle everything already applied (publication needs no
+// store lock, so holding it here cannot deadlock), then serialises the
+// published snapshot — never a write whose commit is pending or failed. If
+// the process crashes between installing the snapshot and truncating the
+// WAL, the next open replays the stale log idempotently (see
+// applyWALRecord), so no write is duplicated or lost.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
+	if err := s.beginWriteLocked(); err != nil {
+		return err
 	}
 	if s.persist == nil {
 		return errors.New("trajstore: in-memory store has nothing to compact")
 	}
-	snap := snapshotFile{NextID: s.nextID}
-	for _, v := range s.vertices {
-		snap.Vertices = append(snap.Vertices, *v)
+	if err := <-s.persist.enqueue(nil, s.snapshotLocked()); err != nil {
+		return err
 	}
-	for _, es := range s.out {
-		snap.Edges = append(snap.Edges, es...)
+	view := s.Snapshot()
+	snap := snapshotFile{NextID: view.MaxVertexID() + 1}
+	for id := int64(1); id <= view.MaxVertexID(); id++ {
+		if v, err := view.Vertex(id); err == nil {
+			snap.Vertices = append(snap.Vertices, v)
+			snap.Edges = append(snap.Edges, view.edges(id, true)...)
+		}
 	}
 
 	tmp := filepath.Join(s.persist.dir, snapshotFileName+".tmp")
@@ -481,9 +503,7 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("trajstore: install snapshot: %w", err)
 	}
 
-	// Truncate the WAL now that its contents are in the snapshot. The
-	// close drains any group commit in flight first, so every
-	// acknowledged write is in the snapshot state being kept.
+	// Truncate the WAL now that its contents are in the snapshot.
 	if err := s.persist.close(); err != nil {
 		return err
 	}
@@ -491,7 +511,7 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("trajstore: truncate wal: %w", err)
 	}
 	prev := s.persist.stats()
-	p, err := newPersister(s.persist.dir, s.persistCfg)
+	p, err := newPersister(s.persist.dir, s.persistCfg, &s.published)
 	if err != nil {
 		return err
 	}

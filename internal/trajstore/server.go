@@ -322,7 +322,8 @@ func (s *Server) handle(ctx context.Context, req request) response {
 		}
 		return response{OK: true, EdgeList: s.store.InEdges(req.ID)}
 	case opStats:
-		return response{OK: true, Vertices: s.store.NumVertices(), Edges: s.store.NumEdges()}
+		snap := s.store.Snapshot()
+		return response{OK: true, Vertices: snap.NumVertices(), Edges: snap.NumEdges()}
 	case opReconstruct:
 		limits := DefaultTraceLimits()
 		if req.Limits != nil {
@@ -362,11 +363,7 @@ func (s *Server) handle(ctx context.Context, req request) response {
 		// version tag invalidates the entry when the graph grows).
 		key := queryKey{op: opSightings, vehicleID: req.VehicleID, maxVertex: req.MaxVertex}
 		val, err := s.engine.do(ctx, key, func(snap *Snapshot) (any, error) {
-			maxVertex := req.MaxVertex
-			if maxVertex <= 0 {
-				maxVertex = snap.MaxVertexID()
-			}
-			return SightingsOf(snap, maxVertex, req.VehicleID)
+			return snap.Sightings(req.VehicleID, req.MaxVertex), nil
 		})
 		if err != nil {
 			return fail(err)
@@ -781,8 +778,9 @@ func (c *Client) Best(eventID protocol.EventID, limits TraceLimits) (Track, erro
 }
 
 // SightingsContext lists the ground-truth sightings of a vehicle in
-// time order, computed server-side over a snapshot. maxVertex bounds
-// the scan; <= 0 means the whole graph.
+// time order, answered server-side from the vehicle index over a
+// snapshot. maxVertex is the highest vertex ID considered; <= 0 means the
+// whole graph.
 func (c *Client) SightingsContext(ctx context.Context, vehicleID string, maxVertex int64) ([]Hop, error) {
 	resp, err := c.do(ctx, request{Op: opSightings, VehicleID: vehicleID, MaxVertex: maxVertex})
 	if err != nil {

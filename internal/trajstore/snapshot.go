@@ -1,116 +1,128 @@
 package trajstore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/protocol"
 )
 
-// Snapshot is an immutable, lock-free view of the trajectory graph at
-// one mutation version. A snapshot is built copy-on-read under the
-// store's read lock — writers are excluded only for the duration of the
-// O(V+E) copy, never for the graph walk that follows — and cached until
-// the next mutation, so a burst of queries between writes shares one
-// copy. Because every write path (AddVertex, AddEdge, ApplyBatch,
-// rollbacks) mutates under the full store lock, a snapshot observes
-// each batch atomically: it either contains all of a batch's applied
-// records or none of them, never a half-applied batch.
+// Snapshot is an immutable view of the trajectory graph as of one commit
+// sequence number. It is a watermark over the store's append-only
+// structures, not a copy: the vertex slice header as it was (so its
+// length is the highest vertex ID in view), the sequence number of the
+// last record included, and the counts at that point. Every accessor
+// filters by the watermark — a vertex above the slice length does not
+// exist, an edge stamped above the sequence number is skipped — so later
+// writes never show through, and a walk takes no lock.
 //
-// Vertex pointers are shared with the live store (vertices are never
-// mutated in place after insertion); edge slices are deep-copied
-// because the store rewrites them in place on rollback.
+// Watermarks are built only at the end of a write's apply and published
+// only once that write is committed, so a snapshot contains whole batches
+// of committed writes: all of a batch's accepted records or none of them,
+// and never a write whose WAL commit failed or is still pending.
 type Snapshot struct {
-	version  uint64
-	maxID    int64
-	vertices map[int64]*Vertex
-	out      map[int64][]Edge
-	in       map[int64][]Edge
-	nEdges   int
+	store   *Store
+	verts   []*vnode
+	version uint64
+	nVerts  int
+	nEdges  int
 }
 
-// Snapshot returns a consistent point-in-time view of the graph. The
-// copy is taken under the store's read lock and cached by mutation
-// version: while no write lands, repeated calls return the same
-// snapshot with no copying; after a write, the first caller rebuilds
-// (serialized on snapMu so concurrent queries never duplicate the
-// copy). Queries executed against the snapshot hold no store lock at
-// all, so they never block the WAL write path.
-func (s *Store) Snapshot() *Snapshot {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	s.mu.RLock()
-	if s.snap != nil && s.snap.version == s.version {
-		snap := s.snap
-		s.mu.RUnlock()
-		return snap
-	}
-	snap := &Snapshot{
-		version:  s.version,
-		maxID:    s.nextID - 1,
-		vertices: make(map[int64]*Vertex, len(s.vertices)),
-		out:      make(map[int64][]Edge, len(s.out)),
-		in:       make(map[int64][]Edge, len(s.in)),
-	}
-	for id, v := range s.vertices {
-		snap.vertices[id] = v
-	}
-	for id, es := range s.out {
-		snap.out[id] = append([]Edge(nil), es...)
-		snap.nEdges += len(es)
-	}
-	for id, es := range s.in {
-		snap.in[id] = append([]Edge(nil), es...)
-	}
-	s.mu.RUnlock()
-	s.snap = snap
-	return snap
-}
+// Snapshot returns the newest committed view of the graph: one atomic
+// load, whatever the graph's size. While no write commits, repeated calls
+// return the same snapshot.
+func (s *Store) Snapshot() *Snapshot { return s.published.Load() }
 
-// Version is the store mutation count the snapshot was taken at.
+// Version is the commit sequence number of the last record in view; it
+// grows with every committed vertex or edge.
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
 // NumVertices returns the vertex count at snapshot time.
-func (sn *Snapshot) NumVertices() int { return len(sn.vertices) }
+func (sn *Snapshot) NumVertices() int { return sn.nVerts }
 
 // NumEdges returns the edge count at snapshot time.
 func (sn *Snapshot) NumEdges() int { return sn.nEdges }
 
-// MaxVertexID is the highest vertex ID allocated at snapshot time (IDs
-// may have gaps from rolled-back writes).
-func (sn *Snapshot) MaxVertexID() int64 { return sn.maxID }
+// MaxVertexID is the highest vertex ID allocated at snapshot time (a log
+// written by an older version may have left gaps below it).
+func (sn *Snapshot) MaxVertexID() int64 { return int64(len(sn.verts)) }
 
 // Vertex returns a vertex by ID.
 func (sn *Snapshot) Vertex(id int64) (Vertex, error) {
-	v, ok := sn.vertices[id]
-	if !ok {
+	n := nodeAt(sn.verts, id)
+	if n == nil {
 		return Vertex{}, fmt.Errorf("%w: %d", ErrVertexNotFound, id)
 	}
-	return *v, nil
+	return n.v, nil
 }
 
-// FindByEventID returns the vertex whose event carries the given ID.
+// FindByEventID returns the vertex whose event carries the given ID, by
+// index. Should several vertices carry it (a client retry can insert one
+// event twice), the lowest vertex ID answers, on every call.
 func (sn *Snapshot) FindByEventID(id protocol.EventID) (Vertex, error) {
-	for _, v := range sn.vertices {
-		if v.Event.ID == id {
-			return *v, nil
-		}
+	sn.store.mu.RLock()
+	vid := sn.store.byEvent[id]
+	sn.store.mu.RUnlock()
+	if n := nodeAt(sn.verts, vid); n != nil {
+		return n.v, nil
 	}
 	return Vertex{}, fmt.Errorf("%w: event %q", ErrVertexNotFound, id)
 }
 
+// truthIDs returns the ascending IDs of the vertices whose ground truth is
+// the vehicle, up to maxID (<= 0 or beyond the view: the whole view).
+func (sn *Snapshot) truthIDs(vehicleID string, maxID int64) []int64 {
+	if maxID <= 0 || maxID > sn.MaxVertexID() {
+		maxID = sn.MaxVertexID()
+	}
+	sn.store.mu.RLock()
+	ids := sn.store.byTruth[vehicleID] // append-only: elements below len never change
+	sn.store.mu.RUnlock()
+	n, _ := slices.BinarySearch(ids, maxID+1)
+	return ids[:n]
+}
+
+// edges returns a copy of the vertex's outgoing (or incoming) edges in
+// view, sorted by the far endpoint.
+func (sn *Snapshot) edges(id int64, out bool) []Edge {
+	n := nodeAt(sn.verts, id)
+	if n == nil {
+		return nil
+	}
+	p := n.in.Load()
+	if out {
+		p = n.out.Load()
+	}
+	if p == nil {
+		return nil
+	}
+	es := make([]Edge, 0, len(*p))
+	for _, e := range *p {
+		if e.seq > sn.version {
+			break // stamps ascend along a list
+		}
+		es = append(es, e.Edge)
+	}
+	slices.SortFunc(es, func(a, b Edge) int {
+		if out {
+			return cmp.Compare(a.To, b.To)
+		}
+		return cmp.Compare(a.From, b.From)
+	})
+	return es
+}
+
 // OutEdges returns a vertex's outgoing edges, sorted by target. The
 // error return is always nil; the signature matches GraphView.
-func (sn *Snapshot) OutEdges(id int64) ([]Edge, error) {
-	return sortedEdges(sn.out[id], true), nil
-}
+func (sn *Snapshot) OutEdges(id int64) ([]Edge, error) { return sn.edges(id, true), nil }
 
 // InEdges returns a vertex's incoming edges, sorted by source.
-func (sn *Snapshot) InEdges(id int64) ([]Edge, error) {
-	return sortedEdges(sn.in[id], false), nil
-}
+func (sn *Snapshot) InEdges(id int64) ([]Edge, error) { return sn.edges(id, false), nil }
 
-// TraceForward enumerates the maximal forward paths from start, exactly
-// like Store.TraceForward but against the frozen view.
+// TraceForward enumerates the maximal forward paths from start: every
+// path follows outgoing edges until it reaches a vertex with no outgoing
+// edge (or a limit).
 func (sn *Snapshot) TraceForward(start int64, limits TraceLimits) ([][]int64, error) {
 	return sn.trace(start, limits, true)
 }
@@ -120,21 +132,69 @@ func (sn *Snapshot) TraceBackward(start int64, limits TraceLimits) ([][]int64, e
 	return sn.trace(start, limits, false)
 }
 
+// trace is the one traversal: the maximal cycle-free paths from start,
+// depth-first over edges in sorted order, within the limits.
 func (sn *Snapshot) trace(start int64, limits TraceLimits, forward bool) ([][]int64, error) {
-	if _, ok := sn.vertices[start]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, start)
-	}
-	return traceGraph(sn.out, sn.in, start, limits.sanitized(), forward), nil
-}
-
-// Trajectory returns the full candidate space-time tracks through
-// start, identical to Store.Trajectory over the same graph state.
-func (sn *Snapshot) Trajectory(start int64, limits TraceLimits) ([][]int64, error) {
-	if _, ok := sn.vertices[start]; !ok {
+	if nodeAt(sn.verts, start) == nil {
 		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, start)
 	}
 	limits = limits.sanitized()
-	back := traceGraph(sn.out, sn.in, start, limits, false)
-	fwd := traceGraph(sn.out, sn.in, start, limits, true)
-	return combinePaths(back, fwd, limits.MaxPaths), nil
+	var paths [][]int64
+	onPath := map[int64]bool{start: true}
+	var dfs func(path []int64)
+	dfs = func(path []int64) {
+		if len(paths) >= limits.MaxPaths {
+			return
+		}
+		extended := false
+		if len(path) < limits.MaxDepth {
+			for _, e := range sn.edges(path[len(path)-1], forward) {
+				next := e.To
+				if !forward {
+					next = e.From
+				}
+				if onPath[next] {
+					continue // cycle guard
+				}
+				onPath[next] = true
+				extended = true
+				dfs(append(path, next))
+				delete(onPath, next)
+			}
+		}
+		if !extended {
+			paths = append(paths, append([]int64(nil), path...))
+		}
+	}
+	dfs([]int64{start})
+	return paths, nil
+}
+
+// Trajectory returns the full candidate space-time tracks through start:
+// each path runs from a possible origin through start to a possible end,
+// as vertex IDs in time order. Both halves walk the same view, so the
+// result is consistent however many writes land meanwhile.
+func (sn *Snapshot) Trajectory(start int64, limits TraceLimits) ([][]int64, error) {
+	back, err := sn.trace(start, limits, false)
+	if err != nil {
+		return nil, err
+	}
+	fwd, _ := sn.trace(start, limits, true)
+	// Splice each backward path (start -> origin), reversed into time
+	// order, with each forward path (start -> end).
+	maxPaths := limits.sanitized().MaxPaths
+	var out [][]int64
+	for _, b := range back {
+		for _, f := range fwd {
+			if len(out) >= maxPaths {
+				return out, nil
+			}
+			path := make([]int64, 0, len(b)+len(f)-1)
+			for i := len(b) - 1; i >= 0; i-- {
+				path = append(path, b[i])
+			}
+			out = append(out, append(path, f[1:]...)) // skip duplicated start
+		}
+	}
+	return out, nil
 }

@@ -10,9 +10,9 @@ package trajstore
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -72,36 +72,76 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 	}
 }
 
+// vnode is one vertex slot. The vertex never changes once stored. The edge
+// lists only grow, in commit-sequence order: a writer appends to the slice
+// and publishes the new header atomically, so a reader holding an older
+// header never touches the element being written and walks without a lock.
+type vnode struct {
+	v       Vertex
+	out, in atomic.Pointer[[]seqEdge]
+}
+
+// seqEdge is an edge stamped with the commit sequence number it was
+// applied at; a snapshot skips stamps above its watermark.
+type seqEdge struct {
+	Edge
+	seq uint64
+}
+
+func appendEdge(list *atomic.Pointer[[]seqEdge], e seqEdge) {
+	var es []seqEdge
+	if p := list.Load(); p != nil {
+		es = *p
+	}
+	es = append(es, e)
+	list.Store(&es)
+}
+
+// nodeAt returns the slot of vertex id in an ID-indexed slice, nil when
+// the ID is out of range or a gap.
+func nodeAt(verts []*vnode, id int64) *vnode {
+	if id < 1 || id > int64(len(verts)) {
+		return nil
+	}
+	return verts[id-1]
+}
+
 // Store is the trajectory graph. All methods are safe for concurrent use.
 //
-// Writes on a persistent store apply in memory under the store lock, then
-// wait for the WAL group commit outside it, so concurrent writers share
-// one write+flush(+fsync). A write whose commit fails is rolled back; in
-// the window between apply and commit it is visible to readers
-// (read-uncommitted), which is acceptable for trajectory analytics and
-// keeps the read path lock-cheap.
+// The graph is append-only. Vertices sit in an ID-indexed slice (slot
+// ID-1, nil for an ID no vertex carries), each with out/in edge lists that
+// only grow; every applied record takes the next commit sequence number.
+// Writers apply under mu, which makes WAL order the apply order, lets an
+// edge reference a vertex created earlier in the same batch, and shows the
+// duplicate-edge check everything applied. Two secondary indexes are kept
+// with the vertices: event ID -> lowest vertex ID carrying it, and ground
+// truth vehicle ID -> ascending vertex IDs.
+//
+// Readers never look at that working state. Every read goes through the
+// published Snapshot, a watermark the writer builds at the end of its
+// apply. An in-memory store publishes it there; a persistent store hands
+// it to the WAL committer, which publishes it only after the group commit
+// carrying the write succeeded and before the writer is acknowledged:
+// reads are read-committed, and an acknowledged write is visible. A failed
+// commit publishes nothing and latches the WAL (fail-stop, see persister),
+// so what was applied above the watermark is never seen, no later write is
+// applied on top of it, and a reopen rebuilds from what reached the log.
+//
+// Lock order: mu before persister.mu. Snapshot() takes no lock, a graph
+// walk takes none, and an index lookup holds mu's read side for one map
+// read.
 type Store struct {
-	mu       sync.RWMutex
-	vertices map[int64]*Vertex
-	out      map[int64][]Edge
-	in       map[int64][]Edge
-	nextID   int64
-	closed   bool
+	mu      sync.RWMutex
+	verts   []*vnode                   // verts[id-1]; append-only
+	byEvent map[protocol.EventID]int64 // lowest vertex ID per event ID
+	byTruth map[string][]int64         // ascending vertex IDs per Event.TruthID
+	seq     uint64                     // commit sequence of the last applied record
+	nVerts  int                        // applied counts; a snapshot carries the published ones
+	nEdges  int
+	closed  bool
 
-	// version counts in-memory graph mutations (inserts and rollbacks
-	// alike); snapshots are tagged with it so cached reads can tell
-	// whether they are still current. Guarded by mu.
-	version uint64
-	// onMutate, when set, runs after every write that changed the graph
-	// (outside mu). The server-side query engine hooks its result-cache
-	// invalidation here.
-	onMutate func()
-
-	// snapMu serializes copy-on-read snapshot construction so concurrent
-	// queries share one O(V+E) copy instead of each building their own.
-	// Lock order: snapMu before mu; never the reverse.
-	snapMu sync.Mutex
-	snap   *Snapshot
+	// published is the newest committed watermark; never nil.
+	published atomic.Pointer[Snapshot]
 
 	persist    *persister // nil for in-memory stores
 	persistCfg StoreConfig
@@ -114,14 +154,14 @@ type Store struct {
 
 // NewMemStore returns a purely in-memory store.
 func NewMemStore() *Store {
-	return &Store{
-		vertices: make(map[int64]*Vertex),
-		out:      make(map[int64][]Edge),
-		in:       make(map[int64][]Edge),
-		nextID:   1,
-		m:        newStoreMetrics(nil),
-		clk:      clock.Real{},
+	s := &Store{
+		byEvent: make(map[protocol.EventID]int64),
+		byTruth: make(map[string][]int64),
+		m:       newStoreMetrics(nil),
+		clk:     clock.Real{},
 	}
+	s.published.Store(s.snapshotLocked())
+	return s
 }
 
 // Instrument re-homes the store's telemetry (coralpie_trajstore_*) onto
@@ -135,12 +175,9 @@ func (s *Store) Instrument(reg *obs.Registry, clk clock.Clock) {
 	if clk != nil {
 		s.clk = clk
 	}
-	s.m.vertexSize.Set(int64(len(s.vertices)))
-	var edges int64
-	for _, es := range s.out {
-		edges += int64(len(es))
-	}
-	s.m.edgeSize.Set(edges)
+	snap := s.Snapshot()
+	s.m.vertexSize.Set(int64(snap.nVerts))
+	s.m.edgeSize.Set(int64(snap.nEdges))
 }
 
 // UseTracer attaches a tracer that records a "wal_commit" span — apply
@@ -154,122 +191,168 @@ func (s *Store) UseTracer(tr *obs.Tracer) {
 	s.tracer = tr
 }
 
-// OnMutate registers fn to run after every write that changed the
-// in-memory graph (inserts and commit-failure rollbacks alike). fn is
-// called outside the store lock and must not block; at most one hook is
-// supported. Call before traffic flows.
-func (s *Store) OnMutate(fn func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onMutate = fn
+// tracerClock reads the store's tracer and clock under its lock.
+func (s *Store) tracerClock() (*obs.Tracer, clock.Clock) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tracer, s.clk
 }
 
-// notifyMutate runs the mutation hook, if any. Callers must not hold
-// s.mu.
-func (s *Store) notifyMutate() {
-	s.mu.RLock()
-	fn := s.onMutate
-	s.mu.RUnlock()
-	if fn != nil {
-		fn()
+// snapshotLocked builds the watermark over everything applied so far.
+// Caller holds s.mu (or owns a store not yet shared).
+func (s *Store) snapshotLocked() *Snapshot {
+	return &Snapshot{store: s, verts: s.verts, version: s.seq, nVerts: s.nVerts, nEdges: s.nEdges}
+}
+
+// maxIDGap bounds how far one replayed vertex or snapshot-file NextID may
+// jump the ID sequence, so a corrupt ID cannot become a huge allocation.
+const maxIDGap = 1 << 20
+
+// growLocked pads the vertex slice with gaps up to length n and reports
+// whether n was plausible. Caller holds s.mu.
+func (s *Store) growLocked(n int64) bool {
+	if n > int64(len(s.verts))+maxIDGap {
+		return false
 	}
+	for int64(len(s.verts)) < n {
+		s.verts = append(s.verts, nil)
+	}
+	return true
+}
+
+// putVertexLocked appends v at slot v.ID and indexes it. Live writes
+// always carry the next ID; replay may skip IDs (gaps left by writes an
+// older version rolled back) or meet an ID already loaded, which it keeps.
+// Caller holds s.mu.
+func (s *Store) putVertexLocked(v Vertex) {
+	if v.ID <= int64(len(s.verts)) || !s.growLocked(v.ID-1) {
+		return
+	}
+	s.verts = append(s.verts, &vnode{v: v})
+	if _, dup := s.byEvent[v.Event.ID]; !dup {
+		s.byEvent[v.Event.ID] = v.ID
+	}
+	s.byTruth[v.Event.TruthID] = append(s.byTruth[v.Event.TruthID], v.ID)
+	s.seq++
+	s.nVerts++
+}
+
+// finite rejects floats the WAL's JSON encoding refuses. They, and a
+// timestamp outside years 0..9999, are turned away before anything is
+// applied: the log is fail-stop, so one record it cannot encode would
+// otherwise stop every writer.
+func finite(floats ...float64) error {
+	var acc float64
+	for _, f := range floats {
+		acc += f - f // 0 for a finite f, NaN for NaN and ±Inf
+	}
+	if acc != 0 {
+		return errors.New("trajstore: non-finite value cannot be logged")
+	}
+	return nil
 }
 
 // applyVertexLocked allocates an ID and inserts the event. Caller holds
 // s.mu.
-func (s *Store) applyVertexLocked(e protocol.DetectionEvent) *Vertex {
-	id := s.nextID
-	s.nextID++
-	v := &Vertex{ID: id, Event: e}
-	v.Event.VertexID = id
-	s.vertices[id] = v
-	s.version++
-	s.m.vertexSize.Add(1)
-	return v
-}
-
-// rollbackVertexLocked undoes an applied vertex whose WAL commit failed.
-// The allocated ID is not reused: another writer may have allocated past
-// it while the commit was in flight, so the sequence simply gains a gap.
-// Caller holds s.mu.
-func (s *Store) rollbackVertexLocked(id int64) {
-	delete(s.vertices, id)
-	s.version++
-	s.m.vertexSize.Add(-1)
+func (s *Store) applyVertexLocked(e protocol.DetectionEvent) (*Vertex, error) {
+	if y := e.Timestamp.Year(); y < 0 || y > 9999 {
+		return nil, fmt.Errorf("trajstore: timestamp year %d cannot be logged", y)
+	}
+	if err := finite(e.Histogram.Bins...); err != nil {
+		return nil, err
+	}
+	v := &Vertex{ID: int64(len(s.verts)) + 1, Event: e}
+	v.Event.VertexID = v.ID
+	s.putVertexLocked(*v)
+	return v, nil
 }
 
 // applyEdgeLocked validates and inserts an edge. Caller holds s.mu.
-func (s *Store) applyEdgeLocked(from, to int64, weight float64) (Edge, error) {
-	if _, ok := s.vertices[from]; !ok {
-		return Edge{}, fmt.Errorf("%w: %d", ErrVertexNotFound, from)
+func (s *Store) applyEdgeLocked(from, to int64, weight float64) (*Edge, error) {
+	src, dst := nodeAt(s.verts, from), nodeAt(s.verts, to)
+	if src == nil {
+		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, from)
 	}
-	if _, ok := s.vertices[to]; !ok {
-		return Edge{}, fmt.Errorf("%w: %d", ErrVertexNotFound, to)
+	if dst == nil {
+		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, to)
 	}
-	for _, e := range s.out[from] {
-		if e.To == to {
-			return Edge{}, fmt.Errorf("%w: %d->%d", ErrEdgeExists, from, to)
+	if err := finite(weight); err != nil {
+		return nil, err
+	}
+	if p := src.out.Load(); p != nil {
+		for _, e := range *p {
+			if e.To == to {
+				return nil, fmt.Errorf("%w: %d->%d", ErrEdgeExists, from, to)
+			}
 		}
 	}
-	edge := Edge{From: from, To: to, Weight: weight}
-	s.out[from] = append(s.out[from], edge)
-	s.in[to] = append(s.in[to], edge)
-	s.version++
-	s.m.edgeSize.Add(1)
-	return edge, nil
+	s.seq++
+	e := seqEdge{Edge{From: from, To: to, Weight: weight}, s.seq}
+	appendEdge(&src.out, e)
+	appendEdge(&dst.in, e)
+	s.nEdges++
+	return &e.Edge, nil
 }
 
-// rollbackEdgeLocked undoes an applied edge whose WAL commit failed.
-// Caller holds s.mu.
-func (s *Store) rollbackEdgeLocked(from, to int64) {
-	s.out[from] = removeEdge(s.out[from], func(e Edge) bool { return e.To == to })
-	s.in[to] = removeEdge(s.in[to], func(e Edge) bool { return e.From == from })
-	s.version++
-	s.m.edgeSize.Add(-1)
-}
-
-// removeEdge deletes the first edge matching the predicate; (from, to)
-// pairs are unique by invariant so at most one matches.
-func removeEdge(edges []Edge, match func(Edge) bool) []Edge {
-	for i, e := range edges {
-		if match(e) {
-			return append(edges[:i], edges[i+1:]...)
-		}
+// beginWriteLocked reports why the store cannot take a write: it was
+// closed, or a WAL commit failed and the store is fail-stopped until
+// reopened. Caller holds s.mu.
+func (s *Store) beginWriteLocked() error {
+	if s.closed {
+		return ErrClosed
 	}
-	return edges
+	if s.persist != nil {
+		return s.persist.failure()
+	}
+	return nil
+}
+
+// commitLocked makes the nv vertex and ne edge records just applied under
+// s.mu durable and visible, and releases s.mu. An in-memory store
+// publishes the new watermark at once. A persistent store joins the next
+// WAL group commit and waits for it outside the lock, so concurrent
+// writers share one write+flush(+fsync); the committer publishes the
+// watermark before acknowledging. On a commit failure nothing becomes
+// visible and every record counts as a write error.
+func (s *Store) commitLocked(recs []walRecord, nv, ne int64) error {
+	snap, m, clk := s.snapshotLocked(), s.m, s.clk
+	if s.persist == nil {
+		s.published.Store(snap)
+		s.mu.Unlock()
+	} else {
+		start := clk.Now()
+		wait := s.persist.enqueue(recs, snap)
+		s.mu.Unlock()
+		if err := <-wait; err != nil {
+			m.writeErrs.Add(nv + ne)
+			return err
+		}
+		m.flushHist.Observe(clk.Now().Sub(start).Seconds())
+	}
+	m.vertices.Add(nv)
+	m.vertexSize.Add(nv)
+	m.edges.Add(ne)
+	m.edgeSize.Add(ne)
+	return nil
 }
 
 // AddVertex inserts a detection event and returns its vertex ID.
 func (s *Store) AddVertex(e protocol.DetectionEvent) (int64, error) {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.beginWriteLocked(); err != nil {
 		s.mu.Unlock()
-		return 0, ErrClosed
+		return 0, err
 	}
-	v := s.applyVertexLocked(e)
-	id := v.ID
-	m := s.m
-	var wait <-chan error
-	var start time.Time
-	if s.persist != nil {
-		start = s.clk.Now()
-		vc := *v
-		wait = s.persist.enqueue([]walRecord{{Op: "v", Vertex: &vc}})
+	v, err := s.applyVertexLocked(e)
+	if err != nil {
+		s.m.writeErrs.Inc()
+		s.mu.Unlock()
+		return 0, err
 	}
-	s.mu.Unlock()
-	defer s.notifyMutate()
-	if wait != nil {
-		if err := <-wait; err != nil {
-			s.mu.Lock()
-			s.rollbackVertexLocked(id)
-			s.mu.Unlock()
-			m.writeErrs.Inc()
-			return 0, err
-		}
-		m.flushHist.Observe(s.clk.Now().Sub(start).Seconds())
+	if err := s.commitLocked([]walRecord{{Op: "v", Vertex: v}}, 1, 0); err != nil {
+		return 0, err
 	}
-	m.vertices.Inc()
-	return id, nil
+	return v.ID, nil
 }
 
 // AddEdge links two vertices with a confidence weight. Multiple incoming
@@ -277,9 +360,9 @@ func (s *Store) AddVertex(e protocol.DetectionEvent) (int64, error) {
 // must not mask true positives), but exact duplicates are rejected.
 func (s *Store) AddEdge(from, to int64, weight float64) error {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.beginWriteLocked(); err != nil {
 		s.mu.Unlock()
-		return ErrClosed
+		return err
 	}
 	edge, err := s.applyEdgeLocked(from, to, weight)
 	if err != nil {
@@ -287,28 +370,7 @@ func (s *Store) AddEdge(from, to int64, weight float64) error {
 		s.mu.Unlock()
 		return err
 	}
-	m := s.m
-	var wait <-chan error
-	var start time.Time
-	if s.persist != nil {
-		start = s.clk.Now()
-		ec := edge
-		wait = s.persist.enqueue([]walRecord{{Op: "e", Edge: &ec}})
-	}
-	s.mu.Unlock()
-	defer s.notifyMutate()
-	if wait != nil {
-		if err := <-wait; err != nil {
-			s.mu.Lock()
-			s.rollbackEdgeLocked(from, to)
-			s.mu.Unlock()
-			m.writeErrs.Inc()
-			return err
-		}
-		m.flushHist.Observe(s.clk.Now().Sub(start).Seconds())
-	}
-	m.edges.Inc()
-	return nil
+	return s.commitLocked([]walRecord{{Op: "e", Edge: edge}}, 0, 1)
 }
 
 // AddEdgeTraced is AddEdge carrying the writer's trace context: with a
@@ -316,9 +378,7 @@ func (s *Store) AddEdge(from, to int64, weight float64) error {
 // recorded as a "wal_commit" child span bracketing the in-memory apply
 // and the WAL group-commit wait.
 func (s *Store) AddEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext) error {
-	s.mu.RLock()
-	tr, clk := s.tracer, s.clk
-	s.mu.RUnlock()
+	tr, clk := s.tracerClock()
 	if tr == nil || !tc.Valid() || !tc.Sampled {
 		return s.AddEdge(from, to, weight)
 	}
@@ -332,106 +392,71 @@ func (s *Store) AddEdgeTraced(from, to int64, weight float64, tc protocol.TraceC
 	return err
 }
 
-// appliedWrite remembers one batch record's in-memory effect for
-// rollback if the group commit fails.
-type appliedWrite struct {
-	isVertex bool
-	id       int64 // vertex ID
-	from, to int64 // edge endpoints
-}
-
 // ApplyBatch applies a mixed sequence of vertex and edge writes under
 // one store lock acquisition with one WAL group commit. The returned
 // slices parallel writes: ids carries the allocated vertex ID for each
 // vertex record (0 for edges and failures) and errs the per-record
 // rejection (nil for successes). The batch is not transactional across
 // records — a rejected edge does not abort the rest — but every accepted
-// record commits (or rolls back) together, so a batch is never partially
-// durable. The error return reports whole-batch failures (closed store,
-// WAL commit failure).
+// record commits, and becomes visible to readers, together or not at all.
+// The error return reports whole-batch failures (closed store, WAL commit
+// failure).
 func (s *Store) ApplyBatch(writes []protocol.TrajWrite) (ids []int64, errs []error, err error) {
 	if len(writes) == 0 {
 		return nil, nil, nil
 	}
 	s.mu.Lock()
-	if s.closed {
+	if err := s.beginWriteLocked(); err != nil {
 		s.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, nil, err
 	}
 	ids = make([]int64, len(writes))
 	errs = make([]error, len(writes))
 	recs := make([]walRecord, 0, len(writes))
-	applied := make([]appliedWrite, 0, len(writes))
-	m := s.m
-	trc := s.tracer
+	m, trc, clk := s.m, s.tracer, s.clk
 	var traceStart time.Time
 	if trc != nil {
-		traceStart = s.clk.Now()
+		traceStart = clk.Now()
 	}
-	var rejected int64
+	var nv, ne int64
 	for i, w := range writes {
 		switch w.Kind {
 		case protocol.TrajWriteVertex:
 			if w.Event == nil {
 				errs[i] = errors.New("trajstore: batch vertex requires an event")
-				rejected++
 				continue
 			}
-			v := s.applyVertexLocked(*w.Event)
+			v, aerr := s.applyVertexLocked(*w.Event)
+			if aerr != nil {
+				errs[i] = aerr
+				continue
+			}
 			ids[i] = v.ID
-			vc := *v
-			recs = append(recs, walRecord{Op: "v", Vertex: &vc})
-			applied = append(applied, appliedWrite{isVertex: true, id: v.ID})
+			recs = append(recs, walRecord{Op: "v", Vertex: v})
+			nv++
 		case protocol.TrajWriteEdge:
 			edge, aerr := s.applyEdgeLocked(w.From, w.To, w.Weight)
 			if aerr != nil {
 				errs[i] = aerr
-				rejected++
 				continue
 			}
-			ec := edge
-			recs = append(recs, walRecord{Op: "e", Edge: &ec})
-			applied = append(applied, appliedWrite{from: edge.From, to: edge.To})
+			recs = append(recs, walRecord{Op: "e", Edge: edge})
+			ne++
 		default:
 			errs[i] = fmt.Errorf("trajstore: unknown batch record kind %q", w.Kind)
-			rejected++
 		}
 	}
-	var wait <-chan error
-	var start time.Time
-	if s.persist != nil && len(recs) > 0 {
-		start = s.clk.Now()
-		wait = s.persist.enqueue(recs)
-	}
-	s.mu.Unlock()
-	if len(applied) > 0 {
-		defer s.notifyMutate()
-	}
-	if rejected > 0 {
-		m.writeErrs.Add(rejected)
-	}
-	if wait != nil {
-		if werr := <-wait; werr != nil {
-			s.mu.Lock()
-			for i := len(applied) - 1; i >= 0; i-- {
-				a := applied[i]
-				if a.isVertex {
-					s.rollbackVertexLocked(a.id)
-				} else {
-					s.rollbackEdgeLocked(a.from, a.to)
-				}
-			}
-			s.mu.Unlock()
-			m.writeErrs.Add(int64(len(applied)))
-			return nil, nil, werr
-		}
-		m.flushHist.Observe(s.clk.Now().Sub(start).Seconds())
+	m.writeErrs.Add(int64(len(writes)) - nv - ne)
+	if len(recs) == 0 {
+		s.mu.Unlock()
+	} else if err := s.commitLocked(recs, nv, ne); err != nil {
+		return nil, nil, err
 	}
 	// Every accepted record that carried a sampled trace context gets a
 	// wal_commit span bracketing the shared apply + group commit; the
 	// interval is common to the batch, the parentage per record.
 	if trc != nil {
-		traceEnd := s.clk.Now()
+		traceEnd := clk.Now()
 		for i, w := range writes {
 			if w.Trace == nil || !w.Trace.Valid() || !w.Trace.Sampled || errs[i] != nil {
 				continue
@@ -440,16 +465,6 @@ func (s *Store) ApplyBatch(writes []protocol.TrajWrite) (ids []int64, errs []err
 				"batch", strconv.Itoa(len(writes)))
 		}
 	}
-	var nv, ne int64
-	for _, a := range applied {
-		if a.isVertex {
-			nv++
-		} else {
-			ne++
-		}
-	}
-	m.vertices.Add(nv)
-	m.edges.Add(ne)
 	return ids, errs, nil
 }
 
@@ -467,73 +482,30 @@ func (s *Store) WALStats() WALStats {
 	return st
 }
 
+// The store's own read methods answer from the newest published snapshot
+// (see Snapshot for each one's contract).
+
 // Vertex returns a vertex by ID.
-func (s *Store) Vertex(id int64) (Vertex, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.vertices[id]
-	if !ok {
-		return Vertex{}, fmt.Errorf("%w: %d", ErrVertexNotFound, id)
-	}
-	return *v, nil
-}
+func (s *Store) Vertex(id int64) (Vertex, error) { return s.Snapshot().Vertex(id) }
 
 // FindByEventID returns the vertex whose event carries the given ID, which
 // is how a human query ("I saw the vehicle at camera 3 around 10:30")
 // enters the graph.
 func (s *Store) FindByEventID(id protocol.EventID) (Vertex, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, v := range s.vertices {
-		if v.Event.ID == id {
-			return *v, nil
-		}
-	}
-	return Vertex{}, fmt.Errorf("%w: event %q", ErrVertexNotFound, id)
+	return s.Snapshot().FindByEventID(id)
 }
 
 // OutEdges returns a copy of a vertex's outgoing edges, sorted by target.
-func (s *Store) OutEdges(id int64) []Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedEdges(s.out[id], true)
-}
+func (s *Store) OutEdges(id int64) []Edge { return s.Snapshot().edges(id, true) }
 
 // InEdges returns a copy of a vertex's incoming edges, sorted by source.
-func (s *Store) InEdges(id int64) []Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return sortedEdges(s.in[id], false)
-}
-
-func sortedEdges(edges []Edge, byTo bool) []Edge {
-	out := append([]Edge(nil), edges...)
-	sort.Slice(out, func(i, j int) bool {
-		if byTo {
-			return out[i].To < out[j].To
-		}
-		return out[i].From < out[j].From
-	})
-	return out
-}
+func (s *Store) InEdges(id int64) []Edge { return s.Snapshot().edges(id, false) }
 
 // NumVertices returns the vertex count.
-func (s *Store) NumVertices() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.vertices)
-}
+func (s *Store) NumVertices() int { return s.Snapshot().NumVertices() }
 
 // NumEdges returns the edge count.
-func (s *Store) NumEdges() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, es := range s.out {
-		n += len(es)
-	}
-	return n
-}
+func (s *Store) NumEdges() int { return s.Snapshot().NumEdges() }
 
 // TraceLimits bounds trajectory traversals so a pathological graph cannot
 // blow up a query.
@@ -564,107 +536,19 @@ func (l TraceLimits) sanitized() TraceLimits {
 // trajectories, possibly containing false positives for a human or an
 // analytics layer to prune (paper Section 4.2.1).
 func (s *Store) TraceForward(start int64, limits TraceLimits) ([][]int64, error) {
-	return s.trace(start, limits, true)
+	return s.Snapshot().TraceForward(start, limits)
 }
 
 // TraceBackward enumerates the maximal backward paths into start.
 func (s *Store) TraceBackward(start int64, limits TraceLimits) ([][]int64, error) {
-	return s.trace(start, limits, false)
-}
-
-func (s *Store) trace(start int64, limits TraceLimits, forward bool) ([][]int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.vertices[start]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, start)
-	}
-	return traceGraph(s.out, s.in, start, limits.sanitized(), forward), nil
-}
-
-// traceGraph is the traversal core shared by the locked store and the
-// lock-free Snapshot: enumerate the maximal paths from start over the
-// given adjacency maps. Callers must have already checked that start
-// exists and sanitized the limits; the maps must not be mutated while
-// the traversal runs (the store holds its read lock, a snapshot is
-// immutable).
-func traceGraph(out, in map[int64][]Edge, start int64, limits TraceLimits, forward bool) [][]int64 {
-	var paths [][]int64
-	onPath := map[int64]bool{start: true}
-	var dfs func(path []int64)
-	dfs = func(path []int64) {
-		if len(paths) >= limits.MaxPaths {
-			return
-		}
-		cur := path[len(path)-1]
-		var nexts []Edge
-		if forward {
-			nexts = out[cur]
-		} else {
-			nexts = in[cur]
-		}
-		extended := false
-		if len(path) < limits.MaxDepth {
-			for _, e := range sortedEdges(nexts, forward) {
-				next := e.To
-				if !forward {
-					next = e.From
-				}
-				if onPath[next] {
-					continue // cycle guard
-				}
-				onPath[next] = true
-				extended = true
-				dfs(append(path, next))
-				delete(onPath, next)
-			}
-		}
-		if !extended {
-			paths = append(paths, append([]int64(nil), path...))
-		}
-	}
-	dfs([]int64{start})
-	return paths
-}
-
-// combinePaths splices each backward path (start -> origin) with each
-// forward path (start -> end) into full origin-to-end trajectories in
-// time order, capped at maxPaths.
-func combinePaths(back, fwd [][]int64, maxPaths int) [][]int64 {
-	var out [][]int64
-	for _, b := range back {
-		// b runs start -> origin; reverse it to time order.
-		rev := make([]int64, len(b))
-		for i, id := range b {
-			rev[len(b)-1-i] = id
-		}
-		for _, f := range fwd {
-			if len(out) >= maxPaths {
-				return out
-			}
-			path := make([]int64, 0, len(rev)+len(f)-1)
-			path = append(path, rev...)
-			path = append(path, f[1:]...) // skip duplicated start
-			out = append(out, path)
-		}
-	}
-	return out
+	return s.Snapshot().TraceBackward(start, limits)
 }
 
 // Trajectory returns the full candidate space-time track through start:
 // each result path runs from a possible origin through start to a
-// possible end, expressed as vertex IDs in time order. The backward and
-// forward halves run under one read-lock acquisition, so the result is
-// a consistent view even while writers are active.
+// possible end, expressed as vertex IDs in time order.
 func (s *Store) Trajectory(start int64, limits TraceLimits) ([][]int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.vertices[start]; !ok {
-		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, start)
-	}
-	limits = limits.sanitized()
-	back := traceGraph(s.out, s.in, start, limits, false)
-	fwd := traceGraph(s.out, s.in, start, limits, true)
-	return combinePaths(back, fwd, limits.MaxPaths), nil
+	return s.Snapshot().Trajectory(start, limits)
 }
 
 // Close flushes and closes persistence. Further writes fail with
