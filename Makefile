@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-stress vet bench bench-e2e bench-check fmt cover staticcheck govulncheck lint-metrics ci
+.PHONY: all build test race race-stress smoke vet bench bench-e2e bench-check fmt cover staticcheck govulncheck lint-metrics ci
 
 all: build
 
@@ -21,6 +21,13 @@ race:
 # regression cannot hide behind a cached pass.
 race-stress:
 	$(GO) test -race -count=1 -run 'Concurrent|Snapshot|Stress' ./...
+
+# smoke builds the six daemons and drives them as an operator would
+# (cmd/cmd_test.go): every -h against the checked-in flag surface, then a
+# loopback deployment of the five servers that must answer /healthz, exit 0
+# on SIGTERM within the drain timeout and end on its closing log line.
+smoke:
+	$(GO) test -count=1 ./cmd/
 
 vet:
 	$(GO) vet ./...
@@ -52,7 +59,7 @@ fmt:
 # leak check must never pass CI silently).
 cover:
 	$(GO) test -cover ./...
-	@out=$$($(GO) test -v -count=1 -run 'Leak' ./internal/transport/ ./internal/core/ 2>&1); \
+	@out=$$($(GO) test -v -count=1 -run 'Leak' ./internal/transport/ ./internal/core/ ./internal/daemon/ 2>&1); \
 	status=$$?; \
 	echo "$$out"; \
 	if [ $$status -ne 0 ]; then exit $$status; fi; \
@@ -87,4 +94,4 @@ govulncheck:
 lint-metrics:
 	$(GO) test -count=1 -run 'Lint' ./internal/obs/
 
-ci: build vet staticcheck govulncheck lint-metrics race race-stress cover
+ci: build vet staticcheck govulncheck lint-metrics race race-stress smoke cover

@@ -16,110 +16,58 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
-func main() {
-	if err := run(); err != nil {
-		obs.DefaultLogger().WithComponent("coral-monitor").Error(err.Error())
-		os.Exit(1)
-	}
-}
+var (
+	listen  = flag.String("listen", "127.0.0.1:7100", "heartbeat address to listen on")
+	timeout = flag.Duration("liveness-timeout", 15*time.Second, "declare a node dead after this long without a heartbeat")
+	sweep   = flag.Duration("sweep-interval", 2*time.Second, "how often to run the liveness/alert sweep (0 = never)")
+	history = flag.Int("max-transitions", 1024, "liveness and alert transition history bound")
+	rules   fleet.RuleFlag
+)
 
-func run() error {
-	var rules fleet.RuleFlag
-	var (
-		listen    = flag.String("listen", "127.0.0.1:7100", "heartbeat address to listen on")
-		obsListen = flag.String("obs-listen", "127.0.0.1:9100", "HTTP address for /cluster, /cluster/metrics, /cluster/alerts plus the monitor's own /metrics, /healthz, /debug/obs (empty = disabled)")
-		obsPProf  = flag.Bool("obs-pprof", false, "also mount net/http/pprof profiling handlers on the telemetry server")
-		timeout   = flag.Duration("liveness-timeout", 15*time.Second, "declare a node dead after this long without a heartbeat")
-		sweep     = flag.Duration("sweep-interval", 2*time.Second, "how often to run the liveness/alert sweep")
-		history   = flag.Int("max-transitions", 1024, "liveness and alert transition history bound")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log format: text or json")
-		drain     = flag.Duration("drain-timeout", 5*time.Second, "how long a SIGINT/SIGTERM shutdown may spend draining in-flight pushes")
-	)
+func main() {
 	flag.Var(&rules, "alert",
 		"alert rule name=metric<op>value or name=rate(metric)<op>value (repeatable)")
-	flag.Parse()
+	// -obs-listen also serves /cluster, /cluster/metrics and /cluster/alerts.
+	daemon.Main("coral-monitor", "127.0.0.1:9100", 0, run)
+}
 
-	baseLogger, err := obs.InitDefaultLogger(*logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	logger := baseLogger.WithComponent("coral-monitor")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+func run(rt *daemon.Runtime) error {
+	// The monitor is not a fleet member (it has no -node-id), so it
+	// names itself in the build-info gauge.
 	obs.RegisterBuildInfo(obs.Default(), "coral-monitor", "coral-monitor")
 	monitor := fleet.NewMonitor(fleet.MonitorConfig{
 		LivenessTimeout: *timeout,
 		Rules:           rules.Rules,
 		Registry:        obs.Default(),
-		Logger:          baseLogger,
+		Logger:          obs.DefaultLogger(),
 		MaxTransitions:  *history,
 	})
 
-	srv, err := fleet.ServeWith(monitor, *listen, fleet.ServerOptions{Logger: logger})
+	srv, err := fleet.ServeWith(monitor, *listen, fleet.ServerOptions{Logger: rt.Logger})
 	if err != nil {
 		return err
 	}
-	logger.Info("fleet monitor listening", "addr", srv.Addr())
+	rt.OnDrain("heartbeat server", srv.Shutdown)
+	rt.Logger.Info("fleet monitor listening", "addr", srv.Addr())
 
-	var obsSrv *obs.Server
-	if *obsListen != "" {
-		mux := obs.NewMuxWith(obs.MuxConfig{
-			Registry: obs.Default(),
-			PProf:    *obsPProf,
-			NamedChecks: []obs.NamedCheck{
-				{Name: "heartbeat-listener", Check: func() error { return nil }},
-			},
-		})
-		monitor.RegisterHTTP(mux)
-		if obsSrv, err = obs.Serve(*obsListen, mux); err != nil {
-			return err
-		}
-		defer func() { _ = obsSrv.Close() }()
-		logger.Info("cluster view listening", "url", "http://"+obsSrv.Addr()+"/cluster")
+	checks := []obs.NamedCheck{{Name: "heartbeat-listener"}}
+	if err := rt.Serve(obs.Default(), checks, monitor); err != nil {
+		return err
 	}
+	rt.Every(*sweep, func() { monitor.Sweep() })
 
-	ticker := time.NewTicker(*sweep)
-	defer ticker.Stop()
-	go func() {
-		for {
-			select {
-			case <-ticker.C:
-				monitor.Sweep()
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	<-ctx.Done()
-	stop() // restore default signal handling: a second ^C force-kills
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("shutdown", "err", err.Error())
-	}
-	if obsSrv != nil {
-		if err := obsSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("telemetry shutdown", "err", err.Error())
-		}
-	}
+	rt.Wait()
 	sum := monitor.Summary()
-	logger.Info("shutting down",
+	rt.Logger.Info("shutting down",
 		"nodes", fmt.Sprint(len(sum.Nodes)),
 		"alive", fmt.Sprint(sum.Alive), "dead", fmt.Sprint(sum.Dead))
 	return nil

@@ -18,26 +18,21 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/camnode"
 	"repro/internal/clock"
+	"repro/internal/daemon"
 	"repro/internal/des"
-	"repro/internal/fleet"
 	"repro/internal/framestore"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/reid"
 	"repro/internal/roadnet"
-	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/tracker"
 	"repro/internal/trajstore"
@@ -45,56 +40,36 @@ import (
 	"repro/internal/vision"
 )
 
+var (
+	id          = flag.String("id", "cam0", "camera identity")
+	listen      = flag.String("listen", "127.0.0.1:0", "inter-camera listen address")
+	topoAddr    = flag.String("topology", "127.0.0.1:7000", "topology server address")
+	trajAddr    = flag.String("trajstore", "127.0.0.1:7001", "trajectory store address")
+	frameAddr   = flag.String("framestore", "", "comma-separated frame store addresses; >1 replicates every frame to all of them (empty = do not store frames)")
+	frameQuorum = flag.Int("framestore-quorum", 1, "replicas that must accept a frame for the send to count as delivered")
+	heartbeat   = flag.Duration("heartbeat", 2*time.Second, "heartbeat interval")
+
+	cameras   = flag.Int("corridor-cameras", 3, "cameras on the shared demo corridor")
+	index     = flag.Int("corridor-index", 0, "this node's position on the corridor")
+	spacing   = flag.Float64("spacing", 150, "corridor intersection spacing in meters")
+	vehicles  = flag.Int("vehicles", 8, "demo vehicles driving the corridor")
+	seed      = flag.Int64("seed", 1, "traffic seed (must match across nodes)")
+	duration  = flag.Duration("duration", time.Minute, "stream duration")
+	epochUnix = flag.Int64("epoch", 0, "shared traffic epoch (unix seconds; 0 = now+3s)")
+
+	dumpGraph = flag.String("dump-graph", "", "write the corridor road graph JSON here and exit")
+)
+
 func main() {
-	if err := run(); err != nil {
-		obs.DefaultLogger().WithComponent("coral-node").Error(err.Error())
-		os.Exit(1)
-	}
+	daemon.Main("coral-node", "127.0.0.1:0", daemon.Trace|daemon.Node, run)
 }
 
-func run() error {
-	var (
-		id          = flag.String("id", "cam0", "camera identity")
-		listen      = flag.String("listen", "127.0.0.1:0", "inter-camera listen address")
-		topoAddr    = flag.String("topology", "127.0.0.1:7000", "topology server address")
-		trajAddr    = flag.String("trajstore", "127.0.0.1:7001", "trajectory store address")
-		frameAddr   = flag.String("framestore", "", "comma-separated frame store addresses; >1 replicates every frame to all of them (empty = do not store frames)")
-		frameQuorum = flag.Int("framestore-quorum", 1, "replicas that must accept a frame for the send to count as delivered")
-		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "heartbeat interval")
-		obsListen   = flag.String("obs-listen", "127.0.0.1:0", "telemetry HTTP address for /metrics, /healthz, /debug/obs, /debug/trace (empty = disabled)")
-		obsPProf    = flag.Bool("obs-pprof", false, "also mount net/http/pprof profiling handlers on the telemetry server")
-
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat   = flag.String("log-format", "text", "log format: text or json")
-		traceOut    = flag.String("trace-out", "", "append finished trace spans as JSON lines to this file (empty = disabled)")
-		traceSample = flag.Int("trace-sample", 1, "record every Nth trace root (1 = all)")
-
-		cameras   = flag.Int("corridor-cameras", 3, "cameras on the shared demo corridor")
-		index     = flag.Int("corridor-index", 0, "this node's position on the corridor")
-		spacing   = flag.Float64("spacing", 150, "corridor intersection spacing in meters")
-		vehicles  = flag.Int("vehicles", 8, "demo vehicles driving the corridor")
-		seed      = flag.Int64("seed", 1, "traffic seed (must match across nodes)")
-		duration  = flag.Duration("duration", time.Minute, "stream duration")
-		epochUnix = flag.Int64("epoch", 0, "shared traffic epoch (unix seconds; 0 = now+3s)")
-
-		dumpGraph = flag.String("dump-graph", "", "write the corridor road graph JSON here and exit")
-		drain     = flag.Duration("drain-timeout", 5*time.Second, "how long a SIGINT/SIGTERM shutdown may spend draining in-flight work")
-	)
-	rpcFlags := rpc.RegisterFlags(flag.CommandLine)
-	fleetFlags := fleet.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	if fleetFlags.NodeID == "" {
-		fleetFlags.NodeID = *id // the camera identity is the natural fleet identity
+func run(rt *daemon.Runtime) error {
+	if rt.Fleet.NodeID == "" {
+		rt.Fleet.NodeID = *id // the camera identity is the natural fleet identity
 	}
-
-	baseLogger, err := obs.InitDefaultLogger(*logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	logger := baseLogger.WithComponent("coral-node").With("camera", *id)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	rt.Logger = rt.Logger.With("camera", *id)
+	logger, ctx := rt.Logger, rt.Context()
 
 	origin := geo.Point{Lat: 33.7756, Lon: -84.3963}
 	graph, nodes, err := roadnet.Corridor(*cameras, *spacing, origin)
@@ -127,46 +102,33 @@ func run() error {
 	}
 
 	// Shared deterministic traffic: every node builds the identical world.
-	world, camera, err := buildDemoWorld(graph, nodes, *index, *vehicles, *seed)
+	camera, err := buildDemoWorld(graph, nodes, myNode.Pos, *index)
 	if err != nil {
 		return err
 	}
-	_ = world
 
-	ep, err := transport.ListenTCPConfig(*listen, transport.TCPConfigFromFlags(rpcFlags))
+	ep, err := transport.ListenTCPConfig(*listen, transport.TCPConfigFromFlags(rt.RPC))
 	if err != nil {
 		return err
 	}
+	rt.OnIntake("transport", ep.Shutdown)
 	ep.Use(obs.Default())
 	// The ID prefix keeps span IDs globally unique across the deployment's
 	// nodes, so a cross-camera trace assembles without collisions.
-	tracer := obs.NewTracerWith(obs.TracerConfig{
-		Clock:       clock.Real{},
-		Capacity:    4096,
-		IDPrefix:    *id + "-",
-		SampleEvery: *traceSample,
-	})
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		defer func() { _ = f.Close() }()
-		tracer.SetSink(obs.NewJSONLWriter(f).Export)
-	}
+	tracer := rt.NewTracer(4096, *id+"-")
 
-	trajCfg := trajstore.ClientConfigFromFlags(rpcFlags)
+	trajCfg := trajstore.ClientConfigFromFlags(rt.RPC)
 	trajCfg.Registry = obs.Default()
 	trajClient, err := trajstore.DialContext(ctx, *trajAddr, trajCfg)
 	if err != nil {
 		return fmt.Errorf("trajectory store: %w", err)
 	}
-	defer func() { _ = trajClient.Close() }()
 	// Buffer edge writes client-side: re-id edges flush in batches over
 	// the add_batch op instead of one RPC each. Close drains the buffer
 	// before the underlying client goes away.
 	trajWriter := trajstore.NewBatchWriter(trajClient, trajstore.BatchWriterConfig{})
-	defer func() { _ = trajWriter.Close() }()
+	rt.OnClose("trajstore writer", trajWriter.Close)
+	rt.OnClose("trajstore client", trajClient.Close)
 
 	detector, err := vision.NewSimDetector(vision.DefaultSimDetectorConfig(*seed))
 	if err != nil {
@@ -200,8 +162,8 @@ func run() error {
 			cfg.FrameStore = fsClient
 		} else {
 			mc, err := framestore.NewMultiClient(ep, addrs, framestore.MultiClientConfig{
-				CallTimeout: rpcFlags.CallTimeout,
-				RetryBudget: rpcFlags.RetryBudget,
+				CallTimeout: rt.RPC.CallTimeout,
+				RetryBudget: rt.RPC.RetryBudget,
 				Quorum:      *frameQuorum,
 				Registry:    obs.Default(),
 			})
@@ -219,35 +181,16 @@ func run() error {
 	if err := node.Topology().StartHeartbeats(ctx, *heartbeat); err != nil {
 		return err
 	}
-	defer func() { _ = node.Topology().Close() }()
+	rt.OnClose("topology client", node.Topology().Close)
 
-	// The same named checks back /healthz?v=json and the fleet
-	// heartbeat, so the monitor sees exactly what the node reports.
 	checks := []obs.NamedCheck{
 		{Name: "pipeline", Check: nil}, // liveness of the process itself
-		{Name: "trajstore", Check: func() error {
-			// The batch writer surfaces the last flush failure; a node
-			// that cannot commit edges is serving but not healthy.
-			return trajWriter.Err()
-		}},
+		// The batch writer surfaces the last flush failure; a node
+		// that cannot commit edges is serving but not healthy.
+		{Name: "trajstore", Check: trajWriter.Err},
 	}
-	obs.RegisterBuildInfo(obs.Default(), fleetFlags.ResolveNodeID(*id), "coral-node")
-	stopFleet, _ := fleetFlags.Start(ctx, "coral-node", obs.Default(), checks, logger)
-	defer stopFleet()
-
-	var obsSrv *obs.Server
-	if *obsListen != "" {
-		mux := obs.NewMuxWith(obs.MuxConfig{
-			Registry:    obs.Default(),
-			Tracer:      tracer,
-			PProf:       *obsPProf,
-			NamedChecks: checks,
-		})
-		if obsSrv, err = obs.Serve(*obsListen, mux); err != nil {
-			return err
-		}
-		defer func() { _ = obsSrv.Close() }()
-		logger.Info("telemetry listening", "url", "http://"+obsSrv.Addr()+"/metrics")
+	if err := rt.Serve(obs.Default(), checks, nil); err != nil {
+		return err
 	}
 
 	epoch := time.Unix(*epochUnix, 0)
@@ -272,18 +215,7 @@ func run() error {
 	if ctx.Err() != nil {
 		logger.Info("interrupted; draining")
 	}
-	stop() // restore default signal handling: a second ^C force-kills
-
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := ep.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("transport shutdown", "err", err.Error())
-	}
-	if obsSrv != nil {
-		if err := obsSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("telemetry shutdown", "err", err.Error())
-		}
-	}
+	rt.Shutdown()
 
 	st := node.Stats()
 	logger.Info("done",
@@ -299,34 +231,16 @@ func run() error {
 // node's camera view. The discrete-event simulator inside the world is
 // unused (rendering is driven by wall-clock Render calls); it only
 // anchors timestamps.
-func buildDemoWorld(graph *roadnet.Graph, nodes []roadnet.NodeID, index, vehicles int, seed int64) (*sim.World, *sim.Camera, error) {
+func buildDemoWorld(graph *roadnet.Graph, nodes []roadnet.NodeID, pos geo.Point, index int) (*sim.Camera, error) {
 	world, err := sim.NewWorld(sim.WorldConfig{
 		Sim:   des.New(time.Unix(0, 0).UTC()),
 		Graph: graph,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	for v := 0; v < vehicles; v++ {
-		spec := sim.VehicleSpec{
-			ID:       fmt.Sprintf("veh-%02d", v),
-			Color:    sim.PaletteColor(v),
-			SpeedMPS: 12 + rng.Float64()*6,
-			Route:    nodes,
-			Depart:   time.Duration(v) * 5 * time.Second,
-		}
-		if err := world.AddVehicle(spec); err != nil {
-			return nil, nil, err
-		}
+	if err := sim.AddDemoTraffic(world, nodes, *vehicles, *seed); err != nil {
+		return nil, err
 	}
-	me, err := graph.Node(nodes[index])
-	if err != nil {
-		return nil, nil, err
-	}
-	camera, err := world.AddCamera(sim.DefaultCameraSpec(fmt.Sprintf("view-%d", index), me.Pos, 0), func(*vision.Frame) {})
-	if err != nil {
-		return nil, nil, err
-	}
-	return world, camera, nil
+	return world.AddCamera(sim.DefaultCameraSpec(fmt.Sprintf("view-%d", index), pos, 0), func(*vision.Frame) {})
 }

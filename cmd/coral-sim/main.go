@@ -10,71 +10,46 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/daemon"
 	"repro/internal/geo"
-	"repro/internal/obs"
 	"repro/internal/roadnet"
 	"repro/internal/rpc/faultinject"
 	"repro/internal/sim"
 	"repro/internal/trajstore"
 )
 
-func main() {
-	if err := run(); err != nil {
-		obs.DefaultLogger().WithComponent("coral-sim").Error(err.Error())
-		os.Exit(1)
-	}
-}
+var (
+	cameras   = flag.Int("cameras", 5, "cameras along the corridor")
+	spacing   = flag.Float64("spacing", 150, "intersection spacing in meters")
+	vehicles  = flag.Int("vehicles", 12, "vehicles driving the corridor")
+	seed      = flag.Int64("seed", 42, "randomness seed")
+	heartbeat = flag.Duration("heartbeat", 2*time.Second, "camera heartbeat interval")
+	failSpec  = flag.String("fail", "", "fail a camera mid-run, e.g. cam2@40s")
 
-func run() error {
-	var (
-		cameras   = flag.Int("cameras", 5, "cameras along the corridor")
-		spacing   = flag.Float64("spacing", 150, "intersection spacing in meters")
-		vehicles  = flag.Int("vehicles", 12, "vehicles driving the corridor")
-		seed      = flag.Int64("seed", 42, "randomness seed")
-		heartbeat = flag.Duration("heartbeat", 2*time.Second, "camera heartbeat interval")
-		failSpec  = flag.String("fail", "", "fail a camera mid-run, e.g. cam2@40s")
+	storeFrames   = flag.Bool("store-frames", false, "ship raw frames to the simulated frame store")
+	frameReplicas = flag.Int("frame-replicas", 1, "frame-store replicas; >1 fans every frame out to all of them")
+	monitor       = flag.Bool("monitor", false, "run the in-sim fleet monitor and serve /cluster* on -obs-listen")
 
-		storeFrames   = flag.Bool("store-frames", false, "ship raw frames to the simulated frame store")
-		frameReplicas = flag.Int("frame-replicas", 1, "frame-store replicas; >1 fans every frame out to all of them")
-		monitor       = flag.Bool("monitor", false, "run the in-sim fleet monitor and serve /cluster* on -obs-listen")
+	faultDrop    = flag.Float64("fault-drop-rate", 0, "drop each network message with this probability, in [0,1)")
+	faultErr     = flag.Float64("fault-error-rate", 0, "fail each network send with an injected error with this probability, in [0,1)")
+	faultLatency = flag.Duration("fault-latency", 0, "extra latency added to every network message")
+	faultJitter  = flag.Duration("fault-latency-jitter", 0, "uniform extra latency in [0,jitter) per message, drawn from the seeded fault RNG")
+	track        = flag.String("track", "veh-00", "vehicle whose trajectory to reconstruct")
+	dumpObs      = flag.Bool("dump-metrics", false, "print the final Prometheus metric snapshot")
+)
 
-		faultDrop    = flag.Float64("fault-drop-rate", 0, "drop each network message with this probability, in [0,1)")
-		faultErr     = flag.Float64("fault-error-rate", 0, "fail each network send with an injected error with this probability, in [0,1)")
-		faultLatency = flag.Duration("fault-latency", 0, "extra latency added to every network message")
-		faultJitter  = flag.Duration("fault-latency-jitter", 0, "uniform extra latency in [0,jitter) per message, drawn from the seeded fault RNG")
-		track        = flag.String("track", "veh-00", "vehicle whose trajectory to reconstruct")
-		obsListen    = flag.String("obs-listen", "", "telemetry HTTP address for /metrics, /healthz, /debug/obs, /debug/trace (empty = disabled)")
-		obsPProf     = flag.Bool("obs-pprof", false, "also mount net/http/pprof profiling handlers on the telemetry server")
+func main() { daemon.Main("coral-sim", "", daemon.Trace, run) }
 
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat   = flag.String("log-format", "text", "log format: text or json")
-		traceOut    = flag.String("trace-out", "", "append finished trace spans as JSON lines to this file (empty = disabled)")
-		traceSample = flag.Int("trace-sample", 1, "record every Nth trace root (1 = all)")
-		dumpObs     = flag.Bool("dump-metrics", false, "print the final Prometheus metric snapshot")
-		drain       = flag.Duration("drain-timeout", 5*time.Second, "how long shutdown may spend flushing stores")
-	)
-	flag.Parse()
-
-	baseLogger, err := obs.InitDefaultLogger(*logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	logger := baseLogger.WithComponent("coral-sim")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+func run(rt *daemon.Runtime) error {
+	logger, ctx := rt.Logger, rt.Context()
 
 	graph, nodes, err := roadnet.Corridor(*cameras, *spacing, geo.Point{Lat: 33.7756, Lon: -84.3963})
 	if err != nil {
@@ -84,7 +59,7 @@ func run() error {
 		Graph:             graph,
 		Seed:              *seed,
 		HeartbeatInterval: *heartbeat,
-		TraceSampleEvery:  *traceSample,
+		TraceSampleEvery:  rt.TraceSample,
 		StoreFrames:       *storeFrames,
 		FrameReplicas:     *frameReplicas,
 		EnableMonitor:     *monitor,
@@ -100,14 +75,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		defer func() { _ = f.Close() }()
-		sys.Tracer().SetSink(obs.NewJSONLWriter(f).Export)
-	}
+	// Flushes and closes the simulated stores; Stop and FlushAll below
+	// have already run by then.
+	rt.OnDrain("system", sys.Shutdown)
+	rt.UseTracer(sys.Tracer())
 
 	var camIDs []string
 	for i, node := range nodes {
@@ -118,35 +89,14 @@ func run() error {
 		camIDs = append(camIDs, id)
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
-	for v := 0; v < *vehicles; v++ {
-		spec := sim.VehicleSpec{
-			ID:       fmt.Sprintf("veh-%02d", v),
-			Color:    sim.PaletteColor(v),
-			SpeedMPS: 12 + rng.Float64()*6,
-			Route:    nodes,
-			Depart:   time.Duration(v) * 5 * time.Second,
-		}
-		if err := sys.World().AddVehicle(spec); err != nil {
-			return err
-		}
+	if err := sim.AddDemoTraffic(sys.World(), nodes, *vehicles, *seed); err != nil {
+		return err
 	}
 
-	var obsSrv *obs.Server
-	if *obsListen != "" {
-		mux := obs.NewMuxWith(obs.MuxConfig{
-			Registry: sys.Telemetry(),
-			Tracer:   sys.Tracer(),
-			PProf:    *obsPProf,
-		})
-		if m := sys.Monitor(); m != nil {
-			m.RegisterHTTP(mux)
-		}
-		if obsSrv, err = obs.Serve(*obsListen, mux); err != nil {
-			return err
-		}
-		defer func() { _ = obsSrv.Close() }()
-		logger.Info("telemetry listening", "url", "http://"+obsSrv.Addr()+"/metrics")
+	// The mux serves the simulated deployment's registry, not the
+	// process default; -monitor adds the in-sim /cluster* routes.
+	if err := rt.Serve(sys.Telemetry(), nil, sys.Monitor()); err != nil {
+		return err
 	}
 
 	sys.Start(ctx)
@@ -172,7 +122,6 @@ func run() error {
 	if ctx.Err() != nil {
 		logger.Info("interrupted; flushing", "t", sys.Sim().Now().String())
 	}
-	stop() // restore default signal handling: a second ^C force-kills
 	sys.Stop()
 	if err := sys.FlushAll(); err != nil {
 		return err
@@ -211,14 +160,7 @@ func run() error {
 		}
 	}
 
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if obsSrv != nil {
-		if err := obsSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("telemetry shutdown", "err", err.Error())
-		}
-	}
-	return sys.Shutdown(shutdownCtx)
+	return nil // daemon.Main shuts down telemetry and the system's stores
 }
 
 // parseFail splits "cam2@40s" into its camera and instant.

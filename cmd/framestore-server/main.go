@@ -8,58 +8,30 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/internal/fleet"
+	"repro/internal/daemon"
 	"repro/internal/framestore"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		obs.DefaultLogger().WithComponent("framestore-server").Error(err.Error())
-		os.Exit(1)
-	}
-}
+var (
+	listen = flag.String("listen", "127.0.0.1:7002", "address to listen on")
+	dir    = flag.String("dir", "", "persistence directory (empty = in-memory)")
 
-func run() error {
-	var (
-		listen    = flag.String("listen", "127.0.0.1:7002", "address to listen on")
-		dir       = flag.String("dir", "", "persistence directory (empty = in-memory)")
-		obsListen = flag.String("obs-listen", "127.0.0.1:9092", "telemetry HTTP address for /metrics, /healthz, /debug/obs (empty = disabled)")
-		obsPProf  = flag.Bool("obs-pprof", false, "also mount net/http/pprof profiling handlers on the telemetry server")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log format: text or json")
-		drain     = flag.Duration("drain-timeout", 5*time.Second, "how long a SIGINT/SIGTERM shutdown may spend draining in-flight frames")
+	segmentBytes = flag.Int64("segment-bytes", framestore.DefaultSegmentBytes, "per-camera segment roll threshold in bytes")
+	retainFrames = flag.Duration("retain-frames", 0, "drop sealed segments whose newest frame is older than this (0 = keep forever)")
+	retainBytes  = flag.Int64("retain-bytes", 0, "bound total on-disk bytes, deleting oldest sealed segments when exceeded (0 = unbounded)")
+	cacheFrames  = flag.Int("cache-frames", 0, "capacity of the read-through LRU frame cache in records (0 = disabled)")
+	gcInterval   = flag.Duration("gc-interval", time.Minute, "how often retention GC runs when -retain-frames or -retain-bytes is set (0 = only on segment rolls)")
+)
 
-		segmentBytes = flag.Int64("segment-bytes", framestore.DefaultSegmentBytes, "per-camera segment roll threshold in bytes")
-		retainFrames = flag.Duration("retain-frames", 0, "drop sealed segments whose newest frame is older than this (0 = keep forever)")
-		retainBytes  = flag.Int64("retain-bytes", 0, "bound total on-disk bytes, deleting oldest sealed segments when exceeded (0 = unbounded)")
-		cacheFrames  = flag.Int("cache-frames", 0, "capacity of the read-through LRU frame cache in records (0 = disabled)")
-		gcInterval   = flag.Duration("gc-interval", time.Minute, "how often retention GC runs when -retain-frames or -retain-bytes is set (0 = only on segment rolls)")
-	)
-	rpcFlags := rpc.RegisterFlags(flag.CommandLine)
-	fleetFlags := fleet.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { daemon.Main("framestore-server", "127.0.0.1:9092", daemon.Node, run) }
 
-	baseLogger, err := obs.InitDefaultLogger(*logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	logger := baseLogger.WithComponent("framestore-server")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+func run(rt *daemon.Runtime) error {
 	store, err := framestore.OpenStoreConfig(*dir, framestore.Config{
 		SegmentBytes: *segmentBytes,
 		RetainAge:    *retainFrames,
@@ -69,102 +41,55 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer func() { _ = store.Close() }()
+	// The server's drain closes the store; this covers a drain that timed
+	// out and an error return before the server exists.
+	rt.OnClose("store", store.Close)
 	store.Instrument(obs.Default(), nil)
 	// Every retention pass appends a "gc" span with what it reclaimed.
-	tracer := obs.NewTracerWith(obs.TracerConfig{Capacity: 1024, IDPrefix: "fs-"})
+	tracer := rt.NewTracer(1024, "fs-")
 	store.UseTracer(tracer)
 
-	retention := *dir != "" && (*retainFrames > 0 || *retainBytes > 0)
-	if retention && *gcInterval > 0 {
+	if *dir != "" && (*retainFrames > 0 || *retainBytes > 0) {
 		// The after-roll GC hook only fires while frames flow; the timer
 		// ages out segments on idle cameras too.
-		gcTick := time.NewTicker(*gcInterval)
-		defer gcTick.Stop()
-		go func() {
-			for range gcTick.C {
-				if st, err := store.GC(); errors.Is(err, framestore.ErrClosed) {
-					return
-				} else if err != nil {
-					logger.Warn("retention gc", "err", err.Error())
-				} else if st.Segments > 0 {
-					logger.Info("retention gc",
-						"segments", fmt.Sprint(st.Segments),
-						"frames", fmt.Sprint(st.Frames),
-						"reclaimedBytes", fmt.Sprint(st.Bytes),
-						"diskBytes", fmt.Sprint(store.DiskBytes()))
-				}
+		rt.Every(*gcInterval, func() {
+			if st, err := store.GC(); err != nil {
+				rt.Logger.Warn("retention gc", "err", err.Error())
+			} else if st.Segments > 0 {
+				rt.Logger.Info("retention gc",
+					"segments", fmt.Sprint(st.Segments),
+					"frames", fmt.Sprint(st.Frames),
+					"reclaimedBytes", fmt.Sprint(st.Bytes),
+					"diskBytes", fmt.Sprint(store.DiskBytes()))
 			}
-		}()
+		})
 	}
 
-	ep, err := transport.ListenTCPConfig(*listen, transport.TCPConfigFromFlags(rpcFlags))
+	ep, err := transport.ListenTCPConfig(*listen, transport.TCPConfigFromFlags(rt.RPC))
 	if err != nil {
 		return err
 	}
+	rt.OnIntake("transport", ep.Shutdown)
 	ep.Use(obs.Default())
 
 	srv, err := framestore.NewServer(store, ep)
 	if err != nil {
 		return err
 	}
+	// Drains in-flight frame handlers so the last frames land in the
+	// per-camera logs, then flushes and closes the store, recording the
+	// drain in coralpie_framestore_shutdown_drain_seconds.
+	rt.OnDrain("framestore", srv.Shutdown)
 	srv.Use(obs.Default(), nil)
-	logger.Info("frame store listening", "addr", ep.Addr(), "dir", *dir)
+	rt.Logger.Info("frame store listening", "addr", ep.Addr(), "dir", *dir)
 
-	// The same named checks back /healthz?v=json and the fleet
-	// heartbeat, so the monitor sees exactly what the node reports.
-	checks := []obs.NamedCheck{
-		{Name: "store", Check: func() error {
-			if *dir == "" {
-				return nil
-			}
-			_, err := os.Stat(*dir)
-			return err
-		}},
-	}
-	obs.RegisterBuildInfo(obs.Default(),
-		fleetFlags.ResolveNodeID("framestore-server"), "framestore-server")
-	stopFleet, _ := fleetFlags.Start(ctx, "framestore-server", obs.Default(), checks, logger)
-	defer stopFleet()
-
-	var obsSrv *obs.Server
-	if *obsListen != "" {
-		mux := obs.NewMuxWith(obs.MuxConfig{
-			Registry:    obs.Default(),
-			Tracer:      tracer,
-			PProf:       *obsPProf,
-			NamedChecks: checks,
-		})
-		if obsSrv, err = obs.Serve(*obsListen, mux); err != nil {
-			return err
-		}
-		defer func() { _ = obsSrv.Close() }()
-		logger.Info("telemetry listening", "url", "http://"+obsSrv.Addr()+"/metrics")
+	if err := rt.Serve(obs.Default(), []obs.NamedCheck{obs.DirCheck("store", *dir)}, nil); err != nil {
+		return err
 	}
 
-	<-ctx.Done()
-	stop() // restore default signal handling: a second ^C force-kills
-	// Drain in-flight frame handlers before closing the store, so the
-	// last frames land in the per-camera logs before they are flushed.
-	// Transport first (stop the inbound stream), then the server's own
-	// graceful shutdown: cut intake, drain handlers, flush and close the
-	// store, and record the drain duration in
-	// coralpie_framestore_shutdown_drain_seconds.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := ep.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("transport shutdown", "err", err.Error())
-	}
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("framestore shutdown", "err", err.Error())
-	}
-	if obsSrv != nil {
-		if err := obsSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("telemetry shutdown", "err", err.Error())
-		}
-	}
+	rt.Wait()
 	received, errs := srv.Stats()
-	logger.Info("shutting down",
+	rt.Logger.Info("shutting down",
 		"framesStored", fmt.Sprint(received), "handlerErrors", fmt.Sprint(errs))
 	return nil
 }

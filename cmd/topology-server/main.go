@@ -10,57 +10,32 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/fleet"
+	"repro/internal/daemon"
 	"repro/internal/obs"
 	"repro/internal/roadnet"
-	"repro/internal/rpc"
 	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
-func main() {
-	if err := run(); err != nil {
-		obs.DefaultLogger().WithComponent("topology-server").Error(err.Error())
-		os.Exit(1)
-	}
-}
+var (
+	listen    = flag.String("listen", "127.0.0.1:7000", "address to listen on")
+	graphPath = flag.String("graph", "", "road network JSON (see roadnet.Spec)")
+	campus    = flag.Bool("campus", false, "use the built-in 37-intersection campus network")
+	heartbeat = flag.Duration("heartbeat", 2*time.Second, "expected camera heartbeat interval")
+	snap      = flag.Float64("snap-meters", 30, "radius for snapping cameras to intersections")
+)
 
-func run() error {
-	var (
-		listen    = flag.String("listen", "127.0.0.1:7000", "address to listen on")
-		graphPath = flag.String("graph", "", "road network JSON (see roadnet.Spec)")
-		campus    = flag.Bool("campus", false, "use the built-in 37-intersection campus network")
-		heartbeat = flag.Duration("heartbeat", 2*time.Second, "expected camera heartbeat interval")
-		snap      = flag.Float64("snap-meters", 30, "radius for snapping cameras to intersections")
-		obsListen = flag.String("obs-listen", "127.0.0.1:9090", "telemetry HTTP address for /metrics, /healthz, /debug/obs (empty = disabled)")
-		obsPProf  = flag.Bool("obs-pprof", false, "also mount net/http/pprof profiling handlers on the telemetry server")
-		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log format: text or json")
-		drain     = flag.Duration("drain-timeout", 5*time.Second, "how long a SIGINT/SIGTERM shutdown may spend draining in-flight work")
-	)
-	rpcFlags := rpc.RegisterFlags(flag.CommandLine)
-	fleetFlags := fleet.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+func main() { daemon.Main("topology-server", "127.0.0.1:9090", daemon.Node, run) }
 
-	baseLogger, err := obs.InitDefaultLogger(*logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	logger := baseLogger.WithComponent("topology-server")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+func run(rt *daemon.Runtime) error {
 	var graph *roadnet.Graph
+	var err error
 	switch {
 	case *campus:
 		graph, _, err = roadnet.Campus()
@@ -78,10 +53,11 @@ func run() error {
 		return fmt.Errorf("load graph: %w", err)
 	}
 
-	ep, err := transport.ListenTCPConfig(*listen, transport.TCPConfigFromFlags(rpcFlags))
+	ep, err := transport.ListenTCPConfig(*listen, transport.TCPConfigFromFlags(rt.RPC))
 	if err != nil {
 		return err
 	}
+	rt.OnIntake("transport", ep.Shutdown)
 	ep.Use(obs.Default())
 
 	srv, err := topology.NewServer(graph, ep, clock.Real{}, topology.ServerConfig{
@@ -92,12 +68,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(ctx, *heartbeat/2); err != nil {
+	if err := srv.Start(rt.Context(), *heartbeat/2); err != nil {
 		return err
 	}
+	rt.OnDrain("topology", srv.Shutdown)
 
-	// The same named checks back /healthz?v=json and the fleet
-	// heartbeat, so the monitor sees exactly what the node reports.
 	checks := []obs.NamedCheck{
 		{Name: "graph", Check: func() error {
 			if graph.NumNodes() == 0 {
@@ -106,45 +81,16 @@ func run() error {
 			return nil
 		}},
 	}
-	obs.RegisterBuildInfo(obs.Default(),
-		fleetFlags.ResolveNodeID("topology-server"), "topology-server")
-	stopFleet, _ := fleetFlags.Start(ctx, "topology-server", obs.Default(), checks, logger)
-	defer stopFleet()
-
-	var obsSrv *obs.Server
-	if *obsListen != "" {
-		mux := obs.NewMuxWith(obs.MuxConfig{
-			Registry:    obs.Default(),
-			PProf:       *obsPProf,
-			NamedChecks: checks,
-		})
-		if obsSrv, err = obs.Serve(*obsListen, mux); err != nil {
-			return err
-		}
-		defer func() { _ = obsSrv.Close() }()
-		logger.Info("telemetry listening", "url", "http://"+obsSrv.Addr()+"/metrics")
+	if err := rt.Serve(obs.Default(), checks, nil); err != nil {
+		return err
 	}
 
-	logger.Info("topology server listening",
+	rt.Logger.Info("topology server listening",
 		"addr", ep.Addr(),
 		"intersections", fmt.Sprint(graph.NumNodes()),
 		"heartbeat", heartbeat.String())
 
-	<-ctx.Done()
-	stop() // restore default signal handling: a second ^C force-kills
-	logger.Info("shutting down", "cameras", fmt.Sprint(len(srv.Cameras())))
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("topology shutdown", "err", err.Error())
-	}
-	if err := ep.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("transport shutdown", "err", err.Error())
-	}
-	if obsSrv != nil {
-		if err := obsSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("telemetry shutdown", "err", err.Error())
-		}
-	}
+	rt.Wait()
+	rt.Logger.Info("shutting down", "cameras", fmt.Sprint(len(srv.Cameras())))
 	return nil
 }

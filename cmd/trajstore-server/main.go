@@ -7,58 +7,31 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"repro/internal/fleet"
+	"repro/internal/daemon"
 	"repro/internal/obs"
-	"repro/internal/rpc"
 	"repro/internal/trajstore"
 )
 
+var (
+	listen     = flag.String("listen", "127.0.0.1:7001", "address to listen on")
+	dir        = flag.String("dir", "", "persistence directory (empty = in-memory)")
+	compact    = flag.Duration("compact-every", 10*time.Minute, "snapshot compaction interval (persistent stores)")
+	fsync      = flag.Bool("fsync", false, "fsync every WAL group commit (durable across power loss; pair with -group-commit-window)")
+	window     = flag.Duration("group-commit-window", 0, "WAL group-commit window: writes acknowledged within one window share one flush (0 = flush immediately)")
+	queryCache = flag.Int("query-cache", trajstore.DefaultQueryCacheSize, "server-side query result cache size in entries (negative = disable)")
+)
+
 func main() {
-	if err := run(); err != nil {
-		obs.DefaultLogger().WithComponent("trajstore-server").Error(err.Error())
-		os.Exit(1)
-	}
+	daemon.Main("trajstore-server", "127.0.0.1:9091", daemon.Trace|daemon.Node, run)
 }
 
-func run() error {
-	var (
-		listen    = flag.String("listen", "127.0.0.1:7001", "address to listen on")
-		dir       = flag.String("dir", "", "persistence directory (empty = in-memory)")
-		compact   = flag.Duration("compact-every", 10*time.Minute, "snapshot compaction interval (persistent stores)")
-		obsListen = flag.String("obs-listen", "127.0.0.1:9091", "telemetry HTTP address for /metrics, /healthz, /debug/obs, /debug/trace (empty = disabled)")
-		obsPProf  = flag.Bool("obs-pprof", false, "also mount net/http/pprof profiling handlers on the telemetry server")
-
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
-		logFormat   = flag.String("log-format", "text", "log format: text or json")
-		traceOut    = flag.String("trace-out", "", "append finished trace spans as JSON lines to this file (empty = disabled)")
-		traceSample = flag.Int("trace-sample", 1, "record every Nth locally rooted trace (1 = all; spans joining a camera's trace always record)")
-		drain       = flag.Duration("drain-timeout", 5*time.Second, "how long a SIGINT/SIGTERM shutdown may spend draining in-flight requests")
-		fsync       = flag.Bool("fsync", false, "fsync every WAL group commit (durable across power loss; pair with -group-commit-window)")
-		window      = flag.Duration("group-commit-window", 0, "WAL group-commit window: writes acknowledged within one window share one flush (0 = flush immediately)")
-		queryCache  = flag.Int("query-cache", trajstore.DefaultQueryCacheSize, "server-side query result cache size in entries (negative = disable)")
-	)
-	rpcFlags := rpc.RegisterFlags(flag.CommandLine)
-	fleetFlags := fleet.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-
-	baseLogger, err := obs.InitDefaultLogger(*logLevel, *logFormat)
-	if err != nil {
-		return err
-	}
-	logger := baseLogger.WithComponent("trajstore-server")
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+func run(rt *daemon.Runtime) error {
 	var store *trajstore.Store
+	var err error
 	if *dir == "" {
 		store = trajstore.NewMemStore()
 	} else {
@@ -69,105 +42,40 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		rt.Every(*compact, func() {
+			if err := store.Compact(); err != nil {
+				rt.Logger.Error("compact", "err", err.Error())
+			}
+		})
 	}
-	defer func() { _ = store.Close() }()
+	// Closing flushes the WAL, after the server below has drained.
+	rt.OnClose("store", store.Close)
 	store.Instrument(obs.Default(), nil)
 	// WAL group commits append a wal_commit span to any trace context a
 	// camera attached to its write, completing the cross-node trace.
-	tracer := obs.NewTracerWith(obs.TracerConfig{
-		Capacity:    4096,
-		IDPrefix:    "traj-",
-		SampleEvery: *traceSample,
-	})
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-		defer func() { _ = f.Close() }()
-		tracer.SetSink(obs.NewJSONLWriter(f).Export)
-	}
+	tracer := rt.NewTracer(4096, "traj-")
 	store.UseTracer(tracer)
 
 	srv, err := trajstore.ServeWith(store, *listen, trajstore.ServerOptions{
-		WriteTimeout: rpcFlags.CallTimeout,
-		Logger:       logger,
+		WriteTimeout: rt.RPC.CallTimeout,
+		Logger:       rt.Logger,
 		Registry:     obs.Default(),
 		QueryCache:   *queryCache,
 	})
 	if err != nil {
 		return err
 	}
-	logger.Info("trajectory store listening",
+	// Draining lets a camera mid-insert get its reply.
+	rt.OnDrain("server", srv.Shutdown)
+	rt.Logger.Info("trajectory store listening",
 		"addr", srv.Addr(), "dir", *dir, "vertices", fmt.Sprint(store.NumVertices()))
 
-	// The same named checks back /healthz?v=json and the fleet
-	// heartbeat, so the monitor sees exactly what the node reports.
-	checks := []obs.NamedCheck{
-		{Name: "store", Check: func() error {
-			if *dir == "" {
-				return nil
-			}
-			_, err := os.Stat(*dir)
-			return err
-		}},
-	}
-	obs.RegisterBuildInfo(obs.Default(),
-		fleetFlags.ResolveNodeID("trajstore-server"), "trajstore-server")
-	stopFleet, _ := fleetFlags.Start(ctx, "trajstore-server", obs.Default(), checks, logger)
-	defer stopFleet()
-
-	var obsSrv *obs.Server
-	if *obsListen != "" {
-		mux := obs.NewMuxWith(obs.MuxConfig{
-			Registry:    obs.Default(),
-			Tracer:      tracer,
-			PProf:       *obsPProf,
-			NamedChecks: checks,
-		})
-		if obsSrv, err = obs.Serve(*obsListen, mux); err != nil {
-			return err
-		}
-		defer func() { _ = obsSrv.Close() }()
-		logger.Info("telemetry listening", "url", "http://"+obsSrv.Addr()+"/metrics")
+	if err := rt.Serve(obs.Default(), []obs.NamedCheck{obs.DirCheck("store", *dir)}, nil); err != nil {
+		return err
 	}
 
-	doneCompact := make(chan struct{})
-	go func() {
-		defer close(doneCompact)
-		if *dir == "" || *compact <= 0 {
-			return
-		}
-		ticker := time.NewTicker(*compact)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				if err := store.Compact(); err != nil {
-					logger.Error("compact", "err", err.Error())
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	<-ctx.Done()
-	stop() // restore default signal handling: a second ^C force-kills
-	<-doneCompact
-	// Drain in-flight requests before closing, so a camera mid-insert
-	// gets its reply, then flush the WAL via the deferred store.Close.
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("shutdown", "err", err.Error())
-	}
-	if obsSrv != nil {
-		if err := obsSrv.Shutdown(shutdownCtx); err != nil {
-			logger.Warn("telemetry shutdown", "err", err.Error())
-		}
-	}
-	logger.Info("shutting down",
+	rt.Wait()
+	rt.Logger.Info("shutting down",
 		"vertices", fmt.Sprint(store.NumVertices()), "edges", fmt.Sprint(store.NumEdges()))
 	return nil
 }

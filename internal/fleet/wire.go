@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/rpc"
 )
 
@@ -21,54 +20,13 @@ const opHeartbeat = "heartbeat"
 // registry snapshots, so the cap matches the store protocols' 8MB.
 const maxWireBytes = 8 << 20
 
-func writeFrame(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("fleet: marshal frame: %w", err)
-	}
-	if len(data) > maxWireBytes {
-		return fmt.Errorf("fleet: frame too large: %d", len(data))
-	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("fleet: write frame: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("fleet: write frame: %w", err)
-	}
-	return nil
-}
-
-func readFrame(r io.Reader, v any) error {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return fmt.Errorf("fleet: read frame length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > maxWireBytes {
-		return fmt.Errorf("fleet: frame too large: %d", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return fmt.Errorf("fleet: read frame: %w", err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("fleet: decode frame: %w", err)
-	}
-	return nil
-}
-
 // wireCodec adapts the length-prefixed-JSON heartbeat frames to the
 // generic rpc server, the same shape as the store protocols.
 type wireCodec struct{}
 
 func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
 	var req pushRequest
-	if err := readFrame(r, &req); err != nil {
+	if err := protocol.ReadFrame(r, &req, maxWireBytes); err != nil {
 		return nil, err
 	}
 	return &rpc.Request{Method: req.Op, Body: &req}, nil
@@ -76,9 +34,9 @@ func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
 
 func (wireCodec) WriteResponse(w io.Writer, _ *rpc.Request, resp *rpc.Response, herr error) error {
 	if herr != nil {
-		return writeFrame(w, pushResponse{Err: herr.Error()})
+		return protocol.WriteFrame(w, pushResponse{Err: herr.Error()}, maxWireBytes)
 	}
-	return writeFrame(w, *resp.Body.(*pushResponse))
+	return protocol.WriteFrame(w, *resp.Body.(*pushResponse), maxWireBytes)
 }
 
 // ServerOptions tunes a heartbeat server beyond the defaults.
@@ -227,10 +185,10 @@ func (c *Client) Push(ctx context.Context, hb *Heartbeat) error {
 func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
 	var wresp pushResponse
 	err := c.cc.Call(ctx, func(conn net.Conn) error {
-		if err := writeFrame(conn, req.Body.(*pushRequest)); err != nil {
+		if err := protocol.WriteFrame(conn, req.Body.(*pushRequest), maxWireBytes); err != nil {
 			return err
 		}
-		return readFrame(conn, &wresp)
+		return protocol.ReadFrame(conn, &wresp, maxWireBytes)
 	})
 	if err != nil {
 		return nil, err

@@ -400,6 +400,7 @@ func (s *Store) putDisk(cl *cameraLog, rec protocol.FrameRecord, data []byte, m 
 	}
 
 	start := s.now()
+	// Same layout as protocol.WriteFrame, kept apart with its reader (see indexSegment).
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
 	if _, err := seg.w.Write(lenBuf[:]); err != nil {

@@ -446,6 +446,8 @@ func (s *Store) indexSegment(cl *cameraLog, id int64) (*segment, error) {
 		}
 		return nil
 	}
+	// Not protocol.ReadFrame: salvage must tell a torn header, a corrupt
+	// length and a torn payload apart, which a network reader must not.
 scan:
 	for offset < fileSize {
 		var lenBuf [4]byte

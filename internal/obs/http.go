@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"time"
 )
 
@@ -19,6 +20,18 @@ type HealthCheck func() error
 type NamedCheck struct {
 	Name  string
 	Check HealthCheck
+}
+
+// DirCheck is the readiness check of a store persisted under dir: the
+// directory must still be there. An in-memory store (dir "") is ready.
+func DirCheck(name, dir string) NamedCheck {
+	return NamedCheck{Name: name, Check: func() error {
+		if dir == "" {
+			return nil
+		}
+		_, err := os.Stat(dir)
+		return err
+	}}
 }
 
 // CheckResult is one component's readiness at evaluation time.

@@ -269,16 +269,20 @@ func Open(env Envelope) (any, error) {
 // a corrupted length prefix from allocating unbounded memory.
 const MaxFrameBytes = 32 << 20
 
-// ErrFrameTooLarge is returned when a wire message exceeds MaxFrameBytes.
+// ErrFrameTooLarge is returned when a wire message exceeds its protocol's
+// size cap (MaxFrameBytes for envelopes).
 var ErrFrameTooLarge = errors.New("protocol: frame exceeds size limit")
 
-// WriteEnvelope frames env as 4-byte big-endian length + JSON.
-func WriteEnvelope(w io.Writer, env Envelope) error {
-	data, err := json.Marshal(env)
+// WriteFrame writes v as one network frame: a 4-byte big-endian length
+// followed by v's JSON, rejecting payloads above limit. It is the one frame
+// codec of every TCP protocol in the tree (envelopes, the trajectory
+// store's request/response pairs, fleet heartbeats); only the cap differs.
+func WriteFrame(w io.Writer, v any, limit int) error {
+	data, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("protocol: marshal envelope: %w", err)
+		return fmt.Errorf("protocol: marshal frame: %w", err)
 	}
-	if len(data) > MaxFrameBytes {
+	if len(data) > limit {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(data))
 	}
 	var lenBuf [4]byte
@@ -292,27 +296,42 @@ func WriteEnvelope(w io.Writer, env Envelope) error {
 	return nil
 }
 
-// ReadEnvelope reads one length-prefixed envelope. It returns io.EOF when
-// the stream ends cleanly at a message boundary.
-func ReadEnvelope(r io.Reader) (Envelope, error) {
+// ReadFrame reads one frame written by WriteFrame into v. It returns
+// io.EOF when the stream ends cleanly at a frame boundary, and rejects a
+// length prefix above limit before allocating for it.
+func ReadFrame(r io.Reader, v any, limit int) error {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return Envelope{}, io.EOF
+			return io.EOF
 		}
-		return Envelope{}, fmt.Errorf("protocol: read length: %w", err)
+		return fmt.Errorf("protocol: read length: %w", err)
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxFrameBytes {
-		return Envelope{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	if uint64(n) > uint64(limit) {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	data := make([]byte, n)
 	if _, err := io.ReadFull(r, data); err != nil {
-		return Envelope{}, fmt.Errorf("protocol: read payload: %w", err)
+		return fmt.Errorf("protocol: read payload: %w", err)
 	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("protocol: decode frame: %w", err)
+	}
+	return nil
+}
+
+// WriteEnvelope frames env as 4-byte big-endian length + JSON.
+func WriteEnvelope(w io.Writer, env Envelope) error {
+	return WriteFrame(w, env, MaxFrameBytes)
+}
+
+// ReadEnvelope reads one length-prefixed envelope. It returns io.EOF when
+// the stream ends cleanly at a message boundary.
+func ReadEnvelope(r io.Reader) (Envelope, error) {
 	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return Envelope{}, fmt.Errorf("protocol: unmarshal envelope: %w", err)
+	if err := ReadFrame(r, &env, MaxFrameBytes); err != nil {
+		return Envelope{}, err
 	}
 	return env, nil
 }

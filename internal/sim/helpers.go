@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"repro/internal/imaging"
 	"repro/internal/roadnet"
@@ -36,6 +37,27 @@ func PaletteColor(i int) imaging.Color {
 	}
 	shift := uint8(round * 23)
 	return imaging.Color{R: c.R ^ shift, G: c.G ^ (shift >> 1), B: c.B ^ (shift << 1)}
+}
+
+// AddDemoTraffic adds the demo deployment's vehicles to w: n palette-
+// coloured vehicles driving route at seeded speeds of 12–18 m/s, departing
+// 5 s apart. coral-sim and every coral-node process call it with the same
+// arguments, which is what makes their traffic identical.
+func AddDemoTraffic(w *World, route []roadnet.NodeID, n int, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	for v := 0; v < n; v++ {
+		err := w.AddVehicle(VehicleSpec{
+			ID:       fmt.Sprintf("veh-%02d", v),
+			Color:    PaletteColor(v),
+			SpeedMPS: 12 + rng.Float64()*6,
+			Route:    route,
+			Depart:   time.Duration(v) * 5 * time.Second,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RandomRoute generates a random walk of the given number of legs

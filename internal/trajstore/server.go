@@ -2,8 +2,6 @@ package trajstore
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -115,47 +113,6 @@ type response struct {
 // maxWireBytes bounds one request/response frame.
 const maxWireBytes = 8 << 20
 
-func writeFrame(w io.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("trajstore: marshal frame: %w", err)
-	}
-	if len(data) > maxWireBytes {
-		return fmt.Errorf("trajstore: frame too large: %d", len(data))
-	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("trajstore: write frame: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("trajstore: write frame: %w", err)
-	}
-	return nil
-}
-
-func readFrame(r io.Reader, v any) error {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return fmt.Errorf("trajstore: read frame length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > maxWireBytes {
-		return fmt.Errorf("trajstore: frame too large: %d", n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return fmt.Errorf("trajstore: read frame: %w", err)
-	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("trajstore: decode frame: %w", err)
-	}
-	return nil
-}
-
 // wireCodec adapts the store's length-prefixed-JSON frames to the
 // generic rpc server. The wire format is unchanged: handler errors are
 // encoded into the response frame's err field, exactly as before, so
@@ -164,7 +121,7 @@ type wireCodec struct{}
 
 func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
 	var req request
-	if err := readFrame(r, &req); err != nil {
+	if err := protocol.ReadFrame(r, &req, maxWireBytes); err != nil {
 		return nil, err
 	}
 	return &rpc.Request{Method: req.Op, Body: &req}, nil
@@ -172,9 +129,9 @@ func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
 
 func (wireCodec) WriteResponse(w io.Writer, _ *rpc.Request, resp *rpc.Response, herr error) error {
 	if herr != nil {
-		return writeFrame(w, response{Err: herr.Error()})
+		return protocol.WriteFrame(w, response{Err: herr.Error()}, maxWireBytes)
 	}
-	return writeFrame(w, *resp.Body.(*response))
+	return protocol.WriteFrame(w, *resp.Body.(*response), maxWireBytes)
 }
 
 // ServerOptions tunes a trajectory store server beyond the defaults.
@@ -538,10 +495,10 @@ func (c *Client) do(ctx context.Context, wreq request) (response, error) {
 func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
 	var wresp response
 	err := c.cc.Call(ctx, func(conn net.Conn) error {
-		if err := writeFrame(conn, req.Body.(*request)); err != nil {
+		if err := protocol.WriteFrame(conn, req.Body.(*request), maxWireBytes); err != nil {
 			return err
 		}
-		return readFrame(conn, &wresp)
+		return protocol.ReadFrame(conn, &wresp, maxWireBytes)
 	})
 	if err != nil {
 		return nil, err
