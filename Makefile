@@ -10,13 +10,16 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/core's DES suites need 10-12 minutes under the race detector on
+# a 2-vCPU host, over go test's default 10-minute timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # race-stress re-runs the concurrency suites (snapshot isolation and the
 # WAL commit-failure path under a hammering reader, index-vs-scan
-# equivalence beside a batched writer, interleaved reader/writer query
-# stress, shutdown drains, fleet monitor ingest/sweep/federate) under the
+# equivalence beside a batched writer, batch writer pipelining under
+# concurrent producers, interleaved reader/writer query stress, shutdown
+# drains, fleet monitor ingest/sweep/federate) under the
 # race detector with caching disabled, so an interleaving-dependent
 # regression cannot hide behind a cached pass.
 race-stress:

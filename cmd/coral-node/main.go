@@ -123,10 +123,10 @@ func run(rt *daemon.Runtime) error {
 	if err != nil {
 		return fmt.Errorf("trajectory store: %w", err)
 	}
-	// Buffer edge writes client-side: re-id edges flush in batches over
-	// the add_batch op instead of one RPC each. Close drains the buffer
-	// before the underlying client goes away.
-	trajWriter := trajstore.NewBatchWriter(trajClient, trajstore.BatchWriterConfig{})
+	// Buffer edge writes client-side: a re-id edge leaves at once when the
+	// line is idle and rides the next add_batch when it is not. Close
+	// drains the buffer before the underlying client goes away.
+	trajWriter := trajstore.NewBatchWriter(trajClient, trajstore.BatchWriterConfig{Registry: obs.Default()})
 	rt.OnClose("trajstore writer", trajWriter.Close)
 	rt.OnClose("trajstore client", trajClient.Close)
 

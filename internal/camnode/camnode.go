@@ -172,8 +172,11 @@ func newNodeMetrics(reg *obs.Registry, cameraID string) nodeMetrics {
 		vertices:         c("coralpie_camnode_vertices_total", "trajectory-graph vertices inserted"),
 		edges:            c("coralpie_camnode_edges_total", "trajectory-graph edges inserted"),
 		sendErrors:       c("coralpie_camnode_send_errors_total", "failed sends and frame-store writes"),
+		// ×2 steps from 250µs to ~1s: a commit is a few RPC round trips, and
+		// the default ×4 buckets would put its p50 and p95 in one bucket.
 		e2eCommit: reg.Histogram("coralpie_e2e_track_commit_seconds",
-			"frame capture to trajectory edge-commit acknowledgement", nil, l...),
+			"frame capture to trajectory edge-commit acknowledgement",
+			obs.ExpBuckets(250e-6, 2, 13), l...),
 	}
 	// The e2e commit latency is the paper's headline number, so it
 	// carries trace exemplars: a bad bucket on /metrics links straight to

@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -395,13 +399,28 @@ func TestClientAddBatchRoundTrip(t *testing.T) {
 	}
 }
 
+var errTransportDown = errors.New("transport down")
+
 // fakeBatchClient scripts AddBatchContext outcomes for BatchWriter tests.
 type fakeBatchClient struct {
-	mu        sync.Mutex
-	calls     int
 	failFirst int   // transport-fail this many leading calls
 	recErr    error // per-record error applied to every record
-	got       [][]protocol.TrajWrite
+
+	// When set, every call announces itself on entered and then blocks
+	// until a value arrives on (or the test closes) release.
+	entered chan struct{}
+	release chan struct{}
+
+	mu    sync.Mutex
+	calls int
+	got   [][]protocol.TrajWrite // delivered batches, in call order
+}
+
+// newGatedBatchClient returns a client whose RPCs the test lets through
+// one at a time.
+func newGatedBatchClient() *fakeBatchClient {
+	// entered is sized so the client never blocks announcing a call.
+	return &fakeBatchClient{entered: make(chan struct{}, 64), release: make(chan struct{})}
 }
 
 func (f *fakeBatchClient) AddVertexContext(ctx context.Context, e protocol.DetectionEvent) (int64, error) {
@@ -409,11 +428,15 @@ func (f *fakeBatchClient) AddVertexContext(ctx context.Context, e protocol.Detec
 }
 
 func (f *fakeBatchClient) AddBatchContext(ctx context.Context, writes []protocol.TrajWrite) ([]int64, []error, error) {
+	if f.entered != nil {
+		f.entered <- struct{}{}
+		<-f.release
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.calls++
 	if f.calls <= f.failFirst {
-		return nil, nil, errors.New("transport down")
+		return nil, nil, errTransportDown
 	}
 	cp := append([]protocol.TrajWrite(nil), writes...)
 	f.got = append(f.got, cp)
@@ -422,6 +445,12 @@ func (f *fakeBatchClient) AddBatchContext(ctx context.Context, writes []protocol
 		errs[i] = f.recErr
 	}
 	return make([]int64, len(writes)), errs, nil
+}
+
+func (f *fakeBatchClient) callCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls
 }
 
 func (f *fakeBatchClient) delivered() int {
@@ -434,62 +463,273 @@ func (f *fakeBatchClient) delivered() int {
 	return n
 }
 
-func TestBatchWriterFlushesOnClose(t *testing.T) {
+// batches returns the From field of every delivered edge, batch by batch:
+// the tests queue edge i as (i, i+1), so this is the delivery order.
+func (f *fakeBatchClient) batches() [][]int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := make([][]int64, len(f.got))
+	for i, b := range f.got {
+		for _, wr := range b {
+			out[i] = append(out[i], wr.From)
+		}
+	}
+	return out
+}
+
+// awaitEntered waits for the flusher's next RPC to reach the gated client.
+func (f *fakeBatchClient) awaitEntered(t *testing.T) {
+	t.Helper()
+	select {
+	case <-f.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the flusher never started the expected add_batch RPC")
+	}
+}
+
+// edgeResults collects done callbacks: how often each edge's fired, and
+// with what.
+type edgeResults struct {
+	mu    sync.Mutex
+	calls []int   // per edge
+	errs  []error // per edge, the last one seen
+	fired int
+	all   chan struct{} // closed when every edge's callback has fired
+}
+
+func newEdgeResults(edges int) *edgeResults {
+	return &edgeResults{calls: make([]int, edges), errs: make([]error, edges), all: make(chan struct{})}
+}
+
+func (r *edgeResults) done(i int) func(error) {
+	return func(err error) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.calls[i]++
+		r.errs[i] = err
+		if r.fired++; r.fired == len(r.calls) {
+			close(r.all)
+		}
+	}
+}
+
+func (r *edgeResults) await(t *testing.T) {
+	t.Helper()
+	select {
+	case <-r.all:
+	case <-time.After(5 * time.Second):
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		t.Fatalf("%d of %d done callbacks fired", r.fired, len(r.calls))
+	}
+}
+
+// check asserts every edge's callback fired exactly once with an error
+// matching want (nil: success).
+func (r *edgeResults) check(t *testing.T, want error) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, n := range r.calls {
+		if n != 1 {
+			t.Errorf("edge %d: done fired %d times, want once", i, n)
+		}
+		if !errors.Is(r.errs[i], want) {
+			t.Errorf("edge %d: done(%v), want %v", i, r.errs[i], want)
+		}
+	}
+}
+
+func queueEdges(w *BatchWriter, r *edgeResults, from, to int) {
+	for i := from; i < to; i++ {
+		w.QueueEdge(int64(i), int64(i+1), 0.1, r.done(i))
+	}
+}
+
+// TestBatchWriterIdleEdgeLeavesAtOnce: an edge queued on an idle writer is
+// delivered by the flusher alone — no Flush, no Close, no timer to wait
+// out — and, queued one at a time, each leaves as its own batch.
+func TestBatchWriterIdleEdgeLeavesAtOnce(t *testing.T) {
 	fc := &fakeBatchClient{}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 100, MaxAge: time.Hour})
-	var mu sync.Mutex
-	var results []error
-	for i := 0; i < 10; i++ {
-		w.QueueEdge(int64(i), int64(i+1), 0.1, func(err error) {
-			mu.Lock()
-			results = append(results, err)
-			mu.Unlock()
-		})
+	w := NewBatchWriter(fc, BatchWriterConfig{})
+	defer func() { _ = w.Close() }()
+	const edges = 5
+	for i := 0; i < edges; i++ {
+		r := newEdgeResults(1)
+		w.QueueEdge(int64(i), int64(i+1), 0.1, r.done(0))
+		r.await(t)
+		r.check(t, nil)
+	}
+	if got, want := fc.batches(), [][]int64{{0}, {1}, {2}, {3}, {4}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batches = %v, want %v", got, want)
+	}
+}
+
+// TestBatchWriterNextBatchFormsBehindInFlightRPC: edges that arrive while
+// an add_batch RPC is in flight leave together as the next batch, capped
+// at MaxBatch, in FIFO order — batch size follows load, not a clock.
+func TestBatchWriterNextBatchFormsBehindInFlightRPC(t *testing.T) {
+	fc := newGatedBatchClient()
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
+	r := newEdgeResults(7)
+	queueEdges(w, r, 0, 1)
+	fc.awaitEntered(t) // edge 0 is on the wire, alone
+	queueEdges(w, r, 1, 7)
+	close(fc.release)
+	r.await(t)
+	r.check(t, nil)
+	if got, want := fc.batches(), [][]int64{{0}, {1, 2, 3, 4}, {5, 6}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batches = %v, want %v", got, want)
 	}
 	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchWriterKeepsFIFOAcrossRequeue: a transport-failed batch goes
+// back to the head of the queue, ahead of edges that arrived meanwhile.
+func TestBatchWriterKeepsFIFOAcrossRequeue(t *testing.T) {
+	fc := newGatedBatchClient()
+	fc.failFirst = 1
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
+	r := newEdgeResults(6)
+	queueEdges(w, r, 0, 1)
+	fc.awaitEntered(t)
+	queueEdges(w, r, 1, 6)
+	close(fc.release) // the RPC carrying edge 0 now fails
+	r.await(t)
+	r.check(t, nil)
+	if got, want := fc.batches(), [][]int64{{0, 1, 2, 3}, {4, 5}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("batches = %v, want %v", got, want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchWriterPausesBetweenFailedFlushes: against a dead store the
+// flusher retries at the pace of flushRetryPause instead of spinning,
+// Close is not held up by the pause, and every edge still gets exactly
+// MaxRetries+1 attempts and then the transport error, once.
+func TestBatchWriterPausesBetweenFailedFlushes(t *testing.T) {
+	const retries = 50
+	fc := &fakeBatchClient{failFirst: 1 << 30}
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxRetries: retries})
+	r := newEdgeResults(3)
+	queueEdges(w, r, 0, 3)
+
+	const window = 300 * time.Millisecond
+	time.Sleep(window)
+	// One call at once, one after each full pause, and slack for a queue
+	// that was still filling when the first call left.
+	if calls, bound := fc.callCount(), int(window/flushRetryPause)+3; calls > bound {
+		t.Errorf("%d add_batch calls in %v against a dead store, want <= %d: the flusher is spinning", calls, window, bound)
+	}
+	if calls := fc.callCount(); calls == 0 {
+		t.Error("the flusher never tried the dead store")
+	}
+
+	start := time.Now()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("Close took %v against a dead store", took)
+	}
+	r.await(t)
+	r.check(t, errTransportDown)
+	// The three edges travel together throughout, or edge 0 made its first
+	// attempt alone and the other two need one call more.
+	if calls := fc.callCount(); calls < retries+1 || calls > retries+2 {
+		t.Errorf("%d add_batch calls to exhaust %d retries", calls, retries)
+	}
+	if fc.delivered() != 0 {
+		t.Errorf("a dead store delivered %d edges", fc.delivered())
+	}
+}
+
+// TestBatchWriterCloseLeavesNoGoroutine: Close waits for the flusher to
+// exit, mid-batch or idle.
+func TestBatchWriterCloseLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		w := NewBatchWriter(&fakeBatchClient{}, BatchWriterConfig{MaxBatch: 2})
+		r := newEdgeResults(i)
+		queueEdges(w, r, 0, i)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r.check(t, nil)
+	}
+	// Close has already waited for each flusher; the loop only absorbs
+	// goroutines of other tests still winding down.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before, %d after Close", before, after)
+	}
+}
+
+// TestBatchWriterFlushesOnClose: edges still queued behind an in-flight
+// RPC when Close is called are all delivered before Close returns.
+func TestBatchWriterFlushesOnClose(t *testing.T) {
+	fc := newGatedBatchClient()
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 100})
+	r := newEdgeResults(10)
+	queueEdges(w, r, 0, 1)
+	fc.awaitEntered(t)
+	queueEdges(w, r, 1, 10)
+	closed := make(chan error, 1)
+	go func() { closed <- w.Close() }()
+	close(fc.release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
 	if fc.delivered() != 10 {
 		t.Errorf("delivered %d edges, want 10", fc.delivered())
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(results) != 10 {
-		t.Fatalf("callbacks = %d, want 10", len(results))
-	}
-	for _, err := range results {
-		if err != nil {
-			t.Errorf("edge result: %v", err)
-		}
-	}
+	r.check(t, nil)
 }
 
+// TestBatchWriterRetriesTransportErrors: the flusher alone, pausing after
+// each failure, carries an edge through transient transport errors.
 func TestBatchWriterRetriesTransportErrors(t *testing.T) {
 	fc := &fakeBatchClient{failFirst: 2}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour, MaxRetries: 3})
-	errCh := make(chan error, 1)
-	w.QueueEdge(1, 2, 0.1, func(err error) { errCh <- err })
-	if err := w.Flush(context.Background()); err != nil {
-		t.Fatal(err)
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxRetries: 3})
+	r := newEdgeResults(1)
+	queueEdges(w, r, 0, 1)
+	r.await(t)
+	r.check(t, nil)
+	if calls := fc.callCount(); calls != 3 {
+		t.Errorf("%d add_batch calls, want 3 (two failures, one delivery)", calls)
 	}
-	if err := <-errCh; err != nil {
-		t.Errorf("edge should succeed after retries: %v", err)
+	if err := w.Err(); err != nil {
+		t.Errorf("Err() = %v after a clean flush", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestBatchWriterSurfacesExhaustedRetries: Flush does not wait out the
+// retry pauses; it spends the edge's remaining attempts back to back.
 func TestBatchWriterSurfacesExhaustedRetries(t *testing.T) {
 	fc := &fakeBatchClient{failFirst: 100}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour, MaxRetries: 1})
-	errCh := make(chan error, 1)
-	w.QueueEdge(1, 2, 0.1, func(err error) { errCh <- err })
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxRetries: 1})
+	r := newEdgeResults(1)
+	queueEdges(w, r, 0, 1)
 	if err := w.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errCh; err == nil {
-		t.Error("exhausted retries must surface the transport error")
+	r.await(t)
+	r.check(t, errTransportDown)
+	if calls := fc.callCount(); calls != 2 {
+		t.Errorf("%d add_batch calls, want MaxRetries+1 = 2", calls)
+	}
+	if !errors.Is(w.Err(), errTransportDown) {
+		t.Errorf("Err() = %v, want the transport error", w.Err())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -499,7 +739,7 @@ func TestBatchWriterSurfacesExhaustedRetries(t *testing.T) {
 func TestBatchWriterSurfacesPerRecordErrors(t *testing.T) {
 	recErr := errors.New("edge exists")
 	fc := &fakeBatchClient{recErr: recErr}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
 	err := w.AddEdge(1, 2, 0.1)
 	if !errors.Is(err, recErr) {
 		t.Errorf("AddEdge = %v, want scripted per-record error", err)
@@ -526,20 +766,133 @@ func TestBatchWriterQueueAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestBatchWriterSizeTrigger: MaxBatch is the only size knob — a burst
+// larger than it is delivered whole, in order, in batches no larger.
 func TestBatchWriterSizeTrigger(t *testing.T) {
 	fc := &fakeBatchClient{}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxAge: time.Hour})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
 	defer func() { _ = w.Close() }()
-	var wg sync.WaitGroup
-	wg.Add(8)
-	for i := 0; i < 8; i++ {
-		w.QueueEdge(int64(i), int64(i+1), 0.1, func(error) { wg.Done() })
+	r := newEdgeResults(40)
+	queueEdges(w, r, 0, 40)
+	r.await(t)
+	r.check(t, nil)
+	next := int64(0)
+	for _, b := range fc.batches() {
+		if len(b) > 4 {
+			t.Errorf("batch of %d edges, MaxBatch is 4", len(b))
+		}
+		for _, from := range b {
+			if from != next {
+				t.Fatalf("edge %d delivered where %d was due", from, next)
+			}
+			next++
+		}
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("size-triggered flush never delivered the queued edges")
+}
+
+// TestBatchWriterMetrics: the writer reports its own queue wait, batch
+// sizes, failures and depth under lint-clean names.
+func TestBatchWriterMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	fc := newGatedBatchClient()
+	fc.failFirst = 1
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, Registry: reg})
+	depth := reg.Gauge("coralpie_trajstore_batch_queue_depth", "")
+	r := newEdgeResults(4)
+	queueEdges(w, r, 0, 1)
+	fc.awaitEntered(t)
+	queueEdges(w, r, 1, 4)
+	if got := depth.Value(); got != 3 {
+		t.Errorf("queue depth = %d with three edges behind an in-flight RPC", got)
+	}
+	close(fc.release)
+	r.await(t)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Two RPCs: edge 0 alone (failed), then all four.
+	for name, want := range map[string]int64{
+		"coralpie_trajstore_batch_flushes_total":      2,
+		"coralpie_trajstore_batch_edges_total":        5,
+		"coralpie_trajstore_batch_flush_errors_total": 1,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := reg.Histogram("coralpie_trajstore_batch_queue_wait_seconds", "", nil).Count(); got != 5 {
+		t.Errorf("queue-wait observations = %d, want one per edge per attempt = 5", got)
+	}
+	if got := depth.Value(); got != 0 {
+		t.Errorf("queue depth = %d after Close", got)
+	}
+	if v := obs.LintMetricNames(reg.Snapshot()); len(v) != 0 {
+		t.Errorf("metric name violations: %v", v)
+	}
+}
+
+// TestBatchWriterConcurrentProducersStress drives the writer from many
+// goroutines against a real loopback server: every done fires exactly
+// once, and the store holds exactly the edges that were acknowledged.
+func TestBatchWriterConcurrentProducersStress(t *testing.T) {
+	store := NewMemStore()
+	srv, err := Serve(store, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cl.Close() }()
+	w := NewBatchWriter(cl, BatchWriterConfig{})
+
+	const producers, perProducer = 8, 2000
+	// Producer p chains its own vertices, so every edge is distinct.
+	ids := make([][]int64, producers)
+	for p := range ids {
+		ids[p] = make([]int64, perProducer+1)
+		for i := range ids[p] {
+			if ids[p][i], err = store.AddVertex(event(fmt.Sprintf("cam%d#%d", p, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	fired := make([]atomic.Int32, producers*perProducer)
+	var acked, failed atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; i++ {
+				slot := &fired[p*perProducer+i]
+				w.QueueEdge(ids[p][i], ids[p][i+1], 0.1, func(err error) {
+					slot.Add(1)
+					if err != nil {
+						failed.Add(1)
+					} else {
+						acked.Add(1)
+					}
+				})
+			}
+		}(p)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range fired {
+		if n := fired[i].Load(); n != 1 {
+			t.Fatalf("edge %d: done fired %d times, want once", i, n)
+		}
+	}
+	if failed.Load() != 0 {
+		t.Errorf("%d edges failed against a healthy store", failed.Load())
+	}
+	if got := int64(store.NumEdges()); got != acked.Load() {
+		t.Errorf("store holds %d edges, %d were acknowledged", got, acked.Load())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -17,14 +18,11 @@ type BatchClient interface {
 	AddBatchContext(ctx context.Context, writes []protocol.TrajWrite) ([]int64, []error, error)
 }
 
-// BatchWriterConfig tunes the client-side edge write buffer.
+// BatchWriterConfig tunes the client-side edge write buffer. There is no
+// age knob: an idle writer sends at once, and batch size follows load.
 type BatchWriterConfig struct {
-	// MaxBatch is the queue depth that triggers an asynchronous flush.
-	// Default 64.
+	// MaxBatch caps how many edges one add_batch RPC carries. Default 64.
 	MaxBatch int
-	// MaxAge is how long a queued edge may wait before an age-triggered
-	// flush picks it up. Default 50ms.
-	MaxAge time.Duration
 	// MaxRetries bounds how many times a transport-failed edge is
 	// re-queued before its error is surfaced to the done callback.
 	// Server-side per-record rejections are terminal and never retried.
@@ -32,14 +30,14 @@ type BatchWriterConfig struct {
 	MaxRetries int
 	// FlushTimeout bounds each batch RPC. Default 5s.
 	FlushTimeout time.Duration
+	// Registry receives the writer's coralpie_trajstore_batch_* telemetry;
+	// nil keeps standalone handles.
+	Registry *obs.Registry
 }
 
 func (c BatchWriterConfig) withDefaults() BatchWriterConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = 50 * time.Millisecond
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
@@ -52,10 +50,44 @@ func (c BatchWriterConfig) withDefaults() BatchWriterConfig {
 	return c
 }
 
+// flushRetryPause is how long the flusher waits after a transport-failed
+// batch before it tries again, so a dead store is retried, not spun on.
+const flushRetryPause = 50 * time.Millisecond
+
 // ErrWriterClosed is returned to done callbacks for edges still queued
 // when the BatchWriter is closed and the final drain fails, and by
 // QueueEdge calls after Close.
 var ErrWriterClosed = errors.New("trajstore: batch writer closed")
+
+// batchMetrics are the writer's pre-resolved coralpie_trajstore_batch_*
+// handles. Edges and flushes both count send attempts, so their ratio is
+// the mean batch size on the wire.
+type batchMetrics struct {
+	queueWait *obs.Histogram // enqueue → start of the RPC carrying the edge
+	flushes   *obs.Counter
+	edges     *obs.Counter
+	flushErrs *obs.Counter
+	depth     *obs.Gauge
+}
+
+func newBatchMetrics(reg *obs.Registry) batchMetrics {
+	if reg == nil {
+		reg = obs.NewRegistry() // standalone handles nobody scrapes
+	}
+	return batchMetrics{
+		queueWait: reg.Histogram("coralpie_trajstore_batch_queue_wait_seconds",
+			"time an edge waits in the batch writer before its add_batch RPC starts",
+			obs.ExpBuckets(50e-6, 2, 15)), // 50µs … 0.8s: idle wake-up to retry pauses
+		flushes: reg.Counter("coralpie_trajstore_batch_flushes_total",
+			"add_batch RPCs sent by the batch writer"),
+		edges: reg.Counter("coralpie_trajstore_batch_edges_total",
+			"edges carried by the batch writer's add_batch RPCs"),
+		flushErrs: reg.Counter("coralpie_trajstore_batch_flush_errors_total",
+			"add_batch RPCs that failed at the transport level"),
+		depth: reg.Gauge("coralpie_trajstore_batch_queue_depth",
+			"edges waiting in the batch writer"),
+	}
+}
 
 type queuedEdge struct {
 	from, to int64
@@ -63,11 +95,16 @@ type queuedEdge struct {
 	trace    *protocol.TraceContext
 	done     func(error)
 	attempts int
+	queued   time.Time
 }
 
-// BatchWriter buffers edge inserts client-side and flushes them through
-// the add_batch RPC on size or age triggers, so a camera's handoff edges
-// stop paying one round trip each. Vertex inserts pass through
+// BatchWriter buffers edge inserts client-side and delivers them through
+// the add_batch RPC as a pipelined group commit: an edge queued while no
+// batch is in flight is sent at once by the flusher goroutine, and edges
+// that arrive during an in-flight RPC form the next batch (up to
+// MaxBatch), so a camera's handoff edges pay neither a timer nor, under
+// load, one round trip each. After a transport failure the flusher pauses
+// flushRetryPause before retrying. Vertex inserts pass through
 // synchronously (their IDs gate downstream work) but still ride the
 // server's group commit under load. Each queued edge carries an optional
 // done callback that receives the edge's final error — nil on success,
@@ -77,6 +114,7 @@ type queuedEdge struct {
 type BatchWriter struct {
 	cl  BatchClient
 	cfg BatchWriterConfig
+	m   batchMetrics
 
 	mu      sync.Mutex
 	queue   []queuedEdge
@@ -97,6 +135,7 @@ func NewBatchWriter(cl BatchClient, cfg BatchWriterConfig) *BatchWriter {
 	w := &BatchWriter{
 		cl:   cl,
 		cfg:  cfg.withDefaults(),
+		m:    newBatchMetrics(cfg.Registry),
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -117,9 +156,9 @@ func (w *BatchWriter) AddVertex(e protocol.DetectionEvent) (int64, error) {
 }
 
 // QueueEdge enqueues an edge insert for asynchronous delivery. done (may
-// be nil) is invoked exactly once with the edge's final error. If the
-// queue is far over the flush threshold the caller is backpressured into
-// flushing inline rather than growing the buffer without bound.
+// be nil) is invoked exactly once with the edge's final error, on the
+// flusher goroutine — unless the queue is far over MaxBatch, when the
+// caller is backpressured into flushing a batch inline.
 func (w *BatchWriter) QueueEdge(from, to int64, weight float64, done func(error)) {
 	w.queueEdge(queuedEdge{from: from, to: to, weight: weight, done: done})
 }
@@ -132,29 +171,34 @@ func (w *BatchWriter) QueueEdgeTraced(from, to int64, weight float64, tc protoco
 }
 
 func (w *BatchWriter) queueEdge(qe queuedEdge) {
-	done := qe.done
+	qe.queued = time.Now()
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
-		if done != nil {
-			done(ErrWriterClosed)
+		if qe.done != nil {
+			qe.done(ErrWriterClosed)
 		}
 		return
 	}
 	w.queue = append(w.queue, qe)
 	n := len(w.queue)
+	w.m.depth.Set(int64(n))
 	w.mu.Unlock()
 
 	if n >= w.cfg.MaxBatch*16 {
 		// Producer is far ahead of the flusher: absorb the cost inline.
 		w.flushOnce(context.Background())
-		return
+	} else if n == 1 {
+		// Empty → non-empty: the flusher may be idle. A longer queue means
+		// it was already woken and loops until the queue is empty.
+		w.wake()
 	}
-	if n >= w.cfg.MaxBatch {
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
+}
+
+func (w *BatchWriter) wake() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -163,33 +207,23 @@ func (w *BatchWriter) queueEdge(qe queuedEdge) {
 func (w *BatchWriter) AddEdge(from, to int64, weight float64) error {
 	ch := make(chan error, 1)
 	w.QueueEdge(from, to, weight, func(err error) { ch <- err })
-	// A synchronous caller should not sit out the age window: wake the
-	// flusher now.
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
 	// Every queued edge's done callback is invoked exactly once — by a
 	// flush, by retry exhaustion, or by Close's fail-closed drain — so
 	// this receive always terminates.
 	return <-ch
 }
 
-// Flush delivers every currently queued edge, looping until the queue is
-// empty or ctx expires. It terminates because each edge's attempts are
-// bounded by MaxRetries.
+// Flush delivers every edge queued or in flight when it is called, looping
+// until the queue is empty or ctx expires. It terminates because each
+// edge's attempts are bounded by MaxRetries.
 func (w *BatchWriter) Flush(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		w.mu.Lock()
-		n := len(w.queue)
-		w.mu.Unlock()
-		if n == 0 {
+		if n, _ := w.flushOnce(ctx); n == 0 {
 			return nil
 		}
-		w.flushOnce(ctx)
 	}
 }
 
@@ -226,6 +260,7 @@ func (w *BatchWriter) Close() error {
 	w.mu.Lock()
 	rest := w.queue
 	w.queue = nil
+	w.m.depth.Set(0)
 	w.mu.Unlock()
 	for _, qe := range rest {
 		if qe.done != nil {
@@ -235,48 +270,67 @@ func (w *BatchWriter) Close() error {
 	return err
 }
 
+// run is the flusher: woken when the queue turns non-empty, it sends batch
+// after batch until the queue is empty, so whatever arrived during one RPC
+// leaves with the next. stop wins between batches and over the retry pause.
 func (w *BatchWriter) run() {
 	defer close(w.done)
-	ticker := time.NewTicker(w.cfg.MaxAge)
-	defer ticker.Stop()
 	for {
 		select {
 		case <-w.stop:
 			return
 		case <-w.kick:
-		case <-ticker.C:
 		}
-		w.flushOnce(context.Background())
+		for {
+			n, err := w.flushOnce(context.Background())
+			if n == 0 {
+				break
+			}
+			if err != nil {
+				select {
+				case <-w.stop:
+					return
+				case <-time.After(flushRetryPause):
+				}
+			}
+			select {
+			case <-w.stop:
+				return
+			default:
+			}
+		}
 	}
 }
 
-// flushOnce sends one batch of queued edges. Transport failures re-queue
-// the whole batch (attempts++) until MaxRetries; per-record server
-// rejections are terminal.
-func (w *BatchWriter) flushOnce(ctx context.Context) {
+// flushOnce sends one batch of queued edges and returns its size and the
+// RPC's transport error. Transport failures re-queue the whole batch
+// (attempts++) until MaxRetries; per-record server rejections are terminal.
+func (w *BatchWriter) flushOnce(ctx context.Context) (int, error) {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
 
 	w.mu.Lock()
-	if len(w.queue) == 0 {
+	n := min(len(w.queue), w.cfg.MaxBatch)
+	if n == 0 {
 		w.mu.Unlock()
-		return
-	}
-	n := len(w.queue)
-	if n > w.cfg.MaxBatch {
-		n = w.cfg.MaxBatch
+		return 0, nil
 	}
 	batch := make([]queuedEdge, n)
 	copy(batch, w.queue[:n])
 	w.queue = append(w.queue[:0], w.queue[n:]...)
+	w.m.depth.Set(int64(len(w.queue)))
 	w.mu.Unlock()
 
-	writes := make([]protocol.TrajWrite, len(batch))
+	start := time.Now()
+	writes := make([]protocol.TrajWrite, n)
 	for i, qe := range batch {
 		wr := protocol.EdgeWrite(qe.from, qe.to, qe.weight)
 		wr.Trace = qe.trace
 		writes[i] = wr
+		w.m.queueWait.ObserveDuration(start.Sub(qe.queued))
 	}
+	w.m.flushes.Inc()
+	w.m.edges.Add(int64(n))
 
 	rpcCtx, cancel := context.WithTimeout(ctx, w.cfg.FlushTimeout)
 	_, errs, err := w.cl.AddBatchContext(rpcCtx, writes)
@@ -288,6 +342,7 @@ func (w *BatchWriter) flushOnce(ctx context.Context) {
 
 	if err != nil {
 		// Transport-level failure: every edge in the batch is undelivered.
+		w.m.flushErrs.Inc()
 		var requeue []queuedEdge
 		for _, qe := range batch {
 			qe.attempts++
@@ -302,9 +357,13 @@ func (w *BatchWriter) flushOnce(ctx context.Context) {
 		if len(requeue) > 0 {
 			w.mu.Lock()
 			w.queue = append(requeue, w.queue...)
+			w.m.depth.Set(int64(len(w.queue)))
 			w.mu.Unlock()
+			// The flusher may have seen the queue empty while this batch
+			// was out on a Flush or back-pressure caller's goroutine.
+			w.wake()
 		}
-		return
+		return n, err
 	}
 	for i, qe := range batch {
 		var recErr error
@@ -315,16 +374,5 @@ func (w *BatchWriter) flushOnce(ctx context.Context) {
 			qe.done(recErr)
 		}
 	}
-
-	// A full batch may still be queued (the size kick is coalesced);
-	// re-arm the flusher rather than leaving it to the age tick.
-	w.mu.Lock()
-	left := len(w.queue)
-	w.mu.Unlock()
-	if left >= w.cfg.MaxBatch {
-		select {
-		case w.kick <- struct{}{}:
-		default:
-		}
-	}
+	return n, nil
 }
