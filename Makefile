@@ -39,7 +39,7 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/obs/ ./internal/pipeline/
 	$(GO) test -run=NONE -bench=BenchmarkTrajstoreWritePath -benchtime=2s .
 	$(GO) test -run=NONE -bench=BenchmarkRPCMiddlewareOverhead -benchtime=1s -benchmem ./internal/transport/
-	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s ./internal/query/
+	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkFramestore -benchtime=2s ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkSnapshotQueryBySize -benchtime=2s ./internal/trajstore/
 

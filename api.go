@@ -13,7 +13,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/imaging"
 	"repro/internal/protocol"
-	"repro/internal/query"
 	"repro/internal/reid"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
@@ -172,17 +171,18 @@ func OpenFrameStore(dir string, cfg FrameStoreConfig) (*FrameStore, error) {
 }
 
 // Track is a reconstructed, confidence-scored space-time trajectory.
-type Track = query.Track
+type Track = trajstore.Track
 
 // ReconstructTracks returns every candidate track through a sighting,
-// ranked most-plausible first (longer, then more confident).
+// ranked most-plausible first (longer, then more confident), walking one
+// committed snapshot of the store.
 func ReconstructTracks(store *TrajStore, eventID EventID, limits TraceLimits) ([]Track, error) {
-	return query.Reconstruct(query.StoreReader{Store: store}, eventID, limits)
+	return trajstore.FindTracks(store.Snapshot(), eventID, limits)
 }
 
 // BestTrack returns the top-ranked track through a sighting.
 func BestTrack(store *TrajStore, eventID EventID, limits TraceLimits) (Track, error) {
-	return query.Best(query.StoreReader{Store: store}, eventID, limits)
+	return trajstore.BestTrack(store.Snapshot(), eventID, limits)
 }
 
 // --- Simulation world ---

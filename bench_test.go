@@ -12,6 +12,7 @@ package coralpie
 // Human-readable paper-vs-measured output comes from cmd/experiments.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -429,7 +430,7 @@ func benchTrajstoreWritePath(b *testing.B, mode string, clients int) {
 	// give ~4.2M unique (from, to) pairs before the store's duplicate
 	// guard would trip.
 	const vpool = 2048
-	seed, err := trajstore.Dial(srv.Addr())
+	seed, err := trajstore.DialContext(context.Background(), srv.Addr(), trajstore.ClientConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func benchTrajstoreWritePath(b *testing.B, mode string, clients int) {
 				CameraID: "bench",
 			})
 		}
-		got, _, err := seed.AddBatch(writes)
+		got, _, err := seed.AddBatchContext(context.Background(), writes)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -481,7 +482,7 @@ func benchTrajstoreWritePath(b *testing.B, mode string, clients int) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			cl, err := trajstore.Dial(srv.Addr())
+			cl, err := trajstore.DialContext(context.Background(), srv.Addr(), trajstore.ClientConfig{})
 			if err != nil {
 				noteErr(err)
 				return
@@ -498,7 +499,7 @@ func benchTrajstoreWritePath(b *testing.B, mode string, clients int) {
 			}
 			for i := 0; i < n; i++ {
 				from, to := pairOf(next.Add(1) - 1)
-				noteErr(cl.AddEdge(from, to, 0.1))
+				noteErr(cl.AddEdgeContext(context.Background(), from, to, 0.1))
 			}
 		}(n)
 	}

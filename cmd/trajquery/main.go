@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/protocol"
-	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/trajstore"
 )
@@ -104,16 +103,17 @@ func run() error {
 		return err
 	}
 
-	var tracks []query.Track
+	var tracks []trajstore.Track
 	switch {
 	case *fallback:
-		// Client-side walk over the per-vertex ops (N+1 round trips,
-		// memoized per query) — the path old servers still speak.
-		tracks, err = query.ReconstructFromVertex(client, start.ID, limits)
+		// Client-side walk over the per-vertex ops (one RPC per distinct
+		// vertex, memoized per query) — the path old servers still speak.
+		// The view is bound to ctx, so ^C stops the walk.
+		tracks, err = trajstore.ReconstructTracks(client.View(ctx), start.ID, limits)
 	case *best:
 		var track trajstore.Track
 		track, err = client.BestContext(ctx, start.Event.ID, limits)
-		tracks = []query.Track{track}
+		tracks = []trajstore.Track{track}
 	default:
 		tracks, err = client.ReconstructVertexContext(ctx, start.ID, limits)
 	}

@@ -113,14 +113,14 @@ func run() error {
 		return err
 	}
 	defer func() { _ = srv.Close() }()
-	client, err := trajstore.Dial(srv.Addr())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	client, err := trajstore.DialContext(ctx, srv.Addr(), trajstore.ClientConfig{})
 	if err != nil {
 		return err
 	}
 	defer func() { _ = client.Close() }()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	sightings, err := client.SightingsContext(ctx, "veh-00", 0)
 	if err != nil {
 		return err

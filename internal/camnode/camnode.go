@@ -5,9 +5,10 @@
 // candidate pool, and the storage clients for the trajectory graph and
 // raw frames.
 //
-// The node's core is the synchronous ProcessFrame path, driven either by
-// the discrete-event simulation harness (deterministic experiments) or by
-// the concurrent live pipeline in live.go (real deployments over TCP).
+// The node's core is the synchronous ProcessFrameContext path, driven
+// either by the discrete-event simulation harness (deterministic
+// experiments) or by the concurrent live pipeline in live.go (real
+// deployments over TCP).
 package camnode
 
 import (
@@ -31,8 +32,8 @@ import (
 )
 
 // TrajStore is the trajectory storage client interface; the local
-// *trajstore.Store, the remote *trajstore.Client, and the buffered
-// *trajstore.BatchWriter all satisfy it.
+// *trajstore.Store and the buffered *trajstore.BatchWriter (over a remote
+// *trajstore.Client) satisfy it.
 type TrajStore interface {
 	AddVertex(e protocol.DetectionEvent) (int64, error)
 	AddEdge(from, to int64, weight float64) error
@@ -55,7 +56,7 @@ type TracedEdgeQueuer interface {
 }
 
 // TracedEdgeWriter is the synchronous traced edge path, implemented by
-// trajstore.Store and trajstore.Client.
+// trajstore.Store.
 type TracedEdgeWriter interface {
 	AddEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext) error
 }
@@ -67,16 +68,9 @@ type EdgeFlusher interface {
 }
 
 // FrameSink is the frame storage client interface (framestore.Client,
-// framestore.MultiClient).
+// framestore.MultiClient). The node passes the ingest context, so frame
+// sends carry the frame's trace and honor its deadline.
 type FrameSink interface {
-	StoreFrame(rec protocol.FrameRecord) error
-}
-
-// ContextFrameSink is implemented by frame sinks that accept the
-// caller's context, so frame sends carry the ingest trace and honor its
-// deadline. When the configured FrameSink implements it, the node
-// prefers it over StoreFrame.
-type ContextFrameSink interface {
 	StoreFrameContext(ctx context.Context, rec protocol.FrameRecord) error
 }
 
@@ -450,12 +444,6 @@ func (n *Node) send(ctx context.Context, addr string, msg any, counter *int64, o
 	}
 }
 
-// ProcessFrame runs the full continuous-processing path on one frame
-// with the transport's default send timeouts. See ProcessFrameContext.
-func (n *Node) ProcessFrame(f *vision.Frame) error {
-	return n.ProcessFrameContext(context.Background(), f)
-}
-
 // ProcessFrameContext runs the full continuous-processing path on one
 // frame: detection, the three-step post-processing filter, SORT tracking
 // with per-track signature accumulation, event generation for departed
@@ -478,8 +466,8 @@ func (n *Node) ProcessFrameContext(ctx context.Context, f *vision.Frame) error {
 // frameTiming carries one frame's pipeline timestamps through to
 // emitEvent, where they become the capture/detect/track spans of the
 // event's trace and the start point of the end-to-end commit histogram.
-// Zero fields (e.g. on the Flush path, which has no triggering frame)
-// fall back to the event time.
+// Zero fields (e.g. on the FlushContext path, which has no triggering
+// frame) fall back to the event time.
 type frameTiming struct {
 	capture     time.Time
 	detectStart time.Time
@@ -570,15 +558,7 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 			Pixels:      f.Image.Pix,
 			Annotations: annotations,
 		}
-		var err error
-		if sink, ok := n.cfg.FrameStore.(ContextFrameSink); ok {
-			// Context-aware sinks get the ingest context, so replicated
-			// sends carry this frame's trace and respect its deadline.
-			err = sink.StoreFrameContext(ctx, rec)
-		} else {
-			err = n.cfg.FrameStore.StoreFrame(rec)
-		}
-		if err != nil {
+		if err := n.cfg.FrameStore.StoreFrameContext(ctx, rec); err != nil {
 			// Frame storage is off the critical path; count and continue.
 			n.m.sendErrors.Inc()
 			n.mu.Lock()
@@ -587,12 +567,6 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 		}
 	}
 	return nil
-}
-
-// Flush retires all live tracks (end of stream) and emits their events
-// with the transport's default send timeouts.
-func (n *Node) Flush() error {
-	return n.FlushContext(context.Background())
 }
 
 // FlushContext retires all live tracks (end of stream) and emits their

@@ -78,13 +78,13 @@ func driveVehicleThrough(t *testing.T, n *Node, truthID string, color imaging.Co
 	t.Helper()
 	seq := startSeq
 	for x := 10; x <= 150; x += 10 {
-		if err := n.ProcessFrame(makeFrame(n.CameraID(), seq, x, truthID, color)); err != nil {
+		if err := n.ProcessFrameContext(context.Background(), makeFrame(n.CameraID(), seq, x, truthID, color)); err != nil {
 			t.Fatal(err)
 		}
 		seq++
 	}
 	for i := 0; i < 6; i++ { // > MaxAge empty frames
-		if err := n.ProcessFrame(makeFrame(n.CameraID(), seq, 0, "", color)); err != nil {
+		if err := n.ProcessFrameContext(context.Background(), makeFrame(n.CameraID(), seq, 0, "", color)); err != nil {
 			t.Fatal(err)
 		}
 		seq++
@@ -320,14 +320,14 @@ func TestFlushEmitsLiveTracks(t *testing.T) {
 	n := newTestNode(t, bus, "camA", cfg)
 
 	for seq := int64(0); seq < 5; seq++ {
-		if err := n.ProcessFrame(makeFrame("camA", seq, 10+int(seq)*10, "veh-1", imaging.Red)); err != nil {
+		if err := n.ProcessFrameContext(context.Background(), makeFrame("camA", seq, 10+int(seq)*10, "veh-1", imaging.Red)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if events != 0 {
 		t.Fatal("event emitted before departure")
 	}
-	if err := n.Flush(); err != nil {
+	if err := n.FlushContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if events != 1 {
@@ -409,7 +409,7 @@ func TestRunLiveNilSource(t *testing.T) {
 
 type countingSink struct{ n int }
 
-func (c *countingSink) StoreFrame(protocol.FrameRecord) error {
+func (c *countingSink) StoreFrameContext(context.Context, protocol.FrameRecord) error {
 	c.n++
 	return nil
 }
@@ -423,7 +423,7 @@ func TestStoreFramesSendsRecords(t *testing.T) {
 	cfg.StoreFrames = true
 	n := newTestNode(t, bus, "camF", cfg)
 	for seq := int64(0); seq < 4; seq++ {
-		if err := n.ProcessFrame(makeFrame("camF", seq, 20, "v", imaging.Red)); err != nil {
+		if err := n.ProcessFrameContext(context.Background(), makeFrame("camF", seq, 20, "v", imaging.Red)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -435,7 +435,7 @@ func TestStoreFramesSendsRecords(t *testing.T) {
 func TestProcessFrameNil(t *testing.T) {
 	bus := transport.NewBus()
 	n := newTestNode(t, bus, "camN", nodeConfig("camN", trajstore.NewMemStore()))
-	if err := n.ProcessFrame(nil); err == nil {
+	if err := n.ProcessFrameContext(context.Background(), nil); err == nil {
 		t.Error("nil frame accepted")
 	}
 }

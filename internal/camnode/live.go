@@ -104,6 +104,7 @@ func (n *Node) RunLive(ctx context.Context, src FrameSource) error {
 		return err
 	}
 	// Cancellation is a graceful stop, not an error: flush live tracks
-	// so their events are not lost, then report a clean exit.
-	return n.Flush()
+	// so their events are not lost, then report a clean exit. The flush
+	// outlives the cancel but keeps the caller's values.
+	return n.FlushContext(context.WithoutCancel(ctx))
 }

@@ -67,11 +67,14 @@ func TestLiveTCPEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = ep.Close() })
-		trajClient, err := trajstore.Dial(trajSrv.Addr())
+		trajClient, err := trajstore.DialContext(context.Background(), trajSrv.Addr(), trajstore.ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = trajClient.Close() })
+		// A raw client is not a TrajStore; coral-node wraps it the same way.
+		writer := trajstore.NewBatchWriter(trajClient, trajstore.BatchWriterConfig{})
+		t.Cleanup(func() { _ = writer.Close() })
 		pos, err := graph.Node(nodeID)
 		if err != nil {
 			t.Fatal(err)
@@ -85,7 +88,7 @@ func TestLiveTCPEndToEnd(t *testing.T) {
 			Tracker:            tracker.DefaultConfig(),
 			Matcher:            reid.DefaultMatcherConfig(),
 			Pool:               reid.DefaultPoolConfig(),
-			TrajStore:          trajClient,
+			TrajStore:          writer,
 			Clock:              clock.Real{},
 		}, ep)
 		if err != nil {

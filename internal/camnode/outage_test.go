@@ -39,6 +39,9 @@ func TestCamnodeRidesOutTrajstoreOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = trajClient.Close() }()
+	// A raw client is not a TrajStore; coral-node wraps it the same way.
+	writer := trajstore.NewBatchWriter(trajClient, trajstore.BatchWriterConfig{})
+	defer func() { _ = writer.Close() }()
 
 	// The inter-camera side uses an in-process bus; only the store link
 	// is real TCP, which is the link under test.
@@ -56,7 +59,7 @@ func TestCamnodeRidesOutTrajstoreOutage(t *testing.T) {
 		Tracker:            tracker.DefaultConfig(),
 		Matcher:            reid.DefaultMatcherConfig(),
 		Pool:               reid.DefaultPoolConfig(),
-		TrajStore:          trajClient,
+		TrajStore:          writer,
 		Clock:              clock.Real{},
 	}, ep)
 	if err != nil {

@@ -198,7 +198,7 @@ func TestBatchedEdgePathAccounting(t *testing.T) {
 		t.Fatalf("edge landed before flush: %d", base.NumEdges())
 	}
 
-	if err := b.Flush(); err != nil {
+	if err := b.FlushContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if store.flushes == 0 {

@@ -489,7 +489,7 @@ func (s *System) AddCamera(cameraID string, pos geo.Point, headingDeg float64) e
 		camSpec.BrightnessOffset = int(hash64(cameraID)%uint64(2*j+1)) - j
 	}
 	camera, err := s.world.AddCamera(camSpec, func(f *vision.Frame) {
-		if err := camNode.ProcessFrame(f); err != nil {
+		if err := camNode.ProcessFrameContext(s.ctx, f); err != nil {
 			rig.procErrs++
 		}
 	})
@@ -525,7 +525,7 @@ func hash64(s string) uint64 {
 // hardware.
 func (s *System) startRig(rig *cameraRig) {
 	beat := func() {
-		_ = rig.client.SendHeartbeat()
+		_ = rig.client.SendHeartbeatContext(s.ctx)
 		if rig.agent != nil {
 			_ = rig.agent.Push(s.ctx)
 		}
@@ -552,7 +552,7 @@ func (s *System) Start(ctx context.Context) {
 		s.startRig(s.rigs[id])
 	}
 	s.liveness = s.sim.Every(s.cfg.LivenessCheckInterval, func() {
-		s.topo.CheckLiveness()
+		s.topo.CheckLivenessContext(s.ctx)
 	})
 	if s.monitor != nil {
 		// Service agents start in sorted node order, then the monitor
@@ -656,10 +656,13 @@ func (s *System) RecoverFrameStore(i int) error {
 func (s *System) Monitor() *fleet.Monitor { return s.monitor }
 
 // FlushAll retires all live tracks on every camera, emitting their
-// events; call at the end of a bounded experiment.
+// events; call at the end of a bounded experiment. The flush outlives a
+// cancelled root context (a stopped run still keeps its live tracks) but
+// carries its values.
 func (s *System) FlushAll() error {
+	ctx := context.WithoutCancel(s.ctx)
 	for _, id := range s.CameraIDs() {
-		if err := s.rigs[id].node.Flush(); err != nil {
+		if err := s.rigs[id].node.FlushContext(ctx); err != nil {
 			return fmt.Errorf("core: flush %s: %w", id, err)
 		}
 	}

@@ -53,6 +53,7 @@ func Figure11(heartbeat time.Duration, kills int, seed int64) (Fig11Result, erro
 		return Fig11Result{}, fmt.Errorf("experiments: kills %d out of range", kills)
 	}
 
+	ctx := context.Background()
 	dsim := des.New(time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC))
 	bus := transport.NewSimBus(dsim, 2*time.Millisecond)
 	rng := rand.New(rand.NewSource(seed))
@@ -71,7 +72,7 @@ func Figure11(heartbeat time.Duration, kills int, seed int64) (Fig11Result, erro
 	if err != nil {
 		return Fig11Result{}, err
 	}
-	dsim.Every(heartbeat/4, func() { server.CheckLiveness() })
+	dsim.Every(heartbeat/4, func() { server.CheckLivenessContext(ctx) })
 
 	type cam struct {
 		id     string
@@ -111,8 +112,8 @@ func Figure11(heartbeat time.Duration, kills int, seed int64) (Fig11Result, erro
 		// Stagger heartbeat phases like independently booted devices.
 		phase := time.Duration(rng.Int63n(int64(heartbeat)))
 		dsim.Schedule(phase, func() {
-			_ = client.SendHeartbeat()
-			c.ticker = dsim.Every(heartbeat, func() { _ = client.SendHeartbeat() })
+			_ = client.SendHeartbeatContext(ctx)
+			c.ticker = dsim.Every(heartbeat, func() { _ = client.SendHeartbeatContext(ctx) })
 		})
 		cams[id] = c
 		ids = append(ids, id)

@@ -41,12 +41,6 @@ func (c *Client) StoreFrameContext(ctx context.Context, rec protocol.FrameRecord
 	return nil
 }
 
-// StoreFrame sends one frame record to the server with the transport's
-// default send timeout.
-func (c *Client) StoreFrame(rec protocol.FrameRecord) error {
-	return c.StoreFrameContext(context.Background(), rec)
-}
-
 // DefaultReplicaTimeout bounds one replica's send when
 // MultiClientConfig.CallTimeout is zero: long enough for a healthy
 // in-proc or LAN hop, short enough that a dead replica cannot stall the
@@ -63,9 +57,10 @@ type MultiClientConfig struct {
 	// spend on retryable transport errors. 0 uses the rpc default of 1;
 	// negative disables retries.
 	RetryBudget int
-	// Quorum is how many replicas must accept a frame for StoreFrame to
-	// report success. 0 means 1: any surviving replica keeps the
-	// evidence, matching the paper's fire-and-forget frame shipping.
+	// Quorum is how many replicas must accept a frame for
+	// StoreFrameContext to report success. 0 means 1: any surviving
+	// replica keeps the evidence, matching the paper's fire-and-forget
+	// frame shipping.
 	Quorum int
 	// Registry re-homes the per-replica telemetry
 	// (coralpie_framestore_replica_{sends,errors,retries}_total). Nil
@@ -191,10 +186,4 @@ func (mc *MultiClient) StoreFrameContext(ctx context.Context, rec protocol.Frame
 			rec.CameraID, rec.Seq, delivered, len(mc.addrs), mc.quorum, firstErr)
 	}
 	return nil
-}
-
-// StoreFrame sends one frame record to every replica with the default
-// per-replica timeout.
-func (mc *MultiClient) StoreFrame(rec protocol.FrameRecord) error {
-	return mc.StoreFrameContext(context.Background(), rec)
 }

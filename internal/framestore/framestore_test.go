@@ -191,7 +191,7 @@ func TestServerClientOverBus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 3; seq++ {
-		if err := cl.StoreFrame(record("cam1", seq)); err != nil {
+		if err := cl.StoreFrameContext(context.Background(), record("cam1", seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -274,7 +274,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 3; seq++ {
-		if err := cl.StoreFrame(record("cam1", seq)); err != nil {
+		if err := cl.StoreFrameContext(context.Background(), record("cam1", seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Errorf("drain observations = %d, want 1", got)
 	}
 	// Intake is cut: frames after shutdown neither land nor count.
-	_ = cl.StoreFrame(record("cam1", 4))
+	_ = cl.StoreFrameContext(context.Background(), record("cam1", 4))
 	received, errs := srv.Stats()
 	if received != 3 || errs != 0 {
 		t.Errorf("stats after shutdown = %d/%d, want 3/0", received, errs)

@@ -49,7 +49,7 @@ func TestMultiClientReplicatesToAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 5; seq++ {
-		if err := mc.StoreFrame(record("cam1", seq)); err != nil {
+		if err := mc.StoreFrameContext(context.Background(), record("cam1", seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +68,7 @@ func TestMultiClientSurvivesSingleOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := int64(1); seq <= 3; seq++ {
-		if err := mc.StoreFrame(record("cam1", seq)); err != nil {
+		if err := mc.StoreFrameContext(context.Background(), record("cam1", seq)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestMultiClientSurvivesSingleOutage(t *testing.T) {
 	// Replica 0 dies mid-run.
 	bus.Partition(addrs[0])
 	for seq := int64(4); seq <= 8; seq++ {
-		if err := mc.StoreFrame(record("cam1", seq)); err != nil {
+		if err := mc.StoreFrameContext(context.Background(), record("cam1", seq)); err != nil {
 			t.Fatalf("put during outage: %v", err)
 		}
 	}
@@ -106,11 +106,11 @@ func TestMultiClientQuorumFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mc.StoreFrame(record("cam1", 1)); err != nil {
+	if err := mc.StoreFrameContext(context.Background(), record("cam1", 1)); err != nil {
 		t.Fatalf("both replicas up: %v", err)
 	}
 	bus.Partition(addrs[1])
-	if err := mc.StoreFrame(record("cam1", 2)); err == nil {
+	if err := mc.StoreFrameContext(context.Background(), record("cam1", 2)); err == nil {
 		t.Fatal("quorum 2 with one dead replica must fail")
 	}
 }
@@ -119,7 +119,7 @@ func TestMultiClientRetriesRetryableErrors(t *testing.T) {
 	_, addrs, stores, cam := replicaRig(t, 2)
 	// An interceptor that fails each replica's first attempt with a
 	// retryable error: the retry middleware must redial within the same
-	// StoreFrame call.
+	// StoreFrameContext call.
 	var mu sync.Mutex
 	tried := make(map[string]bool)
 	flaky := func(ctx context.Context, req *rpc.Request, next rpc.Handler) (*rpc.Response, error) {
@@ -141,7 +141,7 @@ func TestMultiClientRetriesRetryableErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mc.StoreFrame(record("cam1", 1)); err != nil {
+	if err := mc.StoreFrameContext(context.Background(), record("cam1", 1)); err != nil {
 		t.Fatalf("retry did not absorb the injected failures: %v", err)
 	}
 	for i, st := range stores {

@@ -61,7 +61,7 @@ func hashString(s string) uint64 {
 }
 
 // FrameConsumer receives each rendered frame (typically a camera node's
-// ProcessFrame).
+// ProcessFrameContext).
 type FrameConsumer func(f *vision.Frame)
 
 // Visit is one ground-truth pass of a vehicle through a camera's field of

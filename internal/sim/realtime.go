@@ -52,7 +52,9 @@ func NewRealtimeSourceAt(camera *Camera, start time.Time, duration time.Duration
 }
 
 // Next blocks until the next frame instant and returns the rendered
-// frame; io.EOF after the configured duration.
+// frame, stamped with that wall-clock instant (not the world's DES epoch
+// plus the offset, which would date a live frame to the simulation's
+// calendar); io.EOF after the configured duration.
 func (s *RealtimeSource) Next() (*vision.Frame, error) {
 	due := s.start.Add(time.Duration(s.tick) * s.interval)
 	if due.After(s.deadline) {
@@ -62,5 +64,7 @@ func (s *RealtimeSource) Next() (*vision.Frame, error) {
 		s.sleep(wait)
 	}
 	s.tick++
-	return s.camera.Render(due.Sub(s.start)), nil
+	f := s.camera.Render(due.Sub(s.start))
+	f.Time = due
+	return f, nil
 }

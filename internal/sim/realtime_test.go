@@ -113,3 +113,27 @@ func TestRealtimeSourceFutureEpoch(t *testing.T) {
 		t.Errorf("first sleep = %v, should wait for the shared epoch", firstSleep)
 	}
 }
+
+// TestRealtimeSourceStampsWallClock: a live frame carries the wall-clock
+// instant it is due, whatever epoch the rendered world's simulator uses
+// (coral-node builds its world on time.Unix(0, 0)).
+func TestRealtimeSourceStampsWallClock(t *testing.T) {
+	cam := newRealtimeFixture(t) // world epoch: 2020-12-07
+	start := time.Date(2026, 10, 15, 9, 0, 0, 0, time.UTC)
+	now := start
+	src, err := NewRealtimeSourceAt(cam, start, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.now = func() time.Time { return now }
+	src.sleep = func(d time.Duration) { now = now.Add(d) }
+	for i := 0; i < 3; i++ {
+		f, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := start.Add(time.Duration(i) * src.interval); !f.Time.Equal(want) {
+			t.Fatalf("frame %d stamped %v, want its due instant %v", i, f.Time, want)
+		}
+	}
+}

@@ -72,12 +72,6 @@ func (c *Client) OnUpdate(fn func(version int64)) {
 	c.onUpdate = fn
 }
 
-// SendHeartbeat sends one heartbeat with the transport's default send
-// timeout.
-func (c *Client) SendHeartbeat() error {
-	return c.SendHeartbeatContext(context.Background())
-}
-
 // SendHeartbeatContext sends one heartbeat to the topology server,
 // bounded by ctx.
 func (c *Client) SendHeartbeatContext(ctx context.Context) error {
@@ -155,7 +149,7 @@ func (c *Client) CameraID() string { return c.cameraID }
 
 // StartHeartbeats launches a real-time heartbeat loop that exits when
 // ctx is cancelled (or on Close). Simulation harnesses call
-// SendHeartbeat from a simulator ticker instead.
+// SendHeartbeatContext from a simulator ticker instead.
 func (c *Client) StartHeartbeats(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		return fmt.Errorf("topology: heartbeat interval %v must be positive", interval)

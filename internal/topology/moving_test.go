@@ -45,8 +45,8 @@ func TestMovingCameraReplacement(t *testing.T) {
 
 	// A static observer camera at node 0 and the mover at node 1.
 	obs := registerClient(t, bus, sim, "obs", posOf(0))
-	srv.HandleHeartbeat(protocol.Heartbeat{CameraID: "obs", Position: posOf(0), Addr: "obs", Time: sim.Time()})
-	srv.HandleHeartbeat(protocol.Heartbeat{CameraID: "mover", Position: posOf(1), Addr: "mover", Time: sim.Time()})
+	srv.HandleHeartbeatContext(context.Background(), protocol.Heartbeat{CameraID: "obs", Position: posOf(0), Addr: "obs", Time: sim.Time()})
+	srv.HandleHeartbeatContext(context.Background(), protocol.Heartbeat{CameraID: "mover", Position: posOf(1), Addr: "mover", Time: sim.Time()})
 	sim.RunFor(time.Second)
 
 	place, err := graph.CameraPlaceOf("mover")
@@ -58,7 +58,7 @@ func TestMovingCameraReplacement(t *testing.T) {
 	}
 
 	// Small drift below threshold: no re-placement.
-	srv.HandleHeartbeat(protocol.Heartbeat{CameraID: "mover", Position: posOf(1).Lerp(posOf(2), 0.1), Addr: "mover", Time: sim.Time()})
+	srv.HandleHeartbeatContext(context.Background(), protocol.Heartbeat{CameraID: "mover", Position: posOf(1).Lerp(posOf(2), 0.1), Addr: "mover", Time: sim.Time()})
 	sim.RunFor(time.Second)
 	place, err = graph.CameraPlaceOf("mover")
 	if err != nil || place.AtNode != ids[1] {
@@ -66,7 +66,7 @@ func TestMovingCameraReplacement(t *testing.T) {
 	}
 
 	// Large move to node 3.
-	srv.HandleHeartbeat(protocol.Heartbeat{CameraID: "mover", Position: posOf(3), Addr: "mover", Time: sim.Time()})
+	srv.HandleHeartbeatContext(context.Background(), protocol.Heartbeat{CameraID: "mover", Position: posOf(3), Addr: "mover", Time: sim.Time()})
 	sim.RunFor(time.Second)
 	place, err = graph.CameraPlaceOf("mover")
 	if err != nil {
@@ -130,8 +130,8 @@ func TestMovingCameraDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.HandleHeartbeat(protocol.Heartbeat{CameraID: "cam", Position: n0.Pos, Addr: "cam", Time: sim.Time()})
-	srv.HandleHeartbeat(protocol.Heartbeat{CameraID: "cam", Position: n2.Pos, Addr: "cam", Time: sim.Time()})
+	srv.HandleHeartbeatContext(context.Background(), protocol.Heartbeat{CameraID: "cam", Position: n0.Pos, Addr: "cam", Time: sim.Time()})
+	srv.HandleHeartbeatContext(context.Background(), protocol.Heartbeat{CameraID: "cam", Position: n2.Pos, Addr: "cam", Time: sim.Time()})
 	place, err := graph.CameraPlaceOf("cam")
 	if err != nil || place.AtNode != ids[0] {
 		t.Errorf("camera moved with the feature disabled: %+v err %v", place, err)

@@ -97,8 +97,8 @@ type camState struct {
 }
 
 // Server is the camera topology server. It is driven by incoming
-// heartbeat envelopes plus periodic CheckLiveness calls (from a goroutine
-// in real deployments, from a simulator ticker in experiments).
+// heartbeat envelopes plus periodic CheckLivenessContext calls (from a
+// goroutine in real deployments, from a simulator ticker in experiments).
 type Server struct {
 	cfg ServerConfig
 	clk clock.Clock
@@ -146,12 +146,6 @@ func (s *Server) handleEnvelope(ctx context.Context, env protocol.Envelope) {
 	if hb, ok := msg.(protocol.Heartbeat); ok {
 		s.HandleHeartbeatContext(ctx, hb)
 	}
-}
-
-// HandleHeartbeat registers a new camera or renews an existing lease
-// with the transport's default push timeout.
-func (s *Server) HandleHeartbeat(hb protocol.Heartbeat) {
-	s.HandleHeartbeatContext(context.Background(), hb)
 }
 
 // HandleHeartbeatContext registers a new camera or renews an existing
@@ -311,12 +305,6 @@ func projectOntoSegment(p, a, b geo.Point) (frac, distMeters float64) {
 	return t, math.Hypot(px-qx, py-qy)
 }
 
-// CheckLiveness scans leases with the transport's default push timeout.
-// See CheckLivenessContext.
-func (s *Server) CheckLiveness() []string {
-	return s.CheckLivenessContext(context.Background())
-}
-
 // CheckLivenessContext scans leases against the clock and removes
 // cameras whose lease expired, recomputing and pushing MDCS updates to
 // the affected survivors (pushes bounded by ctx). It returns the IDs of
@@ -465,7 +453,7 @@ func (s *Server) MDCSVersion(cameraID string) int64 {
 
 // Start launches a background liveness-check loop for real deployments;
 // the loop exits when ctx is cancelled (or on Shutdown/Close). Use
-// CheckLiveness directly when driving the server from a simulator.
+// CheckLivenessContext directly when driving the server from a simulator.
 func (s *Server) Start(ctx context.Context, checkInterval time.Duration) error {
 	if checkInterval <= 0 {
 		return fmt.Errorf("topology: check interval %v must be positive", checkInterval)

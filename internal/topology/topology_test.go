@@ -132,7 +132,7 @@ func TestRegistrationPushesMDCS(t *testing.T) {
 	b := h.addCamera("camB", 1)
 	c := h.addCamera("camC", 2)
 	for _, cl := range []*Client{a, b, c} {
-		if err := cl.SendHeartbeat(); err != nil {
+		if err := cl.SendHeartbeatContext(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		h.sim.RunFor(20 * time.Millisecond)
@@ -160,10 +160,10 @@ func TestNewCameraUpdatesAffectedPeers(t *testing.T) {
 	h := newHarness(t)
 	a := h.addCamera("camA", 0)
 	c := h.addCamera("camC", 2)
-	if err := a.SendHeartbeat(); err != nil {
+	if err := a.SendHeartbeatContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SendHeartbeat(); err != nil {
+	if err := c.SendHeartbeatContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	h.sim.RunFor(100 * time.Millisecond)
@@ -173,7 +173,7 @@ func TestNewCameraUpdatesAffectedPeers(t *testing.T) {
 
 	// camB joins between them; camA's east MDCS must switch to camB.
 	b := h.addCamera("camB", 1)
-	if err := b.SendHeartbeat(); err != nil {
+	if err := b.SendHeartbeatContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	h.sim.RunFor(100 * time.Millisecond)
@@ -194,9 +194,9 @@ func TestHeartbeatLossTriggersHealing(t *testing.T) {
 	// Heartbeats every 2 s from every camera; liveness timeout is 4 s.
 	for _, cl := range []*Client{a, b, c} {
 		cl := cl
-		h.sim.Every(2*time.Second, func() { _ = cl.SendHeartbeat() })
+		h.sim.Every(2*time.Second, func() { _ = cl.SendHeartbeatContext(context.Background()) })
 	}
-	h.sim.Every(time.Second, func() { h.server.CheckLiveness() })
+	h.sim.Every(time.Second, func() { h.server.CheckLivenessContext(context.Background()) })
 	h.sim.RunFor(5 * time.Second)
 	if refs := a.Lookup(geo.East); len(refs) != 1 || refs[0].ID != "camB" {
 		t.Fatalf("setup: camA east = %v", refs)
@@ -288,7 +288,7 @@ func TestEdgeCameraPlacementFromHeartbeat(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := nodeA.Pos.Lerp(nodeB.Pos, 0.5)
-	srv.HandleHeartbeat(protocol.Heartbeat{CameraID: "midcam", Position: mid, Addr: "midcam", Time: sim.Time()})
+	srv.HandleHeartbeatContext(context.Background(), protocol.Heartbeat{CameraID: "midcam", Position: mid, Addr: "midcam", Time: sim.Time()})
 	place, err := g.CameraPlaceOf("midcam")
 	if err != nil {
 		t.Fatalf("camera not placed: %v", err)
@@ -372,8 +372,8 @@ func TestMDCSVersionAccessor(t *testing.T) {
 	}
 	a := h.addCamera("camA", 0)
 	b := h.addCamera("camB", 1)
-	_ = a.SendHeartbeat()
-	_ = b.SendHeartbeat()
+	_ = a.SendHeartbeatContext(context.Background())
+	_ = b.SendHeartbeatContext(context.Background())
 	h.sim.RunFor(time.Second)
 	if v := h.server.MDCSVersion("camA"); v == 0 {
 		t.Error("camA should have a pushed version")

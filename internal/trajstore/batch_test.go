@@ -362,13 +362,13 @@ func TestClientAddBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
 
-	ids, errs, err := cl.AddBatch([]protocol.TrajWrite{
+	ids, errs, err := cl.AddBatchContext(context.Background(), []protocol.TrajWrite{
 		protocol.VertexWrite(event("cam#1")),
 		protocol.VertexWrite(event("cam#2")),
 	})
@@ -378,7 +378,7 @@ func TestClientAddBatchRoundTrip(t *testing.T) {
 	if errs[0] != nil || errs[1] != nil {
 		t.Fatalf("errs = %v", errs)
 	}
-	ids2, errs2, err := cl.AddBatch([]protocol.TrajWrite{
+	ids2, errs2, err := cl.AddBatchContext(context.Background(), []protocol.TrajWrite{
 		protocol.EdgeWrite(ids[0], ids[1], 0.25),
 		protocol.EdgeWrite(ids[0], 999, 0.25),
 	})
@@ -394,7 +394,7 @@ func TestClientAddBatchRoundTrip(t *testing.T) {
 	if ids2[0] != 0 {
 		t.Errorf("edge allocated id %d", ids2[0])
 	}
-	if _, _, err := cl.AddBatch(nil); err == nil {
+	if _, _, err := cl.AddBatchContext(context.Background(), nil); err == nil {
 		t.Error("empty batch must be rejected by the server")
 	}
 }
@@ -841,7 +841,7 @@ func TestBatchWriterConcurrentProducersStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,13 +144,8 @@ func NewBatchWriter(cl BatchClient, cfg BatchWriterConfig) *BatchWriter {
 	return w
 }
 
-// AddVertexContext proxies the synchronous vertex insert.
-func (w *BatchWriter) AddVertexContext(ctx context.Context, e protocol.DetectionEvent) (int64, error) {
-	return w.cl.AddVertexContext(ctx, e)
-}
-
 // AddVertex proxies the synchronous vertex insert with the client's
-// default timeout.
+// default timeout (camnode.TrajStore has no context parameter).
 func (w *BatchWriter) AddVertex(e protocol.DetectionEvent) (int64, error) {
 	return w.cl.AddVertexContext(context.Background(), e)
 }

@@ -4,8 +4,9 @@
 // out — is what keeps the read path off the WAN: the per-vertex client
 // walk is an N+1 round-trip pattern this engine replaces. The walk
 // itself is written once, against the GraphView interface, so the
-// server (over a Snapshot), a local store, and the remote per-vertex
-// fallback all run byte-identical reconstruction logic.
+// server and local callers (over a Snapshot) and the remote per-vertex
+// fallback (over Client.View) all run byte-identical reconstruction
+// logic.
 
 package trajstore
 
@@ -26,9 +27,10 @@ import (
 var ErrNoTracks = errors.New("trajstore: no tracks")
 
 // GraphView is the read surface the reconstruction algorithm walks.
-// *Snapshot implements it lock-free; query.StoreReader adapts a local
-// *Store; the remote *Client satisfies it over per-vertex RPCs (the
-// wire-compatible fallback path).
+// *Snapshot implements it lock-free at one committed watermark (the
+// server and local callers walk store.Snapshot()); Client.View satisfies
+// it over per-vertex RPCs, memoized per query (the wire-compatible
+// fallback path).
 type GraphView interface {
 	Vertex(id int64) (Vertex, error)
 	FindByEventID(id protocol.EventID) (Vertex, error)

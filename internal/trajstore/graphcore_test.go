@@ -2,6 +2,7 @@ package trajstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -278,7 +279,7 @@ func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr())
+	client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +295,8 @@ func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
 		}
 	}
 	check("local", s.FindByEventID)
-	check("wire", client.FindByEventID)
-	if best, err := client.Best("dup#1", DefaultTraceLimits()); err != nil || best.Hops[0].VertexID != first {
+	check("wire", client.View(context.Background()).FindByEventID)
+	if best, err := client.BestContext(context.Background(), "dup#1", DefaultTraceLimits()); err != nil || best.Hops[0].VertexID != first {
 		t.Fatalf("best through a duplicated event = %+v, %v", best, err)
 	}
 	_ = client.Close()

@@ -19,13 +19,13 @@ func TestClientRecoversAcrossServerRestart(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	client, err := Dial(addr)
+	client, err := DialContext(context.Background(), addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = client.Close() }()
 
-	if _, err := client.AddVertex(event("cam-1#1")); err != nil {
+	if _, err := client.AddVertexContext(context.Background(), event("cam-1#1")); err != nil {
 		t.Fatalf("add before restart: %v", err)
 	}
 
@@ -89,7 +89,7 @@ func TestClientCallDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	client, err := Dial(addr)
+	client, err := DialContext(context.Background(), addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +118,12 @@ func TestServerShutdownGraceful(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr())
+	client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = client.Close() }()
-	if _, err := client.AddVertex(event("cam-1#1")); err != nil {
+	if _, err := client.AddVertexContext(context.Background(), event("cam-1#1")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -216,13 +216,13 @@ func TestConcurrentRemoteQuerySnapshotStress(t *testing.T) {
 	}
 	defer func() { _ = srv.Close() }()
 
-	writerClient, err := Dial(srv.Addr())
+	writerClient, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = writerClient.Close() }()
 
-	head, err := writerClient.AddVertex(event("root#0"))
+	head, err := writerClient.AddVertexContext(context.Background(), event("root#0"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestConcurrentRemoteQuerySnapshotStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, err := Dial(srv.Addr())
+			client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 			if err != nil {
 				errCh <- err
 				return
@@ -314,7 +314,7 @@ func serveGraph(t *testing.T, opts ServerOptions) (*Store, *Server, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	client, err := Dial(srv.Addr())
+	client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +345,11 @@ func TestQueryCacheHitMissAndWriteInvalidation(t *testing.T) {
 	ids := seedChain(t, s, 5)
 	limits := DefaultTraceLimits()
 
-	first, err := client.ReconstructVertex(ids[0], limits)
+	first, err := client.ReconstructVertexContext(context.Background(), ids[0], limits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := client.ReconstructVertex(ids[0], limits)
+	second, err := client.ReconstructVertexContext(context.Background(), ids[0], limits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestQueryCacheHitMissAndWriteInvalidation(t *testing.T) {
 	}
 
 	// Different limits are a different key.
-	if _, err := client.ReconstructVertex(ids[0], TraceLimits{MaxDepth: 2, MaxPaths: 2}); err != nil {
+	if _, err := client.ReconstructVertexContext(context.Background(), ids[0], TraceLimits{MaxDepth: 2, MaxPaths: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.QueryStats(); st.CacheMisses != 2 || st.CacheLen != 2 {
@@ -381,7 +381,7 @@ func TestQueryCacheHitMissAndWriteInvalidation(t *testing.T) {
 	if err := s.AddEdge(ids[len(ids)-1], tail, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	after, err := client.ReconstructVertex(ids[0], limits)
+	after, err := client.ReconstructVertexContext(context.Background(), ids[0], limits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestQueryCacheLRUBound(t *testing.T) {
 	limits := DefaultTraceLimits()
 
 	for _, id := range ids[:3] {
-		if _, err := client.ReconstructVertex(id, limits); err != nil {
+		if _, err := client.ReconstructVertexContext(context.Background(), id, limits); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -409,10 +409,10 @@ func TestQueryCacheLRUBound(t *testing.T) {
 	}
 	// The oldest entry (ids[0]) was evicted: re-querying it misses, while
 	// the most recent (ids[2]) still hits.
-	if _, err := client.ReconstructVertex(ids[2], limits); err != nil {
+	if _, err := client.ReconstructVertexContext(context.Background(), ids[2], limits); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.ReconstructVertex(ids[0], limits); err != nil {
+	if _, err := client.ReconstructVertexContext(context.Background(), ids[0], limits); err != nil {
 		t.Fatal(err)
 	}
 	st = srv.QueryStats()
@@ -425,7 +425,7 @@ func TestQueryCacheDisabled(t *testing.T) {
 	s, srv, client := serveGraph(t, ServerOptions{QueryCache: -1})
 	ids := seedChain(t, s, 3)
 	for i := 0; i < 2; i++ {
-		if _, err := client.ReconstructVertex(ids[0], DefaultTraceLimits()); err != nil {
+		if _, err := client.ReconstructVertexContext(context.Background(), ids[0], DefaultTraceLimits()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -456,7 +456,7 @@ func TestServerSideBestAndSightings(t *testing.T) {
 	ids := seedChain(t, s, 3)
 	_ = ids
 
-	best, err := client.Best("seed#0", DefaultTraceLimits())
+	best, err := client.BestContext(context.Background(), "seed#0", DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,10 +464,10 @@ func TestServerSideBestAndSightings(t *testing.T) {
 		t.Fatalf("best track = %+v", best.Cameras())
 	}
 
-	if _, err := client.Best("ghost#0", DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
+	if _, err := client.BestContext(context.Background(), "ghost#0", DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
 		t.Errorf("unknown event over the wire: %v", err)
 	}
-	if _, err := client.ReconstructVertex(999, DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
+	if _, err := client.ReconstructVertexContext(context.Background(), 999, DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
 		t.Errorf("unknown vertex over the wire: %v", err)
 	}
 
@@ -478,14 +478,14 @@ func TestServerSideBestAndSightings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hops, err := client.Sightings("veh-9", 0)
+	hops, err := client.SightingsContext(context.Background(), "veh-9", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hops) != 1 || hops[0].VertexID != tid {
 		t.Fatalf("sightings = %+v", hops)
 	}
-	bounded, err := client.Sightings("veh-9", tid-1)
+	bounded, err := client.SightingsContext(context.Background(), "veh-9", tid-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestQueryRecordsChildSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	client, err := Dial(srv.Addr())
+	client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func TestShutdownDrainsInFlightQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr())
+	client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestShutdownDrainsInFlightQuery(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		tracks, err := client.ReconstructVertex(ids[0], DefaultTraceLimits())
+		tracks, err := client.ReconstructVertexContext(context.Background(), ids[0], DefaultTraceLimits())
 		done <- result{tracks, err}
 	}()
 
@@ -653,7 +653,7 @@ func TestShutdownBoundedByContextDuringSlowQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	client, err := Dial(srv.Addr())
+	client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func TestShutdownBoundedByContextDuringSlowQuery(t *testing.T) {
 	ids := seedChain(t, s, 3)
 
 	go func() {
-		_, _ = client.ReconstructVertex(ids[0], DefaultTraceLimits())
+		_, _ = client.ReconstructVertexContext(context.Background(), ids[0], DefaultTraceLimits())
 	}()
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.QueryStats().InFlight == 0 && time.Now().Before(deadline) {

@@ -435,11 +435,6 @@ type Client struct {
 	cfg  ClientConfig
 }
 
-// Dial connects to a trajectory store server with the default config.
-func Dial(addr string) (*Client, error) {
-	return DialContext(context.Background(), addr, ClientConfig{})
-}
-
 // DialContext connects to a trajectory store server, bounding the
 // initial dial by ctx (or cfg.CallTimeout when ctx has no deadline).
 // The eager dial is a single attempt so an unreachable server fails
@@ -519,21 +514,10 @@ func (c *Client) AddVertexContext(ctx context.Context, e protocol.DetectionEvent
 	return resp.VertexID, nil
 }
 
-// AddVertex inserts a detection event remotely using the default
-// per-call timeout.
-func (c *Client) AddVertex(e protocol.DetectionEvent) (int64, error) {
-	return c.AddVertexContext(context.Background(), e)
-}
-
 // AddEdgeContext inserts an edge remotely, bounded by ctx.
 func (c *Client) AddEdgeContext(ctx context.Context, from, to int64, weight float64) error {
 	_, err := c.do(ctx, request{Op: opAddEdge, From: from, To: to, Weight: weight})
 	return err
-}
-
-// AddEdge inserts an edge remotely using the default per-call timeout.
-func (c *Client) AddEdge(from, to int64, weight float64) error {
-	return c.AddEdgeContext(context.Background(), from, to, weight)
 }
 
 // AddEdgeTracedContext inserts an edge remotely with the writer's trace
@@ -545,12 +529,6 @@ func (c *Client) AddEdge(from, to int64, weight float64) error {
 func (c *Client) AddEdgeTracedContext(ctx context.Context, from, to int64, weight float64, tc protocol.TraceContext) error {
 	_, err := c.do(ctx, request{Op: opAddEdge, From: from, To: to, Weight: weight, Trace: &tc})
 	return err
-}
-
-// AddEdgeTraced inserts a traced edge using the default per-call
-// timeout.
-func (c *Client) AddEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext) error {
-	return c.AddEdgeTracedContext(context.Background(), from, to, weight, tc)
 }
 
 // AddBatchContext applies a mixed batch of vertex/edge writes in one RPC
@@ -581,12 +559,6 @@ func (c *Client) AddBatchContext(ctx context.Context, writes []protocol.TrajWrit
 	return ids, errs, nil
 }
 
-// AddBatch applies a mixed batch of writes using the default per-call
-// timeout.
-func (c *Client) AddBatch(writes []protocol.TrajWrite) ([]int64, []error, error) {
-	return c.AddBatchContext(context.Background(), writes)
-}
-
 // VertexContext fetches a vertex by ID, bounded by ctx.
 func (c *Client) VertexContext(ctx context.Context, id int64) (Vertex, error) {
 	resp, err := c.do(ctx, request{Op: opGetVertex, ID: id})
@@ -594,11 +566,6 @@ func (c *Client) VertexContext(ctx context.Context, id int64) (Vertex, error) {
 		return Vertex{}, err
 	}
 	return *resp.Vertex, nil
-}
-
-// Vertex fetches a vertex by ID using the default per-call timeout.
-func (c *Client) Vertex(id int64) (Vertex, error) {
-	return c.VertexContext(context.Background(), id)
 }
 
 // FindByEventIDContext fetches a vertex by its detection-event ID,
@@ -611,12 +578,6 @@ func (c *Client) FindByEventIDContext(ctx context.Context, id protocol.EventID) 
 	return *resp.Vertex, nil
 }
 
-// FindByEventID fetches a vertex by its detection-event ID using the
-// default per-call timeout.
-func (c *Client) FindByEventID(id protocol.EventID) (Vertex, error) {
-	return c.FindByEventIDContext(context.Background(), id)
-}
-
 // TrajectoryContext queries the candidate space-time tracks through a
 // vertex, bounded by ctx.
 func (c *Client) TrajectoryContext(ctx context.Context, id int64, limits TraceLimits) ([][]int64, error) {
@@ -625,12 +586,6 @@ func (c *Client) TrajectoryContext(ctx context.Context, id int64, limits TraceLi
 		return nil, err
 	}
 	return resp.Paths, nil
-}
-
-// Trajectory queries the candidate space-time tracks through a vertex
-// using the default per-call timeout.
-func (c *Client) Trajectory(id int64, limits TraceLimits) ([][]int64, error) {
-	return c.TrajectoryContext(context.Background(), id, limits)
 }
 
 // OutEdgesContext fetches a vertex's outgoing edges, bounded by ctx.
@@ -642,12 +597,6 @@ func (c *Client) OutEdgesContext(ctx context.Context, id int64) ([]Edge, error) 
 	return resp.EdgeList, nil
 }
 
-// OutEdges fetches a vertex's outgoing edges using the default per-call
-// timeout.
-func (c *Client) OutEdges(id int64) ([]Edge, error) {
-	return c.OutEdgesContext(context.Background(), id)
-}
-
 // InEdgesContext fetches a vertex's incoming edges, bounded by ctx.
 func (c *Client) InEdgesContext(ctx context.Context, id int64) ([]Edge, error) {
 	resp, err := c.do(ctx, request{Op: opInEdges, ID: id})
@@ -657,10 +606,72 @@ func (c *Client) InEdgesContext(ctx context.Context, id int64) ([]Edge, error) {
 	return resp.EdgeList, nil
 }
 
-// InEdges fetches a vertex's incoming edges using the default per-call
-// timeout.
-func (c *Client) InEdges(id int64) ([]Edge, error) {
-	return c.InEdgesContext(context.Background(), id)
+// View returns a GraphView over the per-vertex ops, bound to ctx: the
+// client-side walk that stays wire-compatible with servers predating the
+// reconstruct/best/sightings ops. One view per query; the memo never
+// outlives it. Within the view each vertex and edge list is fetched at
+// most once, so a walk whose candidate paths share prefixes pays one RPC
+// per distinct vertex rather than one per path hop (the N+1 walk). Every
+// fetch checks ctx first, so a cancelled or expired query stops at its
+// next round trip. A view is not safe for concurrent use.
+func (c *Client) View(ctx context.Context) GraphView {
+	return &remoteView{
+		ctx:      ctx,
+		c:        c,
+		vertices: make(map[int64]Vertex),
+		out:      make(map[int64][]Edge),
+		in:       make(map[int64][]Edge),
+	}
+}
+
+type remoteView struct {
+	ctx      context.Context
+	c        *Client
+	vertices map[int64]Vertex
+	out, in  map[int64][]Edge
+}
+
+// memoFetch answers id from memo, or fetches it under ctx and keeps a
+// successful answer.
+func memoFetch[T any](ctx context.Context, memo map[int64]T, id int64, fetch func(context.Context, int64) (T, error)) (T, error) {
+	if x, ok := memo[id]; ok {
+		return x, nil
+	}
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
+	x, err := fetch(ctx, id)
+	if err == nil {
+		memo[id] = x
+	}
+	return x, err
+}
+
+func (v *remoteView) Vertex(id int64) (Vertex, error) {
+	return memoFetch(v.ctx, v.vertices, id, v.c.VertexContext)
+}
+
+func (v *remoteView) OutEdges(id int64) ([]Edge, error) {
+	return memoFetch(v.ctx, v.out, id, v.c.OutEdgesContext)
+}
+
+func (v *remoteView) InEdges(id int64) ([]Edge, error) {
+	return memoFetch(v.ctx, v.in, id, v.c.InEdgesContext)
+}
+
+func (v *remoteView) FindByEventID(id protocol.EventID) (Vertex, error) {
+	if err := v.ctx.Err(); err != nil {
+		return Vertex{}, err
+	}
+	return v.c.FindByEventIDContext(v.ctx, id)
+}
+
+func (v *remoteView) Trajectory(id int64, limits TraceLimits) ([][]int64, error) {
+	if err := v.ctx.Err(); err != nil {
+		return nil, err
+	}
+	return v.c.TrajectoryContext(v.ctx, id, limits)
 }
 
 // StatsContext returns the remote vertex and edge counts, bounded by
@@ -673,31 +684,19 @@ func (c *Client) StatsContext(ctx context.Context) (vertices, edges int, err err
 	return resp.Vertices, resp.Edges, nil
 }
 
-// Stats returns the remote vertex and edge counts using the default
-// per-call timeout.
-func (c *Client) Stats() (vertices, edges int, err error) {
-	return c.StatsContext(context.Background())
-}
-
 // ReconstructContext executes the full track reconstruction inside the
 // server against a consistent snapshot and returns every candidate
 // track through the sighting, ranked most-plausible first — one round
 // trip instead of the per-vertex walk. Requires a server speaking the
 // reconstruct op; against an older server the call fails and callers
-// can fall back to query.Reconstruct over this client (the per-vertex
-// ops remain wire-compatible).
+// can fall back to FindTracks over c.View(ctx) (the per-vertex ops
+// remain wire-compatible).
 func (c *Client) ReconstructContext(ctx context.Context, eventID protocol.EventID, limits TraceLimits) ([]Track, error) {
 	resp, err := c.do(ctx, request{Op: opReconstruct, EventID: eventID, Limits: &limits})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Tracks, nil
-}
-
-// Reconstruct executes a server-side reconstruction by event ID using
-// the default per-call timeout.
-func (c *Client) Reconstruct(eventID protocol.EventID, limits TraceLimits) ([]Track, error) {
-	return c.ReconstructContext(context.Background(), eventID, limits)
 }
 
 // ReconstructVertexContext is ReconstructContext keyed by vertex ID.
@@ -707,12 +706,6 @@ func (c *Client) ReconstructVertexContext(ctx context.Context, vertexID int64, l
 		return nil, err
 	}
 	return resp.Tracks, nil
-}
-
-// ReconstructVertex executes a server-side reconstruction by vertex ID
-// using the default per-call timeout.
-func (c *Client) ReconstructVertex(vertexID int64, limits TraceLimits) ([]Track, error) {
-	return c.ReconstructVertexContext(context.Background(), vertexID, limits)
 }
 
 // BestContext returns the server's top-ranked track through a
@@ -729,11 +722,6 @@ func (c *Client) BestContext(ctx context.Context, eventID protocol.EventID, limi
 	return *resp.Track, nil
 }
 
-// Best returns the top-ranked track using the default per-call timeout.
-func (c *Client) Best(eventID protocol.EventID, limits TraceLimits) (Track, error) {
-	return c.BestContext(context.Background(), eventID, limits)
-}
-
 // SightingsContext lists the ground-truth sightings of a vehicle in
 // time order, answered server-side from the vehicle index over a
 // snapshot. maxVertex is the highest vertex ID considered; <= 0 means the
@@ -744,12 +732,6 @@ func (c *Client) SightingsContext(ctx context.Context, vehicleID string, maxVert
 		return nil, err
 	}
 	return resp.Hops, nil
-}
-
-// Sightings lists a vehicle's ground-truth sightings using the default
-// per-call timeout.
-func (c *Client) Sightings(vehicleID string, maxVertex int64) ([]Hop, error) {
-	return c.SightingsContext(context.Background(), vehicleID, maxVertex)
 }
 
 // Close closes the client connection.

@@ -1,6 +1,7 @@
 package trajstore
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -338,42 +339,42 @@ func TestServerClientRoundTrip(t *testing.T) {
 	}
 	defer func() { _ = srv.Close() }()
 
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
 
-	a, err := cl.AddVertex(event("cam#1"))
+	a, err := cl.AddVertexContext(context.Background(), event("cam#1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := cl.AddVertex(event("cam#2"))
+	b, err := cl.AddVertexContext(context.Background(), event("cam#2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.AddEdge(a, b, 0.15); err != nil {
+	if err := cl.AddEdgeContext(context.Background(), a, b, 0.15); err != nil {
 		t.Fatal(err)
 	}
-	v, err := cl.Vertex(a)
+	v, err := cl.VertexContext(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Event.ID != "cam#1" {
 		t.Errorf("vertex = %+v", v)
 	}
-	fv, err := cl.FindByEventID("cam#2")
+	fv, err := cl.FindByEventIDContext(context.Background(), "cam#2")
 	if err != nil || fv.ID != b {
 		t.Errorf("find = %+v err %v", fv, err)
 	}
-	paths, err := cl.Trajectory(a, DefaultTraceLimits())
+	paths, err := cl.TrajectoryContext(context.Background(), a, DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 1 || len(paths[0]) != 2 {
 		t.Errorf("paths = %v", paths)
 	}
-	nv, ne, err := cl.Stats()
+	nv, ne, err := cl.StatsContext(context.Background())
 	if err != nil || nv != 2 || ne != 1 {
 		t.Errorf("stats = %d/%d err %v", nv, ne, err)
 	}
@@ -386,20 +387,20 @@ func TestClientErrorsPropagate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	cl, err := Dial(srv.Addr())
+	cl, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
 
-	if _, err := cl.Vertex(42); err == nil {
+	if _, err := cl.VertexContext(context.Background(), 42); err == nil {
 		t.Error("missing vertex should error")
 	}
-	if err := cl.AddEdge(1, 2, 0.5); err == nil {
+	if err := cl.AddEdgeContext(context.Background(), 1, 2, 0.5); err == nil {
 		t.Error("edge between missing vertices should error")
 	}
 	// The connection survives server-side errors.
-	if _, err := cl.AddVertex(event("cam#1")); err != nil {
+	if _, err := cl.AddVertexContext(context.Background(), event("cam#1")); err != nil {
 		t.Errorf("connection broken after error: %v", err)
 	}
 }
@@ -411,12 +412,12 @@ func TestClientReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	cl, err := Dial(addr)
+	cl, err := DialContext(context.Background(), addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	if _, err := cl.AddVertex(event("cam#1")); err != nil {
+	if _, err := cl.AddVertexContext(context.Background(), event("cam#1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Close(); err != nil {
@@ -430,7 +431,7 @@ func TestClientReconnects(t *testing.T) {
 	// First call may fail on the stale connection; the next must recover.
 	var ok bool
 	for i := 0; i < 5; i++ {
-		if _, err := cl.AddVertex(event("cam#2")); err == nil {
+		if _, err := cl.AddVertexContext(context.Background(), event("cam#2")); err == nil {
 			ok = true
 			break
 		}

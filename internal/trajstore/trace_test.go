@@ -25,17 +25,17 @@ func TestTraceContextSurvivesServerRestart(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	client, err := Dial(addr)
+	client, err := DialContext(context.Background(), addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = client.Close() }()
 
-	v1, err := client.AddVertex(event("cam-1#1"))
+	v1, err := client.AddVertexContext(context.Background(), event("cam-1#1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := client.AddVertex(event("cam-2#1"))
+	v2, err := client.AddVertexContext(context.Background(), event("cam-2#1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBatchWriterCarriesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
-	client, err := Dial(srv.Addr())
+	client, err := DialContext(context.Background(), srv.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

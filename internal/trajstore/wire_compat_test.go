@@ -165,14 +165,14 @@ func TestWireCompatNewClientOldServer(t *testing.T) {
 	}
 	defer client.Close()
 
-	id, err := client.AddVertex(event("cam#1"))
+	id, err := client.AddVertexContext(context.Background(), event("cam#1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 1 {
 		t.Errorf("vertex id = %d, want 1", id)
 	}
-	vertices, _, err := client.Stats()
+	vertices, _, err := client.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestWireCompatNewClientOldServer(t *testing.T) {
 		t.Errorf("vertices = %d, want 1", vertices)
 	}
 	// A legacy rejection surfaces as the familiar terminal error.
-	if err := client.AddEdge(1, 2, 0.5); err == nil {
+	if err := client.AddEdgeContext(context.Background(), 1, 2, 0.5); err == nil {
 		t.Error("legacy rejection not surfaced")
 	}
 }
