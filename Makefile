@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-stress smoke vet bench bench-e2e bench-check fmt cover staticcheck govulncheck lint-metrics ci
+.PHONY: all build test race race-stress smoke fuzz vet bench bench-e2e bench-check fmt cover staticcheck govulncheck lint-metrics ci
 
 all: build
 
@@ -10,10 +10,12 @@ build:
 test:
 	$(GO) test ./...
 
-# internal/core's DES suites need 10-12 minutes under the race detector on
-# a 2-vCPU host, over go test's default 10-minute timeout.
+# The timeout is per package binary, at 2x the slowest package under the
+# race detector on a 2-vCPU host: internal/experiments, 89-119 s, whose
+# blob detector reads every pixel through the race instrumentation
+# (internal/core's DES suites take 21-32 s).
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -timeout 4m ./...
 
 # race-stress re-runs the concurrency suites (snapshot isolation and the
 # WAL commit-failure path under a hammering reader, index-vs-scan
@@ -31,6 +33,15 @@ race-stress:
 # on SIGTERM within the drain timeout and end on its closing log line.
 smoke:
 	$(GO) test -count=1 ./cmd/
+
+# fuzz runs each wire-codec fuzz target for a short while on top of its
+# checked-in corpus (internal/protocol/testdata/fuzz): envelopes of either
+# format through Open, and frame records as the framestore reads them.
+# go test takes one -fuzz target per run. Minimizing each new input for the
+# default 60 s would eat the whole budget, so it gets 1 s.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadEnvelope$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrameRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 
 vet:
 	$(GO) vet ./...
@@ -97,4 +108,4 @@ govulncheck:
 lint-metrics:
 	$(GO) test -count=1 -run 'Lint' ./internal/obs/
 
-ci: build vet staticcheck govulncheck lint-metrics race race-stress smoke cover
+ci: build vet staticcheck govulncheck lint-metrics race race-stress smoke fuzz cover

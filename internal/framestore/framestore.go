@@ -18,7 +18,6 @@ package framestore
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -306,18 +305,23 @@ func (s *Store) Put(rec protocol.FrameRecord) error {
 		s.countWriteErr()
 		return err
 	}
-	// Encode outside every lock: both backends charge the same encoded
-	// size to coralpie_framestore_bytes_total, so disk- and memory-backed
-	// stores report identical telemetry for identical traffic.
-	data, err := json.Marshal(rec)
+	// Encode the record header outside every lock, behind 4 bytes kept for
+	// the length prefix; the pixels are appended after it as they are, so
+	// no buffer holds a copy of the frame. Both backends charge the same
+	// encoded size to coralpie_framestore_bytes_total, so disk- and
+	// memory-backed stores report identical telemetry for identical
+	// traffic.
+	hdr, err := protocol.AppendFrameRecordHeader(make([]byte, 4, 64), &rec)
 	if err != nil {
 		s.countWriteErr()
-		return fmt.Errorf("framestore: marshal: %w", err)
+		return fmt.Errorf("framestore: encode: %w", err)
 	}
-	if len(data) > maxRecordBytes {
+	size := len(hdr) - 4 + len(rec.Pixels)
+	if size > maxRecordBytes {
 		s.countWriteErr()
-		return fmt.Errorf("framestore: record too large: %d bytes", len(data))
+		return fmt.Errorf("framestore: record too large: %d bytes", size)
 	}
+	binary.BigEndian.PutUint32(hdr, uint32(size))
 
 	s.mu.Lock()
 	if s.closed {
@@ -344,13 +348,13 @@ func (s *Store) Put(rec protocol.FrameRecord) error {
 		cl.index[rec.Seq] = recordRef{}
 		cl.seqs = insertSorted(cl.seqs, rec.Seq)
 		m.frames.Inc()
-		m.bytes.Add(int64(4 + len(data)))
+		m.bytes.Add(int64(4 + size))
 		s.mu.Unlock()
 		return nil
 	}
 	s.mu.Unlock()
 
-	full, aged, err := s.putDisk(cl, rec, data, m)
+	full, aged, err := s.putDisk(cl, rec, hdr, m)
 	if err != nil {
 		return err
 	}
@@ -369,12 +373,12 @@ func (s *Store) Put(rec protocol.FrameRecord) error {
 	return nil
 }
 
-// putDisk appends one encoded record to the camera's active segment,
-// rolling (and age-GC-ing the camera) when full. Appends serialize per
-// camera on cl.wmu; the store lock is retaken only for the duplicate
-// check and the index publish, so concurrent readers never wait behind
-// this flush.
-func (s *Store) putDisk(cl *cameraLog, rec protocol.FrameRecord, data []byte, m storeMetrics) (full bool, aged GCStats, err error) {
+// putDisk appends one record, its length-prefixed header hdr followed by
+// rec.Pixels, to the camera's active segment, rolling (and age-GC-ing the
+// camera) when full. Appends serialize per camera on cl.wmu; the store
+// lock is retaken only for the duplicate check and the index publish, so
+// concurrent readers never wait behind this flush.
+func (s *Store) putDisk(cl *cameraLog, rec protocol.FrameRecord, hdr []byte, m storeMetrics) (full bool, aged GCStats, err error) {
 	cl.wmu.Lock()
 	defer cl.wmu.Unlock()
 
@@ -400,14 +404,13 @@ func (s *Store) putDisk(cl *cameraLog, rec protocol.FrameRecord, data []byte, m 
 	}
 
 	start := s.now()
-	// Same layout as protocol.WriteFrame, kept apart with its reader (see indexSegment).
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := seg.w.Write(lenBuf[:]); err != nil {
+	// Same length-prefix layout as protocol's network frames, kept apart
+	// with its salvaging reader (see indexSegment).
+	if _, err := seg.w.Write(hdr); err != nil {
 		s.countWriteErr()
 		return false, aged, fmt.Errorf("framestore: append: %w", err)
 	}
-	if _, err := seg.w.Write(data); err != nil {
+	if _, err := seg.w.Write(rec.Pixels); err != nil {
 		s.countWriteErr()
 		return false, aged, fmt.Errorf("framestore: append: %w", err)
 	}
@@ -420,7 +423,7 @@ func (s *Store) putDisk(cl *cameraLog, rec protocol.FrameRecord, data []byte, m 
 	// Publish: from here on readers can see the record via ReadAt — the
 	// bytes are in the file (flushed above), and the segment handle is
 	// pinned by refcount against concurrent GC.
-	n := int64(4 + len(data))
+	n := int64(len(hdr) + len(rec.Pixels))
 	s.mu.Lock()
 	cl.index[rec.Seq] = recordRef{seg: seg, off: seg.size}
 	cl.seqs = insertSorted(cl.seqs, rec.Seq)

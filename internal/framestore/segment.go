@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -432,6 +433,7 @@ func (s *Store) indexSegment(cl *cameraLog, id int64) (*segment, error) {
 	logger := obs.DefaultLogger().WithComponent("framestore")
 
 	var offset int64
+	var data []byte // reused: only Seq and Timestamp outlive a record's scan
 	r := bufio.NewReader(f)
 	truncate := func(reason string) error {
 		lost := fileSize - offset
@@ -466,15 +468,15 @@ scan:
 			}
 			break
 		}
-		data := make([]byte, n)
+		data = slices.Grow(data[:0], int(n))[:n]
 		if _, err := io.ReadFull(r, data); err != nil {
 			if err := truncate("torn record payload"); err != nil {
 				return nil, err
 			}
 			break
 		}
-		var rec protocol.FrameRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
+		rec, err := protocol.DecodeFrameRecord(data)
+		if err != nil {
 			// Framing intact, payload rotten: skip this record and keep
 			// salvaging — the length prefix still walks the file.
 			s.reload.CorruptRecords++
@@ -518,8 +520,8 @@ func readRecordAt(f *os.File, offset int64) (protocol.FrameRecord, error) {
 	if _, err := f.ReadAt(data, offset+4); err != nil {
 		return protocol.FrameRecord{}, fmt.Errorf("framestore: read: %w", err)
 	}
-	var rec protocol.FrameRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
+	rec, err := protocol.DecodeFrameRecord(data)
+	if err != nil {
 		return protocol.FrameRecord{}, fmt.Errorf("framestore: decode: %w", err)
 	}
 	return rec, nil

@@ -1,0 +1,118 @@
+package protocol
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"testing"
+
+	"repro/internal/geo"
+)
+
+// FuzzReadEnvelope feeds arbitrary bytes to the envelope reader and the
+// message decoder. Neither may panic, and whatever decodes must survive
+// re-encoding: WriteEnvelope → ReadEnvelope gives back the same envelope,
+// and Seal → Open gives back the same message.
+func FuzzReadEnvelope(f *testing.F) {
+	tc := &TraceContext{TraceID: "cam1#1", SpanID: "s", Sampled: true}
+	for _, msg := range []any{
+		Inform{Event: sampleEvent(), FromAddr: "127.0.0.1:9000"},
+		Retire{EventID: "cam1#1", ByCameraID: "cam2"},
+		TopologyUpdate{CameraID: "cam3", Version: 5, MDCS: map[geo.Direction][]CameraRef{geo.East: {{ID: "cam4"}}}},
+		FrameRecord{CameraID: "cam1", Seq: 3, Width: 1, Height: 1, Pixels: []byte{1, 2, 3},
+			Annotations: []BoxAnnotation{{TrackID: 1, W: 1, H: 1, Label: "car", Confidence: 0.5}}},
+	} {
+		env, err := Seal(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		env.Trace = tc
+		var bin, legacy bytes.Buffer
+		if err := WriteEnvelope(&bin, env); err != nil {
+			f.Fatal(err)
+		}
+		// The same message in the legacy all-JSON envelope.
+		payload, err := json.Marshal(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := WriteFrame(&legacy, jsonEnvelope{Type: env.Type, Payload: payload, Trace: tc}, MaxFrameBytes); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bin.Bytes())
+		f.Add(legacy.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := ReadEnvelope(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEnvelope(&buf, env); err != nil {
+			t.Fatalf("re-encode %+v: %v", env, err)
+		}
+		again, err := ReadEnvelope(&buf)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if again.Type != env.Type || !bytes.Equal(again.Payload, env.Payload) || !reflect.DeepEqual(again.Trace, env.Trace) {
+			t.Fatalf("envelope round trip:\n got %+v\nwant %+v", again, env)
+		}
+
+		msg, err := Open(env)
+		if err != nil {
+			return
+		}
+		resealed, err := Seal(msg)
+		if err != nil {
+			t.Fatalf("re-seal %T: %v", msg, err)
+		}
+		reopened, err := Open(resealed)
+		if err != nil {
+			t.Fatalf("re-open %T: %v", msg, err)
+		}
+		if rec, ok := msg.(FrameRecord); ok {
+			if !frameRecordsEqual(reopened.(FrameRecord), rec) {
+				t.Fatalf("frame record round trip:\n got %+v\nwant %+v", reopened, rec)
+			}
+		} else if !reflect.DeepEqual(reopened, msg) {
+			t.Fatalf("%T round trip:\n got %+v\nwant %+v", msg, reopened, msg)
+		}
+	})
+}
+
+// FuzzDecodeFrameRecord feeds arbitrary bytes to the frame-record decoder
+// the framestore runs on every segment record and received frame. It may
+// not panic, and a record that decodes must re-encode and decode to an
+// equal record.
+func FuzzDecodeFrameRecord(f *testing.F) {
+	for _, rec := range []FrameRecord{
+		{},
+		{CameraID: "cam1", Seq: -2, Width: 2, Height: 1, Pixels: []byte{1, 2, 3, 4, 5, 6},
+			Annotations: []BoxAnnotation{{TrackID: 4, X: 1, Label: "bus", Confidence: 1}}},
+	} {
+		env, err := Seal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(env.Payload)
+	}
+	f.Add([]byte(`{"cameraId":"cam1","seq":1,"timestamp":"2020-12-07T10:30:00+01:00","width":1,"height":1,"pixels":"AQID"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeFrameRecord(data)
+		if err != nil {
+			return
+		}
+		env, err := Seal(rec)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", rec, err)
+		}
+		again, err := DecodeFrameRecord(env.Payload)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !frameRecordsEqual(again, rec) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", again, rec)
+		}
+	})
+}

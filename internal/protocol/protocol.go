@@ -2,8 +2,12 @@
 // the vehicle detection event JSON object (paper Section 4.1.2), the
 // informing/confirming notifications of the inter-camera communication
 // protocol (Section 3.2), the heartbeat and topology-update messages of the
-// camera topology server (Section 3.3), and a length-prefixed JSON codec
-// that frames them over byte streams.
+// camera topology server (Section 3.3), and the codecs that frame them
+// over byte streams: a length-prefixed envelope with a binary header, a
+// binary frame record whose pixels travel as raw bytes, and the
+// length-prefixed JSON frame the request/response protocols use. Control
+// message payloads are JSON; readers also accept the all-JSON envelope and
+// frame-record forms written before the binary layouts (codec.go).
 package protocol
 
 import (
@@ -12,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -172,7 +178,9 @@ type BoxAnnotation struct {
 
 // FrameRecord carries one raw frame plus annotations to the frame storage
 // server. Pixels travel raw (not re-encoded), matching the paper's
-// serialization decision.
+// serialization decision: Seal copies them once into a binary record
+// (codec.go), and Open hands back a record whose Pixels alias the
+// received payload. The JSON tags describe the legacy form, still read.
 type FrameRecord struct {
 	CameraID    string          `json:"cameraId"`
 	Seq         int64           `json:"seq"`
@@ -183,14 +191,15 @@ type FrameRecord struct {
 	Annotations []BoxAnnotation `json:"annotations,omitempty"`
 }
 
-// Envelope frames a typed payload. Trace optionally carries the
+// Envelope frames a typed payload: a binary frame record for
+// TypeFrameRecord, JSON for every other type. Trace optionally carries the
 // sender's span context so a receiver can continue the distributed
 // trace; transports inject it from the caller's context on Send and
 // extract it into the handler's context on delivery.
 type Envelope struct {
-	Type    MessageType     `json:"type"`
-	Payload json.RawMessage `json:"payload"`
-	Trace   *TraceContext   `json:"trace,omitempty"`
+	Type    MessageType
+	Payload []byte
+	Trace   *TraceContext
 }
 
 // ErrUnknownType is returned when decoding an envelope with an
@@ -201,7 +210,11 @@ var ErrUnknownType = errors.New("protocol: unknown message type")
 // if the payload's Go type does not match a known message.
 func Seal(msg any) (Envelope, error) {
 	var t MessageType
-	switch msg.(type) {
+	switch m := msg.(type) {
+	case FrameRecord:
+		return sealFrameRecord(&m)
+	case *FrameRecord:
+		return sealFrameRecord(m)
 	case Inform, *Inform:
 		t = TypeInform
 	case Confirm, *Confirm:
@@ -212,8 +225,6 @@ func Seal(msg any) (Envelope, error) {
 		t = TypeHeartbeat
 	case TopologyUpdate, *TopologyUpdate:
 		t = TypeTopologyUpdate
-	case FrameRecord, *FrameRecord:
-		t = TypeFrameRecord
 	default:
 		return Envelope{}, fmt.Errorf("protocol: cannot seal %T", msg)
 	}
@@ -252,9 +263,11 @@ func Open(env Envelope) (any, error) {
 		err = json.Unmarshal(env.Payload, &m)
 		msg = m
 	case TypeFrameRecord:
-		var m FrameRecord
-		err = json.Unmarshal(env.Payload, &m)
-		msg = m
+		rec, err := DecodeFrameRecord(env.Payload)
+		if err != nil {
+			return nil, err
+		}
+		return rec, nil
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, env.Type)
 	}
@@ -265,55 +278,83 @@ func Open(env Envelope) (any, error) {
 }
 
 // MaxFrameBytes bounds a single wire message (32 MiB), comfortably above
-// a raw 1280×1024 RGB frame plus JSON overhead, and small enough to stop
-// a corrupted length prefix from allocating unbounded memory.
+// a raw 1280×1024 RGB frame plus its envelope and record headers, and
+// small enough to stop a corrupted length prefix from allocating
+// unbounded memory.
 const MaxFrameBytes = 32 << 20
 
 // ErrFrameTooLarge is returned when a wire message exceeds its protocol's
 // size cap (MaxFrameBytes for envelopes).
 var ErrFrameTooLarge = errors.New("protocol: frame exceeds size limit")
 
+// writeFramed writes one network frame, a 4-byte big-endian length and
+// then head[4:] followed by tail, as a single net.Buffers write (one
+// writev on a socket). head[:4] is reserved for the length. It is the one
+// length-prefix writer of every TCP protocol in the tree; only the cap
+// differs.
+func writeFramed(w io.Writer, head, tail []byte, limit int) error {
+	n := len(head) - 4 + len(tail)
+	if n > limit {
+		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(head, uint32(n))
+	bufs := net.Buffers{head, tail}
+	if _, err := bufs.WriteTo(w); err != nil {
+		return fmt.Errorf("protocol: write frame: %w", err)
+	}
+	return nil
+}
+
+// readChunk bounds what readFramed allocates ahead of the bytes it has
+// received: a frame up to this size (every camera frame) is read into one
+// allocation, a longer one grows as its bytes arrive, so four bytes of a
+// corrupt or hostile length prefix cannot pin limit bytes of memory.
+const readChunk = 1 << 20
+
+// readFramed reads one frame written by writeFramed and returns its body.
+// It returns io.EOF when the stream ends cleanly at a frame boundary, and
+// rejects a length prefix above limit before allocating for it.
+func readFramed(r io.Reader, limit int) ([]byte, error) {
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("protocol: read length: %w", err)
+	}
+	declared := binary.BigEndian.Uint32(lenBuf[:])
+	if uint64(declared) > uint64(limit) {
+		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, declared)
+	}
+	n := int(declared)
+	body := make([]byte, 0, min(n, readChunk))
+	for len(body) < n {
+		m := min(n-len(body), readChunk)
+		body = slices.Grow(body, m)[:len(body)+m]
+		if _, err := io.ReadFull(r, body[len(body)-m:]); err != nil {
+			return nil, fmt.Errorf("protocol: read payload: %w", err)
+		}
+	}
+	return body, nil
+}
+
 // WriteFrame writes v as one network frame: a 4-byte big-endian length
-// followed by v's JSON, rejecting payloads above limit. It is the one frame
-// codec of every TCP protocol in the tree (envelopes, the trajectory
-// store's request/response pairs, fleet heartbeats); only the cap differs.
+// followed by v's JSON, rejecting payloads above limit. The trajectory
+// store's request/response pairs and fleet heartbeats use it.
 func WriteFrame(w io.Writer, v any, limit int) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("protocol: marshal frame: %w", err)
 	}
-	if len(data) > limit {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(data))
-	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return fmt.Errorf("protocol: write length: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("protocol: write payload: %w", err)
-	}
-	return nil
+	return writeFramed(w, make([]byte, 4), data, limit)
 }
 
-// ReadFrame reads one frame written by WriteFrame into v. It returns
-// io.EOF when the stream ends cleanly at a frame boundary, and rejects a
-// length prefix above limit before allocating for it.
+// ReadFrame reads one frame written by WriteFrame into v, with
+// readFramed's EOF and size-cap rules.
 func ReadFrame(r io.Reader, v any, limit int) error {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return fmt.Errorf("protocol: read length: %w", err)
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
-	if uint64(n) > uint64(limit) {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return fmt.Errorf("protocol: read payload: %w", err)
+	data, err := readFramed(r, limit)
+	if err != nil {
+		return err
 	}
 	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("protocol: decode frame: %w", err)
@@ -321,19 +362,25 @@ func ReadFrame(r io.Reader, v any, limit int) error {
 	return nil
 }
 
-// WriteEnvelope frames env as 4-byte big-endian length + JSON.
+// WriteEnvelope frames env as a 4-byte big-endian length, the binary
+// envelope header (version, type, trace context) and the payload bytes as
+// they are: the payload is neither copied nor re-encoded, so one sealed
+// envelope goes to every replica as the same bytes.
 func WriteEnvelope(w io.Writer, env Envelope) error {
-	return WriteFrame(w, env, MaxFrameBytes)
+	head := appendEnvelopeHeader(make([]byte, 4, 64), &env)
+	return writeFramed(w, head, env.Payload, MaxFrameBytes)
 }
 
-// ReadEnvelope reads one length-prefixed envelope. It returns io.EOF when
-// the stream ends cleanly at a message boundary.
+// ReadEnvelope reads one length-prefixed envelope, binary or legacy JSON
+// (told apart by the body's first byte). The payload aliases a buffer
+// allocated for this envelope. It returns io.EOF when the stream ends
+// cleanly at a message boundary.
 func ReadEnvelope(r io.Reader) (Envelope, error) {
-	var env Envelope
-	if err := ReadFrame(r, &env, MaxFrameBytes); err != nil {
+	body, err := readFramed(r, MaxFrameBytes)
+	if err != nil {
 		return Envelope{}, err
 	}
-	return env, nil
+	return decodeEnvelope(body)
 }
 
 // WriteMessage seals and writes a message in one step.

@@ -3,8 +3,11 @@ package protocol
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -129,6 +132,165 @@ func TestSealOpenRoundTrip(t *testing.T) {
 			if !ok || g.Seq != want.Seq || !bytes.Equal(g.Pixels, want.Pixels) {
 				t.Errorf("FrameRecord round trip: %+v", got)
 			}
+		}
+	}
+}
+
+// frameRecordsEqual compares records field by field; timestamps must be
+// the same instant in the same zone offset.
+func frameRecordsEqual(a, b FrameRecord) bool {
+	_, aOff := a.Timestamp.Zone()
+	_, bOff := b.Timestamp.Zone()
+	if !a.Timestamp.Equal(b.Timestamp) || aOff != bOff {
+		return false
+	}
+	a.Timestamp, b.Timestamp = time.Time{}, time.Time{}
+	return reflect.DeepEqual(a, b)
+}
+
+func TestFrameRecordSealOpenRoundTrip(t *testing.T) {
+	pix := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	recs := map[string]FrameRecord{
+		"annotated": {CameraID: "cam1", Seq: 9, Timestamp: time.Date(2020, 12, 7, 10, 30, 0, 123, time.FixedZone("EST", -5*3600)),
+			Width: 2, Height: 2, Pixels: pix, Annotations: []BoxAnnotation{
+				{TrackID: 3, X: 1, Y: 2, W: 3, H: 4, Label: "car", Confidence: 0.875},
+				{TrackID: -1, Label: "truck"},
+			}},
+		"no annotations":   {CameraID: "cam2", Seq: -4, Timestamp: time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC), Width: 2, Height: 2, Pixels: pix},
+		"zero timestamp":   {CameraID: "cam3", Seq: 1 << 40, Width: 2, Height: 2, Pixels: pix},
+		"empty everything": {},
+	}
+	for name, want := range recs {
+		env, err := Seal(want)
+		if err != nil {
+			t.Fatalf("%s: Seal: %v", name, err)
+		}
+		if env.Type != TypeFrameRecord || env.Payload[0] != frameRecordV1 {
+			t.Fatalf("%s: sealed as %q/0x%02x, want a binary frame record", name, env.Type, env.Payload[0])
+		}
+		if overhead := len(env.Payload) - len(want.Pixels); len(want.Annotations) == 0 && overhead > 48 {
+			t.Errorf("%s: %d bytes of overhead beyond the pixels", name, overhead)
+		}
+		got, err := Open(env)
+		if err != nil {
+			t.Fatalf("%s: Open: %v", name, err)
+		}
+		if !frameRecordsEqual(got.(FrameRecord), want) {
+			t.Errorf("%s: round trip\n got %+v\nwant %+v", name, got, want)
+		}
+		if want.Timestamp.IsZero() != got.(FrameRecord).Timestamp.IsZero() {
+			t.Errorf("%s: zero timestamp not preserved", name)
+		}
+	}
+}
+
+func TestDecodeFrameRecordRejectsMalformed(t *testing.T) {
+	env, err := Seal(FrameRecord{CameraID: "c", Seq: 1, Width: 1, Height: 1, Pixels: []byte{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := env.Payload
+	if _, err := DecodeFrameRecord(good); err != nil {
+		t.Fatalf("good record rejected: %v", err)
+	}
+	bad := map[string][]byte{
+		"empty":          nil,
+		"unknown format": append([]byte{0x7f}, good[1:]...),
+		"trailing bytes": append(append([]byte(nil), good...), 0),
+		"legacy garbage": []byte(`{"seq":`),
+	}
+	for cut := 1; cut < len(good); cut++ {
+		bad["truncated at "+strconv.Itoa(cut)] = good[:cut]
+	}
+	// A pixel length far beyond the buffer must fail its bounds check, not
+	// allocate or slice out of range.
+	hdr, err := AppendFrameRecordHeader(nil, &FrameRecord{}) // ends in pixel length 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad["oversized pixel length"] = binary.AppendUvarint(hdr[:len(hdr)-1], 1<<30)
+	for name, data := range bad {
+		if _, err := DecodeFrameRecord(data); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// TestReadEnvelopeLegacyJSONStream reads a stream written the way senders
+// did before the binary envelope: each envelope one JSON object framed by
+// WriteFrame, frame records with base64 pixels. Binary envelopes may
+// follow on the same stream.
+func TestReadEnvelopeLegacyJSONStream(t *testing.T) {
+	ts := time.Date(2020, 12, 7, 10, 30, 0, 0, time.UTC)
+	rec := FrameRecord{CameraID: "cam1", Seq: 7, Timestamp: ts, Width: 1, Height: 2,
+		Pixels: []byte{9, 8, 7, 6, 5, 4}, Annotations: []BoxAnnotation{{TrackID: 1, W: 1, H: 1, Label: "car"}}}
+	recJSON, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retire := Retire{EventID: "cam1#3", ByCameraID: "cam2"}
+	retireJSON, err := json.Marshal(retire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := &TraceContext{TraceID: "cam1#3", SpanID: "s1", ParentID: "p0", Sampled: true}
+
+	var buf bytes.Buffer
+	for _, legacy := range []jsonEnvelope{
+		{Type: TypeFrameRecord, Payload: recJSON},
+		{Type: TypeRetire, Payload: retireJSON, Trace: tc},
+	} {
+		if err := WriteFrame(&buf, legacy, MaxFrameBytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteMessage(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 3; i++ {
+		env, err := ReadEnvelope(&buf)
+		if err != nil {
+			t.Fatalf("envelope %d: %v", i, err)
+		}
+		msg, err := Open(env)
+		if err != nil {
+			t.Fatalf("envelope %d: Open: %v", i, err)
+		}
+		switch i {
+		case 0, 2:
+			if !frameRecordsEqual(msg.(FrameRecord), rec) {
+				t.Errorf("envelope %d: frame record = %+v, want %+v", i, msg, rec)
+			}
+		case 1:
+			if msg.(Retire) != retire || env.Trace == nil || *env.Trace != *tc {
+				t.Errorf("envelope %d: %+v trace %+v", i, msg, env.Trace)
+			}
+		}
+	}
+	if _, err := ReadEnvelope(&buf); !errors.Is(err, io.EOF) {
+		t.Errorf("want io.EOF at end, got %v", err)
+	}
+}
+
+func TestEnvelopeTraceRoundTrip(t *testing.T) {
+	for _, tc := range []*TraceContext{
+		nil,
+		{TraceID: "cam1#1", SpanID: "a", Sampled: true},
+		{TraceID: "cam1#1", SpanID: "b", ParentID: "a"},
+		{},
+	} {
+		want := Envelope{Type: TypeConfirm, Payload: []byte(`{"eventId":"x"}`), Trace: tc}
+		var buf bytes.Buffer
+		if err := WriteEnvelope(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadEnvelope(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) || !reflect.DeepEqual(got.Trace, want.Trace) {
+			t.Errorf("round trip = %+v (trace %+v), want %+v (trace %+v)", got, got.Trace, want, want.Trace)
 		}
 	}
 }

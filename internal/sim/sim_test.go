@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -359,6 +360,69 @@ func TestRandomRoute(t *testing.T) {
 	}
 	if _, err := RandomRoute(g, rng, sites[0], 0); err == nil {
 		t.Error("zero legs accepted")
+	}
+}
+
+// TestRenderMatchesReference checks Render's cached background and
+// vehicle order against a frame painted from scratch: the textured
+// background, then each ground-truth box, which must come in vehicle-ID
+// order whatever order the vehicles were added in. Every frame must also
+// own its pixels, since consumers keep rendered frames.
+func TestRenderMatchesReference(t *testing.T) {
+	g, sites, err := roadnet.Campus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w, err := NewWorld(WorldConfig{Sim: des.New(epoch), Graph: g})
+		if err != nil {
+			t.Fatal(err)
+		}
+		colors := make(map[string]imaging.Color)
+		for i, n := range rng.Perm(40) {
+			route, err := RandomRoute(g, rng, sites[rng.Intn(2)], 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := VehicleSpec{ID: fmt.Sprintf("v%02d", n), Color: PaletteColor(n),
+				SpeedMPS: 8 + 6*rng.Float64(), Route: route, Depart: time.Duration(i) * 600 * time.Millisecond}
+			if err := w.AddVehicle(spec); err != nil {
+				t.Fatal(err)
+			}
+			colors[spec.ID] = spec.Color
+		}
+		spec := DefaultCameraSpec("cam", nodePos(t, w, sites[0]), 0)
+		spec.Seed = uint64(seed) * 7919
+		spec.BrightnessOffset = int(seed)*5 - 10
+		cam, err := w.AddCamera(spec, func(*vision.Frame) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var prev *vision.Frame
+		drawn := 0
+		for now := time.Duration(0); now < 30*time.Second; now += 1700 * time.Millisecond {
+			f := cam.Render(now)
+			want := imaging.MustNewFrame(spec.Width, spec.Height)
+			want.FillTexturedBackground(imaging.Color{R: 96, G: 96, B: 100}, spec.Seed)
+			for i, obj := range f.Truth {
+				if i > 0 && f.Truth[i-1].ID >= obj.ID {
+					t.Fatalf("seed %d at %v: vehicles drawn out of ID order: %s before %s", seed, now, f.Truth[i-1].ID, obj.ID)
+				}
+				want.FillRect(obj.Box, shiftColor(colors[obj.ID], spec.BrightnessOffset))
+			}
+			drawn += len(f.Truth)
+			if !f.Image.Equal(want) {
+				t.Fatalf("seed %d at %v: render differs from the reference", seed, now)
+			}
+			if prev != nil && &prev.Image.Pix[0] == &f.Image.Pix[0] {
+				t.Fatalf("seed %d at %v: two frames share a pixel buffer", seed, now)
+			}
+			prev = f
+		}
+		if drawn == 0 {
+			t.Fatalf("seed %d: no vehicle ever in view; the check is vacuous", seed)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -113,7 +114,10 @@ type World struct {
 	lights map[roadnet.NodeID]TrafficLight
 
 	vehicles map[string]*vehicle
-	cameras  map[string]*Camera
+	// byID holds the vehicles sorted by ID, the order cameras draw them
+	// in. Vehicles are never removed, so AddVehicle keeps it sorted.
+	byID    []*vehicle
+	cameras map[string]*Camera
 	// lightRelease tracks the last discharge instant per signalized
 	// intersection so queued vehicles release one headway apart instead
 	// of as one overlapping clump.
@@ -202,6 +206,8 @@ func (w *World) AddVehicle(spec VehicleSpec) error {
 	}
 	v.done = t
 	w.vehicles[spec.ID] = v
+	i := sort.Search(len(w.byID), func(i int) bool { return w.byID[i].spec.ID > spec.ID })
+	w.byID = slices.Insert(w.byID, i, v)
 	return nil
 }
 
@@ -241,16 +247,6 @@ func (w *World) VehiclePosition(id string, t time.Duration) (geo.Point, bool, er
 	}
 	pos, visible := v.position(w.graph, t)
 	return pos, visible, nil
-}
-
-// vehicleIDs returns the installed vehicle IDs, sorted.
-func (w *World) vehicleIDs() []string {
-	out := make([]string, 0, len(w.vehicles))
-	for id := range w.vehicles {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // LastVehicleDone returns the completion time of the last vehicle, which

@@ -26,7 +26,10 @@ type Bus struct {
 	sim       *des.Simulator
 	latency   time.Duration
 	faults    rpc.ClientInterceptor
-	m         *endpointMetrics
+	// rngMu serializes draws from a caller-supplied fault RNG across the
+	// successive fault middlewares built from it (see InjectFaults).
+	rngMu sync.Mutex
+	m     *endpointMetrics
 
 	// ccall is the send chain bound once around transmit (see TCP.ccall).
 	ccall  rpc.Handler
@@ -164,6 +167,13 @@ func (b *Bus) InjectFaults(cfg faultinject.Config) error {
 			user()
 		}
 	}
+	if cfg.RNG != nil {
+		// A send still running the middleware this call replaces draws
+		// from the same RNG as one running the new middleware, and each
+		// middleware locks only its own draws. The wrapper draws the
+		// identical sequence, one bus-wide lock around each draw.
+		cfg.RNG = rand.New(lockedSource{mu: &b.rngMu, rng: cfg.RNG})
+	}
 	ic, err := faultinject.New(cfg)
 	if err != nil {
 		return err
@@ -172,6 +182,24 @@ func (b *Bus) InjectFaults(cfg faultinject.Config) error {
 	b.faults = ic
 	b.mu.Unlock()
 	return nil
+}
+
+// lockedSource is a rand.Source drawing from rng under mu.
+type lockedSource struct {
+	mu  *sync.Mutex
+	rng *rand.Rand
+}
+
+func (s lockedSource) Int63() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rng.Int63()
+}
+
+func (s lockedSource) Seed(seed int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rng.Seed(seed)
 }
 
 // SetLossRate makes the bus silently drop each message with the given

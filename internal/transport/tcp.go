@@ -94,19 +94,28 @@ type TCP struct {
 	rootCtx context.Context
 	cancel  context.CancelFunc
 
-	mu         sync.Mutex
-	handler    Handler
-	conns      map[string]net.Conn
-	inbound    map[net.Conn]struct{}
-	wdeadlines map[net.Conn]time.Time // last write deadline armed per conn
-	closed     bool
-	m          *endpointMetrics
+	mu      sync.Mutex
+	handler Handler
+	conns   map[string]*outConn
+	inbound map[net.Conn]struct{}
+	closed  bool
+	m       *endpointMetrics
 
 	wg        sync.WaitGroup // accept + read loops
 	handlerWG sync.WaitGroup // in-flight handler invocations
 }
 
 var _ Endpoint = (*TCP)(nil)
+
+// outConn is one cached outbound connection. Its own write lock keeps
+// envelopes from interleaving on the socket, so a peer that stops
+// draining stalls only the senders to that peer, never sends to other
+// peers or inbound dispatch.
+type outConn struct {
+	net.Conn
+	wmu      sync.Mutex
+	deadline time.Time // write deadline armed on the socket; zero if none
+}
 
 // ListenTCP starts an endpoint listening on addr (use "127.0.0.1:0" for an
 // ephemeral port) with default deadlines.
@@ -124,14 +133,13 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &TCP{
-		ln:         ln,
-		cfg:        cfg,
-		rootCtx:    ctx,
-		cancel:     cancel,
-		conns:      make(map[string]net.Conn),
-		inbound:    make(map[net.Conn]struct{}),
-		wdeadlines: make(map[net.Conn]time.Time),
-		m:          newEndpointMetrics(nil, "tcp"),
+		ln:      ln,
+		cfg:     cfg,
+		rootCtx: ctx,
+		cancel:  cancel,
+		conns:   make(map[string]*outConn),
+		inbound: make(map[net.Conn]struct{}),
+		m:       newEndpointMetrics(nil, "tcp"),
 	}
 	// Outbound chain, outermost first: default deadline, trace inject,
 	// metrics (outside retry: a send that succeeds on a redial counts
@@ -309,14 +317,14 @@ func (t *TCP) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 	t.mu.Unlock()
 
 	if conn != nil {
-		if err := t.writeTo(ctx, conn, addr, env); err != nil {
+		if err := writeTo(ctx, conn, addr, env); err != nil {
 			t.dropConn(addr, conn)
 			return nil, rpc.MarkRetryable(err)
 		}
 		return &rpc.Response{}, nil
 	}
 
-	conn, err := t.dial(ctx, addr)
+	raw, err := t.dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -324,23 +332,24 @@ func (t *TCP) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		_ = conn.Close()
+		_ = raw.Close()
 		return nil, ErrClosed
 	}
 	if existing, ok := t.conns[addr]; ok {
 		// A concurrent Send won the dial race; reuse its connection.
 		t.mu.Unlock()
-		_ = conn.Close()
-		if err := t.writeTo(ctx, existing, addr, env); err == nil {
+		_ = raw.Close()
+		if err := writeTo(ctx, existing, addr, env); err == nil {
 			return &rpc.Response{}, nil
 		}
 		t.dropConn(addr, existing)
 		return nil, fmt.Errorf("transport: send %s: connection lost", addr)
 	}
+	conn = &outConn{Conn: raw}
 	t.conns[addr] = conn
 	t.mu.Unlock()
 
-	if err := t.writeTo(ctx, conn, addr, env); err != nil {
+	if err := writeTo(ctx, conn, addr, env); err != nil {
 		t.dropConn(addr, conn)
 		return nil, err
 	}
@@ -369,53 +378,51 @@ func (t *TCP) dial(ctx context.Context, addr string) (net.Conn, error) {
 		})
 }
 
-// writeTo serializes writes per connection via the connection-map lock to
-// keep frames from interleaving. The write deadline comes from ctx, so a
-// peer that accepts but never drains cannot block the caller forever.
-func (t *TCP) writeTo(ctx context.Context, conn net.Conn, addr string, env protocol.Envelope) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.conns[addr] != conn && t.conns[addr] != nil {
-		conn = t.conns[addr]
-	}
-	t.armWriteDeadlineLocked(conn, ctx)
-	if err := protocol.WriteEnvelope(conn, env); err != nil {
+// writeTo writes one envelope under the connection's own write lock. The
+// write deadline comes from ctx, so a peer that accepts but never drains
+// cannot block the caller forever.
+func writeTo(ctx context.Context, conn *outConn, addr string, env protocol.Envelope) error {
+	conn.wmu.Lock()
+	defer conn.wmu.Unlock()
+	conn.armWriteDeadline(ctx)
+	if err := protocol.WriteEnvelope(conn.Conn, env); err != nil {
 		return fmt.Errorf("transport: send %s: %w", addr, err)
 	}
 	return nil
 }
 
-// armWriteDeadlineLocked applies ctx's deadline to the socket with
-// coarse granularity: the kernel deadline is re-armed only when the
-// requested one is tighter than what is armed, or later by more than
-// 1/8 of the remaining budget. Steady-state sends carry a rolling
-// now+SendTimeout deadline that advances a few microseconds per call,
-// so this skips the per-write deadline update on the hot path; the cost
-// is that a write blocked on a dead peer may fail up to 12.5% of its
-// budget early — never late.
-func (t *TCP) armWriteDeadlineLocked(conn net.Conn, ctx context.Context) {
+// armWriteDeadline applies ctx's deadline to the socket with coarse
+// granularity: the kernel deadline is re-armed only when the requested
+// one is tighter than what is armed, or later by more than 1/8 of the
+// remaining budget. Steady-state sends carry a rolling now+SendTimeout
+// deadline that advances a few microseconds per call, so this skips the
+// per-write deadline update on the hot path; the cost is that a write
+// blocked on a dead peer may fail up to 12.5% of its budget early — never
+// late. Caller holds c.wmu.
+func (c *outConn) armWriteDeadline(ctx context.Context) {
 	deadline, ok := ctx.Deadline()
-	cur, armed := t.wdeadlines[conn]
+	armed := !c.deadline.IsZero()
 	if !ok {
 		if armed {
-			_ = conn.SetWriteDeadline(time.Time{})
-			delete(t.wdeadlines, conn)
+			_ = c.SetWriteDeadline(time.Time{})
+			c.deadline = time.Time{}
 		}
 		return
 	}
-	if armed && !deadline.Before(cur) && deadline.Sub(cur) <= time.Until(deadline)/8 {
+	if armed && !deadline.Before(c.deadline) && deadline.Sub(c.deadline) <= time.Until(deadline)/8 {
 		return
 	}
-	_ = conn.SetWriteDeadline(deadline)
-	t.wdeadlines[conn] = deadline
+	_ = c.SetWriteDeadline(deadline)
+	c.deadline = deadline
 }
 
-func (t *TCP) dropConn(addr string, conn net.Conn) {
+// dropConn forgets conn (if it is still addr's cached connection) and
+// closes it, which also fails a write blocked on it.
+func (t *TCP) dropConn(addr string, conn *outConn) {
 	t.mu.Lock()
 	if t.conns[addr] == conn {
 		delete(t.conns, addr)
 	}
-	delete(t.wdeadlines, conn)
 	t.mu.Unlock()
 	_ = conn.Close()
 }
@@ -475,8 +482,7 @@ func (t *TCP) closeConnsAndJoin() {
 	for c := range t.inbound {
 		conns = append(conns, c)
 	}
-	t.conns = make(map[string]net.Conn)
-	t.wdeadlines = make(map[net.Conn]time.Time)
+	t.conns = make(map[string]*outConn)
 	t.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +17,45 @@ import (
 // buffers fill, Send must fail with a deadline error within the context
 // budget instead of blocking forever.
 func TestTCPSendDeadlineStalledPeer(t *testing.T) {
-	// A raw listener that accepts and then ignores the connection.
+	stalled := stalledPeer(t)
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+
+	// Big envelopes fill the socket buffers quickly. The transport ships
+	// payload bytes as they are, so their content does not matter.
+	env := protocol.Envelope{Type: protocol.TypeRetire, Payload: make([]byte, 4<<20)}
+
+	start := time.Now()
+	var sendErr error
+	for i := 0; i < 32; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		sendErr = a.Send(ctx, stalled, env)
+		cancel()
+		if sendErr != nil {
+			break
+		}
+	}
+	if sendErr == nil {
+		t.Fatal("sends to a never-draining peer kept succeeding; write path has no deadline")
+	}
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("deadline took %v to fire", elapsed)
+	}
+	a.mu.Lock()
+	deadlines := a.m.deadlineExceeded.Value()
+	a.mu.Unlock()
+	if deadlines == 0 {
+		t.Errorf("deadlineExceeded counter = 0, want > 0 (err: %v)", sendErr)
+	}
+}
+
+// stalledPeer starts a raw listener that accepts connections and never
+// reads them, and returns its address. Cleanup closes everything.
+func stalledPeer(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +75,7 @@ func TestTCPSendDeadlineStalledPeer(t *testing.T) {
 			connMu.Unlock()
 		}
 	}()
-	defer func() {
+	t.Cleanup(func() {
 		_ = ln.Close()
 		<-acceptDone
 		connMu.Lock()
@@ -44,44 +83,71 @@ func TestTCPSendDeadlineStalledPeer(t *testing.T) {
 		for _, c := range conns {
 			_ = c.Close()
 		}
-	}()
+	})
+	return ln.Addr().String()
+}
 
+// TestTCPSlowPeerDoesNotStallOtherPeers blocks one endpoint's write to a
+// peer that never drains, then requires a send from the same endpoint to
+// a healthy peer to be delivered promptly: the stalled write may hold up
+// only its own connection.
+func TestTCPSlowPeerDoesNotStallOtherPeers(t *testing.T) {
+	stalled := stalledPeer(t)
 	a, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = a.Close() }()
-
-	// Big envelopes fill the socket buffers quickly. The payload must be
-	// valid JSON (Envelope.Payload is a json.RawMessage).
-	big := make([]byte, 4<<20)
-	for i := range big {
-		big[i] = 'a'
+	b, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	big[0], big[len(big)-1] = '"', '"'
-	env := protocol.Envelope{Type: protocol.TypeRetire, Payload: big}
+	defer func() { _ = b.Close() }()
+	got := make(chan protocol.Envelope, 1)
+	b.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- env })
+
+	// Keep writing 4 MiB envelopes to the stalled peer until one blocks
+	// in the socket write; sendStart is when the current send began.
+	var sendStart atomic.Int64
+	sendStart.Store(time.Now().UnixNano())
+	stallerDone := make(chan struct{})
+	go func() {
+		defer close(stallerDone)
+		env := protocol.Envelope{Type: protocol.TypeRetire, Payload: make([]byte, 4<<20)}
+		for {
+			sendStart.Store(time.Now().UnixNano())
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := a.Send(ctx, stalled, env)
+			cancel()
+			if err != nil {
+				return
+			}
+		}
+	}()
+	defer func() {
+		_ = a.Close() // fails the blocked write
+		<-stallerDone
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Since(time.Unix(0, sendStart.Load())) < 300*time.Millisecond {
+		if time.Now().After(deadline) {
+			t.Fatal("no send to the never-draining peer ever blocked")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	select {
+	case <-stallerDone:
+		t.Fatal("sends to the never-draining peer failed instead of blocking")
+	default:
+	}
 
 	start := time.Now()
-	var sendErr error
-	for i := 0; i < 32; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-		sendErr = a.Send(ctx, ln.Addr().String(), env)
-		cancel()
-		if sendErr != nil {
-			break
-		}
+	if err := a.Send(context.Background(), b.Addr(), retireEnv(t, "fast#1")); err != nil {
+		t.Fatalf("send to healthy peer: %v", err)
 	}
-	if sendErr == nil {
-		t.Fatal("sends to a never-draining peer kept succeeding; write path has no deadline")
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("deadline took %v to fire", elapsed)
-	}
-	a.mu.Lock()
-	deadlines := a.m.deadlineExceeded.Value()
-	a.mu.Unlock()
-	if deadlines == 0 {
-		t.Errorf("deadlineExceeded counter = 0, want > 0 (err: %v)", sendErr)
+	select {
+	case <-got:
+	case <-time.After(100*time.Millisecond - time.Since(start)):
+		t.Fatalf("healthy peer's envelope not delivered within 100ms of Send while another peer stalls (took %v so far)", time.Since(start))
 	}
 }
 
