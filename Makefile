@@ -34,14 +34,18 @@ race-stress:
 smoke:
 	$(GO) test -count=1 ./cmd/
 
-# fuzz runs each wire-codec fuzz target for a short while on top of its
-# checked-in corpus (internal/protocol/testdata/fuzz): envelopes of either
-# format through Open, and frame records as the framestore reads them.
+# fuzz runs each codec fuzz target for a short while on top of its
+# checked-in corpus (testdata/fuzz in each package): envelopes of either
+# format through Open, frame records as the framestore reads them,
+# detection events as the trajectory store's log records carry them, and
+# whole trajectory-store logs through Open against the pre-apply validator.
 # go test takes one -fuzz target per run. Minimizing each new input for the
 # default 60 s would eat the whole budget, so it gets 1 s.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEnvelope$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrameRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetectionEvent$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 
 vet:
 	$(GO) vet ./...
@@ -53,6 +57,7 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkFramestore -benchtime=2s ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkSnapshotQueryBySize -benchtime=2s ./internal/trajstore/
+	$(GO) test -run=NONE -bench=BenchmarkOpenReplay -benchtime=2s -benchmem ./internal/trajstore/
 
 # bench-e2e runs the end-to-end ladder (bench/README.md): four workloads
 # over the real loopback-TCP deployment, ~15 minutes, results in

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -533,7 +534,7 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 			firstSeen = append(firstSeen, det.TruthID)
 		}
 	}
-	departed := n.tracker.ConfirmedDeparted(res.Departed)
+	departed := n.confirmDepartedLocked(res.Departed)
 	n.mu.Unlock()
 
 	if n.cfg.Hooks.OnFirstSeen != nil {
@@ -573,8 +574,7 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 // events, bounding the resulting sends by ctx.
 func (n *Node) FlushContext(ctx context.Context) error {
 	n.mu.Lock()
-	flushed := n.tracker.Flush()
-	departed := n.tracker.ConfirmedDeparted(flushed)
+	departed := n.confirmDepartedLocked(n.tracker.Flush())
 	n.mu.Unlock()
 	for _, tr := range departed {
 		if err := n.emitEvent(ctx, tr, frameTiming{}); err != nil {
@@ -589,6 +589,20 @@ func (n *Node) FlushContext(ctx context.Context) error {
 		}
 	}
 	return nil
+}
+
+// confirmDepartedLocked returns the departed tracks that become events and
+// frees the accumulators of the rest (flickers and false positives below
+// MinHits), which emitEvent, seeing only confirmed tracks, never would.
+// Caller holds n.mu.
+func (n *Node) confirmDepartedLocked(departed []*tracker.Track) []*tracker.Track {
+	confirmed := n.tracker.ConfirmedDeparted(departed)
+	for _, tr := range departed {
+		if !slices.Contains(confirmed, tr) {
+			delete(n.accum, tr.ID)
+		}
+	}
+	return confirmed
 }
 
 // emitEvent turns a departed track into a detection event: signature and

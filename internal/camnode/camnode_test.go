@@ -2,6 +2,7 @@ package camnode
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -165,6 +166,43 @@ func TestSingleCameraGeneratesOneEvent(t *testing.T) {
 	}
 	if st.DetectionsKept != 15 {
 		t.Errorf("kept = %d", st.DetectionsKept)
+	}
+}
+
+// TestFlickerTracksFreeAccumulators: a track that departs below MinHits (a
+// one-frame flicker or false positive) produces no event and must not keep
+// its 4 KB feature accumulator, on the frame path or at FlushContext.
+func TestFlickerTracksFreeAccumulators(t *testing.T) {
+	const flickers = 20
+	n := newTestNode(t, transport.NewBus(), "camA", nodeConfig("camA", trajstore.NewMemStore()))
+	seq := int64(0)
+	frame := func(x int, truth string) {
+		t.Helper()
+		if err := n.ProcessFrameContext(context.Background(), makeFrame("camA", seq, x, truth, imaging.Red)); err != nil {
+			t.Fatal(err)
+		}
+		seq++
+	}
+	for i := 0; i < flickers; i++ {
+		frame(10+7*i, fmt.Sprintf("flicker-%d", i))
+		for k := 0; k < 5; k++ { // > MaxAge empty frames: the track departs
+			frame(0, "")
+		}
+	}
+	frame(50, "flicker-at-flush")
+	if err := n.FlushContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	driveVehicleThrough(t, n, "veh-1", imaging.Red, seq)
+
+	if got := n.Stats().EventsGenerated; got != 1 {
+		t.Errorf("events = %d, want 1 (flickers are not events)", got)
+	}
+	n.mu.Lock()
+	left := len(n.accum)
+	n.mu.Unlock()
+	if left != 0 {
+		t.Errorf("%d feature accumulators left after %d departed flickers", left, flickers+1)
 	}
 }
 

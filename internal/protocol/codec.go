@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+
+	"repro/internal/feature"
+	"repro/internal/geo"
 )
 
 // Binary wire layouts. Every variable-length field is a uvarint length
@@ -26,12 +30,29 @@ import (
 //
 // The pixels are the record's last field and end exactly at the end of the
 // buffer; trailing bytes are an error.
+//
+// Detection event (the trajectory store's log record for a vertex):
+//
+//	detectionEventV1 | ID | camera ID | timestamp (time.MarshalBinary) |
+//	direction | track ID | vertex ID | truth ID |
+//	bin count | set-bin count | per set bin: index gap, float64 bits (8 bytes LE)
+//
+// The histogram is sparse: only bins whose bits are non-zero are listed
+// (so -0 is kept), in ascending index order, each as its distance from the
+// previous listed index minus one (the first from -1).
 const (
-	envelopeV1    = 0x01
-	frameRecordV1 = 0x01
+	envelopeV1       = 0x01
+	frameRecordV1    = 0x01
+	detectionEventV1 = 0x01
 
 	traceSet     = 1 << 0
 	traceSampled = 1 << 1
+
+	// maxHistogramBins caps a histogram at the size every camera's
+	// signature has, so a few bytes of a corrupt or hostile count cannot
+	// decode to more memory than a real event holds; the encoder refuses
+	// more.
+	maxHistogramBins = feature.HistogramSize
 )
 
 var errTruncated = errors.New("protocol: truncated binary field")
@@ -95,6 +116,20 @@ func (c *cursor) bytes() []byte {
 	}
 	v := c.b[:n:n]
 	c.b = c.b[n:]
+	return v
+}
+
+// fixed64 returns the next 8-byte little-endian field.
+func (c *cursor) fixed64() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	if len(c.b) < 8 {
+		c.err = errTruncated
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(c.b)
+	c.b = c.b[8:]
 	return v
 }
 
@@ -258,4 +293,101 @@ func decodeFrameRecordV1(b []byte, rec *FrameRecord) error {
 		return json.Unmarshal(ann, &rec.Annotations)
 	}
 	return nil
+}
+
+// AppendDetectionEvent appends e's binary encoding to dst. It fails on a
+// timestamp time.MarshalBinary refuses or a histogram longer than the
+// decoder accepts.
+func AppendDetectionEvent(dst []byte, e *DetectionEvent) ([]byte, error) {
+	bins := e.Histogram.Bins
+	if len(bins) > maxHistogramBins {
+		return nil, fmt.Errorf("protocol: histogram has %d bins, limit %d", len(bins), maxHistogramBins)
+	}
+	ts, err := e.Timestamp.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("protocol: encode event timestamp: %w", err)
+	}
+	var set uint64
+	for _, b := range bins {
+		if math.Float64bits(b) != 0 {
+			set++
+		}
+	}
+	dst = append(dst, detectionEventV1)
+	dst = appendString(dst, string(e.ID))
+	dst = appendString(dst, e.CameraID)
+	dst = appendBytes(dst, ts)
+	dst = binary.AppendVarint(dst, int64(e.Direction))
+	dst = binary.AppendVarint(dst, e.TrackID)
+	dst = binary.AppendVarint(dst, e.VertexID)
+	dst = appendString(dst, e.TruthID)
+	dst = binary.AppendUvarint(dst, uint64(len(bins)))
+	dst = binary.AppendUvarint(dst, set)
+	next := 0 // the lowest index the next listed bin may have
+	for i, b := range bins {
+		if bits := math.Float64bits(b); bits != 0 {
+			dst = binary.AppendUvarint(dst, uint64(i-next))
+			dst = binary.LittleEndian.AppendUint64(dst, bits)
+			next = i + 1
+		}
+	}
+	return dst, nil
+}
+
+// DecodeDetectionEvent decodes an event written by AppendDetectionEvent.
+// Every length is bounds-checked; a bin index past the histogram, a listed
+// bin whose bits are zero and trailing bytes are errors. An empty
+// histogram decodes as nil bins.
+func DecodeDetectionEvent(data []byte) (DetectionEvent, error) {
+	var e DetectionEvent
+	if err := decodeDetectionEvent(data, &e); err != nil {
+		return DetectionEvent{}, fmt.Errorf("protocol: decode detection event: %w", err)
+	}
+	return e, nil
+}
+
+func decodeDetectionEvent(data []byte, e *DetectionEvent) error {
+	if len(data) == 0 {
+		return errTruncated
+	}
+	if data[0] != detectionEventV1 {
+		return fmt.Errorf("unknown format 0x%02x", data[0])
+	}
+	c := cursor{b: data[1:]}
+	e.ID = EventID(c.bytes())
+	e.CameraID = string(c.bytes())
+	ts := c.bytes()
+	e.Direction = geo.Direction(c.varint())
+	e.TrackID = c.varint()
+	e.VertexID = c.varint()
+	e.TruthID = string(c.bytes())
+	n, set := c.uvarint(), c.uvarint()
+	if c.err != nil {
+		return c.err
+	}
+	if n > maxHistogramBins || set > n {
+		return fmt.Errorf("histogram of %d bins with %d set", n, set)
+	}
+	if n > 0 {
+		e.Histogram.Bins = make([]float64, n)
+	}
+	next := uint64(0)
+	for i := uint64(0); i < set; i++ {
+		gap, bits := c.uvarint(), c.fixed64()
+		if c.err != nil {
+			return c.err
+		}
+		if gap >= n-next {
+			return fmt.Errorf("bin index %d+%d past %d bins", next, gap, n)
+		}
+		if bits == 0 {
+			return errors.New("zero bin listed as set")
+		}
+		e.Histogram.Bins[next+gap] = math.Float64frombits(bits)
+		next += gap + 1
+	}
+	if len(c.b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(c.b))
+	}
+	return e.Timestamp.UnmarshalBinary(ts)
 }

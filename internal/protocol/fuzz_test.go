@@ -3,8 +3,10 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/geo"
 )
@@ -113,6 +115,40 @@ func FuzzDecodeFrameRecord(f *testing.F) {
 		}
 		if !frameRecordsEqual(again, rec) {
 			t.Fatalf("round trip:\n got %+v\nwant %+v", again, rec)
+		}
+	})
+}
+
+// FuzzDecodeDetectionEvent feeds arbitrary bytes to the event decoder the
+// trajectory store runs on every vertex record of its log. It may not
+// panic, and an event that decodes must re-encode to bytes that decode to
+// an equal event.
+func FuzzDecodeDetectionEvent(f *testing.F) {
+	zoned := sampleEvent()
+	zoned.Timestamp = zoned.Timestamp.In(time.FixedZone("", -7*3600))
+	zoned.Histogram.Bins[9] = math.Copysign(0, -1)
+	for _, e := range []DetectionEvent{{}, sampleEvent(), zoned} {
+		data, err := AppendDetectionEvent(nil, &e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := DecodeDetectionEvent(data)
+		if err != nil {
+			return
+		}
+		again, err := AppendDetectionEvent(nil, &e)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", e, err)
+		}
+		got, err := DecodeDetectionEvent(again)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !eventsEqual(got, e) {
+			t.Fatalf("round trip:\n got %+v\nwant %+v", got, e)
 		}
 	})
 }

@@ -7,7 +7,9 @@
 // binary frame record whose pixels travel as raw bytes, and the
 // length-prefixed JSON frame the request/response protocols use. Control
 // message payloads are JSON; readers also accept the all-JSON envelope and
-// frame-record forms written before the binary layouts (codec.go).
+// frame-record forms written before the binary layouts (codec.go). A
+// binary detection-event layout with a sparse histogram is what the
+// trajectory store's log records carry.
 package protocol
 
 import (

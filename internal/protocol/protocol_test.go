@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"testing"
@@ -384,5 +385,87 @@ func TestReadEnvelopeGarbageJSON(t *testing.T) {
 	buf.Write(payload)
 	if _, err := ReadEnvelope(&buf); err == nil {
 		t.Error("garbage JSON should error")
+	}
+}
+
+// eventsEqual compares events field by field; timestamps must be the same
+// instant in the same zone offset, and histogram bins the same bits (so
+// -0 and NaN compare).
+func eventsEqual(a, b DetectionEvent) bool {
+	_, aOff := a.Timestamp.Zone()
+	_, bOff := b.Timestamp.Zone()
+	if !a.Timestamp.Equal(b.Timestamp) || aOff != bOff || len(a.Histogram.Bins) != len(b.Histogram.Bins) {
+		return false
+	}
+	for i := range a.Histogram.Bins {
+		if math.Float64bits(a.Histogram.Bins[i]) != math.Float64bits(b.Histogram.Bins[i]) {
+			return false
+		}
+	}
+	a.Timestamp, b.Timestamp = time.Time{}, time.Time{}
+	a.Histogram, b.Histogram = feature.Histogram{}, feature.Histogram{}
+	return reflect.DeepEqual(a, b)
+}
+
+func TestDetectionEventRoundTrip(t *testing.T) {
+	odd := sampleEvent()
+	odd.Timestamp = time.Date(2020, 12, 7, 10, 30, 0, 123456789, time.FixedZone("IST", 330*60))
+	odd.Direction, odd.TrackID, odd.VertexID, odd.TruthID = geo.DirectionInvalid, -3, 0, ""
+	odd.Histogram = feature.Histogram{Bins: make([]float64, feature.HistogramSize)}
+	for i, v := range []float64{math.Copysign(0, -1), math.NaN(), math.Inf(-1), math.SmallestNonzeroFloat64, 0.25} {
+		odd.Histogram.Bins[i*97] = v
+	}
+	odd.Histogram.Bins[feature.HistogramSize-1] = 1e300
+	events := map[string]DetectionEvent{
+		"sample":       sampleEvent(),
+		"odd values":   odd,
+		"no histogram": {ID: "cam#1", CameraID: "cam"},
+	}
+	for name, want := range events {
+		data, err := AppendDetectionEvent(nil, &want)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		got, err := DecodeDetectionEvent(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if !eventsEqual(got, want) {
+			t.Errorf("%s: round trip\n got %+v\nwant %+v", name, got, want)
+		}
+		for cut := 0; cut < len(data); cut++ {
+			if _, err := DecodeDetectionEvent(data[:cut]); err == nil {
+				t.Fatalf("%s: decoded a record cut to %d of %d bytes", name, cut, len(data))
+			}
+		}
+		if _, err := DecodeDetectionEvent(append(data, 0)); err == nil {
+			t.Errorf("%s: trailing byte accepted", name)
+		}
+	}
+	// One set bin of 512: a few dozen bytes, not a float per bin.
+	sample := sampleEvent()
+	if data, _ := AppendDetectionEvent(nil, &sample); len(data) > 64 {
+		t.Errorf("sample event encodes to %d bytes", len(data))
+	}
+
+	big := DetectionEvent{Histogram: feature.Histogram{Bins: make([]float64, maxHistogramBins+1)}}
+	if _, err := AppendDetectionEvent(nil, &big); err == nil {
+		t.Error("histogram over the bin cap encoded")
+	}
+	// The histogram is the event's tail: bin count, set count, then pairs.
+	head, _ := AppendDetectionEvent(nil, &DetectionEvent{})
+	head = head[:len(head)-2]
+	for name, tail := range map[string][]byte{
+		"bin count over the cap": binary.AppendUvarint(binary.AppendUvarint(nil, maxHistogramBins+1), 0),
+		"more set than bins":     {2, 3},
+		"index past the end":     {2, 1, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f},
+		"zero bin listed":        {2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := DecodeDetectionEvent(append(bytes.Clone(head), tail...)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	if _, err := DecodeDetectionEvent(append(bytes.Clone(head), 2, 1, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f)); err != nil {
+		t.Errorf("valid hand-built tail: %v", err)
 	}
 }

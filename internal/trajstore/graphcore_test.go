@@ -1,6 +1,7 @@
 package trajstore
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -136,10 +137,10 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 	committed := s.Snapshot()
 
 	// Break the disk. The committer is idle (every write above was
-	// acknowledged) and will next touch the encoder after a channel
+	// acknowledged) and will next touch the log's writer after a channel
 	// receive from a writer that starts after this line.
-	healthyEnc := s.persist.enc
-	s.persist.enc = json.NewEncoder(brokenDisk{})
+	healthyW := s.persist.w
+	s.persist.w = bufio.NewWriter(brokenDisk{})
 	_, failures = phase("broken")
 	if len(failures) != 32 {
 		t.Fatalf("broken phase: %d of 32 writes failed", len(failures))
@@ -152,7 +153,7 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 
 	// Heal it. Before the latch the next group would commit — and at the
 	// parent could persist an edge whose vertex was rolled back.
-	s.persist.enc = healthyEnc
+	s.persist.w = healthyW
 	_, healed := phase("healed")
 	if len(healed) != 32 {
 		t.Fatalf("healed phase: %d of 32 writes failed; the WAL failure is not latched", len(healed))
@@ -215,9 +216,9 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 	}
 }
 
-// TestUnencodableWriteRejectedBeforeApply: a value the WAL's JSON encoding
-// would refuse is one writer's error, not a commit failure that stops the
-// store for everyone.
+// TestUnencodableWriteRejectedBeforeApply: a value JSON cannot carry (the
+// RPC responses and the snapshot are JSON) is one writer's error, not a
+// commit failure that stops the store for everyone.
 func TestUnencodableWriteRejectedBeforeApply(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -383,6 +384,7 @@ func TestSnapshotIndexMatchesScanConcurrent(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
+			// A legacy JSON log, which Open still replays.
 			var wal bytes.Buffer
 			enc := json.NewEncoder(&wal)
 			var ids []int64
@@ -391,9 +393,9 @@ func TestSnapshotIndexMatchesScanConcurrent(t *testing.T) {
 				next += int64(rng.Intn(3)) // 0: dense, 1-2: a gap
 				v := Vertex{ID: next, Event: randomEvent(rng)}
 				v.Event.VertexID = v.ID
-				_ = enc.Encode(walRecord{Op: "v", Vertex: &v})
+				_ = enc.Encode(legacyRecord{Op: "v", Vertex: &v})
 				if len(ids) > 0 && rng.Float64() < 0.7 {
-					_ = enc.Encode(walRecord{Op: "e", Edge: &Edge{From: ids[rng.Intn(len(ids))], To: next, Weight: rng.Float64()}})
+					_ = enc.Encode(legacyRecord{Op: "e", Edge: &Edge{From: ids[rng.Intn(len(ids))], To: next, Weight: rng.Float64()}})
 				}
 				ids = append(ids, next)
 				next++
@@ -401,7 +403,7 @@ func TestSnapshotIndexMatchesScanConcurrent(t *testing.T) {
 			var s *Store
 			if seed%2 == 1 {
 				dir := t.TempDir()
-				if err := os.WriteFile(filepath.Join(dir, walFileName), wal.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, legacyWALFileName), wal.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				var err error
@@ -412,12 +414,13 @@ func TestSnapshotIndexMatchesScanConcurrent(t *testing.T) {
 				s = NewMemStore()
 				dec := json.NewDecoder(&wal)
 				for dec.More() {
-					var rec walRecord
+					var rec legacyRecord
 					if err := dec.Decode(&rec); err != nil {
 						t.Fatal(err)
 					}
-					s.applyWALRecord(rec)
+					s.applyLegacyRecord(rec)
 				}
+				s.published.Store(s.snapshotLocked())
 			}
 			defer func() { _ = s.Close() }()
 			if got := s.Snapshot().MaxVertexID(); got != next-1 || s.NumVertices() != len(ids) {

@@ -3,10 +3,13 @@ package trajstore
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,11 +19,16 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 const (
-	walFileName      = "trajstore.wal"
-	snapshotFileName = "trajstore.snapshot.json"
+	// walFileName is the binary record log every write appends to.
+	walFileName = "trajstore.log"
+	// legacyWALFileName is the JSON-lines log written before the binary
+	// records. Open replays it; nothing writes it; Compact removes it.
+	legacyWALFileName = "trajstore.wal"
+	snapshotFileName  = "trajstore.snapshot.json"
 )
 
 // ErrWALCorrupt is returned by Open when the write-ahead log is damaged
@@ -30,8 +38,151 @@ const (
 // acknowledged writes, so the store refuses to open.
 var ErrWALCorrupt = errors.New("trajstore: wal corrupt mid-file")
 
-// walRecord is one append-only log entry.
-type walRecord struct {
+// The record log. A record is a 4-byte big-endian body length, the body's
+// CRC-32C and the body:
+//
+//	'v' | vertex ID (zig-zag varint) | event (protocol.AppendDetectionEvent)
+//	'e' | from | to (zig-zag varints) | weight (float64 bits, 8 bytes LE)
+//
+// An empty body is invalid, so a zero-filled tail, which a power loss can
+// leave, never checks out.
+const (
+	recordHeaderLen = 8
+	// maxRecordBytes caps one record body, far below a request frame
+	// (maxWireBytes): a write whose record would be larger is refused
+	// before it is applied, and a damaged length rarely passes for one.
+	maxRecordBytes = 1 << 20
+
+	opVertex = 'v'
+	opEdge   = 'e'
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// appendRecord frames body onto dst.
+func appendRecord(dst, body []byte) ([]byte, error) {
+	if len(body) == 0 || len(body) > maxRecordBytes {
+		return dst, fmt.Errorf("trajstore: log record of %d bytes, limit %d", len(body), maxRecordBytes)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(body, castagnoli))
+	return append(dst, body...), nil
+}
+
+// scanRecord returns the body of the record at the start of b, ok only
+// when its length is in range, it lies wholly inside b and its CRC
+// matches.
+func scanRecord(b []byte) (body []byte, ok bool) {
+	if len(b) < recordHeaderLen {
+		return nil, false
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n == 0 || n > maxRecordBytes || int(n) > len(b)-recordHeaderLen {
+		return nil, false
+	}
+	body = b[recordHeaderLen : recordHeaderLen+int(n)]
+	return body, crc32.Checksum(body, castagnoli) == binary.BigEndian.Uint32(b[4:])
+}
+
+// walBatch collects one write's framed records under the store lock, so
+// a value the log cannot encode is that writer's error, refused before
+// anything is applied. A nil batch (an in-memory store) records nothing.
+type walBatch struct {
+	buf  []byte // framed records, appended to the log as they are
+	body []byte // scratch for the record being framed
+	n    int64  // records in buf
+}
+
+// newWALBatchLocked returns the batch for one write, nil for an in-memory
+// store. Caller holds s.mu.
+func (s *Store) newWALBatchLocked() *walBatch {
+	if s.persist == nil {
+		return nil
+	}
+	return &walBatch{}
+}
+
+func (b *walBatch) addVertex(v *Vertex) error {
+	if b == nil {
+		return nil
+	}
+	body := binary.AppendVarint(append(b.body[:0], opVertex), v.ID)
+	body, err := protocol.AppendDetectionEvent(body, &v.Event)
+	if err != nil {
+		return fmt.Errorf("trajstore: encode vertex: %w", err)
+	}
+	return b.add(body)
+}
+
+func (b *walBatch) addEdge(e Edge) error {
+	if b == nil {
+		return nil
+	}
+	body := binary.AppendVarint(append(b.body[:0], opEdge), e.From)
+	body = binary.AppendVarint(body, e.To)
+	return b.add(binary.LittleEndian.AppendUint64(body, math.Float64bits(e.Weight)))
+}
+
+func (b *walBatch) add(body []byte) error {
+	b.body = body
+	buf, err := appendRecord(b.buf, body)
+	if err != nil {
+		return err
+	}
+	b.buf = buf
+	b.n++
+	return nil
+}
+
+// logRecord is one decoded log entry: a vertex, or an edge.
+type logRecord struct {
+	op     byte
+	vertex Vertex
+	edge   Edge
+}
+
+// readRecord decodes the record at the start of b and returns its framed
+// size. ok is false when the record fails its length or CRC check, or its
+// body does not decode to a write the store would have accepted.
+func readRecord(b []byte) (rec logRecord, size int, ok bool) {
+	body, ok := scanRecord(b)
+	if !ok {
+		return rec, 0, false
+	}
+	size = recordHeaderLen + len(body)
+	rec.op, body = body[0], body[1:]
+	switch rec.op {
+	case opVertex:
+		id, n := binary.Varint(body)
+		if n <= 0 {
+			return rec, 0, false
+		}
+		ev, err := protocol.DecodeDetectionEvent(body[n:])
+		if err != nil || checkEvent(&ev) != nil {
+			return rec, 0, false
+		}
+		rec.vertex = Vertex{ID: id, Event: ev}
+	case opEdge:
+		from, n := binary.Varint(body)
+		if n <= 0 {
+			return rec, 0, false
+		}
+		to, m := binary.Varint(body[n:])
+		if m <= 0 || len(body) != n+m+8 {
+			return rec, 0, false
+		}
+		rec.edge = Edge{From: from, To: to, Weight: math.Float64frombits(binary.LittleEndian.Uint64(body[n+m:]))}
+		if finite(rec.edge.Weight) != nil {
+			return rec, 0, false
+		}
+	default:
+		return rec, 0, false
+	}
+	return rec, size, true
+}
+
+// legacyRecord is one line of the legacy JSON log.
+type legacyRecord struct {
 	Op     string  `json:"op"` // "v" or "e"
 	Vertex *Vertex `json:"vertex,omitempty"`
 	Edge   *Edge   `json:"edge,omitempty"`
@@ -74,18 +225,19 @@ type WALStats struct {
 	TailTruncations int64
 }
 
-// commitBatch is one writer's records awaiting group commit, with the
-// watermark over the store as of its last record. done receives exactly
-// one result.
+// commitBatch is one writer's framed records awaiting group commit, with
+// the watermark over the store as of its last record. done receives
+// exactly one result.
 type commitBatch struct {
-	recs []walRecord
+	buf  []byte // framed records
+	n    int64  // records in buf
 	snap *Snapshot
 	done chan error
 }
 
-// persister owns the WAL file handle. Writers enqueue records (while
-// holding the store lock, which fixes WAL order) and wait outside the
-// lock; a background committer encodes everything pending with a single
+// persister owns the log file handle. Writers enqueue framed records
+// (while holding the store lock, which fixes log order) and wait outside
+// the lock; a background committer writes everything pending with a single
 // flush — and a single fsync when configured — so concurrent writers
 // share the disk cost (group commit). A group that commits makes its
 // writes visible: the committer publishes the group's last watermark, with
@@ -101,9 +253,8 @@ type persister struct {
 	window    time.Duration
 	published *atomic.Pointer[Snapshot]
 
-	f   *os.File
-	w   *bufio.Writer
-	enc *json.Encoder
+	f *os.File
+	w *bufio.Writer
 
 	mu      sync.Mutex
 	pending []*commitBatch
@@ -124,15 +275,13 @@ func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapsho
 	if err != nil {
 		return nil, fmt.Errorf("trajstore: open wal: %w", err)
 	}
-	w := bufio.NewWriter(f)
 	p := &persister{
 		dir:       dir,
 		fsync:     cfg.Fsync,
 		window:    cfg.GroupCommitWindow,
 		published: published,
 		f:         f,
-		w:         w,
-		enc:       json.NewEncoder(w),
+		w:         bufio.NewWriter(f),
 		kick:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -141,14 +290,14 @@ func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapsho
 	return p, nil
 }
 
-// enqueue joins the records to the next group commit as one atomic unit
-// and returns the channel carrying the commit result. Callers hold the
-// store lock, which makes the WAL order match the in-memory apply order;
-// they must receive from the channel after releasing it. An empty batch
-// is a barrier: its result arrives once everything queued before it has
-// committed or failed.
-func (p *persister) enqueue(recs []walRecord, snap *Snapshot) <-chan error {
-	b := &commitBatch{recs: recs, snap: snap, done: make(chan error, 1)}
+// enqueue joins the n framed records in buf to the next group commit as
+// one atomic unit and returns the channel carrying the commit result.
+// Callers hold the store lock, which makes the log order match the
+// in-memory apply order; they must receive from the channel after
+// releasing it. An empty batch is a barrier: its result arrives once
+// everything queued before it has committed or failed.
+func (p *persister) enqueue(buf []byte, n int64, snap *Snapshot) <-chan error {
+	b := &commitBatch{buf: buf, n: n, snap: snap, done: make(chan error, 1)}
 	p.mu.Lock()
 	err := p.err
 	if err == nil && p.stopped {
@@ -231,12 +380,10 @@ func (p *persister) commitPending() {
 func (p *persister) write(batch []*commitBatch) error {
 	var n int64
 	for _, b := range batch {
-		for _, rec := range b.recs {
-			if err := p.enc.Encode(rec); err != nil {
-				return fmt.Errorf("trajstore: wal append: %w", err)
-			}
-			n++
+		if _, err := p.w.Write(b.buf); err != nil {
+			return fmt.Errorf("trajstore: wal append: %w", err)
 		}
+		n += b.n
 	}
 	if n == 0 {
 		return nil // only barriers
@@ -288,7 +435,8 @@ func (p *persister) stats() WALStats {
 
 // Open loads (or creates) a persistent store in dir with default
 // durability (buffered flush, no fsync): the snapshot is read first, then
-// the WAL is replayed on top, then new writes append to the WAL.
+// a legacy JSON log is replayed on top, then the record log, and new
+// writes append to the record log.
 func Open(dir string) (*Store, error) {
 	return OpenWithConfig(dir, StoreConfig{})
 }
@@ -305,9 +453,13 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 	if err := s.loadSnapshot(filepath.Join(dir, snapshotFileName)); err != nil {
 		return nil, err
 	}
-	if err := s.replayWAL(filepath.Join(dir, walFileName)); err != nil {
+	if err := s.replayLegacyWAL(filepath.Join(dir, legacyWALFileName)); err != nil {
 		return nil, err
 	}
+	if err := s.replayLog(filepath.Join(dir, walFileName)); err != nil {
+		return nil, err
+	}
+	s.published.Store(s.snapshotLocked())
 	p, err := newPersister(dir, cfg, &s.published)
 	if err != nil {
 		return nil, err
@@ -347,50 +499,86 @@ func (s *Store) restore(snap snapshotFile) error {
 		return fmt.Errorf("trajstore: snapshot nextId %d implausible after %d vertices", snap.NextID, len(s.verts))
 	}
 	for _, e := range snap.Edges {
-		_, _ = s.applyEdgeLocked(e.From, e.To, e.Weight) // as replay: skip a dangling or duplicate edge
+		_ = s.applyEdgeLocked(e.From, e.To, e.Weight, nil) // as replay: skip a dangling or duplicate edge
 	}
-	s.published.Store(s.snapshotLocked())
 	return nil
 }
 
-// applyWALRecord replays one record idempotently and publishes the result
-// (nothing else can see the store yet): a vertex whose ID is already
-// loaded is kept as loaded, and an edge duplicating an existing (from, to)
-// pair — the store's own uniqueness invariant — or missing an endpoint is
-// skipped. Idempotence is what makes the compaction crash window safe: if
-// the process dies after the snapshot is installed but before the WAL is
-// truncated, restart replays every edge already in the snapshot without
-// skewing trajectory weights.
-func (s *Store) applyWALRecord(rec walRecord) {
+// applyLogRecord replays one record idempotently (nothing else can see the
+// store yet; Open publishes once replay is done): a vertex whose ID is
+// already loaded is kept as loaded, and an edge duplicating an existing
+// (from, to) pair — the store's own uniqueness invariant — or missing an
+// endpoint is skipped. Idempotence is what makes the compaction crash
+// window safe: if the process dies after the snapshot is installed but
+// before the logs are truncated and removed, restart replays every edge
+// already in the snapshot without skewing trajectory weights.
+func (s *Store) applyLogRecord(rec logRecord) {
+	if rec.op == opVertex {
+		s.putVertexLocked(rec.vertex)
+		return
+	}
+	_ = s.applyEdgeLocked(rec.edge.From, rec.edge.To, rec.edge.Weight, nil)
+}
+
+// replayLog applies the record log. A record that fails its length, CRC
+// or decode check is damage. If a record that checks out starts anywhere
+// after it, the log was corrupted at rest and the open fails with
+// ErrWALCorrupt; otherwise the damage is the torn tail of a crashed append
+// and is logged, counted and truncated away, so later appends do not land
+// after garbage.
+func (s *Store) replayLog(path string) error {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("trajstore: read wal: %w", err)
+	}
+	for off := 0; off < len(data); {
+		rec, size, ok := readRecord(data[off:])
+		if !ok {
+			for next := off + 1; next < len(data); next++ {
+				if _, _, ok := readRecord(data[next:]); ok {
+					return fmt.Errorf("%w (at byte %d): intact record at byte %d", ErrWALCorrupt, off, next)
+				}
+			}
+			return s.truncateWALTail(path, int64(off))
+		}
+		s.applyLogRecord(rec)
+		off += size
+	}
+	return nil
+}
+
+// applyLegacyRecord replays one legacy JSON record with applyLogRecord's
+// idempotence.
+func (s *Store) applyLegacyRecord(rec legacyRecord) {
 	switch {
 	case rec.Op == "v" && rec.Vertex != nil:
 		s.putVertexLocked(*rec.Vertex)
 	case rec.Op == "e" && rec.Edge != nil:
-		_, _ = s.applyEdgeLocked(rec.Edge.From, rec.Edge.To, rec.Edge.Weight)
+		_ = s.applyEdgeLocked(rec.Edge.From, rec.Edge.To, rec.Edge.Weight, nil)
 	}
-	s.published.Store(s.snapshotLocked())
 }
 
-// isWALRecordLine reports whether a line parses as a well-formed WAL
+// isLegacyRecordLine reports whether a line parses as a well-formed legacy
 // record, used to tell a torn tail from mid-file corruption.
-func isWALRecordLine(line []byte) bool {
+func isLegacyRecordLine(line []byte) bool {
 	line = bytes.TrimSpace(line)
 	if len(line) == 0 {
 		return false
 	}
-	var rec walRecord
+	var rec legacyRecord
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return false
 	}
 	return (rec.Op == "v" && rec.Vertex != nil) || (rec.Op == "e" && rec.Edge != nil)
 }
 
-// replayWAL applies the log on top of the snapshot. A damaged record at
-// the tail (a torn write from a crash) is logged, counted, and truncated
-// away so later appends do not land after garbage; a damaged record
-// followed by further intact records is corruption at rest and fails the
-// open with ErrWALCorrupt.
-func (s *Store) replayWAL(path string) error {
+// replayLegacyWAL applies a JSON-lines log written before the record log,
+// with replayLog's damage rules: a damaged tail is truncated, damage
+// followed by an intact line fails the open with ErrWALCorrupt.
+func (s *Store) replayLegacyWAL(path string) error {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -404,11 +592,11 @@ func (s *Store) replayWAL(path string) error {
 	for {
 		line, err := r.ReadBytes('\n')
 		if err == nil {
-			var rec walRecord
+			var rec legacyRecord
 			if uerr := json.Unmarshal(line, &rec); uerr != nil {
-				return s.handleDamagedWAL(path, r, offset, uerr)
+				return s.handleDamagedLegacyWAL(path, r, offset, uerr)
 			}
-			s.applyWALRecord(rec)
+			s.applyLegacyRecord(rec)
 			offset += int64(len(line))
 			continue
 		}
@@ -423,13 +611,13 @@ func (s *Store) replayWAL(path string) error {
 	}
 }
 
-// handleDamagedWAL classifies a record that failed to decode: if any
+// handleDamagedLegacyWAL classifies a record that failed to decode: if any
 // complete, well-formed record follows it, the file is corrupt mid-file;
 // otherwise the damage is a torn tail and is truncated away.
-func (s *Store) handleDamagedWAL(path string, r *bufio.Reader, offset int64, cause error) error {
+func (s *Store) handleDamagedLegacyWAL(path string, r *bufio.Reader, offset int64, cause error) error {
 	for {
 		line, err := r.ReadBytes('\n')
-		if err == nil && isWALRecordLine(line) {
+		if err == nil && isLegacyRecordLine(line) {
 			return fmt.Errorf("%w (at byte %d): %v", ErrWALCorrupt, offset, cause)
 		}
 		if err != nil {
@@ -447,19 +635,21 @@ func (s *Store) truncateWALTail(path string, offset int64) error {
 	}
 	s.walTailTruncations++
 	obs.DefaultLogger().WithComponent("trajstore").Warn("truncated torn wal tail",
+		"file", filepath.Base(path),
 		"offset", strconv.FormatInt(offset, 10),
 		"note", "expected after a crash")
 	return nil
 }
 
-// Compact writes the committed state as a snapshot and truncates the WAL.
-// Safe to call while the store is serving writes: it first waits for the
-// committer to settle everything already applied (publication needs no
-// store lock, so holding it here cannot deadlock), then serialises the
-// published snapshot — never a write whose commit is pending or failed. If
-// the process crashes between installing the snapshot and truncating the
-// WAL, the next open replays the stale log idempotently (see
-// applyWALRecord), so no write is duplicated or lost.
+// Compact writes the committed state as a snapshot, truncates the record
+// log and removes a legacy JSON log. Safe to call while the store is
+// serving writes: it first waits for the committer to settle everything
+// already applied (publication needs no store lock, so holding it here
+// cannot deadlock), then serialises the published snapshot — never a write
+// whose commit is pending or failed. If the process crashes between
+// installing the snapshot and clearing the logs, the next open replays the
+// stale logs idempotently (see applyLogRecord), so no write is duplicated
+// or lost.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -469,7 +659,7 @@ func (s *Store) Compact() error {
 	if s.persist == nil {
 		return errors.New("trajstore: in-memory store has nothing to compact")
 	}
-	if err := <-s.persist.enqueue(nil, s.snapshotLocked()); err != nil {
+	if err := <-s.persist.enqueue(nil, 0, s.snapshotLocked()); err != nil {
 		return err
 	}
 	view := s.Snapshot()
@@ -503,12 +693,15 @@ func (s *Store) Compact() error {
 		return fmt.Errorf("trajstore: install snapshot: %w", err)
 	}
 
-	// Truncate the WAL now that its contents are in the snapshot.
+	// Clear the logs now that their contents are in the snapshot.
 	if err := s.persist.close(); err != nil {
 		return err
 	}
 	if err := os.Truncate(filepath.Join(s.persist.dir, walFileName), 0); err != nil {
 		return fmt.Errorf("trajstore: truncate wal: %w", err)
+	}
+	if err := os.Remove(filepath.Join(s.persist.dir, legacyWALFileName)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("trajstore: remove legacy wal: %w", err)
 	}
 	prev := s.persist.stats()
 	p, err := newPersister(s.persist.dir, s.persistCfg, &s.published)

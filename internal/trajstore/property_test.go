@@ -2,13 +2,18 @@ package trajstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/protocol"
 )
 
 // TestTraceInvariantsOnRandomDAGs checks structural invariants of
@@ -133,14 +138,11 @@ func TestBackwardIsReverseOfForward(t *testing.T) {
 	}
 }
 
-// TestWALCrashPointQueryEquivalence: for random crash points (the WAL
-// truncated at an arbitrary byte offset, as a torn write would leave
-// it), the reopened store answers reconstruct and sightings queries
-// identically to a store built from exactly the records that fully
-// reached disk. The comparison is on marshalled bytes, so ranking order,
-// weights, and timestamps must all survive the crash/replay cycle.
-func TestWALCrashPointQueryEquivalence(t *testing.T) {
-	dir := t.TempDir()
+// crashPointStore writes the crash-point tests' graph into a persistent
+// store in dir, one log record per write, and returns it closed (its reads
+// still answer).
+func crashPointStore(t *testing.T, dir string) *Store {
+	t.Helper()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -167,69 +169,147 @@ func TestWALCrashPointQueryEquivalence(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+// checkCrashPoint opens crashDir, which holds a log cut at byte cut, and
+// checks the store answers reconstruct and sightings queries exactly as
+// expected, built from the records that fully reached disk, does. The
+// comparison is on marshalled bytes, so ranking order, weights, and
+// timestamps must all survive the crash/replay cycle.
+func checkCrashPoint(t *testing.T, crashDir string, cut int, expected *Store) {
+	t.Helper()
+	reopened, err := Open(crashDir)
+	if err != nil {
+		t.Fatalf("cut=%d: reopen after simulated crash: %v", cut, err)
+	}
+	defer func() { _ = reopened.Close() }()
+	if got, want := reopened.NumVertices(), expected.NumVertices(); got != want {
+		t.Fatalf("cut=%d: %d vertices after crash, want %d", cut, got, want)
+	}
+	limits := TraceLimits{MaxDepth: 32, MaxPaths: 64}
+	gotSnap, wantSnap := reopened.Snapshot(), expected.Snapshot()
+	for vid := int64(1); vid <= wantSnap.MaxVertexID(); vid++ {
+		gotTracks, gotErr := ReconstructTracks(gotSnap, vid, limits)
+		wantTracks, wantErr := ReconstructTracks(wantSnap, vid, limits)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("cut=%d vertex=%d: errors diverge: %v vs %v", cut, vid, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		g, _ := json.Marshal(gotTracks)
+		w, _ := json.Marshal(wantTracks)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("cut=%d vertex=%d: reconstruct diverged\n got: %s\nwant: %s", cut, vid, g, w)
+		}
+	}
+	for v := 0; v < 3; v++ {
+		vehicle := fmt.Sprintf("veh-%d", v)
+		gotHops, _ := SightingsOf(gotSnap, gotSnap.MaxVertexID(), vehicle)
+		wantHops, _ := SightingsOf(wantSnap, wantSnap.MaxVertexID(), vehicle)
+		g, _ := json.Marshal(gotHops)
+		w, _ := json.Marshal(wantHops)
+		if !bytes.Equal(g, w) {
+			t.Fatalf("cut=%d %s: sightings diverged\n got: %s\nwant: %s", cut, vehicle, g, w)
+		}
+	}
+}
+
+// TestWALCrashPointQueryEquivalence: for random crash points (the log
+// truncated at an arbitrary byte offset, as a torn write would leave it),
+// the reopened store answers queries identically to a store built from
+// exactly the records that fully reached disk. That oracle walks the
+// record framing by hand (4-byte length, CRC-32C, body) and inserts each
+// record through the public write API, not through replay code.
+func TestWALCrashPointQueryEquivalence(t *testing.T) {
+	dir := t.TempDir()
+	crashPointStore(t, dir)
 	wal, err := os.ReadFile(filepath.Join(dir, walFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	limits := TraceLimits{MaxDepth: 32, MaxPaths: 64}
+	crcTable := crc32.MakeTable(crc32.Castagnoli)
+	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
 		cut := 1 + rng.Intn(len(wal))
 		crashDir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(crashDir, walFileName), wal[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		reopened, err := Open(crashDir)
-		if err != nil {
-			t.Fatalf("cut=%d: reopen after simulated crash: %v", cut, err)
-		}
 
-		// The ground truth: exactly the records whose newline made it to
-		// disk, applied through the same replay logic.
 		expected := NewMemStore()
-		for _, line := range bytes.SplitAfter(wal[:cut], []byte("\n")) {
+		for b := wal[:cut]; len(b) >= 8; {
+			n := int(binary.BigEndian.Uint32(b))
+			if len(b) < 8+n {
+				break // torn tail: the reopened store truncates it too
+			}
+			body := b[8 : 8+n]
+			if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(b[4:]) {
+				t.Fatalf("cut=%d: complete record fails its CRC", cut)
+			}
+			b = b[8+n:]
+			a, k := binary.Varint(body[1:])
+			switch body[0] {
+			case 'v':
+				ev, err := protocol.DecodeDetectionEvent(body[1+k:])
+				if err != nil {
+					t.Fatalf("cut=%d: undecodable complete record: %v", cut, err)
+				}
+				if id, err := expected.AddVertex(ev); err != nil || id != a {
+					t.Fatalf("cut=%d: oracle vertex %d = %d, %v", cut, a, id, err)
+				}
+			case 'e':
+				to, m := binary.Varint(body[1+k:])
+				weight := math.Float64frombits(binary.LittleEndian.Uint64(body[1+k+m:]))
+				if err := expected.AddEdge(a, to, weight); err != nil {
+					t.Fatalf("cut=%d: oracle edge: %v", cut, err)
+				}
+			default:
+				t.Fatalf("cut=%d: record op %q", cut, body[0])
+			}
+		}
+		checkCrashPoint(t, crashDir, cut, expected)
+	}
+}
+
+// TestLegacyWALCrashPointQueryEquivalence is the crash-point check over a
+// legacy JSON log, which Open still replays: the oracle applies exactly the
+// lines whose newline reached disk.
+func TestLegacyWALCrashPointQueryEquivalence(t *testing.T) {
+	sn := crashPointStore(t, t.TempDir()).Snapshot()
+	var wal bytes.Buffer
+	enc := json.NewEncoder(&wal)
+	for id := int64(1); id <= sn.MaxVertexID(); id++ {
+		v, _ := sn.Vertex(id)
+		_ = enc.Encode(legacyRecord{Op: "v", Vertex: &v})
+	}
+	for id := int64(1); id <= sn.MaxVertexID(); id++ {
+		for _, e := range sn.edges(id, true) {
+			_ = enc.Encode(legacyRecord{Op: "e", Edge: &e})
+		}
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 10; trial++ {
+		cut := 1 + rng.Intn(wal.Len())
+		crashDir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(crashDir, legacyWALFileName), wal.Bytes()[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		expected := NewMemStore()
+		for _, line := range bytes.SplitAfter(wal.Bytes()[:cut], []byte("\n")) {
 			if len(line) == 0 || line[len(line)-1] != '\n' {
 				continue // torn tail: the reopened store truncates it too
 			}
-			var rec walRecord
+			var rec legacyRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
 				t.Fatalf("cut=%d: undecodable complete line: %v", cut, err)
 			}
-			expected.applyWALRecord(rec)
+			expected.applyLegacyRecord(rec)
 		}
-
-		if got, want := reopened.NumVertices(), expected.NumVertices(); got != want {
-			t.Fatalf("cut=%d: %d vertices after crash, want %d", cut, got, want)
-		}
-		gotSnap, wantSnap := reopened.Snapshot(), expected.Snapshot()
-		for vid := int64(1); vid <= wantSnap.MaxVertexID(); vid++ {
-			gotTracks, gotErr := ReconstructTracks(gotSnap, vid, limits)
-			wantTracks, wantErr := ReconstructTracks(wantSnap, vid, limits)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("cut=%d vertex=%d: errors diverge: %v vs %v", cut, vid, gotErr, wantErr)
-			}
-			if gotErr != nil {
-				continue
-			}
-			g, _ := json.Marshal(gotTracks)
-			w, _ := json.Marshal(wantTracks)
-			if !bytes.Equal(g, w) {
-				t.Fatalf("cut=%d vertex=%d: reconstruct diverged\n got: %s\nwant: %s", cut, vid, g, w)
-			}
-		}
-		for v := 0; v < 3; v++ {
-			vehicle := fmt.Sprintf("veh-%d", v)
-			gotHops, _ := SightingsOf(gotSnap, gotSnap.MaxVertexID(), vehicle)
-			wantHops, _ := SightingsOf(wantSnap, wantSnap.MaxVertexID(), vehicle)
-			g, _ := json.Marshal(gotHops)
-			w, _ := json.Marshal(wantHops)
-			if !bytes.Equal(g, w) {
-				t.Fatalf("cut=%d %s: sightings diverged\n got: %s\nwant: %s", cut, vehicle, g, w)
-			}
-		}
-		if err := reopened.Close(); err != nil {
-			t.Fatal(err)
-		}
+		expected.published.Store(expected.snapshotLocked())
+		checkCrashPoint(t, crashDir, cut, expected)
 	}
 }
 

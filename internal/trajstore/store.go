@@ -237,61 +237,74 @@ func (s *Store) putVertexLocked(v Vertex) {
 	s.nVerts++
 }
 
-// finite rejects floats the WAL's JSON encoding refuses. They, and a
-// timestamp outside years 0..9999, are turned away before anything is
-// applied: the log is fail-stop, so one record it cannot encode would
-// otherwise stop every writer.
+// finite rejects floats JSON cannot carry: the RPC responses and the
+// Compact snapshot are JSON. They, and a timestamp outside years 0..9999,
+// are turned away before anything is applied, so everything stored can be
+// served and compacted; replay refuses a log record carrying one.
 func finite(floats ...float64) error {
 	var acc float64
 	for _, f := range floats {
 		acc += f - f // 0 for a finite f, NaN for NaN and ±Inf
 	}
 	if acc != 0 {
-		return errors.New("trajstore: non-finite value cannot be logged")
+		return errors.New("trajstore: non-finite value cannot be encoded as JSON")
 	}
 	return nil
 }
 
-// applyVertexLocked allocates an ID and inserts the event. Caller holds
-// s.mu.
-func (s *Store) applyVertexLocked(e protocol.DetectionEvent) (*Vertex, error) {
+// checkEvent applies finite's rule to an event: its histogram, and the
+// year of its timestamp, which JSON carries only in 0..9999.
+func checkEvent(e *protocol.DetectionEvent) error {
 	if y := e.Timestamp.Year(); y < 0 || y > 9999 {
-		return nil, fmt.Errorf("trajstore: timestamp year %d cannot be logged", y)
+		return fmt.Errorf("trajstore: timestamp year %d cannot be encoded as JSON", y)
 	}
-	if err := finite(e.Histogram.Bins...); err != nil {
-		return nil, err
-	}
-	v := &Vertex{ID: int64(len(s.verts)) + 1, Event: e}
-	v.Event.VertexID = v.ID
-	s.putVertexLocked(*v)
-	return v, nil
+	return finite(e.Histogram.Bins...)
 }
 
-// applyEdgeLocked validates and inserts an edge. Caller holds s.mu.
-func (s *Store) applyEdgeLocked(from, to int64, weight float64) (*Edge, error) {
+// applyVertexLocked allocates an ID, logs the vertex into wb and inserts
+// it. Caller holds s.mu.
+func (s *Store) applyVertexLocked(e protocol.DetectionEvent, wb *walBatch) (int64, error) {
+	if err := checkEvent(&e); err != nil {
+		return 0, err
+	}
+	v := Vertex{ID: int64(len(s.verts)) + 1, Event: e}
+	v.Event.VertexID = v.ID
+	if err := wb.addVertex(&v); err != nil {
+		return 0, err
+	}
+	s.putVertexLocked(v)
+	return v.ID, nil
+}
+
+// applyEdgeLocked validates an edge, logs it into wb (nil during replay)
+// and inserts it. Caller holds s.mu.
+func (s *Store) applyEdgeLocked(from, to int64, weight float64, wb *walBatch) error {
 	src, dst := nodeAt(s.verts, from), nodeAt(s.verts, to)
 	if src == nil {
-		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, from)
+		return fmt.Errorf("%w: %d", ErrVertexNotFound, from)
 	}
 	if dst == nil {
-		return nil, fmt.Errorf("%w: %d", ErrVertexNotFound, to)
+		return fmt.Errorf("%w: %d", ErrVertexNotFound, to)
 	}
 	if err := finite(weight); err != nil {
-		return nil, err
+		return err
 	}
 	if p := src.out.Load(); p != nil {
 		for _, e := range *p {
 			if e.To == to {
-				return nil, fmt.Errorf("%w: %d->%d", ErrEdgeExists, from, to)
+				return fmt.Errorf("%w: %d->%d", ErrEdgeExists, from, to)
 			}
 		}
 	}
+	e := Edge{From: from, To: to, Weight: weight}
+	if err := wb.addEdge(e); err != nil {
+		return err
+	}
 	s.seq++
-	e := seqEdge{Edge{From: from, To: to, Weight: weight}, s.seq}
-	appendEdge(&src.out, e)
-	appendEdge(&dst.in, e)
+	appendEdge(&src.out, seqEdge{e, s.seq})
+	appendEdge(&dst.in, seqEdge{e, s.seq})
 	s.nEdges++
-	return &e.Edge, nil
+	return nil
 }
 
 // beginWriteLocked reports why the store cannot take a write: it was
@@ -308,20 +321,20 @@ func (s *Store) beginWriteLocked() error {
 }
 
 // commitLocked makes the nv vertex and ne edge records just applied under
-// s.mu durable and visible, and releases s.mu. An in-memory store
-// publishes the new watermark at once. A persistent store joins the next
-// WAL group commit and waits for it outside the lock, so concurrent
-// writers share one write+flush(+fsync); the committer publishes the
-// watermark before acknowledging. On a commit failure nothing becomes
-// visible and every record counts as a write error.
-func (s *Store) commitLocked(recs []walRecord, nv, ne int64) error {
+// s.mu, and logged into wb, durable and visible, and releases s.mu. An
+// in-memory store publishes the new watermark at once. A persistent store
+// joins the next WAL group commit and waits for it outside the lock, so
+// concurrent writers share one write+flush(+fsync); the committer
+// publishes the watermark before acknowledging. On a commit failure
+// nothing becomes visible and every record counts as a write error.
+func (s *Store) commitLocked(wb *walBatch, nv, ne int64) error {
 	snap, m, clk := s.snapshotLocked(), s.m, s.clk
 	if s.persist == nil {
 		s.published.Store(snap)
 		s.mu.Unlock()
 	} else {
 		start := clk.Now()
-		wait := s.persist.enqueue(recs, snap)
+		wait := s.persist.enqueue(wb.buf, wb.n, snap)
 		s.mu.Unlock()
 		if err := <-wait; err != nil {
 			m.writeErrs.Add(nv + ne)
@@ -343,16 +356,17 @@ func (s *Store) AddVertex(e protocol.DetectionEvent) (int64, error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	v, err := s.applyVertexLocked(e)
+	wb := s.newWALBatchLocked()
+	id, err := s.applyVertexLocked(e, wb)
 	if err != nil {
 		s.m.writeErrs.Inc()
 		s.mu.Unlock()
 		return 0, err
 	}
-	if err := s.commitLocked([]walRecord{{Op: "v", Vertex: v}}, 1, 0); err != nil {
+	if err := s.commitLocked(wb, 1, 0); err != nil {
 		return 0, err
 	}
-	return v.ID, nil
+	return id, nil
 }
 
 // AddEdge links two vertices with a confidence weight. Multiple incoming
@@ -364,13 +378,13 @@ func (s *Store) AddEdge(from, to int64, weight float64) error {
 		s.mu.Unlock()
 		return err
 	}
-	edge, err := s.applyEdgeLocked(from, to, weight)
-	if err != nil {
+	wb := s.newWALBatchLocked()
+	if err := s.applyEdgeLocked(from, to, weight, wb); err != nil {
 		s.m.writeErrs.Inc()
 		s.mu.Unlock()
 		return err
 	}
-	return s.commitLocked([]walRecord{{Op: "e", Edge: edge}}, 0, 1)
+	return s.commitLocked(wb, 0, 1)
 }
 
 // AddEdgeTraced is AddEdge carrying the writer's trace context: with a
@@ -412,7 +426,7 @@ func (s *Store) ApplyBatch(writes []protocol.TrajWrite) (ids []int64, errs []err
 	}
 	ids = make([]int64, len(writes))
 	errs = make([]error, len(writes))
-	recs := make([]walRecord, 0, len(writes))
+	wb := s.newWALBatchLocked()
 	m, trc, clk := s.m, s.tracer, s.clk
 	var traceStart time.Time
 	if trc != nil {
@@ -426,30 +440,27 @@ func (s *Store) ApplyBatch(writes []protocol.TrajWrite) (ids []int64, errs []err
 				errs[i] = errors.New("trajstore: batch vertex requires an event")
 				continue
 			}
-			v, aerr := s.applyVertexLocked(*w.Event)
+			id, aerr := s.applyVertexLocked(*w.Event, wb)
 			if aerr != nil {
 				errs[i] = aerr
 				continue
 			}
-			ids[i] = v.ID
-			recs = append(recs, walRecord{Op: "v", Vertex: v})
+			ids[i] = id
 			nv++
 		case protocol.TrajWriteEdge:
-			edge, aerr := s.applyEdgeLocked(w.From, w.To, w.Weight)
-			if aerr != nil {
+			if aerr := s.applyEdgeLocked(w.From, w.To, w.Weight, wb); aerr != nil {
 				errs[i] = aerr
 				continue
 			}
-			recs = append(recs, walRecord{Op: "e", Edge: edge})
 			ne++
 		default:
 			errs[i] = fmt.Errorf("trajstore: unknown batch record kind %q", w.Kind)
 		}
 	}
 	m.writeErrs.Add(int64(len(writes)) - nv - ne)
-	if len(recs) == 0 {
+	if nv+ne == 0 {
 		s.mu.Unlock()
-	} else if err := s.commitLocked(recs, nv, ne); err != nil {
+	} else if err := s.commitLocked(wb, nv, ne); err != nil {
 		return nil, nil, err
 	}
 	// Every accepted record that carried a sampled trace context gets a
