@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-stress smoke fuzz vet bench bench-e2e bench-check fmt cover staticcheck govulncheck lint-metrics ci
+.PHONY: all build test race race-stress smoke fuzz vet bench bench-e2e bench-check des-diff fmt cover staticcheck govulncheck lint-metrics ci
 
 all: build
 
@@ -69,6 +69,16 @@ bench-e2e:
 
 bench-check:
 	$(GO) run ./bench -compare bench/baseline/results.json bench/out/results.json
+
+# des-diff builds coral-sim at REV and from the working tree and checks
+# that four seeded runs (fault injection, a camera failure, trace
+# sampling and frame replication among them) print the same stdout and
+# -trace-out spans byte for byte: the same-behaviour check for a refactor
+# (scripts/des-diff.sh). Not part of ci: a behaviour change differs on
+# purpose.
+REV ?= HEAD
+des-diff:
+	scripts/des-diff.sh $(REV)
 
 fmt:
 	gofmt -l -w cmd internal examples

@@ -319,11 +319,11 @@ func BenchmarkReidMatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
-		pool.Add(protocol.DetectionEvent{
+		pool.Add(reid.Entry{Event: protocol.DetectionEvent{
 			ID:        protocol.NewEventID("up", int64(i)),
 			CameraID:  "up",
 			Histogram: hist,
-		}, time.Time{})
+		}})
 	}
 	matcher, err := reid.NewMatcher(reid.DefaultMatcherConfig())
 	if err != nil {

@@ -32,39 +32,17 @@ import (
 	"repro/internal/vision"
 )
 
-// TrajStore is the trajectory storage client interface; the local
-// *trajstore.Store and the buffered *trajstore.BatchWriter (over a remote
-// *trajstore.Client) satisfy it.
+// TrajStore is the trajectory storage client. The buffered
+// *trajstore.BatchWriter (over a remote *trajstore.Client) queues each
+// re-identification edge for the next add_batch; the simulation's local
+// *trajstore.Store writes it before QueueEdgeTraced returns. Either way
+// done receives the edge's final error, which feeds the node's
+// send_errors / edge accounting, and a valid, sampled tc lets the store
+// record its WAL commit under the camera's commit span. FlushContext
+// calls Flush so end-of-stream leaves no edge buffered.
 type TrajStore interface {
 	AddVertex(e protocol.DetectionEvent) (int64, error)
-	AddEdge(from, to int64, weight float64) error
-}
-
-// EdgeQueuer is the optional asynchronous edge path. When the configured
-// TrajStore implements it (trajstore.BatchWriter does), re-identification
-// edges are queued for batched delivery instead of paying one synchronous
-// RPC each; the done callback feeds the node's send_errors / edge
-// accounting when the batch lands.
-type EdgeQueuer interface {
-	QueueEdge(from, to int64, weight float64, done func(error))
-}
-
-// TracedEdgeQueuer is EdgeQueuer with trace-context propagation: the
-// store records its WAL group commit as a child of the camera's commit
-// span. trajstore.BatchWriter implements it.
-type TracedEdgeQueuer interface {
 	QueueEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext, done func(error))
-}
-
-// TracedEdgeWriter is the synchronous traced edge path, implemented by
-// trajstore.Store.
-type TracedEdgeWriter interface {
-	AddEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext) error
-}
-
-// EdgeFlusher is the optional drain hook for queued edges; FlushContext
-// invokes it so end-of-stream leaves no edge buffered.
-type EdgeFlusher interface {
 	Flush(ctx context.Context) error
 }
 
@@ -111,21 +89,26 @@ type Config struct {
 
 	Clock clock.Clock
 	Hooks Hooks
-	// MaxPendingInforms bounds the memory of the informed-MDCS table used
-	// by the confirming stage; 0 uses a default.
-	MaxPendingInforms int
 
 	// Registry receives the node's telemetry (coralpie_camnode_*,
-	// labeled camera=<CameraID>). Nil uses obs.Default().
+	// labeled camera=<CameraID>), which is also what Stats reads, so
+	// nodes sharing a registry need distinct camera IDs. Nil gives the
+	// node a private registry.
 	Registry *obs.Registry
 	// Tracer, when non-nil, records vehicle-handoff spans: a span opens
 	// when an informing notification lands in this node's candidate
-	// pool and closes when the vehicle is re-identified here or the
-	// event is retired by a peer's confirmation.
+	// pool and closes when the vehicle is re-identified here, the event
+	// is retired by a peer's confirmation, or the pool expires it.
 	Tracer *obs.Tracer
 }
 
-// nodeMetrics mirror Stats onto the registry, pre-resolved per node.
+// maxPendingInforms bounds the informed-MDCS table the confirming stage
+// reads: an event whose confirm has not come back after this many newer
+// events are informed is forgotten.
+const maxPendingInforms = 1024
+
+// nodeMetrics are the node's counters, pre-resolved per node; Stats
+// reads them.
 type nodeMetrics struct {
 	frames           *obs.Counter
 	detectionsRaw    *obs.Counter
@@ -147,7 +130,7 @@ type nodeMetrics struct {
 
 func newNodeMetrics(reg *obs.Registry, cameraID string) nodeMetrics {
 	if reg == nil {
-		reg = obs.Default()
+		reg = obs.NewRegistry()
 	}
 	l := []string{"camera", cameraID}
 	c := func(name, help string) *obs.Counter { return reg.Counter(name, help, l...) }
@@ -180,7 +163,8 @@ func newNodeMetrics(reg *obs.Registry, cameraID string) nodeMetrics {
 	return m
 }
 
-// Stats are the node's lifetime counters.
+// Stats are the node's lifetime counters, read from its
+// coralpie_camnode_* telemetry.
 type Stats struct {
 	FramesProcessed  int64
 	DetectionsRaw    int64
@@ -198,32 +182,26 @@ type Stats struct {
 	SendErrors       int64
 }
 
-// pendingInform remembers where an event was informed to, so the
-// confirming stage can retire it everywhere else.
-type pendingInform struct {
-	eventID protocol.EventID
-	sentTo  []protocol.CameraRef
-}
-
-// Node is one camera's processing stack.
+// Node is one camera's processing stack. The candidate pool holds what
+// the node keeps about each upstream event (reply address, handoff
+// span); the pool and the counters synchronize themselves, and mu
+// guards the rest.
 type Node struct {
-	cfg Config
-	ep  transport.Endpoint
-	top *topology.Client
-	m   nodeMetrics
+	cfg     Config
+	ep      transport.Endpoint
+	top     *topology.Client
+	m       nodeMetrics
+	pool    *reid.Pool
+	matcher *reid.Matcher
 
-	mu       sync.Mutex
-	tracker  *tracker.Tracker
-	pool     *reid.Pool
-	matcher  *reid.Matcher
-	accum    map[int64]*feature.Accumulator
-	pending  map[protocol.EventID]*pendingInform
-	pendOrd  []protocol.EventID
-	upstream map[protocol.EventID]string // informing sender addresses, for confirms
-	upOrd    []protocol.EventID
-	seen     map[string]bool // ground-truth vehicles already reported to OnFirstSeen
-	stats    Stats
-	maxPend  int
+	mu      sync.Mutex
+	tracker *tracker.Tracker
+	accum   map[int64]*feature.Accumulator
+	// pending remembers where each of this node's events was informed,
+	// so a confirm can retire it at every other recipient; bounded FIFO.
+	pending map[protocol.EventID][]protocol.CameraRef
+	pendOrd []protocol.EventID
+	seen    map[string]bool // ground-truth vehicles already reported to OnFirstSeen
 }
 
 // New wires a node onto a transport endpoint. The endpoint's handler is
@@ -251,20 +229,18 @@ func New(cfg Config, ep transport.Endpoint) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// End the handoff span of an entry the pool expires unmatched;
+	// without this, informs that never match leak open spans forever.
+	// The closure captures the tracer (not the Node, which does not exist
+	// yet) and runs under the pool lock.
 	poolCfg := cfg.Pool
-	if cfg.Tracer != nil {
-		// Finish handoff spans for entries the pool expires unmatched;
-		// without this, informs that never match leak open spans forever.
-		// The closure captures the tracer and camera ID (not the Node,
-		// which does not exist yet) and runs under the pool lock.
-		tracer, cam, prev := cfg.Tracer, cfg.CameraID, cfg.Pool.OnEvict
-		poolCfg.OnEvict = func(e reid.Entry) {
-			if prev != nil {
-				prev(e)
-			}
-			if !e.Matched {
-				tracer.Finish(string(e.Event.ID), "handoff:"+cam, "outcome", "expired")
-			}
+	tracer, prev := cfg.Tracer, cfg.Pool.OnEvict
+	poolCfg.OnEvict = func(e reid.Entry) {
+		if prev != nil {
+			prev(e)
+		}
+		if !e.Matched {
+			tracer.EndSpan(obs.SpanContext(e.Span), "outcome", "expired")
 		}
 	}
 	pool, err := reid.NewPool(poolCfg)
@@ -284,23 +260,17 @@ func New(cfg Config, ep transport.Endpoint) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxPend := cfg.MaxPendingInforms
-	if maxPend <= 0 {
-		maxPend = 1024
-	}
 	n := &Node{
-		cfg:      cfg,
-		ep:       ep,
-		top:      top,
-		m:        newNodeMetrics(cfg.Registry, cfg.CameraID),
-		tracker:  tk,
-		pool:     pool,
-		matcher:  matcher,
-		accum:    make(map[int64]*feature.Accumulator),
-		pending:  make(map[protocol.EventID]*pendingInform),
-		upstream: make(map[protocol.EventID]string),
-		seen:     make(map[string]bool),
-		maxPend:  maxPend,
+		cfg:     cfg,
+		ep:      ep,
+		top:     top,
+		m:       newNodeMetrics(cfg.Registry, cfg.CameraID),
+		pool:    pool,
+		matcher: matcher,
+		tracker: tk,
+		accum:   make(map[int64]*feature.Accumulator),
+		pending: make(map[protocol.EventID][]protocol.CameraRef),
+		seen:    make(map[string]bool),
 	}
 	ep.SetHandler(n.HandleEnvelope)
 	return n, nil
@@ -322,11 +292,25 @@ func (n *Node) SetHooks(h Hooks) {
 	n.cfg.Hooks = h
 }
 
-// Stats returns a copy of the node's counters.
+// Stats returns the node's counters.
 func (n *Node) Stats() Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
+	m := &n.m
+	return Stats{
+		FramesProcessed:  m.frames.Value(),
+		DetectionsRaw:    m.detectionsRaw.Value(),
+		DetectionsKept:   m.detectionsKept.Value(),
+		EventsGenerated:  m.events.Value(),
+		InformsSent:      m.informsSent.Value(),
+		InformsReceived:  m.informsReceived.Value(),
+		ConfirmsSent:     m.confirmsSent.Value(),
+		ConfirmsReceived: m.confirmsReceived.Value(),
+		RetiresSent:      m.retiresSent.Value(),
+		RetiresReceived:  m.retiresReceived.Value(),
+		ReidMatches:      m.reidMatches.Value(),
+		VerticesInserted: m.vertices.Value(),
+		EdgesInserted:    m.edges.Value(),
+		SendErrors:       m.sendErrors.Value(),
+	}
 }
 
 // HandleEnvelope dispatches incoming transport messages. Installed as the
@@ -353,34 +337,16 @@ func (n *Node) HandleEnvelope(ctx context.Context, env protocol.Envelope) {
 func (n *Node) handleInform(ctx context.Context, m protocol.Inform) {
 	now := n.cfg.Clock.Now()
 	n.m.informsReceived.Inc()
-	if n.cfg.Tracer != nil {
-		// Join the informing camera's trace when its span context rode in
-		// on the envelope; without one this is a standalone span, exactly
-		// as before.
-		parent, _ := obs.SpanFromContext(ctx)
-		n.cfg.Tracer.BeginIn(parent, string(m.Event.ID), "handoff:"+n.cfg.CameraID)
+	// Join the informing camera's trace when its span context rode in on
+	// the envelope; without one the handoff span is standalone.
+	parent, _ := obs.SpanFromContext(ctx)
+	span := n.cfg.Tracer.Start(parent, string(m.Event.ID), "handoff:"+n.cfg.CameraID)
+	if !n.pool.Add(reid.Entry{Event: m.Event, ReceivedAt: now, ReplyAddr: m.FromAddr, Span: protocol.TraceContext(span)}) {
+		// A redelivery: the first delivery's span stays the handoff span.
+		n.cfg.Tracer.EndSpan(span, "outcome", "redelivered")
 	}
-	n.mu.Lock()
-	n.stats.InformsReceived++
-	if m.FromAddr != "" {
-		// A redelivered inform refreshes the sender address but must not
-		// re-append to the FIFO: a duplicate slot would later evict the
-		// live map entry while the stale slot kept burning budget.
-		if _, tracked := n.upstream[m.Event.ID]; !tracked {
-			n.upOrd = append(n.upOrd, m.Event.ID)
-		}
-		n.upstream[m.Event.ID] = m.FromAddr
-		for len(n.upOrd) > n.maxPend {
-			old := n.upOrd[0]
-			n.upOrd = n.upOrd[1:]
-			delete(n.upstream, old)
-		}
-	}
-	n.mu.Unlock()
-	ev := m.Event
-	n.pool.Add(ev, now)
 	if n.cfg.Hooks.OnInformReceived != nil {
-		n.cfg.Hooks.OnInformReceived(ev, now)
+		n.cfg.Hooks.OnInformReceived(m.Event, now)
 	}
 }
 
@@ -390,34 +356,26 @@ func (n *Node) handleInform(ctx context.Context, m protocol.Inform) {
 func (n *Node) handleConfirm(ctx context.Context, m protocol.Confirm) {
 	n.m.confirmsReceived.Inc()
 	n.mu.Lock()
-	n.stats.ConfirmsReceived++
-	pend, ok := n.pending[m.EventID]
-	if ok {
-		delete(n.pending, m.EventID)
-	}
+	sentTo, ok := n.pending[m.EventID]
+	delete(n.pending, m.EventID)
 	n.mu.Unlock()
 	if !ok {
 		return
 	}
 	retire := protocol.Retire{EventID: m.EventID, ByCameraID: m.ByCameraID}
-	for _, ref := range pend.sentTo {
+	for _, ref := range sentTo {
 		if ref.ID == m.ByCameraID || ref.Addr == "" {
 			continue
 		}
-		n.send(ctx, ref.Addr, retire, &n.stats.RetiresSent, n.m.retiresSent)
+		n.send(ctx, ref.Addr, retire, n.m.retiresSent)
 	}
 }
 
 func (n *Node) handleRetire(m protocol.Retire) {
 	n.m.retiresReceived.Inc()
-	if n.cfg.Tracer != nil {
-		n.cfg.Tracer.Finish(string(m.EventID), "handoff:"+n.cfg.CameraID,
-			"outcome", "retired", "by", m.ByCameraID)
+	if e, ok := n.pool.MarkMatched(m.EventID); ok {
+		n.cfg.Tracer.EndSpan(obs.SpanContext(e.Span), "outcome", "retired", "by", m.ByCameraID)
 	}
-	n.mu.Lock()
-	n.stats.RetiresReceived++
-	n.mu.Unlock()
-	n.pool.MarkMatched(m.EventID)
 }
 
 // send seals and sends a message, counting errors instead of failing the
@@ -425,24 +383,16 @@ func (n *Node) handleRetire(m protocol.Retire) {
 // node lock is NOT held across Send: the in-process bus delivers
 // synchronously and the confirming protocol can chain back into this
 // node's handlers.
-func (n *Node) send(ctx context.Context, addr string, msg any, counter *int64, obsCounter *obs.Counter) {
+func (n *Node) send(ctx context.Context, addr string, msg any, sent *obs.Counter) {
 	env, err := protocol.Seal(msg)
 	if err != nil {
 		return
 	}
-	sendErr := n.ep.Send(ctx, addr, env)
-	n.mu.Lock()
-	if sendErr != nil {
-		n.stats.SendErrors++
-	} else if counter != nil {
-		*counter++
-	}
-	n.mu.Unlock()
-	if sendErr != nil {
+	if err := n.ep.Send(ctx, addr, env); err != nil {
 		n.m.sendErrors.Inc()
-	} else if obsCounter != nil {
-		obsCounter.Inc()
+		return
 	}
+	sent.Inc()
 }
 
 // ProcessFrameContext runs the full continuous-processing path on one
@@ -496,10 +446,6 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 	n.m.detectionsRaw.Add(int64(rawCount))
 	n.m.detectionsKept.Add(int64(len(kept)))
 	n.mu.Lock()
-	n.stats.FramesProcessed++
-	n.stats.DetectionsRaw += int64(rawCount)
-	n.stats.DetectionsKept += int64(len(kept))
-
 	res, err := n.tracker.Update(f.Seq, kept)
 	if err != nil {
 		n.mu.Unlock()
@@ -529,7 +475,9 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 			Label:      det.Label.String(),
 			Confidence: det.Confidence,
 		})
-		if det.TruthID != "" && !n.seen[det.TruthID] {
+		// First sightings are remembered only for the hook: without
+		// one, seen would grow with every vehicle the camera ever sees.
+		if det.TruthID != "" && n.cfg.Hooks.OnFirstSeen != nil && !n.seen[det.TruthID] {
 			n.seen[det.TruthID] = true
 			firstSeen = append(firstSeen, det.TruthID)
 		}
@@ -537,10 +485,8 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 	departed := n.confirmDepartedLocked(res.Departed)
 	n.mu.Unlock()
 
-	if n.cfg.Hooks.OnFirstSeen != nil {
-		for _, id := range firstSeen {
-			n.cfg.Hooks.OnFirstSeen(id, f.Time)
-		}
+	for _, id := range firstSeen {
+		n.cfg.Hooks.OnFirstSeen(id, f.Time)
 	}
 
 	for _, tr := range departed {
@@ -562,9 +508,6 @@ func (n *Node) ingest(ctx context.Context, f *vision.Frame, kept []vision.Detect
 		if err := n.cfg.FrameStore.StoreFrameContext(ctx, rec); err != nil {
 			// Frame storage is off the critical path; count and continue.
 			n.m.sendErrors.Inc()
-			n.mu.Lock()
-			n.stats.SendErrors++
-			n.mu.Unlock()
 		}
 	}
 	return nil
@@ -583,10 +526,8 @@ func (n *Node) FlushContext(ctx context.Context) error {
 	}
 	// End of stream: drain any edges still sitting in a batched write
 	// buffer so their results (and accounting) land before we return.
-	if fl, ok := n.cfg.TrajStore.(EdgeFlusher); ok {
-		if err := fl.Flush(ctx); err != nil {
-			return fmt.Errorf("camnode: flush edge buffer: %w", err)
-		}
+	if err := n.cfg.TrajStore.Flush(ctx); err != nil {
+		return fmt.Errorf("camnode: flush edge buffer: %w", err)
 	}
 	return nil
 }
@@ -648,85 +589,55 @@ func (n *Node) emitEvent(ctx context.Context, tr *tracker.Track, ft frameTiming)
 	vid, err := n.cfg.TrajStore.AddVertex(ev)
 	if err != nil {
 		n.m.sendErrors.Inc()
-		n.mu.Lock()
-		n.stats.SendErrors++
-		n.mu.Unlock()
 		return nil
 	}
 	ev.VertexID = vid
 	n.m.events.Inc()
 	n.m.vertices.Inc()
-	n.mu.Lock()
-	n.stats.EventsGenerated++
-	n.stats.VerticesInserted++
-	n.mu.Unlock()
 
 	// Root this event's trace (trace ID = event ID) with the retroactive
 	// capture → detect → track chain. The sampling decision taken here
 	// follows the trace everywhere, including across the wire.
-	var trackSC obs.SpanContext
-	if tc := n.cfg.Tracer; tc != nil {
-		capT, ds, de := ft.capture, ft.detectStart, ft.detectEnd
-		if capT.IsZero() {
-			capT = now
-		}
-		if ds.IsZero() {
-			ds = now
-		}
-		if de.IsZero() {
-			de = now
-		}
-		capSC := tc.RecordRoot(string(ev.ID), "capture", capT, ds, "camera", n.cfg.CameraID)
-		detSC := tc.RecordChild(capSC, "detect", ds, de)
-		trackSC = tc.RecordChild(detSC, "track", de, now)
+	capT, ds, de := ft.capture, ft.detectStart, ft.detectEnd
+	if capT.IsZero() {
+		capT = now
 	}
+	if ds.IsZero() {
+		ds = now
+	}
+	if de.IsZero() {
+		de = now
+	}
+	capSC := n.cfg.Tracer.RecordRoot(string(ev.ID), "capture", capT, ds, "camera", n.cfg.CameraID)
+	detSC := n.cfg.Tracer.RecordChild(capSC, "detect", ds, de)
+	trackSC := n.cfg.Tracer.RecordChild(detSC, "track", de, now)
 
-	// (b) Re-identify against the candidate pool.
-	matched, matchEntry, dist := false, reid.Entry{}, 0.0
-	if entry, d, ok := n.matcher.Match(hist, n.pool, now); ok {
-		matched, matchEntry, dist = true, entry, d
-	}
+	// (b) Re-identify against the candidate pool. A re-identification
+	// counts whether or not the edge write lands.
+	up, dist, matched := n.matcher.Match(hist, n.pool, now)
 	if matched {
-		up := matchEntry.Event
-		// A re-identification happened whether or not the edge write
-		// lands; keep the obs counter and Stats.ReidMatches in lockstep
-		// instead of letting a store hiccup skew one but not the other.
 		n.m.reidMatches.Inc()
-		n.mu.Lock()
-		n.stats.ReidMatches++
-		n.mu.Unlock()
-		// Grab the handoff span's context before Finish closes it: the
-		// commit and confirm spans below hang off it, stitching this
-		// camera's work into the upstream event's trace.
+		// The commit and confirm spans hang off the handoff span,
+		// stitching this camera's work into the upstream event's trace —
+		// provided it was still open, not evicted by the tracer's bound.
 		var handoffSC obs.SpanContext
-		if tc := n.cfg.Tracer; tc != nil {
-			handoffSC, _ = tc.ActiveContext(string(up.ID), "handoff:"+n.cfg.CameraID)
-			tc.Finish(string(up.ID), "handoff:"+n.cfg.CameraID,
-				"outcome", "matched", "event", string(ev.ID))
+		if n.cfg.Tracer.EndSpan(obs.SpanContext(up.Span), "outcome", "matched", "event", string(ev.ID)) {
+			handoffSC = obs.SpanContext(up.Span)
 		}
-		n.insertEdge(up.VertexID, vid, dist, handoffSC, ft.capture)
-		n.pool.MarkMatched(up.ID)
+		n.insertEdge(up.Event.VertexID, vid, dist, handoffSC, ft.capture)
+		n.pool.MarkMatched(up.Event.ID)
 		// Confirming stage: notify the predecessor camera. The confirm
 		// span's context rides on the envelope, so the predecessor's
 		// retire fan-out joins the same trace.
-		if addr := n.upstreamAddr(up); addr != "" {
-			confirmCtx := ctx
-			var confirmSC obs.SpanContext
-			if tc := n.cfg.Tracer; tc != nil && handoffSC.Valid() {
-				confirmSC = tc.StartChild(handoffSC, "confirm")
-				if confirmSC.Valid() {
-					confirmCtx = obs.ContextWithSpan(ctx, confirmSC)
-				}
-			}
-			n.send(confirmCtx, addr, protocol.Confirm{
-				EventID:        up.ID,
+		if up.ReplyAddr != "" {
+			confirmSC := n.cfg.Tracer.Start(handoffSC, "", "confirm")
+			n.send(withSpan(ctx, confirmSC), up.ReplyAddr, protocol.Confirm{
+				EventID:        up.Event.ID,
 				ByCameraID:     n.cfg.CameraID,
 				MatchedEventID: ev.ID,
 				Distance:       dist,
-			}, &n.stats.ConfirmsSent, n.m.confirmsSent)
-			if n.cfg.Tracer != nil && confirmSC.Valid() {
-				n.cfg.Tracer.EndSpan(confirmSC, "to", addr)
-			}
+			}, n.m.confirmsSent)
+			n.cfg.Tracer.EndSpan(confirmSC, "to", up.ReplyAddr)
 		}
 	} else {
 		n.m.reidMisses.Inc()
@@ -739,25 +650,17 @@ func (n *Node) emitEvent(ctx context.Context, tr *tracker.Track, ft frameTiming)
 		refs := n.top.Lookup(dir)
 		if len(refs) > 0 {
 			inform := protocol.Inform{Event: ev, FromAddr: n.ep.Addr()}
-			informCtx := ctx
-			var informSC obs.SpanContext
-			if tc := n.cfg.Tracer; tc != nil && trackSC.Valid() {
-				informSC = tc.StartChild(trackSC, "inform")
-				if informSC.Valid() {
-					informCtx = obs.ContextWithSpan(ctx, informSC)
-				}
-			}
+			informSC := n.cfg.Tracer.Start(trackSC, "", "inform")
+			informCtx := withSpan(ctx, informSC)
 			sent := make([]protocol.CameraRef, 0, len(refs))
 			for _, ref := range refs {
 				if ref.Addr == "" {
 					continue
 				}
-				n.send(informCtx, ref.Addr, inform, &n.stats.InformsSent, n.m.informsSent)
+				n.send(informCtx, ref.Addr, inform, n.m.informsSent)
 				sent = append(sent, ref)
 			}
-			if n.cfg.Tracer != nil && informSC.Valid() {
-				n.cfg.Tracer.EndSpan(informSC, "fanout", strconv.Itoa(len(sent)))
-			}
+			n.cfg.Tracer.EndSpan(informSC, "fanout", strconv.Itoa(len(sent)))
 			if len(sent) > 0 {
 				n.rememberInform(ev.ID, sent)
 			}
@@ -765,104 +668,64 @@ func (n *Node) emitEvent(ctx context.Context, tr *tracker.Track, ft frameTiming)
 	}
 
 	if n.cfg.Hooks.OnEvent != nil {
-		matchedID := protocol.EventID("")
-		if matched {
-			matchedID = matchEntry.Event.ID
-		}
-		n.cfg.Hooks.OnEvent(ev, matched, matchedID, dist)
+		n.cfg.Hooks.OnEvent(ev, matched, up.Event.ID, dist)
 	}
 	return nil
 }
 
-// insertEdge writes a re-identification edge, preferring the queued
-// batch path when the store offers one (the buffered writer retries
-// transient failures before reporting). Either way the final result
-// flows through edgeCommitted so Stats/obs accounting stays exact. When
-// a handoff span context is available, a "commit" child span brackets
+// withSpan attaches sc to ctx when sc can parent spans; otherwise ctx
+// keeps whatever span it already carries.
+func withSpan(ctx context.Context, sc obs.SpanContext) context.Context {
+	if !sc.Valid() {
+		return ctx
+	}
+	return obs.ContextWithSpan(ctx, sc)
+}
+
+// insertEdge hands a re-identification edge to the store, whose result
+// flows through edgeCommitted so the Stats accounting stays exact. When a
+// handoff span context is available, a "commit" child span brackets
 // queue-to-ack and its context travels to the store, which records the
 // WAL group commit underneath it.
 func (n *Node) insertEdge(from, to int64, weight float64, parent obs.SpanContext, capture time.Time) {
-	var commitSC obs.SpanContext
-	if n.cfg.Tracer != nil && parent.Valid() {
-		commitSC = n.cfg.Tracer.StartChild(parent, "commit")
-	}
-	done := func(err error) { n.edgeCommitted(commitSC, capture, err) }
-	if commitSC.Valid() && commitSC.Sampled {
-		wire := protocol.TraceContext(commitSC)
-		if q, ok := n.cfg.TrajStore.(TracedEdgeQueuer); ok {
-			q.QueueEdgeTraced(from, to, weight, wire, done)
-			return
-		}
-		if w, ok := n.cfg.TrajStore.(TracedEdgeWriter); ok {
-			done(w.AddEdgeTraced(from, to, weight, wire))
-			return
-		}
-	}
-	if q, ok := n.cfg.TrajStore.(EdgeQueuer); ok {
-		q.QueueEdge(from, to, weight, done)
-		return
-	}
-	done(n.cfg.TrajStore.AddEdge(from, to, weight))
+	commitSC := n.cfg.Tracer.Start(parent, "", "commit")
+	n.cfg.TrajStore.QueueEdgeTraced(from, to, weight, protocol.TraceContext(commitSC), func(err error) {
+		n.edgeCommitted(commitSC, capture, err)
+	})
 }
 
-// edgeCommitted finishes the commit span and observes the end-to-end
-// capture→ack latency before feeding the usual edge accounting. Like
-// edgeResult it may run on the batch writer's flusher goroutine.
+// edgeCommitted records the outcome of one edge insert: it ends the
+// commit span, observes the end-to-end capture→ack latency, and counts
+// the edge — or, for a failed edge, a send error, since the trajectory
+// graph is a remote peer like any other. It may run on the batch
+// writer's flusher goroutine.
 func (n *Node) edgeCommitted(commitSC obs.SpanContext, capture time.Time, err error) {
-	if n.cfg.Tracer != nil && commitSC.Valid() {
-		outcome := "ok"
-		if err != nil {
-			outcome = "error"
-		}
-		n.cfg.Tracer.EndSpan(commitSC, "outcome", outcome)
+	if err != nil {
+		n.cfg.Tracer.EndSpan(commitSC, "outcome", "error")
+		n.m.sendErrors.Inc()
+		return
 	}
-	if err == nil && !capture.IsZero() {
+	n.cfg.Tracer.EndSpan(commitSC, "outcome", "ok")
+	if !capture.IsZero() {
 		// The commit span context doubles as the exemplar: when this
 		// commit was sampled, the latency bucket it lands in links back to
 		// the full capture→commit trace.
 		n.m.e2eCommit.ObserveWithExemplar(n.cfg.Clock.Now().Sub(capture).Seconds(), commitSC)
 	}
-	n.edgeResult(err)
-}
-
-// edgeResult records the outcome of one edge insert. It may run on the
-// batch writer's flusher goroutine, so it takes the node lock itself. A
-// failed edge counts as a send error — the trajectory graph is a remote
-// peer like any other — instead of vanishing silently.
-func (n *Node) edgeResult(err error) {
-	if err != nil {
-		n.m.sendErrors.Inc()
-		n.mu.Lock()
-		n.stats.SendErrors++
-		n.mu.Unlock()
-		return
-	}
 	n.m.edges.Inc()
-	n.mu.Lock()
-	n.stats.EdgesInserted++
-	n.mu.Unlock()
-}
-
-// upstreamAddr resolves the reply address for a pool entry. The informing
-// message recorded the sender address when the event arrived; events that
-// came without one cannot be confirmed.
-func (n *Node) upstreamAddr(e protocol.DetectionEvent) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.upstream[e.ID]
 }
 
 // rememberInform records where an event was informed, bounded FIFO. A
 // repeat for an already-pending event replaces the recipient set without
-// re-appending to the FIFO (see handleInform's duplicate handling).
+// re-appending to the FIFO, so a stale slot cannot evict the live entry.
 func (n *Node) rememberInform(id protocol.EventID, sentTo []protocol.CameraRef) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, tracked := n.pending[id]; !tracked {
 		n.pendOrd = append(n.pendOrd, id)
 	}
-	n.pending[id] = &pendingInform{eventID: id, sentTo: sentTo}
-	for len(n.pendOrd) > n.maxPend {
+	n.pending[id] = sentTo
+	for len(n.pendOrd) > maxPendingInforms {
 		old := n.pendOrd[0]
 		n.pendOrd = n.pendOrd[1:]
 		delete(n.pending, old)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/geo"
 	"repro/internal/imaging"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/reid"
 	"repro/internal/tracker"
@@ -390,6 +391,88 @@ func TestOnFirstSeenHook(t *testing.T) {
 	}
 	if !seenAt[0].Equal(epoch) {
 		t.Errorf("seen at %v, want frame-0 time", seenAt[0])
+	}
+}
+
+// TestFirstSightingsOnlyForHook: without an OnFirstSeen hook nobody reads
+// first sightings, so the node must not remember every vehicle it sees.
+func TestFirstSightingsOnlyForHook(t *testing.T) {
+	n := newTestNode(t, transport.NewBus(), "camA", nodeConfig("camA", trajstore.NewMemStore()))
+	seq := driveVehicleThrough(t, n, "veh-1", imaging.Red, 0)
+	driveVehicleThrough(t, n, "veh-2", imaging.Blue, seq)
+	n.mu.Lock()
+	seen := len(n.seen)
+	n.mu.Unlock()
+	if seen != 0 {
+		t.Errorf("seen holds %d truth IDs with no OnFirstSeen hook", seen)
+	}
+}
+
+// TestStatsMatchRegistry: Stats is read from the node's telemetry, so
+// every field must be its coralpie_camnode_* counter, and nodes with a
+// nil Registry must not share counters even under one camera ID.
+func TestStatsMatchRegistry(t *testing.T) {
+	bus := transport.NewBus()
+	store := trajstore.NewMemStore()
+	regs := map[string]*obs.Registry{}
+	nodes := map[string]*Node{}
+	for _, id := range []string{"camA", "camB", "camC"} {
+		cfg := nodeConfig(id, store)
+		regs[id] = obs.NewRegistry()
+		cfg.Registry = regs[id]
+		nodes[id] = newTestNode(t, bus, id, cfg)
+	}
+	nodes["camA"].Topology().ApplyUpdate(protocol.TopologyUpdate{
+		CameraID: "camA",
+		Version:  1,
+		MDCS: map[geo.Direction][]protocol.CameraRef{
+			geo.East: {{ID: "camB", Addr: "camB"}, {ID: "camC", Addr: "camC"}},
+		},
+	})
+	// A informs B and C; B re-identifies and confirms; A retires at C.
+	driveVehicleThrough(t, nodes["camA"], "veh-1", imaging.Red, 0)
+	driveVehicleThrough(t, nodes["camB"], "veh-1", imaging.Red, 100)
+	if got := nodes["camC"].Stats().RetiresReceived; got != 1 {
+		t.Fatalf("C retires received = %d, want 1", got)
+	}
+
+	for id, n := range nodes {
+		st := n.Stats()
+		for _, f := range []struct {
+			name string
+			got  int64
+		}{
+			{"frames_total", st.FramesProcessed},
+			{"detections_raw_total", st.DetectionsRaw},
+			{"detections_kept_total", st.DetectionsKept},
+			{"events_total", st.EventsGenerated},
+			{"informs_sent_total", st.InformsSent},
+			{"informs_received_total", st.InformsReceived},
+			{"confirms_sent_total", st.ConfirmsSent},
+			{"confirms_received_total", st.ConfirmsReceived},
+			{"retires_sent_total", st.RetiresSent},
+			{"retires_received_total", st.RetiresReceived},
+			{"reid_matches_total", st.ReidMatches},
+			{"vertices_total", st.VerticesInserted},
+			{"edges_total", st.EdgesInserted},
+			{"send_errors_total", st.SendErrors},
+		} {
+			want := regs[id].Counter("coralpie_camnode_"+f.name, "", "camera", id).Value()
+			if f.got != want {
+				t.Errorf("%s: Stats field for %s = %d, registry = %d", id, f.name, f.got, want)
+			}
+		}
+	}
+
+	// Same camera ID, nil Registry: each node counts only itself.
+	twin1 := newTestNode(t, bus, "twin1", nodeConfig("camT", store))
+	twin2 := newTestNode(t, bus, "twin2", nodeConfig("camT", store))
+	driveVehicleThrough(t, twin1, "veh-2", imaging.Blue, 0)
+	if got := twin1.Stats().FramesProcessed; got == 0 {
+		t.Error("twin1 counted no frames")
+	}
+	if got := twin2.Stats().FramesProcessed; got != 0 {
+		t.Errorf("twin2 frames = %d, want 0: nil-Registry nodes share counters", got)
 	}
 }
 

@@ -28,46 +28,55 @@ func informEvent(id string) protocol.DetectionEvent {
 }
 
 // TestDuplicateInformRedelivery proves a re-delivered Inform refreshes
-// the sender address without corrupting the upstream FIFO: with the old
-// double-append, the duplicate slot evicted the live map entry early
-// while the stale slot kept burning budget.
+// the sender address in the event's one pool entry instead of adding a
+// second record of the event.
 func TestDuplicateInformRedelivery(t *testing.T) {
 	bus := transport.NewBus()
-	cfg := nodeConfig("dupcam", trajstore.NewMemStore())
-	cfg.MaxPendingInforms = 2
-	n := newTestNode(t, bus, "dupcam", cfg)
+	n := newTestNode(t, bus, "dupcam", nodeConfig("dupcam", trajstore.NewMemStore()))
 
 	evA, evB := informEvent("up#A"), informEvent("up#B")
 	n.handleInform(context.Background(), protocol.Inform{Event: evA, FromAddr: "addrA"})
 	n.handleInform(context.Background(), protocol.Inform{Event: evA, FromAddr: "addrA2"}) // redelivery
 	n.handleInform(context.Background(), protocol.Inform{Event: evB, FromAddr: "addrB"})
 
-	n.mu.Lock()
-	ordLen, mapLen := len(n.upOrd), len(n.upstream)
-	gotA, gotB := n.upstream[evA.ID], n.upstream[evB.ID]
-	n.mu.Unlock()
-
-	if ordLen != 2 || mapLen != 2 {
-		t.Fatalf("upOrd=%d upstream=%d, want 2/2: duplicate slot corrupted the FIFO", ordLen, mapLen)
+	entries := n.Pool().Snapshot()
+	if len(entries) != 2 || entries[0].Event.ID != evA.ID || entries[1].Event.ID != evB.ID {
+		t.Fatalf("pool = %+v, want one entry each for A and B", entries)
 	}
-	if gotA != "addrA2" {
-		t.Errorf("upstream[A] = %q, want refreshed addrA2", gotA)
+	if got := entries[0].ReplyAddr; got != "addrA2" {
+		t.Errorf("reply addr of A = %q, want refreshed addrA2", got)
 	}
-	if gotB != "addrB" {
-		t.Errorf("upstream[B] = %q", gotB)
+	if got := entries[1].ReplyAddr; got != "addrB" {
+		t.Errorf("reply addr of B = %q", got)
 	}
 	if n.Stats().InformsReceived != 3 {
 		t.Errorf("informs received = %d", n.Stats().InformsReceived)
 	}
 }
 
-// TestRememberInformRedelivery covers the same double-append bug on the
-// pending-confirm side.
+// TestRedeliveredInformOneOpenSpan: the first delivery's span is the
+// handoff span, so a redelivery must not leave a second one open for the
+// tracer's FIFO to reclaim.
+func TestRedeliveredInformOneOpenSpan(t *testing.T) {
+	cfg := nodeConfig("dupcam", trajstore.NewMemStore())
+	tracer := obs.NewTracer(clock.Fixed{T: epoch}, 16)
+	cfg.Tracer = tracer
+	n := newTestNode(t, transport.NewBus(), "dupcam", cfg)
+
+	ev := informEvent("up#A")
+	n.handleInform(context.Background(), protocol.Inform{Event: ev, FromAddr: "addrA"})
+	n.handleInform(context.Background(), protocol.Inform{Event: ev, FromAddr: "addrA"})
+	if got := tracer.ActiveCount(); got != 1 {
+		t.Errorf("open spans after a redelivery = %d, want 1", got)
+	}
+}
+
+// TestRememberInformRedelivery proves a repeated rememberInform replaces
+// the recipient set without a second FIFO slot, which would later evict
+// the live entry while the stale slot kept burning budget.
 func TestRememberInformRedelivery(t *testing.T) {
 	bus := transport.NewBus()
-	cfg := nodeConfig("pendcam", trajstore.NewMemStore())
-	cfg.MaxPendingInforms = 2
-	n := newTestNode(t, bus, "pendcam", cfg)
+	n := newTestNode(t, bus, "pendcam", nodeConfig("pendcam", trajstore.NewMemStore()))
 
 	refs := []protocol.CameraRef{{ID: "x", Addr: "x"}}
 	n.rememberInform("e1", refs)
@@ -92,8 +101,8 @@ type edgeFailStore struct {
 	*trajstore.Store
 }
 
-func (s *edgeFailStore) AddEdge(from, to int64, weight float64) error {
-	return errors.New("injected edge failure")
+func (s *edgeFailStore) QueueEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext, done func(error)) {
+	done(errors.New("injected edge failure"))
 }
 
 // TestReidMatchAccountingWhenEdgeFails proves the re-id accounting no
@@ -135,9 +144,8 @@ func TestReidMatchAccountingWhenEdgeFails(t *testing.T) {
 	}
 }
 
-// queueStore implements the EdgeQueuer/EdgeFlusher pair on top of a mem
-// store: edges buffer until Flush delivers them, like the real
-// BatchWriter but deterministic.
+// queueStore buffers edges on top of a mem store until Flush delivers
+// them, like the real BatchWriter but deterministic.
 type queueStore struct {
 	*trajstore.Store
 
@@ -147,7 +155,7 @@ type queueStore struct {
 	flushes int
 }
 
-func (s *queueStore) QueueEdge(from, to int64, weight float64, done func(error)) {
+func (s *queueStore) QueueEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext, done func(error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.queued = append(s.queued, trajstore.Edge{From: from, To: to, Weight: weight})
@@ -169,9 +177,9 @@ func (s *queueStore) Flush(ctx context.Context) error {
 	return nil
 }
 
-// TestBatchedEdgePathAccounting proves the node routes edges through an
-// EdgeQueuer when the store offers one, that the deferred result feeds
-// the accounting, and that FlushContext drains the buffer.
+// TestBatchedEdgePathAccounting proves a store that defers the edge
+// result still feeds the accounting when the result lands, and that
+// FlushContext drains the buffer.
 func TestBatchedEdgePathAccounting(t *testing.T) {
 	bus := transport.NewBus()
 	base := trajstore.NewMemStore()
@@ -202,7 +210,7 @@ func TestBatchedEdgePathAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if store.flushes == 0 {
-		t.Fatal("FlushContext never invoked the store's EdgeFlusher")
+		t.Fatal("FlushContext never flushed the store")
 	}
 	if base.NumEdges() != 1 {
 		t.Errorf("edges after flush = %d, want 1", base.NumEdges())

@@ -167,7 +167,7 @@ func measureHostSubTasks() (hostLatencies, error) {
 		return hostLatencies{}, err
 	}
 	for i := 0; i < 16; i++ {
-		pool.Add(sampleEvent(fmt.Sprintf("up#%d", i), hist), time.Time{})
+		pool.Add(reid.Entry{Event: sampleEvent(fmt.Sprintf("up#%d", i), hist)})
 	}
 	matcher, err := reid.NewMatcher(reid.DefaultMatcherConfig())
 	if err != nil {

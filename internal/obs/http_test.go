@@ -141,9 +141,8 @@ func TestDebugObsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("coralpie_dbg_total", "").Inc()
 	tr := NewTracer(clock.Fixed{T: time.Unix(9, 0)}, 4)
-	tr.Begin("veh", "handoff")
-	tr.Finish("veh", "handoff")
-	tr.Begin("lost", "handoff")
+	tr.EndSpan(tr.Start(SpanContext{}, "veh", "handoff"))
+	tr.Start(SpanContext{}, "lost", "handoff")
 
 	srv := httptest.NewServer(NewMux(r, tr))
 	defer srv.Close()

@@ -7,10 +7,10 @@ import (
 	"repro/internal/clock"
 )
 
-// Span is one completed traced interval. Spans are keyed by a trace ID —
+// Span is one completed traced interval. A span belongs to a trace ID —
 // in Coral-Pie, the detection-event ID that travels with a vehicle
 // handoff from the informing camera through the MDCS to the
-// re-identifying camera — plus a span name identifying the leg. SpanID
+// re-identifying camera — and its name identifies the leg. SpanID
 // and ParentID link spans into a tree: every span carries its own ID and
 // (except for roots) the ID of the span that caused it, possibly on
 // another node.
@@ -27,15 +27,16 @@ type Span struct {
 // Duration returns the span's elapsed time.
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// Tracer records spans. Begin opens a span keyed by (trace, name);
-// Finish closes it and moves it into a bounded ring of recent spans.
-// Spans that are begun and never finished are evicted FIFO once the
-// active table exceeds its bound, so lost handoffs (vehicles that leave
-// the camera network) cannot leak memory.
+// Tracer records spans. Start opens a live span addressed by its own
+// SpanID and EndSpan closes it, moving it into a bounded ring of recent
+// spans; RecordRoot and RecordChild (trace.go) add already-measured spans
+// directly. Spans link into per-trace trees via SpanContext, and head
+// sampling applies at trace roots. Spans that are started and never
+// ended are evicted FIFO once the active table exceeds its bound, so lost
+// handoffs (vehicles that leave the camera network) cannot leak memory.
 //
-// The hierarchical API (RecordRoot, RecordChild, StartChild, BeginIn) in
-// trace.go additionally links spans into per-trace trees via SpanContext
-// and applies head sampling at trace roots.
+// The span-recording methods (RecordRoot, RecordChild, Start, EndSpan)
+// are no-ops on a nil *Tracer, so callers need no tracing guard.
 //
 // Timestamps come from the injected clock and span IDs from the injected
 // IDSource, so a Tracer driven by the discrete-event simulator's virtual
@@ -49,10 +50,10 @@ type Tracer struct {
 	sampleEvery int
 
 	mu        sync.Mutex
-	active    map[string]*Span
-	activeOrd []activeRef
-	recent    []Span // ring buffer
-	next      int    // ring write cursor
+	active    map[string]*Span // open spans by SpanID
+	activeOrd []string         // SpanIDs in start order, for FIFO eviction
+	recent    []Span           // ring buffer
+	next      int              // ring write cursor
 	full      bool
 	finished  int64
 	evicted   int64
@@ -113,63 +114,6 @@ func NewTracerWith(cfg TracerConfig) *Tracer {
 		active:      make(map[string]*Span),
 		recent:      make([]Span, capacity),
 	}
-}
-
-func spanKey(trace, name string) string { return trace + "\x00" + name }
-
-// activeRef ties a FIFO slot to the exact span it enqueued, so eviction
-// never removes a newer span reusing the same key.
-type activeRef struct {
-	key string
-	sp  *Span
-}
-
-// Begin opens a span. A second Begin with the same key restarts the
-// span's clock. Begin always records (sampling applies only to traces
-// rooted via RecordRoot); use BeginIn to join an incoming trace context.
-func (t *Tracer) Begin(trace, name string) {
-	t.BeginIn(SpanContext{}, trace, name)
-}
-
-// beginLocked inserts an open span under key and enforces the FIFO
-// bound. Caller holds t.mu.
-func (t *Tracer) beginLocked(key string, sp *Span) {
-	t.active[key] = sp
-	t.activeOrd = append(t.activeOrd, activeRef{key: key, sp: sp})
-	for len(t.activeOrd) > t.max {
-		old := t.activeOrd[0]
-		t.activeOrd = t.activeOrd[1:]
-		if cur, live := t.active[old.key]; live && cur == old.sp {
-			delete(t.active, old.key)
-			t.evicted++
-		}
-	}
-}
-
-// Finish closes the (trace, name) span, attaching the given attribute
-// pairs, and reports whether a matching open span existed.
-func (t *Tracer) Finish(trace, name string, attrs ...string) bool {
-	now := t.clk.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := spanKey(trace, name)
-	sp, ok := t.active[key]
-	if !ok {
-		return false
-	}
-	delete(t.active, key)
-	sp.End = now
-	sp.Attrs = labelsOf(canonicalize(attrs))
-	t.record(*sp)
-	return true
-}
-
-// Record adds an already-measured span directly to the ring, for call
-// sites that know both endpoints (e.g. a stage that timed itself).
-func (t *Tracer) Record(trace, name string, start, end time.Time, attrs ...string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.record(Span{Trace: trace, Name: name, Start: start, End: end, Attrs: labelsOf(canonicalize(attrs))})
 }
 
 // record appends to the ring and feeds the sink. Caller holds t.mu.

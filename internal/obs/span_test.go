@@ -23,15 +23,15 @@ func (c *tickClock) Now() time.Time {
 func TestSpanBeginFinish(t *testing.T) {
 	clk := &tickClock{t: time.Unix(100, 0), step: time.Second}
 	tr := NewTracer(clk, 8)
-	tr.Begin("cam0#1", "handoff")
+	sc := tr.Start(SpanContext{}, "cam0#1", "handoff")
 	if tr.ActiveCount() != 1 {
 		t.Fatalf("active = %d, want 1", tr.ActiveCount())
 	}
-	if !tr.Finish("cam0#1", "handoff", "outcome", "matched") {
-		t.Fatal("Finish should find the open span")
+	if !tr.EndSpan(sc, "outcome", "matched") {
+		t.Fatal("EndSpan should find the open span")
 	}
-	if tr.Finish("cam0#1", "handoff") {
-		t.Fatal("second Finish should report no open span")
+	if tr.EndSpan(sc) {
+		t.Fatal("second EndSpan should report no open span")
 	}
 	spans := tr.Recent()
 	if len(spans) != 1 {
@@ -55,9 +55,7 @@ func TestSpanBeginFinish(t *testing.T) {
 func TestSpanRingBound(t *testing.T) {
 	tr := NewTracer(clock.Fixed{T: time.Unix(0, 0)}, 4)
 	for i := 0; i < 10; i++ {
-		id := string(rune('a' + i))
-		tr.Begin(id, "s")
-		tr.Finish(id, "s")
+		tr.EndSpan(tr.Start(SpanContext{}, string(rune('a'+i)), "s"))
 	}
 	spans := tr.Recent()
 	if len(spans) != 4 {
@@ -74,8 +72,9 @@ func TestSpanRingBound(t *testing.T) {
 
 func TestSpanActiveEviction(t *testing.T) {
 	tr := NewTracer(clock.Fixed{T: time.Unix(0, 0)}, 3)
+	var scs []SpanContext
 	for i := 0; i < 5; i++ {
-		tr.Begin(string(rune('a'+i)), "s")
+		scs = append(scs, tr.Start(SpanContext{}, string(rune('a'+i)), "s"))
 	}
 	if tr.ActiveCount() != 3 {
 		t.Fatalf("active = %d, want 3", tr.ActiveCount())
@@ -83,34 +82,38 @@ func TestSpanActiveEviction(t *testing.T) {
 	if tr.Evicted() != 2 {
 		t.Fatalf("evicted = %d, want 2", tr.Evicted())
 	}
-	// The two oldest were evicted; finishing them finds nothing.
-	if tr.Finish("a", "s") || tr.Finish("b", "s") {
-		t.Fatal("evicted spans must not be finishable")
+	// The two oldest were evicted; ending them finds nothing.
+	if tr.EndSpan(scs[0]) || tr.EndSpan(scs[1]) {
+		t.Fatal("evicted spans must not be endable")
 	}
-	if !tr.Finish("e", "s") {
+	if !tr.EndSpan(scs[4]) {
 		t.Fatal("newest span must still be open")
 	}
 }
 
-func TestSpanRestartDoesNotEvictNewer(t *testing.T) {
-	tr := NewTracer(clock.Fixed{T: time.Unix(0, 0)}, 2)
-	tr.Begin("a", "s")
-	tr.Begin("a", "s") // restart: two FIFO slots, one live span
-	tr.Begin("b", "s") // pushes the stale slot out; live "a" must survive
-	if !tr.Finish("a", "s") {
-		t.Fatal("restarted span should still be open")
+// TestNilTracerIsNoop: callers record spans without a tracing guard, so
+// every span-recording method must be safe on a nil *Tracer.
+func TestNilTracerIsNoop(t *testing.T) {
+	var tr *Tracer
+	root := tr.RecordRoot("cam0#1", "capture", time.Unix(0, 0), time.Unix(1, 0))
+	child := tr.RecordChild(SpanContext{TraceID: "cam0#1", SpanID: "1", Sampled: true}, "detect", time.Unix(1, 0), time.Unix(2, 0))
+	live := tr.Start(SpanContext{}, "cam0#1", "handoff")
+	if root.Valid() || child.Valid() || live.Valid() {
+		t.Fatalf("nil tracer returned valid contexts: %+v %+v %+v", root, child, live)
 	}
-	if !tr.Finish("b", "s") {
-		t.Fatal("span b should still be open")
+	if tr.EndSpan(SpanContext{TraceID: "cam0#1", SpanID: "1", Sampled: true}) {
+		t.Fatal("EndSpan on a nil tracer reported an open span")
 	}
 }
 
-func TestSpanRecord(t *testing.T) {
-	tr := NewTracer(nil, 4)
-	start := time.Unix(50, 0)
-	tr.Record("x", "stage", start, start.Add(30*time.Millisecond))
-	spans := tr.Recent()
-	if len(spans) != 1 || spans[0].Duration() != 30*time.Millisecond {
-		t.Fatalf("spans = %v", spans)
+// TestStartWithoutParentOrTrace: with neither a parent nor a trace ID
+// there is nothing to hang a span on, so Start opens nothing.
+func TestStartWithoutParentOrTrace(t *testing.T) {
+	tr := NewTracer(clock.Fixed{T: time.Unix(0, 0)}, 4)
+	if sc := tr.Start(SpanContext{}, "", "commit"); sc.Valid() {
+		t.Fatalf("Start with no parent and no trace = %+v, want invalid", sc)
+	}
+	if tr.ActiveCount() != 0 {
+		t.Fatalf("active = %d, want 0", tr.ActiveCount())
 	}
 }

@@ -81,6 +81,9 @@ func (t *Tracer) sampleRootLocked() bool {
 // taken: an unsampled root records nothing, but the returned context
 // still propagates (Sampled=false) so descendants stay silent too.
 func (t *Tracer) RecordRoot(trace, name string, start, end time.Time, attrs ...string) SpanContext {
+	if t == nil {
+		return SpanContext{}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sc := SpanContext{TraceID: trace, SpanID: t.newSpanID(), Sampled: t.sampleRootLocked()}
@@ -98,6 +101,9 @@ func (t *Tracer) RecordRoot(trace, name string, start, end time.Time, attrs ...s
 // returns its context. An invalid parent yields an invalid (no-op)
 // context; an unsampled parent propagates without recording.
 func (t *Tracer) RecordChild(parent SpanContext, name string, start, end time.Time, attrs ...string) SpanContext {
+	if t == nil {
+		return SpanContext{}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !parent.Valid() {
@@ -114,87 +120,62 @@ func (t *Tracer) RecordChild(parent SpanContext, name string, start, end time.Ti
 	return sc
 }
 
-// liveKey is the active-table key for spans addressed by SpanID rather
-// than by (trace, name). "\x01" cannot collide with spanKey output,
-// whose separator is "\x00".
-func liveKey(spanID string) string { return "\x01" + spanID }
-
-// StartChild opens a live span under parent, addressed by its own
-// SpanID (unlike Begin's (trace, name) key, so concurrent children of
-// one trace don't collide). Close it with EndSpan. Like all open spans
-// it competes for the FIFO bound and may be evicted if never ended.
-func (t *Tracer) StartChild(parent SpanContext, name string) SpanContext {
-	now := t.clk.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !parent.Valid() {
+// Start opens a live span and returns its context; close it with
+// EndSpan. With a valid parent the span joins the parent's trace and
+// inherits its sampling decision. Without one it is a standalone,
+// always-recorded span of trace — a handoff span for an inform that
+// carried no context — and with no trace either Start opens nothing and
+// returns an invalid context. Like all open spans it competes for the
+// FIFO bound and may be evicted if never ended.
+func (t *Tracer) Start(parent SpanContext, trace, name string) SpanContext {
+	if t == nil {
 		return SpanContext{}
 	}
-	sc := SpanContext{TraceID: parent.TraceID, SpanID: t.newSpanID(), ParentID: parent.SpanID, Sampled: parent.Sampled}
-	if !sc.Sampled {
-		return sc
-	}
-	sp := &Span{Trace: sc.TraceID, Name: name, SpanID: sc.SpanID, ParentID: sc.ParentID, Start: now}
-	t.beginLocked(liveKey(sc.SpanID), sp)
-	return sc
-}
-
-// EndSpan closes a span opened by StartChild, attaching the given
-// attribute pairs, and reports whether it was still open. Invalid and
-// unsampled contexts are no-ops.
-func (t *Tracer) EndSpan(sc SpanContext, attrs ...string) bool {
-	now := t.clk.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !sc.Valid() || !sc.Sampled {
-		return false
-	}
-	key := liveKey(sc.SpanID)
-	sp, ok := t.active[key]
-	if !ok {
-		return false
-	}
-	delete(t.active, key)
-	sp.End = now
-	sp.Attrs = labelsOf(canonicalize(attrs))
-	t.record(*sp)
-	return true
-}
-
-// BeginIn is Begin joining an incoming trace: the span keeps the legacy
-// (trace, name) key — Finish and ActiveContext find it the same way —
-// but adopts parent's trace ID, parent link, and sampling decision when
-// parent is valid. With an invalid parent it behaves exactly like Begin
-// (a standalone, always-recorded span).
-func (t *Tracer) BeginIn(parent SpanContext, trace, name string) SpanContext {
 	now := t.clk.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sc := SpanContext{TraceID: trace, Sampled: true}
 	if parent.Valid() {
-		sc.TraceID = parent.TraceID
-		sc.ParentID = parent.SpanID
-		sc.Sampled = parent.Sampled
+		sc = SpanContext{TraceID: parent.TraceID, ParentID: parent.SpanID, Sampled: parent.Sampled}
+	} else if trace == "" {
+		return SpanContext{}
 	}
 	sc.SpanID = t.newSpanID()
 	if !sc.Sampled {
 		return sc
 	}
-	sp := &Span{Trace: sc.TraceID, Name: name, SpanID: sc.SpanID, ParentID: sc.ParentID, Start: now}
-	t.beginLocked(spanKey(trace, name), sp)
+	t.active[sc.SpanID] = &Span{Trace: sc.TraceID, Name: name, SpanID: sc.SpanID, ParentID: sc.ParentID, Start: now}
+	t.activeOrd = append(t.activeOrd, sc.SpanID)
+	for len(t.activeOrd) > t.max {
+		old := t.activeOrd[0]
+		t.activeOrd = t.activeOrd[1:]
+		if _, live := t.active[old]; live {
+			delete(t.active, old)
+			t.evicted++
+		}
+	}
 	return sc
 }
 
-// ActiveContext returns the context of the open (trace, name) span, so
-// a caller about to Finish it can first hang children off it.
-func (t *Tracer) ActiveContext(trace, name string) (SpanContext, bool) {
+// EndSpan closes a span opened by Start, attaching the given attribute
+// pairs, and reports whether it was still open: false for a span already
+// ended or evicted, and for invalid and unsampled contexts.
+func (t *Tracer) EndSpan(sc SpanContext, attrs ...string) bool {
+	if t == nil || !sc.Valid() || !sc.Sampled {
+		return false
+	}
+	now := t.clk.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp, ok := t.active[spanKey(trace, name)]
+	sp, ok := t.active[sc.SpanID]
 	if !ok {
-		return SpanContext{}, false
+		return false
 	}
-	return SpanContext{TraceID: sp.Trace, SpanID: sp.SpanID, ParentID: sp.ParentID, Sampled: true}, true
+	delete(t.active, sc.SpanID)
+	sp.End = now
+	sp.Attrs = labelsOf(canonicalize(attrs))
+	t.record(*sp)
+	return true
 }
 
 // SpanSink receives every span as it is recorded. The sink runs while

@@ -81,12 +81,12 @@ func TestRecordChildInvalidParent(t *testing.T) {
 	}
 }
 
-func TestStartChildEndSpan(t *testing.T) {
+func TestStartEndSpan(t *testing.T) {
 	clk := &tickClock{t: time.Unix(100, 0), step: time.Second}
 	tr := NewTracer(clk, 8)
 	root := tr.RecordRoot("cam0#1", "capture", time.Unix(100, 0), time.Unix(101, 0))
 
-	live := tr.StartChild(root, "inform")
+	live := tr.Start(root, "", "inform")
 	if !live.Valid() {
 		t.Fatalf("live child invalid: %+v", live)
 	}
@@ -129,7 +129,7 @@ func TestSamplingEveryN(t *testing.T) {
 	}
 	// Unsampled contexts must not record live children either.
 	unsampled := SpanContext{TraceID: "t", SpanID: "s", Sampled: false}
-	live := tr.StartChild(unsampled, "x")
+	live := tr.Start(unsampled, "", "x")
 	if tr.EndSpan(live) {
 		t.Fatal("unsampled live span should not record")
 	}
@@ -154,21 +154,21 @@ func TestDeterministicSpanIDs(t *testing.T) {
 	}
 }
 
-func TestBeginInJoinsParentTrace(t *testing.T) {
+func TestStartJoinsParentTrace(t *testing.T) {
 	clk := &tickClock{t: time.Unix(100, 0), step: time.Second}
 	tr := NewTracer(clk, 8)
 	parent := SpanContext{TraceID: "cam0#1", SpanID: "cam0-3", Sampled: true}
 
-	sc := tr.BeginIn(parent, "cam0#1", "handoff:cam1")
-	if sc.TraceID != "cam0#1" || sc.ParentID != "cam0-3" {
-		t.Fatalf("BeginIn did not adopt parent: %+v", sc)
+	// The parent's trace wins over the trace argument.
+	sc := tr.Start(parent, "other", "handoff:cam1")
+	if sc.TraceID != "cam0#1" || sc.ParentID != "cam0-3" || !sc.Sampled {
+		t.Fatalf("Start did not adopt parent: %+v", sc)
 	}
-	got, ok := tr.ActiveContext("cam0#1", "handoff:cam1")
-	if !ok || got != sc {
-		t.Fatalf("ActiveContext = %+v, %v", got, ok)
+	if tr.ActiveCount() != 1 {
+		t.Fatalf("active = %d, want 1", tr.ActiveCount())
 	}
-	if !tr.Finish("cam0#1", "handoff:cam1", "outcome", "matched") {
-		t.Fatal("Finish should close the joined span")
+	if !tr.EndSpan(sc, "outcome", "matched") {
+		t.Fatal("EndSpan should close the joined span")
 	}
 	spans := tr.Recent()
 	last := spans[len(spans)-1]
@@ -241,14 +241,14 @@ func TestConcurrentTracerRace(t *testing.T) {
 				trace := fmt.Sprintf("cam%d#%d", w, i)
 				switch i % 3 {
 				case 0:
-					tr.Begin(trace, "handoff")
-					tr.Finish(trace, "handoff", "outcome", "matched")
+					sc := tr.Start(SpanContext{}, trace, "handoff")
+					tr.EndSpan(sc, "outcome", "matched")
 				case 1:
 					root := tr.RecordRoot(trace, "capture", time.Unix(0, 0), time.Unix(1, 0))
-					live := tr.StartChild(root, "inform")
+					live := tr.Start(root, "", "inform")
 					tr.EndSpan(live, "fanout", "1")
 				case 2:
-					tr.Begin(trace, "handoff")
+					tr.Start(SpanContext{}, trace, "handoff")
 					// Left open on purpose: exercises FIFO eviction.
 				}
 				tr.Recent()

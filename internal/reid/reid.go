@@ -16,11 +16,18 @@ import (
 	"repro/internal/protocol"
 )
 
-// Entry is one candidate-pool element.
+// Entry is one candidate-pool element: everything the receiving camera
+// keeps about one upstream event.
 type Entry struct {
 	Event      protocol.DetectionEvent
 	ReceivedAt time.Time
 	Matched    bool
+	// ReplyAddr is the informing camera's transport address, where the
+	// confirmation goes; empty when the inform carried none.
+	ReplyAddr string
+	// Span is the handoff span opened when the inform landed, ended when
+	// the event is matched, retired or expired.
+	Span protocol.TraceContext
 }
 
 // PoolConfig parameterizes the candidate pool.
@@ -69,34 +76,40 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	}, nil
 }
 
-// Add inserts an event received from an upstream camera. Duplicate event
-// IDs refresh the stored event but are not double-counted.
-func (p *Pool) Add(e protocol.DetectionEvent, now time.Time) {
+// Add inserts an entry received from an upstream camera and reports
+// whether it is new. A duplicate event ID is not double-counted: it
+// refreshes the stored event, and the reply address when the duplicate
+// carries one, but keeps the first delivery's arrival time and span.
+func (p *Pool) Add(e Entry) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if existing, ok := p.entries[e.ID]; ok {
-		existing.Event = e
-		return
+	if existing, ok := p.entries[e.Event.ID]; ok {
+		existing.Event = e.Event
+		if e.ReplyAddr != "" {
+			existing.ReplyAddr = e.ReplyAddr
+		}
+		return false
 	}
-	p.entries[e.ID] = &Entry{Event: e, ReceivedAt: now}
-	p.order = append(p.order, e.ID)
+	p.entries[e.Event.ID] = &e
+	p.order = append(p.order, e.Event.ID)
 	p.received++
 	p.pruneLocked()
+	return true
 }
 
 // MarkMatched annotates an event as matched (re-identified downstream or
-// retired by the confirming protocol). It reports whether the event was
-// present and previously unmatched.
-func (p *Pool) MarkMatched(id protocol.EventID) bool {
+// retired by the confirming protocol). It returns the entry and whether
+// it was present and previously unmatched.
+func (p *Pool) MarkMatched(id protocol.EventID) (Entry, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e, ok := p.entries[id]
 	if !ok || e.Matched {
-		return false
+		return Entry{}, false
 	}
 	e.Matched = true
 	p.matched++
-	return true
+	return *e, true
 }
 
 // pruneLocked removes matched entries once the pool exceeds the

@@ -71,13 +71,13 @@ func TestMatcherValidation(t *testing.T) {
 
 func TestAddAndSize(t *testing.T) {
 	p := newPool(t, 10)
-	p.Add(eventWith(t, "up#1", imaging.Red), t0)
-	p.Add(eventWith(t, "up#2", imaging.Blue), t0)
+	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
+	p.Add(Entry{Event: eventWith(t, "up#2", imaging.Blue), ReceivedAt: t0})
 	if p.Size() != 2 || p.Unmatched() != 2 {
 		t.Errorf("size=%d unmatched=%d", p.Size(), p.Unmatched())
 	}
 	// Duplicate ID refreshes, does not grow.
-	p.Add(eventWith(t, "up#1", imaging.Red), t0.Add(time.Second))
+	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0.Add(time.Second)})
 	if p.Size() != 2 {
 		t.Errorf("duplicate grew pool to %d", p.Size())
 	}
@@ -86,10 +86,40 @@ func TestAddAndSize(t *testing.T) {
 	}
 }
 
+// TestDuplicateAddKeepsSpanRefreshesReplyAddr: a redelivered inform may
+// come from a new address, which the confirm must use, but a redelivery
+// without one must not erase it, and the first delivery's handoff span
+// stays the event's span.
+func TestDuplicateAddKeepsSpanRefreshesReplyAddr(t *testing.T) {
+	p := newPool(t, 10)
+	ev := eventWith(t, "up#1", imaging.Red)
+	first := protocol.TraceContext{TraceID: "up#1", SpanID: "s1", Sampled: true}
+	if !p.Add(Entry{Event: ev, ReceivedAt: t0, ReplyAddr: "addr1", Span: first}) {
+		t.Fatal("first Add reported a duplicate")
+	}
+	second := protocol.TraceContext{TraceID: "up#1", SpanID: "s2", Sampled: true}
+	if p.Add(Entry{Event: ev, ReceivedAt: t0, ReplyAddr: "addr2", Span: second}) {
+		t.Fatal("duplicate Add reported a new entry")
+	}
+	if p.Add(Entry{Event: ev, ReceivedAt: t0}) {
+		t.Fatal("duplicate Add reported a new entry")
+	}
+	got, ok := p.MarkMatched("up#1")
+	if !ok {
+		t.Fatal("MarkMatched failed")
+	}
+	if got.ReplyAddr != "addr2" {
+		t.Errorf("reply addr = %q, want addr2 (refreshed, not erased by a blank one)", got.ReplyAddr)
+	}
+	if got.Span != first {
+		t.Errorf("span = %+v, want the first delivery's %+v", got.Span, first)
+	}
+}
+
 func TestMatchPicksClosestColor(t *testing.T) {
 	p := newPool(t, 10)
-	p.Add(eventWith(t, "up#1", imaging.Red), t0)
-	p.Add(eventWith(t, "up#2", imaging.Blue), t0)
+	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
+	p.Add(Entry{Event: eventWith(t, "up#2", imaging.Blue), ReceivedAt: t0})
 	m := newMatcher(t, DefaultMatcherConfig())
 
 	got, dist, ok := m.Match(histOf(t, imaging.Red), p, t0)
@@ -106,7 +136,7 @@ func TestMatchPicksClosestColor(t *testing.T) {
 
 func TestMatchRejectsAboveThreshold(t *testing.T) {
 	p := newPool(t, 10)
-	p.Add(eventWith(t, "up#1", imaging.Blue), t0)
+	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Blue), ReceivedAt: t0})
 	m := newMatcher(t, MatcherConfig{BhattThreshold: 0.3})
 	if _, _, ok := m.Match(histOf(t, imaging.Red), p, t0); ok {
 		t.Error("red matched blue below threshold 0.3")
@@ -115,8 +145,8 @@ func TestMatchRejectsAboveThreshold(t *testing.T) {
 
 func TestMatchSkipsMatchedEntries(t *testing.T) {
 	p := newPool(t, 10)
-	p.Add(eventWith(t, "up#1", imaging.Red), t0)
-	if !p.MarkMatched("up#1") {
+	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
+	if _, ok := p.MarkMatched("up#1"); !ok {
 		t.Fatal("MarkMatched failed")
 	}
 	m := newMatcher(t, DefaultMatcherConfig())
@@ -127,14 +157,14 @@ func TestMatchSkipsMatchedEntries(t *testing.T) {
 
 func TestMarkMatchedSemantics(t *testing.T) {
 	p := newPool(t, 10)
-	p.Add(eventWith(t, "up#1", imaging.Red), t0)
-	if p.MarkMatched("ghost#1") {
+	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
+	if _, ok := p.MarkMatched("ghost#1"); ok {
 		t.Error("marking a missing entry should report false")
 	}
-	if !p.MarkMatched("up#1") {
+	if _, ok := p.MarkMatched("up#1"); !ok {
 		t.Error("first mark should succeed")
 	}
-	if p.MarkMatched("up#1") {
+	if _, ok := p.MarkMatched("up#1"); ok {
 		t.Error("second mark should report false")
 	}
 	if p.Unmatched() != 0 || p.Stats().Matched != 1 {
@@ -145,7 +175,7 @@ func TestMarkMatchedSemantics(t *testing.T) {
 func TestLazyPruning(t *testing.T) {
 	p := newPool(t, 4)
 	for i := 0; i < 4; i++ {
-		p.Add(eventWith(t, "up#"+string(rune('0'+i)), imaging.Red), t0)
+		p.Add(Entry{Event: eventWith(t, "up#"+string(rune('0'+i)), imaging.Red), ReceivedAt: t0})
 	}
 	p.MarkMatched("up#0")
 	p.MarkMatched("up#1")
@@ -154,7 +184,7 @@ func TestLazyPruning(t *testing.T) {
 		t.Errorf("pruned early: size=%d", p.Size())
 	}
 	// Crossing the threshold triggers pruning of matched entries only.
-	p.Add(eventWith(t, "up#9", imaging.Blue), t0)
+	p.Add(Entry{Event: eventWith(t, "up#9", imaging.Blue), ReceivedAt: t0})
 	if p.Size() != 3 {
 		t.Errorf("after prune size=%d, want 3", p.Size())
 	}
@@ -171,8 +201,8 @@ func TestLazyPruning(t *testing.T) {
 
 func TestMaxEventAgeFilter(t *testing.T) {
 	p := newPool(t, 10)
-	p.Add(eventWith(t, "up#old", imaging.Red), t0)
-	p.Add(eventWith(t, "up#new", imaging.Red), t0.Add(50*time.Second))
+	p.Add(Entry{Event: eventWith(t, "up#old", imaging.Red), ReceivedAt: t0})
+	p.Add(Entry{Event: eventWith(t, "up#new", imaging.Red), ReceivedAt: t0.Add(50 * time.Second)})
 	m := newMatcher(t, MatcherConfig{BhattThreshold: 0.3, MaxEventAge: 30 * time.Second})
 	got, _, ok := m.Match(histOf(t, imaging.Red), p, t0.Add(60*time.Second))
 	if !ok {
@@ -187,7 +217,7 @@ func TestSnapshotOrder(t *testing.T) {
 	p := newPool(t, 10)
 	ids := []string{"a#1", "b#2", "c#3"}
 	for _, id := range ids {
-		p.Add(eventWith(t, id, imaging.Red), t0)
+		p.Add(Entry{Event: eventWith(t, id, imaging.Red), ReceivedAt: t0})
 	}
 	snap := p.Snapshot()
 	if len(snap) != 3 {
@@ -216,7 +246,7 @@ func TestConcurrentAddAndMatch(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			p.Add(eventWith(t, "up#"+string(rune(i)), imaging.Blue), t0)
+			p.Add(Entry{Event: eventWith(t, "up#"+string(rune(i)), imaging.Blue), ReceivedAt: t0})
 		}
 	}()
 	for i := 0; i < 200; i++ {
@@ -238,7 +268,7 @@ func TestUnmatchedEvictionBoundsPool(t *testing.T) {
 	// let the pool grow without bound. The oldest unmatched entries must
 	// be expired FIFO down to the threshold.
 	for i := 0; i < 5; i++ {
-		p.Add(eventWith(t, "up#"+string(rune('0'+i)), imaging.Red), t0)
+		p.Add(Entry{Event: eventWith(t, "up#"+string(rune('0'+i)), imaging.Red), ReceivedAt: t0})
 	}
 	if p.Size() != 3 {
 		t.Errorf("size = %d, want 3 (bounded by threshold)", p.Size())
@@ -269,10 +299,10 @@ func TestOnEvictSeesMatchedFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Add(eventWith(t, "up#a", imaging.Red), t0)
-	p.Add(eventWith(t, "up#b", imaging.Blue), t0)
+	p.Add(Entry{Event: eventWith(t, "up#a", imaging.Red), ReceivedAt: t0})
+	p.Add(Entry{Event: eventWith(t, "up#b", imaging.Blue), ReceivedAt: t0})
 	p.MarkMatched("up#a")
-	p.Add(eventWith(t, "up#c", imaging.Color{R: 40, G: 220, B: 40}), t0)
+	p.Add(Entry{Event: eventWith(t, "up#c", imaging.Color{R: 40, G: 220, B: 40}), ReceivedAt: t0})
 	if p.Size() != 2 {
 		t.Errorf("size = %d, want 2", p.Size())
 	}

@@ -158,11 +158,17 @@ func (w *BatchWriter) QueueEdge(from, to int64, weight float64, done func(error)
 	w.queueEdge(queuedEdge{from: from, to: to, weight: weight, done: done})
 }
 
-// QueueEdgeTraced is QueueEdge carrying the writer's trace context; it
-// rides the batch record to the server, which records the WAL group
-// commit as part of the caller's trace.
+// QueueEdgeTraced is QueueEdge carrying the writer's trace context. A
+// valid, sampled context rides the batch record to the server, which
+// records the WAL group commit as part of the caller's trace; any other
+// is dropped, so an untraced edge goes on the wire exactly as QueueEdge
+// sends it.
 func (w *BatchWriter) QueueEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext, done func(error)) {
-	w.queueEdge(queuedEdge{from: from, to: to, weight: weight, trace: &tc, done: done})
+	qe := queuedEdge{from: from, to: to, weight: weight, done: done}
+	if tc.Valid() && tc.Sampled {
+		qe.trace = &tc
+	}
+	w.queueEdge(qe)
 }
 
 func (w *BatchWriter) queueEdge(qe queuedEdge) {

@@ -8,6 +8,7 @@
 package trajstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -405,6 +406,20 @@ func (s *Store) AddEdgeTraced(from, to int64, weight float64, tc protocol.TraceC
 	tr.RecordChild(obs.SpanContext(tc), "wal_commit", start, clk.Now(), "outcome", outcome)
 	return err
 }
+
+// QueueEdgeTraced is AddEdgeTraced with the result passed to done (if
+// non-nil) before it returns: the same edge-queueing call a camera makes
+// on a BatchWriter, kept synchronous so a simulation stays on one
+// goroutine.
+func (s *Store) QueueEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext, done func(error)) {
+	err := s.AddEdgeTraced(from, to, weight, tc)
+	if done != nil {
+		done(err)
+	}
+}
+
+// Flush is a no-op: QueueEdgeTraced leaves nothing queued.
+func (s *Store) Flush(context.Context) error { return nil }
 
 // ApplyBatch applies a mixed sequence of vertex and edge writes under
 // one store lock acquisition with one WAL group commit. The returned
