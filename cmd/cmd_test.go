@@ -97,8 +97,8 @@ func TestFlagSurfaceMatchesGolden(t *testing.T) {
 	for _, d := range daemons {
 		got = append(got, flagSurface(t, d)...)
 	}
-	if len(got) != 121 {
-		t.Errorf("flag count = %d, want 121", len(got))
+	if len(got) != 119 {
+		t.Errorf("flag count = %d, want 119", len(got))
 	}
 	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
 		t.Errorf("flag surface differs from testdata/flags.golden\n--- got\n%s\n--- want\n%s", g, w)
@@ -225,9 +225,9 @@ func (p *proc) terminate(t *testing.T, closing string) {
 }
 
 // TestSmokeDeployment boots the five servers on ephemeral loopback ports,
-// wired to each other — monitor, both stores on temp dirs with their
-// background passes ticking, topology server, one camera node — waits for
-// every /healthz, then stops each with SIGTERM. coral-monitor runs with
+// wired to each other — monitor, both stores on temp dirs (the frame
+// store's GC ticking), topology server, one camera node — waits for every
+// /healthz, then stops each with SIGTERM. coral-monitor runs with
 // -sweep-interval 0, which used to panic on the zero ticker interval.
 func TestSmokeDeployment(t *testing.T) {
 	if testing.Short() {
@@ -242,7 +242,8 @@ func TestSmokeDeployment(t *testing.T) {
 		return start(t, name, append(append([]string{"-listen", loopback, "-obs-listen", loopback}, fleet...), args...)...)
 	}
 
-	traj := server("trajstore-server", "-dir", filepath.Join(tmp, "traj"), "-compact-every", "20ms")
+	trajDir := filepath.Join(tmp, "traj")
+	traj := server("trajstore-server", "-dir", trajDir)
 	frames := server("framestore-server", "-dir", filepath.Join(tmp, "frames"),
 		"-retain-bytes", "1000000", "-gc-interval", "20ms")
 	graph := filepath.Join(tmp, "corridor.json")
@@ -266,6 +267,10 @@ func TestSmokeDeployment(t *testing.T) {
 	node.terminate(t, "done")
 	frames.terminate(t, "shutting down")
 	traj.terminate(t, "shutting down")
+	// The record log is the store's only file.
+	if entries, err := os.ReadDir(trajDir); err != nil || len(entries) != 1 || entries[0].Name() != "trajstore.log" {
+		t.Errorf("trajectory store directory holds %v, %v; want only trajstore.log", entries, err)
+	}
 	topo.terminate(t, "shutting down")
 	monitor.terminate(t, "shutting down")
 	if got := monitor.logged(t, "shutting down", "nodes"); got != "4" {

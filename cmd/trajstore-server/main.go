@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/obs"
@@ -19,9 +18,7 @@ import (
 var (
 	listen     = flag.String("listen", "127.0.0.1:7001", "address to listen on")
 	dir        = flag.String("dir", "", "persistence directory (empty = in-memory)")
-	compact    = flag.Duration("compact-every", 10*time.Minute, "snapshot compaction interval (persistent stores)")
-	fsync      = flag.Bool("fsync", false, "fsync every WAL group commit (durable across power loss; pair with -group-commit-window)")
-	window     = flag.Duration("group-commit-window", 0, "WAL group-commit window: writes acknowledged within one window share one flush (0 = flush immediately)")
+	fsync      = flag.Bool("fsync", false, "fsync every WAL group commit (durable across power loss)")
 	queryCache = flag.Int("query-cache", trajstore.DefaultQueryCacheSize, "server-side query result cache size in entries (negative = disable)")
 )
 
@@ -34,19 +31,8 @@ func run(rt *daemon.Runtime) error {
 	var err error
 	if *dir == "" {
 		store = trajstore.NewMemStore()
-	} else {
-		store, err = trajstore.OpenWithConfig(*dir, trajstore.StoreConfig{
-			Fsync:             *fsync,
-			GroupCommitWindow: *window,
-		})
-		if err != nil {
-			return err
-		}
-		rt.Every(*compact, func() {
-			if err := store.Compact(); err != nil {
-				rt.Logger.Error("compact", "err", err.Error())
-			}
-		})
+	} else if store, err = trajstore.OpenWithConfig(*dir, trajstore.StoreConfig{Fsync: *fsync}); err != nil {
+		return err
 	}
 	// Closing flushes the WAL, after the server below has drained.
 	rt.OnClose("store", store.Close)

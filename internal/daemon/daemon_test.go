@@ -296,7 +296,7 @@ func TestShutdownReportsAndAbandonsStuckStep(t *testing.T) {
 
 // TestEveryNonPositiveIntervalIsOff is the -sweep-interval 0 regression:
 // coral-monitor used to hand 0 straight to time.NewTicker and panic,
-// while -compact-every and -gc-interval treated it as "off".
+// while -gc-interval treated it as "off".
 func TestEveryNonPositiveIntervalIsOff(t *testing.T) {
 	rt, cancel, _ := boot(t, 0, "-obs-listen", "")
 	defer cancel()

@@ -1,9 +1,13 @@
 package trajstore
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -111,40 +115,70 @@ func TestApplyBatchPersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-// TestGroupCommitGroupsConcurrentWriters proves the WAL committer batches
-// records from concurrent writers into fewer flushes than records.
+// gatedWriter passes writes through to w once release is closed, and
+// signals entered on the first write it holds.
+type gatedWriter struct {
+	w       io.Writer
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return g.w.Write(p)
+}
+
+// TestGroupCommitGroupsConcurrentWriters: writers that arrive while the
+// committer is inside a flush all join the next group commit. The log's
+// writer is gated, so the first write holds the committer in its flush
+// until every other writer has queued behind it.
 func TestGroupCommitGroupsConcurrentWriters(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenWithConfig(dir, StoreConfig{GroupCommitWindow: 2 * time.Millisecond})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
+	// The committer is idle and next touches the log's writer after a
+	// writer below enqueues.
+	gate := &gatedWriter{w: s.persist.f, entered: make(chan struct{}), release: make(chan struct{})}
+	s.persist.w = bufio.NewWriter(gate)
 
-	const writers, perWriter = 8, 25
+	const writers = 8
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if _, err := s.AddVertex(event(fmt.Sprintf("cam%d#%d", w, i))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
+	write := func(id string) {
+		defer wg.Done()
+		if _, err := s.AddVertex(event(id)); err != nil {
+			t.Error(err)
+		}
 	}
+	wg.Add(1 + writers)
+	go write("first")
+	<-gate.entered
+	for w := 0; w < writers; w++ {
+		go write(fmt.Sprintf("cam%d", w))
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.persist.mu.Lock()
+		queued := len(s.persist.pending)
+		s.persist.mu.Unlock()
+		if queued == writers {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gate.release) // lets the deferred Close drain the committer
+			t.Fatalf("%d of %d writers queued behind the held flush", queued, writers)
+		}
+	}
+	close(gate.release)
 	wg.Wait()
 
-	st := s.WALStats()
-	if st.Records != writers*perWriter {
-		t.Fatalf("records = %d, want %d", st.Records, writers*perWriter)
+	if st := s.WALStats(); st.GroupCommits != 2 || st.Records != 1+writers {
+		t.Errorf("%d group commits of %d records; want the %d queued writers in one group after the first",
+			st.GroupCommits, st.Records, writers)
 	}
-	if st.GroupCommits >= st.Records {
-		t.Errorf("group commits %d not fewer than records %d: no grouping happened", st.GroupCommits, st.Records)
-	}
-	if s.NumVertices() != writers*perWriter {
+	if s.NumVertices() != 1+writers {
 		t.Errorf("vertices = %d", s.NumVertices())
 	}
 }
@@ -155,7 +189,7 @@ func TestGroupCommitGroupsConcurrentWriters(t *testing.T) {
 // from the copy holds every acknowledged write.
 func TestFsyncDurabilityOfAcknowledgedWrites(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenWithConfig(dir, StoreConfig{Fsync: true, GroupCommitWindow: time.Millisecond})
+	s, err := OpenWithConfig(dir, StoreConfig{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,45 +240,52 @@ func TestFsyncDurabilityOfAcknowledgedWrites(t *testing.T) {
 	}
 }
 
-// TestCrashDuringCompactNoDuplicateEdges reproduces the compaction crash
-// window: the snapshot is installed but the process dies before the WAL
-// is truncated, so restart replays a WAL whose contents are already in
-// the snapshot. Edge replay must be idempotent or weights silently skew.
-func TestCrashDuringCompactNoDuplicateEdges(t *testing.T) {
+// TestCrashDuringMigrationNoDuplicateEdges reproduces the migration crash
+// window: the migrated log is renamed into place but the process dies
+// before the legacy files are removed, so restart replays legacy files
+// whose contents are already in the log. Replay must be idempotent or
+// weights silently skew, and that open finishes the migration.
+func TestCrashDuringMigrationNoDuplicateEdges(t *testing.T) {
 	dir := t.TempDir()
+	vertex := func(id int64) Vertex {
+		v := Vertex{ID: id, Event: event(fmt.Sprintf("cam#%d", id))}
+		v.Event.VertexID = id
+		return v
+	}
+	// Vertices 1 and 2 with their edge in the snapshot, vertex 3 and the
+	// edge into it in the JSON log.
+	writeLegacySnapshot(t, dir, snapshotFile{
+		Vertices: []Vertex{vertex(1), vertex(2)},
+		Edges:    []Edge{{From: 1, To: 2, Weight: 0.1}},
+	})
+	var wal bytes.Buffer
+	v3, e23 := vertex(3), Edge{From: 2, To: 3, Weight: 0.2}
+	enc := json.NewEncoder(&wal)
+	_ = enc.Encode(legacyRecord{Op: "v", Vertex: &v3})
+	_ = enc.Encode(legacyRecord{Op: "e", Edge: &e23})
+	legacyPath := filepath.Join(dir, legacyWALFileName)
+	if err := os.WriteFile(legacyPath, wal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	s, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := s.AddVertex(event("cam#1"))
-	b, _ := s.AddVertex(event("cam#2"))
-	c, _ := s.AddVertex(event("cam#3"))
-	if err := s.AddEdge(a, b, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddEdge(b, c, 0.2); err != nil {
-		t.Fatal(err)
-	}
-
-	walPath := filepath.Join(dir, walFileName)
-	preCompactWAL, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(preCompactWAL) == 0 {
-		t.Fatal("wal empty before compact; test setup broken")
-	}
-
-	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Crash simulation: the snapshot landed but the WAL truncation did
-	// not — put the stale pre-compact WAL back.
-	if err := os.WriteFile(walPath, preCompactWAL, 0o644); err != nil {
+	assertOnlyLog(t, dir)
+	// Crash simulation: the rename landed but the unlinks did not — put
+	// the legacy files back beside the migrated log.
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacyPath, wal.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,11 +298,15 @@ func TestCrashDuringCompactNoDuplicateEdges(t *testing.T) {
 		t.Errorf("vertices = %d, want 3", s2.NumVertices())
 	}
 	if s2.NumEdges() != 2 {
-		t.Errorf("edges = %d, want 2: stale WAL replay duplicated edges", s2.NumEdges())
+		t.Errorf("edges = %d, want 2: replaying the legacy files again duplicated edges", s2.NumEdges())
 	}
-	if out := s2.OutEdges(a); len(out) != 1 || out[0].Weight != 0.1 {
-		t.Errorf("a's out edges = %+v", out)
+	if out := s2.OutEdges(1); len(out) != 1 || out[0].Weight != 0.1 {
+		t.Errorf("1's out edges = %+v", out)
 	}
+	if out := s2.OutEdges(2); len(out) != 1 || out[0].Weight != 0.2 {
+		t.Errorf("2's out edges = %+v", out)
+	}
+	assertOnlyLog(t, dir)
 }
 
 // TestTornWALTailTruncated proves a partial final record (a torn write

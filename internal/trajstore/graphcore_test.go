@@ -166,9 +166,6 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 	if _, _, err := s.ApplyBatch([]protocol.TrajWrite{protocol.VertexWrite(event("late#0"))}); !errors.Is(err, errDiskGone) {
 		t.Errorf("batch after failure: %v", err)
 	}
-	if err := s.Compact(); !errors.Is(err, errDiskGone) {
-		t.Errorf("compact after failure: %v", err)
-	}
 
 	close(stop)
 	if err := <-readerDone; err != nil {
@@ -217,8 +214,8 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 }
 
 // TestUnencodableWriteRejectedBeforeApply: a value JSON cannot carry (the
-// RPC responses and the snapshot are JSON) is one writer's error, not a
-// commit failure that stops the store for everyone.
+// RPC responses are JSON) is one writer's error, not a commit failure that
+// stops the store for everyone.
 func TestUnencodableWriteRejectedBeforeApply(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -251,10 +248,24 @@ func TestUnencodableWriteRejectedBeforeApply(t *testing.T) {
 // --- Duplicate event IDs: the lowest vertex ID answers, everywhere ---
 
 func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
+	// dup#1 twice and a filler sit in a legacy snapshot file, which some
+	// versions wrote with the vertices in map order: reversed here to stand
+	// for them. Open sorts them and migrates the directory; a third dup#1
+	// and both dup#2 then go to the record log.
 	dir := t.TempDir()
+	var file snapshotFile
+	for i, id := range []string{"dup#1", "filler#1", "dup#1"} {
+		v := Vertex{ID: int64(i + 1), Event: event(id)}
+		v.Event.VertexID = v.ID
+		file.Vertices = append([]Vertex{v}, file.Vertices...)
+	}
+	writeLegacySnapshot(t, dir, file)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.NumVertices() != 3 {
+		t.Fatalf("legacy snapshot opened with %d vertices, want 3", s.NumVertices())
 	}
 	add := func(id string) int64 {
 		t.Helper()
@@ -264,14 +275,7 @@ func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
 		}
 		return vid
 	}
-	// dup#1 twice and a filler land in the snapshot file, a third dup#1
-	// and both dup#2 in the WAL.
-	first := add("dup#1")
-	add("filler#1")
-	add("dup#1")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	const first = 1
 	add("dup#1")
 	second := add("dup#2")
 	add("dup#2")
@@ -303,27 +307,6 @@ func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
 	_ = client.Close()
 	_ = srv.Close()
 	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Snapshot files written before Compact ordered its output list the
-	// vertices in map order; reverse this one to stand for them.
-	path := filepath.Join(dir, snapshotFileName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file snapshotFile
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	for i, j := 0, len(file.Vertices)-1; i < j; i, j = i+1, j-1 {
-		file.Vertices[i], file.Vertices[j] = file.Vertices[j], file.Vertices[i]
-	}
-	if raw, err = json.Marshal(file); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(dir)

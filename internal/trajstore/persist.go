@@ -16,20 +16,24 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
 const (
-	// walFileName is the binary record log every write appends to.
-	walFileName = "trajstore.log"
-	// legacyWALFileName is the JSON-lines log written before the binary
-	// records. Open replays it; nothing writes it; Compact removes it.
+	// walFileName is the binary record log every write appends to, and the
+	// only file a store writes.
+	walFileName       = "trajstore.log"
 	legacyWALFileName = "trajstore.wal"
 	snapshotFileName  = "trajstore.snapshot.json"
 )
+
+// legacyFiles are the JSON-lines log and the JSON snapshot older versions
+// wrote. Open replays them once; migrateLegacy then removes them in this
+// order, because the JSON log replayed without the snapshot before it would
+// leave the snapshot's IDs below its vertices as gaps replay never fills.
+var legacyFiles = []string{legacyWALFileName, snapshotFileName}
 
 // ErrWALCorrupt is returned by Open when the write-ahead log is damaged
 // in the middle of the file. A damaged tail is expected after a crash and
@@ -188,28 +192,21 @@ type legacyRecord struct {
 	Edge   *Edge   `json:"edge,omitempty"`
 }
 
-// snapshotFile is the compacted on-disk state.
+// snapshotFile is the legacy JSON snapshot. Its nextId is not read: an ID
+// past the last vertex was never committed, so no record refers to it.
 type snapshotFile struct {
-	NextID   int64    `json:"nextId"`
 	Vertices []Vertex `json:"vertices"`
 	Edges    []Edge   `json:"edges"`
 }
 
 // StoreConfig tunes the durability of a persistent store. The zero value
-// preserves the original behaviour: buffered writes flushed to the OS on
-// every commit, no fsync, no commit window.
+// flushes buffered writes to the OS on every group commit, without fsync.
 type StoreConfig struct {
 	// Fsync forces an fsync after every WAL group commit, so an
 	// acknowledged write survives a machine crash, not just a process
 	// crash. Group commit amortizes the sync across every write that
 	// joined the commit.
 	Fsync bool
-	// GroupCommitWindow is how long the WAL committer waits after waking
-	// before flushing, letting concurrent writers accumulate into one
-	// write+flush(+fsync). Zero commits as soon as the committer drains
-	// the queue, which still groups writes that arrive while a previous
-	// flush is in progress.
-	GroupCommitWindow time.Duration
 }
 
 // WALStats are the persister's lifetime counters, exposed for tests and
@@ -238,19 +235,18 @@ type commitBatch struct {
 // persister owns the log file handle. Writers enqueue framed records
 // (while holding the store lock, which fixes log order) and wait outside
 // the lock; a background committer writes everything pending with a single
-// flush — and a single fsync when configured — so concurrent writers
-// share the disk cost (group commit). A group that commits makes its
-// writes visible: the committer publishes the group's last watermark, with
-// one atomic store and no store lock, before it acknowledges anyone.
+// flush — and a single fsync when configured — so writers that arrive
+// while a flush or fsync is in progress share the next one (group commit).
+// A group that commits makes its writes visible: the committer publishes
+// the group's last watermark, with one atomic store and no store lock,
+// before it acknowledges anyone.
 //
 // The WAL is fail-stop. The first group that fails latches its error:
 // that group, everything queued behind it and every later write fail with
 // it until the store is reopened. Otherwise a later group could commit an
 // edge whose vertex was in the failed one.
 type persister struct {
-	dir       string
 	fsync     bool
-	window    time.Duration
 	published *atomic.Pointer[Snapshot]
 
 	f *os.File
@@ -258,7 +254,6 @@ type persister struct {
 
 	mu      sync.Mutex
 	pending []*commitBatch
-	stopped bool
 	err     error // the latched commit failure
 
 	kick chan struct{}
@@ -276,9 +271,7 @@ func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapsho
 		return nil, fmt.Errorf("trajstore: open wal: %w", err)
 	}
 	p := &persister{
-		dir:       dir,
 		fsync:     cfg.Fsync,
-		window:    cfg.GroupCommitWindow,
 		published: published,
 		f:         f,
 		w:         bufio.NewWriter(f),
@@ -294,16 +287,11 @@ func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapsho
 // one atomic unit and returns the channel carrying the commit result.
 // Callers hold the store lock, which makes the log order match the
 // in-memory apply order; they must receive from the channel after
-// releasing it. An empty batch is a barrier: its result arrives once
-// everything queued before it has committed or failed.
+// releasing it.
 func (p *persister) enqueue(buf []byte, n int64, snap *Snapshot) <-chan error {
 	b := &commitBatch{buf: buf, n: n, snap: snap, done: make(chan error, 1)}
 	p.mu.Lock()
-	err := p.err
-	if err == nil && p.stopped {
-		err = errors.New("trajstore: wal closed")
-	}
-	if err != nil {
+	if err := p.err; err != nil {
 		p.mu.Unlock()
 		b.done <- err
 		return b.done
@@ -324,29 +312,18 @@ func (p *persister) failure() error {
 	return p.err
 }
 
-// run is the committer loop: wake on the first pending batch, optionally
-// linger for the group-commit window, then write everything pending with
-// one flush.
+// run is the committer loop: wake on the first pending batch, then write
+// everything pending with one flush.
 func (p *persister) run() {
 	defer close(p.done)
 	for {
 		select {
 		case <-p.kick:
+			p.commitPending()
 		case <-p.stop:
 			p.commitPending()
 			return
 		}
-		if p.window > 0 {
-			timer := time.NewTimer(p.window)
-			select {
-			case <-timer.C:
-			case <-p.stop:
-				timer.Stop()
-				p.commitPending()
-				return
-			}
-		}
-		p.commitPending()
 	}
 }
 
@@ -385,9 +362,6 @@ func (p *persister) write(batch []*commitBatch) error {
 		}
 		n += b.n
 	}
-	if n == 0 {
-		return nil // only barriers
-	}
 	if err := p.w.Flush(); err != nil {
 		return fmt.Errorf("trajstore: wal flush: %w", err)
 	}
@@ -402,16 +376,9 @@ func (p *persister) write(batch []*commitBatch) error {
 	return nil
 }
 
-// close drains pending commits, flushes, and closes the WAL file.
-// Idempotent.
+// close drains pending commits, flushes, and closes the WAL file. Store
+// calls it once, under s.mu, so no write is enqueued after it.
 func (p *persister) close() error {
-	p.mu.Lock()
-	if p.stopped {
-		p.mu.Unlock()
-		return nil
-	}
-	p.stopped = true
-	p.mu.Unlock()
 	close(p.stop)
 	<-p.done
 	if err := p.w.Flush(); err != nil {
@@ -434,9 +401,10 @@ func (p *persister) stats() WALStats {
 }
 
 // Open loads (or creates) a persistent store in dir with default
-// durability (buffered flush, no fsync): the snapshot is read first, then
-// a legacy JSON log is replayed on top, then the record log, and new
-// writes append to the record log.
+// durability (buffered flush, no fsync): it replays the record log, and
+// new writes append to it. A directory an older version wrote is read
+// first — its snapshot, then its JSON log, then the record log on top —
+// and migrated to the record log alone.
 func Open(dir string) (*Store, error) {
 	return OpenWithConfig(dir, StoreConfig{})
 }
@@ -460,12 +428,14 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 		return nil, err
 	}
 	s.published.Store(s.snapshotLocked())
+	if err := migrateLegacy(dir, s.Snapshot()); err != nil {
+		return nil, err
+	}
 	p, err := newPersister(dir, cfg, &s.published)
 	if err != nil {
 		return nil, err
 	}
 	s.persist = p
-	s.persistCfg = cfg
 	return s, nil
 }
 
@@ -482,36 +452,31 @@ func (s *Store) loadSnapshot(path string) error {
 	if err := json.NewDecoder(f).Decode(&snap); err != nil {
 		return fmt.Errorf("trajstore: decode snapshot: %w", err)
 	}
-	return s.restore(snap)
+	s.restore(snap)
+	return nil
 }
 
-// restore loads the compacted state. Files written before Compact ordered
-// its output list vertices in map order, so they are sorted here: the
-// vertex slice and the vehicle index fill in ascending ID order.
-func (s *Store) restore(snap snapshotFile) error {
+// restore loads a legacy snapshot. Some versions listed its vertices in
+// map order, so they are sorted here: the vertex slice and the vehicle
+// index fill in ascending ID order.
+func (s *Store) restore(snap snapshotFile) {
 	sort.Slice(snap.Vertices, func(i, j int) bool { return snap.Vertices[i].ID < snap.Vertices[j].ID })
 	for _, v := range snap.Vertices {
 		s.putVertexLocked(v)
 	}
-	// NextID past the last vertex: IDs handed out and never committed are
-	// not reused.
-	if !s.growLocked(snap.NextID - 1) {
-		return fmt.Errorf("trajstore: snapshot nextId %d implausible after %d vertices", snap.NextID, len(s.verts))
-	}
 	for _, e := range snap.Edges {
 		_ = s.applyEdgeLocked(e.From, e.To, e.Weight, nil) // as replay: skip a dangling or duplicate edge
 	}
-	return nil
 }
 
 // applyLogRecord replays one record idempotently (nothing else can see the
 // store yet; Open publishes once replay is done): a vertex whose ID is
 // already loaded is kept as loaded, and an edge duplicating an existing
 // (from, to) pair — the store's own uniqueness invariant — or missing an
-// endpoint is skipped. Idempotence is what makes the compaction crash
-// window safe: if the process dies after the snapshot is installed but
-// before the logs are truncated and removed, restart replays every edge
-// already in the snapshot without skewing trajectory weights.
+// endpoint is skipped. Idempotence is what makes the migration crash
+// window safe: if the process dies after the migrated log is installed
+// but before the legacy files are removed, restart replays every record
+// already in them without skewing trajectory weights.
 func (s *Store) applyLogRecord(rec logRecord) {
 	if rec.op == opVertex {
 		s.putVertexLocked(rec.vertex)
@@ -641,76 +606,64 @@ func (s *Store) truncateWALTail(path string, offset int64) error {
 	return nil
 }
 
-// Compact writes the committed state as a snapshot, truncates the record
-// log and removes a legacy JSON log. Safe to call while the store is
-// serving writes: it first waits for the committer to settle everything
-// already applied (publication needs no store lock, so holding it here
-// cannot deadlock), then serialises the published snapshot — never a write
-// whose commit is pending or failed. If the process crashes between
-// installing the snapshot and clearing the logs, the next open replays the
-// stale logs idempotently (see applyLogRecord), so no write is duplicated
-// or lost.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.beginWriteLocked(); err != nil {
-		return err
-	}
-	if s.persist == nil {
-		return errors.New("trajstore: in-memory store has nothing to compact")
-	}
-	if err := <-s.persist.enqueue(nil, 0, s.snapshotLocked()); err != nil {
-		return err
-	}
-	view := s.Snapshot()
-	snap := snapshotFile{NextID: view.MaxVertexID() + 1}
-	for id := int64(1); id <= view.MaxVertexID(); id++ {
-		if v, err := view.Vertex(id); err == nil {
-			snap.Vertices = append(snap.Vertices, v)
-			snap.Edges = append(snap.Edges, view.edges(id, true)...)
+// migrateLegacy rewrites a directory still holding legacyFiles as the
+// record log alone, once, after Open's replay: sn — every vertex in
+// ascending ID, then the edges grouped by ascending source — is written to
+// a temporary log and synced, renamed over the record log, and the legacy
+// files removed in order, the directory synced before each removal whatever
+// StoreConfig.Fsync says (until the rename they are the only other copy).
+// A crash at any step leaves the old or the migrated log beside a suffix of
+// legacyFiles, which replays to the same graph (see applyLogRecord); that
+// open finishes the migration.
+func migrateLegacy(dir string, sn *Snapshot) error {
+	var legacy []string
+	for _, name := range legacyFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			legacy = append(legacy, name)
 		}
 	}
-
-	tmp := filepath.Join(s.persist.dir, snapshotFileName+".tmp")
+	if len(legacy) == 0 {
+		return nil
+	}
+	var vs, es walBatch
+	for id := int64(1); id <= sn.MaxVertexID(); id++ {
+		if v, err := sn.Vertex(id); err == nil {
+			if err := vs.addVertex(&v); err != nil {
+				return fmt.Errorf("trajstore: migrate legacy files: %w", err)
+			}
+		}
+		for _, e := range sn.edges(id, true) {
+			_ = es.addEdge(e) // fixed-size, far below maxRecordBytes
+		}
+	}
+	tmp := filepath.Join(dir, walFileName+".tmp")
 	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("trajstore: create snapshot: %w", err)
+	if err == nil {
+		_, err = f.Write(append(vs.buf, es.buf...))
+		err = errors.Join(err, f.Sync(), f.Close())
 	}
-	if err := json.NewEncoder(f).Encode(snap); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("trajstore: write snapshot: %w", err)
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, walFileName))
 	}
-	if s.persistCfg.Fsync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return fmt.Errorf("trajstore: sync snapshot: %w", err)
+	for _, name := range legacy {
+		if err == nil {
+			err = syncDir(dir)
+		}
+		if err == nil {
+			err = os.Remove(filepath.Join(dir, name))
 		}
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("trajstore: close snapshot: %w", err)
+	if err != nil {
+		return fmt.Errorf("trajstore: migrate legacy files: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.persist.dir, snapshotFileName)); err != nil {
-		return fmt.Errorf("trajstore: install snapshot: %w", err)
-	}
+	return nil
+}
 
-	// Clear the logs now that their contents are in the snapshot.
-	if err := s.persist.close(); err != nil {
-		return err
-	}
-	if err := os.Truncate(filepath.Join(s.persist.dir, walFileName), 0); err != nil {
-		return fmt.Errorf("trajstore: truncate wal: %w", err)
-	}
-	if err := os.Remove(filepath.Join(s.persist.dir, legacyWALFileName)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("trajstore: remove legacy wal: %w", err)
-	}
-	prev := s.persist.stats()
-	p, err := newPersister(s.persist.dir, s.persistCfg, &s.published)
+// syncDir fsyncs a directory, making a rename in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
-	p.commits.Store(prev.GroupCommits)
-	p.records.Store(prev.Records)
-	p.syncs.Store(prev.Syncs)
-	s.persist = p
-	return nil
+	return errors.Join(d.Sync(), d.Close())
 }

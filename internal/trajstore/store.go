@@ -3,8 +3,8 @@
 // detection events and whose weighted directed edges link consecutive
 // sightings of (what re-identification believes is) the same vehicle. The
 // paper hosts this in JanusGraph on an edge node; this package provides a
-// from-scratch store with write-ahead-log persistence, snapshot
-// compaction, traversal queries, and a TCP server/client.
+// from-scratch store whose append-only record log is its whole on-disk
+// state, traversal queries, and a TCP server/client.
 package trajstore
 
 import (
@@ -144,11 +144,10 @@ type Store struct {
 	// published is the newest committed watermark; never nil.
 	published atomic.Pointer[Snapshot]
 
-	persist    *persister // nil for in-memory stores
-	persistCfg StoreConfig
-	m          storeMetrics
-	clk        clock.Clock
-	tracer     *obs.Tracer // nil disables wal_commit spans
+	persist *persister // nil for in-memory stores
+	m       storeMetrics
+	clk     clock.Clock
+	tracer  *obs.Tracer // nil disables wal_commit spans
 
 	walTailTruncations int64 // torn tails discarded during replay
 }
@@ -205,8 +204,8 @@ func (s *Store) snapshotLocked() *Snapshot {
 	return &Snapshot{store: s, verts: s.verts, version: s.seq, nVerts: s.nVerts, nEdges: s.nEdges}
 }
 
-// maxIDGap bounds how far one replayed vertex or snapshot-file NextID may
-// jump the ID sequence, so a corrupt ID cannot become a huge allocation.
+// maxIDGap bounds how far one replayed vertex may jump the ID sequence, so
+// a corrupt ID cannot become a huge allocation.
 const maxIDGap = 1 << 20
 
 // growLocked pads the vertex slice with gaps up to length n and reports
@@ -238,10 +237,10 @@ func (s *Store) putVertexLocked(v Vertex) {
 	s.nVerts++
 }
 
-// finite rejects floats JSON cannot carry: the RPC responses and the
-// Compact snapshot are JSON. They, and a timestamp outside years 0..9999,
-// are turned away before anything is applied, so everything stored can be
-// served and compacted; replay refuses a log record carrying one.
+// finite rejects floats JSON cannot carry, because the RPC responses are
+// JSON. They, and a timestamp outside years 0..9999, are turned away before
+// anything is applied, so everything stored can be served; replay refuses
+// a log record carrying one.
 func finite(floats ...float64) error {
 	var acc float64
 	for _, f := range floats {

@@ -291,40 +291,6 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buildChain(t, s, 5)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Writes continue after compaction.
-	if _, err := s.AddVertex(event("c#x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s2.Close() }()
-	if s2.NumVertices() != 6 || s2.NumEdges() != 4 {
-		t.Errorf("after compact+reload: %d vertices %d edges", s2.NumVertices(), s2.NumEdges())
-	}
-}
-
-func TestCompactInMemoryErrors(t *testing.T) {
-	s := NewMemStore()
-	if err := s.Compact(); err == nil {
-		t.Error("compacting an in-memory store should error")
-	}
-}
-
 func TestOpenEmptyDirErrors(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("empty dir should error")

@@ -61,12 +61,11 @@ func legacyAnswers(sn *Snapshot, vehicles []string) []byte {
 }
 
 // copyLegacyDir copies the directory the JSON-log engine wrote (a snapshot
-// and a JSON log, 24 vertices across both) into a temporary directory and
-// returns it with the legacy log's bytes.
-func copyLegacyDir(t *testing.T) (dir string, legacyWAL []byte) {
+// and a JSON log, 24 vertices across both) into a temporary directory.
+func copyLegacyDir(t *testing.T) string {
 	t.Helper()
-	dir = t.TempDir()
-	for _, name := range []string{snapshotFileName, legacyWALFileName} {
+	dir := t.TempDir()
+	for _, name := range legacyFiles {
 		data, err := os.ReadFile(filepath.Join("testdata", "json-wal", name))
 		if err != nil {
 			t.Fatal(err)
@@ -74,11 +73,36 @@ func copyLegacyDir(t *testing.T) (dir string, legacyWAL []byte) {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if name == legacyWALFileName {
-			legacyWAL = data
-		}
 	}
-	return dir, legacyWAL
+	return dir
+}
+
+// writeLegacySnapshot writes file as the JSON snapshot older versions kept.
+func writeLegacySnapshot(t *testing.T, dir string, file snapshotFile) {
+	t.Helper()
+	raw, err := json.Marshal(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertOnlyLog fails unless the record log is the only file in dir.
+func assertOnlyLog(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != walFileName {
+		t.Errorf("directory holds %v, want only %s", names, walFileName)
+	}
 }
 
 // assertFile fails unless path holds want; nil want means no file.
@@ -96,13 +120,14 @@ func assertFile(t *testing.T, path string, want []byte) {
 }
 
 // TestLegacyJSONDirectoryOpens: a directory written by the JSON-log
-// engine opens with every write, and answers exactly as that engine did.
+// engine opens with every write and answers exactly as that engine did,
+// and the open migrates the legacy log away.
 func TestLegacyJSONDirectoryOpens(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "json-wal", "answers.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, legacy := copyLegacyDir(t)
+	dir := copyLegacyDir(t)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -114,15 +139,14 @@ func TestLegacyJSONDirectoryOpens(t *testing.T) {
 	if got := legacyAnswers(s.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
 		t.Errorf("answers differ from the JSON-log engine's\n got: %s\nwant: %s", got, want)
 	}
-	assertFile(t, filepath.Join(dir, legacyWALFileName), legacy)
+	assertFile(t, filepath.Join(dir, legacyWALFileName), nil)
 }
 
-// TestLegacyPlusLogDirectory: after an upgrade, new writes go to the record
-// log, never to the legacy JSON log, and a reopen replays the snapshot,
-// then the legacy log, then the record log, with edges crossing from
-// legacy vertices to new ones.
+// TestLegacyPlusLogDirectory: after an upgrade, the legacy log is gone,
+// new writes go to the record log, and edges crossing from legacy vertices
+// to new ones survive two reopens.
 func TestLegacyPlusLogDirectory(t *testing.T) {
-	dir, legacy := copyLegacyDir(t)
+	dir := copyLegacyDir(t)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -141,61 +165,154 @@ func TestLegacyPlusLogDirectory(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertFile(t, filepath.Join(dir, legacyWALFileName), legacy)
+	assertFile(t, filepath.Join(dir, legacyWALFileName), nil)
 	if fi, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || fi.Size() == 0 {
 		t.Fatalf("record log after writes: %v, %v", fi, err)
 	}
 
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = reopened.Close() }()
-	if reopened.NumVertices() != 26 {
-		t.Fatalf("reopened %d vertices, want 26", reopened.NumVertices())
-	}
-	if got := legacyAnswers(reopened.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
-		t.Errorf("reopened answers differ\n got: %s\nwant: %s", got, want)
+	for reopen := 1; reopen <= 2; reopen++ {
+		reopened, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reopened.NumVertices() != 26 {
+			t.Fatalf("reopen %d: %d vertices, want 26", reopen, reopened.NumVertices())
+		}
+		if in := reopened.InEdges(25); len(in) != 2 || in[0] != (Edge{3, 25, 0.25}) || in[1] != (Edge{24, 25, 0.125}) {
+			t.Errorf("reopen %d: edges into 25 = %+v", reopen, in)
+		}
+		if got := legacyAnswers(reopened.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
+			t.Errorf("reopen %d: answers differ\n got: %s\nwant: %s", reopen, got, want)
+		}
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestCompactRemovesLegacyWAL: no write touches the legacy log; the next
-// Compact, once its snapshot is installed, removes it and empties the
-// record log, and a reopen still answers every write.
-func TestCompactRemovesLegacyWAL(t *testing.T) {
-	dir, legacy := copyLegacyDir(t)
-	s, err := Open(dir)
+// TestOpenMigratesLegacyDirectory: the open that finds the JSON-log
+// engine's files answers as that engine did and leaves the record log as
+// the directory's only file, from which the next open answers the same.
+func TestOpenMigratesLegacyDirectory(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "json-wal", "answers.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = s.Close() }()
-	if _, err := s.AddVertex(event("new#1")); err != nil {
+	dir := copyLegacyDir(t)
+	for open := 1; open <= 2; open++ {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := legacyAnswers(s.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
+			t.Errorf("open %d: answers differ from the JSON-log engine's\n got: %s\nwant: %s", open, got, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertOnlyLog(t, dir)
+	}
+}
+
+// TestCrashDuringLegacyDirectoryMigration: a crash before the migration's
+// k-th removal leaves legacyFiles[k:] beside the migrated log. Every such
+// directory reopens to the JSON-log engine's 24 vertices and answers,
+// finishes the migration, and the next open answers the same. Removing the
+// snapshot first would leave the JSON log alone, whose vertices 13..24,
+// replayed before the log, hide the log's vertices 1..12.
+func TestCrashDuringLegacyDirectoryMigration(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "json-wal", "answers.txt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddEdge(24, 25, 0.125); err != nil {
+	for k := range legacyFiles {
+		left := legacyFiles[k:]
+		dir := copyLegacyDir(t)
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range left {
+			data, err := os.ReadFile(filepath.Join("testdata", "json-wal", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for open := 1; open <= 2; open++ {
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.NumVertices() != 24 {
+				t.Errorf("%v left, open %d: %d vertices, want 24", left, open, s.NumVertices())
+			}
+			if got := legacyAnswers(s.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
+				t.Errorf("%v left, open %d: answers differ from the JSON-log engine's\n got: %s\nwant: %s", left, open, got, want)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertOnlyLog(t, dir)
+		}
+	}
+}
+
+// TestLegacyWALDamage: the legacy log keeps the record log's damage rules.
+// A last line that does not decode or lacks its newline is a torn tail,
+// dropped and counted before the migration; a line that does not decode
+// with an intact one after it refuses the open and leaves the directory
+// as it was.
+func TestLegacyWALDamage(t *testing.T) {
+	intact, err := os.ReadFile(filepath.Join("testdata", "json-wal", legacyWALFileName))
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertFile(t, filepath.Join(dir, legacyWALFileName), legacy)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	open := func(wal []byte) (dir string, s *Store, err error) {
+		dir = copyLegacyDir(t)
+		if err := os.WriteFile(filepath.Join(dir, legacyWALFileName), wal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err = Open(dir)
+		return dir, s, err
 	}
-	assertFile(t, filepath.Join(dir, legacyWALFileName), nil)
-	assertFile(t, filepath.Join(dir, walFileName), []byte{})
-	if _, err := s.AddVertex(event("new#2")); err != nil {
-		t.Fatal(err)
-	}
-	want := legacyAnswers(s.Snapshot(), legacyVehicles)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	withoutLast := intact[:bytes.LastIndexByte(intact[:len(intact)-1], '\n')+1]
+	for _, tc := range []struct {
+		name      string
+		wal, want []byte // want: the log whose open the damaged one must match
+	}{
+		{"unterminated last line", intact[:len(intact)-1], withoutLast},
+		{"undecodable last line", append(bytes.Clone(intact), `{"op":"v"`+"\n"...), intact},
+	} {
+		_, s, err := open(tc.wal)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_, ref, err := open(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(legacyAnswers(s.Snapshot(), legacyVehicles), legacyAnswers(ref.Snapshot(), legacyVehicles)) ||
+			s.WALStats().TailTruncations != 1 || ref.WALStats().TailTruncations != 0 {
+			t.Errorf("%s: opened %d vertices, %d edges, %d truncations; want %d, %d, 1", tc.name,
+				s.NumVertices(), s.NumEdges(), s.WALStats().TailTruncations, ref.NumVertices(), ref.NumEdges())
+		}
+		_, _ = s.Close(), ref.Close()
 	}
 
-	reopened, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	smashed := append([]byte("#"), intact[1:]...)
+	dir, _, err := open(smashed)
+	if !errors.Is(err, ErrWALCorrupt) {
+		t.Fatalf("first line smashed: open = %v, want ErrWALCorrupt", err)
 	}
-	defer func() { _ = reopened.Close() }()
-	if got := legacyAnswers(reopened.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
-		t.Errorf("answers after compact and reopen differ\n got: %s\nwant: %s", got, want)
+	assertFile(t, filepath.Join(dir, legacyWALFileName), smashed)
+	if _, err := os.Stat(filepath.Join(dir, snapshotFileName)); err != nil {
+		t.Errorf("snapshot after a refused open: %v", err)
 	}
 }
 
@@ -325,7 +442,9 @@ func FuzzOpenWAL(f *testing.F) {
 
 // BenchmarkOpenReplay is recovery time: Open of a directory holding 10^4
 // vertices (2 000 vehicles × 5 hops, camera-like histograms with six set
-// bins) and ~9·10^3 edges, as a binary record log and as a legacy JSON log.
+// bins) and ~9·10^3 edges, as a binary record log, and the one-time
+// migration of the same graph as a legacy JSON log. The file is put back
+// before each open.
 func BenchmarkOpenReplay(b *testing.B) {
 	const vehicles, hops = 2000, 5
 	mem := NewMemStore()
@@ -379,21 +498,26 @@ func BenchmarkOpenReplay(b *testing.B) {
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(jsonDir, legacyWALFileName), legacy.Bytes(), 0o644); err != nil {
+	binLog, err := os.ReadFile(filepath.Join(binDir, walFileName))
+	if err != nil {
 		b.Fatal(err)
 	}
 
-	for _, tc := range []struct{ name, dir, file string }{
-		{"log=binary", binDir, walFileName},
-		{"log=json", jsonDir, legacyWALFileName},
+	for _, tc := range []struct {
+		name, dir, file string
+		data            []byte
+	}{
+		{"log=binary", binDir, walFileName, binLog},
+		{"migrate=json", jsonDir, legacyWALFileName, legacy.Bytes()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			fi, err := os.Stat(filepath.Join(tc.dir, tc.file))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				_ = os.Remove(filepath.Join(tc.dir, walFileName))
+				if err := os.WriteFile(filepath.Join(tc.dir, tc.file), tc.data, 0o644); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 				st, err := Open(tc.dir)
 				if err != nil {
 					b.Fatal(err)
@@ -405,7 +529,7 @@ func BenchmarkOpenReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(fi.Size())/float64(sn.NumVertices()+sn.NumEdges()), "log_bytes/record")
+			b.ReportMetric(float64(len(tc.data))/float64(sn.NumVertices()+sn.NumEdges()), "log_bytes/record")
 		})
 	}
 }
