@@ -37,8 +37,9 @@ smoke:
 # fuzz runs each codec fuzz target for a short while on top of its
 # checked-in corpus (testdata/fuzz in each package): envelopes of either
 # format through Open, frame records as the framestore reads them,
-# detection events as the trajectory store's log records carry them, and
-# whole trajectory-store logs through Open against the pre-apply validator.
+# detection events as the trajectory store's log records carry them, whole
+# trajectory-store logs through Open against the pre-apply validator, and
+# trajectory-store request frames through the server's op dispatch.
 # go test takes one -fuzz target per run. Minimizing each new input for the
 # default 60 s would eat the whole budget, so it gets 1 s.
 fuzz:
@@ -46,6 +47,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrameRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetectionEvent$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 
 vet:
 	$(GO) vet ./...

@@ -97,8 +97,8 @@ func TestFlagSurfaceMatchesGolden(t *testing.T) {
 	for _, d := range daemons {
 		got = append(got, flagSurface(t, d)...)
 	}
-	if len(got) != 119 {
-		t.Errorf("flag count = %d, want 119", len(got))
+	if len(got) != 118 {
+		t.Errorf("flag count = %d, want 118", len(got))
 	}
 	if g, w := strings.Join(got, "\n"), strings.Join(want, "\n"); g != w {
 		t.Errorf("flag surface differs from testdata/flags.golden\n--- got\n%s\n--- want\n%s", g, w)

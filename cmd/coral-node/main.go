@@ -154,24 +154,16 @@ func run(rt *daemon.Runtime) error {
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
 		}
-		if len(addrs) == 1 && *frameQuorum <= 1 {
-			fsClient, err := framestore.NewClient(ep, addrs[0])
-			if err != nil {
-				return err
-			}
-			cfg.FrameStore = fsClient
-		} else {
-			mc, err := framestore.NewMultiClient(ep, addrs, framestore.MultiClientConfig{
-				CallTimeout: rt.RPC.CallTimeout,
-				RetryBudget: rt.RPC.RetryBudget,
-				Quorum:      *frameQuorum,
-				Registry:    obs.Default(),
-			})
-			if err != nil {
-				return err
-			}
-			cfg.FrameStore = mc
+		mc, err := framestore.NewMultiClient(ep, addrs, framestore.MultiClientConfig{
+			CallTimeout: rt.RPC.CallTimeout,
+			RetryBudget: rt.RPC.RetryBudget,
+			Quorum:      *frameQuorum,
+			Registry:    obs.Default(),
+		})
+		if err != nil {
+			return err
 		}
+		cfg.FrameStore = mc
 		cfg.StoreFrames = true
 	}
 	node, err := camnode.New(cfg, ep)

@@ -25,7 +25,6 @@ var (
 	segmentBytes = flag.Int64("segment-bytes", framestore.DefaultSegmentBytes, "per-camera segment roll threshold in bytes")
 	retainFrames = flag.Duration("retain-frames", 0, "drop sealed segments whose newest frame is older than this (0 = keep forever)")
 	retainBytes  = flag.Int64("retain-bytes", 0, "bound total on-disk bytes, deleting oldest sealed segments when exceeded (0 = unbounded)")
-	cacheFrames  = flag.Int("cache-frames", 0, "capacity of the read-through LRU frame cache in records (0 = disabled)")
 	gcInterval   = flag.Duration("gc-interval", time.Minute, "how often retention GC runs when -retain-frames or -retain-bytes is set (0 = only on segment rolls)")
 )
 
@@ -36,7 +35,6 @@ func run(rt *daemon.Runtime) error {
 		SegmentBytes: *segmentBytes,
 		RetainAge:    *retainFrames,
 		RetainBytes:  *retainBytes,
-		CacheFrames:  *cacheFrames,
 	})
 	if err != nil {
 		return err

@@ -2,10 +2,9 @@
 // work (Section 8): it connects to a running trajectory store server and
 // reconstructs the space-time track of a vehicle from any known sighting.
 //
-// By default the reconstruction executes inside the server (one round
-// trip against a consistent snapshot via the reconstruct/best/sightings
-// ops); -fallback walks the graph client-side over the per-vertex ops,
-// which stays wire-compatible with servers predating the query engine.
+// The reconstruction executes inside the server: one round trip against
+// a consistent snapshot via the reconstruct/best/sightings ops. A server
+// predating those ops answers with an unknown-op error.
 //
 // Usage:
 //
@@ -13,7 +12,6 @@
 //	trajquery -server 127.0.0.1:7001 -event cam1#42 -best
 //	trajquery -server 127.0.0.1:7001 -vertex 7 -max-depth 16
 //	trajquery -server 127.0.0.1:7001 -vehicle veh-03
-//	trajquery -server 127.0.0.1:7001 -event cam1#42 -fallback
 //	trajquery -server 127.0.0.1:7001 -stats
 package main
 
@@ -46,7 +44,6 @@ func run() error {
 		vertexID = flag.Int64("vertex", 0, "start from a trajectory-graph vertex id")
 		vehicle  = flag.String("vehicle", "", "list the ground-truth sightings of a vehicle id")
 		best     = flag.Bool("best", false, "print only the top-ranked track")
-		fallback = flag.Bool("fallback", false, "reconstruct client-side over the per-vertex ops (works against old servers)")
 		maxDepth = flag.Int("max-depth", 64, "traversal depth limit")
 		maxPaths = flag.Int("max-paths", 32, "candidate path limit")
 		stats    = flag.Bool("stats", false, "print store statistics and exit")
@@ -104,17 +101,11 @@ func run() error {
 	}
 
 	var tracks []trajstore.Track
-	switch {
-	case *fallback:
-		// Client-side walk over the per-vertex ops (one RPC per distinct
-		// vertex, memoized per query) — the path old servers still speak.
-		// The view is bound to ctx, so ^C stops the walk.
-		tracks, err = trajstore.ReconstructTracks(client.View(ctx), start.ID, limits)
-	case *best:
+	if *best {
 		var track trajstore.Track
 		track, err = client.BestContext(ctx, start.Event.ID, limits)
 		tracks = []trajstore.Track{track}
-	default:
+	} else {
 		tracks, err = client.ReconstructVertexContext(ctx, start.ID, limits)
 	}
 	if err != nil {

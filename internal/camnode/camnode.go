@@ -46,8 +46,8 @@ type TrajStore interface {
 	Flush(ctx context.Context) error
 }
 
-// FrameSink is the frame storage client interface (framestore.Client,
-// framestore.MultiClient). The node passes the ingest context, so frame
+// FrameSink is the frame storage client interface (framestore.MultiClient,
+// over one or more replicas). The node passes the ingest context, so frame
 // sends carry the frame's trace and honor its deadline.
 type FrameSink interface {
 	StoreFrameContext(ctx context.Context, rec protocol.FrameRecord) error

@@ -116,7 +116,7 @@ type Config struct {
 	// "frame-store-0" … "frame-store-<N-1>") and fans every camera's
 	// frames out to all of them through framestore.MultiClient, so a
 	// single store failure (FailFrameStore) loses no evidence. 0 or 1
-	// keeps the single store at "frame-store".
+	// keeps the single store at "frame-store" (a one-replica MultiClient).
 	FrameReplicas int
 	// Camera geometry overrides (zero values use sim defaults).
 	CameraFPS    float64
@@ -451,21 +451,13 @@ func (s *System) AddCamera(cameraID string, pos geo.Point, headingDeg float64) e
 		Tracer:             s.tracer,
 	}
 	if s.cfg.StoreFrames {
-		if len(s.frameAddrs) > 1 {
-			mc, err := framestore.NewMultiClient(ep, s.frameAddrs, framestore.MultiClientConfig{
-				Registry: s.reg,
-			})
-			if err != nil {
-				return err
-			}
-			nodeCfg.FrameStore = mc
-		} else {
-			fsClient, err := framestore.NewClient(ep, s.frameAddrs[0])
-			if err != nil {
-				return err
-			}
-			nodeCfg.FrameStore = fsClient
+		mc, err := framestore.NewMultiClient(ep, s.frameAddrs, framestore.MultiClientConfig{
+			Registry: s.reg,
+		})
+		if err != nil {
+			return err
 		}
+		nodeCfg.FrameStore = mc
 		nodeCfg.StoreFrames = true
 	}
 	camNode, err := camnode.New(nodeCfg, ep)

@@ -17,18 +17,14 @@ import (
 // refcounted segment handle under the store mutex, then does its disk
 // read outside every lock. serialized-baseline emulates the seed
 // engine, which held one store-wide mutex across the whole operation —
-// every disk write stalled every read. Both run cache-disabled so the
-// delta isolates the locking change; cached adds the read-through LRU
-// on top.
+// every disk write stalled every read, so the delta isolates the
+// locking change.
 func BenchmarkFramestore(b *testing.B) {
 	b.Run("read-while-write/serialized-baseline", func(b *testing.B) {
 		benchReadsUnderWrites(b, Config{}, true)
 	})
 	b.Run("read-while-write/segmented", func(b *testing.B) {
 		benchReadsUnderWrites(b, Config{}, false)
-	})
-	b.Run("read-while-write/segmented-cached", func(b *testing.B) {
-		benchReadsUnderWrites(b, Config{CacheFrames: 1024}, false)
 	})
 	b.Run("write/retention-off", func(b *testing.B) {
 		benchWrites(b, Config{SegmentBytes: 1 << 20})

@@ -12,35 +12,6 @@ import (
 	"repro/internal/transport"
 )
 
-// Client is the camera-side storage client for frames: fire-and-forget,
-// off the critical path.
-type Client struct {
-	ep         transport.Endpoint
-	serverAddr string
-}
-
-// NewClient builds a client sending through ep.
-func NewClient(ep transport.Endpoint, serverAddr string) (*Client, error) {
-	if ep == nil || serverAddr == "" {
-		return nil, errors.New("framestore: endpoint and server address required")
-	}
-	return &Client{ep: ep, serverAddr: serverAddr}, nil
-}
-
-// StoreFrameContext sends one frame record to the server, bounded by
-// ctx (the transport applies its default send timeout when ctx carries
-// no deadline).
-func (c *Client) StoreFrameContext(ctx context.Context, rec protocol.FrameRecord) error {
-	env, err := protocol.Seal(rec)
-	if err != nil {
-		return err
-	}
-	if err := c.ep.Send(ctx, c.serverAddr, env); err != nil {
-		return fmt.Errorf("framestore: send: %w", err)
-	}
-	return nil
-}
-
 // DefaultReplicaTimeout bounds one replica's send when
 // MultiClientConfig.CallTimeout is zero: long enough for a healthy
 // in-proc or LAN hop, short enough that a dead replica cannot stall the

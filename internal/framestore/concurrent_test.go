@@ -15,7 +15,7 @@ import (
 // catches index-publish and segment-handle races.
 func TestConcurrentReadersDuringWrites(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStoreConfig(dir, Config{SegmentBytes: 4096, CacheFrames: 32})
+	s, err := OpenStoreConfig(dir, Config{SegmentBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,6 @@ func TestConcurrentStressWithGC(t *testing.T) {
 	s, err := OpenStoreConfig(dir, Config{
 		SegmentBytes: 2048,
 		RetainBytes:  10 * 1024,
-		CacheFrames:  16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,53 +167,6 @@ func TestConcurrentStressWithGC(t *testing.T) {
 				break
 			}
 		}
-	}
-}
-
-func TestReadCacheHitsAndMisses(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenStoreConfig(dir, Config{CacheFrames: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	reg := obs.NewRegistry()
-	s.Instrument(reg, nil)
-	hits := reg.Counter("coralpie_framestore_cache_hits_total", "")
-	misses := reg.Counter("coralpie_framestore_cache_misses_total", "")
-
-	for seq := int64(1); seq <= 3; seq++ {
-		if err := s.Put(record("cam1", seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Get("cam1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if hits.Value() != 0 || misses.Value() != 1 {
-		t.Errorf("after cold read: hits=%d misses=%d", hits.Value(), misses.Value())
-	}
-	if _, err := s.Get("cam1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if hits.Value() != 1 || misses.Value() != 1 {
-		t.Errorf("after warm read: hits=%d misses=%d", hits.Value(), misses.Value())
-	}
-	// Capacity 2: reading 2 and 3 evicts 1.
-	if _, err := s.Get("cam1", 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("cam1", 3); err != nil {
-		t.Fatal(err)
-	}
-	if s.cache.len() != 2 {
-		t.Errorf("cache holds %d records, want 2", s.cache.len())
-	}
-	if _, err := s.Get("cam1", 1); err != nil {
-		t.Fatal(err)
-	}
-	if misses.Value() != 4 {
-		t.Errorf("evicted entry served from cache: misses=%d, want 4", misses.Value())
 	}
 }
 

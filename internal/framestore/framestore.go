@@ -9,11 +9,9 @@
 // immutable once written, so reads are served by positional ReadAt
 // against a ref-counted segment handle with only a short index lookup
 // under the store lock — readers never wait behind a writer's disk flush.
-// A small read-through LRU cache (cache.go) absorbs repeated fetches of
-// hot frames, and time/size-based retention GC (gc.go) reclaims whole
-// sealed segments so evidence storage stays resource-bounded. Replicated
-// delivery to several framestore servers is the client's job
-// (MultiClient in client.go).
+// Time/size-based retention GC (gc.go) reclaims whole sealed segments so
+// evidence storage stays resource-bounded. Delivery to one or several
+// framestore servers is the client's job (MultiClient in client.go).
 package framestore
 
 import (
@@ -45,8 +43,8 @@ const maxRecordBytes = 32 << 20
 const DefaultSegmentBytes = 64 << 20
 
 // Config tunes a store. The zero value keeps frames forever in
-// DefaultSegmentBytes segments with the read cache disabled, matching
-// the behavior of the original single-log engine.
+// DefaultSegmentBytes segments, matching the behavior of the original
+// single-log engine.
 type Config struct {
 	// SegmentBytes is the per-camera segment roll threshold; a segment
 	// that reaches it is sealed and a fresh one started. 0 uses
@@ -60,9 +58,6 @@ type Config struct {
 	// bound. The active segment is never deleted, so the effective bound
 	// is max(RetainBytes, largest active segment). 0 is unbounded.
 	RetainBytes int64
-	// CacheFrames is the capacity (in records) of the read-through LRU
-	// frame cache. 0 disables the cache.
-	CacheFrames int
 	// Clock supplies "now" for retention cutoffs and flush-latency
 	// timestamps (inject the DES virtual clock in simulations). Nil uses
 	// the real clock.
@@ -86,18 +81,16 @@ func (c Config) retentionEnabled() bool {
 
 // storeMetrics are the store's pre-resolved telemetry handles.
 type storeMetrics struct {
-	frames      *obs.Counter
-	dupes       *obs.Counter
-	writeErrs   *obs.Counter
-	bytes       *obs.Counter
-	flushHist   *obs.Histogram
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	gcRuns      *obs.Counter
-	gcSegments  *obs.Counter
-	gcFrames    *obs.Counter
-	gcBytes     *obs.Counter
-	diskBytes   *obs.Gauge
+	frames     *obs.Counter
+	dupes      *obs.Counter
+	writeErrs  *obs.Counter
+	bytes      *obs.Counter
+	flushHist  *obs.Histogram
+	gcRuns     *obs.Counter
+	gcSegments *obs.Counter
+	gcFrames   *obs.Counter
+	gcBytes    *obs.Counter
+	diskBytes  *obs.Gauge
 }
 
 func newStoreMetrics(reg *obs.Registry) storeMetrics {
@@ -115,10 +108,6 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 			"encoded frame-record bytes accepted (disk- and memory-backed alike)"),
 		flushHist: reg.Histogram("coralpie_framestore_flush_seconds",
 			"per-frame append+flush latency", nil),
-		cacheHits: reg.Counter("coralpie_framestore_cache_hits_total",
-			"frame reads served from the read-through cache"),
-		cacheMisses: reg.Counter("coralpie_framestore_cache_misses_total",
-			"frame reads that went to disk"),
 		gcRuns: reg.Counter("coralpie_framestore_gc_runs_total",
 			"retention GC passes"),
 		gcSegments: reg.Counter("coralpie_framestore_gc_segments_total",
@@ -175,7 +164,6 @@ type Store struct {
 	m      storeMetrics
 	clk    clock.Clock
 	tracer *obs.Tracer
-	cache  *frameCache // nil when disabled
 	reload ReloadStats
 	disk   int64 // total on-disk bytes across all segments
 	gcSeq  int64 // GC run counter, names gc spans
@@ -221,9 +209,6 @@ func OpenStoreConfig(dir string, cfg Config) (*Store, error) {
 		logs: make(map[string]*cameraLog),
 		m:    newStoreMetrics(nil),
 		clk:  cfg.Clock,
-	}
-	if cfg.CacheFrames > 0 {
-		s.cache = newFrameCache(cfg.CacheFrames)
 	}
 	if dir == "" {
 		return s, nil
@@ -292,7 +277,10 @@ func validate(rec *protocol.FrameRecord) error {
 	if rec.CameraID == "" {
 		return errors.New("framestore: record missing camera id")
 	}
-	if rec.Width <= 0 || rec.Height <= 0 || len(rec.Pixels) != rec.Width*rec.Height*3 {
+	// Bound each dimension before multiplying: the record comes off the
+	// network, and an int product can wrap to match a short pixel slice.
+	if rec.Width <= 0 || rec.Height <= 0 || rec.Width > maxRecordBytes/3/rec.Height ||
+		len(rec.Pixels) != rec.Width*rec.Height*3 {
 		return fmt.Errorf("framestore: record %s/%d has inconsistent dimensions", rec.CameraID, rec.Seq)
 	}
 	return nil
@@ -458,10 +446,6 @@ func (s *Store) countWriteErr() {
 	s.mu.Unlock()
 }
 
-// cacheHandle returns the read cache (nil when disabled). Caller holds
-// s.mu.
-func (s *Store) cacheHandle() *frameCache { return s.cache }
-
 func (s *Store) now() time.Time {
 	s.mu.Lock()
 	clk := s.clk
@@ -497,38 +481,18 @@ func (s *Store) Get(camera string, seq int64) (protocol.FrameRecord, error) {
 		s.mu.Unlock()
 		return rec, nil
 	}
-	m := s.m
-	cache := s.cacheHandle()
 	f := ref.seg.acquire()
 	s.mu.Unlock()
 
-	if cache != nil {
-		if rec, ok := cache.get(camera, seq); ok {
-			m.cacheHits.Inc()
-			s.release(ref.seg)
-			return rec, nil
-		}
-		m.cacheMisses.Inc()
-	}
 	rec, err := readRecordAt(f, ref.off)
 	s.release(ref.seg)
-	if err != nil {
-		return protocol.FrameRecord{}, err
-	}
-	if cache != nil {
-		cache.add(camera, seq, rec)
-	}
-	return rec, nil
+	return rec, err
 }
 
 // Range returns the stored records for camera with fromSeq <= seq <=
 // toSeq, in sequence order. Like Get, disk reads run outside the store
 // lock against an index snapshot taken under it.
 func (s *Store) Range(camera string, fromSeq, toSeq int64) ([]protocol.FrameRecord, error) {
-	type fetch struct {
-		seq int64
-		ref recordRef
-	}
 	s.mu.Lock()
 	cl, ok := s.logs[camera]
 	if !ok {
@@ -547,7 +511,7 @@ func (s *Store) Range(camera string, fromSeq, toSeq int64) ([]protocol.FrameReco
 		s.mu.Unlock()
 		return out, nil
 	}
-	var fetches []fetch
+	var refs []recordRef
 	pinned := make(map[*segment]bool)
 	start := sort.Search(len(cl.seqs), func(i int) bool { return cl.seqs[i] >= fromSeq })
 	for _, seq := range cl.seqs[start:] {
@@ -559,10 +523,8 @@ func (s *Store) Range(camera string, fromSeq, toSeq int64) ([]protocol.FrameReco
 			ref.seg.acquire()
 			pinned[ref.seg] = true
 		}
-		fetches = append(fetches, fetch{seq: seq, ref: ref})
+		refs = append(refs, ref)
 	}
-	m := s.m
-	cache := s.cacheHandle()
 	s.mu.Unlock()
 
 	releaseAll := func() {
@@ -571,22 +533,11 @@ func (s *Store) Range(camera string, fromSeq, toSeq int64) ([]protocol.FrameReco
 		}
 	}
 	var out []protocol.FrameRecord
-	for _, fch := range fetches {
-		if cache != nil {
-			if rec, ok := cache.get(camera, fch.seq); ok {
-				m.cacheHits.Inc()
-				out = append(out, rec)
-				continue
-			}
-			m.cacheMisses.Inc()
-		}
-		rec, err := readRecordAt(fch.ref.seg.file(), fch.ref.off)
+	for _, ref := range refs {
+		rec, err := readRecordAt(ref.seg.file(), ref.off)
 		if err != nil {
 			releaseAll()
 			return nil, err
-		}
-		if cache != nil {
-			cache.add(camera, fch.seq, rec)
 		}
 		out = append(out, rec)
 	}

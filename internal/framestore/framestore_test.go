@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/imaging"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/transport"
 )
@@ -66,6 +67,16 @@ func TestPutValidation(t *testing.T) {
 	bad2.Pixels = bad2.Pixels[:10]
 	if err := s.Put(bad2); err == nil {
 		t.Error("inconsistent pixels accepted")
+	}
+	// (2^62+1)*4*3 wraps to 12 in a 64-bit int; a network record claiming
+	// those dimensions over 12 pixel bytes must not be stored.
+	huge := record("cam1", 2)
+	huge.Width, huge.Height, huge.Pixels = 1<<62+1, 4, make([]byte, 12)
+	if err := s.Put(huge); err == nil {
+		t.Error("overflowing dimensions accepted")
+	}
+	if n := s.Count("cam1"); n != 0 {
+		t.Errorf("store holds %d records, want 0", n)
 	}
 }
 
@@ -186,7 +197,7 @@ func TestServerClientOverBus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewClient(cep, "framestore")
+	cl, err := NewMultiClient(cep, []string{"framestore"}, MultiClientConfig{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,20 +246,6 @@ func TestServerIgnoresWrongMessages(t *testing.T) {
 	}
 }
 
-func TestClientValidation(t *testing.T) {
-	if _, err := NewClient(nil, "x"); err == nil {
-		t.Error("nil endpoint accepted")
-	}
-	bus := transport.NewBus()
-	ep, err := bus.Endpoint("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewClient(ep, ""); err == nil {
-		t.Error("empty addr accepted")
-	}
-}
-
 func TestServerGracefulShutdown(t *testing.T) {
 	dir := t.TempDir()
 	bus := transport.NewBus()
@@ -269,7 +266,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewClient(cep, "framestore")
+	cl, err := NewMultiClient(cep, []string{"framestore"}, MultiClientConfig{Registry: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,8 +270,10 @@ func FrameFromBytes(width, height int, pix []uint8) (*Frame, error) {
 	if width <= 0 || height <= 0 {
 		return nil, fmt.Errorf("imaging: invalid frame size %dx%d", width, height)
 	}
-	if len(pix) != width*height*3 {
-		return nil, fmt.Errorf("%w: have %d, want %d", ErrShortBuffer, len(pix), width*height*3)
+	// Bound width before multiplying: dimensions decoded from a frame record
+	// can make width*height*3 wrap to len(pix).
+	if width > len(pix)/3/height || len(pix) != width*height*3 {
+		return nil, fmt.Errorf("%w: have %d bytes for %dx%d RGB", ErrShortBuffer, len(pix), width, height)
 	}
 	return &Frame{Width: width, Height: height, Pix: pix}, nil
 }

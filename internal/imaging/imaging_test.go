@@ -2,6 +2,7 @@ package imaging
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -219,6 +220,11 @@ func TestFrameFromBytes(t *testing.T) {
 	}
 	if _, err := FrameFromBytes(0, 2, nil); err == nil {
 		t.Error("bad dims should error")
+	}
+	// (2^62+1)*4*3 wraps to 12 in a 64-bit int: the dimensions must be
+	// rejected, not matched against the 12-byte buffer.
+	if _, err := FrameFromBytes(1<<62+1, 4, make([]uint8, 12)); !errors.Is(err, ErrShortBuffer) {
+		t.Errorf("overflowing dims: err = %v, want ErrShortBuffer", err)
 	}
 }
 

@@ -53,16 +53,20 @@ func (cc *ClientConn) Prime(ctx context.Context) error {
 	return nil
 }
 
-// Call runs one framed round trip under the connection lock: it ensures
-// a connection (redialing with backoff, bounded by ctx, when the cache
-// is empty), applies the context deadline to the socket, and hands the
-// connection to fn. An fn failure closes the connection; if the
-// connection was cached — the server may simply have restarted — the
-// error is marked retryable, while a failure on a freshly dialed
-// connection is terminal.
+// Call runs one framed round trip under the connection lock: it fails
+// with ctx's error if ctx is already done (a cancelled call sends
+// nothing), ensures a connection (redialing with backoff, bounded by
+// ctx, when the cache is empty), applies the context deadline to the
+// socket, and hands the connection to fn. An fn failure closes the
+// connection; if the connection was cached — the server may simply have
+// restarted — the error is marked retryable, while a failure on a
+// freshly dialed connection is terminal.
 func (cc *ClientConn) Call(ctx context.Context, fn func(conn net.Conn) error) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	cached := cc.conn != nil
 	if !cached {
 		conn, err := DialWithBackoff(ctx, cc.addr, cc.dialer, cc.backoff, DialHooks{})

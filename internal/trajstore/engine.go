@@ -1,12 +1,9 @@
 // Server-side trajectory query engine. The paper's end product is the
 // space-time query ("where did this vehicle go?"), and executing the
 // reconstruction where the data lives — one RPC in, whole ranked tracks
-// out — is what keeps the read path off the WAN: the per-vertex client
-// walk is an N+1 round-trip pattern this engine replaces. The walk
-// itself is written once, against the GraphView interface, so the
-// server and local callers (over a Snapshot) and the remote per-vertex
-// fallback (over Client.View) all run byte-identical reconstruction
-// logic.
+// out — is what keeps the read path off the WAN. The walk is written
+// once, over a Snapshot, so the server and local callers run
+// byte-identical reconstruction logic.
 
 package trajstore
 
@@ -25,19 +22,6 @@ import (
 // track passes through it (cannot happen on a well-formed graph: every
 // vertex yields at least its own single-hop track).
 var ErrNoTracks = errors.New("trajstore: no tracks")
-
-// GraphView is the read surface the reconstruction algorithm walks.
-// *Snapshot implements it lock-free at one committed watermark (the
-// server and local callers walk store.Snapshot()); Client.View satisfies
-// it over per-vertex RPCs, memoized per query (the wire-compatible
-// fallback path).
-type GraphView interface {
-	Vertex(id int64) (Vertex, error)
-	FindByEventID(id protocol.EventID) (Vertex, error)
-	Trajectory(id int64, limits TraceLimits) ([][]int64, error)
-	OutEdges(id int64) ([]Edge, error)
-	InEdges(id int64) ([]Edge, error)
-}
 
 // Hop is one sighting on a reconstructed track.
 type Hop struct {
@@ -74,29 +58,29 @@ func (t Track) Cameras() []string {
 // the given event ID, ranked: longer tracks first (more of the
 // vehicle's journey explained), then lower mean link weight (higher
 // confidence).
-func FindTracks(g GraphView, eventID protocol.EventID, limits TraceLimits) ([]Track, error) {
-	if g == nil {
-		return nil, errors.New("trajstore: nil graph view")
+func FindTracks(sn *Snapshot, eventID protocol.EventID, limits TraceLimits) ([]Track, error) {
+	if sn == nil {
+		return nil, errors.New("trajstore: nil snapshot")
 	}
-	start, err := g.FindByEventID(eventID)
+	start, err := sn.FindByEventID(eventID)
 	if err != nil {
 		return nil, err
 	}
-	return ReconstructTracks(g, start.ID, limits)
+	return ReconstructTracks(sn, start.ID, limits)
 }
 
 // ReconstructTracks is FindTracks keyed by vertex ID.
-func ReconstructTracks(g GraphView, vertexID int64, limits TraceLimits) ([]Track, error) {
-	if g == nil {
-		return nil, errors.New("trajstore: nil graph view")
+func ReconstructTracks(sn *Snapshot, vertexID int64, limits TraceLimits) ([]Track, error) {
+	if sn == nil {
+		return nil, errors.New("trajstore: nil snapshot")
 	}
-	paths, err := g.Trajectory(vertexID, limits)
+	paths, err := sn.Trajectory(vertexID, limits)
 	if err != nil {
 		return nil, err
 	}
 	tracks := make([]Track, 0, len(paths))
 	for _, path := range paths {
-		track, err := buildTrack(g, path)
+		track, err := buildTrack(sn, path)
 		if err != nil {
 			return nil, err
 		}
@@ -112,8 +96,8 @@ func ReconstructTracks(g GraphView, vertexID int64, limits TraceLimits) ([]Track
 }
 
 // BestTrack returns the top-ranked track through a sighting.
-func BestTrack(g GraphView, eventID protocol.EventID, limits TraceLimits) (Track, error) {
-	tracks, err := FindTracks(g, eventID, limits)
+func BestTrack(sn *Snapshot, eventID protocol.EventID, limits TraceLimits) (Track, error) {
+	tracks, err := FindTracks(sn, eventID, limits)
 	if err != nil {
 		return Track{}, err
 	}
@@ -126,17 +110,16 @@ func BestTrack(g GraphView, eventID protocol.EventID, limits TraceLimits) (Track
 // SightingsOf lists every sighting whose simulation ground truth
 // matches the vehicle ID, in time order (ties in vertex-ID order) — an
 // evaluation convenience for comparing reconstructed tracks with what
-// actually happened. It probes IDs 1..maxVertexID through the view, which
-// is what the remote per-vertex fallback can do; the server answers the
-// sightings op from the index (Snapshot.Sightings), and tests hold the two
-// equal.
-func SightingsOf(g GraphView, maxVertexID int64, vehicleID string) ([]Hop, error) {
-	if g == nil {
-		return nil, errors.New("trajstore: nil graph view")
+// actually happened. It probes IDs 1..maxVertexID one by one: the
+// reference scan that the index answer (Snapshot.Sightings, which the
+// server's sightings op runs) is held equal to in tests.
+func SightingsOf(sn *Snapshot, maxVertexID int64, vehicleID string) ([]Hop, error) {
+	if sn == nil {
+		return nil, errors.New("trajstore: nil snapshot")
 	}
 	var out []Hop
 	for vid := int64(1); vid <= maxVertexID; vid++ {
-		if v, err := g.Vertex(vid); err == nil && v.Event.TruthID == vehicleID {
+		if v, err := sn.Vertex(vid); err == nil && v.Event.TruthID == vehicleID {
 			out = append(out, sighting(v))
 		}
 	}
@@ -165,19 +148,19 @@ func sortSightings(hops []Hop) []Hop {
 	return hops
 }
 
-func buildTrack(g GraphView, path []int64) (Track, error) {
+func buildTrack(sn *Snapshot, path []int64) (Track, error) {
 	if len(path) == 0 {
 		return Track{}, errors.New("trajstore: empty path")
 	}
 	track := Track{Hops: make([]Hop, 0, len(path))}
 	for i, vid := range path {
-		v, err := g.Vertex(vid)
+		v, err := sn.Vertex(vid)
 		if err != nil {
 			return Track{}, err
 		}
 		hop := sighting(v)
 		if i > 0 {
-			w, err := edgeWeight(g, path[i-1], vid)
+			w, err := edgeWeight(sn, path[i-1], vid)
 			if err != nil {
 				return Track{}, err
 			}
@@ -193,8 +176,8 @@ func buildTrack(g GraphView, path []int64) (Track, error) {
 	return track, nil
 }
 
-func edgeWeight(g GraphView, from, to int64) (float64, error) {
-	edges, err := g.OutEdges(from)
+func edgeWeight(sn *Snapshot, from, to int64) (float64, error) {
+	edges, err := sn.OutEdges(from)
 	if err != nil {
 		return 0, err
 	}

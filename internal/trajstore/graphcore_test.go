@@ -300,7 +300,9 @@ func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
 		}
 	}
 	check("local", s.FindByEventID)
-	check("wire", client.View(context.Background()).FindByEventID)
+	check("wire", func(id protocol.EventID) (Vertex, error) {
+		return client.FindByEventIDContext(context.Background(), id)
+	})
 	if best, err := client.BestContext(context.Background(), "dup#1", DefaultTraceLimits()); err != nil || best.Hops[0].VertexID != first {
 		t.Fatalf("best through a duplicated event = %+v, %v", best, err)
 	}

@@ -10,13 +10,12 @@ import (
 )
 
 // BenchmarkQueryPath measures the read path of the trajectory store over
-// loopback TCP on a 20-hop trajectory: the server-side reconstruct op
-// (one round trip against a snapshot) vs the wire-compatible per-vertex
-// fallback walk. A background writer streams batches of unrelated
-// vertices throughout, so the numbers include snapshot rebuilds and
-// cache invalidation under write pressure — the deployment steady state.
-// Each mode reports rpcs/op, the round-trip count per reconstructed
-// trajectory.
+// loopback TCP on a 20-hop trajectory: the server-side reconstruct op,
+// one round trip against a snapshot. A background writer streams batches
+// of unrelated vertices throughout, so the numbers include snapshot
+// rebuilds and cache invalidation under write pressure — the deployment
+// steady state. It reports rpcs/op, the round-trip count per
+// reconstructed trajectory.
 func BenchmarkQueryPath(b *testing.B) {
 	const hops = 20 // 21 vertices, 20 links
 	s := NewMemStore()
@@ -72,7 +71,7 @@ func BenchmarkQueryPath(b *testing.B) {
 		return func() { close(stop); <-done }
 	}
 
-	run := func(b *testing.B, reconstruct func(c *Client) error) {
+	b.Run("serverside", func(b *testing.B) {
 		client, err := DialContext(ctx, srv.Addr(), ClientConfig{})
 		if err != nil {
 			b.Fatal(err)
@@ -83,37 +82,16 @@ func BenchmarkQueryPath(b *testing.B) {
 		callsBefore := client.Metrics().Calls.Value()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := reconstruct(client); err != nil {
+			tracks, err := client.ReconstructVertexContext(ctx, ids[0], limits)
+			if err != nil {
 				b.Fatal(err)
+			}
+			if len(tracks) == 0 || len(tracks[0].Hops) != hops+1 {
+				b.Fatalf("got %d tracks", len(tracks))
 			}
 		}
 		b.StopTimer()
 		rpcs := client.Metrics().Calls.Value() - callsBefore
 		b.ReportMetric(float64(rpcs)/float64(b.N), "rpcs/op")
-	}
-
-	b.Run("serverside", func(b *testing.B) {
-		run(b, func(c *Client) error {
-			tracks, err := c.ReconstructVertexContext(ctx, ids[0], limits)
-			if err != nil {
-				return err
-			}
-			if len(tracks) == 0 || len(tracks[0].Hops) != hops+1 {
-				return fmt.Errorf("got %d tracks", len(tracks))
-			}
-			return nil
-		})
-	})
-	b.Run("pervertex", func(b *testing.B) {
-		run(b, func(c *Client) error {
-			tracks, err := ReconstructTracks(c.View(ctx), ids[0], limits)
-			if err != nil {
-				return err
-			}
-			if len(tracks) == 0 || len(tracks[0].Hops) != hops+1 {
-				return fmt.Errorf("got %d tracks", len(tracks))
-			}
-			return nil
-		})
 	})
 }

@@ -26,8 +26,9 @@ const (
 	opInEdges     = "in_edges"
 	// Server-side query ops: the full reconstruction runs inside the
 	// server against a consistent snapshot, returning whole ranked
-	// tracks in one round trip instead of the per-vertex N+1 walk (which
-	// remains wire-compatible as a fallback for old servers).
+	// tracks in one round trip. This package's Client queries only
+	// through these; the per-vertex ops above stay served for old
+	// clients.
 	opReconstruct = "reconstruct"
 	opBest        = "best"
 	opSightings   = "sightings"
@@ -578,16 +579,6 @@ func (c *Client) FindByEventIDContext(ctx context.Context, id protocol.EventID) 
 	return *resp.Vertex, nil
 }
 
-// TrajectoryContext queries the candidate space-time tracks through a
-// vertex, bounded by ctx.
-func (c *Client) TrajectoryContext(ctx context.Context, id int64, limits TraceLimits) ([][]int64, error) {
-	resp, err := c.do(ctx, request{Op: opTrajectory, ID: id, Limits: &limits})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Paths, nil
-}
-
 // OutEdgesContext fetches a vertex's outgoing edges, bounded by ctx.
 func (c *Client) OutEdgesContext(ctx context.Context, id int64) ([]Edge, error) {
 	resp, err := c.do(ctx, request{Op: opOutEdges, ID: id})
@@ -595,83 +586,6 @@ func (c *Client) OutEdgesContext(ctx context.Context, id int64) ([]Edge, error) 
 		return nil, err
 	}
 	return resp.EdgeList, nil
-}
-
-// InEdgesContext fetches a vertex's incoming edges, bounded by ctx.
-func (c *Client) InEdgesContext(ctx context.Context, id int64) ([]Edge, error) {
-	resp, err := c.do(ctx, request{Op: opInEdges, ID: id})
-	if err != nil {
-		return nil, err
-	}
-	return resp.EdgeList, nil
-}
-
-// View returns a GraphView over the per-vertex ops, bound to ctx: the
-// client-side walk that stays wire-compatible with servers predating the
-// reconstruct/best/sightings ops. One view per query; the memo never
-// outlives it. Within the view each vertex and edge list is fetched at
-// most once, so a walk whose candidate paths share prefixes pays one RPC
-// per distinct vertex rather than one per path hop (the N+1 walk). Every
-// fetch checks ctx first, so a cancelled or expired query stops at its
-// next round trip. A view is not safe for concurrent use.
-func (c *Client) View(ctx context.Context) GraphView {
-	return &remoteView{
-		ctx:      ctx,
-		c:        c,
-		vertices: make(map[int64]Vertex),
-		out:      make(map[int64][]Edge),
-		in:       make(map[int64][]Edge),
-	}
-}
-
-type remoteView struct {
-	ctx      context.Context
-	c        *Client
-	vertices map[int64]Vertex
-	out, in  map[int64][]Edge
-}
-
-// memoFetch answers id from memo, or fetches it under ctx and keeps a
-// successful answer.
-func memoFetch[T any](ctx context.Context, memo map[int64]T, id int64, fetch func(context.Context, int64) (T, error)) (T, error) {
-	if x, ok := memo[id]; ok {
-		return x, nil
-	}
-	if err := ctx.Err(); err != nil {
-		var zero T
-		return zero, err
-	}
-	x, err := fetch(ctx, id)
-	if err == nil {
-		memo[id] = x
-	}
-	return x, err
-}
-
-func (v *remoteView) Vertex(id int64) (Vertex, error) {
-	return memoFetch(v.ctx, v.vertices, id, v.c.VertexContext)
-}
-
-func (v *remoteView) OutEdges(id int64) ([]Edge, error) {
-	return memoFetch(v.ctx, v.out, id, v.c.OutEdgesContext)
-}
-
-func (v *remoteView) InEdges(id int64) ([]Edge, error) {
-	return memoFetch(v.ctx, v.in, id, v.c.InEdgesContext)
-}
-
-func (v *remoteView) FindByEventID(id protocol.EventID) (Vertex, error) {
-	if err := v.ctx.Err(); err != nil {
-		return Vertex{}, err
-	}
-	return v.c.FindByEventIDContext(v.ctx, id)
-}
-
-func (v *remoteView) Trajectory(id int64, limits TraceLimits) ([][]int64, error) {
-	if err := v.ctx.Err(); err != nil {
-		return nil, err
-	}
-	return v.c.TrajectoryContext(v.ctx, id, limits)
 }
 
 // StatsContext returns the remote vertex and edge counts, bounded by
@@ -686,11 +600,9 @@ func (c *Client) StatsContext(ctx context.Context) (vertices, edges int, err err
 
 // ReconstructContext executes the full track reconstruction inside the
 // server against a consistent snapshot and returns every candidate
-// track through the sighting, ranked most-plausible first — one round
-// trip instead of the per-vertex walk. Requires a server speaking the
-// reconstruct op; against an older server the call fails and callers
-// can fall back to FindTracks over c.View(ctx) (the per-vertex ops
-// remain wire-compatible).
+// track through the sighting, ranked most-plausible first, in one round
+// trip. Requires a server speaking the reconstruct op; an older server
+// answers with an unknown-op error.
 func (c *Client) ReconstructContext(ctx context.Context, eventID protocol.EventID, limits TraceLimits) ([]Track, error) {
 	resp, err := c.do(ctx, request{Op: opReconstruct, EventID: eventID, Limits: &limits})
 	if err != nil {

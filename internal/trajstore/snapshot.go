@@ -114,7 +114,7 @@ func (sn *Snapshot) edges(id int64, out bool) []Edge {
 }
 
 // OutEdges returns a vertex's outgoing edges, sorted by target. The
-// error return is always nil; the signature matches GraphView.
+// error return is always nil.
 func (sn *Snapshot) OutEdges(id int64) ([]Edge, error) { return sn.edges(id, true), nil }
 
 // InEdges returns a vertex's incoming edges, sorted by source.

@@ -333,12 +333,12 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if err != nil || fv.ID != b {
 		t.Errorf("find = %+v err %v", fv, err)
 	}
-	paths, err := cl.TrajectoryContext(context.Background(), a, DefaultTraceLimits())
+	tracks, err := cl.ReconstructVertexContext(context.Background(), a, DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 1 || len(paths[0]) != 2 {
-		t.Errorf("paths = %v", paths)
+	if len(tracks) != 1 || len(tracks[0].Hops) != 2 {
+		t.Errorf("tracks = %+v", tracks)
 	}
 	nv, ne, err := cl.StatsContext(context.Background())
 	if err != nil || nv != 2 || ne != 1 {

@@ -74,7 +74,7 @@ func mustJSON(t *testing.T, v any) []byte {
 // on randomized graphs, the server-side reconstruct/best/sightings ops
 // return byte-identical answers (marshalled JSON, so ordering, weights,
 // and timestamps all count) to the local walk over a snapshot of the
-// same store — and so does the client-side per-vertex fallback.
+// same store.
 func TestServerSideEquivalenceRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		seed := seed
@@ -101,14 +101,6 @@ func TestServerSideEquivalenceRandomGraphs(t *testing.T) {
 				if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
 					t.Fatalf("vertex %d: server-side reconstruct diverged\n got: %s\nwant: %s",
 						start, mustJSON(t, got), mustJSON(t, want))
-				}
-				// The per-vertex fallback over the same wire must agree too.
-				fb, err := ReconstructTracks(client.View(ctx), start, limits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(mustJSON(t, fb), mustJSON(t, want)) {
-					t.Fatalf("vertex %d: fallback reconstruct diverged", start)
 				}
 
 				v, err := s.Vertex(start)
@@ -145,22 +137,15 @@ func TestServerSideEquivalenceRandomGraphs(t *testing.T) {
 }
 
 // rpcCounter is a server interceptor counting the requests that reach
-// the server, per op and per (op, vertex ID).
+// the server.
 type rpcCounter struct {
 	mu    sync.Mutex
 	calls int
-	byID  map[string]map[int64]int
 }
-
-func newRPCCounter() *rpcCounter { return &rpcCounter{byID: map[string]map[int64]int{}} }
 
 func (c *rpcCounter) intercept(ctx context.Context, req *rpc.Request, next rpc.Handler) (*rpc.Response, error) {
 	c.mu.Lock()
 	c.calls++
-	if c.byID[req.Method] == nil {
-		c.byID[req.Method] = map[int64]int{}
-	}
-	c.byID[req.Method][req.Body.(*request).ID]++
 	c.mu.Unlock()
 	return next(ctx, req)
 }
@@ -171,155 +156,47 @@ func (c *rpcCounter) total() int {
 	return c.calls
 }
 
-// perID returns a copy of op's per-vertex-ID request counts.
-func (c *rpcCounter) perID(op string) map[int64]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[int64]int, len(c.byID[op]))
-	for id, n := range c.byID[op] {
-		out[id] = n
-	}
-	return out
-}
-
-// TestReconstructMemoizesFetchesWithinOneCall: on a branching graph whose
-// candidate paths share long prefixes, the fallback walk over one
-// Client.View must fetch each vertex and edge list at most once per query
-// — not once per path hop (the N+1 pattern this memoization removes).
-// Fetches are counted where they land: at the server.
-func TestReconstructMemoizesFetchesWithinOneCall(t *testing.T) {
-	s := NewMemStore()
-	mk := func(id, cam string, at time.Duration) int64 {
-		vid, err := s.AddVertex(sightingEvent(id, cam, at, ""))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return vid
-	}
-	// A chain a->b->c that fans out into four leaves at c: every candidate
-	// path repeats the a,b,c prefix.
-	a := mk("a#1", "a", 0)
-	b := mk("b#1", "b", time.Second)
-	c := mk("c#1", "c", 2*time.Second)
-	leaves := make([]int64, 4)
-	for i := range leaves {
-		leaves[i] = mk(fmt.Sprintf("leaf%d#1", i), fmt.Sprintf("leaf%d", i), 3*time.Second)
-	}
-	for _, e := range []struct {
-		from, to int64
-	}{{a, b}, {b, c}} {
-		if err := s.AddEdge(e.from, e.to, 0.1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, leaf := range leaves {
-		if err := s.AddEdge(c, leaf, 0.2); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	counter := newRPCCounter()
-	client := serveStore(t, s, ServerOptions{Interceptors: []rpc.ServerInterceptor{counter.intercept}})
-	tracks, err := ReconstructTracks(client.View(context.Background()), a, DefaultTraceLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tracks) != len(leaves) {
-		t.Fatalf("tracks = %d, want %d", len(tracks), len(leaves))
-	}
-	totalHops := 0
-	for _, tr := range tracks {
-		totalHops += len(tr.Hops)
-	}
-	if totalHops <= 7 {
-		t.Fatalf("graph not branching enough to exercise memoization: %d total hops", totalHops)
-	}
-	for id, n := range counter.perID(opGetVertex) {
-		if n > 1 {
-			t.Errorf("vertex %d fetched %d times within one query", id, n)
-		}
-	}
-	for id, n := range counter.perID(opOutEdges) {
-		if n > 1 {
-			t.Errorf("out edges of %d fetched %d times within one query", id, n)
-		}
-	}
-	// 7 distinct vertices + 3 distinct edge-list fetches + 1 trajectory:
-	// far below the naive sum over path hops.
-	if calls := counter.total(); calls > 11 {
-		t.Errorf("%d reads for a query the memoized walk answers in <= 11", calls)
-	}
-}
-
-// TestFallbackHonoursCancelledContext: a walk over the view of a
-// cancelled query fails with context.Canceled, and at most one RPC
-// reaches the server.
+// TestFallbackHonoursCancelledContext (named for the client-side walk it
+// first covered): a query under a cancelled context fails with
+// context.Canceled, and at most one RPC reaches the server.
 func TestFallbackHonoursCancelledContext(t *testing.T) {
 	s, ids := buildGraph(t)
-	counter := newRPCCounter()
+	counter := &rpcCounter{}
 	client := serveStore(t, s, ServerOptions{Interceptors: []rpc.ServerInterceptor{counter.intercept}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := ReconstructTracks(client.View(ctx), ids[0], DefaultTraceLimits())
+	_, err := client.ReconstructVertexContext(ctx, ids[0], DefaultTraceLimits())
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("walk under a cancelled context: %v, want context.Canceled", err)
+		t.Errorf("query under a cancelled context: %v, want context.Canceled", err)
 	}
 	if n := counter.total(); n > 1 {
 		t.Errorf("%d RPCs reached the server after cancel, want <= 1", n)
 	}
 }
 
-// TestFallbackHonoursExpiredDeadline: a query whose deadline has already
-// passed fails with context.DeadlineExceeded instead of walking.
-func TestFallbackHonoursExpiredDeadline(t *testing.T) {
+// TestFallbackRPCCountAgainstServer (named for the client-side walk it
+// once measured): a whole reconstruction is exactly one round trip,
+// counted via the client's metrics over a real connection.
+func TestFallbackRPCCountAgainstServer(t *testing.T) {
 	s, _ := buildGraph(t)
 	client := serveStore(t, s, ServerOptions{})
 
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := FindTracks(client.View(ctx), "camA#1", DefaultTraceLimits()); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("walk past its deadline: %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// TestFallbackRPCCountAgainstServer repeats the memoization check over a
-// real connection, counting actual RPC round trips via the client's
-// metrics.
-func TestFallbackRPCCountAgainstServer(t *testing.T) {
-	s, _ := buildGraph(t) // 4 vertices, paths share the v1 prefix
-	client := serveStore(t, s, ServerOptions{})
-	ctx := context.Background()
-
 	before := client.Metrics().Calls.Value()
-	tracks, err := FindTracks(client.View(ctx), "camA#1", DefaultTraceLimits())
+	tracks, err := client.ReconstructContext(context.Background(), "camA#1", DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rpcs := client.Metrics().Calls.Value() - before
 	if len(tracks) != 2 {
 		t.Fatalf("tracks = %d", len(tracks))
-	}
-	// find_by_event + trajectory + 4 vertices + at most 2 edge lists: the
-	// unmemoized walk needed one vertex fetch per hop (5 hops across the
-	// two overlapping tracks) plus repeated edge lists.
-	if rpcs > 8 {
-		t.Errorf("fallback reconstruct used %d RPCs, want <= 8 with memoization", rpcs)
-	}
-
-	// Server-side: the same question in exactly one round trip.
-	before = client.Metrics().Calls.Value()
-	if _, err := client.ReconstructContext(ctx, "camA#1", DefaultTraceLimits()); err != nil {
-		t.Fatal(err)
 	}
 	if rpcs := client.Metrics().Calls.Value() - before; rpcs != 1 {
 		t.Errorf("server-side reconstruct used %d RPCs, want 1", rpcs)
 	}
 }
 
-// TestRemoteSentinelErrors: sentinel identity survives the wire for both
-// query styles, so callers can errors.Is regardless of where the walk
-// ran.
+// TestRemoteSentinelErrors: sentinel identity survives the wire, so
+// remote callers can errors.Is just as local ones do.
 func TestRemoteSentinelErrors(t *testing.T) {
 	s, _ := buildGraph(t)
 	client := serveStore(t, s, ServerOptions{})
@@ -330,12 +207,6 @@ func TestRemoteSentinelErrors(t *testing.T) {
 	}
 	if _, err := client.BestContext(ctx, "ghost#9", DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
 		t.Errorf("server-side best of unknown event: %v", err)
-	}
-	if _, err := FindTracks(client.View(ctx), "ghost#9", DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
-		t.Errorf("fallback unknown event: %v", err)
-	}
-	if _, err := BestTrack(client.View(ctx), "ghost#9", DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
-		t.Errorf("fallback best of unknown event: %v", err)
 	}
 }
 
@@ -369,14 +240,6 @@ func TestRemoteBestAndSightingsMatchLocal(t *testing.T) {
 	}
 	if len(gotHops) != 3 || !bytes.Equal(mustJSON(t, gotHops), mustJSON(t, wantHops)) {
 		t.Errorf("remote sightings diverged:\n got: %s\nwant: %s", mustJSON(t, gotHops), mustJSON(t, wantHops))
-	}
-	// The fallback SightingsOf over the per-vertex ops agrees too.
-	fbHops, err := SightingsOf(client.View(ctx), int64(s.NumVertices()), "veh-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mustJSON(t, fbHops), mustJSON(t, wantHops)) {
-		t.Errorf("fallback sightings diverged")
 	}
 }
 

@@ -1,7 +1,6 @@
 package trajstore
 
 import (
-	"context"
 	"math"
 	"testing"
 	"time"
@@ -152,19 +151,6 @@ func TestVehicleSightings(t *testing.T) {
 		if hops[i].Time.Before(hops[i-1].Time) {
 			t.Error("sightings out of time order")
 		}
-	}
-}
-
-func TestRemoteClientSatisfiesGraphReader(t *testing.T) {
-	s, _ := buildGraph(t)
-	client := serveStore(t, s, ServerOptions{})
-
-	best, err := BestTrack(client.View(context.Background()), "camA#1", DefaultTraceLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(best.Hops) != 3 || math.Abs(best.TotalWeight-0.3) > 1e-9 {
-		t.Errorf("remote best = %+v", best)
 	}
 }
 

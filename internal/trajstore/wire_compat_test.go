@@ -1,14 +1,18 @@
 package trajstore
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // rawCall speaks the wire protocol by hand — 4-byte big-endian length
@@ -43,9 +47,21 @@ func rawCall(t *testing.T, conn net.Conn, req map[string]any) map[string]any {
 	return resp
 }
 
+// untypedJSON encodes v as rawCall's decoded answers re-encode: through a
+// plain map, so object keys come out sorted.
+func untypedJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	var plain any
+	if err := json.Unmarshal(mustJSON(t, v), &plain); err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, plain)
+}
+
 // TestWireCompatOldClientNewServer verifies the rpc-layer server still
 // speaks the original length-prefixed-JSON protocol: a hand-rolled
-// legacy client can write vertices and edges and read stats.
+// legacy client can write vertices and edges, read stats, and walk the
+// graph over the per-vertex ops.
 func TestWireCompatOldClientNewServer(t *testing.T) {
 	store := NewMemStore()
 	srv, err := Serve(store, "127.0.0.1:0")
@@ -91,6 +107,34 @@ func TestWireCompatOldClientNewServer(t *testing.T) {
 	resp = rawCall(t, conn, map[string]any{"op": "stats"})
 	if resp["ok"] != true || resp["vertices"] != float64(2) || resp["edges"] != float64(1) {
 		t.Fatalf("stats: %v", resp)
+	}
+
+	// The per-vertex read ops — the ones a client walking the graph itself
+	// calls — answer as the local snapshot does.
+	snap := store.Snapshot()
+	v1, _ := snap.Vertex(1)
+	v2, _ := snap.Vertex(2)
+	out1, _ := snap.OutEdges(1)
+	in2, _ := snap.InEdges(2)
+	paths, _ := snap.Trajectory(1, DefaultTraceLimits())
+	for _, c := range []struct {
+		req   map[string]any
+		field string
+		want  any
+	}{
+		{map[string]any{"op": "get_vertex", "id": 1}, "vertex", v1},
+		{map[string]any{"op": "find_by_event", "eventId": "cam#2"}, "vertex", v2},
+		{map[string]any{"op": "out_edges", "id": 1}, "edgeList", out1},
+		{map[string]any{"op": "in_edges", "id": 2}, "edgeList", in2},
+		{map[string]any{"op": "trajectory", "id": 1}, "paths", paths},
+	} {
+		resp := rawCall(t, conn, c.req)
+		if resp["ok"] != true {
+			t.Fatalf("%v: %v", c.req["op"], resp)
+		}
+		if got, want := mustJSON(t, resp[c.field]), untypedJSON(t, c.want); !bytes.Equal(got, want) {
+			t.Errorf("%v: %s = %s, want %s", c.req["op"], c.field, got, want)
+		}
 	}
 
 	// A server-side rejection travels as an err field in a well-formed
@@ -183,4 +227,33 @@ func TestWireCompatNewClientOldServer(t *testing.T) {
 	if err := client.AddEdgeContext(context.Background(), 1, 2, 0.5); err == nil {
 		t.Error("legacy rejection not surfaced")
 	}
+	// Queries need a server with the reconstruct op; an older one's
+	// rejection reaches the caller as is.
+	if _, err := client.ReconstructContext(context.Background(), "cam#1", DefaultTraceLimits()); err == nil ||
+		!strings.Contains(err.Error(), "unknown op reconstruct") {
+		t.Errorf("reconstruct against a legacy server: %v", err)
+	}
+}
+
+// FuzzServeRequest feeds arbitrary bytes to the server as one request
+// frame — through the wire codec's ReadRequest, then the op dispatch —
+// against a fresh four-vertex, three-edge store. No input may panic the
+// server, and every answer must encode as a response frame within
+// maxWireBytes. The checked-in corpus holds one request per op.
+func FuzzServeRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := wireCodec{}.ReadRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s, _ := buildGraph(t)
+		srv := &Server{store: s, engine: newQueryEngine(s, 0, obs.NewRegistry())}
+		resp, err := srv.dispatch(context.Background(), req)
+		if err == nil {
+			err = wireCodec{}.WriteResponse(io.Discard, req, resp, nil)
+		}
+		if err != nil {
+			t.Fatalf("op %q: response does not encode: %v", req.Method, err)
+		}
+	})
 }
