@@ -21,7 +21,8 @@ race:
 # WAL commit-failure path under a hammering reader, index-vs-scan
 # equivalence beside a batched writer, batch writer pipelining under
 # concurrent producers, interleaved reader/writer query stress, shutdown
-# drains, fleet monitor ingest/sweep/federate) under the
+# drains, fleet monitor ingest/sweep/federate, a frame client's buffer
+# pool shared by concurrent senders) under the
 # race detector with caching disabled, so an interleaving-dependent
 # regression cannot hide behind a cached pass.
 race-stress:
@@ -38,8 +39,9 @@ smoke:
 # checked-in corpus (testdata/fuzz in each package): envelopes of either
 # format through Open, frame records as the framestore reads them,
 # detection events as the trajectory store's log records carry them, whole
-# trajectory-store logs through Open against the pre-apply validator, and
-# trajectory-store request frames through the server's op dispatch.
+# trajectory-store logs through Open against the pre-apply validator,
+# trajectory-store request frames through the server's op dispatch, and a
+# framestore camera's manifest and segment through OpenStore.
 # go test takes one -fuzz target per run. Minimizing each new input for the
 # default 60 s would eat the whole budget, so it gets 1 s.
 fuzz:
@@ -48,6 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetectionEvent$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenFrameStore$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/framestore/
 
 vet:
 	$(GO) vet ./...
@@ -58,6 +61,7 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkRPCMiddlewareOverhead -benchtime=1s -benchmem ./internal/transport/
 	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkFramestore -benchtime=2s ./internal/framestore/
+	$(GO) test -run=NONE -bench=BenchmarkFrameIntake -benchtime=2s -benchmem ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkSnapshotQueryBySize -benchtime=2s ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkOpenReplay -benchtime=2s -benchmem ./internal/trajstore/
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -53,6 +54,10 @@ type MultiClient struct {
 	addrs  []string
 	sends  []rpc.Handler
 	quorum int
+	// bufs holds *[]byte record buffers. A record's bytes are needed only
+	// until the last replica's Send returns (Send keeps no payload), so
+	// buffers serve frame after frame.
+	bufs sync.Pool
 
 	sendCtr []*obs.Counter
 	errCtr  []*obs.Counter
@@ -86,6 +91,7 @@ func NewMultiClient(ep transport.Endpoint, addrs []string, cfg MultiClientConfig
 	}
 
 	mc := &MultiClient{addrs: addrs, quorum: quorum}
+	mc.bufs.New = func() any { return new([]byte) }
 	for _, addr := range addrs {
 		retries := reg.Counter("coralpie_framestore_replica_retries_total",
 			"frame send retries per framestore replica", "replica", addr)
@@ -120,14 +126,19 @@ func (mc *MultiClient) Replicas() []string {
 }
 
 // StoreFrameContext sends one frame record to every replica and
-// succeeds when at least Quorum of them accept it. The trace context on
-// ctx rides each envelope (the transport's trace-inject middleware
-// stamps it), so every replica's span joins the frame's trace.
+// succeeds when at least Quorum of them accept it. The record is encoded
+// once, into a pooled buffer, and those bytes go to every replica. The
+// trace context on ctx rides each envelope (the transport's trace-inject
+// middleware stamps it), so every replica's span joins the frame's trace.
 func (mc *MultiClient) StoreFrameContext(ctx context.Context, rec protocol.FrameRecord) error {
-	env, err := protocol.Seal(rec)
+	buf := mc.bufs.Get().(*[]byte)
+	defer mc.bufs.Put(buf)
+	payload, err := protocol.AppendFrameRecord((*buf)[:0], &rec)
 	if err != nil {
 		return err
 	}
+	*buf = payload
+	env := protocol.Envelope{Type: protocol.TypeFrameRecord, Payload: payload}
 	var (
 		delivered int
 		firstErr  error

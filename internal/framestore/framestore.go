@@ -15,6 +15,7 @@
 package framestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -332,6 +333,9 @@ func (s *Store) Put(rec protocol.FrameRecord) error {
 			s.mu.Unlock()
 			return nil
 		}
+		// rec.Pixels alias the payload the server's handler was given,
+		// which the transport reuses once the handler returns.
+		rec.Pixels = bytes.Clone(rec.Pixels)
 		cl.mem[rec.Seq] = rec
 		cl.index[rec.Seq] = recordRef{}
 		cl.seqs = insertSorted(cl.seqs, rec.Seq)

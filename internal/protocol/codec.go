@@ -230,15 +230,25 @@ func AppendFrameRecordHeader(dst []byte, rec *FrameRecord) ([]byte, error) {
 	return binary.AppendUvarint(dst, uint64(len(rec.Pixels))), nil
 }
 
-// sealFrameRecord encodes rec as an envelope payload: the header, then
-// one copy of the pixels.
+// AppendFrameRecord appends rec's binary encoding, the header and then
+// one copy of the pixels, to dst.
+func AppendFrameRecord(dst []byte, rec *FrameRecord) ([]byte, error) {
+	dst, err := AppendFrameRecordHeader(dst, rec)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, rec.Pixels...), nil
+}
+
+// sealFrameRecord encodes rec as an envelope payload of its own.
 func sealFrameRecord(rec *FrameRecord) (Envelope, error) {
-	hdr, err := AppendFrameRecordHeader(make([]byte, 0, 64), rec)
+	// append grows the header's buffer into a fresh one without zeroing
+	// what it copies.
+	payload, err := AppendFrameRecord(make([]byte, 0, 64), rec)
 	if err != nil {
 		return Envelope{}, err
 	}
-	// append grows into a fresh buffer without zeroing what it copies.
-	return Envelope{Type: TypeFrameRecord, Payload: append(hdr, rec.Pixels...)}, nil
+	return Envelope{Type: TypeFrameRecord, Payload: payload}, nil
 }
 
 // DecodeFrameRecord decodes a frame record in the binary layout, or in the

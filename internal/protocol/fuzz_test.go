@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -14,9 +15,12 @@ import (
 // FuzzReadEnvelope feeds arbitrary bytes to the envelope reader and the
 // message decoder. Neither may panic, and whatever decodes must survive
 // re-encoding: WriteEnvelope → ReadEnvelope gives back the same envelope,
-// and Seal → Open gives back the same message.
+// and Seal → Open gives back the same message. Read as a stream through
+// one reused buffer, the bytes must give, envelope by envelope, what a
+// fresh buffer per envelope gives.
 func FuzzReadEnvelope(f *testing.F) {
 	tc := &TraceContext{TraceID: "cam1#1", SpanID: "s", Sampled: true}
+	var stream bytes.Buffer // every binary seed, back to back
 	for _, msg := range []any{
 		Inform{Event: sampleEvent(), FromAddr: "127.0.0.1:9000"},
 		Retire{EventID: "cam1#1", ByCameraID: "cam2"},
@@ -43,8 +47,26 @@ func FuzzReadEnvelope(f *testing.F) {
 		}
 		f.Add(bin.Bytes())
 		f.Add(legacy.Bytes())
+		stream.Write(bin.Bytes())
 	}
+	f.Add(stream.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, reused := bytes.NewReader(data), bytes.NewReader(data)
+		var rbuf []byte
+		for i := 0; ; i++ {
+			want, werr := ReadEnvelope(fresh)
+			got, gerr := ReadEnvelopeInto(reused, &rbuf)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("envelope %d: reused buffer: %v, fresh: %v", i, gerr, werr)
+			}
+			if werr != nil {
+				break
+			}
+			if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) || !reflect.DeepEqual(got.Trace, want.Trace) {
+				t.Fatalf("envelope %d: reused buffer:\n got %+v\nwant %+v", i, got, want)
+			}
+		}
+
 		env, err := ReadEnvelope(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -180,9 +180,11 @@ type BoxAnnotation struct {
 
 // FrameRecord carries one raw frame plus annotations to the frame storage
 // server. Pixels travel raw (not re-encoded), matching the paper's
-// serialization decision: Seal copies them once into a binary record
-// (codec.go), and Open hands back a record whose Pixels alias the
-// received payload. The JSON tags describe the legacy form, still read.
+// serialization decision: Seal and AppendFrameRecord copy them once into a
+// binary record (codec.go), and Open hands back a record whose Pixels
+// alias the received payload. A transport handler may use that payload
+// only until it returns (transport.Handler), so a receiver that keeps the
+// record copies Pixels. The JSON tags describe the legacy form, still read.
 type FrameRecord struct {
 	CameraID    string          `json:"cameraId"`
 	Seq         int64           `json:"seq"`
@@ -310,13 +312,15 @@ func writeFramed(w io.Writer, head, tail []byte, limit int) error {
 // readChunk bounds what readFramed allocates ahead of the bytes it has
 // received: a frame up to this size (every camera frame) is read into one
 // allocation, a longer one grows as its bytes arrive, so four bytes of a
-// corrupt or hostile length prefix cannot pin limit bytes of memory.
+// corrupt or hostile length prefix cannot pin limit bytes of memory. It is
+// also the largest read buffer ReadEnvelopeInto keeps between envelopes.
 const readChunk = 1 << 20
 
-// readFramed reads one frame written by writeFramed and returns its body.
-// It returns io.EOF when the stream ends cleanly at a frame boundary, and
+// readFramed reads one frame written by writeFramed and returns its body:
+// buf[:n] when the body fits cap(buf), a fresh allocation otherwise. It
+// returns io.EOF when the stream ends cleanly at a frame boundary, and
 // rejects a length prefix above limit before allocating for it.
-func readFramed(r io.Reader, limit int) ([]byte, error) {
+func readFramed(r io.Reader, limit int, buf []byte) ([]byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -329,7 +333,10 @@ func readFramed(r io.Reader, limit int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, declared)
 	}
 	n := int(declared)
-	body := make([]byte, 0, min(n, readChunk))
+	body := buf[:0]
+	if n > cap(buf) {
+		body = make([]byte, 0, min(n, readChunk))
+	}
 	for len(body) < n {
 		m := min(n-len(body), readChunk)
 		body = slices.Grow(body, m)[:len(body)+m]
@@ -354,7 +361,7 @@ func WriteFrame(w io.Writer, v any, limit int) error {
 // ReadFrame reads one frame written by WriteFrame into v, with
 // readFramed's EOF and size-cap rules.
 func ReadFrame(r io.Reader, v any, limit int) error {
-	data, err := readFramed(r, limit)
+	data, err := readFramed(r, limit, nil)
 	if err != nil {
 		return err
 	}
@@ -374,13 +381,25 @@ func WriteEnvelope(w io.Writer, env Envelope) error {
 }
 
 // ReadEnvelope reads one length-prefixed envelope, binary or legacy JSON
-// (told apart by the body's first byte). The payload aliases a buffer
-// allocated for this envelope. It returns io.EOF when the stream ends
-// cleanly at a message boundary.
+// (told apart by the body's first byte), into a buffer of its own. It
+// returns io.EOF when the stream ends cleanly at a message boundary.
 func ReadEnvelope(r io.Reader) (Envelope, error) {
-	body, err := readFramed(r, MaxFrameBytes)
+	var buf []byte
+	return ReadEnvelopeInto(r, &buf)
+}
+
+// ReadEnvelopeInto is ReadEnvelope reading the body into *buf when it
+// fits. It leaves in *buf the buffer for the next call: the body's, if
+// that is at most readChunk (1 MiB), else the one it was given, so one
+// stream pins no more than that between envelopes. The payload aliases
+// that buffer and is valid only until the next call with the same buf.
+func ReadEnvelopeInto(r io.Reader, buf *[]byte) (Envelope, error) {
+	body, err := readFramed(r, MaxFrameBytes, *buf)
 	if err != nil {
 		return Envelope{}, err
+	}
+	if cap(body) <= readChunk {
+		*buf = body
 	}
 	return decodeEnvelope(body)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -292,6 +293,9 @@ func (b *Bus) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 		b.dispatch(ctx, h, env)
 		return &rpc.Response{}, nil
 	}
+	// The message is in flight after Send returns, which keeps no payload:
+	// it travels with a copy of its own.
+	env.Payload = bytes.Clone(env.Payload)
 	sim.Schedule(latency+req.Delay, func() {
 		// Re-check at delivery time: the endpoint may have failed while
 		// the message was in flight. The sender's context does not travel

@@ -216,11 +216,14 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.inbound, conn)
 		t.mu.Unlock()
 	}()
+	// Every envelope of the connection is read into buf, which is why a
+	// payload is valid only until the handler returns (see Handler).
+	var buf []byte
 	for {
 		if t.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
 		}
-		env, err := protocol.ReadEnvelope(conn)
+		env, err := protocol.ReadEnvelopeInto(conn, &buf)
 		if err != nil {
 			return // EOF, peer reset, idle timeout, or framing error
 		}

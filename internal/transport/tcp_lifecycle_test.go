@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"math/rand"
 	"net"
 	"runtime"
 	"sync"
@@ -103,7 +105,7 @@ func TestTCPSlowPeerDoesNotStallOtherPeers(t *testing.T) {
 	}
 	defer func() { _ = b.Close() }()
 	got := make(chan protocol.Envelope, 1)
-	b.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- env })
+	b.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- kept(env) })
 
 	// Keep writing 4 MiB envelopes to the stalled peer until one blocks
 	// in the socket write; sendStart is when the current send began.
@@ -151,6 +153,71 @@ func TestTCPSlowPeerDoesNotStallOtherPeers(t *testing.T) {
 	}
 }
 
+// TestTCPPayloadValidUntilHandlerReturns sends 1 000 envelopes back to
+// back on one connection, their sizes jumping between 1 B and 2 MiB and
+// across the 1 MiB bound on the read buffer a connection keeps, both
+// ways. Every handler call must see its payload byte for byte, whatever
+// the envelope before it left in the buffer.
+func TestTCPPayloadValidUntilHandlerReturns(t *testing.T) {
+	const n = 1000
+	const keep = 1 << 20 // the largest read buffer a connection keeps
+	rng := rand.New(rand.NewSource(1))
+	sizes := make([]int, n)
+	for i := range sizes {
+		switch i % 10 {
+		case 0:
+			sizes[i] = keep + 1 + rng.Intn(keep) // past the bound, up to 2 MiB
+		case 1:
+			sizes[i] = keep - 32 + rng.Intn(64) // the body straddles the bound
+		case 2, 3:
+			sizes[i] = 1 + rng.Intn(keep)
+		default:
+			sizes[i] = 1 + rng.Intn(4096)
+		}
+	}
+	src := make([]byte, 2<<20+n)
+	rng.Read(src)
+	payload := func(i int) []byte { return src[i : i+sizes[i]] }
+
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.Close() }()
+	b, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+	var handled atomic.Int64
+	done := make(chan struct{})
+	b.SetHandler(func(_ context.Context, env protocol.Envelope) {
+		// One connection, so calls come one at a time, in send order.
+		i := int(handled.Add(1)) - 1
+		if i >= n {
+			t.Errorf("handler called for envelope %d of %d", i+1, n)
+			return
+		}
+		if !bytes.Equal(env.Payload, payload(i)) {
+			t.Errorf("envelope %d: %d-byte payload differs from the %d bytes sent", i, len(env.Payload), sizes[i])
+		}
+		if i == n-1 {
+			close(done)
+		}
+	})
+	for i := 0; i < n; i++ {
+		env := protocol.Envelope{Type: protocol.TypeRetire, Payload: payload(i)}
+		if err := a.Send(context.Background(), b.Addr(), env); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("handled %d of %d envelopes", handled.Load(), n)
+	}
+}
+
 // TestTCPDialBackoffRidesOutRestart verifies the dialer retries with
 // backoff: the destination's listener only appears after the first
 // attempts have failed, and Send still succeeds within its context.
@@ -177,7 +244,7 @@ func TestTCPDialBackoffRidesOutRestart(t *testing.T) {
 		if err != nil {
 			return // port raced away; Send will fail and the test reports it
 		}
-		b.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- env })
+		b.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- kept(env) })
 		ready <- b
 	}()
 

@@ -23,7 +23,9 @@ import (
 // Handler consumes an incoming envelope. Implementations are invoked
 // sequentially per connection; a handler must not block for long and
 // should abandon work when ctx is cancelled (the endpoint is shutting
-// down).
+// down). env.Payload is valid only until the handler returns: a TCP
+// endpoint reads the connection's next envelope into the same buffer, so
+// a handler that keeps payload bytes copies them.
 type Handler func(ctx context.Context, env protocol.Envelope)
 
 // Endpoint is one addressable party on a network.
@@ -36,7 +38,8 @@ type Endpoint interface {
 	// Send delivers an envelope to a peer address. The context bounds
 	// the whole operation (dial, retries, write); implementations apply
 	// DefaultSendTimeout when ctx has no deadline, so a stalled peer can
-	// never block the caller forever.
+	// never block the caller forever. Send does not keep env.Payload after
+	// it returns, so the caller may reuse that buffer at once.
 	Send(ctx context.Context, addr string, env protocol.Envelope) error
 	// Close releases resources and stops background goroutines
 	// immediately (hard close). TCP endpoints additionally offer

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -20,6 +21,13 @@ func retireEnv(t *testing.T, id string) protocol.Envelope {
 	return env
 }
 
+// kept gives env a payload of its own, for a test handler that keeps the
+// envelope past its return (the payload is valid only until then).
+func kept(env protocol.Envelope) protocol.Envelope {
+	env.Payload = bytes.Clone(env.Payload)
+	return env
+}
+
 func TestBusSynchronousDelivery(t *testing.T) {
 	bus := NewBus()
 	a, err := bus.Endpoint("a")
@@ -31,7 +39,7 @@ func TestBusSynchronousDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []protocol.Envelope
-	b.SetHandler(func(_ context.Context, env protocol.Envelope) { got = append(got, env) })
+	b.SetHandler(func(_ context.Context, env protocol.Envelope) { got = append(got, kept(env)) })
 	if err := a.Send(context.Background(), "b", retireEnv(t, "x#1")); err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +137,34 @@ func TestSimBusLatency(t *testing.T) {
 	}
 }
 
+// TestSimBusPayloadOwnedInFlight: Send keeps no payload, so a message in
+// flight on the simulated wire carries a copy of its own and the sender
+// may reuse its buffer at once.
+func TestSimBusPayloadOwnedInFlight(t *testing.T) {
+	sim := des.New(time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC))
+	bus := NewSimBus(sim, 10*time.Millisecond)
+	a, err := bus.Endpoint("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := bus.Endpoint("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	b.SetHandler(func(_ context.Context, env protocol.Envelope) { got = bytes.Clone(env.Payload) })
+	env := retireEnv(t, "x#1")
+	want := bytes.Clone(env.Payload)
+	if err := a.Send(context.Background(), "b", env); err != nil {
+		t.Fatal(err)
+	}
+	clear(env.Payload) // the sender reuses its buffer while the message is in flight
+	sim.Run()
+	if !bytes.Equal(got, want) {
+		t.Errorf("delivered %q, want %q", got, want)
+	}
+}
+
 func TestSimBusInFlightMessageToFailedEndpoint(t *testing.T) {
 	sim := des.New(time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC))
 	bus := NewSimBus(sim, 10*time.Millisecond)
@@ -169,7 +205,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	done := make(chan struct{}, 16)
 	b.SetHandler(func(_ context.Context, env protocol.Envelope) {
 		mu.Lock()
-		got = append(got, env)
+		got = append(got, kept(env))
 		mu.Unlock()
 		done <- struct{}{}
 	})
@@ -207,8 +243,8 @@ func TestTCPBidirectional(t *testing.T) {
 
 	gotA := make(chan protocol.Envelope, 1)
 	gotB := make(chan protocol.Envelope, 1)
-	a.SetHandler(func(_ context.Context, env protocol.Envelope) { gotA <- env })
-	b.SetHandler(func(_ context.Context, env protocol.Envelope) { gotB <- env })
+	a.SetHandler(func(_ context.Context, env protocol.Envelope) { gotA <- kept(env) })
+	b.SetHandler(func(_ context.Context, env protocol.Envelope) { gotB <- kept(env) })
 
 	if err := a.Send(context.Background(), b.Addr(), retireEnv(t, "to-b#1")); err != nil {
 		t.Fatal(err)
@@ -261,7 +297,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	}
 	addr := b1.Addr()
 	got := make(chan protocol.Envelope, 8)
-	b1.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- env })
+	b1.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- kept(env) })
 	if err := a.Send(context.Background(), addr, retireEnv(t, "first#1")); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +316,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = b2.Close() }()
-	b2.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- env })
+	b2.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- kept(env) })
 
 	// The cached connection is stale; Send must redial. The first send
 	// may or may not detect staleness immediately (TCP buffering), so try
