@@ -36,9 +36,10 @@ smoke:
 	$(GO) test -count=1 ./cmd/
 
 # fuzz runs each codec fuzz target for a short while on top of its
-# checked-in corpus (testdata/fuzz in each package): envelopes of either
-# format through Open, frame records as the framestore reads them,
-# detection events as the trajectory store's log records carry them, whole
+# checked-in corpus (testdata/fuzz in each package): envelopes through
+# Open (the old all-JSON form must be refused), frame records as the
+# framestore reads them, detection events as the trajectory store's log
+# records carry them, whole
 # trajectory-store logs through Open against the pre-apply validator,
 # trajectory-store request frames through the server's op dispatch, and a
 # framestore camera's manifest and segment through OpenStore.

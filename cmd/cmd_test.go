@@ -7,6 +7,7 @@ package cmd_test
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -275,5 +276,43 @@ func TestSmokeDeployment(t *testing.T) {
 	monitor.terminate(t, "shutting down")
 	if got := monitor.logged(t, "shutting down", "nodes"); got != "4" {
 		t.Errorf("monitor saw %s nodes, want the 4 that heartbeat to it\n%s", got, monitor.logs())
+	}
+}
+
+// TestSmokeRefusesPreFloorDirectory starts each store on a copy of a
+// directory an older version wrote: it must exit 1 within 5 s with an
+// ERROR line naming the release that upgrades the directory.
+func TestSmokeRefusesPreFloorDirectory(t *testing.T) {
+	for _, c := range []struct{ binary, fixture, release string }{
+		{"trajstore-server", "../internal/trajstore/testdata/json-wal", "3ed9da7"},
+		{"framestore-server", "../internal/framestore/testdata/json-store", "71177d7"},
+	} {
+		dir := t.TempDir()
+		entries, err := os.ReadDir(c.fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(c.fixture, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := start(t, c.binary, "-dir", dir, "-listen", "127.0.0.1:0", "-obs-listen", "127.0.0.1:0")
+		select {
+		case err := <-p.done:
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("%s: exit %v, want status 1\n%s", c.binary, err, p.logs())
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still running 5s after start on a pre-floor directory\n%s", c.binary, p.logs())
+		}
+		if !regexp.MustCompile(` ERROR .*pre-floor format.*` + c.release).MatchString(p.logs()) {
+			t.Errorf("%s: no ERROR line naming release %s:\n%s", c.binary, c.release, p.logs())
+		}
 	}
 }

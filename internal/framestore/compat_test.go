@@ -1,23 +1,24 @@
 package framestore
 
 import (
-	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/protocol"
 )
 
-// legacyRecord is the record testdata/json-store holds for (camera,
-// seq). That directory was written by the engine that stored records as
-// JSON with base64 pixels (SegmentBytes 2048, seqs 1..10 for cameras
-// "cam1" and "cam.2"); it is the on-disk format a store upgraded in place
-// still carries.
-func legacyRecord(camera string, seq int64) protocol.FrameRecord {
+// fixtureRecord is the record testdata/floor-store and testdata/json-store
+// hold for (camera, seq), seqs 1..10 for cameras "cam1" and "cam.2" in
+// segments of SegmentBytes 2048. floor-store holds them as binary records;
+// json-store was written by the engine that stored records as JSON with
+// base64 pixels, a format this version refuses.
+func fixtureRecord(camera string, seq int64) protocol.FrameRecord {
 	const w, h = 12, 8
 	pix := make([]byte, w*h*3)
 	for i := range pix {
@@ -60,7 +61,7 @@ func checkServes(t *testing.T, s *Store, camera string, from, to int64) {
 		if err != nil {
 			t.Fatalf("Get(%s, %d): %v", camera, seq, err)
 		}
-		want := legacyRecord(camera, seq)
+		want := fixtureRecord(camera, seq)
 		if crc32.ChecksumIEEE(got.Pixels) != crc32.ChecksumIEEE(want.Pixels) {
 			t.Fatalf("%s/%d: pixel CRC %08x, want %08x", camera, seq, crc32.ChecksumIEEE(got.Pixels), crc32.ChecksumIEEE(want.Pixels))
 		}
@@ -75,30 +76,27 @@ func checkServes(t *testing.T, s *Store, camera string, from, to int64) {
 	}
 }
 
-// recordFormats counts the JSON and binary records in one segment file.
-func recordFormats(t *testing.T, path string) (jsonRecs, binRecs int) {
+// readDir returns every file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
-	data, err := os.ReadFile(path)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for len(data) > 4 {
-		n := binary.BigEndian.Uint32(data)
-		if data[4] == '{' {
-			jsonRecs++
-		} else {
-			binRecs++
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
 		}
-		data = data[4+n:]
 	}
-	return jsonRecs, binRecs
+	return files
 }
 
-// TestOpenLegacyJSONStore opens a directory of JSON-record segments,
-// appends binary records behind them in the same active segment, and
-// requires every frame, old and new, to be served after a reopen.
-func TestOpenLegacyJSONStore(t *testing.T) {
-	dir := copyStore(t, "testdata/json-store")
+// TestOpenFloorStore opens a directory of binary-record segments an
+// earlier version wrote, appends behind them in the same active segment,
+// and requires every frame, old and new, to be served after a reopen.
+func TestOpenFloorStore(t *testing.T) {
+	dir := copyStore(t, "testdata/floor-store")
 	cameras := []string{"cam1", "cam.2"}
 	s, err := OpenStore(dir)
 	if err != nil {
@@ -110,16 +108,13 @@ func TestOpenLegacyJSONStore(t *testing.T) {
 	for _, cam := range cameras {
 		checkServes(t, s, cam, 1, 10)
 		for seq := int64(11); seq <= 14; seq++ {
-			if err := s.Put(legacyRecord(cam, seq)); err != nil {
+			if err := s.Put(fixtureRecord(cam, seq)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if j, b := recordFormats(t, activeSegPath(t, dir, "cam1")); j == 0 || b == 0 {
-		t.Fatalf("active segment holds %d JSON and %d binary records; want both", j, b)
 	}
 
 	re, err := OpenStore(dir)
@@ -132,5 +127,21 @@ func TestOpenLegacyJSONStore(t *testing.T) {
 	}
 	for _, cam := range cameras {
 		checkServes(t, re, cam, 1, 14)
+	}
+}
+
+// TestOpenStoreRefusesJSONRecords: a directory whose segments hold JSON
+// records is refused with ErrPreFloorFormat, not reopened with those
+// frames skipped as corrupt, and every file in it is left as it was.
+func TestOpenStoreRefusesJSONRecords(t *testing.T) {
+	dir := copyStore(t, "testdata/json-store")
+	before := readDir(t, dir)
+	// Cameras open in name order, and "cam.2" sorts first.
+	first := filepath.Join(dir, "cam.2.00000000.seg")
+	if _, err := OpenStore(dir); !errors.Is(err, ErrPreFloorFormat) || !strings.Contains(err.Error(), first) {
+		t.Fatalf("open = %v, want ErrPreFloorFormat naming %s", err, first)
+	}
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused open changed the directory: %d files before, %d after", len(before), len(after))
 	}
 }

@@ -1,6 +1,7 @@
 package framestore
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,8 +10,9 @@ import (
 
 // FuzzOpenFrameStore opens a store directory holding arbitrary bytes as
 // camera cam1's manifest (none when empty) and as its segment 0. Opening
-// may refuse the directory but must not panic, and every seq a store it
-// opens has indexed must read back through Get and Range.
+// may refuse the directory (ErrPreFloorFormat for a JSON record among
+// others) but must not panic, and every seq a store it opens has indexed
+// must read back through Get and Range.
 func FuzzOpenFrameStore(f *testing.F) {
 	dir := f.TempDir()
 	s, err := OpenStore(dir)
@@ -38,6 +40,9 @@ func FuzzOpenFrameStore(f *testing.F) {
 	f.Add(manifest, segment[:len(segment)-7])                           // torn tail
 	f.Add([]byte(`{"version":1,"segments":[0,0,2],"next":1}`), segment) // listed twice, listed but missing
 	f.Add([]byte(`{"version":1,"segments":[1],"next":2}`), segment)     // segment 0 a stray
+
+	// A JSON record, which versions before the binary record wrote.
+	f.Add(manifest, append(binary.BigEndian.AppendUint32(slices.Clone(segment), 2), "{}"...))
 	f.Fuzz(func(t *testing.T, manifest, segment []byte) {
 		dir := t.TempDir()
 		if len(manifest) > 0 {

@@ -6,7 +6,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/protocol"
 )
 
 // appendRaw appends length-prefixed bytes to a file, simulating a write
@@ -27,6 +31,16 @@ func appendRaw(t *testing.T, path string, payload []byte, declaredLen int) {
 	if _, err := f.Write(payload); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// encodeRecord is rec as the store writes it, without the length prefix.
+func encodeRecord(t *testing.T, rec protocol.FrameRecord) []byte {
+	t.Helper()
+	data, err := protocol.AppendFrameRecord(nil, &rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // activeSegPath returns the camera's newest segment file.
@@ -60,10 +74,7 @@ func TestReloadDedupesDuplicateRecords(t *testing.T) {
 	writeAndClose(t, dir, 1, 2, 3)
 
 	// A crash-replayed append: seq 2 lands on disk a second time.
-	dup, err := json.Marshal(record("cam1", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	dup := encodeRecord(t, record("cam1", 2))
 	appendRaw(t, activeSegPath(t, dir, "cam1"), dup, len(dup))
 
 	s, err := OpenStore(dir)
@@ -210,53 +221,33 @@ func TestReloadCorruptLengthPrefix(t *testing.T) {
 	}
 }
 
-func TestReloadMigratesLegacyLog(t *testing.T) {
+// TestReloadRefusesSingleFileLog: a pre-segment "<camera>.frames" log,
+// length-prefixed JSON records as the seed engine wrote them, refuses the
+// open with ErrPreFloorFormat naming it, before any camera is opened: the
+// log and another camera's files are left as they were.
+func TestReloadRefusesSingleFileLog(t *testing.T) {
 	dir := t.TempDir()
-	// A pre-segment "<camera>.frames" log: length-prefixed records,
-	// exactly what the seed engine wrote.
+	writeAndClose(t, dir, 1, 2)
 	var raw []byte
 	for seq := int64(1); seq <= 3; seq++ {
-		data, err := json.Marshal(record("cam1", seq))
+		data, err := json.Marshal(record("cam0", seq))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var lenBuf [4]byte
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-		raw = append(raw, lenBuf[:]...)
+		raw = binary.BigEndian.AppendUint32(raw, uint32(len(data)))
 		raw = append(raw, data...)
 	}
-	legacy := filepath.Join(dir, "cam1"+legacySuffix)
+	legacy := filepath.Join(dir, "cam0.frames")
 	if err := os.WriteFile(legacy, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	before := readDir(t, dir)
 
-	s, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := OpenStore(dir); !errors.Is(err, ErrPreFloorFormat) || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("open = %v, want ErrPreFloorFormat naming %s", err, legacy)
 	}
-	if got := s.Count("cam1"); got != 3 {
-		t.Errorf("Count = %d, want 3", got)
-	}
-	if _, err := os.Stat(legacy); !errors.Is(err, os.ErrNotExist) {
-		t.Error("legacy log not renamed away")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "cam1"+manifestSuffix)); err != nil {
-		t.Errorf("no manifest after migration: %v", err)
-	}
-	// The migrated log accepts appends and survives another reload.
-	if err := s.Put(record("cam1", 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = re.Close() }()
-	if got := re.Count("cam1"); got != 4 {
-		t.Errorf("Count after migrate+append+reload = %d, want 4", got)
+	if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused open changed the directory: %d files before, %d after", len(before), len(after))
 	}
 }
 
@@ -268,10 +259,7 @@ func TestReloadDeletesStraySegments(t *testing.T) {
 	// segment file on disk that the manifest no longer lists. Its frames
 	// were garbage-collected; they must not resurrect as phantoms.
 	stray := segPath(dir, "cam1", 99)
-	data, err := json.Marshal(record("cam1", 77))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeRecord(t, record("cam1", 77))
 	if err := os.WriteFile(stray, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -33,15 +33,20 @@ import (
 //     leftover and is deleted on open — a GC'd frame can never resurrect
 //     as a phantom after a crash.
 //
-// The pre-segment single-log layout ("<camera>.frames") is migrated on
-// open by renaming the log to segment 0 and writing a manifest.
+// A segment record is a 4-byte big-endian length and a binary frame record
+// (protocol.AppendFrameRecord). A directory older versions wrote — a
+// single-file "<camera>.frames" log, or a segment holding a JSON record —
+// fails the open with ErrPreFloorFormat.
 
-// segSuffix and legacySuffix are the on-disk file extensions.
+// segSuffix and manifestSuffix are the on-disk file extensions.
 const (
 	segSuffix      = ".seg"
 	manifestSuffix = ".manifest"
-	legacySuffix   = ".frames"
 )
+
+// ErrPreFloorFormat is returned by OpenStore for a directory holding a
+// format older versions wrote, which this version does not read.
+var ErrPreFloorFormat = errors.New("framestore: pre-floor format; serve the directory with a framestore-server built from 71177d7 up to 96814f2 and -retain-frames until retention has collected the segments holding JSON records, or remove them")
 
 // manifest is the persisted per-camera segment list.
 type manifest struct {
@@ -251,8 +256,9 @@ func (s *Store) sealActive(cl *cameraLog) error {
 }
 
 // scanDir discovers and opens every camera found under the store root:
-// manifested segment chains, orphaned segment files from an interrupted
-// migration, and pre-segment "<camera>.frames" logs (migrated in place).
+// manifested segment chains and segment files no manifest lists yet. A
+// single-file "<camera>.frames" log refuses the open before any camera is
+// opened.
 func (s *Store) scanDir() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -268,8 +274,8 @@ func (s *Store) scanDir() error {
 		switch {
 		case strings.HasSuffix(name, manifestSuffix):
 			cameras[strings.TrimSuffix(name, manifestSuffix)] = true
-		case strings.HasSuffix(name, legacySuffix):
-			cameras[strings.TrimSuffix(name, legacySuffix)] = true
+		case strings.HasSuffix(name, ".frames"):
+			return fmt.Errorf("%w (found %s, a single-file log)", ErrPreFloorFormat, filepath.Join(s.dir, name))
 		case strings.HasSuffix(name, segSuffix):
 			camera, id, ok := parseSegName(name)
 			if !ok {
@@ -309,25 +315,13 @@ func parseSegName(name string) (camera string, id int64, ok bool) {
 	return base[:i], id, true
 }
 
-// openCamera loads one camera's segment chain: legacy-log migration,
-// manifest load (or reconstruction from on-disk segments), stray-segment
-// cleanup, and per-segment indexing with salvage. Single-threaded (open
-// path) or called under Store.mu for a brand-new camera.
+// openCamera loads one camera's segment chain: manifest load (or
+// reconstruction from on-disk segments), stray-segment cleanup, and
+// per-segment indexing with salvage. Single-threaded (open path) or called
+// under Store.mu for a brand-new camera.
 func (s *Store) openCamera(camera string, diskIDs []int64) (*cameraLog, error) {
 	cl := &cameraLog{camera: camera, index: make(map[int64]recordRef)}
 	logger := obs.DefaultLogger().WithComponent("framestore")
-
-	// Migrate a pre-segment log: rename it to segment 0 before reading
-	// the manifest, so a crash mid-migration (renamed, manifest not yet
-	// written) is re-entered as the orphan-adoption path below.
-	legacy := filepath.Join(s.dir, camera+legacySuffix)
-	if _, err := os.Stat(legacy); err == nil {
-		if err := os.Rename(legacy, segPath(s.dir, camera, 0)); err != nil {
-			return nil, fmt.Errorf("framestore: migrate legacy log: %w", err)
-		}
-		diskIDs = append(diskIDs, 0)
-		logger.Info("migrated legacy frame log", "camera", camera)
-	}
 
 	var m manifest
 	data, err := os.ReadFile(cl.manifestPath(s.dir))
@@ -416,7 +410,10 @@ func maxID(ids []int64) int64 {
 // write — truncates the remainder, logged and counted like the
 // trajstore WAL's tail handling. Duplicate (camera, seq) records keep
 // their first occurrence only, so a crash-replayed append can no longer
-// overcount Count or double-return from Range.
+// overcount Count or double-return from Range. A JSON record, which
+// versions before the binary frame record wrote, is not salvaged as
+// corrupt: it fails the open with ErrPreFloorFormat, since a store that
+// reopened with those frames missing would pass for disk rot.
 func (s *Store) indexSegment(cl *cameraLog, id int64) (*segment, error) {
 	path := segPath(s.dir, cl.camera, id)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -474,6 +471,10 @@ scan:
 				return nil, err
 			}
 			break
+		}
+		if n > 0 && data[0] == '{' {
+			_ = f.Close()
+			return nil, fmt.Errorf("%w (JSON record at byte %d of %s)", ErrPreFloorFormat, offset, path)
 		}
 		rec, err := protocol.DecodeFrameRecord(data)
 		if err != nil {

@@ -13,8 +13,8 @@ import (
 
 // Binary wire layouts. Every variable-length field is a uvarint length
 // followed by its bytes; integers are zig-zag varints. A layout starts with
-// its version byte, which is never '{', so a reader tells it from the legacy
-// JSON form (which always starts with '{') by the first byte alone.
+// its version byte; a reader refuses any other first byte, the '{' of the
+// JSON forms older versions wrote among them.
 //
 // Envelope body (after the 4-byte length prefix):
 //
@@ -159,31 +159,18 @@ func appendEnvelopeHeader(dst []byte, env *Envelope) []byte {
 	return appendString(dst, tc.ParentID)
 }
 
-// jsonEnvelope is the legacy wire shape: the whole envelope as one JSON
-// object. It is read, never written, so senders that predate the binary
-// header keep working.
-type jsonEnvelope struct {
-	Type    MessageType     `json:"type"`
-	Payload json.RawMessage `json:"payload"`
-	Trace   *TraceContext   `json:"trace,omitempty"`
-}
+// ErrBadEnvelope wraps every failure of ReadEnvelope that is the sender's
+// format, not the stream's: a body that does not decode, such as one in a
+// format this version does not read, or a length above MaxFrameBytes.
+var ErrBadEnvelope = errors.New("protocol: bad envelope")
 
-// decodeEnvelope decodes one envelope body, binary or legacy JSON. The
-// payload aliases body.
+// decodeEnvelope decodes one envelope body. The payload aliases body.
 func decodeEnvelope(body []byte) (Envelope, error) {
 	if len(body) == 0 {
-		return Envelope{}, errors.New("protocol: empty envelope")
+		return Envelope{}, fmt.Errorf("%w: empty", ErrBadEnvelope)
 	}
-	switch body[0] {
-	case '{':
-		var je jsonEnvelope
-		if err := json.Unmarshal(body, &je); err != nil {
-			return Envelope{}, fmt.Errorf("protocol: decode envelope: %w", err)
-		}
-		return Envelope{Type: je.Type, Payload: je.Payload, Trace: je.Trace}, nil
-	case envelopeV1:
-	default:
-		return Envelope{}, fmt.Errorf("protocol: unknown envelope format 0x%02x", body[0])
+	if body[0] != envelopeV1 {
+		return Envelope{}, fmt.Errorf("%w: unknown envelope format 0x%02x", ErrBadEnvelope, body[0])
 	}
 	c := cursor{b: body[1:]}
 	env := Envelope{Type: MessageType(c.bytes())}
@@ -200,7 +187,7 @@ func decodeEnvelope(body []byte) (Envelope, error) {
 		c.err = fmt.Errorf("unknown trace flags 0x%02x", flags)
 	}
 	if c.err != nil {
-		return Envelope{}, fmt.Errorf("protocol: decode envelope: %w", c.err)
+		return Envelope{}, fmt.Errorf("%w: %w", ErrBadEnvelope, c.err)
 	}
 	env.Payload = c.b
 	return env, nil
@@ -251,26 +238,18 @@ func sealFrameRecord(rec *FrameRecord) (Envelope, error) {
 	return Envelope{Type: TypeFrameRecord, Payload: payload}, nil
 }
 
-// DecodeFrameRecord decodes a frame record in the binary layout, or in the
-// legacy JSON form (first byte '{') that earlier senders and framestore
-// segments carry. A binary record's Pixels alias data. Empty annotation
-// and pixel fields decode as nil in both forms.
+// DecodeFrameRecord decodes a frame record in the binary layout. Its Pixels
+// alias data; empty annotation and pixel fields decode as nil.
 func DecodeFrameRecord(data []byte) (FrameRecord, error) {
 	var rec FrameRecord
 	if len(data) == 0 {
 		return rec, errors.New("protocol: empty frame record")
 	}
-	switch data[0] {
-	case '{':
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return FrameRecord{}, fmt.Errorf("protocol: decode frame record: %w", err)
-		}
-	case frameRecordV1:
-		if err := decodeFrameRecordV1(data[1:], &rec); err != nil {
-			return FrameRecord{}, fmt.Errorf("protocol: decode frame record: %w", err)
-		}
-	default:
+	if data[0] != frameRecordV1 {
 		return rec, fmt.Errorf("protocol: unknown frame record format 0x%02x", data[0])
+	}
+	if err := decodeFrameRecordV1(data[1:], &rec); err != nil {
+		return FrameRecord{}, fmt.Errorf("protocol: decode frame record: %w", err)
 	}
 	if len(rec.Annotations) == 0 {
 		rec.Annotations = nil

@@ -13,11 +13,12 @@ import (
 )
 
 // FuzzReadEnvelope feeds arbitrary bytes to the envelope reader and the
-// message decoder. Neither may panic, and whatever decodes must survive
-// re-encoding: WriteEnvelope → ReadEnvelope gives back the same envelope,
-// and Seal → Open gives back the same message. Read as a stream through
-// one reused buffer, the bytes must give, envelope by envelope, what a
-// fresh buffer per envelope gives.
+// message decoder. Neither may panic, a body in the all-JSON envelope older
+// senders wrote (first byte '{') must be refused, and whatever decodes
+// must survive re-encoding: WriteEnvelope → ReadEnvelope gives back the
+// same envelope, and Seal → Open gives back the same message. Read as a
+// stream through one reused buffer, the bytes must give, envelope by
+// envelope, what a fresh buffer per envelope gives.
 func FuzzReadEnvelope(f *testing.F) {
 	tc := &TraceContext{TraceID: "cam1#1", SpanID: "s", Sampled: true}
 	var stream bytes.Buffer // every binary seed, back to back
@@ -37,12 +38,17 @@ func FuzzReadEnvelope(f *testing.F) {
 		if err := WriteEnvelope(&bin, env); err != nil {
 			f.Fatal(err)
 		}
-		// The same message in the legacy all-JSON envelope.
+		// The same message in the all-JSON envelope older senders wrote.
 		payload, err := json.Marshal(msg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := WriteFrame(&legacy, jsonEnvelope{Type: env.Type, Payload: payload, Trace: tc}, MaxFrameBytes); err != nil {
+		jsonEnv := struct {
+			Type    MessageType     `json:"type"`
+			Payload json.RawMessage `json:"payload"`
+			Trace   *TraceContext   `json:"trace,omitempty"`
+		}{env.Type, payload, tc}
+		if err := WriteFrame(&legacy, jsonEnv, MaxFrameBytes); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bin.Bytes())
@@ -70,6 +76,9 @@ func FuzzReadEnvelope(f *testing.F) {
 		env, err := ReadEnvelope(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if data[4] == '{' {
+			t.Fatalf("JSON envelope decoded: %+v", env)
 		}
 		var buf bytes.Buffer
 		if err := WriteEnvelope(&buf, env); err != nil {
@@ -107,8 +116,9 @@ func FuzzReadEnvelope(f *testing.F) {
 
 // FuzzDecodeFrameRecord feeds arbitrary bytes to the frame-record decoder
 // the framestore runs on every segment record and received frame. It may
-// not panic, and a record that decodes must re-encode and decode to an
-// equal record.
+// not panic, must refuse the JSON record older versions wrote (first byte
+// '{'), and a record that decodes must re-encode and decode to an equal
+// record.
 func FuzzDecodeFrameRecord(f *testing.F) {
 	for _, rec := range []FrameRecord{
 		{},
@@ -126,6 +136,9 @@ func FuzzDecodeFrameRecord(f *testing.F) {
 		rec, err := DecodeFrameRecord(data)
 		if err != nil {
 			return
+		}
+		if data[0] == '{' {
+			t.Fatalf("JSON frame record decoded: %+v", rec)
 		}
 		env, err := Seal(rec)
 		if err != nil {

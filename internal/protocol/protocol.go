@@ -6,10 +6,10 @@
 // over byte streams: a length-prefixed envelope with a binary header, a
 // binary frame record whose pixels travel as raw bytes, and the
 // length-prefixed JSON frame the request/response protocols use. Control
-// message payloads are JSON; readers also accept the all-JSON envelope and
-// frame-record forms written before the binary layouts (codec.go). A
-// binary detection-event layout with a sparse histogram is what the
-// trajectory store's log records carry.
+// message payloads are JSON. Each binary layout is the only form its
+// reader accepts: the all-JSON envelope and frame record older versions
+// wrote are refused (codec.go). A binary detection-event layout with a
+// sparse histogram is what the trajectory store's log records carry.
 package protocol
 
 import (
@@ -184,7 +184,8 @@ type BoxAnnotation struct {
 // binary record (codec.go), and Open hands back a record whose Pixels
 // alias the received payload. A transport handler may use that payload
 // only until it returns (transport.Handler), so a receiver that keeps the
-// record copies Pixels. The JSON tags describe the legacy form, still read.
+// record copies Pixels. The JSON tags name the fields of the JSON form
+// older versions wrote, which no reader accepts any more.
 type FrameRecord struct {
 	CameraID    string          `json:"cameraId"`
 	Seq         int64           `json:"seq"`
@@ -380,9 +381,10 @@ func WriteEnvelope(w io.Writer, env Envelope) error {
 	return writeFramed(w, head, env.Payload, MaxFrameBytes)
 }
 
-// ReadEnvelope reads one length-prefixed envelope, binary or legacy JSON
-// (told apart by the body's first byte), into a buffer of its own. It
-// returns io.EOF when the stream ends cleanly at a message boundary.
+// ReadEnvelope reads one length-prefixed envelope into a buffer of its own.
+// It returns io.EOF when the stream ends cleanly at a message boundary, and
+// an error wrapping ErrBadEnvelope for a body it does not decode or one
+// longer than MaxFrameBytes.
 func ReadEnvelope(r io.Reader) (Envelope, error) {
 	var buf []byte
 	return ReadEnvelopeInto(r, &buf)
@@ -395,6 +397,9 @@ func ReadEnvelope(r io.Reader) (Envelope, error) {
 // that buffer and is valid only until the next call with the same buf.
 func ReadEnvelopeInto(r io.Reader, buf *[]byte) (Envelope, error) {
 	body, err := readFramed(r, MaxFrameBytes, *buf)
+	if errors.Is(err, ErrFrameTooLarge) {
+		return Envelope{}, fmt.Errorf("%w: %w", ErrBadEnvelope, err)
+	}
 	if err != nil {
 		return Envelope{}, err
 	}

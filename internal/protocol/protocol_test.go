@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,11 +218,12 @@ func TestDecodeFrameRecordRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestReadEnvelopeLegacyJSONStream reads a stream written the way senders
-// did before the binary envelope: each envelope one JSON object framed by
-// WriteFrame, frame records with base64 pixels. Binary envelopes may
-// follow on the same stream.
-func TestReadEnvelopeLegacyJSONStream(t *testing.T) {
+// TestReadEnvelopeRefusesJSON reads a stream written the way senders did
+// before the binary envelope: each envelope one JSON object framed by
+// WriteFrame, frame records with base64 pixels. Each is refused as a bad
+// envelope of unknown format 0x7b ('{'), and a binary envelope after them
+// on the same stream still reads.
+func TestReadEnvelopeRefusesJSON(t *testing.T) {
 	ts := time.Date(2020, 12, 7, 10, 30, 0, 0, time.UTC)
 	rec := FrameRecord{CameraID: "cam1", Seq: 7, Timestamp: ts, Width: 1, Height: 2,
 		Pixels: []byte{9, 8, 7, 6, 5, 4}, Annotations: []BoxAnnotation{{TrackID: 1, W: 1, H: 1, Label: "car"}}}
@@ -229,17 +231,16 @@ func TestReadEnvelopeLegacyJSONStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retire := Retire{EventID: "cam1#3", ByCameraID: "cam2"}
-	retireJSON, err := json.Marshal(retire)
+	retireJSON, err := json.Marshal(Retire{EventID: "cam1#3", ByCameraID: "cam2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc := &TraceContext{TraceID: "cam1#3", SpanID: "s1", ParentID: "p0", Sampled: true}
 
 	var buf bytes.Buffer
-	for _, legacy := range []jsonEnvelope{
-		{Type: TypeFrameRecord, Payload: recJSON},
-		{Type: TypeRetire, Payload: retireJSON, Trace: tc},
+	for _, legacy := range []map[string]any{
+		{"type": TypeFrameRecord, "payload": json.RawMessage(recJSON)},
+		{"type": TypeRetire, "payload": json.RawMessage(retireJSON), "trace": tc},
 	} {
 		if err := WriteFrame(&buf, legacy, MaxFrameBytes); err != nil {
 			t.Fatal(err)
@@ -249,25 +250,17 @@ func TestReadEnvelopeLegacyJSONStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i := 0; i < 3; i++ {
-		env, err := ReadEnvelope(&buf)
-		if err != nil {
-			t.Fatalf("envelope %d: %v", i, err)
+	for i := 0; i < 2; i++ {
+		if _, err := ReadEnvelope(&buf); !errors.Is(err, ErrBadEnvelope) || !strings.Contains(err.Error(), "format 0x7b") {
+			t.Fatalf("JSON envelope %d: %v, want a bad envelope of format 0x7b", i, err)
 		}
-		msg, err := Open(env)
-		if err != nil {
-			t.Fatalf("envelope %d: Open: %v", i, err)
-		}
-		switch i {
-		case 0, 2:
-			if !frameRecordsEqual(msg.(FrameRecord), rec) {
-				t.Errorf("envelope %d: frame record = %+v, want %+v", i, msg, rec)
-			}
-		case 1:
-			if msg.(Retire) != retire || env.Trace == nil || *env.Trace != *tc {
-				t.Errorf("envelope %d: %+v trace %+v", i, msg, env.Trace)
-			}
-		}
+	}
+	env, err := ReadEnvelope(&buf)
+	if err != nil {
+		t.Fatalf("binary envelope after the JSON ones: %v", err)
+	}
+	if msg, err := Open(env); err != nil || !frameRecordsEqual(msg.(FrameRecord), rec) {
+		t.Errorf("binary envelope: %+v, %v; want %+v", msg, err, rec)
 	}
 	if _, err := ReadEnvelope(&buf); !errors.Is(err, io.EOF) {
 		t.Errorf("want io.EOF at end, got %v", err)
@@ -371,8 +364,8 @@ func TestReadEnvelopeOversized(t *testing.T) {
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], MaxFrameBytes+1)
 	_, err := ReadEnvelope(bytes.NewReader(lenBuf[:]))
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("want ErrFrameTooLarge, got %v", err)
+	if !errors.Is(err, ErrFrameTooLarge) || !errors.Is(err, ErrBadEnvelope) {
+		t.Errorf("want ErrFrameTooLarge as a bad envelope, got %v", err)
 	}
 }
 

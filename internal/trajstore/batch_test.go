@@ -2,9 +2,7 @@ package trajstore
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -216,17 +214,12 @@ func TestFsyncDurabilityOfAcknowledgedWrites(t *testing.T) {
 	// Simulate the crash: snapshot the on-disk state with the store still
 	// open (nothing flushed by Close), then open a fresh store from it.
 	crashDir := t.TempDir()
-	for _, name := range []string{walFileName, snapshotFileName} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if errors.Is(err, os.ErrNotExist) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(crashDir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	data, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(crashDir, walFileName), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	_ = s.Close()
 
@@ -240,73 +233,49 @@ func TestFsyncDurabilityOfAcknowledgedWrites(t *testing.T) {
 	}
 }
 
-// TestCrashDuringMigrationNoDuplicateEdges reproduces the migration crash
-// window: the migrated log is renamed into place but the process dies
-// before the legacy files are removed, so restart replays legacy files
-// whose contents are already in the log. Replay must be idempotent or
-// weights silently skew, and that open finishes the migration.
-func TestCrashDuringMigrationNoDuplicateEdges(t *testing.T) {
+// TestReplaySkipsRepeatedRecords: replay is idempotent. A log that repeats
+// a vertex record and an edge record opens to the graph without the
+// repeats, so a record that reached the log twice cannot duplicate an edge
+// or skew a trajectory weight.
+func TestReplaySkipsRepeatedRecords(t *testing.T) {
 	dir := t.TempDir()
-	vertex := func(id int64) Vertex {
+	vertex := func(id int64) *Vertex {
 		v := Vertex{ID: id, Event: event(fmt.Sprintf("cam#%d", id))}
 		v.Event.VertexID = id
-		return v
+		return &v
 	}
-	// Vertices 1 and 2 with their edge in the snapshot, vertex 3 and the
-	// edge into it in the JSON log.
-	writeLegacySnapshot(t, dir, snapshotFile{
-		Vertices: []Vertex{vertex(1), vertex(2)},
-		Edges:    []Edge{{From: 1, To: 2, Weight: 0.1}},
-	})
-	var wal bytes.Buffer
-	v3, e23 := vertex(3), Edge{From: 2, To: 3, Weight: 0.2}
-	enc := json.NewEncoder(&wal)
-	_ = enc.Encode(legacyRecord{Op: "v", Vertex: &v3})
-	_ = enc.Encode(legacyRecord{Op: "e", Edge: &e23})
-	legacyPath := filepath.Join(dir, legacyWALFileName)
-	if err := os.WriteFile(legacyPath, wal.Bytes(), 0o644); err != nil {
+	var log walBatch
+	for id := int64(1); id <= 3; id++ {
+		if err := log.addVertex(vertex(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = log.addEdge(Edge{From: 1, To: 2, Weight: 0.1})
+	_ = log.addEdge(Edge{From: 2, To: 3, Weight: 0.2})
+	// The repeats: vertex 3 and the edge into it, once more.
+	if err := log.addVertex(vertex(3)); err != nil {
 		t.Fatal(err)
 	}
-	snapshot, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_ = log.addEdge(Edge{From: 2, To: 3, Weight: 0.2})
+	writeLog(t, dir, &log)
 
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	defer func() { _ = s.Close() }()
+	if s.NumVertices() != 3 {
+		t.Errorf("vertices = %d, want 3", s.NumVertices())
 	}
-	assertOnlyLog(t, dir)
-	// Crash simulation: the rename landed but the unlinks did not — put
-	// the legacy files back beside the migrated log.
-	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), snapshot, 0o644); err != nil {
-		t.Fatal(err)
+	if s.NumEdges() != 2 {
+		t.Errorf("edges = %d, want 2: replaying a repeated record duplicated an edge", s.NumEdges())
 	}
-	if err := os.WriteFile(legacyPath, wal.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s2.Close() }()
-	if s2.NumVertices() != 3 {
-		t.Errorf("vertices = %d, want 3", s2.NumVertices())
-	}
-	if s2.NumEdges() != 2 {
-		t.Errorf("edges = %d, want 2: replaying the legacy files again duplicated edges", s2.NumEdges())
-	}
-	if out := s2.OutEdges(1); len(out) != 1 || out[0].Weight != 0.1 {
+	if out := s.OutEdges(1); len(out) != 1 || out[0].Weight != 0.1 {
 		t.Errorf("1's out edges = %+v", out)
 	}
-	if out := s2.OutEdges(2); len(out) != 1 || out[0].Weight != 0.2 {
+	if out := s.OutEdges(2); len(out) != 1 || out[0].Weight != 0.2 {
 		t.Errorf("2's out edges = %+v", out)
 	}
-	assertOnlyLog(t, dir)
 }
 
 // TestTornWALTailTruncated proves a partial final record (a torn write

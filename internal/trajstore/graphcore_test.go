@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -248,24 +246,24 @@ func TestUnencodableWriteRejectedBeforeApply(t *testing.T) {
 // --- Duplicate event IDs: the lowest vertex ID answers, everywhere ---
 
 func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
-	// dup#1 twice and a filler sit in a legacy snapshot file, which some
-	// versions wrote with the vertices in map order: reversed here to stand
-	// for them. Open sorts them and migrates the directory; a third dup#1
-	// and both dup#2 then go to the record log.
+	// dup#1 twice and a filler sit in a record log an earlier process
+	// wrote; a third dup#1 and both dup#2 then go to the same log.
 	dir := t.TempDir()
-	var file snapshotFile
+	var log walBatch
 	for i, id := range []string{"dup#1", "filler#1", "dup#1"} {
 		v := Vertex{ID: int64(i + 1), Event: event(id)}
 		v.Event.VertexID = v.ID
-		file.Vertices = append([]Vertex{v}, file.Vertices...)
+		if err := log.addVertex(&v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	writeLegacySnapshot(t, dir, file)
+	writeLog(t, dir, &log)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.NumVertices() != 3 {
-		t.Fatalf("legacy snapshot opened with %d vertices, want 3", s.NumVertices())
+		t.Fatalf("log opened with %d vertices, want 3", s.NumVertices())
 	}
 	add := func(id string) int64 {
 		t.Helper()
@@ -369,18 +367,19 @@ func TestSnapshotIndexMatchesScanConcurrent(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			// A legacy JSON log, which Open still replays.
-			var wal bytes.Buffer
-			enc := json.NewEncoder(&wal)
+			// A record log with ID gaps, which Open replays.
+			var log walBatch
 			var ids []int64
 			next := int64(1)
 			for i := 0; i < 60; i++ {
 				next += int64(rng.Intn(3)) // 0: dense, 1-2: a gap
 				v := Vertex{ID: next, Event: randomEvent(rng)}
 				v.Event.VertexID = v.ID
-				_ = enc.Encode(legacyRecord{Op: "v", Vertex: &v})
+				if err := log.addVertex(&v); err != nil {
+					t.Fatal(err)
+				}
 				if len(ids) > 0 && rng.Float64() < 0.7 {
-					_ = enc.Encode(legacyRecord{Op: "e", Edge: &Edge{From: ids[rng.Intn(len(ids))], To: next, Weight: rng.Float64()}})
+					_ = log.addEdge(Edge{From: ids[rng.Intn(len(ids))], To: next, Weight: rng.Float64()})
 				}
 				ids = append(ids, next)
 				next++
@@ -388,22 +387,20 @@ func TestSnapshotIndexMatchesScanConcurrent(t *testing.T) {
 			var s *Store
 			if seed%2 == 1 {
 				dir := t.TempDir()
-				if err := os.WriteFile(filepath.Join(dir, legacyWALFileName), wal.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
+				writeLog(t, dir, &log)
 				var err error
 				if s, err = Open(dir); err != nil {
 					t.Fatal(err)
 				}
 			} else {
 				s = NewMemStore()
-				dec := json.NewDecoder(&wal)
-				for dec.More() {
-					var rec legacyRecord
-					if err := dec.Decode(&rec); err != nil {
-						t.Fatal(err)
+				for off := 0; off < len(log.buf); {
+					rec, size, ok := readRecord(log.buf[off:])
+					if !ok {
+						t.Fatalf("record at byte %d does not decode", off)
 					}
-					s.applyLegacyRecord(rec)
+					s.applyLogRecord(rec)
+					off += size
 				}
 				s.published.Store(s.snapshotLocked())
 			}

@@ -2,17 +2,13 @@ package trajstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -21,19 +17,17 @@ import (
 	"repro/internal/protocol"
 )
 
-const (
-	// walFileName is the binary record log every write appends to, and the
-	// only file a store writes.
-	walFileName       = "trajstore.log"
-	legacyWALFileName = "trajstore.wal"
-	snapshotFileName  = "trajstore.snapshot.json"
-)
+// walFileName is the binary record log every write appends to, and the
+// only file a store reads or writes.
+const walFileName = "trajstore.log"
 
-// legacyFiles are the JSON-lines log and the JSON snapshot older versions
-// wrote. Open replays them once; migrateLegacy then removes them in this
-// order, because the JSON log replayed without the snapshot before it would
-// leave the snapshot's IDs below its vertices as gaps replay never fills.
-var legacyFiles = []string{legacyWALFileName, snapshotFileName}
+// preFloorFiles are the JSON log and JSON snapshot written before the
+// record log. Open refuses a directory holding either.
+var preFloorFiles = []string{"trajstore.wal", "trajstore.snapshot.json"}
+
+// ErrPreFloorFormat is returned by Open for a directory still holding a
+// file of preFloorFiles: this version reads the record log alone.
+var ErrPreFloorFormat = errors.New("trajstore: pre-floor format; open the directory once with a trajstore-server built from 3ed9da7 up to 96814f2, which migrates it to " + walFileName)
 
 // ErrWALCorrupt is returned by Open when the write-ahead log is damaged
 // in the middle of the file. A damaged tail is expected after a crash and
@@ -183,20 +177,6 @@ func readRecord(b []byte) (rec logRecord, size int, ok bool) {
 		return rec, 0, false
 	}
 	return rec, size, true
-}
-
-// legacyRecord is one line of the legacy JSON log.
-type legacyRecord struct {
-	Op     string  `json:"op"` // "v" or "e"
-	Vertex *Vertex `json:"vertex,omitempty"`
-	Edge   *Edge   `json:"edge,omitempty"`
-}
-
-// snapshotFile is the legacy JSON snapshot. Its nextId is not read: an ID
-// past the last vertex was never committed, so no record refers to it.
-type snapshotFile struct {
-	Vertices []Vertex `json:"vertices"`
-	Edges    []Edge   `json:"edges"`
 }
 
 // StoreConfig tunes the durability of a persistent store. The zero value
@@ -402,9 +382,8 @@ func (p *persister) stats() WALStats {
 
 // Open loads (or creates) a persistent store in dir with default
 // durability (buffered flush, no fsync): it replays the record log, and
-// new writes append to it. A directory an older version wrote is read
-// first — its snapshot, then its JSON log, then the record log on top —
-// and migrated to the record log alone.
+// new writes append to it. A directory holding a JSON log or snapshot is
+// refused with ErrPreFloorFormat and left as it is.
 func Open(dir string) (*Store, error) {
 	return OpenWithConfig(dir, StoreConfig{})
 }
@@ -417,20 +396,16 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trajstore: mkdir: %w", err)
 	}
+	for _, name := range preFloorFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return nil, fmt.Errorf("%w (found %s)", ErrPreFloorFormat, filepath.Join(dir, name))
+		}
+	}
 	s := NewMemStore()
-	if err := s.loadSnapshot(filepath.Join(dir, snapshotFileName)); err != nil {
-		return nil, err
-	}
-	if err := s.replayLegacyWAL(filepath.Join(dir, legacyWALFileName)); err != nil {
-		return nil, err
-	}
 	if err := s.replayLog(filepath.Join(dir, walFileName)); err != nil {
 		return nil, err
 	}
 	s.published.Store(s.snapshotLocked())
-	if err := migrateLegacy(dir, s.Snapshot()); err != nil {
-		return nil, err
-	}
 	p, err := newPersister(dir, cfg, &s.published)
 	if err != nil {
 		return nil, err
@@ -439,44 +414,12 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) loadSnapshot(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("trajstore: open snapshot: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-	var snap snapshotFile
-	if err := json.NewDecoder(f).Decode(&snap); err != nil {
-		return fmt.Errorf("trajstore: decode snapshot: %w", err)
-	}
-	s.restore(snap)
-	return nil
-}
-
-// restore loads a legacy snapshot. Some versions listed its vertices in
-// map order, so they are sorted here: the vertex slice and the vehicle
-// index fill in ascending ID order.
-func (s *Store) restore(snap snapshotFile) {
-	sort.Slice(snap.Vertices, func(i, j int) bool { return snap.Vertices[i].ID < snap.Vertices[j].ID })
-	for _, v := range snap.Vertices {
-		s.putVertexLocked(v)
-	}
-	for _, e := range snap.Edges {
-		_ = s.applyEdgeLocked(e.From, e.To, e.Weight, nil) // as replay: skip a dangling or duplicate edge
-	}
-}
-
 // applyLogRecord replays one record idempotently (nothing else can see the
 // store yet; Open publishes once replay is done): a vertex whose ID is
 // already loaded is kept as loaded, and an edge duplicating an existing
 // (from, to) pair — the store's own uniqueness invariant — or missing an
-// endpoint is skipped. Idempotence is what makes the migration crash
-// window safe: if the process dies after the migrated log is installed
-// but before the legacy files are removed, restart replays every record
-// already in them without skewing trajectory weights.
+// endpoint is skipped, so a record the log repeats cannot skew trajectory
+// weights.
 func (s *Store) applyLogRecord(rec logRecord) {
 	if rec.op == opVertex {
 		s.putVertexLocked(rec.vertex)
@@ -515,82 +458,6 @@ func (s *Store) replayLog(path string) error {
 	return nil
 }
 
-// applyLegacyRecord replays one legacy JSON record with applyLogRecord's
-// idempotence.
-func (s *Store) applyLegacyRecord(rec legacyRecord) {
-	switch {
-	case rec.Op == "v" && rec.Vertex != nil:
-		s.putVertexLocked(*rec.Vertex)
-	case rec.Op == "e" && rec.Edge != nil:
-		_ = s.applyEdgeLocked(rec.Edge.From, rec.Edge.To, rec.Edge.Weight, nil)
-	}
-}
-
-// isLegacyRecordLine reports whether a line parses as a well-formed legacy
-// record, used to tell a torn tail from mid-file corruption.
-func isLegacyRecordLine(line []byte) bool {
-	line = bytes.TrimSpace(line)
-	if len(line) == 0 {
-		return false
-	}
-	var rec legacyRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return false
-	}
-	return (rec.Op == "v" && rec.Vertex != nil) || (rec.Op == "e" && rec.Edge != nil)
-}
-
-// replayLegacyWAL applies a JSON-lines log written before the record log,
-// with replayLog's damage rules: a damaged tail is truncated, damage
-// followed by an intact line fails the open with ErrWALCorrupt.
-func (s *Store) replayLegacyWAL(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("trajstore: open wal: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-	r := bufio.NewReader(f)
-	var offset int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == nil {
-			var rec legacyRecord
-			if uerr := json.Unmarshal(line, &rec); uerr != nil {
-				return s.handleDamagedLegacyWAL(path, r, offset, uerr)
-			}
-			s.applyLegacyRecord(rec)
-			offset += int64(len(line))
-			continue
-		}
-		if errors.Is(err, io.EOF) {
-			if len(line) == 0 {
-				return nil // clean end at a record boundary
-			}
-			// Partial final line with no newline: torn tail.
-			return s.truncateWALTail(path, offset)
-		}
-		return fmt.Errorf("trajstore: read wal: %w", err)
-	}
-}
-
-// handleDamagedLegacyWAL classifies a record that failed to decode: if any
-// complete, well-formed record follows it, the file is corrupt mid-file;
-// otherwise the damage is a torn tail and is truncated away.
-func (s *Store) handleDamagedLegacyWAL(path string, r *bufio.Reader, offset int64, cause error) error {
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == nil && isLegacyRecordLine(line) {
-			return fmt.Errorf("%w (at byte %d): %v", ErrWALCorrupt, offset, cause)
-		}
-		if err != nil {
-			return s.truncateWALTail(path, offset)
-		}
-	}
-}
-
 // truncateWALTail discards everything from offset on — the torn tail of
 // a crashed append — so the good prefix stays replayable and new appends
 // do not land after garbage.
@@ -604,66 +471,4 @@ func (s *Store) truncateWALTail(path string, offset int64) error {
 		"offset", strconv.FormatInt(offset, 10),
 		"note", "expected after a crash")
 	return nil
-}
-
-// migrateLegacy rewrites a directory still holding legacyFiles as the
-// record log alone, once, after Open's replay: sn — every vertex in
-// ascending ID, then the edges grouped by ascending source — is written to
-// a temporary log and synced, renamed over the record log, and the legacy
-// files removed in order, the directory synced before each removal whatever
-// StoreConfig.Fsync says (until the rename they are the only other copy).
-// A crash at any step leaves the old or the migrated log beside a suffix of
-// legacyFiles, which replays to the same graph (see applyLogRecord); that
-// open finishes the migration.
-func migrateLegacy(dir string, sn *Snapshot) error {
-	var legacy []string
-	for _, name := range legacyFiles {
-		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			legacy = append(legacy, name)
-		}
-	}
-	if len(legacy) == 0 {
-		return nil
-	}
-	var vs, es walBatch
-	for id := int64(1); id <= sn.MaxVertexID(); id++ {
-		if v, err := sn.Vertex(id); err == nil {
-			if err := vs.addVertex(&v); err != nil {
-				return fmt.Errorf("trajstore: migrate legacy files: %w", err)
-			}
-		}
-		for _, e := range sn.edges(id, true) {
-			_ = es.addEdge(e) // fixed-size, far below maxRecordBytes
-		}
-	}
-	tmp := filepath.Join(dir, walFileName+".tmp")
-	f, err := os.Create(tmp)
-	if err == nil {
-		_, err = f.Write(append(vs.buf, es.buf...))
-		err = errors.Join(err, f.Sync(), f.Close())
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, walFileName))
-	}
-	for _, name := range legacy {
-		if err == nil {
-			err = syncDir(dir)
-		}
-		if err == nil {
-			err = os.Remove(filepath.Join(dir, name))
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("trajstore: migrate legacy files: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory, making a rename in it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return errors.Join(d.Sync(), d.Close())
 }

@@ -273,46 +273,6 @@ func TestWALCrashPointQueryEquivalence(t *testing.T) {
 	}
 }
 
-// TestLegacyWALCrashPointQueryEquivalence is the crash-point check over a
-// legacy JSON log, which Open still replays: the oracle applies exactly the
-// lines whose newline reached disk.
-func TestLegacyWALCrashPointQueryEquivalence(t *testing.T) {
-	sn := crashPointStore(t, t.TempDir()).Snapshot()
-	var wal bytes.Buffer
-	enc := json.NewEncoder(&wal)
-	for id := int64(1); id <= sn.MaxVertexID(); id++ {
-		v, _ := sn.Vertex(id)
-		_ = enc.Encode(legacyRecord{Op: "v", Vertex: &v})
-	}
-	for id := int64(1); id <= sn.MaxVertexID(); id++ {
-		for _, e := range sn.edges(id, true) {
-			_ = enc.Encode(legacyRecord{Op: "e", Edge: &e})
-		}
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 10; trial++ {
-		cut := 1 + rng.Intn(wal.Len())
-		crashDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(crashDir, legacyWALFileName), wal.Bytes()[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		expected := NewMemStore()
-		for _, line := range bytes.SplitAfter(wal.Bytes()[:cut], []byte("\n")) {
-			if len(line) == 0 || line[len(line)-1] != '\n' {
-				continue // torn tail: the reopened store truncates it too
-			}
-			var rec legacyRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				t.Fatalf("cut=%d: undecodable complete line: %v", cut, err)
-			}
-			expected.applyLegacyRecord(rec)
-		}
-		expected.published.Store(expected.snapshotLocked())
-		checkCrashPoint(t, crashDir, cut, expected)
-	}
-}
-
 // TestPersistenceEquivalence: a store reloaded from disk answers
 // trajectory queries identically to the original.
 func TestPersistenceEquivalence(t *testing.T) {

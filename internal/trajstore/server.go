@@ -20,10 +20,8 @@ const (
 	opAddBatch    = "add_batch"
 	opGetVertex   = "get_vertex"
 	opFindByEvent = "find_by_event"
-	opTrajectory  = "trajectory"
 	opStats       = "stats"
 	opOutEdges    = "out_edges"
-	opInEdges     = "in_edges"
 	// Server-side query ops: the full reconstruction runs inside the
 	// server against a consistent snapshot, returning whole ranked
 	// tracks in one round trip. This package's Client queries only
@@ -91,15 +89,14 @@ func (r *request) SetTraceContext(tc *protocol.TraceContext) { r.Trace = tc }
 
 // response is one server -> client reply.
 type response struct {
-	OK       bool      `json:"ok"`
-	Err      string    `json:"err,omitempty"`
-	Code     string    `json:"code,omitempty"` // structured error code ("" for old servers)
-	VertexID int64     `json:"vertexId,omitempty"`
-	Vertex   *Vertex   `json:"vertex,omitempty"`
-	Paths    [][]int64 `json:"paths,omitempty"`
-	Vertices int       `json:"vertices,omitempty"`
-	Edges    int       `json:"edges,omitempty"`
-	EdgeList []Edge    `json:"edgeList,omitempty"`
+	OK       bool    `json:"ok"`
+	Err      string  `json:"err,omitempty"`
+	Code     string  `json:"code,omitempty"` // structured error code ("" for old servers)
+	VertexID int64   `json:"vertexId,omitempty"`
+	Vertex   *Vertex `json:"vertex,omitempty"`
+	Vertices int     `json:"vertices,omitempty"`
+	Edges    int     `json:"edges,omitempty"`
+	EdgeList []Edge  `json:"edgeList,omitempty"`
 	// Tracks, Track, and Hops carry server-side query results.
 	Tracks []Track `json:"tracks,omitempty"`
 	Track  *Track  `json:"track,omitempty"`
@@ -259,26 +256,11 @@ func (s *Server) handle(ctx context.Context, req request) response {
 			return fail(err)
 		}
 		return response{OK: true, Vertex: &v}
-	case opTrajectory:
-		limits := DefaultTraceLimits()
-		if req.Limits != nil {
-			limits = *req.Limits
-		}
-		paths, err := s.store.Trajectory(req.ID, limits)
-		if err != nil {
-			return fail(err)
-		}
-		return response{OK: true, Paths: paths}
 	case opOutEdges:
 		if _, err := s.store.Vertex(req.ID); err != nil {
 			return fail(err)
 		}
 		return response{OK: true, EdgeList: s.store.OutEdges(req.ID)}
-	case opInEdges:
-		if _, err := s.store.Vertex(req.ID); err != nil {
-			return fail(err)
-		}
-		return response{OK: true, EdgeList: s.store.InEdges(req.ID)}
 	case opStats:
 		snap := s.store.Snapshot()
 		return response{OK: true, Vertices: snap.NumVertices(), Edges: snap.NumEdges()}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,13 +16,14 @@ import (
 	"repro/internal/protocol"
 )
 
-// legacyVehicles are the truth IDs in testdata/json-wal.
+// legacyVehicles are the truth IDs in testdata/floor-log.
 var legacyVehicles = []string{"veh-0", "veh-1", "veh-2", ""}
 
 // legacyAnswers renders, one line each, every vertex (its histogram as
 // length and set bins' bits), its ReconstructTracks answer and every
-// vehicle's SightingsOf answer. testdata/json-wal/answers.txt holds these
-// lines as the JSON-log engine answered them for the directory beside it.
+// vehicle's SightingsOf answer. testdata/floor-log/answers.txt holds these
+// lines as the JSON-log engine answered them for the directory in
+// testdata/json-wal, whose migrated record log is testdata/floor-log.
 func legacyAnswers(sn *Snapshot, vehicles []string) []byte {
 	var out bytes.Buffer
 	limits := TraceLimits{MaxDepth: 32, MaxPaths: 64}
@@ -60,13 +62,13 @@ func legacyAnswers(sn *Snapshot, vehicles []string) []byte {
 	return out.Bytes()
 }
 
-// copyLegacyDir copies the directory the JSON-log engine wrote (a snapshot
-// and a JSON log, 24 vertices across both) into a temporary directory.
-func copyLegacyDir(t *testing.T) string {
+// copyTestdata copies the named files of testdata/<src> into a temporary
+// directory, which it returns.
+func copyTestdata(t *testing.T, src string, names ...string) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, name := range legacyFiles {
-		data, err := os.ReadFile(filepath.Join("testdata", "json-wal", name))
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join("testdata", src, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,31 +79,11 @@ func copyLegacyDir(t *testing.T) string {
 	return dir
 }
 
-// writeLegacySnapshot writes file as the JSON snapshot older versions kept.
-func writeLegacySnapshot(t *testing.T, dir string, file snapshotFile) {
+// writeLog writes the records in b as dir's record log.
+func writeLog(t *testing.T, dir string, b *walBatch) {
 	t.Helper()
-	raw, err := json.Marshal(file)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, walFileName), b.buf, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotFileName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// assertOnlyLog fails unless the record log is the only file in dir.
-func assertOnlyLog(t *testing.T, dir string) {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if len(names) != 1 || names[0] != walFileName {
-		t.Errorf("directory holds %v, want only %s", names, walFileName)
 	}
 }
 
@@ -119,15 +101,15 @@ func assertFile(t *testing.T, path string, want []byte) {
 	}
 }
 
-// TestLegacyJSONDirectoryOpens: a directory written by the JSON-log
-// engine opens with every write and answers exactly as that engine did,
-// and the open migrates the legacy log away.
-func TestLegacyJSONDirectoryOpens(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "json-wal", "answers.txt"))
+// TestFloorLogOpens: the record log a migrating open made of the JSON-log
+// engine's directory opens with every write and answers exactly as that
+// engine did.
+func TestFloorLogOpens(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "floor-log", "answers.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := copyLegacyDir(t)
+	dir := copyTestdata(t, "floor-log", walFileName)
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -139,180 +121,26 @@ func TestLegacyJSONDirectoryOpens(t *testing.T) {
 	if got := legacyAnswers(s.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
 		t.Errorf("answers differ from the JSON-log engine's\n got: %s\nwant: %s", got, want)
 	}
-	assertFile(t, filepath.Join(dir, legacyWALFileName), nil)
 }
 
-// TestLegacyPlusLogDirectory: after an upgrade, the legacy log is gone,
-// new writes go to the record log, and edges crossing from legacy vertices
-// to new ones survive two reopens.
-func TestLegacyPlusLogDirectory(t *testing.T) {
-	dir := copyLegacyDir(t)
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, errs, err := s.ApplyBatch([]protocol.TrajWrite{
-		protocol.VertexWrite(event("new#1")),
-		protocol.EdgeWrite(24, 25, 0.125),
-		protocol.EdgeWrite(3, 25, 0.25),
-		protocol.VertexWrite(event("new#2")),
-		protocol.EdgeWrite(25, 26, 0.5),
-	})
-	if err = errors.Join(append(errs, err)...); err != nil || ids[0] != 25 || ids[3] != 26 {
-		t.Fatalf("writes after upgrade: ids %v, %v", ids, err)
-	}
-	want := legacyAnswers(s.Snapshot(), legacyVehicles)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertFile(t, filepath.Join(dir, legacyWALFileName), nil)
-	if fi, err := os.Stat(filepath.Join(dir, walFileName)); err != nil || fi.Size() == 0 {
-		t.Fatalf("record log after writes: %v, %v", fi, err)
-	}
-
-	for reopen := 1; reopen <= 2; reopen++ {
-		reopened, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
+// TestOpenRefusesPreFloorDirectory: a directory holding the JSON-log
+// engine's log, its snapshot or both is refused with ErrPreFloorFormat,
+// naming the file, and every file in it is left as it was, with no record
+// log created beside them.
+func TestOpenRefusesPreFloorDirectory(t *testing.T) {
+	for _, names := range [][]string{preFloorFiles, preFloorFiles[:1], preFloorFiles[1:]} {
+		dir := copyTestdata(t, "json-wal", names...)
+		if _, err := Open(dir); !errors.Is(err, ErrPreFloorFormat) || !strings.Contains(err.Error(), names[0]) {
+			t.Fatalf("%v: open = %v, want ErrPreFloorFormat naming %s", names, err, names[0])
 		}
-		if reopened.NumVertices() != 26 {
-			t.Fatalf("reopen %d: %d vertices, want 26", reopen, reopened.NumVertices())
-		}
-		if in := reopened.InEdges(25); len(in) != 2 || in[0] != (Edge{3, 25, 0.25}) || in[1] != (Edge{24, 25, 0.125}) {
-			t.Errorf("reopen %d: edges into 25 = %+v", reopen, in)
-		}
-		if got := legacyAnswers(reopened.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
-			t.Errorf("reopen %d: answers differ\n got: %s\nwant: %s", reopen, got, want)
-		}
-		if err := reopened.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestOpenMigratesLegacyDirectory: the open that finds the JSON-log
-// engine's files answers as that engine did and leaves the record log as
-// the directory's only file, from which the next open answers the same.
-func TestOpenMigratesLegacyDirectory(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "json-wal", "answers.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := copyLegacyDir(t)
-	for open := 1; open <= 2; open++ {
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := legacyAnswers(s.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
-			t.Errorf("open %d: answers differ from the JSON-log engine's\n got: %s\nwant: %s", open, got, want)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		assertOnlyLog(t, dir)
-	}
-}
-
-// TestCrashDuringLegacyDirectoryMigration: a crash before the migration's
-// k-th removal leaves legacyFiles[k:] beside the migrated log. Every such
-// directory reopens to the JSON-log engine's 24 vertices and answers,
-// finishes the migration, and the next open answers the same. Removing the
-// snapshot first would leave the JSON log alone, whose vertices 13..24,
-// replayed before the log, hide the log's vertices 1..12.
-func TestCrashDuringLegacyDirectoryMigration(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "json-wal", "answers.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range legacyFiles {
-		left := legacyFiles[k:]
-		dir := copyLegacyDir(t)
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range left {
-			data, err := os.ReadFile(filepath.Join("testdata", "json-wal", name))
+		for _, name := range names {
+			want, err := os.ReadFile(filepath.Join("testdata", "json-wal", name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			assertFile(t, filepath.Join(dir, name), want)
 		}
-		for open := 1; open <= 2; open++ {
-			s, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.NumVertices() != 24 {
-				t.Errorf("%v left, open %d: %d vertices, want 24", left, open, s.NumVertices())
-			}
-			if got := legacyAnswers(s.Snapshot(), legacyVehicles); !bytes.Equal(got, want) {
-				t.Errorf("%v left, open %d: answers differ from the JSON-log engine's\n got: %s\nwant: %s", left, open, got, want)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			assertOnlyLog(t, dir)
-		}
-	}
-}
-
-// TestLegacyWALDamage: the legacy log keeps the record log's damage rules.
-// A last line that does not decode or lacks its newline is a torn tail,
-// dropped and counted before the migration; a line that does not decode
-// with an intact one after it refuses the open and leaves the directory
-// as it was.
-func TestLegacyWALDamage(t *testing.T) {
-	intact, err := os.ReadFile(filepath.Join("testdata", "json-wal", legacyWALFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	open := func(wal []byte) (dir string, s *Store, err error) {
-		dir = copyLegacyDir(t)
-		if err := os.WriteFile(filepath.Join(dir, legacyWALFileName), wal, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err = Open(dir)
-		return dir, s, err
-	}
-	withoutLast := intact[:bytes.LastIndexByte(intact[:len(intact)-1], '\n')+1]
-	for _, tc := range []struct {
-		name      string
-		wal, want []byte // want: the log whose open the damaged one must match
-	}{
-		{"unterminated last line", intact[:len(intact)-1], withoutLast},
-		{"undecodable last line", append(bytes.Clone(intact), `{"op":"v"`+"\n"...), intact},
-	} {
-		_, s, err := open(tc.wal)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		_, ref, err := open(tc.want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(legacyAnswers(s.Snapshot(), legacyVehicles), legacyAnswers(ref.Snapshot(), legacyVehicles)) ||
-			s.WALStats().TailTruncations != 1 || ref.WALStats().TailTruncations != 0 {
-			t.Errorf("%s: opened %d vertices, %d edges, %d truncations; want %d, %d, 1", tc.name,
-				s.NumVertices(), s.NumEdges(), s.WALStats().TailTruncations, ref.NumVertices(), ref.NumEdges())
-		}
-		_, _ = s.Close(), ref.Close()
-	}
-
-	smashed := append([]byte("#"), intact[1:]...)
-	dir, _, err := open(smashed)
-	if !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("first line smashed: open = %v, want ErrWALCorrupt", err)
-	}
-	assertFile(t, filepath.Join(dir, legacyWALFileName), smashed)
-	if _, err := os.Stat(filepath.Join(dir, snapshotFileName)); err != nil {
-		t.Errorf("snapshot after a refused open: %v", err)
+		assertFile(t, filepath.Join(dir, walFileName), nil)
 	}
 }
 
@@ -442,12 +270,14 @@ func FuzzOpenWAL(f *testing.F) {
 
 // BenchmarkOpenReplay is recovery time: Open of a directory holding 10^4
 // vertices (2 000 vehicles × 5 hops, camera-like histograms with six set
-// bins) and ~9·10^3 edges, as a binary record log, and the one-time
-// migration of the same graph as a legacy JSON log. The file is put back
-// before each open.
+// bins) and ~9·10^3 edges as a binary record log.
 func BenchmarkOpenReplay(b *testing.B) {
 	const vehicles, hops = 2000, 5
-	mem := NewMemStore()
+	dir := b.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for v := 0; v < vehicles; v++ {
 		var batch []protocol.TrajWrite
 		hist := feature.Histogram{Bins: make([]float64, feature.HistogramSize)}
@@ -468,68 +298,32 @@ func BenchmarkOpenReplay(b *testing.B) {
 				batch = append(batch, protocol.EdgeWrite(id-2, id, 0.3))
 			}
 		}
-		if _, errs, err := mem.ApplyBatch(batch); errors.Join(append(errs, err)...) != nil {
+		if _, errs, err := s.ApplyBatch(batch); errors.Join(append(errs, err)...) != nil {
 			b.Fatal(errs, err)
 		}
 	}
-	sn := mem.Snapshot()
-
-	binDir := b.TempDir()
-	s, err := Open(binDir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	jsonDir := b.TempDir()
-	var legacy bytes.Buffer
-	enc := json.NewEncoder(&legacy)
-	for id := int64(1); id <= sn.MaxVertexID(); id++ {
-		v, _ := sn.Vertex(id)
-		if _, err := s.AddVertex(v.Event); err != nil {
-			b.Fatal(err)
-		}
-		_ = enc.Encode(legacyRecord{Op: "v", Vertex: &v})
-		for _, e := range sn.edges(id, false) {
-			if err := s.AddEdge(e.From, e.To, e.Weight); err != nil {
-				b.Fatal(err)
-			}
-			_ = enc.Encode(legacyRecord{Op: "e", Edge: &e})
-		}
-	}
+	nv, ne := s.NumVertices(), s.NumEdges()
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
-	binLog, err := os.ReadFile(filepath.Join(binDir, walFileName))
+	log, err := os.ReadFile(filepath.Join(dir, walFileName))
 	if err != nil {
 		b.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name, dir, file string
-		data            []byte
-	}{
-		{"log=binary", binDir, walFileName, binLog},
-		{"migrate=json", jsonDir, legacyWALFileName, legacy.Bytes()},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				_ = os.Remove(filepath.Join(tc.dir, walFileName))
-				if err := os.WriteFile(filepath.Join(tc.dir, tc.file), tc.data, 0o644); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				st, err := Open(tc.dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.NumVertices() != sn.NumVertices() || st.NumEdges() != sn.NumEdges() {
-					b.Fatalf("opened %d/%d, want %d/%d", st.NumVertices(), st.NumEdges(), sn.NumVertices(), sn.NumEdges())
-				}
-				if err := st.Close(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("log=binary", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			st, err := Open(dir)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(len(tc.data))/float64(sn.NumVertices()+sn.NumEdges()), "log_bytes/record")
-		})
-	}
+			if st.NumVertices() != nv || st.NumEdges() != ne {
+				b.Fatalf("opened %d/%d, want %d/%d", st.NumVertices(), st.NumEdges(), nv, ne)
+			}
+			if err := st.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(log))/float64(nv+ne), "log_bytes/record")
+	})
 }

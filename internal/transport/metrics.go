@@ -24,6 +24,7 @@ type endpointMetrics struct {
 	retries          *obs.Counter   // sends retried after a stale cached connection
 	retryExhausted   *obs.Counter   // sends that failed after the whole retry budget
 	drain            *obs.Histogram // graceful-shutdown drain duration
+	decodeErrors     *obs.Counter   // inbound envelopes that did not decode (TCP only)
 
 	peerSends map[string]*obs.Counter // registry-bound only
 }
@@ -70,6 +71,19 @@ func newEndpointMetrics(reg *obs.Registry, kind string) *endpointMetrics {
 		"sends that failed after exhausting their retry budget", label...)
 	m.drain = reg.Histogram("coralpie_transport_shutdown_drain_seconds",
 		"graceful-shutdown drain duration", nil, label...)
+	return m
+}
+
+// newTCPMetrics is newEndpointMetrics plus the counter only a stream
+// transport has, registered only by TCP so an in-process deployment's
+// exposition is unchanged.
+func newTCPMetrics(reg *obs.Registry) *endpointMetrics {
+	m := newEndpointMetrics(reg, "tcp")
+	m.decodeErrors = new(obs.Counter)
+	if reg != nil {
+		m.decodeErrors = reg.Counter("coralpie_transport_decode_errors_total",
+			"inbound envelopes that did not decode or exceeded the size cap; each closes its connection", "transport", "tcp")
+	}
 	return m
 }
 

@@ -139,7 +139,7 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 		cancel:  cancel,
 		conns:   make(map[string]*outConn),
 		inbound: make(map[net.Conn]struct{}),
-		m:       newEndpointMetrics(nil, "tcp"),
+		m:       newTCPMetrics(nil),
 	}
 	// Outbound chain, outermost first: default deadline, trace inject,
 	// metrics (outside retry: a send that succeeds on a redial counts
@@ -168,7 +168,7 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 func (t *TCP) Use(reg *obs.Registry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.m = newEndpointMetrics(reg, "tcp")
+	t.m = newTCPMetrics(reg)
 }
 
 // metric returns the current telemetry handles.
@@ -224,8 +224,15 @@ func (t *TCP) readLoop(conn net.Conn) {
 			_ = conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
 		}
 		env, err := protocol.ReadEnvelopeInto(conn, &buf)
+		if errors.Is(err, protocol.ErrBadEnvelope) {
+			// The peer speaks a format this endpoint does not read (for
+			// one, a JSON envelope): nothing it sends will decode.
+			t.metric().decodeErrors.Inc()
+			obs.DefaultLogger().WithComponent("transport").Warn("closing connection on an undecodable envelope",
+				"peer", conn.RemoteAddr().String(), "err", err.Error())
+		}
 		if err != nil {
-			return // EOF, peer reset, idle timeout, or framing error
+			return // EOF, peer reset, idle timeout, or an undecodable envelope
 		}
 		t.mu.Lock()
 		if t.closed {

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -226,6 +229,58 @@ func TestTCPRoundTrip(t *testing.T) {
 	defer mu.Unlock()
 	if len(got) != 3 {
 		t.Errorf("got %d messages", len(got))
+	}
+}
+
+// TestTCPCountsUndecodableEnvelope: an envelope in the all-JSON form older
+// senders wrote closes its connection and is counted in
+// coralpie_transport_decode_errors_total; a binary envelope on a new
+// connection is delivered.
+func TestTCPCountsUndecodableEnvelope(t *testing.T) {
+	b, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+	reg := obs.NewRegistry()
+	b.Use(reg)
+	got := make(chan protocol.Envelope, 1)
+	b.SetHandler(func(_ context.Context, env protocol.Envelope) { got <- kept(env) })
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.DialTimeout("tcp", b.Addr(), 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+
+	legacy := dial()
+	defer func() { _ = legacy.Close() }()
+	jsonEnv := map[string]any{"type": protocol.TypeRetire, "payload": map[string]any{"eventId": "x#1"}}
+	if err := protocol.WriteFrame(legacy, jsonEnv, protocol.MaxFrameBytes); err != nil {
+		t.Fatal(err)
+	}
+	_ = legacy.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := legacy.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("connection after a JSON envelope: read %v, want the endpoint to close it", err)
+	}
+
+	current := dial()
+	defer func() { _ = current.Close() }()
+	if err := protocol.WriteEnvelope(current, retireEnv(t, "x#2")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-got:
+		if msg, err := protocol.Open(env); err != nil || msg.(protocol.Retire).EventID != "x#2" {
+			t.Errorf("delivered %+v, %v; want retire x#2", msg, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("binary envelope not delivered")
+	}
+	if n := reg.Counter("coralpie_transport_decode_errors_total", "", "transport", "tcp").Value(); n != 1 {
+		t.Errorf("decode errors = %d, want 1", n)
 	}
 }
 
