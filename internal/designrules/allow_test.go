@@ -1,0 +1,36 @@
+package designrules
+
+// This file is the one place the design rules' declarations and
+// allowlists live. An allowlist may only shrink: an entry whose
+// violation is gone fails the test until it is deleted.
+
+// lowerLayers are the packages every other one builds on: the wire
+// codecs, telemetry, the call substrate and the transports.
+var lowerLayers = []string{
+	"internal/protocol",
+	"internal/obs",
+	"internal/rpc",
+	"internal/rpc/faultinject",
+	"internal/transport",
+}
+
+// upperLayers are the stores, the camera node, the deployment wiring,
+// the health plane, the topology server and the experiments. No lower
+// layer imports one of them (or a package below one of them).
+var upperLayers = []string{
+	"internal/trajstore",
+	"internal/framestore",
+	"internal/camnode",
+	"internal/core",
+	"internal/fleet",
+	"internal/topology",
+	"internal/experiments",
+}
+
+// contextTypeAllow lists "<file>: <type>" entries exempt from the rule
+// that no type re-implements context.Context.
+var contextTypeAllow = map[string]bool{}
+
+// layerImportAllow lists "<file>: imports <path>" entries exempt from
+// the layering rule.
+var layerImportAllow = map[string]bool{}

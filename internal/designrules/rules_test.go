@@ -1,0 +1,232 @@
+// Package designrules turns the repository's "one way to do X" rules
+// into a test over the non-test Go files in internal/ and cmd/, using
+// the standard library's parser only. Each rule reports violations as
+// "<file>: <what>" strings; allow_test.go holds the rule declarations
+// and the allowlists, which may only shrink.
+package designrules
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// module is the import path prefix of this repository's packages.
+const module = "repro/"
+
+// srcFile is one parsed Go file; path and dir are slash-separated and
+// relative to the repository root.
+type srcFile struct {
+	path, dir string
+	ast       *ast.File
+}
+
+// loadTree parses every non-test Go file under root's internal/ and cmd/,
+// skipping testdata.
+func loadTree(t *testing.T, root string) []srcFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []srcFile
+	for _, top := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			rel, err := filepath.Rel(root, p)
+			if err != nil {
+				return err
+			}
+			rel = filepath.ToSlash(rel)
+			files = append(files, srcFile{path: rel, dir: filepath.ToSlash(filepath.Dir(rel)), ast: f})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// contextTypes reports every named type that declares all four
+// context.Context methods: a hand-rolled context. Deadlines and
+// cancellation come from the standard library's context package.
+func contextTypes(files []srcFile) []string {
+	type key struct{ dir, typ string }
+	methods := make(map[key]map[string]bool)
+	declared := make(map[key]string) // the file holding the first method
+	for _, f := range files {
+		for _, decl := range f.ast.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || len(fn.Recv.List) != 1 {
+				continue
+			}
+			switch fn.Name.Name {
+			case "Deadline", "Done", "Err", "Value":
+			default:
+				continue
+			}
+			k := key{f.dir, receiverName(fn.Recv.List[0].Type)}
+			if methods[k] == nil {
+				methods[k] = make(map[string]bool)
+				declared[k] = f.path
+			}
+			methods[k][fn.Name.Name] = true
+		}
+	}
+	var out []string
+	for k, m := range methods {
+		if len(m) == 4 {
+			out = append(out, declared[k]+": "+k.typ)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// receiverName returns T for a receiver of type T, *T or T[...].
+func receiverName(expr ast.Expr) string {
+	for {
+		switch e := expr.(type) {
+		case *ast.StarExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.IndexListExpr:
+			expr = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// upwardImports reports every import from a lower-layer package of a
+// package in (or below) an upper layer.
+func upwardImports(files []srcFile) []string {
+	var out []string
+	for _, f := range files {
+		if !contains(lowerLayers, f.dir) {
+			continue
+		}
+		for _, imp := range f.ast.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil || !strings.HasPrefix(path, module) {
+				continue
+			}
+			rel := strings.TrimPrefix(path, module)
+			for _, up := range upperLayers {
+				if rel == up || strings.HasPrefix(rel, up+"/") {
+					out = append(out, f.path+": imports "+path)
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func contains(list []string, s string) bool {
+	for _, v := range list {
+		if v == s {
+			return true
+		}
+	}
+	return false
+}
+
+// check fails t for every violation not on allow, and for every allow
+// entry that no longer matches a violation.
+func check(t *testing.T, rule string, violations []string, allow map[string]bool) {
+	t.Helper()
+	seen := make(map[string]bool)
+	for _, v := range violations {
+		seen[v] = true
+		if !allow[v] {
+			t.Errorf("%s: %s", rule, v)
+		}
+	}
+	for v := range allow {
+		if !seen[v] {
+			t.Errorf("%s: stale allowlist entry %q: delete it from allow_test.go", rule, v)
+		}
+	}
+}
+
+func TestDesignRules(t *testing.T) {
+	files := loadTree(t, filepath.Join("..", ".."))
+	if len(files) == 0 {
+		t.Fatal("no Go files found under internal/ and cmd/")
+	}
+	check(t, "no hand-rolled context.Context", contextTypes(files), contextTypeAllow)
+	check(t, "lower layers import no upper layer", upwardImports(files), layerImportAllow)
+}
+
+// parseFile parses src as the file at path, for planted violations.
+func parseFile(t *testing.T, path, src string) srcFile {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srcFile{path: path, dir: filepath.ToSlash(filepath.Dir(path)), ast: f}
+}
+
+func TestDesignRulesCatchPlantedViolations(t *testing.T) {
+	// A lazy context split over two files of one package still counts;
+	// a type with only some of the methods does not.
+	lazy := []srcFile{
+		parseFile(t, "internal/rpc/lazy.go", `package rpc
+type lazyCtx struct{}
+func (c *lazyCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *lazyCtx) Done() <-chan struct{}       { return nil }`),
+		parseFile(t, "internal/rpc/lazy_err.go", `package rpc
+func (c lazyCtx) Err() error       { return nil }
+func (c lazyCtx) Value(any) any    { return nil }
+type partial struct{}
+func (partial) Err() error         { return nil }
+func (partial) Done() <-chan struct{} { return nil }`),
+	}
+	if got := contextTypes(lazy); len(got) != 1 || got[0] != "internal/rpc/lazy.go: lazyCtx" {
+		t.Errorf("context rule on a planted context = %q, want the lazyCtx type", got)
+	}
+
+	upward := []srcFile{
+		parseFile(t, "internal/transport/up.go", `package transport
+import (
+	"context"
+	"repro/internal/rpc"
+	"repro/internal/trajstore"
+	"repro/internal/core/sub"
+)`),
+		// The same import from an upper layer is fine.
+		parseFile(t, "internal/camnode/ok.go", `package camnode
+import "repro/internal/trajstore"`),
+	}
+	want := []string{
+		"internal/transport/up.go: imports repro/internal/core/sub",
+		"internal/transport/up.go: imports repro/internal/trajstore",
+	}
+	if got := upwardImports(upward); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("layering rule on planted imports = %q, want %q", got, want)
+	}
+}

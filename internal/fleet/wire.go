@@ -41,10 +41,6 @@ func (wireCodec) WriteResponse(w io.Writer, _ *rpc.Request, resp *rpc.Response, 
 
 // ServerOptions tunes a heartbeat server beyond the defaults.
 type ServerOptions struct {
-	// WriteTimeout bounds each response write (0 = none).
-	WriteTimeout time.Duration
-	// Interceptors wrap request handling, after trace extraction.
-	Interceptors []rpc.ServerInterceptor
 	// Logger, when non-nil, logs each call with its trace.
 	Logger *obs.Logger
 }
@@ -61,21 +57,17 @@ func Serve(m *Monitor, addr string) (*Server, error) {
 	return ServeWith(m, addr, ServerOptions{})
 }
 
-// ServeWith starts a heartbeat server with explicit middleware/timeout
-// tuning.
+// ServeWith starts a heartbeat server with explicit options.
 func ServeWith(m *Monitor, addr string, opts ServerOptions) (*Server, error) {
 	if m == nil {
 		return nil, errors.New("fleet: nil monitor")
 	}
 	s := &Server{monitor: m}
-	ics := opts.Interceptors
+	var cfg rpc.ServerConfig
 	if opts.Logger != nil {
-		ics = append([]rpc.ServerInterceptor{rpc.WithServerLogging(opts.Logger)}, ics...)
+		cfg.Interceptors = []rpc.Interceptor{rpc.WithServerLogging(opts.Logger)}
 	}
-	rs, err := rpc.NewServer(addr, wireCodec{}, s.dispatch, rpc.ServerConfig{
-		WriteTimeout: opts.WriteTimeout,
-		Interceptors: ics,
-	})
+	rs, err := rpc.NewServer(addr, wireCodec{}, s.dispatch, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: listen %s: %w", addr, err)
 	}
@@ -130,12 +122,6 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 5 * time.Second
 	}
-	if cfg.DialBackoffBase <= 0 {
-		cfg.DialBackoffBase = 50 * time.Millisecond
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = time.Second
-	}
 	return cfg
 }
 
@@ -162,13 +148,11 @@ func Dial(addr string, cfg ClientConfig) *Client {
 		}),
 		m: rpc.NewMetrics(cfg.Registry, "component", "fleet_client"),
 	}
-	chain := []rpc.ClientInterceptor{
+	c.call = rpc.Bind(c.roundTrip,
 		rpc.WithDefaultDeadline(cfg.CallTimeout),
 		rpc.WithTraceInject(),
 		rpc.WithMetrics(c.m),
-		rpc.WithRetry(c.m.RetryHooks(rpc.RetryConfig{Budget: cfg.RetryBudget})),
-	}
-	c.call = rpc.BindClient(c.roundTrip, chain...)
+		rpc.WithRetry(c.m.RetryHooks(rpc.RetryConfig{Budget: cfg.RetryBudget})))
 	return c
 }
 

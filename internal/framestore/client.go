@@ -41,7 +41,7 @@ type MultiClientConfig struct {
 	// Interceptors are appended innermost in each replica's client
 	// chain — fault injection, extra logging — running after deadline
 	// and retry middleware, once per attempt.
-	Interceptors []rpc.ClientInterceptor
+	Interceptors []rpc.Interceptor
 }
 
 // MultiClient fans each frame record out to N framestore servers so a
@@ -104,12 +104,12 @@ func NewMultiClient(ep transport.Endpoint, addrs []string, cfg MultiClientConfig
 			}
 			return &rpc.Response{}, nil
 		}
-		ics := []rpc.ClientInterceptor{
+		ics := []rpc.Interceptor{
 			rpc.WithDefaultDeadline(timeout),
 			rpc.WithRetry(rpc.RetryConfig{Budget: cfg.RetryBudget, OnRetry: retries.Inc}),
 		}
 		ics = append(ics, cfg.Interceptors...)
-		mc.sends = append(mc.sends, rpc.BindClient(base, ics...))
+		mc.sends = append(mc.sends, rpc.Bind(base, ics...))
 		mc.sendCtr = append(mc.sendCtr, reg.Counter("coralpie_framestore_replica_sends_total",
 			"frame records accepted per framestore replica", "replica", addr))
 		mc.errCtr = append(mc.errCtr, reg.Counter("coralpie_framestore_replica_errors_total",

@@ -136,7 +136,7 @@ func TestMultiClientRetriesRetryableErrors(t *testing.T) {
 	mc, err := NewMultiClient(cam, addrs, MultiClientConfig{
 		Quorum:       2,
 		Registry:     reg,
-		Interceptors: []rpc.ClientInterceptor{flaky},
+		Interceptors: []rpc.Interceptor{flaky},
 	})
 	if err != nil {
 		t.Fatal(err)

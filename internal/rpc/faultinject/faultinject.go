@@ -75,7 +75,7 @@ func (c Config) validate() error {
 // middleware is safe for concurrent use (the RNG is mutex-protected);
 // determinism then additionally requires deterministic message order,
 // which the DES bus provides.
-func New(cfg Config) (rpc.ClientInterceptor, error) {
+func New(cfg Config) (rpc.Interceptor, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // Metrics are one chain's pre-resolved telemetry handles
-// (coralpie_rpc_*). Built with a nil registry they are standalone
-// counters, usable in tests and in processes without an exposition
+// (coralpie_rpc_*). Built with a nil registry they live on a private
+// registry, usable in tests and in processes without an exposition
 // endpoint.
 type Metrics struct {
 	Calls            *obs.Counter   // calls entering the chain
@@ -21,18 +21,11 @@ type Metrics struct {
 }
 
 // NewMetrics resolves the coralpie_rpc_* handles on reg with the given
-// label pairs (typically "component", <who>); nil reg yields standalone
-// handles.
+// label pairs (typically "component", <who>); nil reg selects a
+// private registry.
 func NewMetrics(reg *obs.Registry, labels ...string) *Metrics {
 	if reg == nil {
-		return &Metrics{
-			Calls:            new(obs.Counter),
-			Errors:           new(obs.Counter),
-			DeadlineExceeded: new(obs.Counter),
-			Retries:          new(obs.Counter),
-			RetryExhausted:   new(obs.Counter),
-			Latency:          new(obs.Histogram),
-		}
+		reg = obs.NewRegistry()
 	}
 	return &Metrics{
 		Calls: reg.Counter("coralpie_rpc_calls_total",
@@ -61,31 +54,18 @@ func (m *Metrics) RetryHooks(cfg RetryConfig) RetryConfig {
 // WithMetrics counts calls, errors, and deadline aborts, and observes
 // wall-clock latency. Place it outside WithRetry so a call that
 // succeeds on a retry counts once.
-func WithMetrics(m *Metrics) ClientInterceptor {
+func WithMetrics(m *Metrics) Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
-		resp, err := observe(m, ctx, req, next)
-		return resp, err
-	}
-}
-
-// WithServerMetrics is WithMetrics for inbound dispatch.
-func WithServerMetrics(m *Metrics) ServerInterceptor {
-	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
-		resp, err := observe(m, ctx, req, next)
-		return resp, err
-	}
-}
-
-func observe(m *Metrics, ctx context.Context, req *Request, next Handler) (*Response, error) {
-	m.Calls.Inc()
-	start := time.Now()
-	resp, err := next(ctx, req)
-	m.Latency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		m.Errors.Inc()
-		if IsDeadlineError(err) {
-			m.DeadlineExceeded.Inc()
+		m.Calls.Inc()
+		start := time.Now()
+		resp, err := next(ctx, req)
+		m.Latency.Observe(time.Since(start).Seconds())
+		if err != nil {
+			m.Errors.Inc()
+			if IsDeadlineError(err) {
+				m.DeadlineExceeded.Inc()
+			}
 		}
+		return resp, err
 	}
-	return resp, err
 }

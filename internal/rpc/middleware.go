@@ -10,16 +10,14 @@ import (
 
 // WithDefaultDeadline bounds a call by d when the caller's context
 // carries no deadline of its own (a context that already has one wins).
-// d <= 0 disables the middleware. The deadline context arms its timer
-// lazily (see deadlineContext), so calls that never block on Done() pay
-// nothing for the bound.
-func WithDefaultDeadline(d time.Duration) ClientInterceptor {
+// d <= 0 disables the middleware.
+func WithDefaultDeadline(d time.Duration) Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 		if d > 0 {
 			if _, ok := ctx.Deadline(); !ok {
-				dc := newDeadlineContext(ctx, time.Now().Add(d))
-				defer dc.release()
-				ctx = dc
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, d)
+				defer cancel()
 			}
 		}
 		return next(ctx, req)
@@ -30,7 +28,7 @@ func WithDefaultDeadline(d time.Duration) ClientInterceptor {
 // trace-carrying request bodies, unless the body already carries one —
 // a sender that set the trace explicitly (e.g. a forwarded message)
 // knows better than the ambient context.
-func WithTraceInject() ClientInterceptor {
+func WithTraceInject() Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 		if carrier, ok := req.Body.(TraceCarrier); ok && carrier.TraceContext() == nil {
 			if sc, ok := obs.SpanFromContext(ctx); ok {
@@ -45,7 +43,7 @@ func WithTraceInject() ClientInterceptor {
 // WithTraceExtract resumes the sender's trace on the receiving side:
 // a valid trace context on the request body is installed in ctx so
 // handlers (and downstream middleware) continue the sender's trace.
-func WithTraceExtract() ServerInterceptor {
+func WithTraceExtract() Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 		if carrier, ok := req.Body.(TraceCarrier); ok {
 			if wire := carrier.TraceContext(); wire != nil && wire.Valid() {
@@ -86,7 +84,7 @@ func (c RetryConfig) budget() int {
 // bare context error — it is the more diagnostic of the two).
 // Non-retryable errors — protocol-level rejections, fresh-dial
 // failures — short-circuit immediately.
-func WithRetry(cfg RetryConfig) ClientInterceptor {
+func WithRetry(cfg RetryConfig) Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 		budget := cfg.budget()
 		var resp *Response
@@ -109,43 +107,29 @@ func WithRetry(cfg RetryConfig) ClientInterceptor {
 	}
 }
 
-// WithClientLogging logs each outbound call (debug level on success,
+// WithServerLogging logs each inbound call (debug level on success,
 // warn on error) with method, peer, duration, and the active trace.
 // A nil logger disables the middleware.
-func WithClientLogging(logger *obs.Logger) ClientInterceptor {
+func WithServerLogging(logger *obs.Logger) Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 		start := time.Now()
 		resp, err := next(ctx, req)
-		logCall(ctx, logger, "rpc call", req, time.Since(start), err)
+		if logger == nil {
+			return resp, err
+		}
+		l := logger
+		if sc, ok := obs.SpanFromContext(ctx); ok {
+			l = l.WithTrace(sc)
+		}
+		kv := []string{"method", req.Method, "dur", time.Since(start).String()}
+		if req.Addr != "" {
+			kv = append(kv, "addr", req.Addr)
+		}
+		if err != nil {
+			l.Warn("rpc serve", append(kv, "err", err.Error())...)
+		} else {
+			l.Debug("rpc serve", kv...)
+		}
 		return resp, err
 	}
-}
-
-// WithServerLogging is WithClientLogging for inbound dispatch.
-func WithServerLogging(logger *obs.Logger) ServerInterceptor {
-	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
-		start := time.Now()
-		resp, err := next(ctx, req)
-		logCall(ctx, logger, "rpc serve", req, time.Since(start), err)
-		return resp, err
-	}
-}
-
-func logCall(ctx context.Context, logger *obs.Logger, msg string, req *Request, dur time.Duration, err error) {
-	if logger == nil {
-		return
-	}
-	l := logger
-	if sc, ok := obs.SpanFromContext(ctx); ok {
-		l = l.WithTrace(sc)
-	}
-	kv := []string{"method", req.Method, "dur", dur.String()}
-	if req.Addr != "" {
-		kv = append(kv, "addr", req.Addr)
-	}
-	if err != nil {
-		l.Warn(msg, append(kv, "err", err.Error())...)
-		return
-	}
-	l.Debug(msg, kv...)
 }

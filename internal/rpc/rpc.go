@@ -3,15 +3,15 @@
 // trajectory-store calls, and frame shipping are all "just messages",
 // so their cross-cutting concerns — tracing, metrics, deadlines,
 // logging, retry/redial policy, fault injection — live here once, as
-// composable interceptors, instead of being hand-stitched into each
-// transport.
+// interceptors, instead of being hand-stitched into each transport.
 //
 // The model is a typed request/response plus one-way-message core over
-// the existing length-prefixed-JSON wire formats (the wire bytes are
-// unchanged; this layer is purely in-process). Client and server sides
-// each compose a chain of interceptors in the onion model: the first
-// interceptor is outermost, the base handler (the actual transport
-// write or the protocol handler) is innermost.
+// the existing framed wire formats (the wire bytes are unchanged; this
+// layer is purely in-process). Both sides of the wire use one
+// Interceptor type, and Bind composes a chain of them around its base
+// handler (the transport write, the round trip, or the protocol
+// handler) once, where that handler is fixed. Deadlines are standard
+// library contexts.
 package rpc
 
 import (
@@ -54,36 +54,18 @@ type Response struct {
 // send, round trip, or protocol dispatch.
 type Handler func(ctx context.Context, req *Request) (*Response, error)
 
-// ClientInterceptor wraps outbound calls. It may mutate the request,
-// short-circuit by not calling next, or retry by calling next more
-// than once.
-type ClientInterceptor func(ctx context.Context, req *Request, next Handler) (*Response, error)
+// Interceptor wraps a call on either side of the wire: an outbound
+// send or round trip, or an inbound dispatch. It may mutate the
+// request, short-circuit by not calling next, or retry by calling next
+// more than once.
+type Interceptor func(ctx context.Context, req *Request, next Handler) (*Response, error)
 
-// ServerInterceptor wraps inbound dispatch with the same shape and
-// contract as ClientInterceptor.
-type ServerInterceptor func(ctx context.Context, req *Request, next Handler) (*Response, error)
-
-// ChainClient composes interceptors onion-style: the first argument is
-// outermost, the handler passed at call time is innermost.
-func ChainClient(ics ...ClientInterceptor) ClientInterceptor {
-	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
-		h := next
-		for i := len(ics) - 1; i >= 0; i-- {
-			ic, inner := ics[i], h
-			h = func(c context.Context, r *Request) (*Response, error) {
-				return ic(c, r, inner)
-			}
-		}
-		return h(ctx, req)
-	}
-}
-
-// BindClient composes interceptors around a fixed base handler, once.
-// ChainClient rebuilds the onion per call — one closure allocation per
-// interceptor per call — which is fine for occasional calls but not for
-// the transport send hot path; a bound chain is allocation-free at call
-// time. Order matches ChainClient: the first interceptor is outermost.
-func BindClient(base Handler, ics ...ClientInterceptor) Handler {
+// Bind composes interceptors around a fixed base handler, once, in the
+// onion model: the first interceptor is outermost, base innermost.
+// Calling the bound chain builds no closures, so every chain is bound
+// where its base is fixed (client or server construction, handler
+// installation), never per call. With no interceptors Bind returns base.
+func Bind(base Handler, ics ...Interceptor) Handler {
 	h := base
 	for i := len(ics) - 1; i >= 0; i-- {
 		ic, inner := ics[i], h
@@ -92,33 +74,6 @@ func BindClient(base Handler, ics ...ClientInterceptor) Handler {
 		}
 	}
 	return h
-}
-
-// BindServer is BindClient for server interceptor chains.
-func BindServer(base Handler, ics ...ServerInterceptor) Handler {
-	h := base
-	for i := len(ics) - 1; i >= 0; i-- {
-		ic, inner := ics[i], h
-		h = func(ctx context.Context, req *Request) (*Response, error) {
-			return ic(ctx, req, inner)
-		}
-	}
-	return h
-}
-
-// ChainServer composes server interceptors with the same onion order
-// as ChainClient.
-func ChainServer(ics ...ServerInterceptor) ServerInterceptor {
-	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
-		h := next
-		for i := len(ics) - 1; i >= 0; i-- {
-			ic, inner := ics[i], h
-			h = func(c context.Context, r *Request) (*Response, error) {
-				return ic(c, r, inner)
-			}
-		}
-		return h(ctx, req)
-	}
 }
 
 // TraceCarrier is implemented by wire messages that can carry a trace

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,66 +15,128 @@ import (
 	"repro/internal/protocol"
 )
 
-// tag appends a marker before and after next, building the onion order.
-func tagClient(name string, order *[]string) ClientInterceptor {
+// tag records a marker before and after next, building the onion order.
+func tag(name string, record func(string)) Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
-		*order = append(*order, name+">")
+		record(name + ">")
 		resp, err := next(ctx, req)
-		*order = append(*order, "<"+name)
-		return resp, err
-	}
-}
-
-func tagServer(name string, order *[]string) ServerInterceptor {
-	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
-		*order = append(*order, name+">")
-		resp, err := next(ctx, req)
-		*order = append(*order, "<"+name)
+		record("<" + name)
 		return resp, err
 	}
 }
 
 func TestChainClientOnionOrder(t *testing.T) {
 	var order []string
-	chain := ChainClient(tagClient("a", &order), tagClient("b", &order), tagClient("c", &order))
-	_, err := chain(context.Background(), &Request{Method: "m"}, func(ctx context.Context, r *Request) (*Response, error) {
-		order = append(order, "base")
+	record := func(s string) { order = append(order, s) }
+	call := Bind(func(ctx context.Context, r *Request) (*Response, error) {
+		record("base")
 		return &Response{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, tag("a", record), tag("b", record), tag("c", record))
 	want := []string{"a>", "b>", "c>", "base", "<c", "<b", "<a"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("order = %v, want %v", order, want)
+	// Bound once, the chain runs the same onion on every call.
+	for i := 0; i < 2; i++ {
+		order = nil
+		if _, err := call(context.Background(), &Request{Method: "m"}); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Errorf("call %d: order = %v, want %v", i, order, want)
+		}
 	}
 }
 
+// Binding in stages gives the same onion as binding the whole chain at once:
+// interceptors bound later wrap those bound earlier.
 func TestBindClientMatchesChainOrder(t *testing.T) {
 	var order []string
-	call := BindClient(func(ctx context.Context, r *Request) (*Response, error) {
-		order = append(order, "base")
+	record := func(s string) { order = append(order, s) }
+	base := func(ctx context.Context, r *Request) (*Response, error) {
+		record("base")
 		return &Response{}, nil
-	}, tagClient("a", &order), tagClient("b", &order), tagClient("c", &order))
-	if _, err := call(context.Background(), &Request{Method: "m"}); err != nil {
-		t.Fatal(err)
+	}
+	flat := Bind(base, tag("a", record), tag("b", record), tag("c", record))
+	staged := Bind(Bind(base, tag("c", record)), tag("a", record), tag("b", record))
+	var got [2][]string
+	for i, call := range []Handler{flat, staged} {
+		order = nil
+		if _, err := call(context.Background(), &Request{Method: "m"}); err != nil {
+			t.Fatal(err)
+		}
+		got[i] = order
+	}
+	if fmt.Sprint(got[1]) != fmt.Sprint(got[0]) {
+		t.Errorf("staged order = %v, flat order = %v", got[1], got[0])
 	}
 	want := []string{"a>", "b>", "c>", "base", "<c", "<b", "<a"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("order = %v, want %v", order, want)
+	if fmt.Sprint(got[0]) != fmt.Sprint(want) {
+		t.Errorf("order = %v, want %v", got[0], want)
 	}
 }
 
-func TestChainServerOnionOrder(t *testing.T) {
-	var order []string
-	chain := ChainServer(tagServer("outer", &order), tagServer("inner", &order))
-	_, err := chain(context.Background(), &Request{Method: "m"}, func(ctx context.Context, r *Request) (*Response, error) {
-		order = append(order, "base")
-		return &Response{}, nil
-	})
+// byteCodec frames each request and response as one byte; every request
+// carries the same trace context.
+type byteCodec struct{ trace protocol.TraceContext }
+
+func (c byteCodec) ReadRequest(r io.Reader) (*Request, error) {
+	var b [1]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return nil, err
+	}
+	tc := c.trace
+	return &Request{Method: "m", Body: &protocol.Envelope{Trace: &tc}}, nil
+}
+
+func (byteCodec) WriteResponse(w io.Writer, _ *Request, _ *Response, _ error) error {
+	_, err := w.Write([]byte{1})
+	return err
+}
+
+// roundTrip sends one request byte to addr and waits for the reply.
+func roundTrip(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if _, err := io.ReadFull(conn, b[:]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A server binds its chain when it is built: trace extraction outermost,
+// then the configured interceptors in order, then the handler.
+func TestChainServerOnionOrder(t *testing.T) {
+	span := obs.SpanContext{TraceID: "cam0#1", SpanID: "cam0-5", Sampled: true}
+	var mu sync.Mutex
+	var order []string
+	record := func(s string) {
+		mu.Lock()
+		order = append(order, s)
+		mu.Unlock()
+	}
+	traced := func(ctx context.Context, req *Request, next Handler) (*Response, error) {
+		if got, ok := obs.SpanFromContext(ctx); !ok || got != span {
+			record("untraced")
+		}
+		return next(ctx, req)
+	}
+	srv, err := NewServer("127.0.0.1:0", byteCodec{trace: protocol.TraceContext(span)},
+		func(ctx context.Context, r *Request) (*Response, error) {
+			record("base")
+			return &Response{}, nil
+		}, ServerConfig{Interceptors: []Interceptor{traced, tag("outer", record), tag("inner", record)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	roundTrip(t, srv.Addr())
+	mu.Lock()
+	defer mu.Unlock()
 	want := []string{"outer>", "inner>", "base", "<inner", "<outer"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Errorf("order = %v, want %v", order, want)
@@ -82,7 +146,10 @@ func TestChainServerOnionOrder(t *testing.T) {
 func TestChainShortCircuit(t *testing.T) {
 	boom := errors.New("boom")
 	var after, base bool
-	chain := ChainClient(
+	call := Bind(func(ctx context.Context, r *Request) (*Response, error) {
+		base = true
+		return &Response{}, nil
+	},
 		func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 			return nil, boom // never calls next
 		},
@@ -91,10 +158,7 @@ func TestChainShortCircuit(t *testing.T) {
 			return next(ctx, req)
 		},
 	)
-	_, err := chain(context.Background(), &Request{}, func(ctx context.Context, r *Request) (*Response, error) {
-		base = true
-		return &Response{}, nil
-	})
+	_, err := call(context.Background(), &Request{})
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want %v", err, boom)
 	}
@@ -105,10 +169,10 @@ func TestChainShortCircuit(t *testing.T) {
 
 func TestChainEmptyIsIdentity(t *testing.T) {
 	called := false
-	_, err := ChainClient()(context.Background(), &Request{}, func(ctx context.Context, r *Request) (*Response, error) {
+	_, err := Bind(func(ctx context.Context, r *Request) (*Response, error) {
 		called = true
 		return &Response{}, nil
-	})
+	})(context.Background(), &Request{})
 	if err != nil || !called {
 		t.Fatalf("empty chain: called=%v err=%v", called, err)
 	}
@@ -150,13 +214,10 @@ func TestWithRetrySpendsBudgetOnlyOnRetryable(t *testing.T) {
 func TestRetryExhaustionCountedInMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg, "component", "test")
-	chain := ChainClient(
-		WithMetrics(m),
-		WithRetry(m.RetryHooks(RetryConfig{Budget: 1})),
-	)
-	_, err := chain(context.Background(), &Request{Method: "op"}, func(ctx context.Context, r *Request) (*Response, error) {
+	call := Bind(func(ctx context.Context, r *Request) (*Response, error) {
 		return nil, MarkRetryable(errors.New("always stale"))
-	})
+	}, WithMetrics(m), WithRetry(m.RetryHooks(RetryConfig{Budget: 1})))
+	_, err := call(context.Background(), &Request{Method: "op"})
 	if err == nil {
 		t.Fatal("want error after exhausting the retry budget")
 	}
@@ -217,6 +278,63 @@ func TestWithDefaultDeadline(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// A handler waiting on Done wakes at the default deadline...
+	waitDone := func(ctx context.Context, r *Request) (*Response, error) {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("Done never closed")
+		}
+	}
+	if _, err := WithDefaultDeadline(20*time.Millisecond)(context.Background(), &Request{}, waitDone); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("at the default deadline: err = %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	// ...and as soon as the caller's parent context is cancelled.
+	parent, cancelParent := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancelParent)
+	if _, err := mw(parent, &Request{}, waitDone); !errors.Is(err, context.Canceled) {
+		t.Errorf("parent cancelled first: err = %v, want %v", err, context.Canceled)
+	}
+}
+
+// Shutdown whose context expires must cancel the handler context before
+// it waits for handlers, or a handler blocked on that context never
+// returns.
+func TestServerShutdownUnblocksHandlerAtDeadline(t *testing.T) {
+	entered := make(chan struct{})
+	srv, err := NewServer("127.0.0.1:0", byteCodec{}, func(ctx context.Context, r *Request) (*Response, error) {
+		close(entered)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("Shutdown = %v, want the drain deadline error", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Shutdown still blocked 1s after a 50ms drain deadline")
 	}
 }
 

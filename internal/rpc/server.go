@@ -33,10 +33,7 @@ type ServerConfig struct {
 	WriteTimeout time.Duration
 	// Interceptors wrap the handler, outermost first, after the
 	// built-in trace extraction.
-	Interceptors []ServerInterceptor
-	// Drain, when non-nil, receives graceful-shutdown drain durations
-	// in seconds (defaults to a standalone histogram).
-	Drain *obs.Histogram
+	Interceptors []Interceptor
 }
 
 // Server accepts framed request/response connections (one goroutine
@@ -45,11 +42,10 @@ type ServerConfig struct {
 // the accept/serve/graceful-shutdown lifecycle that trajstore.Server
 // used to implement privately.
 type Server struct {
-	ln      net.Listener
-	codec   ServerCodec
-	handler Handler
-	chain   ServerInterceptor
-	cfg     ServerConfig
+	ln    net.Listener
+	codec ServerCodec
+	call  Handler // the handler bound in its interceptor chain, once
+	cfg   ServerConfig
 
 	// rootCtx is the base context handed to request chains; cancelled
 	// once the server hard-closes so stuck handlers can bail out.
@@ -76,21 +72,16 @@ func NewServer(addr string, codec ServerCodec, handler Handler, cfg ServerConfig
 	if err != nil {
 		return nil, err
 	}
-	drain := cfg.Drain
-	if drain == nil {
-		drain = new(obs.Histogram)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		ln:      ln,
 		codec:   codec,
-		handler: handler,
-		chain:   ChainServer(append([]ServerInterceptor{WithTraceExtract()}, cfg.Interceptors...)...),
+		call:    Bind(handler, append([]Interceptor{WithTraceExtract()}, cfg.Interceptors...)...),
 		cfg:     cfg,
 		rootCtx: ctx,
 		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
-		drain:   drain,
+		drain:   new(obs.Histogram),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -133,7 +124,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // EOF, peer reset, shutdown read deadline, or framing error
 		}
-		resp, herr := s.chain(s.rootCtx, req, s.handler)
+		resp, herr := s.call(s.rootCtx, req)
 		if s.cfg.WriteTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		}
@@ -187,6 +178,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		drainErr = fmt.Errorf("rpc: shutdown drain: %w", ctx.Err())
+		// Cancel before waiting: a handler blocked on its context
+		// returns only once the handler context is done.
+		s.cancel()
 		for _, c := range conns {
 			_ = c.Close()
 		}

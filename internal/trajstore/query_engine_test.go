@@ -574,7 +574,7 @@ func TestQueryRecordsChildSpan(t *testing.T) {
 
 // slowQueryInterceptor delays reconstruct handling so the test can catch
 // the server with a query genuinely in flight.
-func slowQueryInterceptor(d time.Duration) rpc.ServerInterceptor {
+func slowQueryInterceptor(d time.Duration) rpc.Interceptor {
 	return func(ctx context.Context, req *rpc.Request, next rpc.Handler) (*rpc.Response, error) {
 		if req.Method == opReconstruct {
 			time.Sleep(d)
@@ -588,7 +588,7 @@ func TestShutdownDrainsInFlightQuery(t *testing.T) {
 
 	s := NewMemStore()
 	srv, err := ServeWith(s, "127.0.0.1:0", ServerOptions{
-		Interceptors: []rpc.ServerInterceptor{slowQueryInterceptor(400 * time.Millisecond)},
+		Interceptors: []rpc.Interceptor{slowQueryInterceptor(400 * time.Millisecond)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -647,7 +647,7 @@ func TestShutdownDrainsInFlightQuery(t *testing.T) {
 func TestShutdownBoundedByContextDuringSlowQuery(t *testing.T) {
 	s := NewMemStore()
 	srv, err := ServeWith(s, "127.0.0.1:0", ServerOptions{
-		Interceptors: []rpc.ServerInterceptor{slowQueryInterceptor(3 * time.Second)},
+		Interceptors: []rpc.Interceptor{slowQueryInterceptor(3 * time.Second)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -137,7 +137,7 @@ type ServerOptions struct {
 	// WriteTimeout bounds each response write (0 = none).
 	WriteTimeout time.Duration
 	// Interceptors wrap request handling, after trace extraction.
-	Interceptors []rpc.ServerInterceptor
+	Interceptors []rpc.Interceptor
 	// Logger, when non-nil, logs each call (debug on success, warn on
 	// error) with its trace.
 	Logger *obs.Logger
@@ -172,7 +172,7 @@ func ServeWith(store *Store, addr string, opts ServerOptions) (*Server, error) {
 	s := &Server{store: store, engine: newQueryEngine(store, opts.QueryCache, opts.Registry)}
 	ics := opts.Interceptors
 	if opts.Logger != nil {
-		ics = append([]rpc.ServerInterceptor{rpc.WithServerLogging(opts.Logger)}, ics...)
+		ics = append([]rpc.Interceptor{rpc.WithServerLogging(opts.Logger)}, ics...)
 	}
 	rs, err := rpc.NewServer(addr, wireCodec{}, s.dispatch, rpc.ServerConfig{
 		WriteTimeout: opts.WriteTimeout,
@@ -373,7 +373,7 @@ type ClientConfig struct {
 	RetryBudget int
 	// Interceptors are appended to the default client chain (deadline,
 	// trace inject, metrics) ahead of the retry stage.
-	Interceptors []rpc.ClientInterceptor
+	Interceptors []rpc.Interceptor
 	// Registry receives the client's coralpie_rpc_* telemetry
 	// (component="trajstore_client"); nil keeps standalone handles.
 	Registry *obs.Registry
@@ -382,12 +382,6 @@ type ClientConfig struct {
 func (cfg ClientConfig) withDefaults() ClientConfig {
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 5 * time.Second
-	}
-	if cfg.DialBackoffBase <= 0 {
-		cfg.DialBackoffBase = 50 * time.Millisecond
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = time.Second
 	}
 	return cfg
 }
@@ -432,13 +426,13 @@ func DialContext(ctx context.Context, addr string, cfg ClientConfig) (*Client, e
 		}),
 		m: rpc.NewMetrics(cfg.Registry, "component", "trajstore_client"),
 	}
-	chain := append([]rpc.ClientInterceptor{
+	chain := append([]rpc.Interceptor{
 		rpc.WithDefaultDeadline(cfg.CallTimeout),
 		rpc.WithTraceInject(),
 		rpc.WithMetrics(c.m),
 	}, cfg.Interceptors...)
 	chain = append(chain, rpc.WithRetry(c.m.RetryHooks(rpc.RetryConfig{Budget: cfg.RetryBudget})))
-	c.call = rpc.BindClient(c.roundTrip, chain...)
+	c.call = rpc.Bind(c.roundTrip, chain...)
 
 	dctx := ctx
 	if _, ok := ctx.Deadline(); !ok {

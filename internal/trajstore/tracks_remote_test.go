@@ -162,7 +162,7 @@ func (c *rpcCounter) total() int {
 func TestFallbackHonoursCancelledContext(t *testing.T) {
 	s, ids := buildGraph(t)
 	counter := &rpcCounter{}
-	client := serveStore(t, s, ServerOptions{Interceptors: []rpc.ServerInterceptor{counter.intercept}})
+	client := serveStore(t, s, ServerOptions{Interceptors: []rpc.Interceptor{counter.intercept}})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -254,7 +254,7 @@ func TestRemoteQueryDeadline(t *testing.T) {
 		}
 		return next(ctx, req)
 	}
-	client := serveStore(t, s, ServerOptions{Interceptors: []rpc.ServerInterceptor{slow}})
+	client := serveStore(t, s, ServerOptions{Interceptors: []rpc.Interceptor{slow}})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 80*time.Millisecond)
 	defer cancel()

@@ -26,33 +26,26 @@ type Bus struct {
 	parted    map[string]*busEndpoint
 	sim       *des.Simulator
 	latency   time.Duration
-	faults    rpc.ClientInterceptor
+	faults    rpc.Interceptor
 	// rngMu serializes draws from a caller-supplied fault RNG across the
 	// successive fault middlewares built from it (see InjectFaults).
 	rngMu sync.Mutex
 	m     *endpointMetrics
 
-	// ccall is the send chain bound once around transmit (see TCP.ccall).
-	ccall  rpc.Handler
-	schain rpc.ServerInterceptor
+	// send is the send chain, bound once around transmit. Its fault
+	// stage reads the current interceptor per message, so fault
+	// injection can be (re)configured on a live bus.
+	send rpc.Handler
 }
 
 // NewBus returns a bus that delivers synchronously (zero latency) on the
 // caller's goroutine.
-func NewBus() *Bus {
-	b := &Bus{
-		endpoints: make(map[string]*busEndpoint),
-		parted:    make(map[string]*busEndpoint),
-		m:         newEndpointMetrics(nil, "bus"),
-	}
-	b.initChains()
-	return b
-}
+func NewBus() *Bus { return NewSimBus(nil, 0) }
 
 // NewSimBus returns a bus that schedules deliveries on the simulator,
 // latency after each send. All endpoint handlers then run on the
 // simulator's goroutine, which is what makes large-scale experiments
-// deterministic.
+// deterministic. A nil sim delivers synchronously, like NewBus.
 func NewSimBus(sim *des.Simulator, latency time.Duration) *Bus {
 	b := &Bus{
 		endpoints: make(map[string]*busEndpoint),
@@ -61,16 +54,8 @@ func NewSimBus(sim *des.Simulator, latency time.Duration) *Bus {
 		latency:   latency,
 		m:         newEndpointMetrics(nil, "bus"),
 	}
-	b.initChains()
+	b.send = rpc.Bind(b.transmit, b.countSend, rpc.WithTraceInject(), b.faultStage)
 	return b
-}
-
-// initChains assembles the fixed middleware chains. The fault stage
-// reads the current interceptor per message, so fault injection can be
-// (re)configured on a live bus.
-func (b *Bus) initChains() {
-	b.ccall = rpc.BindClient(b.transmit, b.countSend, rpc.WithTraceInject(), b.faultStage)
-	b.schain = rpc.ChainServer(rpc.WithTraceExtract())
 }
 
 // Use re-homes the bus's telemetry onto reg (coralpie_transport_* with
@@ -152,15 +137,9 @@ func (b *Bus) remove(name string) {
 
 // InjectFaults installs deterministic fault injection (drop, latency,
 // error) on every send through the bus, replacing any previous fault
-// middleware; a config with no enabled fault clears it. Dropped
+// middleware; a valid config with no enabled fault clears it. Dropped
 // messages are counted in Dropped() and coralpie_transport_lost_total.
 func (b *Bus) InjectFaults(cfg faultinject.Config) error {
-	if !cfg.Enabled() {
-		b.mu.Lock()
-		b.faults = nil
-		b.mu.Unlock()
-		return nil
-	}
 	user := cfg.OnDrop
 	cfg.OnDrop = func() {
 		b.countDrop()
@@ -178,6 +157,9 @@ func (b *Bus) InjectFaults(cfg faultinject.Config) error {
 	ic, err := faultinject.New(cfg)
 	if err != nil {
 		return err
+	}
+	if !cfg.Enabled() {
+		ic = nil
 	}
 	b.mu.Lock()
 	b.faults = ic
@@ -201,20 +183,6 @@ func (s lockedSource) Seed(seed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rng.Seed(seed)
-}
-
-// SetLossRate makes the bus silently drop each message with the given
-// probability — now a thin wrapper over the faultinject middleware,
-// kept for its validation contract and existing callers. The rng must
-// be dedicated to the bus. Rate 0 (the default) disables loss.
-func (b *Bus) SetLossRate(rate float64, rng *rand.Rand) error {
-	if rate < 0 || rate >= 1 {
-		return fmt.Errorf("transport: loss rate %v out of [0,1)", rate)
-	}
-	if rate > 0 && rng == nil {
-		return fmt.Errorf("transport: loss rate needs an RNG")
-	}
-	return b.InjectFaults(faultinject.Config{DropRate: rate, RNG: rng})
 }
 
 // Dropped returns how many messages fault injection has discarded. The
@@ -269,9 +237,9 @@ func (b *Bus) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 	b.mu.Lock()
 	m := b.m
 	ep, ok := b.endpoints[to]
-	var h Handler
+	var serve rpc.Handler
 	if ok {
-		h = ep.handler
+		serve = ep.serve
 	}
 	sim := b.sim
 	latency := b.latency
@@ -281,7 +249,7 @@ func (b *Bus) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 		m.sendErrors.Inc()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAddress, to)
 	}
-	if h == nil {
+	if serve == nil {
 		m.sendErrors.Inc()
 		return nil, fmt.Errorf("%w: %q", ErrNoHandler, to)
 	}
@@ -290,7 +258,7 @@ func (b *Bus) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 			return nil, err
 		}
 		m.delivered.Inc()
-		b.dispatch(ctx, h, env)
+		deliver(ctx, serve, env)
 		return &rpc.Response{}, nil
 	}
 	// The message is in flight after Send returns, which keeps no payload:
@@ -304,37 +272,28 @@ func (b *Bus) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 		// only the envelope's trace context crosses the simulated wire.
 		b.mu.Lock()
 		cur, stillThere := b.endpoints[to]
-		var handler Handler
+		var serve rpc.Handler
 		if stillThere {
-			handler = cur.handler
+			serve = cur.serve
 		}
 		b.mu.Unlock()
-		if handler != nil {
+		if serve != nil {
 			m.delivered.Inc()
-			b.dispatch(context.Background(), handler, env)
+			deliver(context.Background(), serve, env)
 		}
 	})
 	return &rpc.Response{}, nil
 }
 
-// dispatch runs the handler under the server-side chain (trace
-// extraction), so bus handlers see the same middleware contract as TCP
-// handlers.
-func (b *Bus) dispatch(base context.Context, h Handler, env protocol.Envelope) {
-	req := &rpc.Request{Method: string(env.Type), Body: &env, OneWay: true}
-	_, _ = b.schain(base, req, func(ctx context.Context, r *rpc.Request) (*rpc.Response, error) {
-		h(ctx, *r.Body.(*protocol.Envelope))
-		return &rpc.Response{}, nil
-	})
-}
-
+// busEndpoint is one name on a Bus. Its handler runs under the same
+// inbound chain (trace extraction) as a TCP handler.
 type busEndpoint struct {
 	bus    *Bus
 	name   string
 	mu     sync.Mutex
 	closed bool
 
-	handler Handler
+	serve rpc.Handler // the installed handler bound in the inbound chain
 }
 
 var _ Endpoint = (*busEndpoint)(nil)
@@ -342,9 +301,10 @@ var _ Endpoint = (*busEndpoint)(nil)
 func (e *busEndpoint) Addr() string { return e.name }
 
 func (e *busEndpoint) SetHandler(h Handler) {
+	serve := bindHandler(h)
 	e.bus.mu.Lock()
 	defer e.bus.mu.Unlock()
-	e.handler = h
+	e.serve = serve
 }
 
 func (e *busEndpoint) Send(ctx context.Context, addr string, env protocol.Envelope) error {
@@ -361,7 +321,7 @@ func (e *busEndpoint) Send(ctx context.Context, addr string, env protocol.Envelo
 		return fmt.Errorf("%w: %q is partitioned", ErrClosed, e.name)
 	}
 	req := &rpc.Request{Method: string(env.Type), Addr: addr, Body: &env, OneWay: true}
-	_, err := e.bus.ccall(ctx, req)
+	_, err := e.bus.send(ctx, req)
 	return err
 }
 

@@ -8,10 +8,11 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/rpc/faultinject"
 )
 
 // TestDroppedCounterConcurrent hammers Send from many goroutines while
-// SetLossRate flips the loss model on and off and Dropped is polled —
+// InjectFaults flips the loss model on and off and Dropped is polled —
 // the exact interleaving the simulation harness produces when a sweep
 // reconfigures loss mid-run. Run under -race; it also checks the
 // counter-backed accounting: every message is either delivered or
@@ -67,12 +68,12 @@ func TestDroppedCounterConcurrent(t *testing.T) {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 200; i++ {
-			if err := bus.SetLossRate(0.5, rng); err != nil {
+			if err := bus.InjectFaults(faultinject.Config{DropRate: 0.5, RNG: rng}); err != nil {
 				t.Error(err)
 				return
 			}
 			_ = bus.Dropped()
-			if err := bus.SetLossRate(0, nil); err != nil {
+			if err := bus.InjectFaults(faultinject.Config{}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -90,7 +91,7 @@ func TestDroppedCounterConcurrent(t *testing.T) {
 
 	// Deterministic tail: with loss pinned at ~1, sends must be counted
 	// as dropped, and the counter must move.
-	if err := bus.SetLossRate(0.99, rand.New(rand.NewSource(3))); err != nil {
+	if err := bus.InjectFaults(faultinject.Config{DropRate: 0.99, RNG: rand.New(rand.NewSource(3))}); err != nil {
 		t.Fatal(err)
 	}
 	ep, err := bus.Endpoint("tail")

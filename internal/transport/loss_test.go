@@ -8,20 +8,20 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/protocol"
+	"repro/internal/rpc/faultinject"
 )
 
+// TestSetLossRateValidation checks InjectFaults' range on the drop
+// rate; a zero rate clears the loss model.
 func TestSetLossRateValidation(t *testing.T) {
 	bus := NewBus()
-	if err := bus.SetLossRate(-0.1, rand.New(rand.NewSource(1))); err == nil {
+	if err := bus.InjectFaults(faultinject.Config{DropRate: -0.1, RNG: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("negative rate accepted")
 	}
-	if err := bus.SetLossRate(1.0, rand.New(rand.NewSource(1))); err == nil {
+	if err := bus.InjectFaults(faultinject.Config{DropRate: 1.0, RNG: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("rate 1.0 accepted")
 	}
-	if err := bus.SetLossRate(0.5, nil); err == nil {
-		t.Error("missing rng accepted")
-	}
-	if err := bus.SetLossRate(0, nil); err != nil {
+	if err := bus.InjectFaults(faultinject.Config{}); err != nil {
 		t.Errorf("disabling loss: %v", err)
 	}
 }
@@ -29,7 +29,7 @@ func TestSetLossRateValidation(t *testing.T) {
 func TestLossRateDropsApproximately(t *testing.T) {
 	sim := des.New(time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC))
 	bus := NewSimBus(sim, time.Millisecond)
-	if err := bus.SetLossRate(0.3, rand.New(rand.NewSource(9))); err != nil {
+	if err := bus.InjectFaults(faultinject.Config{DropRate: 0.3, RNG: rand.New(rand.NewSource(9))}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := bus.Endpoint("a")

@@ -5,12 +5,12 @@ import (
 )
 
 // endpointMetrics are one transport instance's counters. Every instance
-// owns standalone counters by default, so e.g. Bus.Dropped() never mixes
+// owns a private registry by default, so e.g. Bus.Dropped() never mixes
 // in another bus's drops; binding a registry via Use re-homes the
-// handles onto registry-backed metrics (named coralpie_transport_*) for
-// HTTP exposition.
+// handles onto that registry (named coralpie_transport_*) for HTTP
+// exposition.
 type endpointMetrics struct {
-	reg *obs.Registry // nil when standalone
+	reg *obs.Registry // nil when private
 
 	sends            *obs.Counter   // envelopes submitted for delivery
 	delivered        *obs.Counter   // envelopes handed to a handler
@@ -32,19 +32,7 @@ type endpointMetrics struct {
 func newEndpointMetrics(reg *obs.Registry, kind string) *endpointMetrics {
 	m := &endpointMetrics{reg: reg, peerSends: make(map[string]*obs.Counter)}
 	if reg == nil {
-		m.sends = new(obs.Counter)
-		m.delivered = new(obs.Counter)
-		m.lost = new(obs.Counter)
-		m.sendErrors = new(obs.Counter)
-		m.redials = new(obs.Counter)
-		m.received = new(obs.Counter)
-		m.bytesOut = new(obs.Counter)
-		m.bytesIn = new(obs.Counter)
-		m.deadlineExceeded = new(obs.Counter)
-		m.retries = new(obs.Counter)
-		m.retryExhausted = new(obs.Counter)
-		m.drain = new(obs.Histogram)
-		return m
+		reg = obs.NewRegistry()
 	}
 	label := []string{"transport", kind}
 	m.sends = reg.Counter("coralpie_transport_sends_total",
@@ -71,23 +59,16 @@ func newEndpointMetrics(reg *obs.Registry, kind string) *endpointMetrics {
 		"sends that failed after exhausting their retry budget", label...)
 	m.drain = reg.Histogram("coralpie_transport_shutdown_drain_seconds",
 		"graceful-shutdown drain duration", nil, label...)
-	return m
-}
-
-// newTCPMetrics is newEndpointMetrics plus the counter only a stream
-// transport has, registered only by TCP so an in-process deployment's
-// exposition is unchanged.
-func newTCPMetrics(reg *obs.Registry) *endpointMetrics {
-	m := newEndpointMetrics(reg, "tcp")
-	m.decodeErrors = new(obs.Counter)
-	if reg != nil {
+	if kind == "tcp" {
+		// Only a stream transport decodes, so an in-process deployment's
+		// exposition has no such family.
 		m.decodeErrors = reg.Counter("coralpie_transport_decode_errors_total",
-			"inbound envelopes that did not decode or exceeded the size cap; each closes its connection", "transport", "tcp")
+			"inbound envelopes that did not decode or exceeded the size cap; each closes its connection", label...)
 	}
 	return m
 }
 
-// peer returns the per-peer send counter, or nil when standalone.
+// peer returns the per-peer send counter, or nil on a private registry.
 // Callers must serialize access (the owning transport's lock).
 func (m *endpointMetrics) peer(kind, addr string) *obs.Counter {
 	if m.reg == nil {

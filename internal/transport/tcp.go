@@ -14,8 +14,8 @@ import (
 	"repro/internal/rpc"
 )
 
-// TCPConfig tunes a TCP endpoint's deadlines, dial-retry policy, and
-// middleware. Zero values take the defaults documented per field.
+// TCPConfig tunes a TCP endpoint's deadlines and dial-retry policy. Zero
+// values take the defaults documented per field.
 type TCPConfig struct {
 	// DialTimeout bounds one connection attempt (default 2s). The whole
 	// dial-with-retry sequence is bounded by the Send context.
@@ -28,21 +28,10 @@ type TCPConfig struct {
 	DialBackoffBase time.Duration
 	// DialBackoffMax caps the retry delay (default 1s).
 	DialBackoffMax time.Duration
-	// IdleTimeout, when positive, is a read deadline applied to inbound
-	// connections between envelopes; idle peers are dropped (they
-	// reconnect transparently on their next Send). Zero disables it.
-	IdleTimeout time.Duration
 	// RetryBudget is how many times one Send may retry after a stale
 	// cached connection fails (default 1, the historical redial-once
 	// behavior; negative disables retries).
 	RetryBudget int
-	// ClientInterceptors are appended to the default outbound chain
-	// (deadline, trace inject, metrics) ahead of the retry stage — e.g.
-	// a faultinject middleware.
-	ClientInterceptors []rpc.ClientInterceptor
-	// ServerInterceptors wrap inbound handler dispatch, after trace
-	// extraction.
-	ServerInterceptors []rpc.ServerInterceptor
 }
 
 func (c *TCPConfig) applyDefaults() {
@@ -51,12 +40,6 @@ func (c *TCPConfig) applyDefaults() {
 	}
 	if c.SendTimeout <= 0 {
 		c.SendTimeout = DefaultSendTimeout
-	}
-	if c.DialBackoffBase <= 0 {
-		c.DialBackoffBase = 50 * time.Millisecond
-	}
-	if c.DialBackoffMax <= 0 {
-		c.DialBackoffMax = time.Second
 	}
 }
 
@@ -84,10 +67,8 @@ type TCP struct {
 	ln  net.Listener
 	cfg TCPConfig
 
-	// ccall is the outbound chain bound once around transmit — per-call
-	// chain assembly would allocate a closure per interceptor per send.
-	ccall  rpc.Handler
-	schain rpc.ServerInterceptor
+	// send is the outbound chain, bound once around transmit.
+	send rpc.Handler
 
 	// rootCtx is passed to handlers; cancelled on Close/Shutdown so
 	// in-flight handler work can stop promptly.
@@ -95,7 +76,7 @@ type TCP struct {
 	cancel  context.CancelFunc
 
 	mu      sync.Mutex
-	handler Handler
+	serve   rpc.Handler // the installed handler bound in the inbound chain
 	conns   map[string]*outConn
 	inbound map[net.Conn]struct{}
 	closed  bool
@@ -113,8 +94,7 @@ var _ Endpoint = (*TCP)(nil)
 // peers or inbound dispatch.
 type outConn struct {
 	net.Conn
-	wmu      sync.Mutex
-	deadline time.Time // write deadline armed on the socket; zero if none
+	wmu sync.Mutex
 }
 
 // ListenTCP starts an endpoint listening on addr (use "127.0.0.1:0" for an
@@ -123,8 +103,8 @@ func ListenTCP(addr string) (*TCP, error) {
 	return ListenTCPConfig(addr, TCPConfig{})
 }
 
-// ListenTCPConfig starts an endpoint with explicit deadline/backoff/
-// middleware tuning.
+// ListenTCPConfig starts an endpoint with explicit deadline and backoff
+// tuning.
 func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 	cfg.applyDefaults()
 	ln, err := net.Listen("tcp", addr)
@@ -139,24 +119,20 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 		cancel:  cancel,
 		conns:   make(map[string]*outConn),
 		inbound: make(map[net.Conn]struct{}),
-		m:       newTCPMetrics(nil),
+		m:       newEndpointMetrics(nil, "tcp"),
 	}
 	// Outbound chain, outermost first: default deadline, trace inject,
 	// metrics (outside retry: a send that succeeds on a redial counts
-	// once), user middleware, retry. The base handler is the socket
-	// write itself.
-	client := append([]rpc.ClientInterceptor{
+	// once), retry. The base handler is the socket write itself.
+	t.send = rpc.Bind(t.transmit,
 		rpc.WithDefaultDeadline(cfg.SendTimeout),
 		rpc.WithTraceInject(),
 		t.countSend,
-	}, cfg.ClientInterceptors...)
-	client = append(client, rpc.WithRetry(rpc.RetryConfig{
-		Budget:      cfg.RetryBudget,
-		OnRetry:     func() { t.metric().retries.Inc() },
-		OnExhausted: func() { t.metric().retryExhausted.Inc() },
-	}))
-	t.ccall = rpc.BindClient(t.transmit, client...)
-	t.schain = rpc.ChainServer(append([]rpc.ServerInterceptor{rpc.WithTraceExtract()}, cfg.ServerInterceptors...)...)
+		rpc.WithRetry(rpc.RetryConfig{
+			Budget:      cfg.RetryBudget,
+			OnRetry:     func() { t.metric().retries.Inc() },
+			OnExhausted: func() { t.metric().retryExhausted.Inc() },
+		}))
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -168,7 +144,7 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 func (t *TCP) Use(reg *obs.Registry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.m = newTCPMetrics(reg)
+	t.m = newEndpointMetrics(reg, "tcp")
 }
 
 // metric returns the current telemetry handles.
@@ -183,9 +159,10 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // SetHandler implements Endpoint.
 func (t *TCP) SetHandler(h Handler) {
+	serve := bindHandler(h)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.handler = h
+	t.serve = serve
 }
 
 func (t *TCP) acceptLoop() {
@@ -220,9 +197,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 	// payload is valid only until the handler returns (see Handler).
 	var buf []byte
 	for {
-		if t.cfg.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(t.cfg.IdleTimeout))
-		}
 		env, err := protocol.ReadEnvelopeInto(conn, &buf)
 		if errors.Is(err, protocol.ErrBadEnvelope) {
 			// The peer speaks a format this endpoint does not read (for
@@ -232,37 +206,27 @@ func (t *TCP) readLoop(conn net.Conn) {
 				"peer", conn.RemoteAddr().String(), "err", err.Error())
 		}
 		if err != nil {
-			return // EOF, peer reset, idle timeout, or an undecodable envelope
+			return // EOF, peer reset, or an undecodable envelope
 		}
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()
 			return // draining: stop dispatching new envelopes
 		}
-		h := t.handler
+		serve := t.serve
 		m := t.m
-		if h != nil {
+		if serve != nil {
 			t.handlerWG.Add(1)
 		}
 		t.mu.Unlock()
 		m.received.Inc()
 		m.bytesIn.Add(int64(len(env.Payload)))
-		if h != nil {
+		if serve != nil {
 			m.delivered.Inc()
-			t.dispatch(h, env)
+			deliver(t.rootCtx, serve, env)
 			t.handlerWG.Done()
 		}
 	}
-}
-
-// dispatch runs one inbound envelope through the server chain (trace
-// extraction plus any configured middleware) and into the handler.
-func (t *TCP) dispatch(h Handler, env protocol.Envelope) {
-	req := &rpc.Request{Method: string(env.Type), Body: &env, OneWay: true}
-	_, _ = t.schain(t.rootCtx, req, func(ctx context.Context, r *rpc.Request) (*rpc.Response, error) {
-		h(ctx, *r.Body.(*protocol.Envelope))
-		return &rpc.Response{}, nil
-	})
 }
 
 // Send writes the envelope to addr through the outbound middleware
@@ -271,7 +235,7 @@ func (t *TCP) dispatch(h Handler, env protocol.Envelope) {
 // without a deadline, SendTimeout applies.
 func (t *TCP) Send(ctx context.Context, addr string, env protocol.Envelope) error {
 	req := &rpc.Request{Method: string(env.Type), Addr: addr, Body: &env, OneWay: true}
-	_, err := t.ccall(ctx, req)
+	_, err := t.send(ctx, req)
 	return err
 }
 
@@ -389,41 +353,18 @@ func (t *TCP) dial(ctx context.Context, addr string) (net.Conn, error) {
 }
 
 // writeTo writes one envelope under the connection's own write lock. The
-// write deadline comes from ctx, so a peer that accepts but never drains
-// cannot block the caller forever.
+// socket write deadline is ctx's, set on every write (cleared when ctx
+// has none), so a peer that accepts but never drains cannot block the
+// caller past its deadline.
 func writeTo(ctx context.Context, conn *outConn, addr string, env protocol.Envelope) error {
 	conn.wmu.Lock()
 	defer conn.wmu.Unlock()
-	conn.armWriteDeadline(ctx)
+	deadline, _ := ctx.Deadline()
+	_ = conn.SetWriteDeadline(deadline)
 	if err := protocol.WriteEnvelope(conn.Conn, env); err != nil {
 		return fmt.Errorf("transport: send %s: %w", addr, err)
 	}
 	return nil
-}
-
-// armWriteDeadline applies ctx's deadline to the socket with coarse
-// granularity: the kernel deadline is re-armed only when the requested
-// one is tighter than what is armed, or later by more than 1/8 of the
-// remaining budget. Steady-state sends carry a rolling now+SendTimeout
-// deadline that advances a few microseconds per call, so this skips the
-// per-write deadline update on the hot path; the cost is that a write
-// blocked on a dead peer may fail up to 12.5% of its budget early — never
-// late. Caller holds c.wmu.
-func (c *outConn) armWriteDeadline(ctx context.Context) {
-	deadline, ok := ctx.Deadline()
-	armed := !c.deadline.IsZero()
-	if !ok {
-		if armed {
-			_ = c.SetWriteDeadline(time.Time{})
-			c.deadline = time.Time{}
-		}
-		return
-	}
-	if armed && !deadline.Before(c.deadline) && deadline.Sub(c.deadline) <= time.Until(deadline)/8 {
-		return
-	}
-	_ = c.SetWriteDeadline(deadline)
-	c.deadline = deadline
 }
 
 // dropConn forgets conn (if it is still addr's cached connection) and

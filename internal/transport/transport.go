@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/protocol"
+	"repro/internal/rpc"
 )
 
 // Handler consumes an incoming envelope. Implementations are invoked
@@ -56,3 +57,21 @@ var (
 
 // DefaultSendTimeout bounds a Send whose context carries no deadline.
 const DefaultSendTimeout = 5 * time.Second
+
+// bindHandler binds h in the inbound chain, trace extraction, once, when
+// the handler is installed. A nil h stays nil.
+func bindHandler(h Handler) rpc.Handler {
+	if h == nil {
+		return nil
+	}
+	return rpc.Bind(func(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
+		h(ctx, *req.Body.(*protocol.Envelope))
+		return &rpc.Response{}, nil
+	}, rpc.WithTraceExtract())
+}
+
+// deliver runs one inbound envelope through a handler bound by
+// bindHandler.
+func deliver(ctx context.Context, serve rpc.Handler, env protocol.Envelope) {
+	_, _ = serve(ctx, &rpc.Request{Method: string(env.Type), Body: &env, OneWay: true})
+}
