@@ -34,3 +34,23 @@ var contextTypeAllow = map[string]bool{}
 // layerImportAllow lists "<file>: imports <path>" entries exempt from
 // the layering rule.
 var layerImportAllow = map[string]bool{}
+
+// jsonImportAllow lists the non-test files importing encoding/json. No
+// file on the frame, log or envelope paths may join it.
+var jsonImportAllow = map[string]bool{
+	"internal/fleet/http.go: imports encoding/json":         true,
+	"internal/framestore/segment.go: imports encoding/json": true,
+	"internal/obs/http.go: imports encoding/json":           true,
+	"internal/obs/log.go: imports encoding/json":            true,
+	"internal/obs/registry.go: imports encoding/json":       true,
+	"internal/obs/trace.go: imports encoding/json":          true,
+	"internal/protocol/codec.go: imports encoding/json":     true,
+	"internal/protocol/protocol.go: imports encoding/json":  true,
+	"internal/roadnet/json.go: imports encoding/json":       true,
+}
+
+// listImportAllow lists the non-test files importing container/list:
+// the one LRU.
+var listImportAllow = map[string]bool{
+	"internal/trajstore/cache.go: imports container/list": true,
+}

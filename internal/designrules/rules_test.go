@@ -145,6 +145,20 @@ func upwardImports(files []srcFile) []string {
 	return out
 }
 
+// importers reports every file importing the package at path.
+func importers(files []srcFile, path string) []string {
+	var out []string
+	for _, f := range files {
+		for _, imp := range f.ast.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == path {
+				out = append(out, f.path+": imports "+path)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 func contains(list []string, s string) bool {
 	for _, v := range list {
 		if v == s {
@@ -179,6 +193,8 @@ func TestDesignRules(t *testing.T) {
 	}
 	check(t, "no hand-rolled context.Context", contextTypes(files), contextTypeAllow)
 	check(t, "lower layers import no upper layer", upwardImports(files), layerImportAllow)
+	check(t, "no new encoding/json importer", importers(files, "encoding/json"), jsonImportAllow)
+	check(t, "one container/list importer", importers(files, "container/list"), listImportAllow)
 }
 
 // parseFile parses src as the file at path, for planted violations.
@@ -228,5 +244,26 @@ import "repro/internal/trajstore"`),
 	}
 	if got := upwardImports(upward); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("layering rule on planted imports = %q, want %q", got, want)
+	}
+
+	// A grouped and a renamed import both count; a path that only
+	// contains the name does not.
+	imports := []srcFile{
+		parseFile(t, "internal/trajstore/wire.go", `package trajstore
+import (
+	"context"
+	js "encoding/json"
+	"container/list"
+)`),
+		parseFile(t, "internal/protocol/near.go", `package protocol
+import "repro/internal/encoding/json"`),
+	}
+	for _, c := range []struct{ path, want string }{
+		{"encoding/json", "internal/trajstore/wire.go: imports encoding/json"},
+		{"container/list", "internal/trajstore/wire.go: imports container/list"},
+	} {
+		if got := importers(imports, c.path); len(got) != 1 || got[0] != c.want {
+			t.Errorf("import rule for %s on planted imports = %q, want [%q]", c.path, got, c.want)
+		}
 	}
 }

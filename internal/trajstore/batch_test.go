@@ -181,6 +181,75 @@ func TestGroupCommitGroupsConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestCloseCommitsQueuedGroupCommitConcurrent: Store.Close, called while
+// a leader is held inside its flush with 8 writers queued behind it, waits
+// for that commit and commits the queued group itself or behind a writer
+// that leads it: every writer is acknowledged, and a reopened store holds
+// all 9 vertices.
+func TestCloseCommitsQueuedGroupCommitConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedWriter{w: s.persist.f, entered: make(chan struct{}), release: make(chan struct{})}
+	s.persist.w = bufio.NewWriter(gate)
+
+	const writers = 8
+	errs := make(chan error, 1+writers)
+	write := func(id string) {
+		_, err := s.AddVertex(event(id))
+		errs <- err
+	}
+	go write("first")
+	<-gate.entered
+	for w := 0; w < writers; w++ {
+		go write(fmt.Sprintf("cam%d", w))
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.persist.mu.Lock()
+		queued := len(s.persist.pending)
+		s.persist.mu.Unlock()
+		if queued == writers {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(gate.release)
+			t.Fatalf("%d of %d writers queued behind the held flush", queued, writers)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	// Close holds the store lock from its start to its return; once it
+	// has it, nothing else takes it (every writer has already queued).
+	for s.mu.TryLock() {
+		s.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v with a group commit held in its flush", err)
+	default:
+	}
+	close(gate.release)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for i := 0; i < 1+writers; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("writer: %v", err)
+		}
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	if n := s2.NumVertices(); n != 1+writers {
+		t.Errorf("reopened store holds %d vertices, want %d", n, 1+writers)
+	}
+}
+
 // TestFsyncDurabilityOfAcknowledgedWrites copies the data directory the
 // instant every write has been acknowledged — without closing the store,
 // simulating a machine losing the process — and proves a store opened

@@ -203,23 +203,25 @@ type WALStats struct {
 }
 
 // commitBatch is one writer's framed records awaiting group commit, with
-// the watermark over the store as of its last record. done receives
-// exactly one result.
+// the watermark over the store as of its last record. done and err are
+// set once, under persister.mu, by the group commit that carried it.
 type commitBatch struct {
 	buf  []byte // framed records
 	n    int64  // records in buf
 	snap *Snapshot
-	done chan error
+	done bool
+	err  error
 }
 
 // persister owns the log file handle. Writers enqueue framed records
 // (while holding the store lock, which fixes log order) and wait outside
-// the lock; a background committer writes everything pending with a single
-// flush — and a single fsync when configured — so writers that arrive
-// while a flush or fsync is in progress share the next one (group commit).
-// A group that commits makes its writes visible: the committer publishes
-// the group's last watermark, with one atomic store and no store lock,
-// before it acknowledges anyone.
+// the lock. The commit has no goroutine of its own: a waiting writer that
+// finds no commit in progress leads one, writing everything pending with
+// a single flush (and a single fsync when configured), so writers that
+// arrive while a flush or fsync is in progress share the next one (group
+// commit), led by the first of them to wake. A group that commits makes
+// its writes visible: the leader publishes the group's last watermark,
+// with one atomic store and no store lock, before it acknowledges anyone.
 //
 // The WAL is fail-stop. The first group that fails latches its error:
 // that group, everything queued behind it and every later write fail with
@@ -229,16 +231,15 @@ type persister struct {
 	fsync     bool
 	published *atomic.Pointer[Snapshot]
 
+	// f and w are used by the leader of the group in flight alone.
 	f *os.File
 	w *bufio.Writer
 
 	mu      sync.Mutex
+	ended   sync.Cond // on mu; broadcast when a group commit ends
 	pending []*commitBatch
+	leading bool  // a group commit is in flight
 	err     error // the latched commit failure
-
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
 
 	commits atomic.Int64
 	records atomic.Int64
@@ -250,39 +251,40 @@ func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapsho
 	if err != nil {
 		return nil, fmt.Errorf("trajstore: open wal: %w", err)
 	}
-	p := &persister{
-		fsync:     cfg.Fsync,
-		published: published,
-		f:         f,
-		w:         bufio.NewWriter(f),
-		kick:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
-	}
-	go p.run()
+	p := &persister{fsync: cfg.Fsync, published: published, f: f, w: bufio.NewWriter(f)}
+	p.ended.L = &p.mu
 	return p, nil
 }
 
 // enqueue joins the n framed records in buf to the next group commit as
-// one atomic unit and returns the channel carrying the commit result.
-// Callers hold the store lock, which makes the log order match the
-// in-memory apply order; they must receive from the channel after
+// one atomic unit. Callers hold the store lock, which makes the log order
+// match the in-memory apply order; they must pass the batch to wait after
 // releasing it.
-func (p *persister) enqueue(buf []byte, n int64, snap *Snapshot) <-chan error {
-	b := &commitBatch{buf: buf, n: n, snap: snap, done: make(chan error, 1)}
+func (p *persister) enqueue(buf []byte, n int64, snap *Snapshot) *commitBatch {
+	b := &commitBatch{buf: buf, n: n, snap: snap}
 	p.mu.Lock()
-	if err := p.err; err != nil {
-		p.mu.Unlock()
-		b.done <- err
-		return b.done
+	if p.err != nil {
+		b.done, b.err = true, p.err
+	} else {
+		p.pending = append(p.pending, b)
 	}
-	p.pending = append(p.pending, b)
 	p.mu.Unlock()
-	select {
-	case p.kick <- struct{}{}:
-	default:
+	return b
+}
+
+// wait returns the result of the group commit carrying b, leading that
+// commit itself when no other is in flight.
+func (p *persister) wait(b *commitBatch) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !b.done {
+		if p.leading {
+			p.ended.Wait()
+		} else {
+			p.commitPendingLocked()
+		}
 	}
-	return b.done
+	return b.err
 }
 
 // failure returns the latched commit error, nil while the WAL is healthy.
@@ -292,45 +294,32 @@ func (p *persister) failure() error {
 	return p.err
 }
 
-// run is the committer loop: wake on the first pending batch, then write
-// everything pending with one flush.
-func (p *persister) run() {
-	defer close(p.done)
-	for {
-		select {
-		case <-p.kick:
-			p.commitPending()
-		case <-p.stop:
-			p.commitPending()
-			return
-		}
-	}
-}
-
-// commitPending writes every pending batch with a single flush (and a
-// single fsync when configured), publishes the last one's watermark, and
-// delivers the shared result to all waiting writers. A failure is latched
-// and publishes nothing.
-func (p *persister) commitPending() {
-	p.mu.Lock()
-	batch, err := p.pending, p.err
-	p.pending = nil
-	p.mu.Unlock()
-	if len(batch) == 0 {
+// commitPendingLocked writes every pending batch with a single flush (and
+// a single fsync when configured), publishes the last one's watermark, and
+// marks every batch with the shared result. A failure is latched and
+// publishes nothing. Caller holds p.mu with no commit in flight; it is
+// released for the write.
+func (p *persister) commitPendingLocked() {
+	group, err := p.pending, p.err
+	if len(group) == 0 {
 		return
 	}
+	p.pending, p.leading = nil, true
+	p.mu.Unlock()
 	if err == nil {
-		if err = p.write(batch); err == nil {
-			p.published.Store(batch[len(batch)-1].snap)
-		} else {
-			p.mu.Lock()
-			p.err = err
-			p.mu.Unlock()
+		if err = p.write(group); err == nil {
+			p.published.Store(group[len(group)-1].snap)
 		}
 	}
-	for _, b := range batch {
-		b.done <- err
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
 	}
+	for _, b := range group {
+		b.done, b.err = true, err
+	}
+	p.leading = false
+	p.ended.Broadcast()
 }
 
 // write appends the batches' records to the log and makes them durable.
@@ -356,11 +345,16 @@ func (p *persister) write(batch []*commitBatch) error {
 	return nil
 }
 
-// close drains pending commits, flushes, and closes the WAL file. Store
-// calls it once, under s.mu, so no write is enqueued after it.
+// close waits for a group commit in flight, commits what is left,
+// flushes, and closes the WAL file. Store calls it once, under s.mu, so
+// no write is enqueued after it.
 func (p *persister) close() error {
-	close(p.stop)
-	<-p.done
+	p.mu.Lock()
+	for p.leading {
+		p.ended.Wait()
+	}
+	p.commitPendingLocked()
+	p.mu.Unlock()
 	if err := p.w.Flush(); err != nil {
 		_ = p.f.Close()
 		return fmt.Errorf("trajstore: wal flush: %w", err)

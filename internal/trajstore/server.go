@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -15,13 +17,14 @@ import (
 
 // Request ops for the trajectory store wire protocol.
 const (
-	opAddVertex   = "add_vertex"
-	opAddEdge     = "add_edge"
-	opAddBatch    = "add_batch"
-	opGetVertex   = "get_vertex"
-	opFindByEvent = "find_by_event"
-	opStats       = "stats"
-	opOutEdges    = "out_edges"
+	opAddVertex    = "add_vertex"
+	opAddVertexRec = "add_vertex_rec" // add_vertex with the event in rec
+	opAddEdge      = "add_edge"
+	opAddBatch     = "add_batch"
+	opGetVertex    = "get_vertex"
+	opFindByEvent  = "find_by_event"
+	opStats        = "stats"
+	opOutEdges     = "out_edges"
 	// Server-side query ops: the full reconstruction runs inside the
 	// server against a consistent snapshot, returning whole ranked
 	// tracks in one round trip. This package's Client queries only
@@ -65,6 +68,7 @@ func (e *ServerError) Unwrap() error {
 type request struct {
 	Op      string                   `json:"op"`
 	Event   *protocol.DetectionEvent `json:"event,omitempty"`
+	Rec     []byte                   `json:"rec,omitempty"` // protocol.AppendDetectionEvent bytes
 	From    int64                    `json:"from,omitempty"`
 	To      int64                    `json:"to,omitempty"`
 	Weight  float64                  `json:"weight,omitempty"`
@@ -206,6 +210,13 @@ func (s *Server) handle(ctx context.Context, req request) response {
 		return r
 	}
 	switch req.Op {
+	case opAddVertexRec:
+		e, err := protocol.DecodeDetectionEvent(req.Rec)
+		if err != nil {
+			return fail(err)
+		}
+		req.Event = &e
+		fallthrough
 	case opAddVertex:
 		if req.Event == nil {
 			return fail(errors.New("add_vertex requires an event"))
@@ -410,6 +421,9 @@ type Client struct {
 	call rpc.Handler // middleware chain bound once around roundTrip
 	m    *rpc.Metrics
 	cfg  ClientConfig
+	// legacyVertex is set once the server answered add_vertex_rec as an
+	// unknown op; vertices then travel as JSON add_vertex.
+	legacyVertex atomic.Bool
 }
 
 // DialContext connects to a trajectory store server, bounding the
@@ -482,13 +496,23 @@ func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response
 }
 
 // AddVertexContext inserts a detection event remotely and returns its
-// vertex ID, bounded by ctx.
+// vertex ID, bounded by ctx. The event travels as its log record
+// (add_vertex_rec). A server that answers that op as unknown gets this
+// call and every later one as a JSON add_vertex, as does an event the
+// record cannot encode, for the server to refuse.
 func (c *Client) AddVertexContext(ctx context.Context, e protocol.DetectionEvent) (int64, error) {
-	resp, err := c.do(ctx, request{Op: opAddVertex, Event: &e})
-	if err != nil {
-		return 0, err
+	if !c.legacyVertex.Load() {
+		if rec, err := protocol.AppendDetectionEvent(nil, &e); err == nil {
+			resp, err := c.do(ctx, request{Op: opAddVertexRec, Rec: rec})
+			var se *ServerError
+			if !errors.As(err, &se) || se.Code != "" || !strings.HasPrefix(se.Msg, "unknown op") {
+				return resp.VertexID, err
+			}
+			c.legacyVertex.Store(true)
+		}
 	}
-	return resp.VertexID, nil
+	resp, err := c.do(ctx, request{Op: opAddVertex, Event: &e})
+	return resp.VertexID, err
 }
 
 // AddEdgeContext inserts an edge remotely, bounded by ctx.
@@ -539,20 +563,25 @@ func (c *Client) AddBatchContext(ctx context.Context, writes []protocol.TrajWrit
 // VertexContext fetches a vertex by ID, bounded by ctx.
 func (c *Client) VertexContext(ctx context.Context, id int64) (Vertex, error) {
 	resp, err := c.do(ctx, request{Op: opGetVertex, ID: id})
-	if err != nil {
-		return Vertex{}, err
-	}
-	return *resp.Vertex, nil
+	return resp.vertex(err)
 }
 
 // FindByEventIDContext fetches a vertex by its detection-event ID,
 // bounded by ctx.
 func (c *Client) FindByEventIDContext(ctx context.Context, id protocol.EventID) (Vertex, error) {
 	resp, err := c.do(ctx, request{Op: opFindByEvent, EventID: id})
+	return resp.vertex(err)
+}
+
+// vertex returns the vertex a successful reply carries.
+func (r response) vertex(err error) (Vertex, error) {
+	if err == nil && r.Vertex == nil {
+		err = errors.New("trajstore: server returned no vertex")
+	}
 	if err != nil {
 		return Vertex{}, err
 	}
-	return *resp.Vertex, nil
+	return *r.Vertex, nil
 }
 
 // OutEdgesContext fetches a vertex's outgoing edges, bounded by ctx.

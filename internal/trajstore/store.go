@@ -121,10 +121,11 @@ func nodeAt(verts []*vnode, id int64) *vnode {
 // Readers never look at that working state. Every read goes through the
 // published Snapshot, a watermark the writer builds at the end of its
 // apply. An in-memory store publishes it there; a persistent store hands
-// it to the WAL committer, which publishes it only after the group commit
-// carrying the write succeeded and before the writer is acknowledged:
-// reads are read-committed, and an acknowledged write is visible. A failed
-// commit publishes nothing and latches the WAL (fail-stop, see persister),
+// it to the WAL group commit, whose leader (a writing goroutine, see
+// persister) publishes it only after the group carrying the write
+// succeeded and before the writer is acknowledged: reads are
+// read-committed, and an acknowledged write is visible. A failed commit
+// publishes nothing and latches the WAL (fail-stop, see persister),
 // so what was applied above the watermark is never seen, no later write is
 // applied on top of it, and a reopen rebuilds from what reached the log.
 //
@@ -324,9 +325,10 @@ func (s *Store) beginWriteLocked() error {
 // s.mu, and logged into wb, durable and visible, and releases s.mu. An
 // in-memory store publishes the new watermark at once. A persistent store
 // joins the next WAL group commit and waits for it outside the lock, so
-// concurrent writers share one write+flush(+fsync); the committer
-// publishes the watermark before acknowledging. On a commit failure
-// nothing becomes visible and every record counts as a write error.
+// concurrent writers share one write+flush(+fsync); the calling goroutine
+// leads that commit when none is in flight, and the leader publishes the
+// watermark before acknowledging. On a commit failure nothing becomes
+// visible and every record counts as a write error.
 func (s *Store) commitLocked(wb *walBatch, nv, ne int64) error {
 	snap, m, clk := s.snapshotLocked(), s.m, s.clk
 	if s.persist == nil {
@@ -334,9 +336,9 @@ func (s *Store) commitLocked(wb *walBatch, nv, ne int64) error {
 		s.mu.Unlock()
 	} else {
 		start := clk.Now()
-		wait := s.persist.enqueue(wb.buf, wb.n, snap)
+		b := s.persist.enqueue(wb.buf, wb.n, snap)
 		s.mu.Unlock()
-		if err := <-wait; err != nil {
+		if err := s.persist.wait(b); err != nil {
 			m.writeErrs.Add(nv + ne)
 			return err
 		}

@@ -240,7 +240,8 @@ func TestWireCompatNewClientOldServer(t *testing.T) {
 // frame — through the wire codec's ReadRequest, then the op dispatch —
 // against a fresh four-vertex, three-edge store. No input may panic the
 // server, and every answer must encode as a response frame within
-// maxWireBytes. The checked-in corpus holds one request per op.
+// maxWireBytes. The checked-in corpus holds one request per op, and an
+// add_vertex_rec whose record carries a NaN bin.
 func FuzzServeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := wireCodec{}.ReadRequest(bytes.NewReader(data))
