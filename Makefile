@@ -41,7 +41,8 @@ smoke:
 # framestore reads them, detection events as the trajectory store's log
 # records carry them, whole
 # trajectory-store logs through Open against the pre-apply validator,
-# trajectory-store request frames through the server's op dispatch, and a
+# trajectory-store request frames through the server's op dispatch, the
+# binary query answers a trajectory-store client decodes, and a
 # framestore camera's manifest and segment through OpenStore.
 # go test takes one -fuzz target per run. Minimizing each new input for the
 # default 60 s would eat the whole budget, so it gets 1 s.
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetectionEvent$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFrameStore$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/framestore/
 
 vet:
@@ -60,7 +62,7 @@ bench:
 	$(GO) test -run=NONE -bench=. -benchmem ./internal/obs/ ./internal/pipeline/
 	$(GO) test -run=NONE -bench=BenchmarkTrajstoreWritePath -benchtime=2s .
 	$(GO) test -run=NONE -bench=BenchmarkRPCMiddlewareOverhead -benchtime=1s -benchmem ./internal/transport/
-	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s ./internal/trajstore/
+	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s -benchmem ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkFramestore -benchtime=2s ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkFrameIntake -benchtime=2s -benchmem ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkSnapshotQueryBySize -benchtime=2s ./internal/trajstore/

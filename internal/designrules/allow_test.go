@@ -54,3 +54,13 @@ var jsonImportAllow = map[string]bool{
 var listImportAllow = map[string]bool{
 	"internal/trajstore/cache.go: imports container/list": true,
 }
+
+// varintReaderPackages may call encoding/binary's varint readers: the
+// codecs' one cursor lives there.
+var varintReaderPackages = []string{"internal/protocol"}
+
+// varintReaderAllow lists "<file>: uses binary.<reader>" entries exempt
+// from the rule that varints are read through protocol.Cursor.
+var varintReaderAllow = map[string]bool{
+	"internal/trajstore/persist.go: uses binary.Varint": true,
+}

@@ -159,6 +159,49 @@ func importers(files []srcFile, path string) []string {
 	return out
 }
 
+// varintReaders reports, once per file and function, every use of the
+// standard library's varint readers outside the packages allowed them:
+// elsewhere, protocol.Cursor reads varints.
+func varintReaders(files []srcFile) []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, f := range files {
+		if contains(varintReaderPackages, f.dir) {
+			continue
+		}
+		name := ""
+		for _, imp := range f.ast.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "encoding/binary" {
+				name = "binary"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+				switch sel.Sel.Name {
+				case "Uvarint", "Varint", "ReadUvarint", "ReadVarint":
+					if v := f.path + ": uses binary." + sel.Sel.Name; !seen[v] {
+						seen[v] = true
+						out = append(out, v)
+					}
+				}
+			}
+			return true
+		})
+	}
+	sort.Strings(out)
+	return out
+}
+
 func contains(list []string, s string) bool {
 	for _, v := range list {
 		if v == s {
@@ -195,6 +238,7 @@ func TestDesignRules(t *testing.T) {
 	check(t, "lower layers import no upper layer", upwardImports(files), layerImportAllow)
 	check(t, "no new encoding/json importer", importers(files, "encoding/json"), jsonImportAllow)
 	check(t, "one container/list importer", importers(files, "container/list"), listImportAllow)
+	check(t, "one varint reader", varintReaders(files), varintReaderAllow)
 }
 
 // parseFile parses src as the file at path, for planted violations.
@@ -265,5 +309,31 @@ import "repro/internal/encoding/json"`),
 		if got := importers(imports, c.path); len(got) != 1 || got[0] != c.want {
 			t.Errorf("import rule for %s on planted imports = %q, want [%q]", c.path, got, c.want)
 		}
+	}
+
+	// A renamed import counts, once per function and file; a varint
+	// writer, a reader in protocol and another package's Uvarint do not.
+	varints := []srcFile{
+		parseFile(t, "internal/trajstore/answer.go", `package trajstore
+import bin "encoding/binary"
+func f(b []byte) {
+	bin.Uvarint(b)
+	bin.Uvarint(b[1:])
+	read := bin.ReadVarint
+	_ = bin.AppendUvarint(b, 1)
+}`),
+		parseFile(t, "internal/protocol/codec.go", `package protocol
+import "encoding/binary"
+func f(b []byte) { binary.Varint(b) }`),
+		parseFile(t, "internal/fleet/near.go", `package fleet
+import "repro/internal/binary"
+func f(b []byte) { binary.Uvarint(b) }`),
+	}
+	want = []string{
+		"internal/trajstore/answer.go: uses binary.ReadVarint",
+		"internal/trajstore/answer.go: uses binary.Uvarint",
+	}
+	if got := varintReaders(varints); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("varint rule on planted reads = %q, want %q", got, want)
 	}
 }

@@ -57,41 +57,64 @@ const (
 
 var errTruncated = errors.New("protocol: truncated binary field")
 
-// cursor walks a received buffer. Every length is checked against what
-// remains; the first failure sticks, so a decoder reads all fields and
-// checks err once.
-type cursor struct {
+var errLongVarint = errors.New("protocol: varint longer than its value needs")
+
+// Cursor walks a received buffer for the decoders of every binary layout,
+// this package's and the trajectory store's query answers. Every length is
+// checked against what remains; the first failure sticks, so a decoder
+// reads all fields and checks Err once. A varint must be in its shortest
+// form, the one binary.AppendUvarint and AppendVarint write, so each value
+// has one encoding.
+type Cursor struct {
 	b   []byte
 	err error
 }
 
-func (c *cursor) uvarint() uint64 {
+// NewCursor returns a cursor at the start of b.
+func NewCursor(b []byte) Cursor { return Cursor{b: b} }
+
+// Err returns the first failure, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// Len returns how many bytes remain.
+func (c *Cursor) Len() int { return len(c.b) }
+
+// Uvarint returns the next unsigned varint.
+func (c *Cursor) Uvarint() uint64 {
 	if c.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.err = errTruncated
-		return 0
-	}
-	c.b = c.b[n:]
+	c.advance(n)
 	return v
 }
 
-func (c *cursor) varint() int64 {
+// Varint returns the next zig-zag varint.
+func (c *Cursor) Varint() int64 {
 	if c.err != nil {
 		return 0
 	}
 	v, n := binary.Varint(c.b)
-	if n <= 0 {
-		c.err = errTruncated
-		return 0
-	}
-	c.b = c.b[n:]
+	c.advance(n)
 	return v
 }
 
-func (c *cursor) byte() byte {
+// advance consumes a varint of n bytes (n <= 0: none could be read). Only
+// a one-byte varint may end in a zero byte; a longer one that does has
+// padded its value with zero groups.
+func (c *Cursor) advance(n int) {
+	switch {
+	case n <= 0:
+		c.err = errTruncated
+	case n > 1 && c.b[n-1] == 0:
+		c.err = errLongVarint
+	default:
+		c.b = c.b[n:]
+	}
+}
+
+// Byte returns the next byte.
+func (c *Cursor) Byte() byte {
 	if c.err != nil {
 		return 0
 	}
@@ -104,9 +127,9 @@ func (c *cursor) byte() byte {
 	return v
 }
 
-// bytes returns the next length-prefixed field, aliasing the buffer.
-func (c *cursor) bytes() []byte {
-	n := c.uvarint()
+// Bytes returns the next length-prefixed field, aliasing the buffer.
+func (c *Cursor) Bytes() []byte {
+	n := c.Uvarint()
 	if c.err != nil {
 		return nil
 	}
@@ -119,8 +142,8 @@ func (c *cursor) bytes() []byte {
 	return v
 }
 
-// fixed64 returns the next 8-byte little-endian field.
-func (c *cursor) fixed64() uint64 {
+// Fixed64 returns the next 8-byte little-endian field.
+func (c *Cursor) Fixed64() uint64 {
 	if c.err != nil {
 		return 0
 	}
@@ -133,18 +156,20 @@ func (c *cursor) fixed64() uint64 {
 	return v
 }
 
-func appendBytes(dst, v []byte) []byte {
+// AppendBytes appends v as a length-prefixed field, as Cursor.Bytes reads it.
+func AppendBytes(dst, v []byte) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(v))), v...)
 }
 
-func appendString(dst []byte, v string) []byte {
+// AppendString is AppendBytes for a string.
+func AppendString(dst []byte, v string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(v))), v...)
 }
 
 // appendEnvelopeHeader appends the binary envelope body up to the payload.
 func appendEnvelopeHeader(dst []byte, env *Envelope) []byte {
 	dst = append(dst, envelopeV1)
-	dst = appendString(dst, string(env.Type))
+	dst = AppendString(dst, string(env.Type))
 	tc := env.Trace
 	if tc == nil {
 		return append(dst, 0)
@@ -154,9 +179,9 @@ func appendEnvelopeHeader(dst []byte, env *Envelope) []byte {
 		flags |= traceSampled
 	}
 	dst = append(dst, flags)
-	dst = appendString(dst, tc.TraceID)
-	dst = appendString(dst, tc.SpanID)
-	return appendString(dst, tc.ParentID)
+	dst = AppendString(dst, tc.TraceID)
+	dst = AppendString(dst, tc.SpanID)
+	return AppendString(dst, tc.ParentID)
 }
 
 // ErrBadEnvelope wraps every failure of ReadEnvelope that is the sender's
@@ -172,15 +197,15 @@ func decodeEnvelope(body []byte) (Envelope, error) {
 	if body[0] != envelopeV1 {
 		return Envelope{}, fmt.Errorf("%w: unknown envelope format 0x%02x", ErrBadEnvelope, body[0])
 	}
-	c := cursor{b: body[1:]}
-	env := Envelope{Type: MessageType(c.bytes())}
-	switch flags := c.byte(); flags {
+	c := Cursor{b: body[1:]}
+	env := Envelope{Type: MessageType(c.Bytes())}
+	switch flags := c.Byte(); flags {
 	case 0:
 	case traceSet, traceSet | traceSampled:
 		env.Trace = &TraceContext{
-			TraceID:  string(c.bytes()),
-			SpanID:   string(c.bytes()),
-			ParentID: string(c.bytes()),
+			TraceID:  string(c.Bytes()),
+			SpanID:   string(c.Bytes()),
+			ParentID: string(c.Bytes()),
 			Sampled:  flags&traceSampled != 0,
 		}
 	default:
@@ -208,12 +233,12 @@ func AppendFrameRecordHeader(dst []byte, rec *FrameRecord) ([]byte, error) {
 		}
 	}
 	dst = append(dst, frameRecordV1)
-	dst = appendString(dst, rec.CameraID)
+	dst = AppendString(dst, rec.CameraID)
 	dst = binary.AppendVarint(dst, rec.Seq)
-	dst = appendBytes(dst, ts)
+	dst = AppendBytes(dst, ts)
 	dst = binary.AppendVarint(dst, int64(rec.Width))
 	dst = binary.AppendVarint(dst, int64(rec.Height))
-	dst = appendBytes(dst, ann)
+	dst = AppendBytes(dst, ann)
 	return binary.AppendUvarint(dst, uint64(len(rec.Pixels))), nil
 }
 
@@ -261,14 +286,14 @@ func DecodeFrameRecord(data []byte) (FrameRecord, error) {
 }
 
 func decodeFrameRecordV1(b []byte, rec *FrameRecord) error {
-	c := cursor{b: b}
-	rec.CameraID = string(c.bytes())
-	rec.Seq = c.varint()
-	ts := c.bytes()
-	rec.Width = int(c.varint())
-	rec.Height = int(c.varint())
-	ann := c.bytes()
-	rec.Pixels = c.bytes()
+	c := Cursor{b: b}
+	rec.CameraID = string(c.Bytes())
+	rec.Seq = c.Varint()
+	ts := c.Bytes()
+	rec.Width = int(c.Varint())
+	rec.Height = int(c.Varint())
+	ann := c.Bytes()
+	rec.Pixels = c.Bytes()
 	if c.err != nil {
 		return c.err
 	}
@@ -303,13 +328,13 @@ func AppendDetectionEvent(dst []byte, e *DetectionEvent) ([]byte, error) {
 		}
 	}
 	dst = append(dst, detectionEventV1)
-	dst = appendString(dst, string(e.ID))
-	dst = appendString(dst, e.CameraID)
-	dst = appendBytes(dst, ts)
+	dst = AppendString(dst, string(e.ID))
+	dst = AppendString(dst, e.CameraID)
+	dst = AppendBytes(dst, ts)
 	dst = binary.AppendVarint(dst, int64(e.Direction))
 	dst = binary.AppendVarint(dst, e.TrackID)
 	dst = binary.AppendVarint(dst, e.VertexID)
-	dst = appendString(dst, e.TruthID)
+	dst = AppendString(dst, e.TruthID)
 	dst = binary.AppendUvarint(dst, uint64(len(bins)))
 	dst = binary.AppendUvarint(dst, set)
 	next := 0 // the lowest index the next listed bin may have
@@ -342,15 +367,15 @@ func decodeDetectionEvent(data []byte, e *DetectionEvent) error {
 	if data[0] != detectionEventV1 {
 		return fmt.Errorf("unknown format 0x%02x", data[0])
 	}
-	c := cursor{b: data[1:]}
-	e.ID = EventID(c.bytes())
-	e.CameraID = string(c.bytes())
-	ts := c.bytes()
-	e.Direction = geo.Direction(c.varint())
-	e.TrackID = c.varint()
-	e.VertexID = c.varint()
-	e.TruthID = string(c.bytes())
-	n, set := c.uvarint(), c.uvarint()
+	c := Cursor{b: data[1:]}
+	e.ID = EventID(c.Bytes())
+	e.CameraID = string(c.Bytes())
+	ts := c.Bytes()
+	e.Direction = geo.Direction(c.Varint())
+	e.TrackID = c.Varint()
+	e.VertexID = c.Varint()
+	e.TruthID = string(c.Bytes())
+	n, set := c.Uvarint(), c.Uvarint()
 	if c.err != nil {
 		return c.err
 	}
@@ -362,7 +387,7 @@ func decodeDetectionEvent(data []byte, e *DetectionEvent) error {
 	}
 	next := uint64(0)
 	for i := uint64(0); i < set; i++ {
-		gap, bits := c.uvarint(), c.fixed64()
+		gap, bits := c.Uvarint(), c.Fixed64()
 		if c.err != nil {
 			return c.err
 		}

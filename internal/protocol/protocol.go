@@ -356,17 +356,36 @@ func WriteFrame(w io.Writer, v any, limit int) error {
 	if err != nil {
 		return fmt.Errorf("protocol: marshal frame: %w", err)
 	}
-	return writeFramed(w, make([]byte, 4), data, limit)
+	return WriteFrameBody(w, data, limit)
+}
+
+// WriteFrameBody is WriteFrame for a body already encoded: body goes on
+// the wire as it is. The trajectory store sends its binary query answers
+// with it.
+func WriteFrameBody(w io.Writer, body []byte, limit int) error {
+	return writeFramed(w, make([]byte, 4), body, limit)
 }
 
 // ReadFrame reads one frame written by WriteFrame into v, with
 // readFramed's EOF and size-cap rules.
 func ReadFrame(r io.Reader, v any, limit int) error {
-	data, err := readFramed(r, limit, nil)
+	data, err := ReadFrameBody(r, limit)
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	return DecodeFrame(data, v)
+}
+
+// ReadFrameBody reads one frame and returns its raw body, for a reader
+// that looks at the body before choosing its decoder, with readFramed's
+// EOF and size-cap rules.
+func ReadFrameBody(r io.Reader, limit int) ([]byte, error) {
+	return readFramed(r, limit, nil)
+}
+
+// DecodeFrame decodes a JSON frame body read by ReadFrameBody into v.
+func DecodeFrame(body []byte, v any) error {
+	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("protocol: decode frame: %w", err)
 	}
 	return nil

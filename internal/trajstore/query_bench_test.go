@@ -11,11 +11,10 @@ import (
 
 // BenchmarkQueryPath measures the read path of the trajectory store over
 // loopback TCP on a 20-hop trajectory: the server-side reconstruct op,
-// one round trip against a snapshot. A background writer streams batches
-// of unrelated vertices throughout, so the numbers include snapshot
-// rebuilds and cache invalidation under write pressure — the deployment
-// steady state. It reports rpcs/op, the round-trip count per
-// reconstructed trajectory.
+// one round trip against a snapshot, its answer a binary record. A
+// background writer streams batches of unrelated vertices throughout, so
+// queries run beside writes, as in a deployment. It reports rpcs/op, the
+// round-trip count per reconstructed trajectory, and allocations.
 func BenchmarkQueryPath(b *testing.B) {
 	const hops = 20 // 21 vertices, 20 links
 	s := NewMemStore()
@@ -80,6 +79,7 @@ func BenchmarkQueryPath(b *testing.B) {
 		stopWriter := startWriter(b)
 		defer stopWriter()
 		callsBefore := client.Metrics().Calls.Value()
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tracks, err := client.ReconstructVertexContext(ctx, ids[0], limits)

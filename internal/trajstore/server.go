@@ -40,7 +40,14 @@ const (
 const (
 	codeNotFound = "not_found"
 	codeNoTracks = "no_tracks"
+	codeTooLarge = "too_large"
 )
+
+// ErrAnswerTooLarge is matched (errors.Is) by the error of a call whose
+// answer would not fit in one frame (maxWireBytes). The server refuses
+// such an answer with a too_large error on the same connection, so the
+// call fails once, without a retry, and the connection stays usable.
+var ErrAnswerTooLarge = errors.New("trajstore: answer exceeds the frame bound")
 
 // ServerError is a store-level rejection relayed over the wire. Its
 // message matches the historical "trajstore: server: ..." string; the
@@ -60,6 +67,8 @@ func (e *ServerError) Unwrap() error {
 		return ErrVertexNotFound
 	case codeNoTracks:
 		return ErrNoTracks
+	case codeTooLarge:
+		return ErrAnswerTooLarge
 	}
 	return nil
 }
@@ -79,6 +88,10 @@ type request struct {
 	// VehicleID and MaxVertex parameterize the sightings op.
 	VehicleID string `json:"vehicleId,omitempty"`
 	MaxVertex int64  `json:"maxVertex,omitempty"`
+	// Bin asks for a best, reconstruct or sightings answer as a binary
+	// answer (answer.go) instead of a JSON response. A server that
+	// predates it ignores the field and answers in JSON.
+	Bin bool `json:"bin,omitempty"`
 	// Trace carries the caller's span context so the server can resume
 	// the caller's trace (batch records carry their own per-record
 	// Trace fields instead). It is stamped by the rpc trace-inject
@@ -115,10 +128,11 @@ type response struct {
 // maxWireBytes bounds one request/response frame.
 const maxWireBytes = 8 << 20
 
-// wireCodec adapts the store's length-prefixed-JSON frames to the
-// generic rpc server. The wire format is unchanged: handler errors are
-// encoded into the response frame's err field, exactly as before, so
-// old clients interoperate.
+// wireCodec adapts the store's length-prefixed frames to the generic rpc
+// server. Requests and errors are JSON, and so is every answer to a
+// request without bin, byte for byte as before, so old clients
+// interoperate. Handler errors are encoded into the response frame's err
+// field.
 type wireCodec struct{}
 
 func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
@@ -129,11 +143,28 @@ func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
 	return &rpc.Request{Method: req.Op, Body: &req}, nil
 }
 
-func (wireCodec) WriteResponse(w io.Writer, _ *rpc.Request, resp *rpc.Response, herr error) error {
+// WriteResponse writes a successful query answer the request asked to
+// get in binary as the frame's body, and everything else as a JSON
+// response. An answer above maxWireBytes is refused before any of it is
+// written, so a too_large error takes its place on the same connection.
+func (wireCodec) WriteResponse(w io.Writer, req *rpc.Request, resp *rpc.Response, herr error) error {
+	var r response
 	if herr != nil {
-		return protocol.WriteFrame(w, response{Err: herr.Error()}, maxWireBytes)
+		r.Err = herr.Error()
+	} else {
+		r = *resp.Body.(*response)
 	}
-	return protocol.WriteFrame(w, *resp.Body.(*response), maxWireBytes)
+	var err error
+	if body, ok := binaryAnswer(req.Body.(*request), &r); ok {
+		err = protocol.WriteFrameBody(w, body, maxWireBytes)
+	} else {
+		err = protocol.WriteFrame(w, r, maxWireBytes)
+	}
+	if errors.Is(err, protocol.ErrFrameTooLarge) {
+		r = response{Code: codeTooLarge, Err: fmt.Sprintf("%s answer refused: %v, bound %d bytes", req.Method, err, maxWireBytes)}
+		return protocol.WriteFrame(w, r, maxWireBytes)
+	}
+	return err
 }
 
 // ServerOptions tunes a trajectory store server beyond the defaults.
@@ -479,12 +510,17 @@ func (c *Client) do(ctx context.Context, wreq request) (response, error) {
 // it), while transport failures on a cached connection surface as
 // retryable for the retry stage above.
 func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
+	wreq := req.Body.(*request)
 	var wresp response
 	err := c.cc.Call(ctx, func(conn net.Conn) error {
-		if err := protocol.WriteFrame(conn, req.Body.(*request), maxWireBytes); err != nil {
+		if err := protocol.WriteFrame(conn, wreq, maxWireBytes); err != nil {
 			return err
 		}
-		return protocol.ReadFrame(conn, &wresp, maxWireBytes)
+		body, err := protocol.ReadFrameBody(conn, maxWireBytes)
+		if err != nil {
+			return err
+		}
+		return wresp.decode(body, wreq)
 	})
 	if err != nil {
 		return nil, err
@@ -606,10 +642,15 @@ func (c *Client) StatsContext(ctx context.Context) (vertices, edges int, err err
 // ReconstructContext executes the full track reconstruction inside the
 // server against a consistent snapshot and returns every candidate
 // track through the sighting, ranked most-plausible first, in one round
-// trip. Requires a server speaking the reconstruct op; an older server
-// answers with an unknown-op error.
+// trip; no track is a nil slice. Requires a server speaking the
+// reconstruct op; an older server answers with an unknown-op error.
+//
+// Like BestContext and SightingsContext, it asks for the answer as a
+// binary record (the request's bin field) and also reads the JSON answer
+// a server that predates binary answers sends. An answer too big for one
+// frame fails with ErrAnswerTooLarge.
 func (c *Client) ReconstructContext(ctx context.Context, eventID protocol.EventID, limits TraceLimits) ([]Track, error) {
-	resp, err := c.do(ctx, request{Op: opReconstruct, EventID: eventID, Limits: &limits})
+	resp, err := c.do(ctx, request{Op: opReconstruct, EventID: eventID, Limits: &limits, Bin: true})
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +659,7 @@ func (c *Client) ReconstructContext(ctx context.Context, eventID protocol.EventI
 
 // ReconstructVertexContext is ReconstructContext keyed by vertex ID.
 func (c *Client) ReconstructVertexContext(ctx context.Context, vertexID int64, limits TraceLimits) ([]Track, error) {
-	resp, err := c.do(ctx, request{Op: opReconstruct, ID: vertexID, Limits: &limits})
+	resp, err := c.do(ctx, request{Op: opReconstruct, ID: vertexID, Limits: &limits, Bin: true})
 	if err != nil {
 		return nil, err
 	}
@@ -626,10 +667,11 @@ func (c *Client) ReconstructVertexContext(ctx context.Context, vertexID int64, l
 }
 
 // BestContext returns the server's top-ranked track through a
-// sighting in one round trip. A sighting with no tracks surfaces as
-// ErrNoTracks (via errors.Is), an unknown event as ErrVertexNotFound.
+// sighting in one round trip, as a binary record when the server sends
+// one. A sighting with no tracks surfaces as ErrNoTracks (via
+// errors.Is), an unknown event as ErrVertexNotFound.
 func (c *Client) BestContext(ctx context.Context, eventID protocol.EventID, limits TraceLimits) (Track, error) {
-	resp, err := c.do(ctx, request{Op: opBest, EventID: eventID, Limits: &limits})
+	resp, err := c.do(ctx, request{Op: opBest, EventID: eventID, Limits: &limits, Bin: true})
 	if err != nil {
 		return Track{}, err
 	}
@@ -641,10 +683,11 @@ func (c *Client) BestContext(ctx context.Context, eventID protocol.EventID, limi
 
 // SightingsContext lists the ground-truth sightings of a vehicle in
 // time order, answered server-side from the vehicle index over a
-// snapshot. maxVertex is the highest vertex ID considered; <= 0 means the
+// snapshot, as a binary record when the server sends one; none is a nil
+// slice. maxVertex is the highest vertex ID considered; <= 0 means the
 // whole graph.
 func (c *Client) SightingsContext(ctx context.Context, vehicleID string, maxVertex int64) ([]Hop, error) {
-	resp, err := c.do(ctx, request{Op: opSightings, VehicleID: vehicleID, MaxVertex: maxVertex})
+	resp, err := c.do(ctx, request{Op: opSightings, VehicleID: vehicleID, MaxVertex: maxVertex, Bin: true})
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,9 @@ func serveStore(t *testing.T, s *Store, opts ServerOptions) *Client {
 }
 
 // randomStore builds a random acyclic trajectory graph with ground-truth
-// vehicle IDs, varied cameras, and increasing timestamps.
-func randomStore(t *testing.T, seed int64) (*Store, []int64) {
+// vehicle IDs, varied cameras, and increasing timestamps. Given zones,
+// sighting i's timestamp is expressed in zones[i%len(zones)].
+func randomStore(t *testing.T, seed int64, zones ...*time.Location) (*Store, []int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s := NewMemStore()
@@ -43,6 +44,9 @@ func randomStore(t *testing.T, seed int64) (*Store, []int64) {
 		cam := fmt.Sprintf("cam%d", rng.Intn(6))
 		e := sightingEvent(fmt.Sprintf("%s#%d", cam, i), cam,
 			time.Duration(i*5+rng.Intn(5))*time.Second, fmt.Sprintf("veh-%d", rng.Intn(4)))
+		if len(zones) > 0 {
+			e.Timestamp = e.Timestamp.In(zones[i%len(zones)])
+		}
 		id, err := s.AddVertex(e)
 		if err != nil {
 			t.Fatal(err)
@@ -80,59 +84,86 @@ func TestServerSideEquivalenceRandomGraphs(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			s, ids := randomStore(t, seed)
-			client := serveStore(t, s, ServerOptions{})
-
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			local := s.Snapshot()
-			limits := TraceLimits{MaxDepth: 32, MaxPaths: 64}
-
-			rng := rand.New(rand.NewSource(seed + 1000))
-			starts := []int64{ids[0], ids[len(ids)-1], ids[rng.Intn(len(ids))]}
-			for _, start := range starts {
-				want, err := ReconstructTracks(local, start, limits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := client.ReconstructVertexContext(ctx, start, limits)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
-					t.Fatalf("vertex %d: server-side reconstruct diverged\n got: %s\nwant: %s",
-						start, mustJSON(t, got), mustJSON(t, want))
-				}
-
-				v, err := s.Vertex(start)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantBest, wantErr := BestTrack(local, v.Event.ID, limits)
-				gotBest, gotErr := client.BestContext(ctx, v.Event.ID, limits)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("best errors diverge: %v vs %v", gotErr, wantErr)
-				}
-				if wantErr == nil && !bytes.Equal(mustJSON(t, gotBest), mustJSON(t, wantBest)) {
-					t.Fatalf("event %q: best diverged", v.Event.ID)
-				}
-			}
-
-			for v := 0; v < 4; v++ {
-				vehicle := fmt.Sprintf("veh-%d", v)
-				want, err := SightingsOf(local, int64(s.NumVertices()), vehicle)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := client.SightingsContext(ctx, vehicle, int64(s.NumVertices()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
-					t.Fatalf("%s: sightings diverged\n got: %s\nwant: %s",
-						vehicle, mustJSON(t, got), mustJSON(t, want))
-				}
-			}
+			checkServerSideEquivalence(t, s, ids, seed)
 		})
+	}
+}
+
+// TestServerSideEquivalenceLocalZone is the same contract with time.Local
+// set to a zone that is not UTC, and the sightings stamped in it, in UTC
+// and in two fixed zones, one of them with a seconds offset. A binary
+// answer keeps each hop time's offset, so the remote answers still
+// marshal to the local walk's bytes.
+func TestServerSideEquivalenceLocalZone(t *testing.T) {
+	saved := time.Local
+	time.Local = time.FixedZone("ACST", 9*3600+30*60)
+	t.Cleanup(func() { time.Local = saved })
+	zones := []*time.Location{time.Local, time.UTC,
+		time.FixedZone("", -(3*3600 + 30*60)), time.FixedZone("LMT", 5*3600+53*60+28)}
+	for seed := int64(0); seed < 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			s, ids := randomStore(t, seed, zones...)
+			checkServerSideEquivalence(t, s, ids, seed)
+		})
+	}
+}
+
+// checkServerSideEquivalence serves s and checks that the client's
+// reconstruct, best and sightings answers marshal to the same JSON as the
+// local walk over a snapshot.
+func checkServerSideEquivalence(t *testing.T, s *Store, ids []int64, seed int64) {
+	t.Helper()
+	client := serveStore(t, s, ServerOptions{})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	local := s.Snapshot()
+	limits := TraceLimits{MaxDepth: 32, MaxPaths: 64}
+
+	rng := rand.New(rand.NewSource(seed + 1000))
+	starts := []int64{ids[0], ids[len(ids)-1], ids[rng.Intn(len(ids))]}
+	for _, start := range starts {
+		want, err := ReconstructTracks(local, start, limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.ReconstructVertexContext(ctx, start, limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+			t.Fatalf("vertex %d: server-side reconstruct diverged\n got: %s\nwant: %s",
+				start, mustJSON(t, got), mustJSON(t, want))
+		}
+
+		v, err := s.Vertex(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBest, wantErr := BestTrack(local, v.Event.ID, limits)
+		gotBest, gotErr := client.BestContext(ctx, v.Event.ID, limits)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("best errors diverge: %v vs %v", gotErr, wantErr)
+		}
+		if wantErr == nil && !bytes.Equal(mustJSON(t, gotBest), mustJSON(t, wantBest)) {
+			t.Fatalf("event %q: best diverged", v.Event.ID)
+		}
+	}
+
+	for v := 0; v < 4; v++ {
+		vehicle := fmt.Sprintf("veh-%d", v)
+		want, err := SightingsOf(local, int64(s.NumVertices()), vehicle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.SightingsContext(ctx, vehicle, int64(s.NumVertices()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+			t.Fatalf("%s: sightings diverged\n got: %s\nwant: %s",
+				vehicle, mustJSON(t, got), mustJSON(t, want))
+		}
 	}
 }
 

@@ -25,23 +25,8 @@ func rawCall(t *testing.T, conn net.Conn, req map[string]any) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := conn.Write(lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatal(err)
-	}
 	var resp map[string]any
-	if err := json.Unmarshal(buf, &resp); err != nil {
+	if err := json.Unmarshal(rawFrame(t, conn, data), &resp); err != nil {
 		t.Fatal(err)
 	}
 	return resp
@@ -240,8 +225,9 @@ func TestWireCompatNewClientOldServer(t *testing.T) {
 // frame — through the wire codec's ReadRequest, then the op dispatch —
 // against a fresh four-vertex, three-edge store. No input may panic the
 // server, and every answer must encode as a response frame within
-// maxWireBytes. The checked-in corpus holds one request per op, and an
-// add_vertex_rec whose record carries a NaN bin.
+// maxWireBytes. The checked-in corpus holds one request per op, an
+// add_vertex_rec whose record carries a NaN bin, and the best,
+// reconstruct and sightings ops asking for a binary answer.
 func FuzzServeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := wireCodec{}.ReadRequest(bytes.NewReader(data))
