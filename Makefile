@@ -42,8 +42,9 @@ smoke:
 # records carry them, whole
 # trajectory-store logs through Open against the pre-apply validator,
 # trajectory-store request frames through the server's op dispatch, the
-# binary query answers a trajectory-store client decodes, and a
-# framestore camera's manifest and segment through OpenStore.
+# binary query answers a trajectory-store client decodes, a
+# framestore camera's manifest and segment through OpenStore, and
+# arbitrary bytes through the record-log reader both stores open with.
 # go test takes one -fuzz target per run. Minimizing each new input for the
 # default 60 s would eat the whole budget, so it gets 1 s.
 fuzz:
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFrameStore$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/framestore/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/recordlog/
 
 vet:
 	$(GO) vet ./...
@@ -65,6 +67,7 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkQueryPath -benchtime=2s -benchmem ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkFramestore -benchtime=2s ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkFrameIntake -benchtime=2s -benchmem ./internal/framestore/
+	$(GO) test -run=NONE -bench=BenchmarkReopenSegments -benchtime=2s -benchmem ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkSnapshotQueryBySize -benchtime=2s ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkOpenReplay -benchtime=2s -benchmem ./internal/trajstore/
 

@@ -169,15 +169,7 @@ func varintReaders(files []srcFile) []string {
 		if contains(varintReaderPackages, f.dir) {
 			continue
 		}
-		name := ""
-		for _, imp := range f.ast.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == "encoding/binary" {
-				name = "binary"
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-			}
-		}
+		name := importName(f, "encoding/binary")
 		if name == "" {
 			continue
 		}
@@ -194,6 +186,61 @@ func varintReaders(files []srcFile) []string {
 						out = append(out, v)
 					}
 				}
+			}
+			return true
+		})
+	}
+	sort.Strings(out)
+	return out
+}
+
+// importName returns the name f imports path under, "" when it does not.
+func importName(f srcFile, path string) string {
+	for _, imp := range f.ast.Imports {
+		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == path {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return path[strings.LastIndexByte(path, '/')+1:]
+		}
+	}
+	return ""
+}
+
+// truncations reports, once per file, every use of os.Truncate and of a
+// Truncate method in a file importing os outside the packages allowed
+// them: a log shrinks only where recordlog cuts a torn tail. Without type
+// checking, the rule takes any x.Truncate in such a file, x not a package,
+// for (*os.File).Truncate.
+func truncations(files []srcFile) []string {
+	var out []string
+	for _, f := range files {
+		osName := importName(f, "os")
+		if osName == "" || contains(truncatePackages, f.dir) {
+			continue
+		}
+		packages := make(map[string]bool)
+		for _, imp := range f.ast.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
+				packages[importName(f, p)] = true
+			}
+		}
+		seen := make(map[string]bool)
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Truncate" {
+				return true
+			}
+			v := f.path + ": uses (*os.File).Truncate"
+			if x, ok := sel.X.(*ast.Ident); ok && packages[x.Name] {
+				if x.Name != osName {
+					return true
+				}
+				v = f.path + ": uses os.Truncate"
+			}
+			if !seen[v] {
+				seen[v] = true
+				out = append(out, v)
 			}
 			return true
 		})
@@ -239,6 +286,7 @@ func TestDesignRules(t *testing.T) {
 	check(t, "no new encoding/json importer", importers(files, "encoding/json"), jsonImportAllow)
 	check(t, "one container/list importer", importers(files, "container/list"), listImportAllow)
 	check(t, "one varint reader", varintReaders(files), varintReaderAllow)
+	check(t, "one truncation site", truncations(files), truncateAllow)
 }
 
 // parseFile parses src as the file at path, for planted violations.
@@ -335,5 +383,35 @@ func f(b []byte) { binary.Uvarint(b) }`),
 	}
 	if got := varintReaders(varints); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("varint rule on planted reads = %q, want %q", got, want)
+	}
+
+	// A renamed os.Truncate and a file's Truncate method count, once per
+	// file; recordlog, another package's Truncate and a method in a file
+	// not importing os do not.
+	truncates := []srcFile{
+		parseFile(t, "internal/framestore/segment.go", `package framestore
+import sys "os"
+func f(path string, fh *sys.File) {
+	sys.Truncate(path, 0)
+	fh.Truncate(0)
+	cut := fh.Truncate
+	_ = sys.Remove(path)
+}`),
+		parseFile(t, "internal/recordlog/recordlog.go", `package recordlog
+import "os"
+func f(fh *os.File) { fh.Truncate(0) }`),
+		parseFile(t, "internal/trajstore/near.go", `package trajstore
+import ("os"; "repro/internal/disk")
+func f() { disk.Truncate(os.Args[0]) }`),
+		parseFile(t, "internal/obs/buf.go", `package obs
+import "bytes"
+func f(b *bytes.Buffer) { b.Truncate(0) }`),
+	}
+	want = []string{
+		"internal/framestore/segment.go: uses (*os.File).Truncate",
+		"internal/framestore/segment.go: uses os.Truncate",
+	}
+	if got := truncations(truncates); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("truncation rule on planted calls = %q, want %q", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package framestore
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,5 +122,42 @@ func benchWrites(b *testing.B, cfg Config) {
 	b.StopTimer()
 	if cfg.RetainBytes > 0 {
 		b.ReportMetric(float64(s.DiskBytes()), "disk-bytes")
+	}
+}
+
+// BenchmarkReopenSegments is a store's recovery time: OpenStore of a
+// directory holding 4 cameras × 4 segments of 147 456-byte frames (7 to a
+// 1 MiB segment), every segment read and indexed by the record-log reader.
+func BenchmarkReopenSegments(b *testing.B) {
+	const cameras, frames = 4, 28
+	cfg := Config{SegmentBytes: 1 << 20}
+	dir := b.TempDir()
+	s, err := OpenStoreConfig(dir, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c := 0; c < cameras; c++ {
+		for seq := int64(1); seq <= frames; seq++ {
+			if err := s.Put(patterned(fmt.Sprintf("cam%d", c), seq, 256, 192)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		re, err := OpenStoreConfig(dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st := re.ReloadStats(); st.Frames != cameras*frames || st.Segments != cameras*4 {
+			b.Fatalf("reopened %+v, want %d frames in %d segments", st, cameras*frames, cameras*4)
+		}
+		if err := re.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,13 +20,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/recordlog"
 )
 
 // Errors returned by the store.
@@ -132,12 +133,12 @@ type ReloadStats struct {
 	// record already claimed their (camera, seq) — e.g. a crash replayed
 	// an append. The first occurrence wins, matching Put semantics.
 	DuplicateRecords int64
-	// CorruptRecords counts mid-file records whose framing was intact
-	// but whose payload failed to decode; they are skipped and the valid
-	// records after them salvaged.
+	// CorruptRecords counts mid-file damaged spans: bytes holding no
+	// intact record, followed by one that is. Each span is skipped, its
+	// bytes kept, and the records after it salvaged.
 	CorruptRecords int64
-	// TornTails counts segments whose unparsable tail was truncated
-	// away; TruncatedBytes is the total discarded.
+	// TornTails counts segments whose damaged tail, with no intact record
+	// after it, was truncated away; TruncatedBytes is the total discarded.
 	TornTails      int64
 	TruncatedBytes int64
 	// StraySegments counts unlisted segment files deleted at open (a
@@ -200,8 +201,8 @@ func OpenStore(dir string) (*Store, error) {
 
 // OpenStoreConfig opens (or creates) a store rooted at dir with explicit
 // tuning. Existing segments are re-indexed; damaged tails are truncated
-// and logged, duplicate records deduplicated, and decodable records
-// after a corrupt one salvaged (see ReloadStats).
+// and logged, duplicate records deduplicated, and intact records after a
+// damaged span salvaged (see ReloadStats).
 func OpenStoreConfig(dir string, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	s := &Store{
@@ -265,7 +266,7 @@ func (s *Store) logFor(camera string) (*cameraLog, error) {
 		s.logs[camera] = cl
 		return cl, nil
 	}
-	cl, err := s.openCamera(camera, nil)
+	cl, err := s.openCamera(camera, nil, new(recordlog.Reader[protocol.FrameRecord]))
 	if err != nil {
 		return nil, err
 	}
@@ -397,7 +398,7 @@ func (s *Store) putDisk(cl *cameraLog, rec protocol.FrameRecord, hdr []byte, m s
 
 	start := s.now()
 	// Same length-prefix layout as protocol's network frames, kept apart
-	// with its salvaging reader (see indexSegment).
+	// for its salvaging reader (see indexSegment).
 	if _, err := seg.w.Write(hdr); err != nil {
 		s.countWriteErr()
 		return false, aged, fmt.Errorf("framestore: append: %w", err)
@@ -458,11 +459,8 @@ func (s *Store) now() time.Time {
 }
 
 func insertSorted(seqs []int64, v int64) []int64 {
-	i := sort.Search(len(seqs), func(i int) bool { return seqs[i] >= v })
-	seqs = append(seqs, 0)
-	copy(seqs[i+1:], seqs[i:])
-	seqs[i] = v
-	return seqs
+	i, _ := slices.BinarySearch(seqs, v)
+	return slices.Insert(seqs, i, v)
 }
 
 // Get fetches one frame record. Disk reads happen outside the store
@@ -503,9 +501,9 @@ func (s *Store) Range(camera string, fromSeq, toSeq int64) ([]protocol.FrameReco
 		s.mu.Unlock()
 		return nil, nil
 	}
+	start, _ := slices.BinarySearch(cl.seqs, fromSeq)
 	if cl.mem != nil {
 		var out []protocol.FrameRecord
-		start := sort.Search(len(cl.seqs), func(i int) bool { return cl.seqs[i] >= fromSeq })
 		for _, seq := range cl.seqs[start:] {
 			if seq > toSeq {
 				break
@@ -517,7 +515,6 @@ func (s *Store) Range(camera string, fromSeq, toSeq int64) ([]protocol.FrameReco
 	}
 	var refs []recordRef
 	pinned := make(map[*segment]bool)
-	start := sort.Search(len(cl.seqs), func(i int) bool { return cl.seqs[i] >= fromSeq })
 	for _, seq := range cl.seqs[start:] {
 		if seq > toSeq {
 			break
@@ -538,7 +535,7 @@ func (s *Store) Range(camera string, fromSeq, toSeq int64) ([]protocol.FrameReco
 	}
 	var out []protocol.FrameRecord
 	for _, ref := range refs {
-		rec, err := readRecordAt(ref.seg.file(), ref.off)
+		rec, err := readRecordAt(ref.seg.f, ref.off) // pinned above
 		if err != nil {
 			releaseAll()
 			return nil, err
@@ -563,12 +560,17 @@ func (s *Store) Count(camera string) int {
 func (s *Store) Cameras() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.logs))
-	for c := range s.logs {
-		out = append(out, c)
+	return sortedKeys(s.logs)
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(keys)
+	return keys
 }
 
 // Close flushes and closes every segment. In-flight reads holding a

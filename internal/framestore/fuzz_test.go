@@ -38,6 +38,8 @@ func FuzzOpenFrameStore(f *testing.F) {
 	f.Add(manifest, segment)
 	f.Add([]byte(nil), segment)                                         // adopted without a manifest
 	f.Add(manifest, segment[:len(segment)-7])                           // torn tail
+	f.Add(manifest, flipLengthBit(f, segment, 1, 0, 0x01))              // record 2's length past the end
+	f.Add(manifest, flipLengthBit(f, segment, 1, 3, 0x01))              // record 2's length off by one
 	f.Add([]byte(`{"version":1,"segments":[0,0,2],"next":1}`), segment) // listed twice, listed but missing
 	f.Add([]byte(`{"version":1,"segments":[1],"next":2}`), segment)     // segment 0 a stray
 

@@ -3,7 +3,7 @@ package framestore
 import (
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 )
 
 // Retention GC reclaims whole sealed segments, never individual records:
@@ -37,12 +37,8 @@ func (s *Store) GC() (GCStats, error) {
 		s.mu.Unlock()
 		return GCStats{}, ErrClosed
 	}
-	names := make([]string, 0, len(s.logs))
-	for c := range s.logs {
-		names = append(names, c)
-	}
+	names := sortedKeys(s.logs)
 	s.mu.Unlock()
-	sort.Strings(names)
 
 	var total GCStats
 	for _, camera := range names {
@@ -141,12 +137,7 @@ func (s *Store) gcBySize() (GCStats, error) {
 			victimLog *cameraLog
 			victim    *segment
 		)
-		names := make([]string, 0, len(s.logs))
-		for c := range s.logs {
-			names = append(names, c)
-		}
-		sort.Strings(names)
-		for _, c := range names {
+		for _, c := range sortedKeys(s.logs) {
 			cl := s.logs[c]
 			if cl.mem != nil || len(cl.segs) == 0 {
 				continue
@@ -191,12 +182,7 @@ func (s *Store) gcBySize() (GCStats, error) {
 func (s *Store) deleteSegment(cl *cameraLog, seg *segment) (GCStats, error) {
 	st := GCStats{Segments: 1}
 	s.mu.Lock()
-	for i, sg := range cl.segs {
-		if sg == seg {
-			cl.segs = append(cl.segs[:i], cl.segs[i+1:]...)
-			break
-		}
-	}
+	cl.segs = slices.DeleteFunc(cl.segs, func(sg *segment) bool { return sg == seg })
 	kept := cl.seqs[:0]
 	for _, seq := range cl.seqs {
 		if ref, ok := cl.index[seq]; ok && ref.seg == seg {

@@ -1,6 +1,7 @@
 package framestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -203,8 +204,8 @@ func TestReloadCorruptLengthPrefix(t *testing.T) {
 	writeAndClose(t, dir, 1)
 	path := activeSegPath(t, dir, "cam1")
 
-	// An impossible length gives no resync point: everything after it is
-	// unreadable and must be truncated, even if more bytes follow.
+	// An impossible length with no intact record after it is a torn tail:
+	// the record and the bytes behind it are truncated.
 	appendRaw(t, path, make([]byte, 64), maxRecordBytes+1)
 
 	s, err := OpenStore(dir)
@@ -218,6 +219,71 @@ func TestReloadCorruptLengthPrefix(t *testing.T) {
 	st := s.ReloadStats()
 	if st.TornTails != 1 || st.TruncatedBytes != 68 {
 		t.Errorf("stats = %+v, want TornTails=1 TruncatedBytes=68", st)
+	}
+}
+
+// flipLengthBit returns seg with one bit of record i's (0-based) length
+// prefix flipped: mask xor'd into its byte at (0..3).
+func flipLengthBit(t testing.TB, seg []byte, i, at int, mask byte) []byte {
+	t.Helper()
+	off := 0
+	for ; i > 0; i-- {
+		off += 4 + int(binary.BigEndian.Uint32(seg[off:]))
+	}
+	if off+4 > len(seg) {
+		t.Fatalf("segment of %d bytes has no record there", len(seg))
+	}
+	seg = bytes.Clone(seg)
+	seg[off+at] ^= mask
+	return seg
+}
+
+// TestReloadFlippedLengthBitKeepsLaterFrames: one flipped bit in the
+// second record's length prefix damages that record alone. Whether the
+// length now points past the end of the file or stays in range, the
+// frames before and after it are served, the damage is one corrupt span
+// rather than a torn tail, and the segment keeps every byte.
+func TestReloadFlippedLengthBitKeepsLaterFrames(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		at   int
+		mask byte
+	}{
+		{"length past the end", 0, 0x01}, // 242 -> 16 777 458
+		{"length in range", 3, 0x01},     // 242 -> 243
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeAndClose(t, dir, 1, 2, 3, 4, 5)
+			path := activeSegPath(t, dir, "cam1")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, flipLengthBit(t, data, 1, c.at, c.mask), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = s.Close() }()
+			for _, seq := range []int64{1, 3, 4, 5} {
+				if _, err := s.Get("cam1", seq); err != nil {
+					t.Errorf("frame %d: %v", seq, err)
+				}
+			}
+			if _, err := s.Get("cam1", 2); !errors.Is(err, ErrNotFound) {
+				t.Errorf("damaged frame 2: got %v, want ErrNotFound", err)
+			}
+			if st := s.ReloadStats(); st.CorruptRecords != 1 || st.TornTails != 0 || st.TruncatedBytes != 0 {
+				t.Errorf("stats = %+v, want CorruptRecords=1 TornTails=0", st)
+			}
+			if info, err := os.Stat(path); err != nil || info.Size() != int64(len(data)) {
+				t.Errorf("segment size after open: %v (%v), want %d", info.Size(), err, len(data))
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +17,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/recordlog"
 )
 
 // Disk layout: each camera owns size-bounded append-only segment files
@@ -92,9 +92,6 @@ func (seg *segment) acquire() *os.File {
 	seg.refs++
 	return seg.f
 }
-
-// file returns the pinned handle (caller already acquired).
-func (seg *segment) file() *os.File { return seg.f }
 
 // noteRecord folds one published record into the segment's bookkeeping.
 // Caller holds Store.mu.
@@ -285,13 +282,9 @@ func (s *Store) scanDir() error {
 			orphans[camera] = append(orphans[camera], id)
 		}
 	}
-	names := make([]string, 0, len(cameras))
-	for c := range cameras {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	for _, camera := range names {
-		cl, err := s.openCamera(camera, orphans[camera])
+	var r recordlog.Reader[protocol.FrameRecord] // one buffer for every segment
+	for _, camera := range sortedKeys(cameras) {
+		cl, err := s.openCamera(camera, orphans[camera], &r)
 		if err != nil {
 			return err
 		}
@@ -317,11 +310,10 @@ func parseSegName(name string) (camera string, id int64, ok bool) {
 
 // openCamera loads one camera's segment chain: manifest load (or
 // reconstruction from on-disk segments), stray-segment cleanup, and
-// per-segment indexing with salvage. Single-threaded (open path) or called
-// under Store.mu for a brand-new camera.
-func (s *Store) openCamera(camera string, diskIDs []int64) (*cameraLog, error) {
+// per-segment indexing with salvage through r. Single-threaded (open path)
+// or called under Store.mu for a brand-new camera.
+func (s *Store) openCamera(camera string, diskIDs []int64, r *recordlog.Reader[protocol.FrameRecord]) (*cameraLog, error) {
 	cl := &cameraLog{camera: camera, index: make(map[int64]recordRef)}
-	logger := obs.DefaultLogger().WithComponent("framestore")
 
 	var m manifest
 	data, err := os.ReadFile(cl.manifestPath(s.dir))
@@ -332,12 +324,15 @@ func (s *Store) openCamera(camera string, diskIDs []int64) (*cameraLog, error) {
 		}
 	case errors.Is(err, os.ErrNotExist):
 		// No manifest: adopt every segment found on disk, oldest first.
-		sort.Slice(diskIDs, func(i, j int) bool { return diskIDs[i] < diskIDs[j] })
+		slices.Sort(diskIDs)
 		m = manifest{Version: 1, Segments: diskIDs}
 	default:
 		return nil, fmt.Errorf("framestore: manifest %s: %w", camera, err)
 	}
-	m.Next = maxInt64(m.Next, maxID(m.Segments)+1)
+	m.Next = max(m.Next, 0)
+	for _, id := range m.Segments {
+		m.Next = max(m.Next, id+1)
+	}
 	cl.next = m.Next
 
 	// Stray segments (on disk, not in the manifest) are GC leftovers:
@@ -355,19 +350,19 @@ func (s *Store) openCamera(camera string, diskIDs []int64) (*cameraLog, error) {
 			return nil, fmt.Errorf("framestore: remove stray segment: %w", err)
 		}
 		s.reload.StraySegments++
-		logger.Warn("deleted stray segment left by an interrupted gc",
+		obs.DefaultLogger().WithComponent("framestore").Warn("deleted stray segment left by an interrupted gc",
 			"camera", camera, "segment", fmt.Sprint(id))
 	}
 
 	for _, id := range m.Segments {
-		seg, err := s.indexSegment(cl, id)
+		seg, err := s.indexSegment(cl, id, r)
 		if err != nil {
 			return nil, err
 		}
 		cl.segs = append(cl.segs, seg)
 		s.reload.Segments++
 	}
-	sort.Slice(cl.seqs, func(i, j int) bool { return cl.seqs[i] < cl.seqs[j] })
+	slices.Sort(cl.seqs)
 
 	// Reopen the newest segment for appending (it may be mid-fill).
 	if n := len(cl.segs); n > 0 {
@@ -386,123 +381,81 @@ func (s *Store) openCamera(camera string, diskIDs []int64) (*cameraLog, error) {
 	return cl, nil
 }
 
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxID(ids []int64) int64 {
-	var m int64 = -1
-	for _, id := range ids {
-		if id > m {
-			m = id
-		}
-	}
-	return m
-}
-
-// indexSegment opens and indexes one segment file, salvaging what it
-// can: a record whose framing is intact but whose payload fails to
-// decode is skipped and scanning continues; only an unparsable tail — a
-// short read or an impossible length prefix, the signature of a torn
-// write — truncates the remainder, logged and counted like the
-// trajstore WAL's tail handling. Duplicate (camera, seq) records keep
-// their first occurrence only, so a crash-replayed append can no longer
-// overcount Count or double-return from Range. A JSON record, which
-// versions before the binary frame record wrote, is not salvaged as
-// corrupt: it fails the open with ErrPreFloorFormat, since a store that
-// reopened with those frames missing would pass for disk rot.
-func (s *Store) indexSegment(cl *cameraLog, id int64) (*segment, error) {
+// indexSegment opens one segment file and indexes it through r (shared
+// across an open for its buffer) with probeFrame. A torn tail is
+// truncated by r; a mid-file damaged span counts once in CorruptRecords,
+// its bytes kept. A duplicate (camera, seq) keeps its first occurrence, so a
+// crash-replayed append cannot overcount. A JSON record where the walk
+// reaches damage, which versions before the binary frame record wrote,
+// fails the open with ErrPreFloorFormat rather than pass for disk rot.
+func (s *Store) indexSegment(cl *cameraLog, id int64, r *recordlog.Reader[protocol.FrameRecord]) (*segment, error) {
 	path := segPath(s.dir, cl.camera, id)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("framestore: open %s: %w", path, err)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("framestore: stat %s: %w", path, err)
-	}
-	fileSize := info.Size()
 	seg := &segment{id: id, path: path, f: f, refs: 1}
-	logger := obs.DefaultLogger().WithComponent("framestore")
-
-	var offset int64
-	var data []byte // reused: only Seq and Timestamp outlive a record's scan
-	r := bufio.NewReader(f)
-	truncate := func(reason string) error {
-		lost := fileSize - offset
-		s.reload.TornTails++
-		s.reload.TruncatedBytes += lost
-		logger.Warn("truncated unreadable segment tail",
-			"camera", cl.camera, "segment", fmt.Sprint(id),
-			"reason", reason, "offset", fmt.Sprint(offset),
-			"truncatedBytes", fmt.Sprint(lost))
-		if err := f.Truncate(offset); err != nil {
-			return fmt.Errorf("framestore: truncate %s: %w", path, err)
-		}
-		return nil
-	}
-	// Not protocol.ReadFrame: salvage must tell a torn header, a corrupt
-	// length and a torn payload apart, which a network reader must not.
-scan:
-	for offset < fileSize {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			if err := truncate("torn length prefix"); err != nil {
-				return nil, err
-			}
-			break
-		}
-		n := int64(binary.BigEndian.Uint32(lenBuf[:]))
-		if n > maxRecordBytes {
-			// An impossible length gives no resync point: everything from
-			// here on is unreadable.
-			if err := truncate("corrupt length prefix"); err != nil {
-				return nil, err
-			}
-			break
-		}
-		data = slices.Grow(data[:0], int(n))[:n]
-		if _, err := io.ReadFull(r, data); err != nil {
-			if err := truncate("torn record payload"); err != nil {
-				return nil, err
-			}
-			break
-		}
-		if n > 0 && data[0] == '{' {
-			_ = f.Close()
-			return nil, fmt.Errorf("%w (JSON record at byte %d of %s)", ErrPreFloorFormat, offset, path)
-		}
-		rec, err := protocol.DecodeFrameRecord(data)
-		if err != nil {
-			// Framing intact, payload rotten: skip this record and keep
-			// salvaging — the length prefix still walks the file.
-			s.reload.CorruptRecords++
-			logger.Warn("skipped undecodable record",
-				"camera", cl.camera, "segment", fmt.Sprint(id),
-				"offset", fmt.Sprint(offset))
-			offset += 4 + n
-			continue scan
-		}
+	r.Probe = probeFrame
+	r.Visit = func(off int64, size int, rec protocol.FrameRecord) error {
 		if _, dup := cl.index[rec.Seq]; dup {
 			s.reload.DuplicateRecords++
-			offset += 4 + n
-			continue scan
+			return nil
 		}
-		cl.index[rec.Seq] = recordRef{seg: seg, off: offset}
+		cl.index[rec.Seq] = recordRef{seg: seg, off: off}
 		cl.seqs = append(cl.seqs, rec.Seq)
-		seg.noteRecord(rec.Seq, rec.Timestamp, 4+n)
+		seg.noteRecord(rec.Seq, rec.Timestamp, int64(size))
 		s.reload.Frames++
-		offset += 4 + n
+		return nil
 	}
-	// Corrupt-but-framed records occupy bytes without being indexed;
-	// size must cover them so appends land after, not over, them.
-	seg.size = offset
-	s.disk += offset
+	r.Damage = func(d recordlog.Damage) error {
+		if body, ok := recordBody(d.Bytes); ok && len(body) > 0 && body[0] == '{' {
+			return fmt.Errorf("%w (JSON record at byte %d of %s)", ErrPreFloorFormat, d.Offset, path)
+		}
+		if d.Torn {
+			s.reload.TornTails++
+			s.reload.TruncatedBytes += int64(len(d.Bytes))
+			return nil
+		}
+		s.reload.CorruptRecords++
+		obs.DefaultLogger().WithComponent("framestore").Warn("skipped damaged span",
+			"camera", cl.camera, "segment", fmt.Sprint(id),
+			"offset", fmt.Sprint(d.Offset), "next", fmt.Sprint(d.Next))
+		return nil
+	}
+	kept, err := r.Replay(f)
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	// A kept corrupt span occupies bytes without being indexed; size
+	// covers it so appends land after, not over, it.
+	seg.size = kept
+	s.disk += kept
 	return seg, nil
+}
+
+// recordBody returns the body of the length-prefixed record at the start
+// of b, ok when its length is within maxRecordBytes and it lies in b.
+func recordBody(b []byte) ([]byte, bool) {
+	if len(b) < 4 {
+		return nil, false
+	}
+	n := binary.BigEndian.Uint32(b)
+	if n > maxRecordBytes || int64(n) > int64(len(b)-4) {
+		return nil, false
+	}
+	return b[4 : 4+n], true
+}
+
+// probeFrame is the segment probe: a record whose body decodes to a frame
+// record Put would accept.
+func probeFrame(b []byte) (protocol.FrameRecord, int, bool) {
+	body, ok := recordBody(b)
+	if !ok {
+		return protocol.FrameRecord{}, 0, false
+	}
+	rec, err := protocol.DecodeFrameRecord(body)
+	return rec, 4 + len(body), err == nil && validate(&rec) == nil
 }
 
 func readRecordAt(f *os.File, offset int64) (protocol.FrameRecord, error) {

@@ -72,20 +72,8 @@ func (s *Server) handle(ctx context.Context, env protocol.Envelope) {
 		return
 	}
 	msg, err := protocol.Open(env)
-	if err != nil {
-		s.count(false)
-		return
-	}
 	rec, ok := msg.(protocol.FrameRecord)
-	if !ok {
-		s.count(false)
-		return
-	}
-	if err := s.store.Put(rec); err != nil {
-		s.count(false)
-		return
-	}
-	s.count(true)
+	s.count(err == nil && ok && s.store.Put(rec) == nil)
 }
 
 // Shutdown gracefully stops the server: intake is cut first (frames

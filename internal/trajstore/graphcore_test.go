@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +134,21 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 		t.Fatalf("healthy phase: %d acked, failures %v", len(acked), failures)
 	}
 	committed := s.Snapshot()
+	walFailed := func() string {
+		var b strings.Builder
+		if err := reg.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			if strings.HasPrefix(line, "coralpie_trajstore_wal_failed ") {
+				return strings.TrimPrefix(line, "coralpie_trajstore_wal_failed ")
+			}
+		}
+		return "unregistered"
+	}
+	if got := walFailed(); got != "0" {
+		t.Errorf("coralpie_trajstore_wal_failed = %s while healthy, want 0", got)
+	}
 
 	// Break the disk. The committer is idle (every write above was
 	// acknowledged) and will next touch the log's writer after a channel
@@ -163,6 +179,9 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 	}
 	if _, _, err := s.ApplyBatch([]protocol.TrajWrite{protocol.VertexWrite(event("late#0"))}); !errors.Is(err, errDiskGone) {
 		t.Errorf("batch after failure: %v", err)
+	}
+	if got := walFailed(); got != "1" {
+		t.Errorf("coralpie_trajstore_wal_failed = %s once latched, want 1", got)
 	}
 
 	close(stop)
@@ -208,6 +227,20 @@ func TestSnapshotCommitFailureFailStopConcurrent(t *testing.T) {
 	}
 	if hops := reopened.Snapshot().Sightings("healthy", 0); len(hops) != 32 {
 		t.Errorf("reopened store has %d healthy sightings, want 32", len(hops))
+	}
+}
+
+// TestWALFailedGaugeOnlyWhenPersisting: an in-memory store registers no
+// WAL latch, so a simulation's registry dump is unchanged.
+func TestWALFailedGaugeOnlyWhenPersisting(t *testing.T) {
+	reg := obs.NewRegistry()
+	NewMemStore().Instrument(reg, nil)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "coralpie_trajstore_wal_failed") {
+		t.Errorf("an in-memory store registered the WAL latch:\n%s", b.String())
 	}
 }
 

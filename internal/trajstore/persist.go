@@ -9,12 +9,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/recordlog"
 )
 
 // walFileName is the binary record log every write appends to, and the
@@ -65,21 +64,6 @@ func appendRecord(dst, body []byte) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
 	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(body, castagnoli))
 	return append(dst, body...), nil
-}
-
-// scanRecord returns the body of the record at the start of b, ok only
-// when its length is in range, it lies wholly inside b and its CRC
-// matches.
-func scanRecord(b []byte) (body []byte, ok bool) {
-	if len(b) < recordHeaderLen {
-		return nil, false
-	}
-	n := binary.BigEndian.Uint32(b)
-	if n == 0 || n > maxRecordBytes || int(n) > len(b)-recordHeaderLen {
-		return nil, false
-	}
-	body = b[recordHeaderLen : recordHeaderLen+int(n)]
-	return body, crc32.Checksum(body, castagnoli) == binary.BigEndian.Uint32(b[4:])
 }
 
 // walBatch collects one write's framed records under the store lock, so
@@ -139,44 +123,43 @@ type logRecord struct {
 	edge   Edge
 }
 
-// readRecord decodes the record at the start of b and returns its framed
-// size. ok is false when the record fails its length or CRC check, or its
-// body does not decode to a write the store would have accepted.
+// readRecord is the log's probe: it decodes the record at the start of b
+// and returns its framed size. ok is false when the record fails its
+// length or CRC check, or its body does not decode to a write the store
+// would have accepted.
 func readRecord(b []byte) (rec logRecord, size int, ok bool) {
-	body, ok := scanRecord(b)
-	if !ok {
+	if len(b) < recordHeaderLen {
 		return rec, 0, false
 	}
-	size = recordHeaderLen + len(body)
-	rec.op, body = body[0], body[1:]
-	switch rec.op {
+	n := binary.BigEndian.Uint32(b)
+	if n == 0 || n > maxRecordBytes || int(n) > len(b)-recordHeaderLen {
+		return rec, 0, false
+	}
+	body := b[recordHeaderLen : recordHeaderLen+int(n)]
+	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(b[4:]) {
+		return rec, 0, false
+	}
+	c := protocol.NewCursor(body)
+	switch rec.op = c.Byte(); rec.op {
 	case opVertex:
-		id, n := binary.Varint(body)
-		if n <= 0 {
+		id := c.Varint()
+		if c.Err() != nil {
 			return rec, 0, false
 		}
-		ev, err := protocol.DecodeDetectionEvent(body[n:])
+		ev, err := protocol.DecodeDetectionEvent(body[len(body)-c.Len():])
 		if err != nil || checkEvent(&ev) != nil {
 			return rec, 0, false
 		}
 		rec.vertex = Vertex{ID: id, Event: ev}
 	case opEdge:
-		from, n := binary.Varint(body)
-		if n <= 0 {
-			return rec, 0, false
-		}
-		to, m := binary.Varint(body[n:])
-		if m <= 0 || len(body) != n+m+8 {
-			return rec, 0, false
-		}
-		rec.edge = Edge{From: from, To: to, Weight: math.Float64frombits(binary.LittleEndian.Uint64(body[n+m:]))}
-		if finite(rec.edge.Weight) != nil {
+		rec.edge = Edge{From: c.Varint(), To: c.Varint(), Weight: math.Float64frombits(c.Fixed64())}
+		if c.Err() != nil || c.Len() != 0 || finite(rec.edge.Weight) != nil {
 			return rec, 0, false
 		}
 	default:
 		return rec, 0, false
 	}
-	return rec, size, true
+	return rec, recordHeaderLen + len(body), true
 }
 
 // StoreConfig tunes the durability of a persistent store. The zero value
@@ -396,7 +379,7 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 		}
 	}
 	s := NewMemStore()
-	if err := s.replayLog(filepath.Join(dir, walFileName)); err != nil {
+	if err := s.loadLog(filepath.Join(dir, walFileName)); err != nil {
 		return nil, err
 	}
 	s.published.Store(s.snapshotLocked())
@@ -405,6 +388,7 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 		return nil, err
 	}
 	s.persist = p
+	s.m = newStoreMetrics(nil, true)
 	return s, nil
 }
 
@@ -422,47 +406,32 @@ func (s *Store) applyLogRecord(rec logRecord) {
 	_ = s.applyEdgeLocked(rec.edge.From, rec.edge.To, rec.edge.Weight, nil)
 }
 
-// replayLog applies the record log. A record that fails its length, CRC
-// or decode check is damage. If a record that checks out starts anywhere
-// after it, the log was corrupted at rest and the open fails with
-// ErrWALCorrupt; otherwise the damage is the torn tail of a crashed append
-// and is logged, counted and truncated away, so later appends do not land
-// after garbage.
-func (s *Store) replayLog(path string) error {
-	data, err := os.ReadFile(path)
+// loadLog applies the record log through recordlog with readRecord as the
+// probe. Mid-file damage fails the open with ErrWALCorrupt, leaving the
+// log as it is; a torn tail is truncated by the reader and counted here.
+func (s *Store) loadLog(path string) error {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("trajstore: read wal: %w", err)
+		return fmt.Errorf("trajstore: open wal: %w", err)
 	}
-	for off := 0; off < len(data); {
-		rec, size, ok := readRecord(data[off:])
-		if !ok {
-			for next := off + 1; next < len(data); next++ {
-				if _, _, ok := readRecord(data[next:]); ok {
-					return fmt.Errorf("%w (at byte %d): intact record at byte %d", ErrWALCorrupt, off, next)
-				}
+	defer func() { _ = f.Close() }()
+	r := recordlog.Reader[logRecord]{
+		Probe: readRecord,
+		Visit: func(_ int64, _ int, rec logRecord) error {
+			s.applyLogRecord(rec)
+			return nil
+		},
+		Damage: func(d recordlog.Damage) error {
+			if !d.Torn {
+				return fmt.Errorf("%w (at byte %d): intact record at byte %d", ErrWALCorrupt, d.Offset, d.Next)
 			}
-			return s.truncateWALTail(path, int64(off))
-		}
-		s.applyLogRecord(rec)
-		off += size
+			s.walTailTruncations++
+			return nil
+		},
 	}
-	return nil
-}
-
-// truncateWALTail discards everything from offset on — the torn tail of
-// a crashed append — so the good prefix stays replayable and new appends
-// do not land after garbage.
-func (s *Store) truncateWALTail(path string, offset int64) error {
-	if err := os.Truncate(path, offset); err != nil {
-		return fmt.Errorf("trajstore: truncate torn wal tail: %w", err)
-	}
-	s.walTailTruncations++
-	obs.DefaultLogger().WithComponent("trajstore").Warn("truncated torn wal tail",
-		"file", filepath.Base(path),
-		"offset", strconv.FormatInt(offset, 10),
-		"note", "expected after a crash")
-	return nil
+	_, err = r.Replay(f)
+	return err
 }

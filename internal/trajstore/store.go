@@ -51,13 +51,17 @@ type storeMetrics struct {
 	flushHist  *obs.Histogram
 	vertexSize *obs.Gauge
 	edgeSize   *obs.Gauge
+	walFailed  *obs.Gauge // nil for an in-memory store
 }
 
-func newStoreMetrics(reg *obs.Registry) storeMetrics {
+// newStoreMetrics resolves the store's telemetry on reg (the default
+// registry when nil). The WAL's fail-stop latch is registered only for a
+// store that persists, so an in-memory store's registry stays as it was.
+func newStoreMetrics(reg *obs.Registry, persists bool) storeMetrics {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	return storeMetrics{
+	m := storeMetrics{
 		vertices: reg.Counter("coralpie_trajstore_vertices_total",
 			"trajectory-graph vertex inserts"),
 		edges: reg.Counter("coralpie_trajstore_edges_total",
@@ -71,6 +75,11 @@ func newStoreMetrics(reg *obs.Registry) storeMetrics {
 		edgeSize: reg.Gauge("coralpie_trajstore_edges",
 			"edges currently in the graph"),
 	}
+	if persists {
+		m.walFailed = reg.Gauge("coralpie_trajstore_wal_failed",
+			"1 once a write-ahead-log commit failed: every later write fails until the store is reopened")
+	}
+	return m
 }
 
 // vnode is one vertex slot. The vertex never changes once stored. The edge
@@ -158,7 +167,7 @@ func NewMemStore() *Store {
 	s := &Store{
 		byEvent: make(map[protocol.EventID]int64),
 		byTruth: make(map[string][]int64),
-		m:       newStoreMetrics(nil),
+		m:       newStoreMetrics(nil, false),
 		clk:     clock.Real{},
 	}
 	s.published.Store(s.snapshotLocked())
@@ -172,13 +181,16 @@ func NewMemStore() *Store {
 func (s *Store) Instrument(reg *obs.Registry, clk clock.Clock) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m = newStoreMetrics(reg)
+	s.m = newStoreMetrics(reg, s.persist != nil)
 	if clk != nil {
 		s.clk = clk
 	}
 	snap := s.Snapshot()
 	s.m.vertexSize.Set(int64(snap.nVerts))
 	s.m.edgeSize.Set(int64(snap.nEdges))
+	if s.persist != nil && s.persist.failure() != nil {
+		s.m.walFailed.Set(1)
+	}
 }
 
 // UseTracer attaches a tracer that records a "wal_commit" span — apply
@@ -340,6 +352,7 @@ func (s *Store) commitLocked(wb *walBatch, nv, ne int64) error {
 		s.mu.Unlock()
 		if err := s.persist.wait(b); err != nil {
 			m.writeErrs.Add(nv + ne)
+			m.walFailed.Set(1) // the WAL is fail-stop: every commit error is the latched one
 			return err
 		}
 		m.flushHist.Observe(clk.Now().Sub(start).Seconds())
