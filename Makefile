@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-stress smoke fuzz vet bench bench-e2e bench-check des-diff fmt cover staticcheck govulncheck lint-metrics ci
+.PHONY: all build test race race-stress smoke fuzz vet bench bench-e2e bench-check bench-pairs des-diff fmt cover staticcheck govulncheck lint-metrics ci
 
 all: build
 
@@ -70,6 +70,7 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkReopenSegments -benchtime=2s -benchmem ./internal/framestore/
 	$(GO) test -run=NONE -bench=BenchmarkSnapshotQueryBySize -benchtime=2s ./internal/trajstore/
 	$(GO) test -run=NONE -bench=BenchmarkOpenReplay -benchtime=2s -benchmem ./internal/trajstore/
+	$(GO) test -run=NONE -bench=BenchmarkMatchFullPool -benchtime=2s -benchmem ./internal/reid/
 
 # bench-e2e runs the end-to-end ladder (bench/README.md): four workloads
 # over the real loopback-TCP deployment, ~15 minutes, results in
@@ -81,6 +82,17 @@ bench-e2e:
 
 bench-check:
 	$(GO) run ./bench -compare bench/baseline/results.json bench/out/results.json
+
+# bench-pairs times the working tree against REV on one workload:
+# PAIRS alternating pairs of untraced SECONDS-long runs (REV first on odd
+# pairs), then median [q1-q3] per side, the median change and the win
+# count for every end-to-end metric (scripts/bench-pairs.sh). Not part of
+# ci: it times a shared host.
+WORKLOAD ?= handoff_stream
+PAIRS ?= 5
+SECONDS ?= 25
+bench-pairs:
+	scripts/bench-pairs.sh $(REV) $(WORKLOAD) $(PAIRS) $(SECONDS)
 
 # des-diff builds coral-sim at REV and from the working tree and checks
 # that four seeded runs (fault injection, a camera failure, trace

@@ -71,3 +71,28 @@ var truncatePackages = []string{"internal/recordlog"}
 // (*os.File).Truncate" entries exempt from the rule that only recordlog
 // truncates.
 var truncateAllow = map[string]bool{}
+
+// goschedFiles may call runtime.Gosched: the batch writer, which yields to
+// the flusher an edge just woke.
+var goschedFiles = []string{"internal/trajstore/batchwriter.go"}
+
+// goschedAllow lists "<file>: uses runtime.Gosched" entries exempt from
+// the one-yield rule.
+var goschedAllow = map[string]bool{}
+
+// rootContextPackages may create root contexts besides main packages: the
+// daemon runtime that every binary runs on.
+var rootContextPackages = []string{"internal/daemon"}
+
+// rootContextAllow lists the library files that still create a root
+// context ("<file>: uses context.Background" or "context.TODO").
+var rootContextAllow = map[string]bool{
+	"internal/camnode/live.go: uses context.Background":          true,
+	"internal/core/system.go: uses context.Background":           true,
+	"internal/experiments/fig11.go: uses context.Background":     true,
+	"internal/experiments/scenario.go: uses context.Background":  true,
+	"internal/rpc/server.go: uses context.Background":            true,
+	"internal/trajstore/batchwriter.go: uses context.Background": true,
+	"internal/transport/inproc.go: uses context.Background":      true,
+	"internal/transport/tcp.go: uses context.Background":         true,
+}

@@ -159,32 +159,26 @@ func importers(files []srcFile, path string) []string {
 	return out
 }
 
-// varintReaders reports, once per file and function, every use of the
-// standard library's varint readers outside the packages allowed them:
-// elsewhere, protocol.Cursor reads varints.
-func varintReaders(files []srcFile) []string {
+// uses reports, once per file, every selector on the package at path
+// naming one of names, under whatever name the file imports it.
+func uses(files []srcFile, path string, names ...string) []string {
+	base := path[strings.LastIndexByte(path, '/')+1:]
 	seen := make(map[string]bool)
 	var out []string
 	for _, f := range files {
-		if contains(varintReaderPackages, f.dir) {
-			continue
-		}
-		name := importName(f, "encoding/binary")
-		if name == "" {
+		pkg := importName(f, path)
+		if pkg == "" {
 			continue
 		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
+			if !ok || !contains(names, sel.Sel.Name) {
 				return true
 			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-				switch sel.Sel.Name {
-				case "Uvarint", "Varint", "ReadUvarint", "ReadVarint":
-					if v := f.path + ": uses binary." + sel.Sel.Name; !seen[v] {
-						seen[v] = true
-						out = append(out, v)
-					}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+				if v := f.path + ": uses " + base + "." + sel.Sel.Name; !seen[v] {
+					seen[v] = true
+					out = append(out, v)
 				}
 			}
 			return true
@@ -192,6 +186,40 @@ func varintReaders(files []srcFile) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// except returns the files for which skip is false.
+func except(files []srcFile, skip func(srcFile) bool) []srcFile {
+	var out []srcFile
+	for _, f := range files {
+		if !skip(f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// varintReaders reports every use of the standard library's varint
+// readers outside the packages allowed them: elsewhere, protocol.Cursor
+// reads varints.
+func varintReaders(files []srcFile) []string {
+	files = except(files, func(f srcFile) bool { return contains(varintReaderPackages, f.dir) })
+	return uses(files, "encoding/binary", "Uvarint", "Varint", "ReadUvarint", "ReadVarint")
+}
+
+// yields reports every runtime.Gosched outside the files allowed one: a
+// goroutine hands its processor over only where a handoff's edge waits
+// for the flusher it woke.
+func yields(files []srcFile) []string {
+	return uses(except(files, func(f srcFile) bool { return contains(goschedFiles, f.path) }), "runtime", "Gosched")
+}
+
+// rootContexts reports every context.Background and context.TODO in a
+// library package: a root context belongs to a main package or the
+// daemon runtime, and library code takes its caller's.
+func rootContexts(files []srcFile) []string {
+	files = except(files, func(f srcFile) bool { return f.ast.Name.Name == "main" || contains(rootContextPackages, f.dir) })
+	return uses(files, "context", "Background", "TODO")
 }
 
 // importName returns the name f imports path under, "" when it does not.
@@ -287,6 +315,8 @@ func TestDesignRules(t *testing.T) {
 	check(t, "one container/list importer", importers(files, "container/list"), listImportAllow)
 	check(t, "one varint reader", varintReaders(files), varintReaderAllow)
 	check(t, "one truncation site", truncations(files), truncateAllow)
+	check(t, "one processor yield", yields(files), goschedAllow)
+	check(t, "root contexts only in mains and the daemon runtime", rootContexts(files), rootContextAllow)
 }
 
 // parseFile parses src as the file at path, for planted violations.
@@ -413,5 +443,55 @@ func f(b *bytes.Buffer) { b.Truncate(0) }`),
 	}
 	if got := truncations(truncates); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("truncation rule on planted calls = %q, want %q", got, want)
+	}
+
+	// A renamed runtime.Gosched counts, once per file, and so does one in
+	// batchwriter.go's package outside that file; batchwriter.go and
+	// another runtime function do not.
+	yieldsAt := []srcFile{
+		parseFile(t, "internal/camnode/spin.go", `package camnode
+import rt "runtime"
+func f() {
+	rt.Gosched()
+	rt.Gosched()
+	_ = rt.GOMAXPROCS(0)
+}`),
+		parseFile(t, "internal/trajstore/batchwriter.go", `package trajstore
+import "runtime"
+func f() { runtime.Gosched() }`),
+		parseFile(t, "internal/trajstore/other.go", `package trajstore
+import "runtime"
+func f() { runtime.Gosched() }`),
+	}
+	want = []string{
+		"internal/camnode/spin.go: uses runtime.Gosched",
+		"internal/trajstore/other.go: uses runtime.Gosched",
+	}
+	if got := yields(yieldsAt); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("yield rule on planted calls = %q, want %q", got, want)
+	}
+
+	// A renamed import and TODO count; a derived context, a main package
+	// and the daemon runtime do not.
+	roots := []srcFile{
+		parseFile(t, "internal/trajstore/root.go", `package trajstore
+import ctxpkg "context"
+func f() {
+	ctx, cancel := ctxpkg.WithCancel(ctxpkg.TODO())
+	_ = ctxpkg.Background()
+}`),
+		parseFile(t, "cmd/tool/main.go", `package main
+import "context"
+func main() { _ = context.Background() }`),
+		parseFile(t, "internal/daemon/daemon.go", `package daemon
+import "context"
+func f() { _ = context.Background() }`),
+	}
+	want = []string{
+		"internal/trajstore/root.go: uses context.Background",
+		"internal/trajstore/root.go: uses context.TODO",
+	}
+	if got := rootContexts(roots); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("root-context rule on planted calls = %q, want %q", got, want)
 	}
 }

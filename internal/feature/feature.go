@@ -125,14 +125,31 @@ func Bhattacharyya(p, q Histogram) (float64, error) {
 	if len(p.Bins) != len(q.Bins) {
 		return 0, fmt.Errorf("feature: histogram size mismatch %d vs %d", len(p.Bins), len(q.Bins))
 	}
+	return SupportDistance(p, AppendSupport(nil, p), q), nil
+}
+
+// AppendSupport appends the indices of p's non-zero bins to dst, ascending.
+func AppendSupport(dst []int, p Histogram) []int {
+	for i, b := range p.Bins {
+		if b != 0 {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// SupportDistance is Bhattacharyya for a q as long as p, given p's support
+// (AppendSupport): a skipped term, sqrt(±0·q), is ±0 for a finite q, and
+// adding ±0 to the sum (+0 or more) changes no bit.
+func SupportDistance(p Histogram, support []int, q Histogram) float64 {
 	var bc float64
-	for i := range p.Bins {
+	for _, i := range support {
 		bc += math.Sqrt(p.Bins[i] * q.Bins[i])
 	}
 	if bc > 1 {
 		bc = 1 // guard against accumulated floating-point excess
 	}
-	return math.Sqrt(1 - bc), nil
+	return math.Sqrt(1 - bc)
 }
 
 // Centroid is one tracklet point used for direction estimation.

@@ -1,7 +1,9 @@
 package feature
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +258,97 @@ func TestEstimateDirectionRobustToJitter(t *testing.T) {
 	}
 	if got := EstimateDirection(cs, 0); got != geo.East {
 		t.Errorf("jittered track direction = %v, want E", got)
+	}
+}
+
+// denseBhattacharyya is the distance as a sum over every bin, the formula
+// before the support-only sum: the oracle for its bits.
+func denseBhattacharyya(p, q Histogram) (float64, error) {
+	if len(p.Bins) != len(q.Bins) {
+		return 0, fmt.Errorf("feature: histogram size mismatch %d vs %d", len(p.Bins), len(q.Bins))
+	}
+	var bc float64
+	for i := range p.Bins {
+		bc += math.Sqrt(p.Bins[i] * q.Bins[i])
+	}
+	if bc > 1 {
+		bc = 1
+	}
+	return math.Sqrt(1 - bc), nil
+}
+
+// TestSupportSumBitIdenticalToDenseSum: summing over p's non-zero bins
+// gives the dense sum's exact bits, through Bhattacharyya and through
+// SupportDistance, for signatures with 1–8 set bins and fully dense ones,
+// with −0 in the empty bins, and with negative bins (a NaN term when
+// multiplied by a positive bin, a −0 term against an empty one). A length
+// mismatch is an error on both sides.
+func TestSupportSumBitIdenticalToDenseSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	negZero := math.Copysign(0, -1)
+	random := func(set int, negatives, negZeros bool) Histogram {
+		h := Histogram{Bins: make([]float64, HistogramSize)}
+		idx := rng.Perm(HistogramSize)[:set]
+		var total float64
+		for _, i := range idx {
+			h.Bins[i] = rng.Float64()
+			total += h.Bins[i]
+		}
+		for _, i := range idx {
+			h.Bins[i] /= total
+			if negatives && rng.Intn(4) == 0 {
+				h.Bins[i] = -h.Bins[i]
+			}
+		}
+		for i, b := range h.Bins {
+			if negZeros && b == 0 && rng.Intn(2) == 0 {
+				h.Bins[i] = negZero
+			}
+		}
+		return h
+	}
+	sets := []int{1, 2, 3, 4, 5, 6, 7, 8, HistogramSize}
+	compared := 0
+	for trial := 0; trial < 400; trial++ {
+		negatives, negZeros := trial%4 == 1, trial%4 == 2
+		if trial%4 == 3 {
+			negatives, negZeros = true, true
+		}
+		p := random(sets[rng.Intn(len(sets))], negatives, negZeros)
+		q := random(sets[rng.Intn(len(sets))], negatives, negZeros)
+		if trial%5 == 0 {
+			// Overlapping supports, so many terms are non-zero.
+			q = random(sets[rng.Intn(len(sets))], negatives, negZeros)
+			for i, b := range p.Bins {
+				if b != 0 && rng.Intn(2) == 0 {
+					q.Bins[i] = math.Abs(b) * (0.5 + rng.Float64())
+				}
+			}
+		}
+		for _, pair := range [][2]Histogram{{p, q}, {q, p}, {p, p}} {
+			want, _ := denseBhattacharyya(pair[0], pair[1])
+			got, err := Bhattacharyya(pair[0], pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaSupport := SupportDistance(pair[0], AppendSupport(nil, pair[0]), pair[1])
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(viaSupport) != math.Float64bits(want) {
+				t.Fatalf("trial %d: support-only distance %v (%#x), via SupportDistance %#x; dense %v (%#x)",
+					trial, got, math.Float64bits(got), math.Float64bits(viaSupport), want, math.Float64bits(want))
+			}
+			compared++
+		}
+	}
+	if compared != 1200 {
+		t.Fatalf("compared %d pairs", compared)
+	}
+
+	short := Histogram{Bins: make([]float64, HistogramSize-1)}
+	full := random(6, false, false)
+	for _, pair := range [][2]Histogram{{short, full}, {full, short}} {
+		_, wantErr := denseBhattacharyya(pair[0], pair[1])
+		if _, err := Bhattacharyya(pair[0], pair[1]); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Errorf("length mismatch %d vs %d: error %v, dense %v", len(pair[0].Bins), len(pair[1].Bins), err, wantErr)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package reid
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -27,7 +28,8 @@ type Entry struct {
 	ReplyAddr string
 	// Span is the handoff span opened when the inform landed, ended when
 	// the event is matched, retired or expired.
-	Span protocol.TraceContext
+	Span        protocol.TraceContext
+	unmatchable bool // a non-finite bin: any distance is NaN or a false 0
 }
 
 // PoolConfig parameterizes the candidate pool.
@@ -81,10 +83,13 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 // refreshes the stored event, and the reply address when the duplicate
 // carries one, but keeps the first delivery's arrival time and span.
 func (p *Pool) Add(e Entry) bool {
+	for _, b := range e.Event.Histogram.Bins {
+		e.unmatchable = e.unmatchable || math.IsNaN(b) || math.IsInf(b, 0)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if existing, ok := p.entries[e.Event.ID]; ok {
-		existing.Event = e.Event
+		existing.Event, existing.unmatchable = e.Event, e.unmatchable
 		if e.ReplyAddr != "" {
 			existing.ReplyAddr = e.ReplyAddr
 		}
@@ -241,22 +246,21 @@ func NewMatcher(cfg MatcherConfig) (*Matcher, error) {
 // threshold. The matched entry is NOT marked; callers mark it after the
 // confirming protocol fires so the bookkeeping stays in one place.
 func (m *Matcher) Match(h feature.Histogram, pool *Pool, now time.Time) (best Entry, distance float64, ok bool) {
+	var buf [feature.HistogramSize]int
+	support := feature.AppendSupport(buf[:0], h)
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	bestDist := m.cfg.BhattThreshold
 	var bestEntry *Entry
 	for _, id := range pool.order {
 		e, present := pool.entries[id]
-		if !present || e.Matched {
+		if !present || e.Matched || e.unmatchable || len(e.Event.Histogram.Bins) != len(h.Bins) {
 			continue
 		}
 		if m.cfg.MaxEventAge > 0 && now.Sub(e.ReceivedAt) > m.cfg.MaxEventAge {
 			continue
 		}
-		d, err := feature.Bhattacharyya(h, e.Event.Histogram)
-		if err != nil {
-			continue
-		}
+		d := feature.SupportDistance(h, support, e.Event.Histogram)
 		// Strict improvement required: on ties (e.g. same-color vehicles)
 		// the earliest entry wins, exploiting the temporal locality of
 		// vehicle movement — the first-informed candidate is the one

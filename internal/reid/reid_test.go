@@ -1,6 +1,9 @@
 package reid
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -311,5 +314,66 @@ func TestOnEvictSeesMatchedFlag(t *testing.T) {
 	}
 	if st := p.Stats(); st.Expired != 0 {
 		t.Errorf("matched cleanup counted as expiry: %+v", st)
+	}
+}
+
+// TestNonFiniteCandidateNeverMatches: a candidate with a NaN or infinite
+// bin is never the match, even when it is the vehicle's own signature
+// otherwise — whether the bin lies outside the vehicle's support (the
+// support-only sum never reads it) or inside (+Inf would clamp the sum to
+// a perfect 0). A finite duplicate inform makes the event matchable again.
+func TestNonFiniteCandidateNeverMatches(t *testing.T) {
+	h := histOf(t, imaging.Red)
+	support := feature.AppendSupport(nil, h)
+	outside := 0
+	for h.Bins[outside] != 0 {
+		outside++
+	}
+	poisoned := func(id string, bin int, v float64) Entry {
+		ev := eventWith(t, id, imaging.Red)
+		ev.Histogram.Bins[bin] = v
+		return Entry{Event: ev, ReceivedAt: t0}
+	}
+	p := newPool(t, 16)
+	p.Add(poisoned("up#nan", outside, math.NaN()))
+	p.Add(poisoned("up#inf", support[0], math.Inf(1)))
+	p.Add(poisoned("up#-inf", outside, math.Inf(-1)))
+	m := newMatcher(t, DefaultMatcherConfig())
+	if e, d, ok := m.Match(h, p, t0); ok {
+		t.Fatalf("matched %s at distance %v", e.Event.ID, d)
+	}
+	p.Add(Entry{Event: eventWith(t, "up#inf", imaging.Red), ReceivedAt: t0})
+	if e, _, ok := m.Match(h, p, t0); !ok || e.Event.ID != "up#inf" {
+		t.Fatalf("after a finite re-inform: match %q, %v; want up#inf", e.Event.ID, ok)
+	}
+}
+
+// BenchmarkMatchFullPool prices one re-identification against a pool at
+// its default bound: 256 unmatched candidates, each signature with six
+// set bins, as is the vehicle's.
+func BenchmarkMatchFullPool(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	sixBins := func() feature.Histogram {
+		h := feature.Histogram{Bins: make([]float64, feature.HistogramSize)}
+		for _, i := range rng.Perm(feature.HistogramSize)[:6] {
+			h.Bins[i] = 1.0 / 6
+		}
+		return h
+	}
+	p, err := NewPool(DefaultPoolConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < DefaultPoolConfig().PruneThreshold; i++ {
+		p.Add(Entry{Event: protocol.DetectionEvent{ID: protocol.EventID(fmt.Sprintf("up#%d", i)), Histogram: sixBins()}, ReceivedAt: t0})
+	}
+	m, err := NewMatcher(DefaultMatcherConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := sixBins()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Match(h, p, t0)
 	}
 }

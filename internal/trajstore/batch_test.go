@@ -648,6 +648,38 @@ func TestBatchWriterIdleEdgeLeavesAtOnce(t *testing.T) {
 	}
 }
 
+// TestQueueEdgeStartsIdleFlush: on one processor, an edge queued on an
+// idle writer is already inside add_batch when QueueEdgeTraced returns —
+// the queueing goroutine yields to the flusher it woke instead of keeping
+// the processor until it next blocks. Preemption may steal a rare round,
+// so 90 of 100 must start.
+func TestQueueEdgeStartsIdleFlush(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fc := newGatedBatchClient()
+	w := NewBatchWriter(fc, BatchWriterConfig{})
+	defer func() { _ = w.Close() }()
+	const rounds = 100
+	started := 0
+	for i := 0; i < rounds; i++ {
+		r := newEdgeResults(1)
+		w.QueueEdgeTraced(int64(i), int64(i+1), 0.1, protocol.TraceContext{}, r.done(0))
+		select {
+		case <-fc.entered:
+			started++
+		default:
+			fc.awaitEntered(t)
+		}
+		fc.release <- struct{}{}
+		// The callback runs on the flusher, which then finds the queue
+		// empty and parks before this goroutine runs again.
+		r.await(t)
+		r.check(t, nil)
+	}
+	if started < 90 {
+		t.Errorf("the flush had started before QueueEdgeTraced returned in %d of %d idle queueings, want >= 90", started, rounds)
+	}
+}
+
 // TestBatchWriterNextBatchFormsBehindInFlightRPC: edges that arrive while
 // an add_batch RPC is in flight leave together as the next batch, capped
 // at MaxBatch, in FIFO order — batch size follows load, not a clock.

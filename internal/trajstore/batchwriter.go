@@ -3,6 +3,7 @@ package trajstore
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 
@@ -189,17 +190,20 @@ func (w *BatchWriter) queueEdge(qe queuedEdge) {
 	if n >= w.cfg.MaxBatch*16 {
 		// Producer is far ahead of the flusher: absorb the cost inline.
 		w.flushOnce(context.Background())
-	} else if n == 1 {
-		// Empty → non-empty: the flusher may be idle. A longer queue means
-		// it was already woken and loops until the queue is empty.
-		w.wake()
+	} else if n == 1 && w.wake() {
+		// Empty → non-empty woke the idle flusher: hand it this processor,
+		// so the edge leaves now, not after the caller's next sends.
+		runtime.Gosched()
 	}
 }
 
-func (w *BatchWriter) wake() {
+// wake kicks the flusher and reports whether the kick was new.
+func (w *BatchWriter) wake() bool {
 	select {
 	case w.kick <- struct{}{}:
+		return true
 	default:
+		return false
 	}
 }
 

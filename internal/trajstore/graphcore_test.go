@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -241,6 +243,79 @@ func TestWALFailedGaugeOnlyWhenPersisting(t *testing.T) {
 	}
 	if strings.Contains(b.String(), "coralpie_trajstore_wal_failed") {
 		t.Errorf("an in-memory store registered the WAL latch:\n%s", b.String())
+	}
+}
+
+// TestWALCountersExported: a disk-backed store's WALStats are on its
+// registry as coralpie_trajstore_wal_* counters after a fixed write
+// sequence, counting writes made before Instrument too; an in-memory
+// store registers none of them.
+func TestWALCountersExported(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenWithConfig(dir, StoreConfig{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddVertex(event("cam#1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x40, 0, 0}); err != nil { // a torn record header
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = OpenWithConfig(dir, StoreConfig{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	if _, err := s.AddVertex(event("cam#2")); err != nil { // before Instrument
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s.Instrument(reg, nil)
+	s.Instrument(reg, nil) // a second call must not count twice
+	if _, err := s.AddVertex(event("cam#3")); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.ApplyBatch([]protocol.TrajWrite{
+		protocol.VertexWrite(event("cam#4")), protocol.EdgeWrite(2, 3, 0.1), protocol.EdgeWrite(3, 4, 0.1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	st := s.WALStats()
+	if want := (WALStats{GroupCommits: 3, Records: 5, Syncs: 3, TailTruncations: 1}); st != want {
+		t.Fatalf("WALStats = %+v, want %+v", st, want)
+	}
+	for name, want := range map[string]int64{
+		"coralpie_trajstore_wal_group_commits_total":    st.GroupCommits,
+		"coralpie_trajstore_wal_records_total":          st.Records,
+		"coralpie_trajstore_wal_syncs_total":            st.Syncs,
+		"coralpie_trajstore_wal_tail_truncations_total": st.TailTruncations,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	mem := obs.NewRegistry()
+	NewMemStore().Instrument(mem, nil)
+	var b strings.Builder
+	if err := mem.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "coralpie_trajstore_wal_") {
+		t.Errorf("an in-memory store registered WAL counters:\n%s", b.String())
 	}
 }
 

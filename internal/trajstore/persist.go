@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/recordlog"
 )
@@ -224,18 +225,19 @@ type persister struct {
 	leading bool  // a group commit is in flight
 	err     error // the latched commit failure
 
-	commits atomic.Int64
-	records atomic.Int64
-	syncs   atomic.Int64
+	// The WALStats counts, standalone until instrument moves them.
+	commits, records, syncs, tails *obs.Counter
 }
 
-func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapshot]) (*persister, error) {
+func newPersister(dir string, cfg StoreConfig, published *atomic.Pointer[Snapshot], tails int64) (*persister, error) {
 	f, err := os.OpenFile(filepath.Join(dir, walFileName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("trajstore: open wal: %w", err)
 	}
-	p := &persister{fsync: cfg.Fsync, published: published, f: f, w: bufio.NewWriter(f)}
+	p := &persister{fsync: cfg.Fsync, published: published, f: f, w: bufio.NewWriter(f),
+		commits: new(obs.Counter), records: new(obs.Counter), syncs: new(obs.Counter), tails: new(obs.Counter)}
 	p.ended.L = &p.mu
+	p.tails.Add(tails)
 	return p, nil
 }
 
@@ -321,9 +323,9 @@ func (p *persister) write(batch []*commitBatch) error {
 		if err := p.f.Sync(); err != nil {
 			return fmt.Errorf("trajstore: wal fsync: %w", err)
 		}
-		p.syncs.Add(1)
+		p.syncs.Inc()
 	}
-	p.commits.Add(1)
+	p.commits.Inc()
 	p.records.Add(n)
 	return nil
 }
@@ -348,13 +350,24 @@ func (p *persister) close() error {
 	return nil
 }
 
-// stats returns the persister's lifetime counters.
-func (p *persister) stats() WALStats {
-	return WALStats{
-		GroupCommits: p.commits.Load(),
-		Records:      p.records.Load(),
-		Syncs:        p.syncs.Load(),
+// instrument moves the counters onto reg, counts included, between group
+// commits (a leader updates them without mu).
+func (p *persister) instrument(reg *obs.Registry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.leading {
+		p.ended.Wait()
 	}
+	move := func(c **obs.Counter, name, help string) {
+		if r := reg.Counter(name, help); r != *c {
+			r.Add((*c).Value())
+			*c = r
+		}
+	}
+	move(&p.commits, "coralpie_trajstore_wal_group_commits_total", "write-ahead-log group commits (write+flush cycles)")
+	move(&p.records, "coralpie_trajstore_wal_records_total", "records committed to the write-ahead log")
+	move(&p.syncs, "coralpie_trajstore_wal_syncs_total", "write-ahead-log fsyncs")
+	move(&p.tails, "coralpie_trajstore_wal_tail_truncations_total", "torn write-ahead-log tails truncated at open")
 }
 
 // Open loads (or creates) a persistent store in dir with default
@@ -379,11 +392,12 @@ func OpenWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 		}
 	}
 	s := NewMemStore()
-	if err := s.loadLog(filepath.Join(dir, walFileName)); err != nil {
+	tails, err := s.loadLog(filepath.Join(dir, walFileName))
+	if err != nil {
 		return nil, err
 	}
 	s.published.Store(s.snapshotLocked())
-	p, err := newPersister(dir, cfg, &s.published)
+	p, err := newPersister(dir, cfg, &s.published, tails)
 	if err != nil {
 		return nil, err
 	}
@@ -408,14 +422,14 @@ func (s *Store) applyLogRecord(rec logRecord) {
 
 // loadLog applies the record log through recordlog with readRecord as the
 // probe. Mid-file damage fails the open with ErrWALCorrupt, leaving the
-// log as it is; a torn tail is truncated by the reader and counted here.
-func (s *Store) loadLog(path string) error {
+// log as it is; a torn tail is truncated by the reader and counted.
+func (s *Store) loadLog(path string) (tails int64, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("trajstore: open wal: %w", err)
+		return 0, fmt.Errorf("trajstore: open wal: %w", err)
 	}
 	defer func() { _ = f.Close() }()
 	r := recordlog.Reader[logRecord]{
@@ -428,10 +442,10 @@ func (s *Store) loadLog(path string) error {
 			if !d.Torn {
 				return fmt.Errorf("%w (at byte %d): intact record at byte %d", ErrWALCorrupt, d.Offset, d.Next)
 			}
-			s.walTailTruncations++
+			tails++
 			return nil
 		},
 	}
 	_, err = r.Replay(f)
-	return err
+	return tails, err
 }

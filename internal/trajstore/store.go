@@ -8,6 +8,7 @@
 package trajstore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -158,8 +159,6 @@ type Store struct {
 	m       storeMetrics
 	clk     clock.Clock
 	tracer  *obs.Tracer // nil disables wal_commit spans
-
-	walTailTruncations int64 // torn tails discarded during replay
 }
 
 // NewMemStore returns a purely in-memory store.
@@ -188,8 +187,11 @@ func (s *Store) Instrument(reg *obs.Registry, clk clock.Clock) {
 	snap := s.Snapshot()
 	s.m.vertexSize.Set(int64(snap.nVerts))
 	s.m.edgeSize.Set(int64(snap.nEdges))
-	if s.persist != nil && s.persist.failure() != nil {
-		s.m.walFailed.Set(1)
+	if s.persist != nil {
+		s.persist.instrument(cmp.Or(reg, obs.Default()))
+		if s.persist.failure() != nil {
+			s.m.walFailed.Set(1)
+		}
 	}
 }
 
@@ -514,12 +516,11 @@ func (s *Store) ApplyBatch(writes []protocol.TrajWrite) (ids []int64, errs []err
 func (s *Store) WALStats() WALStats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var st WALStats
-	if s.persist != nil {
-		st = s.persist.stats()
+	p := s.persist
+	if p == nil {
+		return WALStats{}
 	}
-	st.TailTruncations = s.walTailTruncations
-	return st
+	return WALStats{GroupCommits: p.commits.Value(), Records: p.records.Value(), Syncs: p.syncs.Value(), TailTruncations: p.tails.Value()}
 }
 
 // The store's own read methods answer from the newest published snapshot
