@@ -499,7 +499,11 @@ func benchTrajstoreWritePath(b *testing.B, mode string, clients int) {
 			}
 			for i := 0; i < n; i++ {
 				from, to := pairOf(next.Add(1) - 1)
-				noteErr(cl.AddEdgeContext(context.Background(), from, to, 0.1))
+				_, errs, err := cl.AddBatchContext(context.Background(), []protocol.TrajWrite{protocol.EdgeWrite(from, to, 0.1)})
+				if err == nil {
+					err = errs[0]
+				}
+				noteErr(err)
 			}
 		}(n)
 	}

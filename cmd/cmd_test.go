@@ -1,15 +1,18 @@
 // Package cmd_test drives the six daemon binaries as an operator would:
 // it builds them once, checks every -h against the checked-in flag
-// surface, and boots a loopback deployment that must come up healthy and
-// exit 0 on SIGTERM with its closing log line (make smoke).
+// surface, and boots a loopback deployment that must come up healthy,
+// refuse a JSON trajectory-store request, and exit 0 on SIGTERM with its
+// closing log line (make smoke).
 package cmd_test
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -20,6 +23,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/protocol"
+	"repro/internal/trajstore"
 )
 
 var daemons = []string{
@@ -228,7 +234,8 @@ func (p *proc) terminate(t *testing.T, closing string) {
 // TestSmokeDeployment boots the five servers on ephemeral loopback ports,
 // wired to each other — monitor, both stores on temp dirs (the frame
 // store's GC ticking), topology server, one camera node — waits for every
-// /healthz, then stops each with SIGTERM. coral-monitor runs with
+// /healthz, sends the trajectory store one JSON request (refused), then
+// stops each with SIGTERM. coral-monitor runs with
 // -sweep-interval 0, which used to panic on the zero ticker interval.
 func TestSmokeDeployment(t *testing.T) {
 	if testing.Short() {
@@ -262,6 +269,7 @@ func TestSmokeDeployment(t *testing.T) {
 	for _, p := range []*proc{monitor, traj, frames, topo, node} {
 		p.serves(t, "/healthz")
 	}
+	refusesJSON(t, traj.logged(t, "trajectory store listening", "addr"))
 	// Every fleet member's first heartbeat has reached the monitor.
 	monitor.serves(t, "/cluster", `"cam0"`, `"trajstore-server-`, `"framestore-server-`, `"topology-server-`)
 
@@ -276,6 +284,38 @@ func TestSmokeDeployment(t *testing.T) {
 	monitor.terminate(t, "shutting down")
 	if got := monitor.logged(t, "shutting down", "nodes"); got != "4" {
 		t.Errorf("monitor saw %s nodes, want the 4 that heartbeat to it\n%s", got, monitor.logs())
+	}
+}
+
+// refusesJSON sends the trajectory store at addr one request of the JSON
+// wire older clients spoke: the answer is the typed floor refusal, and the
+// server goes on to serve a binary client.
+func refusesJSON(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := protocol.WriteFrameBody(conn, []byte(`{"op":"stats"}`), 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	answer, err := protocol.ReadFrameBody(conn, 1<<20)
+	if err != nil {
+		t.Fatalf("JSON request: %v", err)
+	}
+	if answer[0] == '{' || !bytes.Contains(answer, []byte(trajstore.ErrJSONWire.Error())) {
+		t.Errorf("JSON request answered %q, want the binary %q refusal", answer, trajstore.ErrJSONWire)
+	}
+	ctx := context.Background()
+	client, err := trajstore.DialContext(ctx, addr, trajstore.ClientConfig{CallTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, _, err := client.StatsContext(ctx); err != nil {
+		t.Errorf("binary stats after the refusal: %v", err)
 	}
 }
 

@@ -3,8 +3,9 @@
 // reconstructs the space-time track of a vehicle from any known sighting.
 //
 // The reconstruction executes inside the server: one round trip against
-// a consistent snapshot via the reconstruct/best/sightings ops. A server
-// predating those ops answers with an unknown-op error.
+// a consistent snapshot via the reconstruct/best/sightings ops, over the
+// binary request/answer wire. A server that answers in JSON, from before
+// that wire, fails the call with trajstore.ErrJSONWire.
 //
 // Usage:
 //

@@ -214,6 +214,13 @@ func yields(files []srcFile) []string {
 	return uses(except(files, func(f srcFile) bool { return contains(goschedFiles, f.path) }), "runtime", "Gosched")
 }
 
+// jsonFrames reports every call of protocol's JSON frame writer and reader:
+// the request/response wires send binary bodies (WriteFrameBody,
+// ReadFrameBody).
+func jsonFrames(files []srcFile) []string {
+	return uses(files, "repro/internal/protocol", "WriteFrame", "ReadFrame")
+}
+
 // rootContexts reports every context.Background and context.TODO in a
 // library package: a root context belongs to a main package or the
 // daemon runtime, and library code takes its caller's.
@@ -317,6 +324,7 @@ func TestDesignRules(t *testing.T) {
 	check(t, "one truncation site", truncations(files), truncateAllow)
 	check(t, "one processor yield", yields(files), goschedAllow)
 	check(t, "root contexts only in mains and the daemon runtime", rootContexts(files), rootContextAllow)
+	check(t, "no JSON frames on the request/response wires", jsonFrames(files), jsonFrameAllow)
 }
 
 // parseFile parses src as the file at path, for planted violations.
@@ -493,5 +501,28 @@ func f() { _ = context.Background() }`),
 	}
 	if got := rootContexts(roots); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("root-context rule on planted calls = %q, want %q", got, want)
+	}
+
+	// A renamed import counts, once per file per name; the binary frame
+	// calls and protocol's own calls do not.
+	frames := []srcFile{
+		parseFile(t, "internal/trajstore/server.go", `package trajstore
+import wire "repro/internal/protocol"
+func f(c net.Conn, v any) {
+	_ = wire.WriteFrame(c, v, 1)
+	_ = wire.WriteFrame(c, v, 2)
+	_ = wire.ReadFrame(c, &v, 1)
+	_ = wire.WriteFrameBody(c, nil, 1)
+	_, _ = wire.ReadFrameBody(c, 1)
+}`),
+		parseFile(t, "internal/protocol/protocol.go", `package protocol
+func f(w io.Writer) { _ = WriteFrame(w, nil, 1) }`),
+	}
+	want = []string{
+		"internal/trajstore/server.go: uses protocol.ReadFrame",
+		"internal/trajstore/server.go: uses protocol.WriteFrame",
+	}
+	if got := jsonFrames(frames); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("JSON frame rule on planted calls = %q, want %q", got, want)
 	}
 }

@@ -1,11 +1,13 @@
 package protocol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/feature"
 	"repro/internal/geo"
@@ -60,9 +62,9 @@ var errTruncated = errors.New("protocol: truncated binary field")
 var errLongVarint = errors.New("protocol: varint longer than its value needs")
 
 // Cursor walks a received buffer for the decoders of every binary layout,
-// this package's and the trajectory store's query answers. Every length is
-// checked against what remains; the first failure sticks, so a decoder
-// reads all fields and checks Err once. A varint must be in its shortest
+// this package's and the trajectory store's requests and answers. Every
+// length is checked against what remains; the first failure sticks, so a
+// decoder reads all fields and checks Err once. A varint must be in its shortest
 // form, the one binary.AppendUvarint and AppendVarint write, so each value
 // has one encoding.
 type Cursor struct {
@@ -156,6 +158,35 @@ func (c *Cursor) Fixed64() uint64 {
 	return v
 }
 
+// Count reads a list length and fails on one the bytes left cannot hold at
+// itemBytes bytes an item, so a decoder allocates only what its input fills.
+func (c *Cursor) Count(itemBytes int) int {
+	n := c.Uvarint()
+	if c.err == nil && n > uint64(len(c.b)/itemBytes) {
+		c.err = fmt.Errorf("count %d exceeds the %d bytes left", n, len(c.b))
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
+// Time returns the next length-prefixed time.MarshalBinary field in only
+// MarshalBinary's own form, so each value has one encoding. An event's
+// timestamp is not read so: an offset with negative seconds never comes
+// back from UnmarshalBinary in that form, and a logged event must reopen.
+func (c *Cursor) Time() time.Time {
+	var t time.Time
+	if b := c.Bytes(); c.err == nil {
+		if c.err = t.UnmarshalBinary(b); c.err == nil {
+			if again, err := t.MarshalBinary(); err != nil || !bytes.Equal(again, b) {
+				c.err = errors.New("time not in its MarshalBinary form")
+			}
+		}
+	}
+	return t
+}
+
 // AppendBytes appends v as a length-prefixed field, as Cursor.Bytes reads it.
 func AppendBytes(dst, v []byte) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(v))), v...)
@@ -169,19 +200,7 @@ func AppendString(dst []byte, v string) []byte {
 // appendEnvelopeHeader appends the binary envelope body up to the payload.
 func appendEnvelopeHeader(dst []byte, env *Envelope) []byte {
 	dst = append(dst, envelopeV1)
-	dst = AppendString(dst, string(env.Type))
-	tc := env.Trace
-	if tc == nil {
-		return append(dst, 0)
-	}
-	flags := byte(traceSet)
-	if tc.Sampled {
-		flags |= traceSampled
-	}
-	dst = append(dst, flags)
-	dst = AppendString(dst, tc.TraceID)
-	dst = AppendString(dst, tc.SpanID)
-	return AppendString(dst, tc.ParentID)
+	return AppendTrace(AppendString(dst, string(env.Type)), env.Trace)
 }
 
 // ErrBadEnvelope wraps every failure of ReadEnvelope that is the sender's
@@ -198,19 +217,7 @@ func decodeEnvelope(body []byte) (Envelope, error) {
 		return Envelope{}, fmt.Errorf("%w: unknown envelope format 0x%02x", ErrBadEnvelope, body[0])
 	}
 	c := Cursor{b: body[1:]}
-	env := Envelope{Type: MessageType(c.Bytes())}
-	switch flags := c.Byte(); flags {
-	case 0:
-	case traceSet, traceSet | traceSampled:
-		env.Trace = &TraceContext{
-			TraceID:  string(c.Bytes()),
-			SpanID:   string(c.Bytes()),
-			ParentID: string(c.Bytes()),
-			Sampled:  flags&traceSampled != 0,
-		}
-	default:
-		c.err = fmt.Errorf("unknown trace flags 0x%02x", flags)
-	}
+	env := Envelope{Type: MessageType(c.Bytes()), Trace: c.Trace()}
 	if c.err != nil {
 		return Envelope{}, fmt.Errorf("%w: %w", ErrBadEnvelope, c.err)
 	}

@@ -4,12 +4,12 @@
 // protocol (Section 3.2), the heartbeat and topology-update messages of the
 // camera topology server (Section 3.3), and the codecs that frame them
 // over byte streams: a length-prefixed envelope with a binary header, a
-// binary frame record whose pixels travel as raw bytes, and the
-// length-prefixed JSON frame the request/response protocols use. Control
-// message payloads are JSON. Each binary layout is the only form its
-// reader accepts: the all-JSON envelope and frame record older versions
-// wrote are refused (codec.go). A binary detection-event layout with a
-// sparse histogram is what the trajectory store's log records carry.
+// binary frame record whose pixels travel as raw bytes, the trajectory
+// store's binary write batch and the heartbeats' length-prefixed JSON
+// frame. Control payloads are JSON. Each binary layout is the only form
+// its reader accepts: the all-JSON envelope and frame record older
+// versions wrote are refused (codec.go). The binary detection event, with
+// a sparse histogram, is what the trajectory store's log records carry.
 package protocol
 
 import (
@@ -349,8 +349,8 @@ func readFramed(r io.Reader, limit int, buf []byte) ([]byte, error) {
 }
 
 // WriteFrame writes v as one network frame: a 4-byte big-endian length
-// followed by v's JSON, rejecting payloads above limit. The trajectory
-// store's request/response pairs and fleet heartbeats use it.
+// followed by v's JSON, rejecting payloads above limit. Fleet heartbeats
+// use it, the last JSON request/response wire.
 func WriteFrame(w io.Writer, v any, limit int) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -360,8 +360,8 @@ func WriteFrame(w io.Writer, v any, limit int) error {
 }
 
 // WriteFrameBody is WriteFrame for a body already encoded: body goes on
-// the wire as it is. The trajectory store sends its binary query answers
-// with it.
+// the wire as it is. The trajectory store sends its binary requests and
+// answers with it.
 func WriteFrameBody(w io.Writer, body []byte, limit int) error {
 	return writeFramed(w, make([]byte, 4), body, limit)
 }
@@ -373,22 +373,16 @@ func ReadFrame(r io.Reader, v any, limit int) error {
 	if err != nil {
 		return err
 	}
-	return DecodeFrame(data, v)
-}
-
-// ReadFrameBody reads one frame and returns its raw body, for a reader
-// that looks at the body before choosing its decoder, with readFramed's
-// EOF and size-cap rules.
-func ReadFrameBody(r io.Reader, limit int) ([]byte, error) {
-	return readFramed(r, limit, nil)
-}
-
-// DecodeFrame decodes a JSON frame body read by ReadFrameBody into v.
-func DecodeFrame(body []byte, v any) error {
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := json.Unmarshal(data, v); err != nil {
 		return fmt.Errorf("protocol: decode frame: %w", err)
 	}
 	return nil
+}
+
+// ReadFrameBody reads one frame and returns its raw body, with
+// readFramed's EOF and size-cap rules.
+func ReadFrameBody(r io.Reader, limit int) ([]byte, error) {
+	return readFramed(r, limit, nil)
 }
 
 // WriteEnvelope frames env as a 4-byte big-endian length, the binary
@@ -426,22 +420,4 @@ func ReadEnvelopeInto(r io.Reader, buf *[]byte) (Envelope, error) {
 		*buf = body
 	}
 	return decodeEnvelope(body)
-}
-
-// WriteMessage seals and writes a message in one step.
-func WriteMessage(w io.Writer, msg any) error {
-	env, err := Seal(msg)
-	if err != nil {
-		return err
-	}
-	return WriteEnvelope(w, env)
-}
-
-// ReadMessage reads and opens a message in one step.
-func ReadMessage(r io.Reader) (any, error) {
-	env, err := ReadEnvelope(r)
-	if err != nil {
-		return nil, err
-	}
-	return Open(env)
 }

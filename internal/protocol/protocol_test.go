@@ -246,7 +246,11 @@ func TestReadEnvelopeRefusesJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := WriteMessage(&buf, rec); err != nil {
+	sealed, err := Seal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteEnvelope(&buf, sealed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -311,12 +315,20 @@ func TestOpenCorruptPayload(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := Retire{EventID: "cam1#1", ByCameraID: "cam9"}
-	if err := WriteMessage(&buf, want); err != nil {
-		t.Fatalf("WriteMessage: %v", err)
-	}
-	got, err := ReadMessage(&buf)
+	sealed, err := Seal(want)
 	if err != nil {
-		t.Fatalf("ReadMessage: %v", err)
+		t.Fatalf("Seal: %v", err)
+	}
+	if err := WriteEnvelope(&buf, sealed); err != nil {
+		t.Fatalf("WriteEnvelope: %v", err)
+	}
+	env, err := ReadEnvelope(&buf)
+	if err != nil {
+		t.Fatalf("ReadEnvelope: %v", err)
+	}
+	got, err := Open(env)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
 	}
 	if got.(Retire) != want {
 		t.Errorf("round trip = %+v", got)
@@ -326,12 +338,20 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireMultipleMessages(t *testing.T) {
 	var buf bytes.Buffer
 	for i := int64(0); i < 5; i++ {
-		if err := WriteMessage(&buf, Retire{EventID: NewEventID("cam", i)}); err != nil {
+		sealed, err := Seal(Retire{EventID: NewEventID("cam", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteEnvelope(&buf, sealed); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := int64(0); i < 5; i++ {
-		msg, err := ReadMessage(&buf)
+		env, err := ReadEnvelope(&buf)
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		msg, err := Open(env)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
@@ -339,14 +359,18 @@ func TestWireMultipleMessages(t *testing.T) {
 			t.Errorf("message %d out of order: %+v", i, msg)
 		}
 	}
-	if _, err := ReadMessage(&buf); !errors.Is(err, io.EOF) {
+	if _, err := ReadEnvelope(&buf); !errors.Is(err, io.EOF) {
 		t.Errorf("want io.EOF at end, got %v", err)
 	}
 }
 
 func TestReadEnvelopeTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, Retire{EventID: "c#1"}); err != nil {
+	sealed, err := Seal(Retire{EventID: "c#1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteEnvelope(&buf, sealed); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -460,5 +484,68 @@ func TestDetectionEventRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeDetectionEvent(append(bytes.Clone(head), 2, 1, 1, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f)); err != nil {
 		t.Errorf("valid hand-built tail: %v", err)
+	}
+}
+
+// TestTrajWritesRoundTrip encodes a batch of a traced vertex, an untraced
+// edge and a traced edge, and decodes it back to an equal batch; a record
+// the layout cannot carry is refused by the encoder, and damaged bytes by
+// the decoder.
+func TestTrajWritesRoundTrip(t *testing.T) {
+	tc := TraceContext{TraceID: "cam1#1", SpanID: "s", ParentID: "p", Sampled: true}
+	ws := []TrajWrite{VertexWrite(sampleEvent()).WithTrace(tc), EdgeWrite(1, 2, 0.25), EdgeWrite(-3, 4, -0.5).WithTrace(TraceContext{TraceID: "x", SpanID: "y"})}
+	data, err := AppendTrajWrites(nil, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCursor(data)
+	got, err := DecodeTrajWrites(&c)
+	if err != nil || c.Len() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", err, c.Len())
+	}
+	if len(got) != len(ws) || !eventsEqual(*got[0].Event, *ws[0].Event) {
+		t.Fatalf("decoded %+v, want %+v", got, ws)
+	}
+	got[0].Event, ws[0].Event = nil, nil
+	if !reflect.DeepEqual(got, ws) {
+		t.Errorf("decoded %+v, want %+v", got, ws)
+	}
+
+	long := sampleEvent()
+	long.Histogram.Bins = make([]float64, maxHistogramBins+1)
+	for _, bad := range []TrajWrite{{Kind: "x"}, {Kind: TrajWriteVertex}, VertexWrite(long)} {
+		if _, err := AppendTrajWrites(nil, []TrajWrite{bad}); err == nil {
+			t.Errorf("encoded %+v", bad)
+		}
+	}
+	// A batch may declare maxBatchBins histogram bins and no more.
+	full := sampleEvent()
+	full.Histogram.Bins = make([]float64, maxHistogramBins)
+	many := make([]TrajWrite, maxBatchBins/maxHistogramBins+1)
+	for i := range many {
+		many[i] = VertexWrite(full)
+	}
+	for n, ok := range map[int]bool{len(many) - 1: true, len(many): false} {
+		data, err := AppendTrajWrites(nil, many[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCursor(data)
+		if _, err := DecodeTrajWrites(&c); (err == nil) != ok {
+			t.Errorf("batch of %d full histograms: err = %v, want ok %v", n, err, ok)
+		}
+	}
+
+	edge, _ := AppendTrajWrites(nil, []TrajWrite{EdgeWrite(1, 2, 0.25)})
+	for _, bad := range [][]byte{
+		append([]byte{1, 'x'}, edge[2:]...),       // unknown kind
+		edge[:len(edge)-1],                        // truncated weight
+		{2, 'e', 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0}, // count past the bytes
+		{1, 'e', 4, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown trace flags
+	} {
+		c := NewCursor(bad)
+		if ws, err := DecodeTrajWrites(&c); err == nil {
+			t.Errorf("%x decoded to %+v", bad, ws)
+		}
 	}
 }

@@ -109,12 +109,13 @@ func WithRetry(cfg RetryConfig) Interceptor {
 
 // WithServerLogging logs each inbound call (debug level on success,
 // warn on error) with method, peer, duration, and the active trace.
-// A nil logger disables the middleware.
+// A nil logger disables the middleware, and a success below the logger's
+// level costs no allocation.
 func WithServerLogging(logger *obs.Logger) Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 		start := time.Now()
 		resp, err := next(ctx, req)
-		if logger == nil {
+		if logger == nil || (err == nil && !logger.Enabled(obs.LevelDebug)) {
 			return resp, err
 		}
 		l := logger

@@ -1,12 +1,14 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -445,5 +447,45 @@ func TestDialWithBackoffAbort(t *testing.T) {
 		DialHooks{Abort: func() error { return closed }})
 	if !errors.Is(err, closed) {
 		t.Errorf("err = %v, want the abort error", err)
+	}
+}
+
+// TestServerLoggingSkipsDisabledLines: a successful call under a logger
+// above debug allocates nothing for its discarded line, with or without a
+// span in its context; a debug logger writes the line, and an error is
+// logged at warn.
+func TestServerLoggingSkipsDisabledLines(t *testing.T) {
+	resp := &Response{}
+	ok := func(context.Context, *Request) (*Response, error) { return resp, nil }
+	req := &Request{Method: "best", Addr: "10.0.0.1:7"}
+	spanCtx := obs.ContextWithSpan(context.Background(), obs.SpanContext{TraceID: "cam#1", SpanID: "s1", Sampled: true})
+	var out bytes.Buffer
+	info := Bind(ok, WithServerLogging(obs.NewLogger(&out, obs.LevelInfo, obs.FormatText)))
+	for _, ctx := range []context.Context{context.Background(), spanCtx} {
+		if n := testing.AllocsPerRun(100, func() { _, _ = info(ctx, req) }); n != 0 {
+			t.Errorf("info logger, successful call: %v allocations, want 0", n)
+		}
+	}
+	if out.String() != "" {
+		t.Errorf("info logger wrote %q for successful calls", out.String())
+	}
+
+	debug := Bind(ok, WithServerLogging(obs.NewLogger(&out, obs.LevelDebug, obs.FormatText)))
+	if _, err := debug(spanCtx, req); err != nil {
+		t.Fatal(err)
+	}
+	line := regexp.MustCompile(`^\S+ DEBUG "rpc serve" trace_id=cam#1 method=best dur=\S+ addr=10\.0\.0\.1:7\n$`)
+	if !line.MatchString(out.String()) {
+		t.Errorf("debug line %q does not match %s", out.String(), line)
+	}
+
+	out.Reset()
+	fail := Bind(func(context.Context, *Request) (*Response, error) { return nil, errors.New("boom") },
+		WithServerLogging(obs.NewLogger(&out, obs.LevelInfo, obs.FormatText)))
+	if _, err := fail(context.Background(), req); err == nil {
+		t.Fatal("error swallowed")
+	}
+	if !regexp.MustCompile(` WARN "rpc serve" method=best dur=\S+ addr=10\.0\.0\.1:7 err=boom\n$`).MatchString(out.String()) {
+		t.Errorf("warn line %q", out.String())
 	}
 }

@@ -304,63 +304,3 @@ func TestManyObjectsUniqueAssignments(t *testing.T) {
 		}
 	}
 }
-
-func TestCentroidTrackerBasics(t *testing.T) {
-	ct, err := NewCentroidTracker(50, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ct.Update(0, []vision.Detection{det(10, 10, 20, 20, "a")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := res.Assignments[0].TrackID
-	res, err = ct.Update(1, []vision.Detection{det(15, 12, 20, 20, "a")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assignments[0].TrackID != id {
-		t.Error("nearby detection should match the same track")
-	}
-	res, err = ct.Update(2, []vision.Detection{det(200, 200, 20, 20, "b")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Assignments[0].IsNew {
-		t.Error("far detection should start a new track")
-	}
-	flushed := ct.Flush()
-	if len(flushed) != 2 {
-		t.Errorf("flushed %d, want 2", len(flushed))
-	}
-}
-
-func TestCentroidTrackerValidation(t *testing.T) {
-	if _, err := NewCentroidTracker(0, 3); err == nil {
-		t.Error("zero distance should error")
-	}
-	if _, err := NewCentroidTracker(10, 0); err == nil {
-		t.Error("zero max age should error")
-	}
-}
-
-func TestCentroidTrackerDeparture(t *testing.T) {
-	ct, err := NewCentroidTracker(50, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ct.Update(0, []vision.Detection{det(10, 10, 20, 20, "a")}); err != nil {
-		t.Fatal(err)
-	}
-	var departed int
-	for seq := int64(1); seq < 6; seq++ {
-		res, err := ct.Update(seq, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		departed += len(res.Departed)
-	}
-	if departed != 1 {
-		t.Errorf("departed = %d, want 1", departed)
-	}
-}

@@ -1,7 +1,6 @@
 package trajstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,59 +10,116 @@ import (
 	"repro/internal/protocol"
 )
 
-// Binary query answers. A best, reconstruct or sightings request that
-// sets bin gets its successful answer as the reply frame's whole body, in
-// this layout, instead of a JSON response:
+// Answers. Every reply frame's whole body is one answer:
 //
-//	answerV1 | kind | count | items…
+//	answerV1 | kind | body
 //
-// kind is answerTracks or answerHops and count a uvarint; best is exactly
-// one track. A hop is its vertex ID (varint), camera (length-prefixed),
-// time (length-prefixed time.MarshalBinary bytes) and link weight (float64
-// bits, 8 bytes LE). A track is its hops (count, then each hop), then
-// TotalWeight and MeanWeight as float64 bits and Duration as a varint.
-// answerV1 is not '{', the first byte of every JSON response, so a client
-// tells the two replies apart by the first byte.
+//	answerTracks  count | tracks (best is exactly one track)
+//	answerHops    count | hops
+//	answerError   code | message
+//	answerVertex  vertex ID | event (length-prefixed protocol.AppendDetectionEvent bytes)
+//	answerEdges   count | per edge: from | to | weight
+//	answerStats   vertices | edges (uvarints)
+//	answerBatch   count | per record: vertex ID (0 for an edge or a rejection) | code | message
+//
+// Counts are uvarints, IDs zig-zag varints, strings length-prefixed and
+// weights float64 bits (8 bytes LE). A hop is its vertex ID, camera, time
+// (length-prefixed time.MarshalBinary bytes) and link weight. A track is
+// its hops (count, then each hop), then TotalWeight and MeanWeight as
+// float64 bits and Duration as a varint. A batch record the store accepted
+// has an empty code and message. answerV1 is not '{', the first byte of
+// the JSON responses older servers sent, which a client refuses.
 const (
 	answerV1 = 0x01
 
 	answerTracks = 0x01
 	answerHops   = 0x02
+	answerError  = 0x03
+	answerVertex = 0x04
+	answerEdges  = 0x05
+	answerStats  = 0x06
+	answerBatch  = 0x07
 
-	// The fewest bytes a hop and a track take, so a count is checked
-	// against what the buffer can hold before anything is allocated: a
-	// hop's vertex ID, two length prefixes and its weight; a track's hop
-	// count, two weights and its duration.
-	minHopBytes   = 1 + 1 + 1 + 8
-	minTrackBytes = 1 + 8 + 8 + 1
+	// The fewest bytes a hop, a track, an edge and a batch record take,
+	// so a count is checked against what the buffer can hold before
+	// anything is allocated: a hop's vertex ID, two length prefixes and its
+	// weight; a track's hop count, two weights and its duration; an edge's
+	// two IDs and weight; a record's ID and two length prefixes.
+	minHopBytes    = 1 + 1 + 1 + 8
+	minTrackBytes  = 1 + 8 + 8 + 1
+	minEdgeBytes   = 1 + 1 + 8
+	minRecordBytes = 1 + 1 + 1
 )
 
-// binAnswer is a decoded binary answer: tracks or hops, by kind.
-type binAnswer struct {
-	kind   byte
-	tracks []Track
-	hops   []Hop
+// reply is one answer: an error, or the result its op's kind carries.
+type reply struct {
+	kind           byte
+	err            *ServerError // answerError
+	tracks         []Track
+	hops           []Hop
+	vertex         Vertex
+	edges          []Edge
+	nVerts, nEdges int
+	ids            []int64 // answerBatch, with errs
+	errs           []error // nil for an accepted record, a ServerError once received
 }
 
+// errReply is the error answer for err.
+func errReply(err error) reply { return reply{kind: answerError, err: toServerError(err)} }
+
 // appendTo appends a's binary encoding to dst. It fails on a timestamp
-// time.MarshalBinary refuses.
-func (a *binAnswer) appendTo(dst []byte) ([]byte, error) {
+// time.MarshalBinary refuses or an event protocol.AppendDetectionEvent
+// refuses.
+func (a *reply) appendTo(dst []byte) ([]byte, error) {
 	dst = append(dst, answerV1, a.kind)
-	if a.kind == answerHops {
+	switch a.kind {
+	case answerHops:
 		return appendHops(dst, a.hops)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(a.tracks)))
-	for i := range a.tracks {
-		t := &a.tracks[i]
-		var err error
-		if dst, err = appendHops(dst, t.Hops); err != nil {
+	case answerTracks:
+		dst = binary.AppendUvarint(dst, uint64(len(a.tracks)))
+		for i := range a.tracks {
+			t := &a.tracks[i]
+			var err error
+			if dst, err = appendHops(dst, t.Hops); err != nil {
+				return nil, err
+			}
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.TotalWeight))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.MeanWeight))
+			dst = binary.AppendVarint(dst, int64(t.Duration))
+		}
+	case answerError:
+		dst = appendError(dst, a.err)
+	case answerVertex:
+		rec, err := protocol.AppendDetectionEvent(nil, &a.vertex.Event)
+		if err != nil {
 			return nil, err
 		}
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.TotalWeight))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(t.MeanWeight))
-		dst = binary.AppendVarint(dst, int64(t.Duration))
+		dst = protocol.AppendBytes(binary.AppendVarint(dst, a.vertex.ID), rec)
+	case answerEdges:
+		dst = binary.AppendUvarint(dst, uint64(len(a.edges)))
+		for _, e := range a.edges {
+			dst = binary.AppendVarint(binary.AppendVarint(dst, e.From), e.To)
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Weight))
+		}
+	case answerStats:
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(a.nVerts)), uint64(a.nEdges))
+	case answerBatch:
+		dst = binary.AppendUvarint(dst, uint64(len(a.ids)))
+		for i, id := range a.ids {
+			dst = appendError(binary.AppendVarint(dst, id), a.errs[i])
+		}
 	}
 	return dst, nil
+}
+
+// appendError appends err's code and message (toServerError), both empty
+// for nil.
+func appendError(dst []byte, err error) []byte {
+	se := &ServerError{}
+	if err != nil {
+		se = toServerError(err)
+	}
+	return protocol.AppendString(protocol.AppendString(dst, se.Code), se.Msg)
 }
 
 func appendHops(dst []byte, hops []Hop) ([]byte, error) {
@@ -82,115 +138,78 @@ func appendHops(dst []byte, hops []Hop) ([]byte, error) {
 	return dst, nil
 }
 
-// binaryAnswer encodes r as a binary answer when req asked for one and r
-// answers a query; ok is false otherwise, or when a hop time does not
-// encode, and r then goes out as JSON.
-func binaryAnswer(req *request, r *response) (body []byte, ok bool) {
-	if !req.Bin || !r.OK {
-		return nil, false
-	}
-	a := binAnswer{kind: answerTracks}
-	switch req.Op {
-	case opBest:
-		if r.Track == nil {
-			return nil, false
-		}
-		a.tracks = []Track{*r.Track}
-	case opReconstruct:
-		a.tracks = r.Tracks
-	case opSightings:
-		a.kind, a.hops = answerHops, r.Hops
-	default:
-		return nil, false
-	}
-	body, err := a.appendTo(nil)
-	return body, err == nil
-}
-
-// decode fills r from a reply body: a JSON response, or a binary answer
-// when req asked for one.
-func (r *response) decode(body []byte, req *request) error {
+// decodeReply decodes an answer written by appendTo. A JSON body fails
+// with ErrJSONWire. Every count is checked against the bytes left before
+// it is allocated for; a field in any form but the one appendTo writes,
+// and trailing bytes, are errors, so what decodes re-encodes to the same
+// bytes. Empty lists decode as nil.
+func decodeReply(b []byte) (reply, error) {
 	switch {
-	case len(body) > 0 && body[0] == '{':
-		return protocol.DecodeFrame(body, r)
-	case len(body) > 0 && body[0] == answerV1 && req.Bin:
-		a, err := decodeAnswer(body)
-		if err != nil {
-			return fmt.Errorf("trajstore: decode %s answer: %w", req.Op, err)
-		}
-		return r.setAnswer(req.Op, a)
-	}
-	return fmt.Errorf("trajstore: undecodable %s reply (first byte %q)", req.Op, body[:min(len(body), 1)])
-}
-
-// setAnswer makes r the successful response a carries for op.
-func (r *response) setAnswer(op string, a binAnswer) error {
-	switch {
-	case op == opBest && a.kind == answerTracks && len(a.tracks) == 1:
-		r.Track = &a.tracks[0]
-	case op == opReconstruct && a.kind == answerTracks:
-		r.Tracks = a.tracks
-	case op == opSightings && a.kind == answerHops:
-		r.Hops = a.hops
-	default:
-		return fmt.Errorf("trajstore: binary answer of kind 0x%02x does not answer %s", a.kind, op)
-	}
-	r.OK = true
-	return nil
-}
-
-// decodeAnswer decodes an answer written by appendTo. Every count is
-// checked against the bytes left before it is allocated for; a field in
-// any form but the one appendTo writes, and trailing bytes, are errors,
-// so what decodes re-encodes to the same bytes. Empty lists decode as nil.
-func decodeAnswer(b []byte) (binAnswer, error) {
-	if len(b) == 0 || b[0] != answerV1 {
-		return binAnswer{}, errors.New("not a binary answer")
+	case len(b) > 0 && b[0] == '{':
+		return reply{}, fmt.Errorf("%w (JSON answer)", ErrJSONWire)
+	case len(b) == 0 || b[0] != answerV1:
+		return reply{}, errors.New("not a binary answer")
 	}
 	c := protocol.NewCursor(b[1:])
-	a := binAnswer{kind: c.Byte()}
+	a := reply{kind: c.Byte()}
 	var err error
 	switch a.kind {
 	case answerHops:
 		a.hops, err = decodeHops(&c)
 	case answerTracks:
 		a.tracks, err = decodeTracks(&c)
+	case answerError:
+		a.err = &ServerError{Code: string(c.Bytes()), Msg: string(c.Bytes())}
+	case answerVertex:
+		a.vertex.ID = c.Varint()
+		if rec := c.Bytes(); c.Err() == nil {
+			a.vertex.Event, err = protocol.DecodeDetectionEvent(rec)
+		}
+	case answerEdges:
+		if n := c.Count(minEdgeBytes); n > 0 {
+			a.edges = make([]Edge, n)
+		}
+		for i := range a.edges {
+			a.edges[i] = Edge{From: c.Varint(), To: c.Varint(), Weight: math.Float64frombits(c.Fixed64())}
+		}
+	case answerStats:
+		a.nVerts, a.nEdges = int(c.Uvarint()), int(c.Uvarint())
+	case answerBatch:
+		if n := c.Count(minRecordBytes); n > 0 {
+			a.ids, a.errs = make([]int64, n), make([]error, n)
+		}
+		for i := range a.ids {
+			a.ids[i] = c.Varint()
+			if code, msg := c.Bytes(), c.Bytes(); len(code)+len(msg) > 0 {
+				a.errs[i] = &ServerError{Code: string(code), Msg: string(msg)}
+			}
+		}
 	default:
-		err = c.Err()
-		if err == nil {
+		if c.Err() == nil {
 			err = fmt.Errorf("unknown kind 0x%02x", a.kind)
 		}
 	}
-	if err != nil {
-		return binAnswer{}, err
+	if err == nil {
+		err = c.Err()
 	}
-	if c.Len() != 0 {
-		return binAnswer{}, fmt.Errorf("%d trailing bytes", c.Len())
+	if err == nil && c.Len() != 0 {
+		err = fmt.Errorf("%d trailing bytes", c.Len())
+	}
+	if err != nil {
+		return reply{}, err
 	}
 	return a, nil
 }
 
-// listLen reads a list length and refuses one the rest of the buffer cannot
-// hold at itemBytes bytes an item.
-func listLen(c *protocol.Cursor, itemBytes int) (int, error) {
-	n := c.Uvarint()
-	if err := c.Err(); err != nil {
-		return 0, err
-	}
-	if n > uint64(c.Len()/itemBytes) {
-		return 0, fmt.Errorf("count %d exceeds the %d bytes left", n, c.Len())
-	}
-	return int(n), nil
-}
-
 func decodeTracks(c *protocol.Cursor) ([]Track, error) {
-	n, err := listLen(c, minTrackBytes)
-	if err != nil || n == 0 {
-		return nil, err
+	n := c.Count(minTrackBytes)
+	if n == 0 {
+		return nil, c.Err()
 	}
 	tracks := make([]Track, n)
 	for i := range tracks {
 		t := &tracks[i]
+		var err error
 		if t.Hops, err = decodeHops(c); err != nil {
 			return nil, err
 		}
@@ -202,29 +221,17 @@ func decodeTracks(c *protocol.Cursor) ([]Track, error) {
 }
 
 func decodeHops(c *protocol.Cursor) ([]Hop, error) {
-	n, err := listLen(c, minHopBytes)
-	if err != nil || n == 0 {
-		return nil, err
+	n := c.Count(minHopBytes)
+	if n == 0 {
+		return nil, c.Err()
 	}
 	hops := make([]Hop, n)
 	for i := range hops {
 		h := &hops[i]
 		h.VertexID = c.Varint()
 		h.Camera = string(c.Bytes())
-		ts := c.Bytes()
+		h.Time = c.Time()
 		h.LinkWeight = math.Float64frombits(c.Fixed64())
-		if err := c.Err(); err != nil {
-			return nil, err
-		}
-		if err := h.Time.UnmarshalBinary(ts); err != nil {
-			return nil, err
-		}
-		// UnmarshalBinary takes more than one form of some times (a
-		// version 2 record with a whole-minute offset, an out-of-range
-		// nanosecond); only MarshalBinary's own is accepted.
-		if again, err := h.Time.MarshalBinary(); err != nil || !bytes.Equal(again, ts) {
-			return nil, errors.New("hop time not in its MarshalBinary form")
-		}
 	}
-	return hops, nil
+	return hops, c.Err()
 }

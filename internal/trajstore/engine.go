@@ -216,14 +216,38 @@ func newQueryMetrics(reg *obs.Registry) queryMetrics {
 }
 
 // queryKey identifies one server-side query result: the op plus every
-// request parameter that shapes the answer.
+// request parameter that shapes the answer. A request carries one, the
+// fields its op does not read left zero.
 type queryKey struct {
-	op        string
+	op        byte
 	eventID   protocol.EventID
 	vertexID  int64
 	vehicleID string
 	maxVertex int64
 	limits    TraceLimits
+}
+
+// query answers the reconstruct, best or sightings op k names over snap.
+// A sightings maxVertex <= 0 means "the whole graph", resolved against
+// snap (0 stays in the cache key; the version tag invalidates the entry
+// when the graph grows).
+func (k *queryKey) query(snap *Snapshot) (any, error) {
+	a := reply{kind: ops[k.op].answer}
+	var err error
+	switch k.op {
+	case opReconstruct:
+		if k.eventID != "" {
+			a.tracks, err = FindTracks(snap, k.eventID, k.limits)
+		} else {
+			a.tracks, err = ReconstructTracks(snap, k.vertexID, k.limits)
+		}
+	case opBest:
+		a.tracks = make([]Track, 1)
+		a.tracks[0], err = BestTrack(snap, k.eventID, k.limits)
+	case opSightings:
+		a.hops = snap.Sightings(k.vehicleID, k.maxVertex)
+	}
+	return a, err
 }
 
 // queryEngine executes the reconstruct/best/sightings ops against a
@@ -290,7 +314,7 @@ func (e *queryEngine) do(ctx context.Context, key queryKey, compute func(*Snapsh
 				cached = "hit"
 			}
 			tr.RecordChild(sc, "query", start, end,
-				"op", key.op, "cache", cached, "outcome", outcome)
+				"op", ops[key.op].name, "cache", cached, "outcome", outcome)
 		}
 	}
 	return val, err

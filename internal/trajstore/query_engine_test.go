@@ -576,7 +576,7 @@ func TestQueryRecordsChildSpan(t *testing.T) {
 // the server with a query genuinely in flight.
 func slowQueryInterceptor(d time.Duration) rpc.Interceptor {
 	return func(ctx context.Context, req *rpc.Request, next rpc.Handler) (*rpc.Response, error) {
-		if req.Method == opReconstruct {
+		if req.Method == "reconstruct" {
 			time.Sleep(d)
 		}
 		return next(ctx, req)

@@ -2,12 +2,11 @@ package trajstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -15,39 +14,66 @@ import (
 	"repro/internal/rpc"
 )
 
-// Request ops for the trajectory store wire protocol.
+// The trajectory store's ops. A request names one by its byte; ops maps it
+// to the rpc method label and to the kind of answer a success carries.
 const (
-	opAddVertex    = "add_vertex"
-	opAddVertexRec = "add_vertex_rec" // add_vertex with the event in rec
-	opAddEdge      = "add_edge"
-	opAddBatch     = "add_batch"
-	opGetVertex    = "get_vertex"
-	opFindByEvent  = "find_by_event"
-	opStats        = "stats"
-	opOutEdges     = "out_edges"
-	// Server-side query ops: the full reconstruction runs inside the
-	// server against a consistent snapshot, returning whole ranked
-	// tracks in one round trip. This package's Client queries only
-	// through these; the per-vertex ops above stay served for old
-	// clients.
-	opReconstruct = "reconstruct"
-	opBest        = "best"
-	opSightings   = "sightings"
+	opAddBatch byte = iota + 1
+	opGetVertex
+	opFindByEvent
+	opOutEdges
+	opStats
+	opReconstruct
+	opBest
+	opSightings
 )
 
-// Error codes relayed in the response frame so clients can recover
-// sentinel errors across the wire (errors.Is keeps working remotely).
+var ops = [...]struct {
+	name   string
+	answer byte
+}{
+	opAddBatch:    {"add_batch", answerBatch},
+	opGetVertex:   {"get_vertex", answerVertex},
+	opFindByEvent: {"find_by_event", answerVertex},
+	opOutEdges:    {"out_edges", answerEdges},
+	opStats:       {"stats", answerStats},
+	opReconstruct: {"reconstruct", answerTracks},
+	opBest:        {"best", answerTracks},
+	opSightings:   {"sightings", answerHops},
+}
+
+// Error codes relayed in error answers so clients can recover sentinel
+// errors across the wire (errors.Is keeps working remotely).
 const (
-	codeNotFound = "not_found"
-	codeNoTracks = "no_tracks"
-	codeTooLarge = "too_large"
+	codeNotFound   = "not_found"
+	codeNoTracks   = "no_tracks"
+	codeTooLarge   = "too_large"
+	codeEdgeExists = "edge_exists"
+	codeJSONWire   = "json_wire"
 )
+
+var errorCodes = []struct {
+	code string
+	err  error
+}{
+	{codeNotFound, ErrVertexNotFound},
+	{codeNoTracks, ErrNoTracks},
+	{codeTooLarge, ErrAnswerTooLarge},
+	{codeEdgeExists, ErrEdgeExists},
+	{codeJSONWire, ErrJSONWire},
+}
 
 // ErrAnswerTooLarge is matched (errors.Is) by the error of a call whose
 // answer would not fit in one frame (maxWireBytes). The server refuses
 // such an answer with a too_large error on the same connection, so the
 // call fails once, without a retry, and the connection stays usable.
 var ErrAnswerTooLarge = errors.New("trajstore: answer exceeds the frame bound")
+
+// ErrJSONWire is matched (errors.Is) by the error of a call across the
+// format floor: a server refuses a JSON request with it, on the same
+// connection, and a client fails a call answered in JSON with it, without
+// a retry. No release reads both wires, so a store's clients and its
+// server are upgraded together.
+var ErrJSONWire = errors.New("trajstore: JSON request/answer wire is below the format floor; upgrade the store's clients and server together")
 
 // ServerError is a store-level rejection relayed over the wire. Its
 // message matches the historical "trajstore: server: ..." string; the
@@ -62,109 +88,137 @@ type ServerError struct {
 func (e *ServerError) Error() string { return "trajstore: server: " + e.Msg }
 
 func (e *ServerError) Unwrap() error {
-	switch e.Code {
-	case codeNotFound:
-		return ErrVertexNotFound
-	case codeNoTracks:
-		return ErrNoTracks
-	case codeTooLarge:
-		return ErrAnswerTooLarge
+	for _, c := range errorCodes {
+		if c.code == e.Code {
+			return c.err
+		}
 	}
 	return nil
 }
 
-// request is one client -> server call.
+// toServerError is err as an error answer carries it: a ServerError as it
+// is, any other error with the code of the sentinel it matches.
+func toServerError(err error) *ServerError {
+	var se *ServerError
+	if errors.As(err, &se) {
+		return se
+	}
+	for _, c := range errorCodes {
+		if errors.Is(err, c.err) {
+			return &ServerError{Code: c.code, Msg: err.Error()}
+		}
+	}
+	return &ServerError{Msg: err.Error()}
+}
+
+// A request is one binary record, the frame's whole body:
+//
+//	requestV1 | op | trace | vertex ID | event ID | limits | vehicle ID | max vertex | batch
+//
+// Every op has the one layout, and a parameter its op does not take is
+// zero. The trace is protocol.AppendTrace's and the batch
+// protocol.AppendTrajWrites'; IDs are zig-zag varints, strings
+// length-prefixed, and limits MaxDepth and MaxPaths as zig-zag varints.
+// requestV1 is not '{', the first byte of the JSON requests older clients
+// sent, which are refused.
+const requestV1 = 0x01
+
+// request is one client -> server call: the op and its query parameters
+// (the query cache's key), the caller's span context, which the rpc trace
+// middleware stamps and extracts (batch records carry their own), and a
+// batch.
 type request struct {
-	Op      string                   `json:"op"`
-	Event   *protocol.DetectionEvent `json:"event,omitempty"`
-	Rec     []byte                   `json:"rec,omitempty"` // protocol.AppendDetectionEvent bytes
-	From    int64                    `json:"from,omitempty"`
-	To      int64                    `json:"to,omitempty"`
-	Weight  float64                  `json:"weight,omitempty"`
-	ID      int64                    `json:"id,omitempty"`
-	EventID protocol.EventID         `json:"eventId,omitempty"`
-	Limits  *TraceLimits             `json:"limits,omitempty"`
-	Batch   []protocol.TrajWrite     `json:"batch,omitempty"`
-	// VehicleID and MaxVertex parameterize the sightings op.
-	VehicleID string `json:"vehicleId,omitempty"`
-	MaxVertex int64  `json:"maxVertex,omitempty"`
-	// Bin asks for a best, reconstruct or sightings answer as a binary
-	// answer (answer.go) instead of a JSON response. A server that
-	// predates it ignores the field and answers in JSON.
-	Bin bool `json:"bin,omitempty"`
-	// Trace carries the caller's span context so the server can resume
-	// the caller's trace (batch records carry their own per-record
-	// Trace fields instead). It is stamped by the rpc trace-inject
-	// middleware and read back by trace-extract on the server.
-	Trace *protocol.TraceContext `json:"trace,omitempty"`
+	queryKey
+	trace *protocol.TraceContext
+	batch []protocol.TrajWrite
+	err   error // why a received request was refused
 }
 
 // TraceContext and SetTraceContext implement rpc.TraceCarrier, so the
-// shared trace middleware moves span contexts through request frames.
-func (r *request) TraceContext() *protocol.TraceContext      { return r.Trace }
-func (r *request) SetTraceContext(tc *protocol.TraceContext) { r.Trace = tc }
+// shared trace middleware moves span contexts through requests.
+func (r *request) TraceContext() *protocol.TraceContext      { return r.trace }
+func (r *request) SetTraceContext(tc *protocol.TraceContext) { r.trace = tc }
 
-// response is one server -> client reply.
-type response struct {
-	OK       bool    `json:"ok"`
-	Err      string  `json:"err,omitempty"`
-	Code     string  `json:"code,omitempty"` // structured error code ("" for old servers)
-	VertexID int64   `json:"vertexId,omitempty"`
-	Vertex   *Vertex `json:"vertex,omitempty"`
-	Vertices int     `json:"vertices,omitempty"`
-	Edges    int     `json:"edges,omitempty"`
-	EdgeList []Edge  `json:"edgeList,omitempty"`
-	// Tracks, Track, and Hops carry server-side query results.
-	Tracks []Track `json:"tracks,omitempty"`
-	Track  *Track  `json:"track,omitempty"`
-	Hops   []Hop   `json:"hops,omitempty"`
-	// VertexIDs and Errs parallel an add_batch request's records:
-	// allocated vertex IDs (0 for edges and rejected records) and
-	// per-record rejections ("" for successes).
-	VertexIDs []int64  `json:"vertexIds,omitempty"`
-	Errs      []string `json:"errs,omitempty"`
+// appendTo appends r's binary encoding to dst. It fails on a batch record
+// protocol.AppendTrajWrites refuses.
+func (r *request) appendTo(dst []byte) ([]byte, error) {
+	dst = protocol.AppendTrace(append(dst, requestV1, r.op), r.trace)
+	dst = protocol.AppendString(binary.AppendVarint(dst, r.vertexID), string(r.eventID))
+	dst = binary.AppendVarint(binary.AppendVarint(dst, int64(r.limits.MaxDepth)), int64(r.limits.MaxPaths))
+	dst = binary.AppendVarint(protocol.AppendString(dst, r.vehicleID), r.maxVertex)
+	return protocol.AppendTrajWrites(dst, r.batch)
 }
 
-// maxWireBytes bounds one request/response frame.
+// decodeRequest decodes a request written by appendTo. A JSON request
+// fails with ErrJSONWire; an unknown op, a field in any form but the one
+// appendTo writes, and trailing bytes are errors.
+func decodeRequest(body []byte) (*request, error) {
+	switch {
+	case len(body) > 0 && body[0] == '{':
+		return nil, fmt.Errorf("%w (JSON request)", ErrJSONWire)
+	case len(body) == 0 || body[0] != requestV1:
+		return nil, fmt.Errorf("trajstore: unknown request format %q", body[:min(len(body), 1)])
+	}
+	c := protocol.NewCursor(body[1:])
+	r := &request{queryKey: queryKey{op: c.Byte()}, trace: c.Trace()}
+	r.vertexID, r.eventID = c.Varint(), protocol.EventID(c.Bytes())
+	r.limits = TraceLimits{MaxDepth: int(c.Varint()), MaxPaths: int(c.Varint())}
+	r.vehicleID, r.maxVertex = string(c.Bytes()), c.Varint()
+	var err error
+	switch r.batch, err = protocol.DecodeTrajWrites(&c); {
+	case err != nil:
+	case r.op == 0 || int(r.op) >= len(ops):
+		err = fmt.Errorf("unknown op 0x%02x", r.op)
+	case c.Len() != 0:
+		err = fmt.Errorf("%d trailing bytes", c.Len())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trajstore: decode request: %w", err)
+	}
+	return r, nil
+}
+
+// maxWireBytes bounds one request/answer frame.
 const maxWireBytes = 8 << 20
 
-// wireCodec adapts the store's length-prefixed frames to the generic rpc
-// server. Requests and errors are JSON, and so is every answer to a
-// request without bin, byte for byte as before, so old clients
-// interoperate. Handler errors are encoded into the response frame's err
-// field.
+// wireCodec adapts the store's length-prefixed binary frames to the
+// generic rpc server. A request that does not decode still gets an answer,
+// its error, and the connection stays: the frame boundary held.
 type wireCodec struct{}
 
 func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
-	var req request
-	if err := protocol.ReadFrame(r, &req, maxWireBytes); err != nil {
+	body, err := protocol.ReadFrameBody(r, maxWireBytes)
+	if err != nil {
 		return nil, err
 	}
-	return &rpc.Request{Method: req.Op, Body: &req}, nil
+	req, err := decodeRequest(body)
+	if err != nil {
+		return &rpc.Request{Method: "invalid", Body: &request{err: err}}, nil
+	}
+	return &rpc.Request{Method: ops[req.op].name, Body: req}, nil
 }
 
-// WriteResponse writes a successful query answer the request asked to
-// get in binary as the frame's body, and everything else as a JSON
-// response. An answer above maxWireBytes is refused before any of it is
-// written, so a too_large error takes its place on the same connection.
+// WriteResponse writes the handler's answer, or an error answer for a
+// chain error. An answer that does not encode, or would exceed
+// maxWireBytes (too_large), is refused before any of it is written, and an
+// error answer takes its place on the same connection.
 func (wireCodec) WriteResponse(w io.Writer, req *rpc.Request, resp *rpc.Response, herr error) error {
-	var r response
+	var a reply
 	if herr != nil {
-		r.Err = herr.Error()
+		a = errReply(herr)
 	} else {
-		r = *resp.Body.(*response)
+		a = *resp.Body.(*reply)
 	}
-	var err error
-	if body, ok := binaryAnswer(req.Body.(*request), &r); ok {
-		err = protocol.WriteFrameBody(w, body, maxWireBytes)
-	} else {
-		err = protocol.WriteFrame(w, r, maxWireBytes)
+	body, err := a.appendTo(nil)
+	if err == nil {
+		if err = protocol.WriteFrameBody(w, body, maxWireBytes); !errors.Is(err, protocol.ErrFrameTooLarge) {
+			return err
+		}
+		err = &ServerError{Code: codeTooLarge, Msg: fmt.Sprintf("%s answer refused: %v, bound %d bytes", req.Method, err, maxWireBytes)}
 	}
-	if errors.Is(err, protocol.ErrFrameTooLarge) {
-		r = response{Code: codeTooLarge, Err: fmt.Sprintf("%s answer refused: %v, bound %d bytes", req.Method, err, maxWireBytes)}
-		return protocol.WriteFrame(w, r, maxWireBytes)
-	}
-	return err
+	a = errReply(fmt.Errorf("%s answer: %w", req.Method, err))
+	body, _ = a.appendTo(nil) // an error answer always encodes
+	return protocol.WriteFrameBody(w, body, maxWireBytes)
 }
 
 // ServerOptions tunes a trajectory store server beyond the defaults.
@@ -223,137 +277,51 @@ func ServeWith(store *Store, addr string, opts ServerOptions) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.rs.Addr() }
 
-// dispatch is the base handler under the server chain.
+// dispatch is the base handler under the server chain. A store-level
+// rejection is an answer, not a chain error.
 func (s *Server) dispatch(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
-	resp := s.handle(ctx, *req.Body.(*request))
-	return &rpc.Response{Body: &resp}, nil
+	a := s.handle(ctx, req.Body.(*request))
+	return &rpc.Response{Body: &a}, nil
 }
 
-func (s *Server) handle(ctx context.Context, req request) response {
-	fail := func(err error) response {
-		r := response{Err: err.Error()}
-		switch {
-		case errors.Is(err, ErrVertexNotFound):
-			r.Code = codeNotFound
-		case errors.Is(err, ErrNoTracks):
-			r.Code = codeNoTracks
-		}
-		return r
+func (s *Server) handle(ctx context.Context, req *request) reply {
+	if req.err != nil {
+		return errReply(req.err)
 	}
-	switch req.Op {
-	case opAddVertexRec:
-		e, err := protocol.DecodeDetectionEvent(req.Rec)
-		if err != nil {
-			return fail(err)
-		}
-		req.Event = &e
-		fallthrough
-	case opAddVertex:
-		if req.Event == nil {
-			return fail(errors.New("add_vertex requires an event"))
-		}
-		id, err := s.store.AddVertex(*req.Event)
-		if err != nil {
-			return fail(err)
-		}
-		return response{OK: true, VertexID: id}
-	case opAddEdge:
-		// The caller's span context, when present on the frame, was
-		// installed in ctx by the trace-extract middleware; record the
-		// WAL commit inside that trace.
-		var err error
-		if sc, ok := obs.SpanFromContext(ctx); ok {
-			err = s.store.AddEdgeTraced(req.From, req.To, req.Weight, protocol.TraceContext(sc))
-		} else {
-			err = s.store.AddEdge(req.From, req.To, req.Weight)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return response{OK: true}
+	a := reply{kind: ops[req.op].answer}
+	var err error
+	switch req.op {
 	case opAddBatch:
-		if len(req.Batch) == 0 {
-			return fail(errors.New("add_batch requires at least one record"))
+		if len(req.batch) == 0 {
+			return errReply(errors.New("add_batch requires at least one record"))
 		}
-		ids, errs, err := s.store.ApplyBatch(req.Batch)
-		if err != nil {
-			return fail(err)
-		}
-		strs := make([]string, len(errs))
-		for i, e := range errs {
-			if e != nil {
-				strs[i] = e.Error()
-			}
-		}
-		return response{OK: true, VertexIDs: ids, Errs: strs}
+		a.ids, a.errs, err = s.store.ApplyBatch(req.batch)
 	case opGetVertex:
-		v, err := s.store.Vertex(req.ID)
-		if err != nil {
-			return fail(err)
-		}
-		return response{OK: true, Vertex: &v}
+		a.vertex, err = s.store.Vertex(req.vertexID)
 	case opFindByEvent:
-		v, err := s.store.FindByEventID(req.EventID)
-		if err != nil {
-			return fail(err)
-		}
-		return response{OK: true, Vertex: &v}
+		a.vertex, err = s.store.FindByEventID(req.eventID)
 	case opOutEdges:
-		if _, err := s.store.Vertex(req.ID); err != nil {
-			return fail(err)
+		if _, err = s.store.Vertex(req.vertexID); err == nil {
+			a.edges = s.store.OutEdges(req.vertexID)
 		}
-		return response{OK: true, EdgeList: s.store.OutEdges(req.ID)}
 	case opStats:
 		snap := s.store.Snapshot()
-		return response{OK: true, Vertices: snap.NumVertices(), Edges: snap.NumEdges()}
-	case opReconstruct:
-		limits := DefaultTraceLimits()
-		if req.Limits != nil {
-			limits = *req.Limits
-		}
-		key := queryKey{op: opReconstruct, eventID: req.EventID, vertexID: req.ID, limits: limits}
-		val, err := s.engine.do(ctx, key, func(snap *Snapshot) (any, error) {
-			if req.EventID != "" {
-				return FindTracks(snap, req.EventID, limits)
-			}
-			return ReconstructTracks(snap, req.ID, limits)
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return response{OK: true, Tracks: val.([]Track)}
-	case opBest:
-		limits := DefaultTraceLimits()
-		if req.Limits != nil {
-			limits = *req.Limits
-		}
-		key := queryKey{op: opBest, eventID: req.EventID, limits: limits}
-		val, err := s.engine.do(ctx, key, func(snap *Snapshot) (any, error) {
-			return BestTrack(snap, req.EventID, limits)
-		})
-		if err != nil {
-			return fail(err)
-		}
-		track := val.(Track)
-		return response{OK: true, Track: &track}
+		a.nVerts, a.nEdges = snap.NumVertices(), snap.NumEdges()
 	case opSightings:
-		if req.VehicleID == "" {
-			return fail(errors.New("sightings requires a vehicle id"))
+		if req.vehicleID == "" {
+			return errReply(errors.New("sightings requires a vehicle id"))
 		}
-		// MaxVertex <= 0 means "the whole graph", resolved against the
-		// same snapshot the query runs on (0 stays in the cache key; the
-		// version tag invalidates the entry when the graph grows).
-		key := queryKey{op: opSightings, vehicleID: req.VehicleID, maxVertex: req.MaxVertex}
-		val, err := s.engine.do(ctx, key, func(snap *Snapshot) (any, error) {
-			return snap.Sightings(req.VehicleID, req.MaxVertex), nil
-		})
-		if err != nil {
-			return fail(err)
+		fallthrough
+	case opReconstruct, opBest:
+		var val any
+		if val, err = s.engine.do(ctx, req.queryKey, req.query); err == nil {
+			a = val.(reply)
 		}
-		return response{OK: true, Hops: val.([]Hop)}
-	default:
-		return fail(fmt.Errorf("unknown op %q", req.Op))
 	}
+	if err != nil {
+		return errReply(err)
+	}
+	return a
 }
 
 // Shutdown gracefully stops the server: it stops accepting new
@@ -451,10 +419,6 @@ type Client struct {
 	cc   *rpc.ClientConn
 	call rpc.Handler // middleware chain bound once around roundTrip
 	m    *rpc.Metrics
-	cfg  ClientConfig
-	// legacyVertex is set once the server answered add_vertex_rec as an
-	// unknown op; vertices then travel as JSON add_vertex.
-	legacyVertex atomic.Bool
 }
 
 // DialContext connects to a trajectory store server, bounding the
@@ -464,7 +428,6 @@ type Client struct {
 func DialContext(ctx context.Context, addr string, cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
 	c := &Client{
-		cfg: cfg,
 		cc: rpc.NewClientConn(addr, rpc.BackoffConfig{
 			Base: cfg.DialBackoffBase,
 			Max:  cfg.DialBackoffMax,
@@ -495,203 +458,136 @@ func DialContext(ctx context.Context, addr string, cfg ClientConfig) (*Client, e
 // a registry was configured).
 func (c *Client) Metrics() *rpc.Metrics { return c.m }
 
-func (c *Client) do(ctx context.Context, wreq request) (response, error) {
-	req := &rpc.Request{Method: wreq.Op, Addr: c.cc.Addr(), Body: &wreq}
-	resp, err := c.call(ctx, req)
+func (c *Client) do(ctx context.Context, r *request) (reply, error) {
+	resp, err := c.call(ctx, &rpc.Request{Method: ops[r.op].name, Addr: c.cc.Addr(), Body: r})
 	if err != nil {
-		return response{}, err
+		return reply{}, err
 	}
-	return *resp.Body.(*response), nil
+	return *resp.Body.(*reply), nil
 }
 
 // roundTrip is the base handler under the middleware chain: one framed
-// request/response over the managed connection. A server-side rejection
-// is terminal (the request reached the server; retrying would repeat
-// it), while transport failures on a cached connection surface as
-// retryable for the retry stage above.
+// request/answer over the managed connection. Transport failures on a
+// cached connection surface as retryable for the retry stage above. The
+// answer is decoded once the round trip is over, so an error answer, an
+// answer that does not decode and one of the wrong kind are terminal: the
+// request reached the server, and retrying would repeat it.
 func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
 	wreq := req.Body.(*request)
-	var wresp response
-	err := c.cc.Call(ctx, func(conn net.Conn) error {
-		if err := protocol.WriteFrame(conn, wreq, maxWireBytes); err != nil {
-			return err
+	body, err := wreq.appendTo(nil)
+	if err != nil {
+		return nil, fmt.Errorf("trajstore: encode %s request: %w", req.Method, err)
+	}
+	var raw []byte
+	err = c.cc.Call(ctx, func(conn net.Conn) (err error) {
+		if err = protocol.WriteFrameBody(conn, body, maxWireBytes); err == nil {
+			raw, err = protocol.ReadFrameBody(conn, maxWireBytes)
 		}
-		body, err := protocol.ReadFrameBody(conn, maxWireBytes)
-		if err != nil {
-			return err
-		}
-		return wresp.decode(body, wreq)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !wresp.OK {
-		return nil, &ServerError{Code: wresp.Code, Msg: wresp.Err}
+	a, err := decodeReply(raw)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("trajstore: decode %s answer: %w", req.Method, err)
+	case a.kind == answerError:
+		return nil, a.err
+	case a.kind != ops[wreq.op].answer:
+		return nil, fmt.Errorf("trajstore: answer of kind 0x%02x does not answer %s", a.kind, req.Method)
 	}
-	return &rpc.Response{Body: &wresp}, nil
+	return &rpc.Response{Body: &a}, nil
 }
 
 // AddVertexContext inserts a detection event remotely and returns its
-// vertex ID, bounded by ctx. The event travels as its log record
-// (add_vertex_rec). A server that answers that op as unknown gets this
-// call and every later one as a JSON add_vertex, as does an event the
-// record cannot encode, for the server to refuse.
+// vertex ID, bounded by ctx: a one-record add_batch, whose record
+// rejection is the call's error.
 func (c *Client) AddVertexContext(ctx context.Context, e protocol.DetectionEvent) (int64, error) {
-	if !c.legacyVertex.Load() {
-		if rec, err := protocol.AppendDetectionEvent(nil, &e); err == nil {
-			resp, err := c.do(ctx, request{Op: opAddVertexRec, Rec: rec})
-			var se *ServerError
-			if !errors.As(err, &se) || se.Code != "" || !strings.HasPrefix(se.Msg, "unknown op") {
-				return resp.VertexID, err
-			}
-			c.legacyVertex.Store(true)
-		}
-	}
-	resp, err := c.do(ctx, request{Op: opAddVertex, Event: &e})
-	return resp.VertexID, err
-}
-
-// AddEdgeContext inserts an edge remotely, bounded by ctx.
-func (c *Client) AddEdgeContext(ctx context.Context, from, to int64, weight float64) error {
-	_, err := c.do(ctx, request{Op: opAddEdge, From: from, To: to, Weight: weight})
-	return err
-}
-
-// AddEdgeTracedContext inserts an edge remotely with the writer's trace
-// context attached, so the server records its WAL commit inside the
-// caller's trace. The context survives the client's redial/retry path:
-// it is part of the request frame, not the connection. (The explicit
-// trace wins over any ambient span — the inject middleware only fills
-// empty carriers.)
-func (c *Client) AddEdgeTracedContext(ctx context.Context, from, to int64, weight float64, tc protocol.TraceContext) error {
-	_, err := c.do(ctx, request{Op: opAddEdge, From: from, To: to, Weight: weight, Trace: &tc})
-	return err
+	return oneRecord(c.AddBatchContext(ctx, []protocol.TrajWrite{protocol.VertexWrite(e)}))
 }
 
 // AddBatchContext applies a mixed batch of vertex/edge writes in one RPC
 // and one server-side group commit, bounded by ctx. Returns the
 // allocated vertex IDs and per-record errors, both positional with the
-// input; a non-nil error means the whole batch failed (transport fault
-// or store-level refusal) and nothing in it should be assumed applied.
+// input; a record's rejection is a ServerError that keeps its sentinel
+// (errors.Is(err, ErrEdgeExists), ErrVertexNotFound). A non-nil error
+// means the whole batch failed (transport fault or store-level refusal)
+// and nothing in it should be assumed applied.
 func (c *Client) AddBatchContext(ctx context.Context, writes []protocol.TrajWrite) ([]int64, []error, error) {
-	resp, err := c.do(ctx, request{Op: opAddBatch, Batch: writes})
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opAddBatch}, batch: writes})
 	if err != nil {
 		return nil, nil, err
 	}
-	errs := make([]error, len(writes))
-	for i, s := range resp.Errs {
-		if i >= len(errs) {
-			break
-		}
-		if s != "" {
-			errs[i] = fmt.Errorf("trajstore: server: %s", s)
-		}
+	if len(a.ids) != len(writes) {
+		return nil, nil, fmt.Errorf("trajstore: add_batch answered %d records for %d writes", len(a.ids), len(writes))
 	}
-	ids := resp.VertexIDs
-	if len(ids) < len(writes) {
-		padded := make([]int64, len(writes))
-		copy(padded, ids)
-		ids = padded
-	}
-	return ids, errs, nil
+	return a.ids, a.errs, nil
 }
 
 // VertexContext fetches a vertex by ID, bounded by ctx.
 func (c *Client) VertexContext(ctx context.Context, id int64) (Vertex, error) {
-	resp, err := c.do(ctx, request{Op: opGetVertex, ID: id})
-	return resp.vertex(err)
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opGetVertex, vertexID: id}})
+	return a.vertex, err
 }
 
 // FindByEventIDContext fetches a vertex by its detection-event ID,
 // bounded by ctx.
 func (c *Client) FindByEventIDContext(ctx context.Context, id protocol.EventID) (Vertex, error) {
-	resp, err := c.do(ctx, request{Op: opFindByEvent, EventID: id})
-	return resp.vertex(err)
-}
-
-// vertex returns the vertex a successful reply carries.
-func (r response) vertex(err error) (Vertex, error) {
-	if err == nil && r.Vertex == nil {
-		err = errors.New("trajstore: server returned no vertex")
-	}
-	if err != nil {
-		return Vertex{}, err
-	}
-	return *r.Vertex, nil
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opFindByEvent, eventID: id}})
+	return a.vertex, err
 }
 
 // OutEdgesContext fetches a vertex's outgoing edges, bounded by ctx.
 func (c *Client) OutEdgesContext(ctx context.Context, id int64) ([]Edge, error) {
-	resp, err := c.do(ctx, request{Op: opOutEdges, ID: id})
-	if err != nil {
-		return nil, err
-	}
-	return resp.EdgeList, nil
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opOutEdges, vertexID: id}})
+	return a.edges, err
 }
 
 // StatsContext returns the remote vertex and edge counts, bounded by
 // ctx.
 func (c *Client) StatsContext(ctx context.Context) (vertices, edges int, err error) {
-	resp, err := c.do(ctx, request{Op: opStats})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Vertices, resp.Edges, nil
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opStats}})
+	return a.nVerts, a.nEdges, err
 }
 
 // ReconstructContext executes the full track reconstruction inside the
 // server against a consistent snapshot and returns every candidate
 // track through the sighting, ranked most-plausible first, in one round
-// trip; no track is a nil slice. Requires a server speaking the
-// reconstruct op; an older server answers with an unknown-op error.
-//
-// Like BestContext and SightingsContext, it asks for the answer as a
-// binary record (the request's bin field) and also reads the JSON answer
-// a server that predates binary answers sends. An answer too big for one
-// frame fails with ErrAnswerTooLarge.
+// trip; no track is a nil slice. An answer too big for one frame fails
+// with ErrAnswerTooLarge.
 func (c *Client) ReconstructContext(ctx context.Context, eventID protocol.EventID, limits TraceLimits) ([]Track, error) {
-	resp, err := c.do(ctx, request{Op: opReconstruct, EventID: eventID, Limits: &limits, Bin: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tracks, nil
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opReconstruct, eventID: eventID, limits: limits}})
+	return a.tracks, err
 }
 
 // ReconstructVertexContext is ReconstructContext keyed by vertex ID.
 func (c *Client) ReconstructVertexContext(ctx context.Context, vertexID int64, limits TraceLimits) ([]Track, error) {
-	resp, err := c.do(ctx, request{Op: opReconstruct, ID: vertexID, Limits: &limits, Bin: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tracks, nil
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opReconstruct, vertexID: vertexID, limits: limits}})
+	return a.tracks, err
 }
 
 // BestContext returns the server's top-ranked track through a
-// sighting in one round trip, as a binary record when the server sends
-// one. A sighting with no tracks surfaces as ErrNoTracks (via
-// errors.Is), an unknown event as ErrVertexNotFound.
+// sighting in one round trip. A sighting with no tracks surfaces as
+// ErrNoTracks (via errors.Is), an unknown event as ErrVertexNotFound.
 func (c *Client) BestContext(ctx context.Context, eventID protocol.EventID, limits TraceLimits) (Track, error) {
-	resp, err := c.do(ctx, request{Op: opBest, EventID: eventID, Limits: &limits, Bin: true})
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opBest, eventID: eventID, limits: limits}})
+	if err == nil && len(a.tracks) != 1 {
+		err = fmt.Errorf("trajstore: best answered %d tracks", len(a.tracks))
+	}
 	if err != nil {
 		return Track{}, err
 	}
-	if resp.Track == nil {
-		return Track{}, errors.New("trajstore: server returned no track")
-	}
-	return *resp.Track, nil
+	return a.tracks[0], nil
 }
 
 // SightingsContext lists the ground-truth sightings of a vehicle in
 // time order, answered server-side from the vehicle index over a
-// snapshot, as a binary record when the server sends one; none is a nil
-// slice. maxVertex is the highest vertex ID considered; <= 0 means the
-// whole graph.
+// snapshot; none is a nil slice. maxVertex is the highest vertex ID
+// considered; <= 0 means the whole graph.
 func (c *Client) SightingsContext(ctx context.Context, vehicleID string, maxVertex int64) ([]Hop, error) {
-	resp, err := c.do(ctx, request{Op: opSightings, VehicleID: vehicleID, MaxVertex: maxVertex, Bin: true})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Hops, nil
+	a, err := c.do(ctx, &request{queryKey: queryKey{op: opSightings, vehicleID: vehicleID, maxVertex: maxVertex}})
+	return a.hops, err
 }
 
 // Close closes the client connection.

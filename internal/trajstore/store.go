@@ -197,7 +197,7 @@ func (s *Store) Instrument(reg *obs.Registry, clk clock.Clock) {
 
 // UseTracer attaches a tracer that records a "wal_commit" span — apply
 // through commit acknowledgement — for every write that arrives with a
-// propagated trace context (AddEdgeTraced, or batch records carrying
+// propagated trace context (QueueEdgeTraced, or batch records carrying
 // TrajWrite.Trace). In-memory stores record the apply as the commit.
 // Call before traffic flows.
 func (s *Store) UseTracer(tr *obs.Tracer) {
@@ -252,26 +252,26 @@ func (s *Store) putVertexLocked(v Vertex) {
 	s.nVerts++
 }
 
-// finite rejects floats JSON cannot carry, because the RPC responses are
-// JSON. They, and a timestamp outside years 0..9999, are turned away before
-// anything is applied, so everything stored can be served; replay refuses
-// a log record carrying one.
+// finite rejects NaN and ±Inf. They, and a timestamp outside years
+// 0..9999, are turned away before anything is applied, because replay
+// refuses a log record carrying one: a write the store took must reopen.
+// (The bounds are those of the JSON answers the store once served.)
 func finite(floats ...float64) error {
 	var acc float64
 	for _, f := range floats {
 		acc += f - f // 0 for a finite f, NaN for NaN and ±Inf
 	}
 	if acc != 0 {
-		return errors.New("trajstore: non-finite value cannot be encoded as JSON")
+		return errors.New("trajstore: non-finite value refused")
 	}
 	return nil
 }
 
 // checkEvent applies finite's rule to an event: its histogram, and the
-// year of its timestamp, which JSON carries only in 0..9999.
+// year of its timestamp, which must lie in 0..9999.
 func checkEvent(e *protocol.DetectionEvent) error {
 	if y := e.Timestamp.Year(); y < 0 || y > 9999 {
-		return fmt.Errorf("trajstore: timestamp year %d cannot be encoded as JSON", y)
+		return fmt.Errorf("trajstore: timestamp year %d outside 0..9999", y)
 	}
 	return finite(e.Histogram.Bins...)
 }
@@ -366,69 +366,52 @@ func (s *Store) commitLocked(wb *walBatch, nv, ne int64) error {
 	return nil
 }
 
-// AddVertex inserts a detection event and returns its vertex ID.
+// AddVertex inserts a detection event and returns its vertex ID: a
+// one-record ApplyBatch.
 func (s *Store) AddVertex(e protocol.DetectionEvent) (int64, error) {
-	s.mu.Lock()
-	if err := s.beginWriteLocked(); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	wb := s.newWALBatchLocked()
-	id, err := s.applyVertexLocked(e, wb)
-	if err != nil {
-		s.m.writeErrs.Inc()
-		s.mu.Unlock()
-		return 0, err
-	}
-	if err := s.commitLocked(wb, 1, 0); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return oneRecord(s.ApplyBatch([]protocol.TrajWrite{protocol.VertexWrite(e)}))
 }
 
-// AddEdge links two vertices with a confidence weight. Multiple incoming
-// and outgoing edges per vertex are allowed by design (false positives
-// must not mask true positives), but exact duplicates are rejected.
+// AddEdge links two vertices with a confidence weight, as a one-record
+// ApplyBatch. Multiple incoming and outgoing edges per vertex are allowed
+// by design (false positives must not mask true positives), but exact
+// duplicates are rejected.
 func (s *Store) AddEdge(from, to int64, weight float64) error {
-	s.mu.Lock()
-	if err := s.beginWriteLocked(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	wb := s.newWALBatchLocked()
-	if err := s.applyEdgeLocked(from, to, weight, wb); err != nil {
-		s.m.writeErrs.Inc()
-		s.mu.Unlock()
-		return err
-	}
-	return s.commitLocked(wb, 0, 1)
-}
-
-// AddEdgeTraced is AddEdge carrying the writer's trace context: with a
-// tracer attached (UseTracer) and a sampled context, the write is
-// recorded as a "wal_commit" child span bracketing the in-memory apply
-// and the WAL group-commit wait.
-func (s *Store) AddEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext) error {
-	tr, clk := s.tracerClock()
-	if tr == nil || !tc.Valid() || !tc.Sampled {
-		return s.AddEdge(from, to, weight)
-	}
-	start := clk.Now()
-	err := s.AddEdge(from, to, weight)
-	outcome := "ok"
-	if err != nil {
-		outcome = "error"
-	}
-	tr.RecordChild(obs.SpanContext(tc), "wal_commit", start, clk.Now(), "outcome", outcome)
+	_, err := oneRecord(s.ApplyBatch([]protocol.TrajWrite{protocol.EdgeWrite(from, to, weight)}))
 	return err
 }
 
-// QueueEdgeTraced is AddEdgeTraced with the result passed to done (if
-// non-nil) before it returns: the same edge-queueing call a camera makes
-// on a BatchWriter, kept synchronous so a simulation stays on one
-// goroutine.
+// oneRecord returns a one-record batch's vertex ID, or the batch's error,
+// or else the record's.
+func oneRecord(ids []int64, errs []error, err error) (int64, error) {
+	if err == nil {
+		err = errs[0]
+	}
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
+// QueueEdgeTraced is AddEdge with the result passed to done (if non-nil)
+// before it returns: the same edge-queueing call a camera makes on a
+// BatchWriter, kept synchronous so a simulation stays on one goroutine.
+// With a tracer attached (UseTracer) and a sampled context, the write is
+// recorded as a "wal_commit" child span bracketing the in-memory apply and
+// the WAL group-commit wait.
 func (s *Store) QueueEdgeTraced(from, to int64, weight float64, tc protocol.TraceContext, done func(error)) {
-	err := s.AddEdgeTraced(from, to, weight, tc)
+	var err error
+	if tr, clk := s.tracerClock(); tr == nil || !tc.Valid() || !tc.Sampled {
+		err = s.AddEdge(from, to, weight)
+	} else {
+		start := clk.Now()
+		err = s.AddEdge(from, to, weight)
+		outcome := "ok"
+		if err != nil {
+			outcome = "error"
+		}
+		tr.RecordChild(obs.SpanContext(tc), "wal_commit", start, clk.Now(), "outcome", outcome)
+	}
 	if done != nil {
 		done(err)
 	}

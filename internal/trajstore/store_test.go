@@ -291,6 +291,47 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// A zone offset with negative seconds does not survive time's binary
+// round trip: UnmarshalBinary adds the seconds byte unsigned, so the
+// offset comes back shifted and the instant unchanged. A log holding such
+// a timestamp, written locally or over the wire, must still reopen, and
+// the vertex must still be served.
+func TestOddZoneTimestampSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := time.Date(1883, 11, 18, 12, 0, 0, 0, time.FixedZone("", -3661))
+	local, remote := event("cam#1"), event("cam#2")
+	local.Timestamp, remote.Timestamp = at, at
+	if _, err := s.AddVertex(local); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serveStore(t, s, ServerOptions{}).AddVertexContext(context.Background(), remote); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	cl := serveStore(t, s2, ServerOptions{})
+	for id, want := range map[int64]protocol.EventID{1: "cam#1", 2: "cam#2"} {
+		v, err := cl.VertexContext(context.Background(), id)
+		if err != nil {
+			t.Fatalf("vertex %d after reopen: %v", id, err)
+		}
+		if v.Event.ID != want || !v.Event.Timestamp.Equal(at) {
+			t.Errorf("vertex %d = %s at %v, want %s at %v", id, v.Event.ID, v.Event.Timestamp, want, at)
+		}
+	}
+}
+
 func TestOpenEmptyDirErrors(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("empty dir should error")
@@ -319,8 +360,8 @@ func TestServerClientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.AddEdgeContext(context.Background(), a, b, 0.15); err != nil {
-		t.Fatal(err)
+	if _, errs, err := cl.AddBatchContext(context.Background(), []protocol.TrajWrite{protocol.EdgeWrite(a, b, 0.15)}); err != nil || errs[0] != nil {
+		t.Fatal(err, errs)
 	}
 	v, err := cl.VertexContext(context.Background(), a)
 	if err != nil {
@@ -362,8 +403,8 @@ func TestClientErrorsPropagate(t *testing.T) {
 	if _, err := cl.VertexContext(context.Background(), 42); err == nil {
 		t.Error("missing vertex should error")
 	}
-	if err := cl.AddEdgeContext(context.Background(), 1, 2, 0.5); err == nil {
-		t.Error("edge between missing vertices should error")
+	if _, errs, err := cl.AddBatchContext(context.Background(), []protocol.TrajWrite{protocol.EdgeWrite(1, 2, 0.5)}); err != nil || errs[0] == nil {
+		t.Errorf("edge between missing vertices: %v, %v; want a record error", err, errs)
 	}
 	// The connection survives server-side errors.
 	if _, err := cl.AddVertexContext(context.Background(), event("cam#1")); err != nil {

@@ -63,7 +63,11 @@ func TestTraceContextSurvivesServerRestart(t *testing.T) {
 	var lastErr error
 	recovered := false
 	for i := 0; i < 50 && !recovered; i++ {
-		if err := client.AddEdgeTracedContext(ctx, v1, v2, 12.5, tc); err != nil {
+		_, errs, err := client.AddBatchContext(ctx, []protocol.TrajWrite{protocol.EdgeWrite(v1, v2, 12.5).WithTrace(tc)})
+		if err == nil {
+			err = errs[0]
+		}
+		if err != nil {
 			lastErr = err
 			time.Sleep(50 * time.Millisecond)
 			continue

@@ -1,13 +1,10 @@
 package trajstore
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -21,52 +18,45 @@ import (
 	"repro/internal/rpc"
 )
 
-// fakeServer serves the wire protocol by hand on one connection: it
-// answers each request frame with answer's reply and records the ops in
-// the order they arrived.
-func fakeServer(t *testing.T, answer func(req map[string]any) map[string]any) (addr string, ops func() []string) {
+// fakeServer serves the wire by hand: answer turns each request frame's
+// body into the reply frame's body. It returns its address and the number
+// of connections and of requests it has seen.
+func fakeServer(t *testing.T, answer func(req []byte) []byte) (addr string, seen func() (conns, reqs int)) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = ln.Close() })
-	var mu sync.Mutex
-	var seen []string
+	var wg sync.WaitGroup
+	t.Cleanup(func() { _ = ln.Close(); wg.Wait() })
+	var nConns, nReqs atomic.Int64
+	wg.Add(1)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
+		defer wg.Done()
 		for {
-			var lenBuf [4]byte
-			if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
+			conn, err := ln.Accept()
+			if err != nil {
 				return
 			}
-			buf := make([]byte, binary.BigEndian.Uint32(lenBuf[:]))
-			if _, err := io.ReadFull(conn, buf); err != nil {
-				return
-			}
-			var req map[string]any
-			if err := json.Unmarshal(buf, &req); err != nil {
-				return
-			}
-			mu.Lock()
-			seen = append(seen, fmt.Sprint(req["op"]))
-			mu.Unlock()
-			data, _ := json.Marshal(answer(req))
-			binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-			if _, err := conn.Write(append(lenBuf[:], data...)); err != nil {
-				return
-			}
+			nConns.Add(1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer conn.Close()
+				for {
+					req, err := protocol.ReadFrameBody(conn, maxWireBytes)
+					if err != nil {
+						return
+					}
+					nReqs.Add(1)
+					if err := protocol.WriteFrameBody(conn, answer(req), maxWireBytes); err != nil {
+						return
+					}
+				}
+			}()
 		}
 	}()
-	return ln.Addr().String(), func() []string {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), seen...)
-	}
+	return ln.Addr().String(), func() (int, int) { return int(nConns.Load()), int(nReqs.Load()) }
 }
 
 func dialTest(t *testing.T, addr string) *Client {
@@ -79,14 +69,23 @@ func dialTest(t *testing.T, addr string) *Client {
 	return c
 }
 
-// TestAddVertexRecLogMatchesJSON writes the same events to one persistent
-// store through JSON add_vertex frames (as an old client does) and to
-// another through the client's add_vertex_rec: the two logs are
-// byte-identical and both servers answer get_vertex and best alike.
+// logGoldenSHA256 is the sha256 of the 629-byte trajstore.log that
+// TestAddVertexRecLogMatchesJSON's write sequence left at fe2ba63, whose
+// add_batch carried JSON records (vertices with dense histograms) and
+// whose AddVertexContext sent the event as its log record inside a JSON
+// request.
+const logGoldenSHA256 = "0f202dd0ab9d4327ffcb7e58acd440c9c24b0ca59d153fd5e404cb4350f2926c"
+
+// TestAddVertexRecLogMatchesJSON writes a fixed sequence through Client
+// and BatchWriter — vertices, queued edges, an edge the store rejects and
+// one mixed batch — to a persistent store, and checks that the binary wire
+// writes the log, byte for byte, that the JSON wire wrote. The events vary
+// the zone (UTC, east and west), the nanosecond, the bins (-0, none at all)
+// and the ground-truth vehicle.
 func TestAddVertexRecLogMatchesJSON(t *testing.T) {
-	events := make([]protocol.DetectionEvent, 6)
+	events := make([]protocol.DetectionEvent, 7)
 	for i := range events {
-		e := sightingEvent(fmt.Sprintf("cam%d#%d", i%3, i), fmt.Sprintf("cam%d", i%3), time.Duration(i)*time.Second+time.Duration(i)*time.Nanosecond, "veh-1")
+		e := sightingEvent(fmt.Sprintf("cam%d#%d", i%3, i), fmt.Sprintf("cam%d", i%3), time.Duration(i)*time.Second+time.Duration(i)*time.Nanosecond, fmt.Sprintf("veh-%d", i%2))
 		e.TrackID, e.Direction = int64(i), 2
 		e.Histogram.Bins[7*i+1] = 0.25 * float64(i)
 		e.Histogram.Bins[511] = math.Copysign(0, -1)
@@ -94,99 +93,95 @@ func TestAddVertexRecLogMatchesJSON(t *testing.T) {
 	}
 	events[2].Timestamp = events[2].Timestamp.In(time.FixedZone("", 2*3600))
 	events[4].Histogram.Bins = nil
+	events[5].Timestamp = events[5].Timestamp.In(time.FixedZone("", -5*3600-30*60))
 
-	dirs := [2]string{t.TempDir(), t.TempDir()}
-	var clients [2]*Client
-	for side, dir := range dirs {
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		clients[side] = serveStore(t, s, ServerOptions{})
-	}
-
-	conn, err := net.DialTimeout("tcp", clients[0].cc.Addr(), 2*time.Second)
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	for i, e := range events {
-		var evMap map[string]any
-		if err := json.Unmarshal(mustJSON(t, e), &evMap); err != nil {
-			t.Fatal(err)
-		}
-		if resp := rawCall(t, conn, map[string]any{"op": "add_vertex", "event": evMap}); resp["vertexId"] != float64(i+1) {
-			t.Fatalf("add_vertex %d: %v", i, resp)
-		}
-		if id, err := clients[1].AddVertexContext(context.Background(), e); err != nil || id != int64(i+1) {
+	c := serveStore(t, s, ServerOptions{})
+	ctx := context.Background()
+	for i, e := range events[:4] {
+		if id, err := c.AddVertexContext(ctx, e); err != nil || id != int64(i+1) {
 			t.Fatalf("AddVertexContext %d = %d, %v", i, id, err)
 		}
 	}
-	for _, c := range clients {
-		for i := 1; i < len(events); i++ {
-			if err := c.AddEdgeContext(context.Background(), int64(i), int64(i+1), 0.1*float64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	for i, e := range events {
-		var answers [2][]byte
-		for side, c := range clients {
-			v, err := c.VertexContext(context.Background(), int64(i+1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			best, err := c.BestContext(context.Background(), e.ID, DefaultTraceLimits())
-			if err != nil {
-				t.Fatal(err)
-			}
-			answers[side] = mustJSON(t, []any{v, best})
-		}
-		if !bytes.Equal(answers[0], answers[1]) {
-			t.Errorf("vertex %d: JSON side answers %s, record side %s", i+1, answers[0], answers[1])
-		}
-	}
-	var logs [2][]byte
-	for side, dir := range dirs {
-		if logs[side], err = os.ReadFile(filepath.Join(dir, walFileName)); err != nil {
+	w := NewBatchWriter(c, BatchWriterConfig{})
+	for i := int64(1); i < 4; i++ {
+		if err := w.AddEdge(i, i+1, 0.1*float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(logs[0]) == 0 || !bytes.Equal(logs[0], logs[1]) {
-		t.Errorf("logs differ: %d bytes through add_vertex, %d through add_vertex_rec", len(logs[0]), len(logs[1]))
+	if err := w.AddEdge(1, 2, 0.5); !errors.Is(err, ErrEdgeExists) {
+		t.Fatalf("duplicate edge: %v, want ErrEdgeExists", err)
+	}
+	ids, errs, err := c.AddBatchContext(ctx, []protocol.TrajWrite{
+		protocol.VertexWrite(events[4]), protocol.EdgeWrite(4, 5, 0.45), protocol.VertexWrite(events[5]),
+		protocol.EdgeWrite(5, 6, 0.3), protocol.VertexWrite(events[6]), protocol.EdgeWrite(2, 7, 0.7),
+	})
+	if err != nil || fmt.Sprint(ids) != "[5 0 6 0 7 0]" || fmt.Sprint(errs) != "[<nil> <nil> <nil> <nil> <nil> <nil>]" {
+		t.Fatalf("batch = %v, %v, %v", ids, errs, err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, walFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != logGoldenSHA256 {
+		t.Errorf("log of %d bytes has sha256 %s, want %s", len(data), got, logGoldenSHA256)
 	}
 }
 
-// TestAddVertexFallsBackToJSONOnLegacyServer: a server that answers
-// add_vertex_rec as an unknown op gets it once; the rejected call and
-// every later one go as add_vertex.
-func TestAddVertexFallsBackToJSONOnLegacyServer(t *testing.T) {
-	var nextID float64
-	addr, ops := fakeServer(t, func(req map[string]any) map[string]any {
-		if req["op"] == "add_vertex" && req["event"] != nil {
-			nextID++
-			return map[string]any{"ok": true, "vertexId": nextID}
-		}
-		return map[string]any{"err": fmt.Sprintf("unknown op %v", req["op"])}
+// TestAddVertexOnLegacyServerIsNotRetried: a server from before the binary
+// wire answers the request it cannot read with a JSON "unknown op" error.
+// Each AddVertexContext call goes once, as a one-vertex add_batch, and
+// fails with ErrJSONWire: no second request in another op, and the calls
+// share one connection.
+func TestAddVertexOnLegacyServerIsNotRetried(t *testing.T) {
+	var bodies [][]byte
+	var mu sync.Mutex
+	addr, seen := fakeServer(t, func(req []byte) []byte {
+		mu.Lock()
+		bodies = append(bodies, req)
+		mu.Unlock()
+		return []byte(`{"err":"unknown op"}`)
 	})
 	c := dialTest(t, addr)
-	for want := int64(1); want <= 3; want++ {
-		if id, err := c.AddVertexContext(context.Background(), event(fmt.Sprintf("cam#%d", want))); err != nil || id != want {
-			t.Fatalf("AddVertexContext = %d, %v; want %d", id, err, want)
+	for i := 1; i <= 3; i++ {
+		id, err := c.AddVertexContext(context.Background(), event(fmt.Sprintf("cam#%d", i)))
+		if !errors.Is(err, ErrJSONWire) {
+			t.Fatalf("AddVertexContext %d = %d, %v; want ErrJSONWire", i, id, err)
+		}
+		if conns, reqs := seen(); conns != 1 || reqs != i {
+			t.Fatalf("after call %d: %d connections, %d requests; want 1 and %d", i, conns, reqs, i)
 		}
 	}
-	want := []string{"add_vertex_rec", "add_vertex", "add_vertex", "add_vertex"}
-	if got := ops(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("requests %v, want %v", got, want)
+	mu.Lock()
+	defer mu.Unlock()
+	for i, body := range bodies {
+		r, err := decodeRequest(body)
+		if err != nil || r.op != opAddBatch || len(r.batch) != 1 || r.batch[0].Event == nil {
+			t.Errorf("request %d: %+v, %v; want one add_batch vertex record", i+1, r, err)
+		}
 	}
 }
 
-// TestVertexReplyWithoutVertexIsAnError: a reply that says ok but
-// carries no vertex is an error for the caller, not a nil dereference.
+// TestVertexReplyWithoutVertexIsAnError: an answer of another kind than a
+// vertex (here a stats answer) is an error for the caller, not a zero
+// vertex.
 func TestVertexReplyWithoutVertexIsAnError(t *testing.T) {
-	addr, _ := fakeServer(t, func(map[string]any) map[string]any { return map[string]any{"ok": true} })
+	stats := reply{kind: answerStats, nVerts: 1}
+	body, err := stats.appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := fakeServer(t, func([]byte) []byte { return body })
 	c := dialTest(t, addr)
 	if v, err := c.VertexContext(context.Background(), 1); err == nil {
 		t.Errorf("VertexContext = %+v, nil error", v)
@@ -194,34 +189,23 @@ func TestVertexReplyWithoutVertexIsAnError(t *testing.T) {
 	if v, err := c.FindByEventIDContext(context.Background(), "cam#1"); err == nil {
 		t.Errorf("FindByEventIDContext = %+v, nil error", v)
 	}
-}
-
-// countingListener counts the connections it accepts.
-type countingListener struct {
-	net.Listener
-	accepted atomic.Int64
-}
-
-func (l *countingListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err == nil {
-		l.accepted.Add(1)
+	if v, _, err := c.StatsContext(context.Background()); err != nil || v != 1 {
+		t.Errorf("StatsContext = %d, %v", v, err)
 	}
-	return c, err
 }
 
 // TestUnencodableEventIsTerminalOnOneConnection: an event whose histogram
 // holds NaN or ±Inf, or whose timestamp is in year 10000, reaches the
 // server once and is refused there as a ServerError; nothing is stored,
 // and the client's connection stays in use. Connections are counted by a
-// listener proxying to the server.
+// proxy in front of the server.
 func TestUnencodableEventIsTerminalOnOneConnection(t *testing.T) {
 	store := NewMemStore()
-	var recRequests atomic.Int64
+	var batchRequests atomic.Int64
 	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{Interceptors: []rpc.Interceptor{
 		func(ctx context.Context, req *rpc.Request, next rpc.Handler) (*rpc.Response, error) {
-			if req.Method == opAddVertexRec {
-				recRequests.Add(1)
+			if req.Method == "add_batch" {
+				batchRequests.Add(1)
 			}
 			return next(ctx, req)
 		},
@@ -230,28 +214,8 @@ func TestUnencodableEventIsTerminalOnOneConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln := &countingListener{Listener: inner}
-	defer ln.Close()
-	go func() {
-		for {
-			down, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			up, err := net.Dial("tcp", srv.Addr())
-			if err != nil {
-				_ = down.Close()
-				continue
-			}
-			go func() { _, _ = io.Copy(up, down); _ = up.Close() }()
-			go func() { _, _ = io.Copy(down, up); _ = down.Close() }()
-		}
-	}()
-	c := dialTest(t, ln.Addr().String())
+	addr, accepts := acceptCounter(t, srv.Addr())
+	c := dialTest(t, addr)
 
 	bad := []protocol.DetectionEvent{event("nan#1"), event("inf#1"), event("ninf#1"), event("y10k#1")}
 	bad[0].Histogram.Bins[3] = math.NaN()
@@ -270,10 +234,35 @@ func TestUnencodableEventIsTerminalOnOneConnection(t *testing.T) {
 	if id, err := c.AddVertexContext(context.Background(), event("ok#1")); err != nil || id != 1 {
 		t.Errorf("valid event after the refusals: %d, %v", id, err)
 	}
-	if n := recRequests.Load(); n != int64(len(bad))+1 {
-		t.Errorf("server saw %d add_vertex_rec requests, want %d (each event sent once)", n, len(bad)+1)
+	if n := batchRequests.Load(); n != int64(len(bad))+1 {
+		t.Errorf("server saw %d add_batch requests, want %d (each event sent once)", n, len(bad)+1)
 	}
-	if n := ln.accepted.Load(); n != 1 {
+	if n := accepts.Load(); n != 1 {
 		t.Errorf("%d connections accepted, want 1 (a refusal keeps the connection)", n)
+	}
+}
+
+// TestBatchRecordErrorsKeepTheirSentinel: over TCP, a batch record the
+// store rejects comes back as a ServerError that errors.Is matches to the
+// store's sentinel: a repeated edge to ErrEdgeExists, an edge to a missing
+// vertex to ErrVertexNotFound.
+func TestBatchRecordErrorsKeepTheirSentinel(t *testing.T) {
+	s, ids := buildGraph(t)
+	c := serveStore(t, s, ServerOptions{})
+	_, errs, err := c.AddBatchContext(context.Background(), []protocol.TrajWrite{
+		protocol.EdgeWrite(ids[0], ids[1], 0.1), protocol.EdgeWrite(ids[0], 99, 0.1), protocol.EdgeWrite(ids[1], ids[0], 0.1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *ServerError
+	if !errors.Is(errs[0], ErrEdgeExists) || !errors.As(errs[0], &se) || se.Code != codeEdgeExists {
+		t.Errorf("repeated edge: %v, want an %s ServerError", errs[0], codeEdgeExists)
+	}
+	if !errors.Is(errs[1], ErrVertexNotFound) {
+		t.Errorf("edge to a missing vertex: %v, want ErrVertexNotFound", errs[1])
+	}
+	if errs[2] != nil {
+		t.Errorf("new edge: %v", errs[2])
 	}
 }
