@@ -234,8 +234,8 @@ func (p *proc) terminate(t *testing.T, closing string) {
 // TestSmokeDeployment boots the five servers on ephemeral loopback ports,
 // wired to each other — monitor, both stores on temp dirs (the frame
 // store's GC ticking), topology server, one camera node — waits for every
-// /healthz, sends the trajectory store one JSON request (refused), then
-// stops each with SIGTERM. coral-monitor runs with
+// /healthz, sends the trajectory store one JSON request (refused, and
+// counted as such), then stops each with SIGTERM. coral-monitor runs with
 // -sweep-interval 0, which used to panic on the zero ticker interval.
 func TestSmokeDeployment(t *testing.T) {
 	if testing.Short() {
@@ -270,6 +270,7 @@ func TestSmokeDeployment(t *testing.T) {
 		p.serves(t, "/healthz")
 	}
 	refusesJSON(t, traj.logged(t, "trajectory store listening", "addr"))
+	traj.serves(t, "/metrics", `coralpie_trajstore_requests_refused_total{reason="json_wire"} 1`+"\n")
 	// Every fleet member's first heartbeat has reached the monitor.
 	monitor.serves(t, "/cluster", `"cam0"`, `"trajstore-server-`, `"framestore-server-`, `"topology-server-`)
 

@@ -8,11 +8,14 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/des"
 	"repro/internal/geo"
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/reid"
+	"repro/internal/roadnet"
+	"repro/internal/sim"
 	"repro/internal/tracker"
 	"repro/internal/trajstore"
 	"repro/internal/transport"
@@ -517,6 +520,50 @@ func TestRunLiveMatchesSequential(t *testing.T) {
 	}
 	if n.Stats().FramesProcessed != int64(len(frames)) {
 		t.Errorf("frames processed = %d", n.Stats().FramesProcessed)
+	}
+}
+
+// TestRunLiveOverRealtimeSource streams a simulated camera through the
+// live pipeline, which holds several frames at once while the camera
+// renders the next: each frame must own its pixels (run with -race).
+func TestRunLiveOverRealtimeSource(t *testing.T) {
+	g, ids, err := roadnet.Corridor(3, 200, geo.Point{Lat: 33.7756, Lon: -84.3963})
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := sim.NewWorld(sim.WorldConfig{Sim: des.New(epoch), Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := world.AddVehicle(sim.VehicleSpec{ID: "veh-1", Color: imaging.Red, SpeedMPS: 20, Route: ids}); err != nil {
+		t.Fatal(err)
+	}
+	node, err := g.Node(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam, err := world.AddCamera(sim.DefaultCameraSpec("camR", node.Pos, 0), func(*vision.Frame) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Anchored in the past, so every frame is due at once: no sleeping,
+	// and the vehicle passes the camera 10 s into the stream.
+	src, err := sim.NewRealtimeSourceAt(cam, time.Now().Add(-time.Minute), 13*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events int
+	cfg := nodeConfig("camR", trajstore.NewMemStore())
+	cfg.Hooks.OnEvent = func(protocol.DetectionEvent, bool, protocol.EventID, float64) { events++ }
+	n := newTestNode(t, transport.NewBus(), "camR", cfg)
+	if err := n.RunLive(context.Background(), src); err != nil {
+		t.Fatal(err)
+	}
+	if events != 1 {
+		t.Errorf("live events = %d, want 1", events)
+	}
+	if got := n.Stats().FramesProcessed; got != 13*15+1 {
+		t.Errorf("frames processed = %d, want %d", got, 13*15+1)
 	}
 }
 

@@ -10,14 +10,17 @@ import (
 	"repro/internal/mat"
 )
 
-// Filter is a linear Kalman filter with fixed matrices F, H, Q, R.
+// Filter is a linear Kalman filter with fixed matrices F, H, Q, R. It
+// steps in place: Fᵀ and Hᵀ are computed once and every intermediate
+// lives in a matrix the filter owns, so Predict allocates nothing and
+// Update allocates only inside the inverse of S.
 type Filter struct {
-	x *mat.Matrix // state estimate, n×1
-	p *mat.Matrix // state covariance, n×n
-	f *mat.Matrix // state transition, n×n
-	h *mat.Matrix // observation model, m×n
-	q *mat.Matrix // process noise covariance, n×n
-	r *mat.Matrix // observation noise covariance, m×m
+	x, p       *mat.Matrix // state estimate n×1, state covariance n×n
+	f, h       *mat.Matrix // state transition n×n, observation model m×n
+	q, r       *mat.Matrix // process noise n×n, observation noise m×m covariances
+	ft, ht, id *mat.Matrix // Fᵀ, Hᵀ and the n×n identity
+	// Scratch, by shape: n×1, n×n, n×n, m×1, m×n, m×m, n×m, n×m.
+	xn, nn, nn2, y, mn, s, nm, gain *mat.Matrix
 }
 
 // Config collects the matrices and initial conditions for a Filter.
@@ -60,26 +63,24 @@ func New(cfg Config) (*Filter, error) {
 		}
 	}
 	return &Filter{
-		x: cfg.InitialState.Clone(),
-		p: cfg.InitialCovariance.Clone(),
-		f: cfg.Transition.Clone(),
-		h: cfg.Observation.Clone(),
-		q: cfg.ProcessNoise.Clone(),
-		r: cfg.ObservationNoise.Clone(),
+		x: cfg.InitialState.Clone(), p: cfg.InitialCovariance.Clone(),
+		f: cfg.Transition.Clone(), h: cfg.Observation.Clone(),
+		q: cfg.ProcessNoise.Clone(), r: cfg.ObservationNoise.Clone(),
+		ft: cfg.Transition.Transpose(), ht: cfg.Observation.Transpose(), id: mat.Identity(n),
+		xn: mat.New(n, 1), nn: mat.New(n, n), nn2: mat.New(n, n), y: mat.New(m, 1),
+		mn: mat.New(m, n), s: mat.New(m, m), nm: mat.New(n, m), gain: mat.New(n, m),
 	}, nil
 }
 
 // State returns a copy of the current state estimate.
 func (k *Filter) State() *mat.Matrix { return k.x.Clone() }
 
-// Covariance returns a copy of the current state covariance.
-func (k *Filter) Covariance() *mat.Matrix { return k.p.Clone() }
-
 // Predict advances the state one step through the transition model:
 // x ← Fx, P ← FPFᵀ + Q.
 func (k *Filter) Predict() {
-	k.x = k.f.Mul(k.x)
-	k.p = k.f.Mul(k.p).Mul(k.f.Transpose()).Add(k.q)
+	k.xn.Mul(k.f, k.x)
+	k.x, k.xn = k.xn, k.x
+	k.p.Mul(k.nn.Mul(k.f, k.p), k.ft).Add(k.p, k.q)
 }
 
 // Update incorporates a measurement z (m×1):
@@ -93,15 +94,17 @@ func (k *Filter) Update(z *mat.Matrix) error {
 	if z.Rows() != k.h.Rows() || z.Cols() != 1 {
 		return fmt.Errorf("kalman: measurement is %dx%d, want %dx1", z.Rows(), z.Cols(), k.h.Rows())
 	}
-	y := z.Sub(k.h.Mul(k.x))
-	s := k.h.Mul(k.p).Mul(k.h.Transpose()).Add(k.r)
+	y := k.y.Mul(k.h, k.x)
+	y.Sub(z, y)
+	s := k.s.Mul(k.mn.Mul(k.h, k.p), k.ht).Add(k.s, k.r)
 	sInv, err := s.Inverse()
 	if err != nil {
 		return fmt.Errorf("kalman: innovation covariance: %w", err)
 	}
-	gain := k.p.Mul(k.h.Transpose()).Mul(sInv)
-	k.x = k.x.Add(gain.Mul(y))
-	ikh := mat.Identity(k.p.Rows()).Sub(gain.Mul(k.h))
-	k.p = ikh.Mul(k.p)
+	gain := k.gain.Mul(k.nm.Mul(k.p, k.ht), sInv)
+	k.x.Add(k.x, k.xn.Mul(gain, y))
+	ikh := k.nn.Sub(k.id, k.nn2.Mul(gain, k.h))
+	k.nn2.Mul(ikh, k.p)
+	k.p, k.nn2 = k.nn2, k.p
 	return nil
 }

@@ -8,30 +8,28 @@ import (
 	"repro/internal/mat"
 )
 
+// fromRows builds a matrix from equal-length row slices.
+func fromRows(rows ...[]float64) *mat.Matrix {
+	m := mat.New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		for j, v := range r {
+			m.Set(i, j, v)
+		}
+	}
+	return m
+}
+
 // newConstantVelocity1D builds a 1-D constant-velocity filter: state
 // [position, velocity], observing position only.
 func newConstantVelocity1D(t *testing.T, procNoise, obsNoise float64) *Filter {
 	t.Helper()
-	f, err := mat.FromRows([][]float64{{1, 1}, {0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := mat.FromRows([][]float64{{1, 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mat.Identity(2).Scale(procNoise)
-	r, err := mat.FromRows([][]float64{{obsNoise}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	k, err := New(Config{
 		InitialState:      mat.ColVector(0, 0),
 		InitialCovariance: mat.Identity(2).Scale(100),
-		Transition:        f,
-		Observation:       h,
-		ProcessNoise:      q,
-		ObservationNoise:  r,
+		Transition:        fromRows([]float64{1, 1}, []float64{0, 1}),
+		Observation:       fromRows([]float64{1, 0}),
+		ProcessNoise:      mat.Identity(2).Scale(procNoise),
+		ObservationNoise:  fromRows([]float64{obsNoise}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +85,14 @@ func TestTracksConstantVelocity(t *testing.T) {
 
 func TestCovarianceShrinksWithMeasurements(t *testing.T) {
 	k := newConstantVelocity1D(t, 1e-4, 1.0)
-	before := k.Covariance().At(0, 0)
+	before := k.p.At(0, 0)
 	for i := 0; i < 10; i++ {
 		k.Predict()
 		if err := k.Update(mat.ColVector(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := k.Covariance().At(0, 0)
+	after := k.p.At(0, 0)
 	if after >= before {
 		t.Errorf("covariance should shrink: before %v, after %v", before, after)
 	}
@@ -109,11 +107,11 @@ func TestPredictGrowsUncertainty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := k.Covariance().At(0, 0)
+	before := k.p.At(0, 0)
 	for i := 0; i < 5; i++ {
 		k.Predict()
 	}
-	after := k.Covariance().At(0, 0)
+	after := k.p.At(0, 0)
 	if after <= before {
 		t.Errorf("predict-only should grow uncertainty: before %v, after %v", before, after)
 	}
@@ -145,5 +143,121 @@ func TestStateReturnsCopy(t *testing.T) {
 	s.Set(0, 0, 999)
 	if k.State().At(0, 0) == 999 {
 		t.Error("State() must return a copy")
+	}
+}
+
+func TestPredictAllocatesNothing(t *testing.T) {
+	k := newBoxModel(t, 1)
+	if n := testing.AllocsPerRun(100, k.Predict); n != 0 {
+		t.Errorf("Predict allocated %v times, want 0", n)
+	}
+}
+
+// newBoxModel is the tracker's 7-state constant-velocity box model
+// observing [u, v, s, r], started at a seeded box.
+func newBoxModel(t *testing.T, seed int64) *Filter {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	f := mat.Identity(7)
+	for i := 0; i < 3; i++ {
+		f.Set(i, i+4, 1)
+	}
+	h := mat.New(4, 7)
+	p, q, r := mat.Identity(7), mat.Identity(7), mat.Identity(4)
+	for i := 0; i < 7; i++ {
+		if i < 4 {
+			h.Set(i, i, 1)
+			p.Set(i, i, 10)
+		} else {
+			p.Set(i, i, 10000)
+			q.Set(i, i, 0.01)
+		}
+	}
+	q.Set(6, 6, 0.0001)
+	r.Set(2, 2, 10)
+	r.Set(3, 3, 10)
+	k, err := New(Config{
+		InitialState:      mat.ColVector(100*rng.Float64(), 100*rng.Float64(), 200+50*rng.Float64(), 1+rng.Float64(), 0, 0, 0),
+		InitialCovariance: p,
+		Transition:        f,
+		Observation:       h,
+		ProcessNoise:      q,
+		ObservationNoise:  r,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// oracleMul is a fresh a × b, summed in the order Mul sums.
+func oracleMul(a, b *mat.Matrix) *mat.Matrix {
+	out := mat.New(a.Rows(), b.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		for k := 0; k < a.Cols(); k++ {
+			if a.At(i, k) == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols(); j++ {
+				out.Set(i, j, out.At(i, j)+a.At(i, k)*b.At(k, j))
+			}
+		}
+	}
+	return out
+}
+
+// oracleZip is a fresh matrix of op over a's and b's entries.
+func oracleZip(a, b *mat.Matrix, op func(x, y float64) float64) *mat.Matrix {
+	out := mat.New(a.Rows(), a.Cols())
+	for i := 0; i < a.Rows(); i++ {
+		for j := 0; j < a.Cols(); j++ {
+			out.Set(i, j, op(a.At(i, j), b.At(i, j)))
+		}
+	}
+	return out
+}
+
+func plus(x, y float64) float64  { return x + y }
+func minus(x, y float64) float64 { return x - y }
+
+// TestInPlaceStepMatchesAllocatingFormulas runs 10⁴ seeded steps of the
+// box model against the filter's formulas written with a fresh matrix per
+// operation: state and covariance must agree bit for bit at every step.
+func TestInPlaceStepMatchesAllocatingFormulas(t *testing.T) {
+	k := newBoxModel(t, 44)
+	x, p := k.State(), k.p.Clone()
+	rng := rand.New(rand.NewSource(44))
+	for step := 0; step < 10000; step++ {
+		k.Predict()
+		x = oracleMul(k.f, x)
+		p = oracleZip(oracleMul(oracleMul(k.f, p), k.f.Transpose()), k.q, plus)
+		if step%5 != 4 { // every fifth frame the track goes unmatched
+			z := mat.ColVector(x.At(0, 0)+rng.NormFloat64(), x.At(1, 0)+rng.NormFloat64(),
+				x.At(2, 0)+5*rng.NormFloat64(), x.At(3, 0)+0.05*rng.NormFloat64())
+			if err := k.Update(z); err != nil {
+				t.Fatal(err)
+			}
+			y := oracleZip(z, oracleMul(k.h, x), minus)
+			s := oracleZip(oracleMul(oracleMul(k.h, p), k.h.Transpose()), k.r, plus)
+			sInv, err := s.Inverse()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gain := oracleMul(oracleMul(p, k.h.Transpose()), sInv)
+			x = oracleZip(x, oracleMul(gain, y), plus)
+			p = oracleMul(oracleZip(mat.Identity(7), oracleMul(gain, k.h), minus), p)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want *mat.Matrix
+		}{{"state", k.State(), x}, {"covariance", k.p, p}} {
+			for i := 0; i < c.want.Rows(); i++ {
+				for j := 0; j < c.want.Cols(); j++ {
+					if g, w := c.got.At(i, j), c.want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("step %d: %s(%d,%d) = %v, want %v", step, c.name, i, j, g, w)
+					}
+				}
+			}
+		}
 	}
 }

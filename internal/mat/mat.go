@@ -1,6 +1,8 @@
 // Package mat implements the small dense-matrix operations needed by the
 // Kalman filter in the SORT tracker. Matrices are row-major float64 and
 // sized for state dimensions under ~10, so simplicity beats cache tricks.
+// Mul, Add and Sub write into their receiver, gonum-style (dst.Mul(a, b)),
+// so a filter step reuses matrices it owns instead of allocating.
 package mat
 
 import (
@@ -27,23 +29,6 @@ func New(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("mat: invalid dimensions %dx%d", rows, cols))
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices. All rows must have equal,
-// nonzero length.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("mat: empty rows")
-	}
-	cols := len(rows[0])
-	m := New(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("mat: row %d has %d columns, want %d", i, len(r), cols)
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
 }
 
 // Identity returns the n×n identity matrix.
@@ -81,44 +66,50 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Mul returns m × b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.cols != b.rows {
-		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d × %dx%d", m.rows, m.cols, b.rows, b.cols))
+// Mul sets m to a × b and returns m. m must be a.Rows()×b.Cols() and
+// share no storage with a or b.
+func (m *Matrix) Mul(a, b *Matrix) *Matrix {
+	if a.cols != b.rows || m.rows != a.rows || m.cols != b.cols {
+		panic(fmt.Sprintf("mat: Mul dimension mismatch %dx%d = %dx%d × %dx%d", m.rows, m.cols, a.rows, a.cols, b.rows, b.cols))
 	}
-	out := New(m.rows, b.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.data[i*m.cols+k]
-			if a == 0 {
+	if &m.data[0] == &a.data[0] || &m.data[0] == &b.data[0] {
+		panic("mat: Mul destination aliases an operand")
+	}
+	clear(m.data)
+	for i := 0; i < a.rows; i++ {
+		for k := 0; k < a.cols; k++ {
+			aik := a.data[i*a.cols+k]
+			if aik == 0 {
 				continue
 			}
 			for j := 0; j < b.cols; j++ {
-				out.data[i*b.cols+j] += a * b.data[k*b.cols+j]
+				m.data[i*b.cols+j] += aik * b.data[k*b.cols+j]
 			}
 		}
 	}
-	return out
+	return m
 }
 
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
+// Add sets m to a + b and returns m. All three have one shape; m may be
+// a or b.
+func (m *Matrix) Add(a, b *Matrix) *Matrix {
+	m.mustSameShape(a, "Add")
 	m.mustSameShape(b, "Add")
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] += b.data[i]
+	for i := range m.data {
+		m.data[i] = a.data[i] + b.data[i]
 	}
-	return out
+	return m
 }
 
-// Sub returns m − b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
+// Sub sets m to a − b and returns m. All three have one shape; m may be
+// a or b.
+func (m *Matrix) Sub(a, b *Matrix) *Matrix {
+	m.mustSameShape(a, "Sub")
 	m.mustSameShape(b, "Sub")
-	out := m.Clone()
-	for i := range out.data {
-		out.data[i] -= b.data[i]
+	for i := range m.data {
+		m.data[i] = a.data[i] - b.data[i]
 	}
-	return out
+	return m
 }
 
 // Scale returns m scaled by s.

@@ -8,29 +8,24 @@ import (
 	"testing/quick"
 )
 
+// mustFromRows builds a matrix from equal-length row slices.
 func mustFromRows(t *testing.T, rows [][]float64) *Matrix {
 	t.Helper()
-	m, err := FromRows(rows)
-	if err != nil {
-		t.Fatalf("FromRows: %v", err)
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.cols {
+			t.Fatalf("row %d has %d columns, want %d", i, len(r), m.cols)
+		}
+		copy(m.data[i*m.cols:], r)
 	}
 	return m
-}
-
-func TestFromRowsValidation(t *testing.T) {
-	if _, err := FromRows(nil); err == nil {
-		t.Error("empty rows should error")
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rows should error")
-	}
 }
 
 func TestMul(t *testing.T) {
 	a := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
 	b := mustFromRows(t, [][]float64{{5, 6}, {7, 8}})
 	want := mustFromRows(t, [][]float64{{19, 22}, {43, 50}})
-	if got := a.Mul(b); !got.EqualApprox(want, 1e-12) {
+	if got := New(2, 2).Mul(a, b); !got.EqualApprox(want, 1e-12) {
 		t.Errorf("Mul =\n%v\nwant\n%v", got, want)
 	}
 }
@@ -43,10 +38,10 @@ func TestMulIdentity(t *testing.T) {
 			a.Set(i, j, rng.NormFloat64())
 		}
 	}
-	if got := a.Mul(Identity(4)); !got.EqualApprox(a, 1e-12) {
+	if got := New(4, 4).Mul(a, Identity(4)); !got.EqualApprox(a, 1e-12) {
 		t.Error("A×I != A")
 	}
-	if got := Identity(4).Mul(a); !got.EqualApprox(a, 1e-12) {
+	if got := New(4, 4).Mul(Identity(4), a); !got.EqualApprox(a, 1e-12) {
 		t.Error("I×A != A")
 	}
 }
@@ -57,24 +52,48 @@ func TestMulDimensionPanic(t *testing.T) {
 			t.Error("expected panic on dimension mismatch")
 		}
 	}()
-	New(2, 3).Mul(New(2, 3))
+	New(2, 3).Mul(New(2, 3), New(2, 3))
+}
+
+func TestMulAliasPanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on a destination that is an operand")
+		}
+	}()
+	a := Identity(2)
+	a.Mul(a, Identity(2))
+}
+
+// TestMulOverwritesDestination: a reused destination holds only the
+// product, not the sum of it and what it held.
+func TestMulOverwritesDestination(t *testing.T) {
+	a := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
+	dst := mustFromRows(t, [][]float64{{9, 9}, {9, 9}})
+	if got := dst.Mul(a, Identity(2)); got != dst || !dst.EqualApprox(a, 0) {
+		t.Errorf("Mul into a used destination =\n%v\nwant\n%v", dst, a)
+	}
 }
 
 func TestAddSubScale(t *testing.T) {
 	a := mustFromRows(t, [][]float64{{1, 2}, {3, 4}})
 	b := mustFromRows(t, [][]float64{{10, 20}, {30, 40}})
-	if got := a.Add(b); got.At(1, 1) != 44 {
+	if got := New(2, 2).Add(a, b); got.At(1, 1) != 44 {
 		t.Errorf("Add wrong: %v", got)
 	}
-	if got := b.Sub(a); got.At(0, 0) != 9 {
+	if got := New(2, 2).Sub(b, a); got.At(0, 0) != 9 {
 		t.Errorf("Sub wrong: %v", got)
 	}
 	if got := a.Scale(3); got.At(1, 0) != 9 {
 		t.Errorf("Scale wrong: %v", got)
 	}
-	// Originals untouched.
+	// Operands untouched.
 	if a.At(0, 0) != 1 || b.At(0, 0) != 10 {
 		t.Error("operations must not mutate operands")
+	}
+	// The destination may be an operand.
+	if c := a.Clone(); c.Add(c, b).At(1, 1) != 44 || c.Sub(c, b).At(1, 1) != 4 {
+		t.Errorf("in-place Add/Sub wrong: %v", c)
 	}
 }
 
@@ -133,8 +152,8 @@ func TestInversePropertyAInvAIsIdentity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return a.Mul(inv).EqualApprox(Identity(n), 1e-8) &&
-			inv.Mul(a).EqualApprox(Identity(n), 1e-8)
+		return New(n, n).Mul(a, inv).EqualApprox(Identity(n), 1e-8) &&
+			New(n, n).Mul(inv, a).EqualApprox(Identity(n), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

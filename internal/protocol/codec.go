@@ -1,13 +1,11 @@
 package protocol
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/feature"
 	"repro/internal/geo"
@@ -169,22 +167,6 @@ func (c *Cursor) Count(itemBytes int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// Time returns the next length-prefixed time.MarshalBinary field in only
-// MarshalBinary's own form, so each value has one encoding. An event's
-// timestamp is not read so: an offset with negative seconds never comes
-// back from UnmarshalBinary in that form, and a logged event must reopen.
-func (c *Cursor) Time() time.Time {
-	var t time.Time
-	if b := c.Bytes(); c.err == nil {
-		if c.err = t.UnmarshalBinary(b); c.err == nil {
-			if again, err := t.MarshalBinary(); err != nil || !bytes.Equal(again, b) {
-				c.err = errors.New("time not in its MarshalBinary form")
-			}
-		}
-	}
-	return t
 }
 
 // AppendBytes appends v as a length-prefixed field, as Cursor.Bytes reads it.

@@ -61,7 +61,8 @@ func hashString(s string) uint64 {
 }
 
 // FrameConsumer receives each rendered frame (typically a camera node's
-// ProcessFrameContext).
+// ProcessFrameContext). The pixels are the camera's buffer, redrawn at its
+// next tick.
 type FrameConsumer func(f *vision.Frame)
 
 // Visit is one ground-truth pass of a vehicle through a camera's field of
@@ -119,12 +120,14 @@ type Camera struct {
 	ticker   *des.Ticker
 	visits   *visitTracker
 	// background is the textured backdrop's pixels, a pure function of
-	// the spec, rendered on first use; every frame starts as a copy of it.
-	// A string, so it cannot be written through: []byte(background)
-	// copies it into a fresh buffer without first zeroing it and, unlike a
-	// slice copy of the same cost, without race-detector bookkeeping for
-	// every byte written (which made rendering ~12× slower under -race).
+	// the spec, rendered on first use. A string, so it cannot be written
+	// through.
 	background string
+	// pix is the camera's one pixel buffer, which every Render draws into.
+	// It holds background but for drawn, the last frame's vehicle boxes,
+	// which Render restores rather than copy 147 KB a frame (slow under -race).
+	pix   []byte
+	drawn []imaging.Rect
 }
 
 // AddCamera installs a camera; its ticks begin when StartCameras runs.
@@ -224,15 +227,25 @@ func (c *Camera) tick() {
 }
 
 // Render produces the camera's frame at virtual time now, with
-// ground-truth annotations, and records vehicle visits. Every call returns
-// a fresh pixel buffer: consumers may keep the frame.
+// ground-truth annotations, and records vehicle visits. The pixels are
+// drawn into the camera's own buffer, allocated once and reused by every
+// call: they are valid until this camera's next Render, a consumer that
+// keeps them copies them (RealtimeSource.Next does), and none writes
+// into them.
 func (c *Camera) Render(now time.Duration) *vision.Frame {
-	if c.background == "" {
+	if c.pix == nil {
 		bg := imaging.MustNewFrame(c.spec.Width, c.spec.Height)
 		bg.FillTexturedBackground(imaging.Color{R: 96, G: 96, B: 100}, c.spec.Seed)
-		c.background = string(bg.Pix)
+		c.background, c.pix = string(bg.Pix), bg.Pix
 	}
-	img := &imaging.Frame{Width: c.spec.Width, Height: c.spec.Height, Pix: []byte(c.background)}
+	img := &imaging.Frame{Width: c.spec.Width, Height: c.spec.Height, Pix: c.pix}
+	for _, r := range c.drawn {
+		for y := r.Y; y < r.Y+r.H; y++ {
+			i := (y*img.Width + r.X) * 3
+			copy(c.pix[i:i+r.W*3], c.background[i:i+r.W*3])
+		}
+	}
+	c.drawn = c.drawn[:0]
 
 	f := &vision.Frame{
 		CameraID: c.spec.ID,
@@ -275,6 +288,7 @@ func (c *Camera) Render(now time.Duration) *vision.Frame {
 			continue
 		}
 		img.FillRect(box, shiftColor(v.spec.Color, c.spec.BrightnessOffset))
+		c.drawn = append(c.drawn, img.Clamp(box))
 		f.Truth = append(f.Truth, vision.TruthObject{
 			ID:    v.spec.ID,
 			Label: vision.LabelCar,

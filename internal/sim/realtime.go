@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"time"
@@ -23,14 +24,8 @@ type RealtimeSource struct {
 	sleep    func(time.Duration)
 }
 
-// NewRealtimeSource wraps a camera at its spec's FPS, ending the stream
-// after duration. Virtual time zero corresponds to the moment of this
-// call.
-func NewRealtimeSource(camera *Camera, duration time.Duration) (*RealtimeSource, error) {
-	return NewRealtimeSourceAt(camera, time.Now(), duration)
-}
-
-// NewRealtimeSourceAt anchors virtual time zero at start, which may be in
+// NewRealtimeSourceAt wraps a camera at its spec's FPS, ending the stream
+// after duration. It anchors virtual time zero at start, which may be in
 // the future: processes on different machines sharing the same start
 // instant then render the same world in lock-step, enabling cross-camera
 // re-identification over a real network.
@@ -54,7 +49,8 @@ func NewRealtimeSourceAt(camera *Camera, start time.Time, duration time.Duration
 // Next blocks until the next frame instant and returns the rendered
 // frame, stamped with that wall-clock instant (not the world's DES epoch
 // plus the offset, which would date a live frame to the simulation's
-// calendar); io.EOF after the configured duration.
+// calendar); io.EOF after the configured duration. Each frame's pixels
+// are its own copy: a live pipeline holds several frames at once.
 func (s *RealtimeSource) Next() (*vision.Frame, error) {
 	due := s.start.Add(time.Duration(s.tick) * s.interval)
 	if due.After(s.deadline) {
@@ -66,5 +62,6 @@ func (s *RealtimeSource) Next() (*vision.Frame, error) {
 	s.tick++
 	f := s.camera.Render(due.Sub(s.start))
 	f.Time = due
+	f.Image.Pix = bytes.Clone(f.Image.Pix)
 	return f, nil
 }

@@ -39,10 +39,10 @@ func newRealtimeFixture(t *testing.T) *Camera {
 
 func TestRealtimeSourceValidation(t *testing.T) {
 	cam := newRealtimeFixture(t)
-	if _, err := NewRealtimeSource(nil, time.Second); err == nil {
+	if _, err := NewRealtimeSourceAt(nil, time.Now(), time.Second); err == nil {
 		t.Error("nil camera accepted")
 	}
-	if _, err := NewRealtimeSource(cam, 0); err == nil {
+	if _, err := NewRealtimeSourceAt(cam, time.Now(), 0); err == nil {
 		t.Error("zero duration accepted")
 	}
 }
@@ -64,6 +64,7 @@ func TestRealtimeSourceStreamsAndEnds(t *testing.T) {
 
 	var frames int
 	var lastSeq int64 = -1
+	var prev *vision.Frame
 	for {
 		f, err := src.Next()
 		if errors.Is(err, io.EOF) {
@@ -75,7 +76,11 @@ func TestRealtimeSourceStreamsAndEnds(t *testing.T) {
 		if f.Seq != lastSeq+1 {
 			t.Fatalf("seq jumped %d -> %d", lastSeq, f.Seq)
 		}
-		lastSeq = f.Seq
+		// A live pipeline holds several frames: each has its own pixels.
+		if prev != nil && &prev.Image.Pix[0] == &f.Image.Pix[0] {
+			t.Fatalf("frames %d and %d share a pixel buffer", prev.Seq, f.Seq)
+		}
+		lastSeq, prev = f.Seq, f
 		frames++
 		if frames > 100 {
 			t.Fatal("stream never ended")

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -415,8 +417,8 @@ func TestRenderMatchesReference(t *testing.T) {
 			if !f.Image.Equal(want) {
 				t.Fatalf("seed %d at %v: render differs from the reference", seed, now)
 			}
-			if prev != nil && &prev.Image.Pix[0] == &f.Image.Pix[0] {
-				t.Fatalf("seed %d at %v: two frames share a pixel buffer", seed, now)
+			if prev != nil && &prev.Image.Pix[0] != &f.Image.Pix[0] {
+				t.Fatalf("seed %d at %v: the frame is not drawn into the camera's buffer", seed, now)
 			}
 			prev = f
 		}
@@ -441,5 +443,36 @@ func TestRenderDeterministic(t *testing.T) {
 	a, b := mk(), mk()
 	if !a.Image.Equal(b.Image) {
 		t.Error("render not deterministic")
+	}
+}
+
+// TestRenderAllocatesNoPixelBuffer: a frame with a vehicle in view costs
+// its headers and truth, not a 147 KB pixel buffer. The heap counters are
+// the process's, so the least of three rounds is taken.
+func TestRenderAllocatesNoPixelBuffer(t *testing.T) {
+	w, ids := newCorridorWorld(t)
+	if err := w.AddVehicle(VehicleSpec{ID: "v", Color: imaging.Red, SpeedMPS: 20, Route: ids}); err != nil {
+		t.Fatal(err)
+	}
+	cam, err := w.AddCamera(DefaultCameraSpec("cam1", nodePos(t, w, ids[1]), 0), func(*vision.Frame) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := cam.Render(10 * time.Second); len(f.Truth) != 1 {
+		t.Fatalf("truth = %+v, want the vehicle in view", f.Truth)
+	}
+	const calls = 100
+	perCall := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			cam.Render(10 * time.Second)
+		}
+		runtime.ReadMemStats(&after)
+		perCall = min(perCall, (after.TotalAlloc-before.TotalAlloc)/calls)
+	}
+	if perCall > 256 {
+		t.Errorf("Render allocated %d B per call, want <= 256", perCall)
 	}
 }

@@ -3,7 +3,8 @@
 // (waiting at traffic lights), and each simulated camera renders raster
 // frames of its field of view with ground-truth annotations. Downstream
 // components consume real pixels and real bounding boxes, so the vision,
-// tracking, and re-identification code paths run unchanged.
+// tracking, and re-identification code paths run unchanged. A camera
+// draws every frame into its one pixel buffer, redrawn at its next frame.
 package sim
 
 import (

@@ -1,8 +1,7 @@
 // Package tracker implements the SORT multi-object tracker (Bewley et al.,
 // "Simple Online and Realtime Tracking", ICIP 2016) that Coral-Pie runs on
 // RPi 2 to de-duplicate per-frame detections into one detection event per
-// vehicle (paper Section 4.1.2), plus a naive centroid-matching baseline
-// used by the design-space ablations.
+// vehicle (paper Section 4.1.2).
 package tracker
 
 import (
@@ -133,10 +132,13 @@ func (tr *Tracker) Update(seq int64, dets []vision.Detection) (UpdateResult, err
 	}
 	if len(dets) > 0 && len(tr.tracks) > 0 {
 		iou := make([][]float64, len(dets))
-		for i, d := range dets {
+		for i := range dets {
 			iou[i] = make([]float64, len(tr.tracks))
-			for j, t := range tr.tracks {
-				iou[i][j] = d.Box.IoU(t.PredictedBox())
+		}
+		for j, t := range tr.tracks {
+			box := t.PredictedBox() // once per track, not per (detection, track)
+			for i, d := range dets {
+				iou[i][j] = d.Box.IoU(box)
 			}
 		}
 		assign, _, err := hungarian.SolveMax(iou)
@@ -201,14 +203,6 @@ func (tr *Tracker) Update(seq int64, dets []vision.Detection) (UpdateResult, err
 func (tr *Tracker) Flush() []*Track {
 	out := tr.tracks
 	tr.tracks = nil
-	return out
-}
-
-// ActiveTracks returns the live tracks (shared pointers; callers must not
-// mutate).
-func (tr *Tracker) ActiveTracks() []*Track {
-	out := make([]*Track, len(tr.tracks))
-	copy(out, tr.tracks)
 	return out
 }
 

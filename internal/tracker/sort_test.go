@@ -95,7 +95,7 @@ func TestTwoCrossingObjectsKeepIdentity(t *testing.T) {
 	if idOf["a"] == idOf["b"] {
 		t.Error("two distinct vehicles ended on the same track")
 	}
-	if tr.ActiveTracks()[0].Hits < 20 {
+	if tr.tracks[0].Hits < 20 {
 		t.Error("tracks should accumulate hits across the pass")
 	}
 }
@@ -204,7 +204,7 @@ func TestTrackletAccumulates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tracks := tr.ActiveTracks()
+	tracks := tr.tracks
 	if len(tracks) != 1 {
 		t.Fatal("want one track")
 	}
@@ -266,7 +266,7 @@ func TestPredictedBoxFollowsMotion(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	track := tr.ActiveTracks()[0]
+	track := tr.tracks[0]
 	// After 10 frames at +10px/frame the KF velocity should predict ahead.
 	before := track.PredictedBox().CenterX()
 	if _, err := tr.Update(10, nil); err != nil { // predict-only step

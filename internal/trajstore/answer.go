@@ -230,8 +230,17 @@ func decodeHops(c *protocol.Cursor) ([]Hop, error) {
 		h := &hops[i]
 		h.VertexID = c.Varint()
 		h.Camera = string(c.Bytes())
-		h.Time = c.Time()
+		ts := c.Bytes()
 		h.LinkWeight = math.Float64frombits(c.Fixed64())
+		if c.Err() != nil {
+			break
+		}
+		// Read as an event's timestamp is: an offset with negative
+		// seconds never comes back from UnmarshalBinary in MarshalBinary's
+		// own form, and the store holds such times.
+		if err := h.Time.UnmarshalBinary(ts); err != nil {
+			return nil, err
+		}
 	}
 	return hops, c.Err()
 }

@@ -190,37 +190,74 @@ func TestEmptyBinaryAnswersAreNil(t *testing.T) {
 	}
 }
 
-// TestUnencodableHopTimeFailsTheCall stores, in memory, a sighting whose
-// zone offset (-00:01) time.MarshalBinary refuses: the answer holding it
-// does not encode, so the call fails with an error answer naming the op,
-// and the connection stays in use.
-func TestUnencodableHopTimeFailsTheCall(t *testing.T) {
-	s, _ := buildGraph(t)
+// TestUnencodableTimestampRefusedByBothStores: a zone offset
+// time.MarshalBinary refuses (-00:01) is refused by the memory store as
+// by the persistent store, whose log could not hold it. (A client cannot
+// send one: its request does not encode.)
+func TestUnencodableTimestampRefusedByBothStores(t *testing.T) {
 	e := sightingEvent("camZ#1", "camZ", 30*time.Second, "veh-9")
 	e.Timestamp = e.Timestamp.In(time.FixedZone("", -60))
 	if _, err := e.Timestamp.MarshalBinary(); err == nil {
 		t.Fatal("MarshalBinary took a -00:01 offset")
 	}
-	if _, err := s.AddVertex(e); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Serve(s, "127.0.0.1:0")
+	disk, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	addr, accepts := acceptCounter(t, srv.Addr())
-	client := dialTest(t, addr)
-	var se *ServerError
-	if _, err := client.SightingsContext(context.Background(), "veh-9", 0); !errors.As(err, &se) || !strings.Contains(se.Msg, "sightings answer") {
-		t.Errorf("sightings: %v, want a ServerError naming the sightings answer", err)
+	defer func() { _ = disk.Close() }()
+	for name, s := range map[string]*Store{"memory": NewMemStore(), "persistent": disk} {
+		if _, err := s.AddVertex(e); err == nil {
+			t.Errorf("%s store took a -00:01 timestamp", name)
+		}
+		if n := s.NumVertices(); n != 0 {
+			t.Errorf("%s store holds %d vertices", name, n)
+		}
 	}
-	if hops, err := client.SightingsContext(context.Background(), "veh-1", 0); err != nil || len(hops) != 3 {
-		t.Errorf("sightings after the refusal: %v, %v", hops, err)
+}
+
+// TestOddZoneHopTimesReachTheClient: a sighting at a zone offset with
+// negative seconds, which the stores take and keep, reaches a remote
+// caller in every hop answer, at the same instant.
+func TestOddZoneHopTimesReachTheClient(t *testing.T) {
+	zone := time.FixedZone("", -3661)
+	s := NewMemStore()
+	var prev int64
+	for i, cam := range []string{"camA", "camB", "camC"} {
+		e := sightingEvent(cam+"#1", cam, time.Duration(i)*10*time.Second, "veh-9")
+		e.Timestamp = e.Timestamp.In(zone)
+		id, err := s.AddVertex(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != 0 {
+			if err := s.AddEdge(prev, id, 0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		prev = id
 	}
-	if n := accepts.Load(); n != 1 {
-		t.Errorf("%d connections accepted, want 1", n)
+	client := serveStore(t, s, ServerOptions{})
+	ctx := context.Background()
+	check := func(op string, hops []Hop, err error) {
+		t.Helper()
+		if err != nil || len(hops) != 3 {
+			t.Fatalf("%s: %d hops, %v; want 3", op, len(hops), err)
+		}
+		for i, h := range hops {
+			if want := trackEpoch.Add(time.Duration(i) * 10 * time.Second); !h.Time.Equal(want) {
+				t.Errorf("%s hop %d at %v, want %v", op, i, h.Time, want)
+			}
+		}
 	}
+	hops, err := client.SightingsContext(ctx, "veh-9", 0)
+	check("sightings", hops, err)
+	best, err := client.BestContext(ctx, "camA#1", DefaultTraceLimits())
+	check("best", best.Hops, err)
+	tracks, err := client.ReconstructContext(ctx, "camA#1", DefaultTraceLimits())
+	if err != nil || len(tracks) != 1 {
+		t.Fatalf("reconstruct: %d tracks, %v; want 1", len(tracks), err)
+	}
+	check("reconstruct", tracks[0].Hops, err)
 }
 
 // TestResponseDecodeFirstByte checks the client's reply rule: answerV1 is
@@ -312,27 +349,63 @@ func FuzzDecodeAnswer(f *testing.F) {
 			return
 		}
 		again, err := a.appendTo(nil)
-		if err != nil {
+		if err != nil && !unencodableTime(&a) {
 			t.Fatalf("re-encode %+v: %v", a, err)
 		}
-		if !bytes.Equal(again, data) && !sameButTheZone(a, again) {
+		if err == nil && !bytes.Equal(again, data) && !sameButTheZone(a, again) {
 			t.Fatalf("re-encoded to\n%x\nfrom\n%x", again, data)
 		}
 	})
 }
 
-// sameButTheZone reports whether again, the re-encoding of the vertex
-// answer a, decodes to a's vertex at the same instant. An event's
-// timestamp is read with time.UnmarshalBinary, as the store's log replay
-// reads it: that takes more than one form of some times and shifts an
-// offset with negative seconds, so such an answer cannot re-encode to its
-// own bytes.
+// sameButTheZone reports whether again, the re-encoding of the answer a,
+// decodes to a with every time at the same instant. Event and hop times
+// are read with time.UnmarshalBinary, as the store's log replay reads
+// them: that takes more than one form of some times and shifts an offset
+// with negative seconds, so such an answer cannot re-encode to its own
+// bytes.
 func sameButTheZone(a reply, again []byte) bool {
 	b, err := decodeReply(again)
-	if err != nil || a.kind != answerVertex || !b.vertex.Event.Timestamp.Equal(a.vertex.Event.Timestamp) {
+	if err != nil {
 		return false
 	}
-	b.vertex.Event.Timestamp = a.vertex.Event.Timestamp
+	ta, tb := answerTimes(&a), answerTimes(&b)
+	if len(ta) != len(tb) {
+		return false
+	}
+	for i := range ta {
+		if !tb[i].Equal(*ta[i]) {
+			return false
+		}
+		*tb[i] = *ta[i]
+	}
 	same, err := b.appendTo(nil)
 	return err == nil && bytes.Equal(same, again)
+}
+
+// unencodableTime reports whether the answer holds a time
+// time.MarshalBinary refuses: UnmarshalBinary shifts some offsets with
+// negative seconds to one (−00:01:01, say), so not every decoded answer
+// re-encodes.
+func unencodableTime(r *reply) bool {
+	for _, t := range answerTimes(r) {
+		if _, err := t.MarshalBinary(); err != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// answerTimes points at every time the answer holds.
+func answerTimes(r *reply) []*time.Time {
+	ts := []*time.Time{&r.vertex.Event.Timestamp}
+	for i := range r.hops {
+		ts = append(ts, &r.hops[i].Time)
+	}
+	for i := range r.tracks {
+		for j := range r.tracks[i].Hops {
+			ts = append(ts, &r.tracks[i].Hops[j].Time)
+		}
+	}
+	return ts
 }

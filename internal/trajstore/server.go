@@ -245,6 +245,12 @@ type Server struct {
 	store  *Store
 	engine *queryEngine
 	rs     *rpc.Server
+	// refused counts the requests answered with an error, by reason:
+	// json_wire (a JSON request, below the format floor), invalid (one
+	// that does not decode) and rejected (by the store or the op, a
+	// missing vertex included). An error answer is not an rpc error, so
+	// nothing else on the server counts it.
+	refused map[string]*obs.Counter
 }
 
 // Serve starts a server for the store on addr (use "127.0.0.1:0" for an
@@ -258,7 +264,7 @@ func ServeWith(store *Store, addr string, opts ServerOptions) (*Server, error) {
 	if store == nil {
 		return nil, errors.New("trajstore: nil store")
 	}
-	s := &Server{store: store, engine: newQueryEngine(store, opts.QueryCache, opts.Registry)}
+	s := newServer(store, opts)
 	ics := opts.Interceptors
 	if opts.Logger != nil {
 		ics = append([]rpc.Interceptor{rpc.WithServerLogging(opts.Logger)}, ics...)
@@ -274,13 +280,37 @@ func ServeWith(store *Store, addr string, opts ServerOptions) (*Server, error) {
 	return s, nil
 }
 
+// newServer is ServeWith's server before it listens.
+func newServer(store *Store, opts ServerOptions) *Server {
+	reg := opts.Registry
+	if reg == nil {
+		reg = obs.Default()
+	}
+	s := &Server{store: store, engine: newQueryEngine(store, opts.QueryCache, reg), refused: map[string]*obs.Counter{}}
+	for _, reason := range []string{"json_wire", "invalid", "rejected"} {
+		s.refused[reason] = reg.Counter("coralpie_trajstore_requests_refused_total",
+			"trajectory-store requests answered with an error, by reason", "reason", reason)
+	}
+	return s
+}
+
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.rs.Addr() }
 
 // dispatch is the base handler under the server chain. A store-level
 // rejection is an answer, not a chain error.
 func (s *Server) dispatch(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
-	a := s.handle(ctx, req.Body.(*request))
+	r := req.Body.(*request)
+	a := s.handle(ctx, r)
+	if a.kind == answerError {
+		reason := "rejected"
+		if errors.Is(r.err, ErrJSONWire) {
+			reason = "json_wire"
+		} else if r.err != nil {
+			reason = "invalid"
+		}
+		s.refused[reason].Inc()
+	}
 	return &rpc.Response{Body: &a}, nil
 }
 

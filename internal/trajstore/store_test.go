@@ -332,6 +332,35 @@ func TestOddZoneTimestampSurvivesReopen(t *testing.T) {
 	}
 }
 
+// TestShiftedZoneVertexSurvivesReopen: a write at -00:05:17 is taken, and
+// its timestamp reads back from the log at -00:01:01, an offset
+// time.MarshalBinary refuses. Replay must keep the vertex all the same: a
+// live write's refusal of such offsets does not apply to the log.
+func TestShiftedZoneVertexSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := event("cam#1")
+	e.Timestamp = e.Timestamp.In(time.FixedZone("", -317))
+	if _, err := s.AddVertex(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	v, err := s2.Vertex(1)
+	if err != nil || !v.Event.Timestamp.Equal(e.Timestamp) {
+		t.Fatalf("vertex after reopen = %v at %v, %v; want it at %v", v.Event.ID, v.Event.Timestamp, err, e.Timestamp)
+	}
+}
+
 func TestOpenEmptyDirErrors(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("empty dir should error")

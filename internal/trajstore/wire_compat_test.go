@@ -69,6 +69,47 @@ func TestWireCompatOldClientNewServer(t *testing.T) {
 	}
 }
 
+// TestRefusedRequestsAreCounted: each request answered with an error
+// counts once in coralpie_trajstore_requests_refused_total, under its
+// reason, and a served request counts nowhere.
+func TestRefusedRequestsAreCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, _ := buildGraph(t)
+	srv, err := ServeWith(s, "127.0.0.1:0", ServerOptions{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialTimeout("tcp", srv.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	encode := func(r request) []byte {
+		body, err := r.appendTo(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	for _, body := range [][]byte{
+		[]byte(`{"op":"stats"}`),
+		{requestV1, 0x7f},
+		encode(request{queryKey: queryKey{op: opGetVertex, vertexID: 99}}),
+		encode(request{queryKey: queryKey{op: opStats}}),
+	} {
+		roundTrip(t, conn, body)
+	}
+	for _, reason := range []string{"json_wire", "invalid", "rejected"} {
+		if n := reg.Counter("coralpie_trajstore_requests_refused_total", "", "reason", reason).Value(); n != 1 {
+			t.Errorf("%s refusals = %d, want 1", reason, n)
+		}
+	}
+	if v := obs.LintMetricNames(reg.Snapshot()); len(v) != 0 {
+		t.Errorf("server registry violates metric naming: %v", v)
+	}
+}
+
 // TestWireCompatNewClientOldServer runs the client against a server that
 // answers every request in JSON, as a server from before the binary wire
 // answered those it read. Each call fails with ErrJSONWire after one
@@ -116,7 +157,7 @@ func FuzzServeRequest(f *testing.F) {
 			return
 		}
 		s, _ := buildGraph(t)
-		srv := &Server{store: s, engine: newQueryEngine(s, 0, obs.NewRegistry())}
+		srv := newServer(s, ServerOptions{Registry: obs.NewRegistry()})
 		resp, err := srv.dispatch(context.Background(), req)
 		if err == nil {
 			err = wireCodec{}.WriteResponse(io.Discard, req, resp, nil)
