@@ -39,7 +39,8 @@ smoke:
 # checked-in corpus (testdata/fuzz in each package): envelopes through
 # Open (the old all-JSON form must be refused), frame records as the
 # framestore reads them, detection events as the trajectory store's log
-# records carry them, whole
+# records carry them, add_batch write batches as the trajectory-store
+# server decodes them, whole
 # trajectory-store logs through Open against the pre-apply validator,
 # trajectory-store request frames through the server's op dispatch, the
 # binary query answers a trajectory-store client decodes, a
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadEnvelope$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrameRecord$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDetectionEvent$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrajWrites$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/

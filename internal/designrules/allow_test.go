@@ -102,5 +102,15 @@ var rootContextAllow = map[string]bool{
 	"internal/rpc/server.go: uses context.Background":            true,
 	"internal/trajstore/batchwriter.go: uses context.Background": true,
 	"internal/transport/inproc.go: uses context.Background":      true,
-	"internal/transport/tcp.go: uses context.Background":         true,
+}
+
+// tcpLifecyclePackages may dial, listen and accept: the one server and
+// client connection every TCP wire runs on.
+var tcpLifecyclePackages = []string{"internal/rpc"}
+
+// tcpLifecycleAllow lists the files that dial, listen or accept outside
+// rpc ("<file>: uses net.<name>" or "<file>: calls Accept()"): the
+// telemetry HTTP server, whose listener net/http serves.
+var tcpLifecycleAllow = map[string]bool{
+	"internal/obs/http.go: uses net.Listen": true,
 }

@@ -162,6 +162,11 @@ func importers(files []srcFile, path string) []string {
 // uses reports, once per file, every selector on the package at path
 // naming one of names, under whatever name the file imports it.
 func uses(files []srcFile, path string, names ...string) []string {
+	return usesMatching(files, path, func(name string) bool { return contains(names, name) })
+}
+
+// usesMatching is uses for the names match accepts.
+func usesMatching(files []srcFile, path string, match func(string) bool) []string {
 	base := path[strings.LastIndexByte(path, '/')+1:]
 	seen := make(map[string]bool)
 	var out []string
@@ -172,7 +177,7 @@ func uses(files []srcFile, path string, names ...string) []string {
 		}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || !contains(names, sel.Sel.Name) {
+			if !ok || !match(sel.Sel.Name) {
 				return true
 			}
 			if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
@@ -227,6 +232,35 @@ func jsonFrames(files []srcFile) []string {
 func rootContexts(files []srcFile) []string {
 	files = except(files, func(f srcFile) bool { return f.ast.Name.Name == "main" || contains(rootContextPackages, f.dir) })
 	return uses(files, "context", "Background", "TODO")
+}
+
+// tcpLifecycles reports, outside the packages allowed them, every use of
+// net's dialers and listeners (net.Dial*, net.Dialer, net.Listen*; the
+// net.Listener type is not one) and, once per file, every argument-less
+// Accept call: rpc.Server is the one accept loop and rpc.ClientConn the
+// one client connection. Without type checking, the rule takes any
+// x.Accept() for a listener's.
+func tcpLifecycles(files []srcFile) []string {
+	files = except(files, func(f srcFile) bool { return contains(tcpLifecyclePackages, f.dir) })
+	out := usesMatching(files, "net", func(name string) bool {
+		return strings.HasPrefix(name, "Dial") || strings.HasPrefix(name, "Listen") && name != "Listener"
+	})
+	for _, f := range files {
+		found := false
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 0 {
+				return !found
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Accept" {
+				out = append(out, f.path+": calls Accept()")
+				found = true
+			}
+			return !found
+		})
+	}
+	sort.Strings(out)
+	return out
 }
 
 // importName returns the name f imports path under, "" when it does not.
@@ -325,6 +359,7 @@ func TestDesignRules(t *testing.T) {
 	check(t, "one processor yield", yields(files), goschedAllow)
 	check(t, "root contexts only in mains and the daemon runtime", rootContexts(files), rootContextAllow)
 	check(t, "no JSON frames on the request/response wires", jsonFrames(files), jsonFrameAllow)
+	check(t, "one TCP lifecycle", tcpLifecycles(files), tcpLifecycleAllow)
 }
 
 // parseFile parses src as the file at path, for planted violations.
@@ -524,5 +559,46 @@ func f(w io.Writer) { _ = WriteFrame(w, nil, 1) }`),
 	}
 	if got := jsonFrames(frames); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("JSON frame rule on planted calls = %q, want %q", got, want)
+	}
+
+	// A renamed net's dialers and listeners count, once per file per
+	// name, and so does an Accept() on anything; rpc, an Accept with
+	// arguments, net's other functions and http.Serve do not.
+	lifecycles := []srcFile{
+		parseFile(t, "internal/transport/tcp.go", `package transport
+import nt "net"
+func f(ln nt.Listener) {
+	var d nt.Dialer
+	c, _ := nt.DialTimeout("tcp", "a:1", 0)
+	c, _ = nt.DialTimeout("tcp", "a:2", 0)
+	l, _ := nt.Listen("tcp", ":0")
+	for {
+		c, _ := ln.Accept()
+		c, _ = l.Accept()
+	}
+	_, _ = nt.SplitHostPort("a:1")
+}`),
+		parseFile(t, "internal/obs/http.go", `package obs
+import ("net/http"; "repro/internal/rpc")
+func f(ln net.Listener, q queue) {
+	_ = http.Serve(ln, nil)
+	q.Accept(1)
+}`),
+		parseFile(t, "internal/rpc/server.go", `package rpc
+import "net"
+func f() {
+	ln, _ := net.Listen("tcp", ":0")
+	c, _ := ln.Accept()
+	var d net.Dialer
+}`),
+	}
+	want = []string{
+		"internal/transport/tcp.go: calls Accept()",
+		"internal/transport/tcp.go: uses net.DialTimeout",
+		"internal/transport/tcp.go: uses net.Dialer",
+		"internal/transport/tcp.go: uses net.Listen",
+	}
+	if got := tcpLifecycles(lifecycles); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("TCP lifecycle rule on planted calls = %q, want %q", got, want)
 	}
 }

@@ -52,6 +52,7 @@ type Agent struct {
 
 	stopOnce sync.Once
 	stopped  chan struct{}
+	loop     sync.WaitGroup // the Start loop
 }
 
 // NewAgent builds an agent; it panics on a missing NodeID or Send
@@ -125,7 +126,9 @@ func (a *Agent) Start(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
+	a.loop.Add(1)
 	go func() {
+		defer a.loop.Done()
 		_ = a.Push(ctx)
 		t := time.NewTicker(interval)
 		defer t.Stop()
@@ -142,7 +145,9 @@ func (a *Agent) Start(ctx context.Context, interval time.Duration) {
 	}()
 }
 
-// Stop ends the Start loop. Idempotent.
+// Stop ends the Start loop and waits for a push in flight, so the
+// client under Send can close once Stop returns. Idempotent.
 func (a *Agent) Stop() {
 	a.stopOnce.Do(func() { close(a.stopped) })
+	a.loop.Wait()
 }

@@ -24,7 +24,7 @@ const maxWireBytes = 8 << 20
 // generic rpc server, the same shape as the store protocols.
 type wireCodec struct{}
 
-func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
+func (wireCodec) ReadRequest(r io.Reader, _ *[]byte) (*rpc.Request, error) {
 	var req pushRequest
 	if err := protocol.ReadFrame(r, &req, maxWireBytes); err != nil {
 		return nil, err
@@ -186,5 +186,6 @@ func (c *Client) roundTrip(ctx context.Context, req *rpc.Request) (*rpc.Response
 // Metrics exposes the client's rpc telemetry handles.
 func (c *Client) Metrics() *rpc.Metrics { return c.m }
 
-// Close closes the client connection.
+// Close closes the client connection at once, failing a push in
+// flight, and is final: a later push fails with net.ErrClosed.
 func (c *Client) Close() error { return c.cc.Close() }

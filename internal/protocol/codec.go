@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/feature"
 	"repro/internal/geo"
@@ -207,6 +208,41 @@ func decodeEnvelope(body []byte) (Envelope, error) {
 	return env, nil
 }
 
+// errTimeForm refuses time bytes time.MarshalBinary never writes.
+var errTimeForm = errors.New("time not in its MarshalBinary form")
+
+// UnmarshalTime decodes the bytes time.MarshalBinary writes, and only
+// those, back to the same instant at the same zone offset. It reads a
+// version-2 offset's seconds byte signed, as MarshalBinary writes it;
+// time.UnmarshalBinary adds it unsigned, so it reads −00:05:17 back as
+// −00:01:01, an offset MarshalBinary refuses. Every binary codec reads
+// its times here. A form MarshalBinary never writes (nanoseconds past a
+// second, a version-2 offset whose seconds byte is zero, disagrees with
+// its minutes or rides the UTC marker) is refused, so whatever decodes
+// re-encodes to the same bytes.
+func UnmarshalTime(b []byte) (time.Time, error) {
+	var t time.Time
+	if err := t.UnmarshalBinary(b); err != nil {
+		return time.Time{}, err
+	}
+	// UnmarshalBinary checked the length: 15 bytes, or 16 in version 2.
+	if nsec := int32(binary.BigEndian.Uint32(b[9:])); nsec < 0 || nsec >= 1e9 {
+		return time.Time{}, errTimeForm
+	}
+	if len(b) == 15 {
+		return t, nil
+	}
+	mins, secs := int(int16(binary.BigEndian.Uint16(b[13:]))), int(int8(b[15]))
+	off := mins*60 + secs
+	if secs == 0 || mins == -1 || off/60 != mins || off%60 != secs {
+		return time.Time{}, errTimeForm
+	}
+	if _, local := t.In(time.Local).Zone(); local == off {
+		return t.In(time.Local), nil
+	}
+	return t.In(time.FixedZone("", off)), nil
+}
+
 // AppendFrameRecordHeader appends rec's binary encoding up to and
 // including the pixel length. The pixels follow as they are, so a writer
 // can put the header and rec.Pixels on a stream without joining them.
@@ -289,7 +325,8 @@ func decodeFrameRecordV1(b []byte, rec *FrameRecord) error {
 	if len(c.b) != 0 {
 		return fmt.Errorf("%d trailing bytes", len(c.b))
 	}
-	if err := rec.Timestamp.UnmarshalBinary(ts); err != nil {
+	var err error
+	if rec.Timestamp, err = UnmarshalTime(ts); err != nil {
 		return err
 	}
 	if len(ann) > 0 {
@@ -392,5 +429,7 @@ func decodeDetectionEvent(data []byte, e *DetectionEvent) error {
 	if len(c.b) != 0 {
 		return fmt.Errorf("%d trailing bytes", len(c.b))
 	}
-	return e.Timestamp.UnmarshalBinary(ts)
+	var err error
+	e.Timestamp, err = UnmarshalTime(ts)
+	return err
 }

@@ -187,3 +187,53 @@ func FuzzDecodeDetectionEvent(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeTrajWrites feeds arbitrary bytes to the add_batch write-batch
+// decoder. It may not panic, and whatever decodes must re-encode and
+// decode again to the same batch: the same kinds, endpoints, weight bits,
+// trace contexts and events. The checked-in corpus holds an empty batch,
+// a traced vertex with two edges, a vertex at an offset with negative
+// seconds, a truncated batch and one of an unknown kind.
+func FuzzDecodeTrajWrites(f *testing.F) {
+	tc := TraceContext{TraceID: "cam1#1", SpanID: "s", ParentID: "p", Sampled: true}
+	odd := sampleEvent()
+	odd.Timestamp = odd.Timestamp.In(time.FixedZone("", -317))
+	for _, ws := range [][]TrajWrite{
+		nil,
+		{VertexWrite(sampleEvent()).WithTrace(tc), EdgeWrite(1, 2, 0.25), EdgeWrite(-3, 4, math.Inf(-1))},
+		{VertexWrite(odd)},
+	} {
+		data, err := AppendTrajWrites(nil, ws)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewCursor(data)
+		ws, err := DecodeTrajWrites(&c)
+		if err != nil {
+			return
+		}
+		again, err := AppendTrajWrites(nil, ws)
+		if err != nil {
+			t.Fatalf("re-encode %+v: %v", ws, err)
+		}
+		c = NewCursor(again)
+		got, err := DecodeTrajWrites(&c)
+		if err != nil || c.Len() != 0 {
+			t.Fatalf("re-decode: %v, %d bytes left", err, c.Len())
+		}
+		if len(got) != len(ws) {
+			t.Fatalf("re-decoded %d writes, want %d", len(got), len(ws))
+		}
+		for i := range ws {
+			a, b := ws[i], got[i]
+			if a.Kind != b.Kind || a.From != b.From || a.To != b.To ||
+				math.Float64bits(a.Weight) != math.Float64bits(b.Weight) || !reflect.DeepEqual(a.Trace, b.Trace) ||
+				(a.Event == nil) != (b.Event == nil) || a.Event != nil && !eventsEqual(*a.Event, *b.Event) {
+				t.Fatalf("write %d re-decoded to %+v, want %+v", i, b, a)
+			}
+		}
+	})
+}

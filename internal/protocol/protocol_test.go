@@ -549,3 +549,47 @@ func TestTrajWritesRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmarshalTimeReadsMarshalBinaryExactly: every zone offset
+// MarshalBinary writes, negative seconds included, decodes to the same
+// instant at the same offset and re-encodes to the same bytes; the forms
+// MarshalBinary never writes are refused.
+func TestUnmarshalTimeReadsMarshalBinaryExactly(t *testing.T) {
+	at := time.Date(2020, 12, 7, 10, 30, 0, 123456789, time.UTC)
+	for _, loc := range []*time.Location{
+		time.UTC, time.Local,
+		time.FixedZone("", -317), time.FixedZone("", 317), time.FixedZone("", -17),
+		time.FixedZone("", -3661), time.FixedZone("", -7*3600), time.FixedZone("", 0),
+	} {
+		b, err := at.In(loc).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UnmarshalTime(b)
+		if err != nil {
+			t.Errorf("%v: %v", loc, err)
+			continue
+		}
+		_, want := at.In(loc).Zone()
+		if _, off := got.Zone(); !got.Equal(at) || off != want {
+			t.Errorf("%v: decoded %v at offset %d, want %v at %d", loc, got, off, at, want)
+		}
+		if again, err := got.MarshalBinary(); err != nil || !bytes.Equal(again, b) {
+			t.Errorf("%v: re-encoded to %x, %v; want %x", loc, again, err, b)
+		}
+	}
+
+	b, _ := at.In(time.FixedZone("", -317)).MarshalBinary()
+	form := func(edit func(b []byte) []byte) []byte { return edit(append([]byte{}, b...)) }
+	for name, bad := range map[string][]byte{
+		"seconds byte zero":       form(func(b []byte) []byte { b[15] = 0; return b }),
+		"seconds against minutes": form(func(b []byte) []byte { b[15] = 17; return b }),
+		"UTC marker in version 2": form(func(b []byte) []byte { b[13], b[14] = 0xff, 0xff; return b }),
+		"a second of nanoseconds": form(func(b []byte) []byte { binary.BigEndian.PutUint32(b[9:], 1e9); return b }),
+		"truncated":               b[:15],
+	} {
+		if got, err := UnmarshalTime(bad); err == nil {
+			t.Errorf("%s: decoded %x to %v", name, bad, got)
+		}
+	}
+}

@@ -8,16 +8,22 @@ import (
 	"time"
 )
 
-// BackoffConfig shapes the capped exponential backoff with full jitter
-// used between dial retries. The same policy used to live, copied, in
-// transport.TCP and trajstore.Client; this is the single source of
-// truth.
+// BackoffConfig shapes a ClientConn's dials: the capped exponential
+// backoff with full jitter between retries, the bound on one attempt and
+// an observer of attempts. Every TCP client in the repository dials
+// through it.
 type BackoffConfig struct {
 	// Base is the first retry delay (default 50ms); it doubles per
 	// attempt.
 	Base time.Duration
 	// Max caps the delay (default 1s).
 	Max time.Duration
+	// DialTimeout bounds one connection attempt (0: only the call's
+	// context bounds it).
+	DialTimeout time.Duration
+	// OnDial, when non-nil, runs before each connection attempt (a dial
+	// counter, say).
+	OnDial func()
 }
 
 func (c BackoffConfig) withDefaults() BackoffConfig {
@@ -36,49 +42,26 @@ func jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// DialHooks lets transports observe and veto dial attempts without
-// owning the retry loop.
-type DialHooks struct {
-	// OnAttempt runs before each dial attempt (e.g. a redial counter).
-	OnAttempt func()
-	// Abort, when non-nil, is checked before each attempt; a non-nil
-	// return stops the loop with that error (e.g. endpoint closed).
-	Abort func() error
-}
-
-// DialWithBackoff dials addr via dial, retrying with capped exponential
-// backoff plus jitter until a connection succeeds or ctx expires.
-// Transient listener restarts (e.g. a store server rebooting) are
-// ridden out instead of failing the first call.
-func DialWithBackoff(ctx context.Context, addr string, dial func(context.Context) (net.Conn, error), cfg BackoffConfig, hooks DialHooks) (net.Conn, error) {
-	cfg = cfg.withDefaults()
-	backoff := cfg.Base
-	for {
-		if hooks.Abort != nil {
-			if err := hooks.Abort(); err != nil {
-				return nil, err
-			}
-		}
-		if hooks.OnAttempt != nil {
-			hooks.OnAttempt()
-		}
+// dialWithBackoff dials addr via dial, retrying with capped exponential
+// backoff plus jitter until a connection succeeds, ctx expires or stop
+// is closed (then it fails with net.ErrClosed). Transient listener
+// restarts (a store server rebooting, say) are ridden out instead of
+// failing the first call.
+func dialWithBackoff(ctx context.Context, addr string, dial func(context.Context) (net.Conn, error), cfg BackoffConfig, stop <-chan struct{}) (net.Conn, error) {
+	for backoff := cfg.Base; ; backoff = min(2*backoff, cfg.Max) {
 		conn, err := dial(ctx)
 		if err == nil {
 			return conn, nil
-		}
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("rpc: dial %s: %w (last attempt: %v)", addr, ctx.Err(), err)
 		}
 		timer := time.NewTimer(jitter(backoff))
 		select {
 		case <-ctx.Done():
 			timer.Stop()
 			return nil, fmt.Errorf("rpc: dial %s: %w (last attempt: %v)", addr, ctx.Err(), err)
+		case <-stop:
+			timer.Stop()
+			return nil, fmt.Errorf("rpc: dial %s: %w", addr, net.ErrClosed)
 		case <-timer.C:
-		}
-		backoff *= 2
-		if backoff > cfg.Max {
-			backoff = cfg.Max
 		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 // registers, so call timeouts, dial backoff, and retry budget are tuned
 // the same way across coral-node, topology-server, framestore-server,
 // trajstore-server, and trajquery. Transports map it onto their configs
-// via transport.TCPConfigFromFlags and trajstore.ClientConfigFromFlags.
+// via transport.TCPConfigFromFlags and trajstore.ClientConfigFromFlags;
+// both hand DialTimeout, BackoffBase and BackoffMax to their
+// ClientConns' BackoffConfig.
 type Flags struct {
 	CallTimeout time.Duration
 	DialTimeout time.Duration

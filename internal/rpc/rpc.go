@@ -12,6 +12,12 @@
 // handler (the transport write, the round trip, or the protocol
 // handler) once, where that handler is fixed. Deadlines are standard
 // library contexts.
+//
+// The TCP lifecycle lives here once too. Server is the one accept loop,
+// per-connection read loop and graceful drain; ClientConn is the one
+// client connection, with its dial backoff and its final Close. The
+// trajectory store, the heartbeat monitor and the envelope transport
+// are codecs and handlers on top of these two types.
 package rpc
 
 import (

@@ -79,7 +79,7 @@ func TestBindClientMatchesChainOrder(t *testing.T) {
 // carries the same trace context.
 type byteCodec struct{ trace protocol.TraceContext }
 
-func (c byteCodec) ReadRequest(r io.Reader) (*Request, error) {
+func (c byteCodec) ReadRequest(r io.Reader, _ *[]byte) (*Request, error) {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return nil, err
@@ -424,10 +424,10 @@ func TestDialWithBackoffHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	attempts := 0
-	_, err := DialWithBackoff(ctx, "nowhere",
+	_, err := dialWithBackoff(ctx, "nowhere",
 		func(context.Context) (net.Conn, error) { attempts++; return nil, errors.New("refused") },
 		BackoffConfig{Base: 10 * time.Millisecond, Max: 20 * time.Millisecond},
-		DialHooks{})
+		nil)
 	if err == nil {
 		t.Fatal("dial to nowhere succeeded")
 	}
@@ -439,14 +439,46 @@ func TestDialWithBackoffHonorsContext(t *testing.T) {
 	}
 }
 
+// TestDialWithBackoffAbort: closing the stop channel ends a dial that
+// is waiting out its backoff, at once and with net.ErrClosed, and a dial
+// whose stop channel is already closed makes one attempt at most.
 func TestDialWithBackoffAbort(t *testing.T) {
-	closed := errors.New("endpoint closed")
-	_, err := DialWithBackoff(context.Background(), "nowhere",
-		func(context.Context) (net.Conn, error) { return nil, errors.New("refused") },
-		BackoffConfig{Base: time.Millisecond, Max: time.Millisecond},
-		DialHooks{Abort: func() error { return closed }})
-	if !errors.Is(err, closed) {
-		t.Errorf("err = %v, want the abort error", err)
+	stop := make(chan struct{})
+	attempted := make(chan struct{}, 1)
+	refuse := func(context.Context) (net.Conn, error) {
+		select {
+		case attempted <- struct{}{}:
+		default:
+		}
+		return nil, errors.New("refused")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := dialWithBackoff(context.Background(), "nowhere", refuse,
+			BackoffConfig{Base: time.Hour, Max: time.Hour}, stop)
+		done <- err
+	}()
+	<-attempted
+	start := time.Now()
+	close(stop)
+	select {
+	case err := <-done:
+		if !errors.Is(err, net.ErrClosed) {
+			t.Errorf("err = %v, want net.ErrClosed", err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("stopped dial returned after %v", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("closing stop did not end a dial in its backoff")
+	}
+
+	attempts := 0
+	_, err := dialWithBackoff(context.Background(), "nowhere",
+		func(context.Context) (net.Conn, error) { attempts++; return nil, errors.New("refused") },
+		BackoffConfig{Base: time.Millisecond, Max: time.Millisecond}, stop)
+	if !errors.Is(err, net.ErrClosed) || attempts > 1 {
+		t.Errorf("dial after stop: err = %v after %d attempts, want net.ErrClosed after one at most", err, attempts)
 	}
 }
 

@@ -12,14 +12,17 @@ import (
 )
 
 // ServerCodec translates between wire frames and Requests/Responses for
-// one request/response protocol served by Server. Implementations do
-// not need to be safe for concurrent use; the server uses one codec
-// value across connections but calls are not interleaved per
-// connection.
+// one protocol served by Server: a request/response wire, or a one-way
+// one whose WriteResponse writes nothing. The server calls one codec
+// value from every connection's goroutine, never interleaved on one
+// connection; a connection's own state is the buffer ReadRequest gets.
 type ServerCodec interface {
-	// ReadRequest blocks for the next request frame on r. Any error —
-	// including io.EOF — ends the connection.
-	ReadRequest(r io.Reader) (*Request, error)
+	// ReadRequest blocks for the next request frame on r. buf is the
+	// connection's read buffer, owned by the server: a codec may read
+	// into it, and a request that keeps its bytes is valid until the
+	// next ReadRequest on that connection. Any error — including io.EOF
+	// — ends the connection.
+	ReadRequest(r io.Reader, buf *[]byte) (*Request, error)
 	// WriteResponse writes the reply for req. herr is the handler
 	// chain's error; protocol codecs typically encode it into the
 	// response frame (so old clients see the same wire shape) rather
@@ -36,11 +39,12 @@ type ServerConfig struct {
 	Interceptors []Interceptor
 }
 
-// Server accepts framed request/response connections (one goroutine
-// per connection, requests served in order per connection) and
-// dispatches each request through the server interceptor chain. It owns
-// the accept/serve/graceful-shutdown lifecycle that trajstore.Server
-// used to implement privately.
+// Server accepts framed connections (one goroutine per connection,
+// requests served in order per connection) and dispatches each request
+// through the server interceptor chain. It owns the one
+// accept/serve/graceful-shutdown lifecycle in the repository: the
+// trajectory store, the heartbeat monitor and the envelope transport
+// all serve through it.
 type Server struct {
 	ln    net.Listener
 	codec ServerCodec
@@ -119,8 +123,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	var buf []byte
 	for {
-		req, err := s.codec.ReadRequest(conn)
+		req, err := s.codec.ReadRequest(conn, &buf)
 		if err != nil {
 			return // EOF, peer reset, shutdown read deadline, or framing error
 		}
@@ -144,19 +149,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // concurrently with Close; both are idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	start := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	conns, ok, lnErr := s.stopAccepting()
+	if !ok {
 		return nil
 	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	lnErr := s.ln.Close()
 	// Unblock idle readers immediately; a connection mid-request has
 	// already consumed its frame and finishes handle+reply first. Bound
 	// the reply write by the shutdown deadline so a stalled client
@@ -180,21 +176,38 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		drainErr = fmt.Errorf("rpc: shutdown drain: %w", ctx.Err())
 		// Cancel before waiting: a handler blocked on its context
 		// returns only once the handler context is done.
-		s.cancel()
-		for _, c := range conns {
-			_ = c.Close()
-		}
+		s.hardClose(conns)
 		<-done
 	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	s.cancel()
+	s.hardClose(conns)
 	s.drain.Observe(time.Since(start).Seconds())
 	if drainErr != nil {
 		return drainErr
 	}
 	return lnErr
+}
+
+// stopAccepting marks the server closed, closes its listener and returns
+// the open connections; ok is false when the server was closed already.
+func (s *Server) stopAccepting() (conns []net.Conn, ok bool, lnErr error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false, nil
+	}
+	s.closed = true
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	return conns, true, s.ln.Close()
+}
+
+// hardClose cancels the handler context and closes conns.
+func (s *Server) hardClose(conns []net.Conn) {
+	s.cancel()
+	for _, c := range conns {
+		_ = c.Close()
+	}
 }
 
 // DrainObservations returns how many graceful shutdowns have recorded a
@@ -205,22 +218,11 @@ func (s *Server) DrainObservations() uint64 { return s.drain.Count() }
 // Close stops accepting, closes connections, and waits for handlers.
 // Unlike Shutdown it does not wait for in-flight requests.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	conns, ok, err := s.stopAccepting()
+	if !ok {
 		return nil
 	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.cancel()
-	for _, c := range conns {
-		_ = c.Close()
-	}
+	s.hardClose(conns)
 	s.wg.Wait()
 	return err
 }

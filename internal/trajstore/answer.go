@@ -235,10 +235,8 @@ func decodeHops(c *protocol.Cursor) ([]Hop, error) {
 		if c.Err() != nil {
 			break
 		}
-		// Read as an event's timestamp is: an offset with negative
-		// seconds never comes back from UnmarshalBinary in MarshalBinary's
-		// own form, and the store holds such times.
-		if err := h.Time.UnmarshalBinary(ts); err != nil {
+		var err error
+		if h.Time, err = protocol.UnmarshalTime(ts); err != nil {
 			return nil, err
 		}
 	}

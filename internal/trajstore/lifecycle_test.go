@@ -2,9 +2,15 @@ package trajstore
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/rpc"
 )
 
 // TestClientRecoversAcrossServerRestart is the mid-stream restart
@@ -107,6 +113,90 @@ func TestClientCallDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("call took %v to respect a 400ms deadline", elapsed)
+	}
+}
+
+// TestClientCloseReturnsWhileCallInFlight: Close does not wait behind a
+// call to a server that accepted the connection and never answers. It
+// returns at once, the call fails promptly, and a later call fails with
+// net.ErrClosed.
+func TestClientCloseReturnsWhileCallInFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	accepted := make(chan struct{})
+	go func() {
+		defer close(accepted)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c) // never read, never answered
+			mu.Unlock()
+		}
+	}()
+	defer func() {
+		_ = ln.Close()
+		<-accepted
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	}()
+
+	client, err := DialContext(context.Background(), ln.Addr().String(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	callErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_, err := client.VertexContext(ctx, 1)
+		callErr <- err
+	}()
+	time.Sleep(200 * time.Millisecond) // the call waits for its answer
+
+	start := time.Now()
+	closed := make(chan error, 1)
+	go func() { closed <- client.Close() }()
+	select {
+	case <-closed:
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("Close took %v with a call in flight", d)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close waited behind the call in flight")
+	}
+	select {
+	case err := <-callErr:
+		if err == nil {
+			t.Error("the call to a silent server succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the call in flight did not fail after Close")
+	}
+	if _, err := client.VertexContext(context.Background(), 1); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("call after Close: %v, want net.ErrClosed", err)
+	}
+}
+
+// TestClientConfigFromFlagsKeepsDialTimeout: -rpc-dial-timeout reaches
+// the store client's dials.
+func TestClientConfigFromFlagsKeepsDialTimeout(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	f := rpc.RegisterFlags(fs)
+	if err := fs.Parse([]string{"-rpc-dial-timeout", "750ms"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ClientConfigFromFlags(f).DialTimeout; got != 750*time.Millisecond {
+		t.Errorf("DialTimeout = %v, want the flag's 750ms", got)
 	}
 }
 

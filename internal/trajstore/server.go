@@ -186,7 +186,7 @@ const maxWireBytes = 8 << 20
 // its error, and the connection stays: the frame boundary held.
 type wireCodec struct{}
 
-func (wireCodec) ReadRequest(r io.Reader) (*rpc.Request, error) {
+func (wireCodec) ReadRequest(r io.Reader, _ *[]byte) (*rpc.Request, error) {
 	body, err := protocol.ReadFrameBody(r, maxWireBytes)
 	if err != nil {
 		return nil, err
@@ -407,6 +407,9 @@ type ClientConfig struct {
 	// deadline.
 	DialBackoffBase time.Duration
 	DialBackoffMax  time.Duration
+	// DialTimeout bounds one connection attempt (0: only the call's
+	// context bounds it).
+	DialTimeout time.Duration
 	// RetryBudget is how many times one call may retry after its cached
 	// connection proves stale (default 1, the historical retry-once
 	// behavior; negative disables retries).
@@ -433,6 +436,7 @@ func ClientConfigFromFlags(f *rpc.Flags) ClientConfig {
 		CallTimeout:     f.CallTimeout,
 		DialBackoffBase: f.BackoffBase,
 		DialBackoffMax:  f.BackoffMax,
+		DialTimeout:     f.DialTimeout,
 		RetryBudget:     f.RetryBudget,
 	}
 }
@@ -459,8 +463,9 @@ func DialContext(ctx context.Context, addr string, cfg ClientConfig) (*Client, e
 	cfg = cfg.withDefaults()
 	c := &Client{
 		cc: rpc.NewClientConn(addr, rpc.BackoffConfig{
-			Base: cfg.DialBackoffBase,
-			Max:  cfg.DialBackoffMax,
+			Base:        cfg.DialBackoffBase,
+			Max:         cfg.DialBackoffMax,
+			DialTimeout: cfg.DialTimeout,
 		}),
 		m: rpc.NewMetrics(cfg.Registry, "component", "trajstore_client"),
 	}
@@ -620,5 +625,7 @@ func (c *Client) SightingsContext(ctx context.Context, vehicleID string, maxVert
 	return a.hops, err
 }
 
-// Close closes the client connection.
+// Close closes the client connection at once, failing a call in flight,
+// and is final: a later call fails with net.ErrClosed. Flush a
+// BatchWriter over the client before closing it.
 func (c *Client) Close() error { return c.cc.Close() }

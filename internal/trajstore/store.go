@@ -279,10 +279,7 @@ func checkEvent(e *protocol.DetectionEvent) error {
 // applyVertexLocked allocates an ID, logs the vertex into wb and inserts
 // it. Caller holds s.mu. Every store refuses a timestamp time.MarshalBinary
 // refuses (a −00:01 offset, say), which a log record cannot hold, so the
-// memory store and the persistent one take the same events. Log replay
-// does not check it (checkEvent alone): UnmarshalBinary shifts some
-// offsets a write took (−00:05:17 reads back as −00:01:01) to ones
-// MarshalBinary refuses, and such a logged vertex must still reopen.
+// memory store and the persistent one take the same events.
 func (s *Store) applyVertexLocked(e protocol.DetectionEvent, wb *walBatch) (int64, error) {
 	if err := checkEvent(&e); err != nil {
 		return 0, err

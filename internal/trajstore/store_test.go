@@ -3,6 +3,7 @@ package trajstore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -291,11 +292,10 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-// A zone offset with negative seconds does not survive time's binary
-// round trip: UnmarshalBinary adds the seconds byte unsigned, so the
-// offset comes back shifted and the instant unchanged. A log holding such
-// a timestamp, written locally or over the wire, must still reopen, and
-// the vertex must still be served.
+// A zone offset with negative seconds, which time.UnmarshalBinary would
+// shift (it adds the seconds byte unsigned): a log holding such a
+// timestamp, written locally or over the wire, must reopen, and the
+// vertex must still be served at the same instant.
 func TestOddZoneTimestampSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -332,10 +332,9 @@ func TestOddZoneTimestampSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestShiftedZoneVertexSurvivesReopen: a write at -00:05:17 is taken, and
-// its timestamp reads back from the log at -00:01:01, an offset
-// time.MarshalBinary refuses. Replay must keep the vertex all the same: a
-// live write's refusal of such offsets does not apply to the log.
+// TestShiftedZoneVertexSurvivesReopen: a write at -00:05:17, an offset
+// time.UnmarshalBinary would read back as -00:01:01, is taken and
+// replayed from the log at the same instant.
 func TestShiftedZoneVertexSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -358,6 +357,63 @@ func TestShiftedZoneVertexSurvivesReopen(t *testing.T) {
 	v, err := s2.Vertex(1)
 	if err != nil || !v.Event.Timestamp.Equal(e.Timestamp) {
 		t.Fatalf("vertex after reopen = %v at %v, %v; want it at %v", v.Event.ID, v.Event.Timestamp, err, e.Timestamp)
+	}
+}
+
+// TestNegativeSecondsOffsetReadsBackExactly: two linked sightings at
+// -00:05:17 are written to a persistent store, which is reopened; over
+// TCP, get_vertex and best answer them at that very offset.
+// (time.UnmarshalBinary reads the offset's seconds byte unsigned: it
+// would replay them at -00:01:01, which no answer can encode.)
+func TestNegativeSecondsOffsetReadsBackExactly(t *testing.T) {
+	zone := time.FixedZone("", -(5*60 + 17))
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids [2]int64
+	for i, cam := range []string{"camA", "camB"} {
+		e := sightingEvent(cam+"#1", cam, time.Duration(i)*10*time.Second, "veh-1")
+		e.Timestamp = e.Timestamp.In(zone)
+		if ids[i], err = s.AddVertex(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddEdge(ids[0], ids[1], 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s2.Close() }()
+	cl := serveStore(t, s2, ServerOptions{})
+	exact := func(what string, at time.Time, want time.Duration) {
+		t.Helper()
+		name, off := at.Zone()
+		if !at.Equal(trackEpoch.Add(want)) || name != "" || off != -(5*60+17) {
+			t.Errorf("%s at %v (zone %q, offset %ds), want %v at offset -317s", what, at, name, off, trackEpoch.Add(want))
+		}
+	}
+	ctx := context.Background()
+	for i, id := range ids {
+		v, err := cl.VertexContext(ctx, id)
+		if err != nil {
+			t.Fatalf("get_vertex %d after reopen: %v", id, err)
+		}
+		exact(fmt.Sprintf("get_vertex %d", id), v.Event.Timestamp, time.Duration(i)*10*time.Second)
+	}
+	best, err := cl.BestContext(ctx, "camA#1", DefaultTraceLimits())
+	if err != nil || len(best.Hops) != 2 {
+		t.Fatalf("best after reopen: %d hops, %v; want 2", len(best.Hops), err)
+	}
+	for i, h := range best.Hops {
+		exact(fmt.Sprintf("best hop %d", i), h.Time, time.Duration(i)*10*time.Second)
 	}
 }
 

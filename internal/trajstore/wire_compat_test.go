@@ -152,7 +152,7 @@ func TestWireCompatNewClientOldServer(t *testing.T) {
 // refused.
 func FuzzServeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := wireCodec{}.ReadRequest(bytes.NewReader(data))
+		req, err := wireCodec{}.ReadRequest(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}

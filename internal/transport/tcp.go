@@ -55,47 +55,32 @@ func TCPConfigFromFlags(f *rpc.Flags) TCPConfig {
 	}
 }
 
-// TCP is an Endpoint over real TCP sockets: a listener that decodes
-// length-prefixed protocol envelopes, and a cache of outgoing
-// connections. Outbound sends and inbound dispatch both run through rpc
-// interceptor chains (deadline, trace inject/extract, metrics, retry);
-// the dial/redial policy is the shared rpc backoff. Handlers may be
-// invoked concurrently (one goroutine per inbound connection) and must
-// be safe for concurrent use; they receive a context cancelled at
-// shutdown.
+// TCP is an Endpoint over real TCP sockets, built on the two rpc types
+// every wire in the repository uses. Inbound, an rpc.Server reads
+// length-prefixed protocol envelopes (a one-way codec: nothing is
+// written back) and dispatches them through the server chain (trace
+// extraction) to the installed handler. Outbound, each peer address has
+// one rpc.ClientConn, and a send is one write on it through the client
+// chain (deadline, trace inject, metrics, retry) with the shared dial
+// backoff. A peer that stops draining stalls only the senders to that
+// peer. Handlers may be invoked concurrently (one goroutine per inbound
+// connection) and must be safe for concurrent use; they receive a
+// context cancelled at shutdown.
 type TCP struct {
-	ln  net.Listener
+	rs  *rpc.Server
 	cfg TCPConfig
 
 	// send is the outbound chain, bound once around transmit.
 	send rpc.Handler
 
-	// rootCtx is passed to handlers; cancelled on Close/Shutdown so
-	// in-flight handler work can stop promptly.
-	rootCtx context.Context
-	cancel  context.CancelFunc
-
 	mu      sync.Mutex
-	serve   rpc.Handler // the installed handler bound in the inbound chain
-	conns   map[string]*outConn
-	inbound map[net.Conn]struct{}
+	handler Handler
+	peers   map[string]*rpc.ClientConn
 	closed  bool
 	m       *endpointMetrics
-
-	wg        sync.WaitGroup // accept + read loops
-	handlerWG sync.WaitGroup // in-flight handler invocations
 }
 
 var _ Endpoint = (*TCP)(nil)
-
-// outConn is one cached outbound connection. Its own write lock keeps
-// envelopes from interleaving on the socket, so a peer that stops
-// draining stalls only the senders to that peer, never sends to other
-// peers or inbound dispatch.
-type outConn struct {
-	net.Conn
-	wmu sync.Mutex
-}
 
 // ListenTCP starts an endpoint listening on addr (use "127.0.0.1:0" for an
 // ephemeral port) with default deadlines.
@@ -107,19 +92,10 @@ func ListenTCP(addr string) (*TCP, error) {
 // tuning.
 func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 	cfg.applyDefaults()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
 	t := &TCP{
-		ln:      ln,
-		cfg:     cfg,
-		rootCtx: ctx,
-		cancel:  cancel,
-		conns:   make(map[string]*outConn),
-		inbound: make(map[net.Conn]struct{}),
-		m:       newEndpointMetrics(nil, "tcp"),
+		cfg:   cfg,
+		peers: make(map[string]*rpc.ClientConn),
+		m:     newEndpointMetrics(nil, "tcp"),
 	}
 	// Outbound chain, outermost first: default deadline, trace inject,
 	// metrics (outside retry: a send that succeeds on a redial counts
@@ -133,8 +109,11 @@ func ListenTCPConfig(addr string, cfg TCPConfig) (*TCP, error) {
 			OnRetry:     func() { t.metric().retries.Inc() },
 			OnExhausted: func() { t.metric().retryExhausted.Inc() },
 		}))
-	t.wg.Add(1)
-	go t.acceptLoop()
+	rs, err := rpc.NewServer(addr, envelopeCodec{t}, t.dispatch, rpc.ServerConfig{})
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	}
+	t.rs = rs
 	return t, nil
 }
 
@@ -155,82 +134,62 @@ func (t *TCP) metric() *endpointMetrics {
 }
 
 // Addr returns the bound listen address.
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
+func (t *TCP) Addr() string { return t.rs.Addr() }
 
 // SetHandler implements Endpoint.
 func (t *TCP) SetHandler(h Handler) {
-	serve := bindHandler(h)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.serve = serve
+	t.handler = h
 }
 
-func (t *TCP) acceptLoop() {
-	defer t.wg.Done()
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		t.inbound[conn] = struct{}{}
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.readLoop(conn)
-	}
-}
+// envelopeCodec is the inbound side's one-way codec: it reads each
+// envelope into the connection's buffer, which is why a payload is
+// valid only until the handler returns (see Handler), and answers
+// nothing.
+type envelopeCodec struct{ t *TCP }
 
-func (t *TCP) readLoop(conn net.Conn) {
-	defer t.wg.Done()
-	defer func() {
-		_ = conn.Close()
-		t.mu.Lock()
-		delete(t.inbound, conn)
-		t.mu.Unlock()
-	}()
-	// Every envelope of the connection is read into buf, which is why a
-	// payload is valid only until the handler returns (see Handler).
-	var buf []byte
-	for {
-		env, err := protocol.ReadEnvelopeInto(conn, &buf)
+func (c envelopeCodec) ReadRequest(r io.Reader, buf *[]byte) (*rpc.Request, error) {
+	env, err := protocol.ReadEnvelopeInto(r, buf)
+	m := c.t.metric()
+	if err != nil {
 		if errors.Is(err, protocol.ErrBadEnvelope) {
 			// The peer speaks a format this endpoint does not read (for
 			// one, a JSON envelope): nothing it sends will decode.
-			t.metric().decodeErrors.Inc()
+			m.decodeErrors.Inc()
+			peer := ""
+			if conn, ok := r.(net.Conn); ok {
+				peer = conn.RemoteAddr().String()
+			}
 			obs.DefaultLogger().WithComponent("transport").Warn("closing connection on an undecodable envelope",
-				"peer", conn.RemoteAddr().String(), "err", err.Error())
+				"peer", peer, "err", err.Error())
 		}
-		if err != nil {
-			return // EOF, peer reset, or an undecodable envelope
-		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			return // draining: stop dispatching new envelopes
-		}
-		serve := t.serve
-		m := t.m
-		if serve != nil {
-			t.handlerWG.Add(1)
-		}
-		t.mu.Unlock()
-		m.received.Inc()
-		m.bytesIn.Add(int64(len(env.Payload)))
-		if serve != nil {
-			m.delivered.Inc()
-			deliver(t.rootCtx, serve, env)
-			t.handlerWG.Done()
-		}
+		return nil, err // EOF, peer reset, or an undecodable envelope
 	}
+	m.received.Inc()
+	m.bytesIn.Add(int64(len(env.Payload)))
+	return &rpc.Request{Method: string(env.Type), Body: &env, OneWay: true}, nil
+}
+
+func (envelopeCodec) WriteResponse(io.Writer, *rpc.Request, *rpc.Response, error) error {
+	return nil
+}
+
+// dispatch is the inbound chain's base handler: it hands the envelope
+// to the installed handler, if any.
+func (t *TCP) dispatch(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
+	t.mu.Lock()
+	h, m := t.handler, t.m
+	t.mu.Unlock()
+	if h != nil {
+		m.delivered.Inc()
+		h(ctx, *req.Body.(*protocol.Envelope))
+	}
+	return nil, nil
 }
 
 // Send writes the envelope to addr through the outbound middleware
-// chain, over a cached connection, dialing on demand with the shared
+// chain, over the peer's connection, dialing on demand with the shared
 // capped-backoff policy. The context bounds the whole operation;
 // without a deadline, SendTimeout applies.
 func (t *TCP) Send(ctx context.Context, addr string, env protocol.Envelope) error {
@@ -264,14 +223,12 @@ func (t *TCP) countSend(ctx context.Context, req *rpc.Request, next rpc.Handler)
 	return resp, nil
 }
 
-// transmit is the base handler under the outbound chain: one write
-// attempt. A stale cached connection is dropped and the error marked
-// retryable, so the retry stage redials; a failure on a fresh
-// connection is terminal.
+// transmit is the base handler under the outbound chain: one write on
+// the peer's connection. A stale cached connection fails the write
+// marked retryable, so the retry stage redials; a failure on a fresh
+// connection is terminal. The socket deadline is ctx's, so a peer that
+// accepts but never drains cannot block the caller past it.
 func (t *TCP) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if req.Delay > 0 {
 		// Injected fault latency; consume it so retries don't pay twice.
 		delay := req.Delay
@@ -280,182 +237,77 @@ func (t *TCP) transmit(ctx context.Context, req *rpc.Request) (*rpc.Response, er
 			return nil, err
 		}
 	}
-	addr := req.Addr
-	env := *req.Body.(*protocol.Envelope)
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, ErrClosed
-	}
-	conn := t.conns[addr]
-	t.mu.Unlock()
-
-	if conn != nil {
-		if err := writeTo(ctx, conn, addr, env); err != nil {
-			t.dropConn(addr, conn)
-			return nil, rpc.MarkRetryable(err)
-		}
-		return &rpc.Response{}, nil
-	}
-
-	raw, err := t.dial(ctx, addr)
+	cc, err := t.peer(req.Addr)
 	if err != nil {
 		return nil, err
 	}
+	env := req.Body.(*protocol.Envelope)
+	if err := cc.Call(ctx, func(conn net.Conn) error { return protocol.WriteEnvelope(conn, *env) }); err != nil {
+		return nil, fmt.Errorf("transport: send %s: %w", req.Addr, err)
+	}
+	return nil, nil
+}
 
+// peer returns addr's connection, made on first use; every dial attempt
+// on it counts in the dials counter.
+func (t *TCP) peer(addr string) (*rpc.ClientConn, error) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.closed {
-		t.mu.Unlock()
-		_ = raw.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := t.conns[addr]; ok {
-		// A concurrent Send won the dial race; reuse its connection.
-		t.mu.Unlock()
-		_ = raw.Close()
-		if err := writeTo(ctx, existing, addr, env); err == nil {
-			return &rpc.Response{}, nil
-		}
-		t.dropConn(addr, existing)
-		return nil, fmt.Errorf("transport: send %s: connection lost", addr)
-	}
-	conn = &outConn{Conn: raw}
-	t.conns[addr] = conn
-	t.mu.Unlock()
-
-	if err := writeTo(ctx, conn, addr, env); err != nil {
-		t.dropConn(addr, conn)
-		return nil, err
-	}
-	return &rpc.Response{}, nil
-}
-
-// dial connects to addr through the shared jittered-backoff policy,
-// counting every attempt in the redial counter and aborting when the
-// endpoint closes mid-backoff.
-func (t *TCP) dial(ctx context.Context, addr string) (net.Conn, error) {
-	d := net.Dialer{Timeout: t.cfg.DialTimeout}
-	return rpc.DialWithBackoff(ctx, addr,
-		func(c context.Context) (net.Conn, error) { return d.DialContext(c, "tcp", addr) },
-		rpc.BackoffConfig{Base: t.cfg.DialBackoffBase, Max: t.cfg.DialBackoffMax},
-		rpc.DialHooks{
-			OnAttempt: func() { t.metric().redials.Inc() },
-			Abort: func() error {
-				t.mu.Lock()
-				closed := t.closed
-				t.mu.Unlock()
-				if closed {
-					return ErrClosed
-				}
-				return nil
-			},
+	cc := t.peers[addr]
+	if cc == nil {
+		cc = rpc.NewClientConn(addr, rpc.BackoffConfig{
+			Base:        t.cfg.DialBackoffBase,
+			Max:         t.cfg.DialBackoffMax,
+			DialTimeout: t.cfg.DialTimeout,
+			OnDial:      func() { t.metric().redials.Inc() },
 		})
-}
-
-// writeTo writes one envelope under the connection's own write lock. The
-// socket write deadline is ctx's, set on every write (cleared when ctx
-// has none), so a peer that accepts but never drains cannot block the
-// caller past its deadline.
-func writeTo(ctx context.Context, conn *outConn, addr string, env protocol.Envelope) error {
-	conn.wmu.Lock()
-	defer conn.wmu.Unlock()
-	deadline, _ := ctx.Deadline()
-	_ = conn.SetWriteDeadline(deadline)
-	if err := protocol.WriteEnvelope(conn.Conn, env); err != nil {
-		return fmt.Errorf("transport: send %s: %w", addr, err)
+		t.peers[addr] = cc
 	}
-	return nil
+	return cc, nil
 }
 
-// dropConn forgets conn (if it is still addr's cached connection) and
-// closes it, which also fails a write blocked on it.
-func (t *TCP) dropConn(addr string, conn *outConn) {
+// stop marks the endpoint closed, so sends fail with ErrClosed, and
+// closes every outbound connection, failing a write blocked on one and a
+// dial in backoff. It reports whether the endpoint was open.
+func (t *TCP) stop() bool {
 	t.mu.Lock()
-	if t.conns[addr] == conn {
-		delete(t.conns, addr)
-	}
+	open, peers := !t.closed, t.peers
+	t.closed, t.peers = true, nil
 	t.mu.Unlock()
-	_ = conn.Close()
+	for _, cc := range peers {
+		_ = cc.Close()
+	}
+	return open
 }
 
-// Shutdown gracefully stops the endpoint: it stops accepting and
-// dispatching, waits for in-flight handlers to return until ctx is done,
-// then hard-closes every connection and joins the background goroutines.
-// The drain duration is recorded in
-// coralpie_transport_shutdown_drain_seconds.
+// Shutdown gracefully stops the endpoint: sends fail with ErrClosed and
+// the outbound connections close; the server stops accepting, lets
+// in-flight handlers return until ctx is done, then hard-closes its
+// connections. The drain duration is recorded in
+// coralpie_transport_shutdown_drain_seconds, and a missed drain deadline
+// in coralpie_transport_deadline_exceeded_total.
 func (t *TCP) Shutdown(ctx context.Context) error {
 	start := time.Now()
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.stop() {
 		return nil
 	}
-	t.closed = true
-	m := t.m
-	t.mu.Unlock()
-
-	lnErr := t.ln.Close() // no new inbound connections
-
-	// Drain in-flight handlers, bounded by ctx.
-	drained := make(chan struct{})
-	go func() {
-		t.handlerWG.Wait()
-		close(drained)
-	}()
-	var drainErr error
-	select {
-	case <-drained:
-	case <-ctx.Done():
-		drainErr = fmt.Errorf("transport: shutdown drain: %w", ctx.Err())
+	err := t.rs.Shutdown(ctx)
+	m := t.metric()
+	if err != nil && ctx.Err() != nil {
 		m.deadlineExceeded.Inc()
 	}
-
-	t.closeConnsAndJoin()
 	m.drain.Observe(time.Since(start).Seconds())
-	if drainErr != nil {
-		return drainErr
-	}
-	if lnErr != nil && !errors.Is(lnErr, io.ErrClosedPipe) {
-		return fmt.Errorf("transport: close listener: %w", lnErr)
-	}
-	return nil
-}
-
-// closeConnsAndJoin hard-closes every connection, cancels the handler
-// context, and waits for the accept/read goroutines.
-func (t *TCP) closeConnsAndJoin() {
-	t.cancel()
-	t.mu.Lock()
-	conns := make([]net.Conn, 0, len(t.conns)+len(t.inbound))
-	for _, c := range t.conns {
-		conns = append(conns, c)
-	}
-	for c := range t.inbound {
-		conns = append(conns, c)
-	}
-	t.conns = make(map[string]*outConn)
-	t.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	t.wg.Wait()
+	return err
 }
 
 // Close hard-stops the listener, closes every connection, and waits for
-// the background goroutines to exit without draining handlers.
+// the server's goroutines to exit without draining handlers.
 func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.stop() {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
-
-	err := t.ln.Close()
-	t.closeConnsAndJoin()
-	if err != nil && !errors.Is(err, io.ErrClosedPipe) {
-		return fmt.Errorf("transport: close listener: %w", err)
-	}
-	return nil
+	return t.rs.Close()
 }

@@ -3,7 +3,9 @@
 // deterministic simulation harness (optionally routed through the
 // discrete-event simulator with a configurable network latency), and a
 // TCP transport for real distributed deployments, standing in for the
-// paper's ZeroMQ sockets.
+// paper's ZeroMQ sockets. The TCP transport owns no socket lifecycle of
+// its own: it serves through an rpc.Server and sends through one
+// rpc.ClientConn per peer, the types every other wire uses.
 //
 // Every blocking operation is context-aware: Send honors the caller's
 // context (falling back to DefaultSendTimeout when the context carries no
