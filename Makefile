@@ -44,8 +44,9 @@ smoke:
 # trajectory-store logs through Open against the pre-apply validator,
 # trajectory-store request frames through the server's op dispatch, the
 # binary query answers a trajectory-store client decodes, a
-# framestore camera's manifest and segment through OpenStore, and
-# arbitrary bytes through the record-log reader both stores open with.
+# framestore camera's manifest and segment through OpenStore,
+# arbitrary bytes through the record-log reader both stores open with, and
+# -alert rule strings through the fleet monitor's rule parser.
 # go test takes one -fuzz target per run. Minimizing each new input for the
 # default 60 s would eat the whole budget, so it gets 1 s.
 fuzz:
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAnswer$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trajstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenFrameStore$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/framestore/
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/recordlog/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRule$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fleet/
 
 vet:
 	$(GO) vet ./...

@@ -314,10 +314,7 @@ func BenchmarkReidMatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool, err := reid.NewPool(reid.DefaultPoolConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
+	pool := reid.NewPool(reid.DefaultPoolConfig())
 	for i := 0; i < 32; i++ {
 		pool.Add(reid.Entry{Event: protocol.DetectionEvent{
 			ID:        protocol.NewEventID("up", int64(i)),
@@ -331,7 +328,7 @@ func BenchmarkReidMatch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matcher.Match(hist, pool, time.Time{})
+		matcher.Match(hist, pool)
 	}
 }
 
@@ -420,7 +417,7 @@ func benchTrajstoreWritePath(b *testing.B, mode string, clients int) {
 		b.Fatal(err)
 	}
 	defer func() { _ = store.Close() }()
-	srv, err := trajstore.Serve(store, "127.0.0.1:0")
+	srv, err := trajstore.ServeWith(store, "127.0.0.1:0", trajstore.ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

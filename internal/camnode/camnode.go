@@ -243,10 +243,7 @@ func New(cfg Config, ep transport.Endpoint) (*Node, error) {
 			tracer.EndSpan(obs.SpanContext(e.Span), "outcome", "expired")
 		}
 	}
-	pool, err := reid.NewPool(poolCfg)
-	if err != nil {
-		return nil, err
-	}
+	pool := reid.NewPool(poolCfg)
 	matcher, err := reid.NewMatcher(cfg.Matcher)
 	if err != nil {
 		return nil, err
@@ -614,7 +611,7 @@ func (n *Node) emitEvent(ctx context.Context, tr *tracker.Track, ft frameTiming)
 
 	// (b) Re-identify against the candidate pool. A re-identification
 	// counts whether or not the edge write lands.
-	up, dist, matched := n.matcher.Match(hist, n.pool, now)
+	up, dist, matched := n.matcher.Match(hist, n.pool)
 	if matched {
 		n.m.reidMatches.Inc()
 		// The commit and confirm spans hang off the handoff span,

@@ -113,7 +113,6 @@ func TestConfigValidation(t *testing.T) {
 		{"store frames without sink", func(c *Config) { c.StoreFrames = true }},
 		{"bad tracker", func(c *Config) { c.Tracker.MaxAge = 0 }},
 		{"bad matcher", func(c *Config) { c.Matcher.BhattThreshold = 0 }},
-		{"bad pool", func(c *Config) { c.Pool.PruneThreshold = 0 }},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

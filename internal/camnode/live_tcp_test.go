@@ -35,7 +35,7 @@ func TestLiveTCPEndToEnd(t *testing.T) {
 
 	// Trajectory store server.
 	store := trajstore.NewMemStore()
-	trajSrv, err := trajstore.Serve(store, "127.0.0.1:0")
+	trajSrv, err := trajstore.ServeWith(store, "127.0.0.1:0", trajstore.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

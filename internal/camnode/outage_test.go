@@ -25,7 +25,7 @@ func TestCamnodeRidesOutTrajstoreOutage(t *testing.T) {
 	}
 
 	store := trajstore.NewMemStore()
-	trajSrv, err := trajstore.Serve(store, "127.0.0.1:0")
+	trajSrv, err := trajstore.ServeWith(store, "127.0.0.1:0", trajstore.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCamnodeRidesOutTrajstoreOutage(t *testing.T) {
 
 	// Recovery: re-serve the same store on the same address. The client's
 	// next insert redials and succeeds.
-	trajSrv2, err := trajstore.Serve(store, addr)
+	trajSrv2, err := trajstore.ServeWith(store, addr, trajstore.ServerOptions{})
 	if err != nil {
 		t.Fatalf("re-serve on %s: %v", addr, err)
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/imaging"
 	"repro/internal/obs"
 	"repro/internal/protocol"
-	"repro/internal/reid"
 	"repro/internal/trajstore"
 	"repro/internal/transport"
 )
@@ -59,7 +58,7 @@ func TestDuplicateInformRedelivery(t *testing.T) {
 // tracer's FIFO to reclaim.
 func TestRedeliveredInformOneOpenSpan(t *testing.T) {
 	cfg := nodeConfig("dupcam", trajstore.NewMemStore())
-	tracer := obs.NewTracer(clock.Fixed{T: epoch}, 16)
+	tracer := obs.NewTracerWith(obs.TracerConfig{Clock: clock.Fixed{T: epoch}, Capacity: 16})
 	cfg.Tracer = tracer
 	n := newTestNode(t, transport.NewBus(), "dupcam", cfg)
 
@@ -226,19 +225,19 @@ func TestBatchedEdgePathAccounting(t *testing.T) {
 func TestExpiredPoolEntriesFinishSpans(t *testing.T) {
 	bus := transport.NewBus()
 	cfg := nodeConfig("excam", trajstore.NewMemStore())
-	cfg.Pool = reid.PoolConfig{PruneThreshold: 2}
-	tracer := obs.NewTracer(clock.Fixed{T: epoch}, 16)
+	const poolBound = 256 // the prototype's candidate-pool bound
+	tracer := obs.NewTracerWith(obs.TracerConfig{Clock: clock.Fixed{T: epoch}, Capacity: 2 * poolBound})
 	cfg.Tracer = tracer
 	n := newTestNode(t, bus, "excam", cfg)
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < poolBound+1; i++ {
 		n.handleInform(context.Background(), protocol.Inform{Event: informEvent(fmt.Sprintf("up#%d", i)), FromAddr: "up"})
 	}
 
-	// Three spans began; inserting the third pushed the pool over its
-	// threshold of 2, expiring the oldest unmatched entry.
-	if got := tracer.ActiveCount(); got != 2 {
-		t.Errorf("active spans = %d, want 2 (one expired)", got)
+	// poolBound+1 spans began; inserting the last pushed the pool over
+	// its bound, expiring the oldest unmatched entry.
+	if got := tracer.ActiveCount(); got != poolBound {
+		t.Errorf("active spans = %d, want %d (one expired)", got, poolBound)
 	}
 	if got := tracer.Finished(); got != 1 {
 		t.Fatalf("finished spans = %d, want 1", got)

@@ -23,9 +23,9 @@ func TestSystemSurvivesLossyNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, err := NewSystem(Config{
-		Graph:           g,
-		Seed:            21,
-		MessageLossRate: 0.10,
+		Graph: g,
+		Seed:  21,
+		Fault: faultinject.Config{DropRate: 0.10},
 		DetectorFactory: func(string) (vision.Detector, error) {
 			return vision.PerfectDetector{}, nil
 		},
@@ -87,7 +87,7 @@ func TestLossRateValidationInConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSystem(Config{Graph: g, MessageLossRate: 1.5}); err == nil {
+	if _, err := NewSystem(Config{Graph: g, Fault: faultinject.Config{DropRate: 1.5}}); err == nil {
 		t.Error("loss rate > 1 accepted")
 	}
 	if _, err := NewSystem(Config{Graph: g, Fault: faultinject.Config{ErrorRate: 2}}); err == nil {

@@ -48,10 +48,6 @@ type Config struct {
 	// NetworkLatency is the one-way message latency on the simulated
 	// network (the paper measures 2 ms on the campus LAN).
 	NetworkLatency time.Duration
-	// MessageLossRate drops each network message with this probability,
-	// for failure-injection studies. Zero disables loss. Shorthand for
-	// Fault.DropRate (which wins when both are set).
-	MessageLossRate float64
 	// Fault configures deterministic network-fault injection (drop,
 	// latency, error) on the simulated bus. When Fault.RNG is nil the
 	// fault stream is derived from Seed, so same-seed runs inject the
@@ -156,9 +152,6 @@ func (c *Config) applyDefaults() {
 	if c.Matcher == (reid.MatcherConfig{}) {
 		c.Matcher = reid.DefaultMatcherConfig()
 	}
-	if c.Pool.PruneThreshold == 0 && c.Pool.OnEvict == nil {
-		c.Pool = reid.DefaultPoolConfig()
-	}
 	if c.PostProcess.MinConfidence == 0 {
 		c.PostProcess.MinConfidence = vision.DefaultMinConfidence
 	}
@@ -211,6 +204,11 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("core: road graph required")
 	}
+	for _, r := range cfg.AlertRules {
+		if err := r.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	cfg.applyDefaults()
 
 	dsim := des.New(cfg.Epoch)
@@ -228,9 +226,6 @@ func NewSystem(cfg Config) (*System, error) {
 	bus := transport.NewSimBus(dsim, cfg.NetworkLatency)
 	bus.Use(reg)
 	fault := cfg.Fault
-	if fault.DropRate == 0 {
-		fault.DropRate = cfg.MessageLossRate
-	}
 	if fault.DropRate != 0 || fault.Enabled() {
 		if fault.RNG == nil {
 			// Same seed derivation the retired loss model used, so
@@ -377,7 +372,7 @@ func (s *System) FailFrameStore(i int) error {
 func (s *System) TopologyServer() *topology.Server { return s.topo }
 
 // Telemetry exposes the system's metric registry: every component's
-// coralpie_* metrics land here. Serve it with obs.NewMux, render it with
+// coralpie_* metrics land here. Serve it with obs.NewMuxWith, render it with
 // WritePrometheus, or inspect it with Snapshot.
 func (s *System) Telemetry() *obs.Registry { return s.reg }
 

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/camnode"
+	"repro/internal/fleet"
 	"repro/internal/geo"
 	"repro/internal/protocol"
+	"repro/internal/reid"
 	"repro/internal/roadnet"
 	"repro/internal/sim"
 	"repro/internal/trajstore"
@@ -60,6 +63,41 @@ func addVehicle(t *testing.T, sys *System, id string, colorIdx int, route []road
 func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(Config{}); err == nil {
 		t.Error("missing graph accepted")
+	}
+}
+
+// TestNewSystemRefusesRulesThatNeverFire: an alert rule on a name no
+// metric family can have, or with a non-finite value, is a config error.
+func TestNewSystemRefusesRulesThatNeverFire(t *testing.T) {
+	g, _, err := roadnet.Corridor(2, 150, geo.Point{Lat: 33.7756, Lon: -84.3963})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []fleet.Rule{
+		{Name: "x", Metric: "coralpie_fleet_nodes", Kind: fleet.RuleThreshold, Op: ">", Value: math.NaN()},
+		{Name: "x", Metric: "coralpie_fleet_nodes", Kind: fleet.RuleRate, Op: "<", Value: math.Inf(1)},
+		{Name: "x", Metric: " coralpie_fleet_nodes ", Kind: fleet.RuleThreshold, Op: ">", Value: 1},
+		{Name: "a", Metric: "b=coralpie_fleet_nodes", Kind: fleet.RuleThreshold, Op: ">", Value: 1},
+	} {
+		if _, err := NewSystem(Config{Graph: g, EnableMonitor: true, AlertRules: []fleet.Rule{r}}); err == nil {
+			t.Errorf("NewSystem accepted alert rule %+v", r)
+		}
+	}
+}
+
+// TestPoolWithOnlyOnEvictAddsCamera: a pool config that sets only the
+// eviction hook keeps the prototype's pool bound, so a camera starts.
+func TestPoolWithOnlyOnEvictAddsCamera(t *testing.T) {
+	g, ids, err := roadnet.Corridor(2, 150, geo.Point{Lat: 33.7756, Lon: -84.3963})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Config{Graph: g, Pool: reid.PoolConfig{OnEvict: func(reid.Entry) {}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddCameraAt(camID(0), ids[0], 0); err != nil {
+		t.Fatalf("AddCameraAt with an OnEvict-only pool config: %v", err)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestRuntimeShutdownOrderAndNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	monitor := fleet.NewMonitor(fleet.MonitorConfig{Registry: obs.NewRegistry()})
-	monSrv, err := fleet.Serve(monitor, "127.0.0.1:0")
+	monSrv, err := fleet.ServeWith(monitor, "127.0.0.1:0", fleet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,3 +114,32 @@ var tcpLifecyclePackages = []string{"internal/rpc"}
 var tcpLifecycleAllow = map[string]bool{
 	"internal/obs/http.go: uses net.Listen": true,
 }
+
+// unsetOptionAllow maps each "<file>: <Type>.<Field>" option that no
+// non-test caller sets to the one-line reason it stays an option.
+var unsetOptionAllow = map[string]string{
+	"internal/core/system.go: Config.AlertRules":                          "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes; ParseFleetRule builds its rules",
+	"internal/core/system.go: Config.Epoch":                               "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes",
+	"internal/core/system.go: Config.LivenessCheckInterval":               "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes",
+	"internal/core/system.go: Config.LivenessMultiple":                    "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes",
+	"internal/core/system.go: Config.MonitorLivenessMultiple":             "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes",
+	"internal/core/system.go: Config.NetworkLatency":                      "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes; the geo-distribution study (ROADMAP item 16) varies it",
+	"internal/core/system.go: Config.Pool":                                "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes",
+	"internal/core/system.go: Config.PostProcess":                         "a simulation setting the coralpie.Config facade (an alias of core.Config) exposes",
+	"internal/experiments/scenario.go: CorridorConfig.Seed":               "set from DefaultCorridorConfig's seed argument, which every experiment passes",
+	"internal/roadnet/mdcs.go: MDCSOptions.IncludeSelf":                   "a paper-footnote extension (DESIGN.md §6)",
+	"internal/topology/server.go: ServerConfig.MoveThresholdMeters":       "a paper-footnote extension (DESIGN.md §6)",
+	"internal/trajstore/batchwriter.go: BatchWriterConfig.MaxBatch":       "the root bench_test.go sets 128 for the batched rows of BENCH_trajstore.json",
+	"internal/vision/blobdetector.go: BlobDetectorConfig.Background":      "the pixel detector's background model, which depends on the scene; DefaultBlobDetectorConfig holds the simulator's road",
+	"internal/vision/blobdetector.go: BlobDetectorConfig.MaxArea":         "the pixel detector's background model, which depends on the scene; DefaultBlobDetectorConfig holds the simulator's road",
+	"internal/vision/blobdetector.go: BlobDetectorConfig.MinArea":         "the pixel detector's background model, which depends on the scene; DefaultBlobDetectorConfig holds the simulator's road",
+	"internal/vision/blobdetector.go: BlobDetectorConfig.Threshold":       "the pixel detector's background model, which depends on the scene; DefaultBlobDetectorConfig holds the simulator's road",
+	"internal/vision/simdetector.go: SimDetectorConfig.BoxJitterPx":       "the detector noise model, which PAPER.md §2 calls configurable",
+	"internal/vision/simdetector.go: SimDetectorConfig.ConfMean":          "the detector noise model, which PAPER.md §2 calls configurable",
+	"internal/vision/simdetector.go: SimDetectorConfig.ConfStd":           "the detector noise model, which PAPER.md §2 calls configurable",
+	"internal/vision/simdetector.go: SimDetectorConfig.FalseConfMean":     "the detector noise model, which PAPER.md §2 calls configurable",
+	"internal/vision/simdetector.go: SimDetectorConfig.FalsePositiveRate": "the detector noise model, which PAPER.md §2 calls configurable",
+	"internal/vision/simdetector.go: SimDetectorConfig.MinBoxPx":          "the detector noise model, which PAPER.md §2 calls configurable",
+	"internal/vision/simdetector.go: SimDetectorConfig.MissRate":          "the detector noise model, which PAPER.md §2 calls configurable",
+	"internal/vision/simdetector.go: SimDetectorConfig.Seed":              "set from DefaultSimDetectorConfig's seed argument, which every detector's caller passes",
+}

@@ -1,6 +1,7 @@
 // Package designrules turns the repository's "one way to do X" rules
-// into a test over the non-test Go files in internal/ and cmd/, using
-// the standard library's parser only. Each rule reports violations as
+// into a test over the non-test Go files in internal/ and cmd/ (the
+// unused-option rule also reads bench/, examples/ and the repository
+// root for setters), using the standard library's parser only. Each rule reports violations as
 // "<file>: <what>" strings; allow_test.go holds the rule declarations
 // and the allowlists, which may only shrink.
 package designrules
@@ -27,19 +28,19 @@ type srcFile struct {
 	ast       *ast.File
 }
 
-// loadTree parses every non-test Go file under root's internal/ and cmd/,
-// skipping testdata.
-func loadTree(t *testing.T, root string) []srcFile {
+// loadTree parses every non-test Go file under root's tops, skipping
+// testdata; the top "." stands for root's own files, not its subtrees.
+func loadTree(t *testing.T, root string, tops ...string) []srcFile {
 	t.Helper()
 	fset := token.NewFileSet()
 	var files []srcFile
-	for _, top := range []string{"internal", "cmd"} {
+	for _, top := range tops {
 		err := filepath.WalkDir(filepath.Join(root, top), func(p string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
 			if d.IsDir() {
-				if d.Name() == "testdata" {
+				if d.Name() == "testdata" || top == "." && p != filepath.Join(root, top) {
 					return filepath.SkipDir
 				}
 				return nil
@@ -84,7 +85,8 @@ func contextTypes(files []srcFile) []string {
 			default:
 				continue
 			}
-			k := key{f.dir, receiverName(fn.Recv.List[0].Type)}
+			_, typ := typeRef(fn.Recv.List[0].Type)
+			k := key{f.dir, typ}
 			if methods[k] == nil {
 				methods[k] = make(map[string]bool)
 				declared[k] = f.path
@@ -102,8 +104,9 @@ func contextTypes(files []srcFile) []string {
 	return out
 }
 
-// receiverName returns T for a receiver of type T, *T or T[...].
-func receiverName(expr ast.Expr) string {
+// typeRef returns the package qualifier ("" for none) and the name of
+// the type T, *T, T[...] or x.T, two empty strings for another expression.
+func typeRef(expr ast.Expr) (pkg, name string) {
 	for {
 		switch e := expr.(type) {
 		case *ast.StarExpr:
@@ -113,9 +116,14 @@ func receiverName(expr ast.Expr) string {
 		case *ast.IndexListExpr:
 			expr = e.X
 		case *ast.Ident:
-			return e.Name
+			return "", e.Name
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok {
+				return x.Name, e.Sel.Name
+			}
+			return "", ""
 		default:
-			return ""
+			return "", ""
 		}
 	}
 }
@@ -318,6 +326,168 @@ func truncations(files []srcFile) []string {
 	return out
 }
 
+// typeName is a type: its package directory ("." for the root) and name.
+type typeName struct{ dir, name string }
+
+// optionField is one exported field of an exported *Config or *Options
+// struct.
+type optionField struct {
+	typeName
+	field string
+}
+
+// modulePackage returns the directory of the module package f imports
+// under the name x ("." for the root package), "" for none.
+func modulePackage(f srcFile, x string) string {
+	for _, imp := range f.ast.Imports {
+		p, err := strconv.Unquote(imp.Path.Value)
+		switch {
+		case err != nil || importName(f, p) != x:
+		case p+"/" == module:
+			return "."
+		case strings.HasPrefix(p, module):
+			return strings.TrimPrefix(p, module)
+		}
+	}
+	return ""
+}
+
+// unsetOptions reports every exported field of an exported *Config or
+// *Options struct declared in decls under internal/ that no file in
+// setters sets outside a defaults function (withDefaults, applyDefaults,
+// Default*): an option exists only when a caller sets it. A keyed
+// composite literal of the struct's type sets its keys: T{ in the
+// declaring package, x.T{ through an import of it or of an alias of it
+// (type A = x.T), and an element of a slice or map of T with the type
+// elided. An assignment v.F = and a flag binding &v.F set every field
+// named F, whatever v's type, so the rule reports a lower bound of the
+// unset fields.
+func unsetOptions(decls, setters []srcFile) []string {
+	declared := make(map[optionField]string)
+	for _, f := range decls {
+		if !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		for _, decl := range f.ast.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							declared[optionField{typeName{f.dir, name}, id.Name}] = f.path
+						}
+					}
+				}
+			}
+		}
+	}
+
+	aliases := make(map[typeName]typeName)
+	// typeOf resolves a type expression in f to the module type it
+	// denotes; the dir of any other type is "".
+	typeOf := func(f srcFile, expr ast.Expr) typeName {
+		pkg, name := typeRef(expr)
+		t := typeName{f.dir, name}
+		if pkg != "" {
+			t.dir = modulePackage(f, pkg)
+		}
+		if to, ok := aliases[t]; ok {
+			return to
+		}
+		return t
+	}
+	for _, f := range setters {
+		for _, decl := range f.ast.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					if ts := spec.(*ast.TypeSpec); ts.Assign.IsValid() {
+						aliases[typeName{f.dir, ts.Name.Name}] = typeOf(f, ts.Type)
+					}
+				}
+			}
+		}
+	}
+
+	set := make(map[optionField]bool)
+	setByName := make(map[string]bool)
+	markKeys := func(lit *ast.CompositeLit, t typeName) {
+		for _, elt := range lit.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if key, ok := kv.Key.(*ast.Ident); ok {
+					set[optionField{t, key.Name}] = true
+				}
+			}
+		}
+	}
+	for _, f := range setters {
+		for _, decl := range f.ast.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				if n := fn.Name.Name; n == "withDefaults" || n == "applyDefaults" || strings.HasPrefix(n, "Default") {
+					continue
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if n.Type == nil {
+						return true
+					}
+					markKeys(n, typeOf(f, n.Type))
+					var elem ast.Expr
+					switch t := n.Type.(type) {
+					case *ast.ArrayType:
+						elem = t.Elt
+					case *ast.MapType:
+						elem = t.Value
+					default:
+						return true
+					}
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							elt = kv.Value
+						}
+						if u, ok := elt.(*ast.UnaryExpr); ok {
+							elt = u.X
+						}
+						if lit, ok := elt.(*ast.CompositeLit); ok && lit.Type == nil {
+							markKeys(lit, typeOf(f, elem))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							setByName[sel.Sel.Name] = true
+						}
+					}
+				case *ast.UnaryExpr:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok && n.Op == token.AND {
+						setByName[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var out []string
+	for fd, path := range declared {
+		if !set[fd] && !setByName[fd.field] {
+			out = append(out, path+": "+fd.name+"."+fd.field)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 func contains(list []string, s string) bool {
 	for _, v := range list {
 		if v == s {
@@ -346,7 +516,8 @@ func check(t *testing.T, rule string, violations []string, allow map[string]bool
 }
 
 func TestDesignRules(t *testing.T) {
-	files := loadTree(t, filepath.Join("..", ".."))
+	root := filepath.Join("..", "..")
+	files := loadTree(t, root, "internal", "cmd")
 	if len(files) == 0 {
 		t.Fatal("no Go files found under internal/ and cmd/")
 	}
@@ -360,6 +531,16 @@ func TestDesignRules(t *testing.T) {
 	check(t, "root contexts only in mains and the daemon runtime", rootContexts(files), rootContextAllow)
 	check(t, "no JSON frames on the request/response wires", jsonFrames(files), jsonFrameAllow)
 	check(t, "one TCP lifecycle", tcpLifecycles(files), tcpLifecycleAllow)
+
+	setters := append(loadTree(t, root, "bench", "examples", "."), files...)
+	allow := make(map[string]bool)
+	for entry, reason := range unsetOptionAllow {
+		if reason == "" {
+			t.Errorf("an option set by no caller: allowlist entry %q gives no reason", entry)
+		}
+		allow[entry] = true
+	}
+	check(t, "an option set by no caller", unsetOptions(files, setters), allow)
 }
 
 // parseFile parses src as the file at path, for planted violations.
@@ -600,5 +781,55 @@ func f() {
 	}
 	if got := tcpLifecycles(lifecycles); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("TCP lifecycle rule on planted calls = %q, want %q", got, want)
+	}
+
+	// Setting a field: a keyed literal of its type (in its package, through
+	// a renamed import, through an alias, as an elided slice element), an
+	// assignment or a flag binding of any field of its name. A setter in a
+	// defaults function, a same-named type of another package and an
+	// unexported field or type do not count.
+	optionDecls := []srcFile{
+		parseFile(t, "internal/reid/reid.go", `package reid
+type PoolConfig struct {
+	Local, Renamed, Aliased, Elided, Assigned, Bound int
+	Unused, Defaulted                                int
+	hidden                                           int
+}
+type poolConfig struct{ X int }
+type Pool struct{ Size int }
+func DefaultPoolConfig() PoolConfig { return PoolConfig{Unused: 1} }
+func (c PoolConfig) withDefaults() PoolConfig { c.Defaulted = 1; return c }
+func f() PoolConfig { return PoolConfig{Local: 1} }`),
+		parseFile(t, "internal/core/core.go", `package core
+type PoolConfig struct{ Other int }`),
+	}
+	optionSetters := append([]srcFile{
+		parseFile(t, "api.go", `package coralpie
+import "repro/internal/reid"
+type Pool = reid.PoolConfig`),
+		parseFile(t, "examples/quick/main.go", `package main
+import cp "repro"
+func main() { _ = cp.Pool{Aliased: 1} }`),
+		parseFile(t, "cmd/tool/main.go", `package main
+import (
+	"flag"
+	r "repro/internal/reid"
+)
+func main() {
+	_ = r.PoolConfig{Renamed: 1}
+	_ = []*r.PoolConfig{{Elided: 1}}
+	_ = r.PoolConfig{Other: 1}
+	var c r.PoolConfig
+	c.Assigned = 1
+	flag.IntVar(&c.Bound, "bound", 0, "")
+}`),
+	}, optionDecls...)
+	want = []string{
+		"internal/core/core.go: PoolConfig.Other",
+		"internal/reid/reid.go: PoolConfig.Defaulted",
+		"internal/reid/reid.go: PoolConfig.Unused",
+	}
+	if got := unsetOptions(optionDecls, optionSetters); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("option rule on planted fields = %q, want %q", got, want)
 	}
 }

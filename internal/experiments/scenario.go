@@ -62,11 +62,6 @@ type CorridorConfig struct {
 	// paint colors, which is what makes color-histogram
 	// re-identification hard (paper Section 4.1.2).
 	ColorPoolSize int
-	// SlackAfterLastVehicle extends the run beyond the last vehicle's
-	// route completion.
-	SlackAfterLastVehicle time.Duration
-	// FPS overrides the 15 FPS camera default.
-	FPS float64
 	// BrightnessJitter gives each camera a per-camera exposure offset
 	// (see core.Config.BrightnessJitter).
 	BrightnessJitter int
@@ -75,15 +70,18 @@ type CorridorConfig struct {
 	MatcherThreshold float64
 }
 
+// slackAfterLastVehicle extends a corridor run beyond the last vehicle's
+// route completion.
+const slackAfterLastVehicle = 20 * time.Second
+
 // DefaultCorridorConfig mirrors the paper's five-camera deployment.
 func DefaultCorridorConfig(seed int64) CorridorConfig {
 	return CorridorConfig{
-		Cameras:               5,
-		Vehicles:              20,
-		TurnProb:              0.15,
-		DepartEvery:           4 * time.Second,
-		Seed:                  seed,
-		SlackAfterLastVehicle: 20 * time.Second,
+		Cameras:     5,
+		Vehicles:    20,
+		TurnProb:    0.15,
+		DepartEvery: 4 * time.Second,
+		Seed:        seed,
 	}
 }
 
@@ -202,7 +200,6 @@ func RunCorridor(cfg CorridorConfig) (*CorridorRun, error) {
 		CameraWidth:      192,
 		CameraHeight:     144,
 		PxPerMeter:       4,
-		CameraFPS:        cfg.FPS,
 		BrightnessJitter: cfg.BrightnessJitter,
 		// Reference-SORT min_hits suppresses one-frame false-positive
 		// tracks, matching the paper's high event precision.
@@ -383,7 +380,7 @@ func RunCorridor(cfg CorridorConfig) (*CorridorRun, error) {
 		})
 	}
 
-	horizon := sys.World().LastVehicleDone() + cfg.SlackAfterLastVehicle
+	horizon := sys.World().LastVehicleDone() + slackAfterLastVehicle
 	sys.Run(horizon)
 	sys.Stop()
 	if err := sys.FlushAll(); err != nil {

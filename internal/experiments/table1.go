@@ -162,10 +162,7 @@ func measureHostSubTasks() (hostLatencies, error) {
 	if err != nil {
 		return hostLatencies{}, err
 	}
-	pool, err := reid.NewPool(reid.DefaultPoolConfig())
-	if err != nil {
-		return hostLatencies{}, err
-	}
+	pool := reid.NewPool(reid.DefaultPoolConfig())
 	for i := 0; i < 16; i++ {
 		pool.Add(reid.Entry{Event: sampleEvent(fmt.Sprintf("up#%d", i), hist)})
 	}
@@ -174,7 +171,7 @@ func measureHostSubTasks() (hostLatencies, error) {
 		return hostLatencies{}, err
 	}
 	out.reidMatch = timeIt(iters, func() error {
-		matcher.Match(hist, pool, time.Time{})
+		matcher.Match(hist, pool)
 		return nil
 	})
 

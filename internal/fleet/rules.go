@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -41,13 +42,18 @@ type Rule struct {
 	Value float64 `json:"value"`
 }
 
-// Validate reports the first problem with the rule, or nil.
+// Validate reports the first problem with the rule, or nil. A rule that
+// could never fire is a problem: its metric must be a name the registry
+// accepts (families are matched by exact name) and its value finite.
 func (r Rule) Validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("fleet: rule needs a name")
 	}
-	if r.Metric == "" {
-		return fmt.Errorf("fleet: rule %s needs a metric", r.Name)
+	if !obs.ValidName(r.Metric) {
+		return fmt.Errorf("fleet: rule %s: invalid metric name %q", r.Name, r.Metric)
+	}
+	if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
+		return fmt.Errorf("fleet: rule %s: non-finite value %v", r.Name, r.Value)
 	}
 	switch r.Kind {
 	case RuleThreshold, RuleRate:

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +39,11 @@ func TestParseRule(t *testing.T) {
 		{in: "x=metric>notanumber", bad: true},          // bad operand
 		{in: "metric>=10", bad: true},                   // ">=" consumed the "="
 		{in: "=coralpie_rpc_errors_total>1", bad: true}, // empty name
+		{in: "x=m>NaN", bad: true},                      // never fires
+		{in: "x=m>-Inf", bad: true},                     // non-finite value
+		{in: "x= m >1", bad: true},                      // metric " m " is no family name
+		{in: "a=b=m>1", bad: true},                      // metric "b=m" is no family name
+		{in: "x=rate(m-1)>1", bad: true},                // metric "m-1" is no family name
 	}
 	for _, tc := range cases {
 		got, err := ParseRule(tc.in)
@@ -55,6 +61,43 @@ func TestParseRule(t *testing.T) {
 			t.Errorf("ParseRule(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
+}
+
+// FuzzParseRule: ParseRule never panics, and every rule it accepts is
+// valid and parses back from name=metric<op>value (the metric inside
+// rate(...) for a rate rule) to the same rule.
+func FuzzParseRule(f *testing.F) {
+	for _, s := range []string{
+		"rpc-errors=coralpie_rpc_errors_total>=10",
+		"drops=rate(coralpie_transport_lost_total)>0.5",
+		"slack=coralpie_queue_depth<=0",
+		"low=coralpie_fleet_nodes< 2e3",
+		"x=m>NaN",
+		"x= m >1",
+		"a=b=m>1",
+		"x=rate(m>5",
+		"metric>=10",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseRule(s)
+		if err != nil {
+			return
+		}
+		if err := r.Validate(); err != nil {
+			t.Fatalf("ParseRule(%q) = %+v, which Validate refuses: %v", s, r, err)
+		}
+		metric := r.Metric
+		if r.Kind == RuleRate {
+			metric = "rate(" + metric + ")"
+		}
+		form := r.Name + "=" + metric + r.Op + strconv.FormatFloat(r.Value, 'g', -1, 64)
+		if back, err := ParseRule(form); err != nil || back != r {
+			t.Fatalf("ParseRule(%q) = %+v, but %q parses to %+v, %v", s, r, form, back, err)
+		}
+	})
 }
 
 func TestRuleFlagAccumulates(t *testing.T) {

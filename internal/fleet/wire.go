@@ -51,13 +51,8 @@ type Server struct {
 	rs      *rpc.Server
 }
 
-// Serve starts a heartbeat server for the monitor on addr (use
+// ServeWith starts a heartbeat server for the monitor on addr (use
 // "127.0.0.1:0" for an ephemeral port).
-func Serve(m *Monitor, addr string) (*Server, error) {
-	return ServeWith(m, addr, ServerOptions{})
-}
-
-// ServeWith starts a heartbeat server with explicit options.
 func ServeWith(m *Monitor, addr string, opts ServerOptions) (*Server, error) {
 	if m == nil {
 		return nil, errors.New("fleet: nil monitor")
@@ -100,29 +95,17 @@ func (s *Server) Shutdown(ctx context.Context) error { return s.rs.Shutdown(ctx)
 // Close stops accepting and closes connections immediately.
 func (s *Server) Close() error { return s.rs.Close() }
 
-// ClientConfig tunes the heartbeat client. The zero value selects the
-// defaults noted per field.
+// callTimeout bounds one push when the caller's context carries no
+// deadline of its own.
+const callTimeout = 5 * time.Second
+
+// ClientConfig tunes the heartbeat client. A failed dial is retried
+// after rpc's default backoff, and a push whose cached connection proves
+// stale is retried once.
 type ClientConfig struct {
-	// CallTimeout bounds one push when the caller's context carries no
-	// deadline of its own. Default 5s.
-	CallTimeout time.Duration
-	// DialBackoffBase is the first retry delay after a failed dial
-	// (default 50ms); DialBackoffMax caps the growth (default 1s).
-	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
-	// RetryBudget is how many times one push may retry after its cached
-	// connection proves stale (default 1; negative disables retries).
-	RetryBudget int
 	// Registry receives the client's coralpie_rpc_* telemetry
 	// (component="fleet_client"); nil keeps standalone handles.
 	Registry *obs.Registry
-}
-
-func (cfg ClientConfig) withDefaults() ClientConfig {
-	if cfg.CallTimeout <= 0 {
-		cfg.CallTimeout = 5 * time.Second
-	}
-	return cfg
 }
 
 // Client pushes heartbeats to a monitor over TCP. It is safe for
@@ -140,19 +123,15 @@ type Client struct {
 // (and be counted), which is the desired degraded mode — nodes must not
 // crash because the health plane is unreachable.
 func Dial(addr string, cfg ClientConfig) *Client {
-	cfg = cfg.withDefaults()
 	c := &Client{
-		cc: rpc.NewClientConn(addr, rpc.BackoffConfig{
-			Base: cfg.DialBackoffBase,
-			Max:  cfg.DialBackoffMax,
-		}),
-		m: rpc.NewMetrics(cfg.Registry, "component", "fleet_client"),
+		cc: rpc.NewClientConn(addr, rpc.BackoffConfig{}),
+		m:  rpc.NewMetrics(cfg.Registry, "component", "fleet_client"),
 	}
 	c.call = rpc.Bind(c.roundTrip,
-		rpc.WithDefaultDeadline(cfg.CallTimeout),
+		rpc.WithDefaultDeadline(callTimeout),
 		rpc.WithTraceInject(),
 		rpc.WithMetrics(c.m),
-		rpc.WithRetry(c.m.RetryHooks(rpc.RetryConfig{Budget: cfg.RetryBudget})))
+		rpc.WithRetry(c.m.RetryHooks(rpc.RetryConfig{})))
 	return c
 }
 

@@ -10,7 +10,7 @@ import (
 
 func TestWirePushRoundTrip(t *testing.T) {
 	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
-	srv, err := Serve(m, "127.0.0.1:0")
+	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestWirePushRoundTrip(t *testing.T) {
 
 func TestWireRejectsAnonymousHeartbeat(t *testing.T) {
 	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
-	srv, err := Serve(m, "127.0.0.1:0")
+	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,25 +71,24 @@ func TestWireRejectsAnonymousHeartbeat(t *testing.T) {
 // recovers as soon as the monitor appears on the same address.
 func TestWireLazyDialSurvivesDownMonitor(t *testing.T) {
 	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
-	srv, err := Serve(m, "127.0.0.1:0")
+	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
 	_ = srv.Close() // monitor goes away before the first push
 
-	c := Dial(addr, ClientConfig{
-		CallTimeout: 500 * time.Millisecond,
-		Registry:    obs.NewRegistry(),
-	})
+	c := Dial(addr, ClientConfig{Registry: obs.NewRegistry()})
 	defer c.Close()
-	if err := c.Push(context.Background(), &Heartbeat{NodeID: "cam1"}); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if err := c.Push(ctx, &Heartbeat{NodeID: "cam1"}); err == nil {
 		t.Fatal("push to a dead monitor succeeded")
 	}
 
 	// Monitor comes back on the same address: the cached-dial client
 	// reconnects within the push.
-	srv2, err := Serve(m, addr)
+	srv2, err := ServeWith(m, addr, ServerOptions{})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}
@@ -104,7 +103,7 @@ func TestWireLazyDialSurvivesDownMonitor(t *testing.T) {
 
 func TestAgentPushesThroughWire(t *testing.T) {
 	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
-	srv, err := Serve(m, "127.0.0.1:0")
+	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func TestGCRetainAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
-	tracer := obs.NewTracer(clk, 64)
+	tracer := obs.NewTracerWith(obs.TracerConfig{Clock: clk, Capacity: 64})
 	s.UseTracer(tracer)
 
 	// record() stamps timestamps within the first minute of 2020-12-07.

@@ -1,8 +1,8 @@
 // Package metrics implements the evaluation arithmetic of the paper's
 // Section 5: precision/recall/F-beta scoring of detection events against
 // ground truth (Table 2), transition scoring for cross-camera
-// re-identification accuracy (Section 5.6), and latency recording for the
-// microbenchmarks (Table 1).
+// re-identification accuracy (Section 5.6), and a nearest-rank latency
+// recorder.
 package metrics
 
 import (

@@ -69,16 +69,14 @@ type MuxConfig struct {
 	// profiling endpoints expose stack traces and symbol names, so
 	// binaries gate this behind an explicit -obs-pprof flag.
 	PProf bool
-	// Checks back /healthz; with none, /healthz always reports ok.
-	Checks []HealthCheck
-	// NamedChecks back /healthz too, and additionally power its
-	// ?v=json mode: per-component readiness results. Binaries pass the
+	// NamedChecks back /healthz (with none, it always reports ok) and
+	// its ?v=json mode: per-component readiness results. Binaries pass the
 	// same slice to their fleet heartbeat agent, so what the monitor
 	// sees is exactly what /healthz reports.
 	NamedChecks []NamedCheck
 }
 
-// NewMux builds the telemetry HTTP handler:
+// NewMuxWith builds the telemetry HTTP handler:
 //
 //   - /metrics      — Prometheus text exposition of reg
 //   - /healthz      — 200 "ok" while every check passes, 503 otherwise
@@ -86,13 +84,7 @@ type MuxConfig struct {
 //   - /debug/trace  — assembled span tree for ?id=<trace>, or the list
 //     of known trace IDs without ?id (404 when no tracer is attached)
 //
-// reg may be nil (Default is used); tr may be nil (span fields are
-// omitted). NewMuxWith additionally offers opt-in pprof handlers.
-func NewMux(reg *Registry, tr *Tracer, checks ...HealthCheck) *http.ServeMux {
-	return NewMuxWith(MuxConfig{Registry: reg, Tracer: tr, Checks: checks})
-}
-
-// NewMuxWith is NewMux with full configuration; see MuxConfig.
+// and, with cfg.PProf, net/http/pprof under /debug/pprof/. See MuxConfig.
 func NewMuxWith(cfg MuxConfig) *http.ServeMux {
 	reg := cfg.Registry
 	if reg == nil {
@@ -110,14 +102,6 @@ func NewMuxWith(cfg MuxConfig) *http.ServeMux {
 		for _, res := range results {
 			healthy = healthy && res.OK
 		}
-		var anonErr error
-		for _, check := range cfg.Checks {
-			if err := check(); err != nil {
-				healthy = false
-				anonErr = err
-				break
-			}
-		}
 		if r.URL.Query().Get("v") == "json" {
 			w.Header().Set("Content-Type", "application/json")
 			if !healthy {
@@ -133,14 +117,10 @@ func NewMuxWith(cfg MuxConfig) *http.ServeMux {
 		}
 		if !healthy {
 			msg := "unhealthy"
-			if anonErr != nil {
-				msg = anonErr.Error()
-			} else {
-				for _, res := range results {
-					if !res.OK {
-						msg = res.Component + ": " + res.Err
-						break
-					}
+			for _, res := range results {
+				if !res.OK {
+					msg = res.Component + ": " + res.Err
+					break
 				}
 			}
 			http.Error(w, msg, http.StatusServiceUnavailable)

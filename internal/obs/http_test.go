@@ -19,7 +19,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	r.Gauge("coralpie_http_gauge", "").Set(1)
 	r.Histogram("coralpie_http_seconds", "", nil).Observe(0.001)
 
-	srv := httptest.NewServer(NewMux(r, nil))
+	srv := httptest.NewServer(NewMuxWith(MuxConfig{Registry: r}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -54,7 +54,10 @@ func TestHealthzEndpoint(t *testing.T) {
 		}
 		return nil
 	}
-	srv := httptest.NewServer(NewMux(NewRegistry(), nil, check))
+	srv := httptest.NewServer(NewMuxWith(MuxConfig{
+		Registry:    NewRegistry(),
+		NamedChecks: []NamedCheck{{Name: "store", Check: check}},
+	}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -140,11 +143,11 @@ func TestHealthzJSONPerComponent(t *testing.T) {
 func TestDebugObsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("coralpie_dbg_total", "").Inc()
-	tr := NewTracer(clock.Fixed{T: time.Unix(9, 0)}, 4)
+	tr := NewTracerWith(TracerConfig{Clock: clock.Fixed{T: time.Unix(9, 0)}, Capacity: 4})
 	tr.EndSpan(tr.Start(SpanContext{}, "veh", "handoff"))
 	tr.Start(SpanContext{}, "lost", "handoff")
 
-	srv := httptest.NewServer(NewMux(r, tr))
+	srv := httptest.NewServer(NewMuxWith(MuxConfig{Registry: r, Tracer: tr}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/obs")
@@ -178,7 +181,7 @@ func TestDebugObsHistogramJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("coralpie_dbg_seconds", "", nil).Observe(0.5)
 
-	srv := httptest.NewServer(NewMux(r, nil))
+	srv := httptest.NewServer(NewMuxWith(MuxConfig{Registry: r}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/obs")
@@ -204,7 +207,7 @@ func TestDebugObsHistogramJSON(t *testing.T) {
 func TestServeLifecycle(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("coralpie_served_total", "").Inc()
-	s, err := Serve("127.0.0.1:0", NewMux(r, nil))
+	s, err := Serve("127.0.0.1:0", NewMuxWith(MuxConfig{Registry: r}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,7 +241,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 }
 
 func (r *Registry) child(name, help string, typ MetricType, buckets []float64, labels []string) any {
-	if !validName(name) {
+	if !ValidName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	if len(labels)%2 != 0 {
@@ -295,7 +295,9 @@ func (r *Registry) child(name, help string, typ MetricType, buckets []float64, l
 	return child
 }
 
-func validName(name string) bool {
+// ValidName reports whether name is a metric name the registry accepts:
+// [a-zA-Z_:][a-zA-Z0-9_:]*, the Prometheus metric-name grammar.
+func ValidName(name string) bool {
 	if name == "" {
 		return false
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -38,14 +39,14 @@ func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 // The span-recording methods (RecordRoot, RecordChild, Start, EndSpan)
 // are no-ops on a nil *Tracer, so callers need no tracing guard.
 //
-// Timestamps come from the injected clock and span IDs from the injected
-// IDSource, so a Tracer driven by the discrete-event simulator's virtual
-// clock produces identical spans — including identical tree topology —
-// on identical runs.
+// Timestamps come from the injected clock and span IDs from a per-tracer
+// sequence 1, 2, 3, …, so a Tracer driven by the discrete-event
+// simulator's virtual clock produces identical spans — including
+// identical tree topology — on identical runs.
 type Tracer struct {
 	clk         clock.Clock
 	max         int
-	ids         IDSource
+	ids         atomic.Uint64 // the last span ID allocated
 	idPrefix    string
 	sampleEvery int
 
@@ -69,10 +70,6 @@ type TracerConfig struct {
 	// Capacity bounds both the active-span table and the recent-span
 	// ring (minimum 1).
 	Capacity int
-	// IDs allocates span IDs; nil uses a fresh process-local sequence.
-	// Inject a shared or pre-seeded source when merging spans from
-	// several tracers.
-	IDs IDSource
 	// IDPrefix prefixes every allocated span ID (e.g. the node name
 	// plus "-"), keeping IDs unique across processes whose spans are
 	// stitched into one trace offline.
@@ -84,14 +81,7 @@ type TracerConfig struct {
 	SampleEvery int
 }
 
-// NewTracer returns a tracer bounding both the active-span table and the
-// recent-span ring to capacity (minimum 1). A nil clock uses real time.
-func NewTracer(clk clock.Clock, capacity int) *Tracer {
-	return NewTracerWith(TracerConfig{Clock: clk, Capacity: capacity})
-}
-
-// NewTracerWith returns a tracer with explicit ID allocation and
-// sampling configuration. See TracerConfig.
+// NewTracerWith returns a tracer configured by cfg. See TracerConfig.
 func NewTracerWith(cfg TracerConfig) *Tracer {
 	clk := cfg.Clock
 	if clk == nil {
@@ -101,14 +91,9 @@ func NewTracerWith(cfg TracerConfig) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	ids := cfg.IDs
-	if ids == nil {
-		ids = &SeqIDs{}
-	}
 	return &Tracer{
 		clk:         clk,
 		max:         capacity,
-		ids:         ids,
 		idPrefix:    cfg.IDPrefix,
 		sampleEvery: cfg.SampleEvery,
 		active:      make(map[string]*Span),

@@ -22,7 +22,7 @@ func (c *tickClock) Now() time.Time {
 
 func TestSpanBeginFinish(t *testing.T) {
 	clk := &tickClock{t: time.Unix(100, 0), step: time.Second}
-	tr := NewTracer(clk, 8)
+	tr := NewTracerWith(TracerConfig{Clock: clk, Capacity: 8})
 	sc := tr.Start(SpanContext{}, "cam0#1", "handoff")
 	if tr.ActiveCount() != 1 {
 		t.Fatalf("active = %d, want 1", tr.ActiveCount())
@@ -53,7 +53,7 @@ func TestSpanBeginFinish(t *testing.T) {
 }
 
 func TestSpanRingBound(t *testing.T) {
-	tr := NewTracer(clock.Fixed{T: time.Unix(0, 0)}, 4)
+	tr := NewTracerWith(TracerConfig{Clock: clock.Fixed{T: time.Unix(0, 0)}, Capacity: 4})
 	for i := 0; i < 10; i++ {
 		tr.EndSpan(tr.Start(SpanContext{}, string(rune('a'+i)), "s"))
 	}
@@ -71,7 +71,7 @@ func TestSpanRingBound(t *testing.T) {
 }
 
 func TestSpanActiveEviction(t *testing.T) {
-	tr := NewTracer(clock.Fixed{T: time.Unix(0, 0)}, 3)
+	tr := NewTracerWith(TracerConfig{Clock: clock.Fixed{T: time.Unix(0, 0)}, Capacity: 3})
 	var scs []SpanContext
 	for i := 0; i < 5; i++ {
 		scs = append(scs, tr.Start(SpanContext{}, string(rune('a'+i)), "s"))
@@ -109,7 +109,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 // TestStartWithoutParentOrTrace: with neither a parent nor a trace ID
 // there is nothing to hang a span on, so Start opens nothing.
 func TestStartWithoutParentOrTrace(t *testing.T) {
-	tr := NewTracer(clock.Fixed{T: time.Unix(0, 0)}, 4)
+	tr := NewTracerWith(TracerConfig{Clock: clock.Fixed{T: time.Unix(0, 0)}, Capacity: 4})
 	if sc := tr.Start(SpanContext{}, "", "commit"); sc.Valid() {
 		t.Fatalf("Start with no parent and no trace = %+v, want invalid", sc)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -45,25 +44,10 @@ func SpanFromContext(ctx context.Context) (SpanContext, bool) {
 	return sc, ok && sc.Valid()
 }
 
-// IDSource allocates span IDs. Implementations must be safe for
-// concurrent use; determinism additionally requires that allocations
-// happen in a deterministic order (the DES runs everything on one
-// goroutine, which is what makes simulated traces byte-identical across
-// same-seed runs).
-type IDSource interface {
-	NextID() uint64
-}
-
-// SeqIDs is the default IDSource: a plain sequence 1, 2, 3, …
-type SeqIDs struct{ n uint64 }
-
-// NextID returns the next value in the sequence.
-func (s *SeqIDs) NextID() uint64 { return atomic.AddUint64(&s.n, 1) }
-
 // newSpanID allocates the next span ID as lowercase hex with the
 // configured prefix.
 func (t *Tracer) newSpanID() string {
-	return t.idPrefix + strconv.FormatUint(t.ids.NextID(), 16)
+	return t.idPrefix + strconv.FormatUint(t.ids.Add(1), 16)
 }
 
 // sampleRootLocked takes the head-sampling decision for a new trace

@@ -72,7 +72,7 @@ func TestRecordRootAndChildren(t *testing.T) {
 }
 
 func TestRecordChildInvalidParent(t *testing.T) {
-	tr := NewTracer(&tickClock{t: time.Unix(0, 0), step: time.Second}, 4)
+	tr := NewTracerWith(TracerConfig{Clock: &tickClock{t: time.Unix(0, 0), step: time.Second}, Capacity: 4})
 	if sc := tr.RecordChild(SpanContext{}, "x", time.Unix(0, 0), time.Unix(1, 0)); sc.Valid() {
 		t.Fatalf("child of invalid parent should be invalid, got %+v", sc)
 	}
@@ -83,7 +83,7 @@ func TestRecordChildInvalidParent(t *testing.T) {
 
 func TestStartEndSpan(t *testing.T) {
 	clk := &tickClock{t: time.Unix(100, 0), step: time.Second}
-	tr := NewTracer(clk, 8)
+	tr := NewTracerWith(TracerConfig{Clock: clk, Capacity: 8})
 	root := tr.RecordRoot("cam0#1", "capture", time.Unix(100, 0), time.Unix(101, 0))
 
 	live := tr.Start(root, "", "inform")
@@ -156,7 +156,7 @@ func TestDeterministicSpanIDs(t *testing.T) {
 
 func TestStartJoinsParentTrace(t *testing.T) {
 	clk := &tickClock{t: time.Unix(100, 0), step: time.Second}
-	tr := NewTracer(clk, 8)
+	tr := NewTracerWith(TracerConfig{Clock: clk, Capacity: 8})
 	parent := SpanContext{TraceID: "cam0#1", SpanID: "cam0-3", Sampled: true}
 
 	// The parent's trace wins over the trace argument.
@@ -179,7 +179,7 @@ func TestStartJoinsParentTrace(t *testing.T) {
 
 func TestAssembleTraceOrphans(t *testing.T) {
 	clk := &tickClock{t: time.Unix(0, 0), step: time.Second}
-	tr := NewTracer(clk, 8)
+	tr := NewTracerWith(TracerConfig{Clock: clk, Capacity: 8})
 	// A child whose parent never recorded (e.g. evicted) becomes a root.
 	parent := SpanContext{TraceID: "t1", SpanID: "gone", Sampled: true}
 	tr.RecordChild(parent, "orphan", time.Unix(0, 0), time.Unix(1, 0))
@@ -194,7 +194,7 @@ func TestAssembleTraceOrphans(t *testing.T) {
 
 func TestJSONLWriterSink(t *testing.T) {
 	clk := &tickClock{t: time.Unix(0, 0), step: time.Second}
-	tr := NewTracer(clk, 8)
+	tr := NewTracerWith(TracerConfig{Clock: clk, Capacity: 8})
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
 	tr.SetSink(w.Export)

@@ -153,19 +153,19 @@ func TestRunnerProcessesInOrder(t *testing.T) {
 	var completed []int
 	done := make(chan struct{})
 	const n = 20
-	r, err := NewRunner(RunnerConfig[*job]{
-		Sink: func(j *job) {
+	r, err := NewRunner(RunnerConfig[*job]{},
+		Stage[*job]{Name: "a", Proc: func(j *job) error { j.visit("a"); return nil }},
+		Stage[*job]{Name: "b", Proc: func(j *job) error { j.visit("b"); return nil }},
+		Stage[*job]{Name: "c", Proc: func(j *job) error { j.visit("c"); return nil }},
+		Stage[*job]{Name: "done", Proc: func(j *job) error {
 			mu.Lock()
 			completed = append(completed, j.id)
 			if len(completed) == n {
 				close(done)
 			}
 			mu.Unlock()
-		},
-	},
-		Stage[*job]{Name: "a", Proc: func(j *job) error { j.visit("a"); return nil }},
-		Stage[*job]{Name: "b", Proc: func(j *job) error { j.visit("b"); return nil }},
-		Stage[*job]{Name: "c", Proc: func(j *job) error { j.visit("c"); return nil }},
+			return nil
+		}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,6 @@ func TestRunnerErrorDropsJob(t *testing.T) {
 	var mu sync.Mutex
 	var sunk, failures int
 	r, err := NewRunner(RunnerConfig[*job]{
-		Sink: func(*job) { mu.Lock(); sunk++; mu.Unlock() },
 		OnError: func(stage string, err error) {
 			mu.Lock()
 			failures++
@@ -217,6 +216,7 @@ func TestRunnerErrorDropsJob(t *testing.T) {
 			}
 			return nil
 		}},
+		Stage[*job]{Name: "sink", Proc: func(*job) error { mu.Lock(); sunk++; mu.Unlock(); return nil }},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -243,32 +243,6 @@ func TestRunnerSubmitAfterClose(t *testing.T) {
 	if r.Submit(&job{}) {
 		t.Error("submit after close accepted")
 	}
-	if r.TrySubmit(&job{}) {
-		t.Error("try-submit after close accepted")
-	}
-}
-
-func TestRunnerTrySubmitBackpressure(t *testing.T) {
-	block := make(chan struct{})
-	r, err := NewRunner(RunnerConfig[*job]{Buffer: 1},
-		Stage[*job]{Name: "slow", Proc: func(*job) error { <-block; return nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill: one job in the stage, one in the buffer.
-	r.Submit(&job{id: 0})
-	dropped := false
-	for i := 1; i < 10; i++ {
-		if !r.TrySubmit(&job{id: i}) {
-			dropped = true
-			break
-		}
-	}
-	if !dropped {
-		t.Error("TrySubmit never applied backpressure")
-	}
-	close(block)
-	r.Close()
 }
 
 func TestRunnerValidation(t *testing.T) {

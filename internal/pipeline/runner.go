@@ -3,9 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"sync"
-
-	"repro/internal/clock"
-	"repro/internal/obs"
 )
 
 // Stage is one named processing step in a concurrent pipeline. The
@@ -16,29 +13,12 @@ type Stage[T any] struct {
 	Proc func(T) error
 }
 
-// stageObs holds one stage's pre-resolved metric handles so the per-job
-// path touches only atomics (no registry lookups, no allocation).
-type stageObs struct {
-	service *obs.Histogram
-	errors  *obs.Counter
-}
-
 // Runner executes stages concurrently, one goroutine per stage connected
 // by channels — the shape of the paper's per-RPi pipelines where each
 // stage is an independent thread. Jobs flow in submission order.
 type Runner[T any] struct {
-	stages  []Stage[T]
-	in      chan T
-	wg      sync.WaitGroup
-	sink    func(T)
-	onError func(stage string, err error)
-
-	clk       clock.Clock
-	stageObs  []stageObs
-	submitted *obs.Counter
-	rejected  *obs.Counter // TrySubmit back-pressure drops
-	completed *obs.Counter
-	inflight  *obs.Gauge
+	in chan T
+	wg sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
@@ -49,23 +29,8 @@ type RunnerConfig[T any] struct {
 	// Buffer is the channel capacity between stages. The paper's RPi
 	// pipelines hold one frame per stage; the default of 1 mirrors that.
 	Buffer int
-	// Sink receives jobs that completed every stage. Optional.
-	Sink func(T)
 	// OnError is invoked when a stage rejects a job. Optional.
 	OnError func(stage string, err error)
-	// Obs, when non-nil, instruments the runner: per-stage service-time
-	// histograms and error counters, plus submit/reject/complete
-	// counters and an in-flight gauge, all under
-	// coralpie_pipeline_*. Handles are resolved once here so the per-job
-	// path adds no allocation.
-	Obs *obs.Registry
-	// ObsLabels are extra label pairs (e.g. "camera", "cam3") attached
-	// to every metric this runner registers.
-	ObsLabels []string
-	// Clock supplies service-time timestamps; the discrete-event
-	// harness injects its virtual clock here so telemetry stays
-	// deterministic. Defaults to the real clock.
-	Clock clock.Clock
 }
 
 // NewRunner starts the stage goroutines and returns the runner.
@@ -82,41 +47,10 @@ func NewRunner[T any](cfg RunnerConfig[T], stages ...Stage[T]) (*Runner[T], erro
 	if buffer < 1 {
 		buffer = 1
 	}
-	r := &Runner[T]{
-		stages:  stages,
-		in:      make(chan T, buffer),
-		sink:    cfg.Sink,
-		onError: cfg.OnError,
-		clk:     cfg.Clock,
-	}
-	if r.clk == nil {
-		r.clk = clock.Real{}
-	}
-	if cfg.Obs != nil {
-		base := cfg.ObsLabels
-		r.submitted = cfg.Obs.Counter("coralpie_pipeline_submitted_total",
-			"jobs accepted into the pipeline", base...)
-		r.rejected = cfg.Obs.Counter("coralpie_pipeline_rejected_total",
-			"jobs refused by TrySubmit back-pressure", base...)
-		r.completed = cfg.Obs.Counter("coralpie_pipeline_completed_total",
-			"jobs that passed every stage", base...)
-		r.inflight = cfg.Obs.Gauge("coralpie_pipeline_inflight",
-			"jobs currently inside the pipeline", base...)
-		r.stageObs = make([]stageObs, len(stages))
-		for i, st := range stages {
-			labels := append(append([]string(nil), base...), "stage", st.Name)
-			r.stageObs[i] = stageObs{
-				service: cfg.Obs.Histogram("coralpie_pipeline_stage_seconds",
-					"per-stage service time", nil, labels...),
-				errors: cfg.Obs.Counter("coralpie_pipeline_stage_errors_total",
-					"jobs dropped by a stage error", labels...),
-			}
-		}
-	}
+	r := &Runner[T]{in: make(chan T, buffer)}
 
 	prev := r.in
-	for i, st := range stages {
-		i, st := i, st
+	for _, st := range stages {
 		out := make(chan T, buffer)
 		inCh := prev
 		r.wg.Add(1)
@@ -124,10 +58,9 @@ func NewRunner[T any](cfg RunnerConfig[T], stages ...Stage[T]) (*Runner[T], erro
 			defer r.wg.Done()
 			defer close(out)
 			for job := range inCh {
-				err := r.runStage(i, st, job)
-				if err != nil {
-					if r.onError != nil {
-						r.onError(st.Name, err)
+				if err := st.Proc(job); err != nil {
+					if cfg.OnError != nil {
+						cfg.OnError(st.Name, err)
 					}
 					continue
 				}
@@ -140,32 +73,10 @@ func NewRunner[T any](cfg RunnerConfig[T], stages ...Stage[T]) (*Runner[T], erro
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		for job := range final {
-			if r.completed != nil {
-				r.completed.Inc()
-				r.inflight.Dec()
-			}
-			if r.sink != nil {
-				r.sink(job)
-			}
+		for range final { // a job out of the last stage is done
 		}
 	}()
 	return r, nil
-}
-
-// runStage executes one stage on one job, timing it when instrumented.
-func (r *Runner[T]) runStage(i int, st Stage[T], job T) error {
-	if r.stageObs == nil {
-		return st.Proc(job)
-	}
-	start := r.clk.Now()
-	err := st.Proc(job)
-	r.stageObs[i].service.ObserveDuration(r.clk.Now().Sub(start))
-	if err != nil {
-		r.stageObs[i].errors.Inc()
-		r.inflight.Dec()
-	}
-	return err
 }
 
 // Submit enqueues a job, blocking if the first stage is busy (camera
@@ -180,34 +91,7 @@ func (r *Runner[T]) Submit(job T) bool {
 	// between the check and the send.
 	defer r.mu.Unlock()
 	r.in <- job
-	if r.submitted != nil {
-		r.submitted.Inc()
-		r.inflight.Inc()
-	}
 	return true
-}
-
-// TrySubmit enqueues a job only if the first stage has buffer space,
-// modeling a camera that drops frames when the pipeline is saturated.
-func (r *Runner[T]) TrySubmit(job T) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return false
-	}
-	select {
-	case r.in <- job:
-		if r.submitted != nil {
-			r.submitted.Inc()
-			r.inflight.Inc()
-		}
-		return true
-	default:
-		if r.rejected != nil {
-			r.rejected.Inc()
-		}
-		return false
-	}
 }
 
 // Close drains the pipeline and waits for every stage to finish.

@@ -32,12 +32,13 @@ type Entry struct {
 	unmatchable bool // a non-finite bin: any distance is NaN or a false 0
 }
 
+// pruneThreshold is the pool size above which matched entries are
+// garbage-collected (paper: "pruning ... only when the pool grows too
+// large").
+const pruneThreshold = 256
+
 // PoolConfig parameterizes the candidate pool.
 type PoolConfig struct {
-	// PruneThreshold is the pool size above which matched entries are
-	// garbage-collected (paper: "pruning ... only when the pool grows too
-	// large").
-	PruneThreshold int
 	// OnEvict, when non-nil, is invoked (under the pool lock — keep it
 	// cheap and reentrancy-free) for every entry removed by pruning.
 	// Entry.Matched distinguishes normal cleanup of matched entries from
@@ -48,7 +49,7 @@ type PoolConfig struct {
 
 // DefaultPoolConfig matches the prototype's behaviour.
 func DefaultPoolConfig() PoolConfig {
-	return PoolConfig{PruneThreshold: 256}
+	return PoolConfig{}
 }
 
 // Pool is a camera's candidate pool. It is safe for concurrent use: the
@@ -67,15 +68,12 @@ type Pool struct {
 	expired  int64
 }
 
-// NewPool validates the config and returns an empty pool.
-func NewPool(cfg PoolConfig) (*Pool, error) {
-	if cfg.PruneThreshold < 1 {
-		return nil, fmt.Errorf("reid: prune threshold %d must be >= 1", cfg.PruneThreshold)
-	}
+// NewPool returns an empty pool.
+func NewPool(cfg PoolConfig) *Pool {
 	return &Pool{
 		cfg:     cfg,
 		entries: make(map[protocol.EventID]*Entry),
-	}, nil
+	}
 }
 
 // Add inserts an entry received from an upstream camera and reports
@@ -117,13 +115,13 @@ func (p *Pool) MarkMatched(id protocol.EventID) (Entry, bool) {
 	return *e, true
 }
 
-// pruneLocked removes matched entries once the pool exceeds the
-// configured threshold; if the pool is still over threshold afterwards
+// pruneLocked removes matched entries once the pool exceeds
+// pruneThreshold; if the pool is still over threshold afterwards
 // (a flood of informs that never matched), the oldest unmatched entries
 // are expired FIFO down to the threshold so pool memory stays bounded.
 // Caller holds p.mu.
 func (p *Pool) pruneLocked() {
-	if len(p.entries) <= p.cfg.PruneThreshold {
+	if len(p.entries) <= pruneThreshold {
 		return
 	}
 	keep := p.order[:0]
@@ -143,7 +141,7 @@ func (p *Pool) pruneLocked() {
 		keep = append(keep, id)
 	}
 	p.order = keep
-	for len(p.entries) > p.cfg.PruneThreshold && len(p.order) > 0 {
+	for len(p.entries) > pruneThreshold && len(p.order) > 0 {
 		id := p.order[0]
 		p.order = p.order[1:]
 		e, ok := p.entries[id]
@@ -214,10 +212,6 @@ type MatcherConfig struct {
 	// BhattThreshold is the maximum Bhattacharyya distance accepted as a
 	// match.
 	BhattThreshold float64
-	// MaxEventAge, when positive, skips pool entries older than this;
-	// a vehicle that has not arrived within the window is unlikely to be
-	// the one just seen. Zero disables the filter.
-	MaxEventAge time.Duration
 }
 
 // DefaultMatcherConfig returns the prototype threshold.
@@ -235,9 +229,6 @@ func NewMatcher(cfg MatcherConfig) (*Matcher, error) {
 	if cfg.BhattThreshold <= 0 || cfg.BhattThreshold > 1 {
 		return nil, fmt.Errorf("reid: Bhattacharyya threshold %v out of (0,1]", cfg.BhattThreshold)
 	}
-	if cfg.MaxEventAge < 0 {
-		return nil, fmt.Errorf("reid: max event age %v must be non-negative", cfg.MaxEventAge)
-	}
 	return &Matcher{cfg: cfg}, nil
 }
 
@@ -245,7 +236,7 @@ func NewMatcher(cfg MatcherConfig) (*Matcher, error) {
 // distance to the histogram. ok is false when nothing clears the
 // threshold. The matched entry is NOT marked; callers mark it after the
 // confirming protocol fires so the bookkeeping stays in one place.
-func (m *Matcher) Match(h feature.Histogram, pool *Pool, now time.Time) (best Entry, distance float64, ok bool) {
+func (m *Matcher) Match(h feature.Histogram, pool *Pool) (best Entry, distance float64, ok bool) {
 	var buf [feature.HistogramSize]int
 	support := feature.AppendSupport(buf[:0], h)
 	pool.mu.Lock()
@@ -255,9 +246,6 @@ func (m *Matcher) Match(h feature.Histogram, pool *Pool, now time.Time) (best En
 	for _, id := range pool.order {
 		e, present := pool.entries[id]
 		if !present || e.Matched || e.unmatchable || len(e.Event.Histogram.Bins) != len(h.Bins) {
-			continue
-		}
-		if m.cfg.MaxEventAge > 0 && now.Sub(e.ReceivedAt) > m.cfg.MaxEventAge {
 			continue
 		}
 		d := feature.SupportDistance(h, support, e.Event.Histogram)

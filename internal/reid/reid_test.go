@@ -36,15 +36,6 @@ func eventWith(t *testing.T, id string, c imaging.Color) protocol.DetectionEvent
 	}
 }
 
-func newPool(t *testing.T, threshold int) *Pool {
-	t.Helper()
-	p, err := NewPool(PoolConfig{PruneThreshold: threshold})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 func newMatcher(t *testing.T, cfg MatcherConfig) *Matcher {
 	t.Helper()
 	m, err := NewMatcher(cfg)
@@ -54,12 +45,6 @@ func newMatcher(t *testing.T, cfg MatcherConfig) *Matcher {
 	return m
 }
 
-func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(PoolConfig{PruneThreshold: 0}); err == nil {
-		t.Error("zero threshold accepted")
-	}
-}
-
 func TestMatcherValidation(t *testing.T) {
 	if _, err := NewMatcher(MatcherConfig{BhattThreshold: 0}); err == nil {
 		t.Error("zero threshold accepted")
@@ -67,13 +52,10 @@ func TestMatcherValidation(t *testing.T) {
 	if _, err := NewMatcher(MatcherConfig{BhattThreshold: 1.5}); err == nil {
 		t.Error("threshold > 1 accepted")
 	}
-	if _, err := NewMatcher(MatcherConfig{BhattThreshold: 0.3, MaxEventAge: -time.Second}); err == nil {
-		t.Error("negative age accepted")
-	}
 }
 
 func TestAddAndSize(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
 	p.Add(Entry{Event: eventWith(t, "up#2", imaging.Blue), ReceivedAt: t0})
 	if p.Size() != 2 || p.Unmatched() != 2 {
@@ -94,7 +76,7 @@ func TestAddAndSize(t *testing.T) {
 // without one must not erase it, and the first delivery's handoff span
 // stays the event's span.
 func TestDuplicateAddKeepsSpanRefreshesReplyAddr(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	ev := eventWith(t, "up#1", imaging.Red)
 	first := protocol.TraceContext{TraceID: "up#1", SpanID: "s1", Sampled: true}
 	if !p.Add(Entry{Event: ev, ReceivedAt: t0, ReplyAddr: "addr1", Span: first}) {
@@ -120,12 +102,12 @@ func TestDuplicateAddKeepsSpanRefreshesReplyAddr(t *testing.T) {
 }
 
 func TestMatchPicksClosestColor(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
 	p.Add(Entry{Event: eventWith(t, "up#2", imaging.Blue), ReceivedAt: t0})
 	m := newMatcher(t, DefaultMatcherConfig())
 
-	got, dist, ok := m.Match(histOf(t, imaging.Red), p, t0)
+	got, dist, ok := m.Match(histOf(t, imaging.Red), p)
 	if !ok {
 		t.Fatal("no match found")
 	}
@@ -138,28 +120,28 @@ func TestMatchPicksClosestColor(t *testing.T) {
 }
 
 func TestMatchRejectsAboveThreshold(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Blue), ReceivedAt: t0})
 	m := newMatcher(t, MatcherConfig{BhattThreshold: 0.3})
-	if _, _, ok := m.Match(histOf(t, imaging.Red), p, t0); ok {
+	if _, _, ok := m.Match(histOf(t, imaging.Red), p); ok {
 		t.Error("red matched blue below threshold 0.3")
 	}
 }
 
 func TestMatchSkipsMatchedEntries(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
 	if _, ok := p.MarkMatched("up#1"); !ok {
 		t.Fatal("MarkMatched failed")
 	}
 	m := newMatcher(t, DefaultMatcherConfig())
-	if _, _, ok := m.Match(histOf(t, imaging.Red), p, t0); ok {
+	if _, _, ok := m.Match(histOf(t, imaging.Red), p); ok {
 		t.Error("matched an already-matched entry")
 	}
 }
 
 func TestMarkMatchedSemantics(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	p.Add(Entry{Event: eventWith(t, "up#1", imaging.Red), ReceivedAt: t0})
 	if _, ok := p.MarkMatched("ghost#1"); ok {
 		t.Error("marking a missing entry should report false")
@@ -176,20 +158,20 @@ func TestMarkMatchedSemantics(t *testing.T) {
 }
 
 func TestLazyPruning(t *testing.T) {
-	p := newPool(t, 4)
-	for i := 0; i < 4; i++ {
-		p.Add(Entry{Event: eventWith(t, "up#"+string(rune('0'+i)), imaging.Red), ReceivedAt: t0})
+	p := NewPool(PoolConfig{})
+	for i := 0; i < pruneThreshold; i++ {
+		p.Add(Entry{Event: eventWith(t, fmt.Sprintf("up#%d", i), imaging.Red), ReceivedAt: t0})
 	}
 	p.MarkMatched("up#0")
 	p.MarkMatched("up#1")
 	// Below threshold: matched entries are annotated but retained.
-	if p.Size() != 4 {
+	if p.Size() != pruneThreshold {
 		t.Errorf("pruned early: size=%d", p.Size())
 	}
 	// Crossing the threshold triggers pruning of matched entries only.
-	p.Add(Entry{Event: eventWith(t, "up#9", imaging.Blue), ReceivedAt: t0})
-	if p.Size() != 3 {
-		t.Errorf("after prune size=%d, want 3", p.Size())
+	p.Add(Entry{Event: eventWith(t, "up#x", imaging.Blue), ReceivedAt: t0})
+	if p.Size() != pruneThreshold-1 {
+		t.Errorf("after prune size=%d, want %d", p.Size(), pruneThreshold-1)
 	}
 	if p.Stats().Pruned != 2 {
 		t.Errorf("pruned=%d", p.Stats().Pruned)
@@ -202,22 +184,8 @@ func TestLazyPruning(t *testing.T) {
 	}
 }
 
-func TestMaxEventAgeFilter(t *testing.T) {
-	p := newPool(t, 10)
-	p.Add(Entry{Event: eventWith(t, "up#old", imaging.Red), ReceivedAt: t0})
-	p.Add(Entry{Event: eventWith(t, "up#new", imaging.Red), ReceivedAt: t0.Add(50 * time.Second)})
-	m := newMatcher(t, MatcherConfig{BhattThreshold: 0.3, MaxEventAge: 30 * time.Second})
-	got, _, ok := m.Match(histOf(t, imaging.Red), p, t0.Add(60*time.Second))
-	if !ok {
-		t.Fatal("no match")
-	}
-	if got.Event.ID != "up#new" {
-		t.Errorf("matched %v, want the fresh entry", got.Event.ID)
-	}
-}
-
 func TestSnapshotOrder(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	ids := []string{"a#1", "b#2", "c#3"}
 	for _, id := range ids {
 		p.Add(Entry{Event: eventWith(t, id, imaging.Red), ReceivedAt: t0})
@@ -234,47 +202,42 @@ func TestSnapshotOrder(t *testing.T) {
 }
 
 func TestMatchEmptyPool(t *testing.T) {
-	p := newPool(t, 10)
+	p := NewPool(PoolConfig{})
 	m := newMatcher(t, DefaultMatcherConfig())
-	if _, _, ok := m.Match(histOf(t, imaging.Red), p, t0); ok {
+	if _, _, ok := m.Match(histOf(t, imaging.Red), p); ok {
 		t.Error("matched against empty pool")
 	}
 }
 
 func TestConcurrentAddAndMatch(t *testing.T) {
-	p := newPool(t, 64)
+	p := NewPool(PoolConfig{})
 	m := newMatcher(t, DefaultMatcherConfig())
 	target := histOf(t, imaging.Red)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 200; i++ {
+		// Past the threshold, so pruning runs beside the matches.
+		for i := 0; i < pruneThreshold+200; i++ {
 			p.Add(Entry{Event: eventWith(t, "up#"+string(rune(i)), imaging.Blue), ReceivedAt: t0})
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		m.Match(target, p, t0)
+		m.Match(target, p)
 	}
 	<-done
 }
 
 func TestUnmatchedEvictionBoundsPool(t *testing.T) {
 	var evicted []Entry
-	p, err := NewPool(PoolConfig{
-		PruneThreshold: 3,
-		OnEvict:        func(e Entry) { evicted = append(evicted, e) },
-	})
-	if err != nil {
-		t.Fatal(err)
+	p := NewPool(PoolConfig{OnEvict: func(e Entry) { evicted = append(evicted, e) }})
+	// Two more unmatched entries than the threshold: nothing is matched,
+	// so the old policy would let the pool grow without bound. The oldest
+	// unmatched entries must be expired FIFO down to the threshold.
+	for i := 0; i < pruneThreshold+2; i++ {
+		p.Add(Entry{Event: eventWith(t, fmt.Sprintf("up#%d", i), imaging.Red), ReceivedAt: t0})
 	}
-	// Five unmatched entries: nothing is matched, so the old policy would
-	// let the pool grow without bound. The oldest unmatched entries must
-	// be expired FIFO down to the threshold.
-	for i := 0; i < 5; i++ {
-		p.Add(Entry{Event: eventWith(t, "up#"+string(rune('0'+i)), imaging.Red), ReceivedAt: t0})
-	}
-	if p.Size() != 3 {
-		t.Errorf("size = %d, want 3 (bounded by threshold)", p.Size())
+	if p.Size() != pruneThreshold {
+		t.Errorf("size = %d, want %d (bounded by threshold)", p.Size(), pruneThreshold)
 	}
 	st := p.Stats()
 	if st.Expired != 2 || st.Pruned != 2 {
@@ -295,19 +258,15 @@ func TestUnmatchedEvictionBoundsPool(t *testing.T) {
 
 func TestOnEvictSeesMatchedFlag(t *testing.T) {
 	var evicted []Entry
-	p, err := NewPool(PoolConfig{
-		PruneThreshold: 2,
-		OnEvict:        func(e Entry) { evicted = append(evicted, e) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPool(PoolConfig{OnEvict: func(e Entry) { evicted = append(evicted, e) }})
 	p.Add(Entry{Event: eventWith(t, "up#a", imaging.Red), ReceivedAt: t0})
-	p.Add(Entry{Event: eventWith(t, "up#b", imaging.Blue), ReceivedAt: t0})
+	for i := 1; i < pruneThreshold; i++ {
+		p.Add(Entry{Event: eventWith(t, fmt.Sprintf("up#b%d", i), imaging.Blue), ReceivedAt: t0})
+	}
 	p.MarkMatched("up#a")
 	p.Add(Entry{Event: eventWith(t, "up#c", imaging.Color{R: 40, G: 220, B: 40}), ReceivedAt: t0})
-	if p.Size() != 2 {
-		t.Errorf("size = %d, want 2", p.Size())
+	if p.Size() != pruneThreshold {
+		t.Errorf("size = %d, want %d", p.Size(), pruneThreshold)
 	}
 	if len(evicted) != 1 || evicted[0].Event.ID != "up#a" || !evicted[0].Matched {
 		t.Errorf("evicted = %+v, want matched up#a", evicted)
@@ -334,16 +293,16 @@ func TestNonFiniteCandidateNeverMatches(t *testing.T) {
 		ev.Histogram.Bins[bin] = v
 		return Entry{Event: ev, ReceivedAt: t0}
 	}
-	p := newPool(t, 16)
+	p := NewPool(PoolConfig{})
 	p.Add(poisoned("up#nan", outside, math.NaN()))
 	p.Add(poisoned("up#inf", support[0], math.Inf(1)))
 	p.Add(poisoned("up#-inf", outside, math.Inf(-1)))
 	m := newMatcher(t, DefaultMatcherConfig())
-	if e, d, ok := m.Match(h, p, t0); ok {
+	if e, d, ok := m.Match(h, p); ok {
 		t.Fatalf("matched %s at distance %v", e.Event.ID, d)
 	}
 	p.Add(Entry{Event: eventWith(t, "up#inf", imaging.Red), ReceivedAt: t0})
-	if e, _, ok := m.Match(h, p, t0); !ok || e.Event.ID != "up#inf" {
+	if e, _, ok := m.Match(h, p); !ok || e.Event.ID != "up#inf" {
 		t.Fatalf("after a finite re-inform: match %q, %v; want up#inf", e.Event.ID, ok)
 	}
 }
@@ -360,11 +319,8 @@ func BenchmarkMatchFullPool(b *testing.B) {
 		}
 		return h
 	}
-	p, err := NewPool(DefaultPoolConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < DefaultPoolConfig().PruneThreshold; i++ {
+	p := NewPool(DefaultPoolConfig())
+	for i := 0; i < pruneThreshold; i++ {
 		p.Add(Entry{Event: protocol.DetectionEvent{ID: protocol.EventID(fmt.Sprintf("up#%d", i)), Histogram: sixBins()}, ReceivedAt: t0})
 	}
 	m, err := NewMatcher(DefaultMatcherConfig())
@@ -374,6 +330,6 @@ func BenchmarkMatchFullPool(b *testing.B) {
 	h := sixBins()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Match(h, p, t0)
+		m.Match(h, p)
 	}
 }

@@ -30,11 +30,9 @@ var ErrInjected = errors.New("faultinject: injected error")
 // Config selects which faults to inject and how often. The zero value
 // injects nothing.
 type Config struct {
-	// Seed seeds the middleware's private RNG when RNG is nil.
-	Seed int64
-	// RNG, when non-nil, is drawn from directly (and mutated); it must
-	// be dedicated to this middleware. Lets a simulation derive the
-	// fault stream from its master seed.
+	// RNG is drawn from directly (and mutated); it must be dedicated to
+	// this middleware. Lets a simulation derive the fault stream from its
+	// master seed. Nil draws from a private source seeded with 0.
 	RNG *rand.Rand
 	// DropRate in [0,1) silently discards each one-way message with
 	// this probability, like a dropped datagram; request/response calls
@@ -81,7 +79,7 @@ func New(cfg Config) (rpc.Interceptor, error) {
 	}
 	rng := cfg.RNG
 	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
+		rng = rand.New(rand.NewSource(0))
 	}
 	var mu sync.Mutex
 	return func(ctx context.Context, req *rpc.Request, next rpc.Handler) (*rpc.Response, error) {

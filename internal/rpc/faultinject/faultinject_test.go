@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func TestDeterministicDropSequence(t *testing.T) {
 	drops := func() []int {
 		var dropped []int
 		i := 0
-		ic, err := New(Config{Seed: 9, DropRate: 0.3, OnDrop: func() { dropped = append(dropped, i) }})
+		ic, err := New(Config{RNG: rand.New(rand.NewSource(9)), DropRate: 0.3, OnDrop: func() { dropped = append(dropped, i) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestDeterministicDropSequence(t *testing.T) {
 
 func TestDropSemantics(t *testing.T) {
 	// Force a drop with rate just under 1.
-	ic, err := New(Config{Seed: 1, DropRate: 0.999999})
+	ic, err := New(Config{RNG: rand.New(rand.NewSource(1)), DropRate: 0.999999})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestDropSemantics(t *testing.T) {
 }
 
 func TestErrorInjection(t *testing.T) {
-	ic, err := New(Config{Seed: 1, ErrorRate: 0.999999})
+	ic, err := New(Config{RNG: rand.New(rand.NewSource(1)), ErrorRate: 0.999999})
 	if err != nil {
 		t.Fatal(err)
 	}

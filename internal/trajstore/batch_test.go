@@ -440,7 +440,7 @@ func TestMidFileWALCorruptionRefusesOpen(t *testing.T) {
 }
 
 func TestClientAddBatchRoundTrip(t *testing.T) {
-	srv, err := Serve(NewMemStore(), "127.0.0.1:0")
+	srv, err := ServeWith(NewMemStore(), "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -725,41 +725,52 @@ func TestBatchWriterKeepsFIFOAcrossRequeue(t *testing.T) {
 // TestBatchWriterPausesBetweenFailedFlushes: against a dead store the
 // flusher retries at the pace of flushRetryPause instead of spinning,
 // Close is not held up by the pause, and every edge still gets exactly
-// MaxRetries+1 attempts and then the transport error, once.
+// maxRetries+1 attempts and then the transport error, once.
 func TestBatchWriterPausesBetweenFailedFlushes(t *testing.T) {
-	const retries = 50
 	fc := &fakeBatchClient{failFirst: 1 << 30}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxRetries: retries})
+	w := NewBatchWriter(fc, BatchWriterConfig{})
 	r := newEdgeResults(3)
-	queueEdges(w, r, 0, 3)
-
-	const window = 300 * time.Millisecond
-	time.Sleep(window)
-	// One call at once, one after each full pause, and slack for a queue
-	// that was still filling when the first call left.
-	if calls, bound := fc.callCount(), int(window/flushRetryPause)+3; calls > bound {
-		t.Errorf("%d add_batch calls in %v against a dead store, want <= %d: the flusher is spinning", calls, window, bound)
-	}
-	if calls := fc.callCount(); calls == 0 {
-		t.Error("the flusher never tried the dead store")
-	}
-
 	start := time.Now()
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took > 2*time.Second {
-		t.Errorf("Close took %v against a dead store", took)
-	}
+	queueEdges(w, r, 0, 3)
 	r.await(t)
+	// A pause follows every failed call but the last; a spinning flusher
+	// spends the retries at once.
+	if took, bound := time.Since(start), maxRetries*flushRetryPause; took < bound {
+		t.Errorf("%d add_batch calls in %v against a dead store, want >= %v: the flusher is spinning", fc.callCount(), took, bound)
+	}
 	r.check(t, errTransportDown)
 	// The three edges travel together throughout, or edge 0 made its first
 	// attempt alone and the other two need one call more.
-	if calls := fc.callCount(); calls < retries+1 || calls > retries+2 {
-		t.Errorf("%d add_batch calls to exhaust %d retries", calls, retries)
+	if calls := fc.callCount(); calls < maxRetries+1 || calls > maxRetries+2 {
+		t.Errorf("%d add_batch calls to exhaust %d retries", calls, maxRetries)
 	}
 	if fc.delivered() != 0 {
 		t.Errorf("a dead store delivered %d edges", fc.delivered())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Closed during a pause, a writer spends the edge's remaining attempts
+	// back to back instead of waiting the pauses out.
+	fc = &fakeBatchClient{failFirst: 1 << 30}
+	w = NewBatchWriter(fc, BatchWriterConfig{})
+	r = newEdgeResults(1)
+	queueEdges(w, r, 0, 1)
+	for fc.callCount() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start = time.Now()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took, bound := time.Since(start), maxRetries*flushRetryPause; took >= bound {
+		t.Errorf("Close took %v against a dead store, want < %v", took, bound)
+	}
+	r.await(t)
+	r.check(t, errTransportDown)
+	if calls := fc.callCount(); calls != maxRetries+1 {
+		t.Errorf("%d add_batch calls to exhaust %d retries", calls, maxRetries)
 	}
 }
 
@@ -812,7 +823,7 @@ func TestBatchWriterFlushesOnClose(t *testing.T) {
 // each failure, carries an edge through transient transport errors.
 func TestBatchWriterRetriesTransportErrors(t *testing.T) {
 	fc := &fakeBatchClient{failFirst: 2}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxRetries: 3})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
 	r := newEdgeResults(1)
 	queueEdges(w, r, 0, 1)
 	r.await(t)
@@ -832,7 +843,7 @@ func TestBatchWriterRetriesTransportErrors(t *testing.T) {
 // retry pauses; it spends the edge's remaining attempts back to back.
 func TestBatchWriterSurfacesExhaustedRetries(t *testing.T) {
 	fc := &fakeBatchClient{failFirst: 100}
-	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4, MaxRetries: 1})
+	w := NewBatchWriter(fc, BatchWriterConfig{MaxBatch: 4})
 	r := newEdgeResults(1)
 	queueEdges(w, r, 0, 1)
 	if err := w.Flush(context.Background()); err != nil {
@@ -840,8 +851,8 @@ func TestBatchWriterSurfacesExhaustedRetries(t *testing.T) {
 	}
 	r.await(t)
 	r.check(t, errTransportDown)
-	if calls := fc.callCount(); calls != 2 {
-		t.Errorf("%d add_batch calls, want MaxRetries+1 = 2", calls)
+	if calls := fc.callCount(); calls != maxRetries+1 {
+		t.Errorf("%d add_batch calls, want maxRetries+1 = %d", calls, maxRetries+1)
 	}
 	if !errors.Is(w.Err(), errTransportDown) {
 		t.Errorf("Err() = %v, want the transport error", w.Err())
@@ -951,7 +962,7 @@ func TestBatchWriterMetrics(t *testing.T) {
 // once, and the store holds exactly the edges that were acknowledged.
 func TestBatchWriterConcurrentProducersStress(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,13 +24,6 @@ type BatchClient interface {
 type BatchWriterConfig struct {
 	// MaxBatch caps how many edges one add_batch RPC carries. Default 64.
 	MaxBatch int
-	// MaxRetries bounds how many times a transport-failed edge is
-	// re-queued before its error is surfaced to the done callback.
-	// Server-side per-record rejections are terminal and never retried.
-	// Default 2.
-	MaxRetries int
-	// FlushTimeout bounds each batch RPC. Default 5s.
-	FlushTimeout time.Duration
 	// Registry receives the writer's coralpie_trajstore_batch_* telemetry;
 	// nil keeps standalone handles.
 	Registry *obs.Registry
@@ -40,16 +33,16 @@ func (c BatchWriterConfig) withDefaults() BatchWriterConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.FlushTimeout <= 0 {
-		c.FlushTimeout = 5 * time.Second
-	}
 	return c
 }
+
+// maxRetries bounds how many times a transport-failed edge is re-queued
+// before its error is surfaced to the done callback. Server-side
+// per-record rejections are terminal and never retried.
+const maxRetries = 2
+
+// flushTimeout bounds each batch RPC.
+const flushTimeout = 5 * time.Second
 
 // flushRetryPause is how long the flusher waits after a transport-failed
 // batch before it tries again, so a dead store is retried, not spun on.
@@ -220,7 +213,7 @@ func (w *BatchWriter) AddEdge(from, to int64, weight float64) error {
 
 // Flush delivers every edge queued or in flight when it is called, looping
 // until the queue is empty or ctx expires. It terminates because each
-// edge's attempts are bounded by MaxRetries.
+// edge's attempts are bounded by maxRetries.
 func (w *BatchWriter) Flush(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -257,7 +250,7 @@ func (w *BatchWriter) Close() error {
 	close(w.stop)
 	<-w.done
 
-	ctx, cancel := context.WithTimeout(context.Background(), w.cfg.FlushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), flushTimeout)
 	defer cancel()
 	err := w.Flush(ctx)
 
@@ -309,7 +302,7 @@ func (w *BatchWriter) run() {
 
 // flushOnce sends one batch of queued edges and returns its size and the
 // RPC's transport error. Transport failures re-queue the whole batch
-// (attempts++) until MaxRetries; per-record server rejections are terminal.
+// (attempts++) until maxRetries; per-record server rejections are terminal.
 func (w *BatchWriter) flushOnce(ctx context.Context) (int, error) {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
@@ -337,7 +330,7 @@ func (w *BatchWriter) flushOnce(ctx context.Context) (int, error) {
 	w.m.flushes.Inc()
 	w.m.edges.Add(int64(n))
 
-	rpcCtx, cancel := context.WithTimeout(ctx, w.cfg.FlushTimeout)
+	rpcCtx, cancel := context.WithTimeout(ctx, flushTimeout)
 	_, errs, err := w.cl.AddBatchContext(rpcCtx, writes)
 	cancel()
 
@@ -351,7 +344,7 @@ func (w *BatchWriter) flushOnce(ctx context.Context) (int, error) {
 		var requeue []queuedEdge
 		for _, qe := range batch {
 			qe.attempts++
-			if qe.attempts > w.cfg.MaxRetries {
+			if qe.attempts > maxRetries {
 				if qe.done != nil {
 					qe.done(err)
 				}

@@ -386,7 +386,7 @@ func TestSnapshotFindByEventIDDuplicatesDeterministic(t *testing.T) {
 	second := add("dup#2")
 	add("dup#2")
 
-	srv, err := Serve(s, "127.0.0.1:0")
+	srv, err := ServeWith(s, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

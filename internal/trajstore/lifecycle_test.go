@@ -19,7 +19,7 @@ import (
 // redial (with backoff, riding out the downtime) and keep working.
 func TestClientRecoversAcrossServerRestart(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestClientRecoversAcrossServerRestart(t *testing.T) {
 	restarted := make(chan *Server, 1)
 	go func() {
 		time.Sleep(300 * time.Millisecond)
-		srv2, err := Serve(store, addr)
+		srv2, err := ServeWith(store, addr, ServerOptions{})
 		if err != nil {
 			return // port raced away; the call below fails and reports it
 		}
@@ -90,7 +90,7 @@ func TestClientRecoversAcrossServerRestart(t *testing.T) {
 // fails within its context deadline instead of retrying forever.
 func TestClientCallDeadline(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestClientConfigFromFlagsKeepsDialTimeout(t *testing.T) {
 // connected-but-idle client and records a drain observation.
 func TestServerShutdownGraceful(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestTraceInvariantsOnRandomDAGs(t *testing.T) {
 		}
 		start := ids[rng.Intn(n)]
 		limits := TraceLimits{MaxDepth: 32, MaxPaths: 64}
-		paths, err := s.TraceForward(start, limits)
+		paths, err := s.Snapshot().TraceForward(start, limits)
 		if err != nil {
 			return false
 		}
@@ -115,11 +115,11 @@ func TestBackwardIsReverseOfForward(t *testing.T) {
 				return false
 			}
 		}
-		fwd, err := s.TraceForward(ids[0], DefaultTraceLimits())
+		fwd, err := s.Snapshot().TraceForward(ids[0], DefaultTraceLimits())
 		if err != nil || len(fwd) != 1 {
 			return false
 		}
-		back, err := s.TraceBackward(ids[n-1], DefaultTraceLimits())
+		back, err := s.Snapshot().TraceBackward(ids[n-1], DefaultTraceLimits())
 		if err != nil || len(back) != 1 {
 			return false
 		}

@@ -32,7 +32,7 @@ func BenchmarkQueryPath(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	srv, err := Serve(s, "127.0.0.1:0")
+	srv, err := ServeWith(s, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

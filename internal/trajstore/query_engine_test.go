@@ -210,7 +210,7 @@ func TestSnapshotNeverObservesHalfAppliedBatch(t *testing.T) {
 // of batches (hops ≡ 1 mod 3).
 func TestConcurrentRemoteQuerySnapshotStress(t *testing.T) {
 	s := NewMemStore()
-	srv, err := Serve(s, "127.0.0.1:0")
+	srv, err := ServeWith(s, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestQueryRecordsChildSpan(t *testing.T) {
 	s := NewMemStore()
 	tracer := obs.NewTracerWith(obs.TracerConfig{Capacity: 16})
 	s.UseTracer(tracer)
-	srv, err := Serve(s, "127.0.0.1:0")
+	srv, err := ServeWith(s, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func rawFrame(t *testing.T, conn net.Conn, body []byte) []byte {
 // its binary answer decoded into the JSON response form.
 func goldenAnswers(t *testing.T) []byte {
 	t.Helper()
-	srv, err := Serve(goldenStore(t), "127.0.0.1:0")
+	srv, err := ServeWith(goldenStore(t), "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,13 +253,8 @@ type Server struct {
 	refused map[string]*obs.Counter
 }
 
-// Serve starts a server for the store on addr (use "127.0.0.1:0" for an
-// ephemeral port).
-func Serve(store *Store, addr string) (*Server, error) {
-	return ServeWith(store, addr, ServerOptions{})
-}
-
-// ServeWith starts a server with explicit middleware/timeout tuning.
+// ServeWith starts a server for the store on addr (use "127.0.0.1:0" for
+// an ephemeral port), tuned by opts.
 func ServeWith(store *Store, addr string, opts ServerOptions) (*Server, error) {
 	if store == nil {
 		return nil, errors.New("trajstore: nil store")

@@ -122,7 +122,9 @@ func (sn *Snapshot) InEdges(id int64) ([]Edge, error) { return sn.edges(id, fals
 
 // TraceForward enumerates the maximal forward paths from start: every
 // path follows outgoing edges until it reaches a vertex with no outgoing
-// edge (or a limit).
+// edge (or a limit). The result is a collection of candidate onward
+// trajectories, possibly containing false positives for a human or an
+// analytics layer to prune (paper Section 4.2.1).
 func (sn *Snapshot) TraceForward(start int64, limits TraceLimits) ([][]int64, error) {
 	return sn.trace(start, limits, true)
 }

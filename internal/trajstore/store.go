@@ -560,20 +560,6 @@ func (l TraceLimits) sanitized() TraceLimits {
 	return l
 }
 
-// TraceForward enumerates the maximal forward paths from start: every
-// path follows outgoing edges until it reaches a vertex with no outgoing
-// edge (or a limit). The result is a collection of candidate onward
-// trajectories, possibly containing false positives for a human or an
-// analytics layer to prune (paper Section 4.2.1).
-func (s *Store) TraceForward(start int64, limits TraceLimits) ([][]int64, error) {
-	return s.Snapshot().TraceForward(start, limits)
-}
-
-// TraceBackward enumerates the maximal backward paths into start.
-func (s *Store) TraceBackward(start int64, limits TraceLimits) ([][]int64, error) {
-	return s.Snapshot().TraceBackward(start, limits)
-}
-
 // Trajectory returns the full candidate space-time track through start:
 // each result path runs from a possible origin through start to a
 // possible end, expressed as vertex IDs in time order.

@@ -129,7 +129,7 @@ func buildChain(t *testing.T, s *Store, n int) []int64 {
 func TestTraceForwardLinear(t *testing.T) {
 	s := NewMemStore()
 	ids := buildChain(t, s, 4)
-	paths, err := s.TraceForward(ids[0], DefaultTraceLimits())
+	paths, err := s.Snapshot().TraceForward(ids[0], DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestTraceForwardLinear(t *testing.T) {
 func TestTraceBackwardLinear(t *testing.T) {
 	s := NewMemStore()
 	ids := buildChain(t, s, 4)
-	paths, err := s.TraceBackward(ids[3], DefaultTraceLimits())
+	paths, err := s.Snapshot().TraceBackward(ids[3], DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTraceForkProducesMultiplePaths(t *testing.T) {
 	if err := s.AddEdge(b, d, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := s.TraceForward(a, DefaultTraceLimits())
+	paths, err := s.Snapshot().TraceForward(a, DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestTraceCycleTerminates(t *testing.T) {
 	if err := s.AddEdge(b, a, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	paths, err := s.TraceForward(a, DefaultTraceLimits())
+	paths, err := s.Snapshot().TraceForward(a, DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +223,14 @@ func TestTraceCycleTerminates(t *testing.T) {
 func TestTraceLimitsRespected(t *testing.T) {
 	s := NewMemStore()
 	ids := buildChain(t, s, 10)
-	paths, err := s.TraceForward(ids[0], TraceLimits{MaxDepth: 3, MaxPaths: 10})
+	paths, err := s.Snapshot().TraceForward(ids[0], TraceLimits{MaxDepth: 3, MaxPaths: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths[0]) != 3 {
 		t.Errorf("depth-limited path = %v", paths[0])
 	}
-	if _, err := s.TraceForward(999, DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
+	if _, err := s.Snapshot().TraceForward(999, DefaultTraceLimits()); !errors.Is(err, ErrVertexNotFound) {
 		t.Errorf("missing start: %v", err)
 	}
 }
@@ -275,7 +275,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if s2.NumVertices() != 3 || s2.NumEdges() != 2 {
 		t.Fatalf("reloaded %d vertices %d edges", s2.NumVertices(), s2.NumEdges())
 	}
-	paths, err := s2.TraceForward(ids[0], DefaultTraceLimits())
+	paths, err := s2.Snapshot().TraceForward(ids[0], DefaultTraceLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestOpenEmptyDirErrors(t *testing.T) {
 
 func TestServerClientRoundTrip(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestServerClientRoundTrip(t *testing.T) {
 
 func TestClientErrorsPropagate(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestClientErrorsPropagate(t *testing.T) {
 
 func TestClientReconnects(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,7 +515,7 @@ func TestClientReconnects(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := Serve(store, addr)
+	srv2, err := ServeWith(store, addr, ServerOptions{})
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}

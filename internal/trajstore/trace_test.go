@@ -19,7 +19,7 @@ func TestTraceContextSurvivesServerRestart(t *testing.T) {
 	tracer := obs.NewTracerWith(obs.TracerConfig{Capacity: 16})
 	store.UseTracer(tracer)
 
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTraceContextSurvivesServerRestart(t *testing.T) {
 	restarted := make(chan *Server, 1)
 	go func() {
 		time.Sleep(300 * time.Millisecond)
-		srv2, err := Serve(store, addr)
+		srv2, err := ServeWith(store, addr, ServerOptions{})
 		if err != nil {
 			return // port raced away; the call below fails and reports it
 		}
@@ -108,7 +108,7 @@ func TestBatchWriterCarriesTrace(t *testing.T) {
 	tracer := obs.NewTracerWith(obs.TracerConfig{Capacity: 16})
 	store.UseTracer(tracer)
 
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

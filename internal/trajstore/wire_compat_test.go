@@ -31,7 +31,7 @@ func roundTrip(t *testing.T, conn net.Conn, body []byte) reply {
 // connection survives each refusal, and a binary request on it is served.
 func TestWireCompatOldClientNewServer(t *testing.T) {
 	store := NewMemStore()
-	srv, err := Serve(store, "127.0.0.1:0")
+	srv, err := ServeWith(store, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
