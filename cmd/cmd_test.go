@@ -151,10 +151,10 @@ func (p *proc) logs() string {
 	return strings.Join(p.log, "\n")
 }
 
-// message matches a text-format log line carrying msg (the logger quotes
-// only messages with spaces).
+// message matches a text-format log line carrying msg (slog quotes only
+// messages with spaces).
 func message(msg string) string {
-	return ` [A-Z]+ "?` + regexp.QuoteMeta(msg) + `"?( |$)`
+	return ` level=[A-Z]+ msg="?` + regexp.QuoteMeta(msg) + `"?( |$)`
 }
 
 // logged waits for the log line carrying msg and returns the value of its
@@ -225,7 +225,7 @@ func (p *proc) terminate(t *testing.T, closing string) {
 		t.Errorf("%s: last log line is not %q:\n%s", p.name, closing, strings.Join(p.log, "\n"))
 	}
 	for _, line := range p.log {
-		if strings.Contains(line, " WARN ") || strings.Contains(line, " ERROR ") {
+		if strings.Contains(line, " level=WARN ") || strings.Contains(line, " level=ERROR ") {
 			t.Errorf("%s logged a problem: %s", p.name, line)
 		}
 	}
@@ -352,7 +352,7 @@ func TestSmokeRefusesPreFloorDirectory(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s still running 5s after start on a pre-floor directory\n%s", c.binary, p.logs())
 		}
-		if !regexp.MustCompile(` ERROR .*pre-floor format.*` + c.release).MatchString(p.logs()) {
+		if !regexp.MustCompile(` level=ERROR .*pre-floor format.*` + c.release).MatchString(p.logs()) {
 			t.Errorf("%s: no ERROR line naming release %s:\n%s", c.binary, c.release, p.logs())
 		}
 	}

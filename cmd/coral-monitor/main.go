@@ -17,7 +17,7 @@ package main
 
 import (
 	"flag"
-	"fmt"
+	"log/slog"
 	"time"
 
 	"repro/internal/daemon"
@@ -44,13 +44,16 @@ func run(rt *daemon.Runtime) error {
 	// The monitor is not a fleet member (it has no -node-id), so it
 	// names itself in the build-info gauge.
 	obs.RegisterBuildInfo(obs.Default(), "coral-monitor", "coral-monitor")
-	monitor := fleet.NewMonitor(fleet.MonitorConfig{
+	monitor, err := fleet.NewMonitor(fleet.MonitorConfig{
 		LivenessTimeout: *timeout,
 		Rules:           rules.Rules,
 		Registry:        obs.Default(),
-		Logger:          obs.DefaultLogger(),
+		Logger:          slog.Default(),
 		MaxTransitions:  *history,
 	})
+	if err != nil {
+		return err
+	}
 
 	srv, err := fleet.ServeWith(monitor, *listen, fleet.ServerOptions{Logger: rt.Logger})
 	if err != nil {
@@ -68,7 +71,6 @@ func run(rt *daemon.Runtime) error {
 	rt.Wait()
 	sum := monitor.Summary()
 	rt.Logger.Info("shutting down",
-		"nodes", fmt.Sprint(len(sum.Nodes)),
-		"alive", fmt.Sprint(sum.Alive), "dead", fmt.Sprint(sum.Dead))
+		"nodes", len(sum.Nodes), "alive", sum.Alive, "dead", sum.Dead)
 	return nil
 }

@@ -211,11 +211,11 @@ func run(rt *daemon.Runtime) error {
 
 	st := node.Stats()
 	logger.Info("done",
-		"frames", fmt.Sprint(st.FramesProcessed),
-		"events", fmt.Sprint(st.EventsGenerated),
-		"informsSent", fmt.Sprint(st.InformsSent),
-		"informsRecv", fmt.Sprint(st.InformsReceived),
-		"reidMatches", fmt.Sprint(st.ReidMatches))
+		"frames", st.FramesProcessed,
+		"events", st.EventsGenerated,
+		"informsSent", st.InformsSent,
+		"informsRecv", st.InformsReceived,
+		"reidMatches", st.ReidMatches)
 	return nil
 }
 

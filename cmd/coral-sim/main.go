@@ -108,10 +108,10 @@ func run(rt *daemon.Runtime) error {
 		}
 		sys.Sim().Schedule(at, func() {
 			if err := sys.FailCamera(victim); err != nil {
-				logger.Error("fail camera", "camera", victim, "err", err.Error())
+				logger.Error("fail camera", "camera", victim, "err", err)
 				return
 			}
-			logger.Info("camera failed", "camera", victim, "t", sys.Sim().Now().String())
+			logger.Info("camera failed", "camera", victim, "t", sys.Sim().Now())
 		})
 	}
 
@@ -120,7 +120,7 @@ func run(rt *daemon.Runtime) error {
 		*cameras, *vehicles, horizon.Round(time.Second))
 	sys.Run(horizon)
 	if ctx.Err() != nil {
-		logger.Info("interrupted; flushing", "t", sys.Sim().Now().String())
+		logger.Info("interrupted; flushing", "t", sys.Sim().Now())
 	}
 	sys.Stop()
 	if err := sys.FlushAll(); err != nil {

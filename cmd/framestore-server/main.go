@@ -9,7 +9,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"time"
 
 	"repro/internal/daemon"
@@ -52,13 +51,13 @@ func run(rt *daemon.Runtime) error {
 		// ages out segments on idle cameras too.
 		rt.Every(*gcInterval, func() {
 			if st, err := store.GC(); err != nil {
-				rt.Logger.Warn("retention gc", "err", err.Error())
+				rt.Logger.Warn("retention gc", "err", err)
 			} else if st.Segments > 0 {
 				rt.Logger.Info("retention gc",
-					"segments", fmt.Sprint(st.Segments),
-					"frames", fmt.Sprint(st.Frames),
-					"reclaimedBytes", fmt.Sprint(st.Bytes),
-					"diskBytes", fmt.Sprint(store.DiskBytes()))
+					"segments", st.Segments,
+					"frames", st.Frames,
+					"reclaimedBytes", st.Bytes,
+					"diskBytes", store.DiskBytes())
 			}
 		})
 	}
@@ -88,6 +87,6 @@ func run(rt *daemon.Runtime) error {
 	rt.Wait()
 	received, errs := srv.Stats()
 	rt.Logger.Info("shutting down",
-		"framesStored", fmt.Sprint(received), "handlerErrors", fmt.Sprint(errs))
+		"framesStored", received, "handlerErrors", errs)
 	return nil
 }

@@ -87,10 +87,10 @@ func run(rt *daemon.Runtime) error {
 
 	rt.Logger.Info("topology server listening",
 		"addr", ep.Addr(),
-		"intersections", fmt.Sprint(graph.NumNodes()),
-		"heartbeat", heartbeat.String())
+		"intersections", graph.NumNodes(),
+		"heartbeat", heartbeat)
 
 	rt.Wait()
-	rt.Logger.Info("shutting down", "cameras", fmt.Sprint(len(srv.Cameras())))
+	rt.Logger.Info("shutting down", "cameras", len(srv.Cameras()))
 	return nil
 }

@@ -8,7 +8,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 
 	"repro/internal/daemon"
 	"repro/internal/obs"
@@ -54,7 +53,7 @@ func run(rt *daemon.Runtime) error {
 	// Draining lets a camera mid-insert get its reply.
 	rt.OnDrain("server", srv.Shutdown)
 	rt.Logger.Info("trajectory store listening",
-		"addr", srv.Addr(), "dir", *dir, "vertices", fmt.Sprint(store.NumVertices()))
+		"addr", srv.Addr(), "dir", *dir, "vertices", store.NumVertices())
 
 	if err := rt.Serve(obs.Default(), []obs.NamedCheck{obs.DirCheck("store", *dir)}, nil); err != nil {
 		return err
@@ -62,6 +61,6 @@ func run(rt *daemon.Runtime) error {
 
 	rt.Wait()
 	rt.Logger.Info("shutting down",
-		"vertices", fmt.Sprint(store.NumVertices()), "edges", fmt.Sprint(store.NumEdges()))
+		"vertices", store.NumVertices(), "edges", store.NumEdges())
 	return nil
 }

@@ -77,7 +77,8 @@ type Config struct {
 	// AlertRules are the fleet monitor's metric alert rules, evaluated
 	// on every sweep against the system registry (carried by the
 	// topology server's heartbeat — components share one registry in
-	// simulation, so exactly one agent reports it).
+	// simulation, so exactly one agent reports it). With EnableMonitor
+	// set, NewSystem refuses an invalid rule.
 	AlertRules []fleet.Rule
 
 	// DetectorFactory builds the pluggable detector per camera. Default:
@@ -204,11 +205,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.Graph == nil {
 		return nil, errors.New("core: road graph required")
 	}
-	for _, r := range cfg.AlertRules {
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	cfg.applyDefaults()
 
 	dsim := des.New(cfg.Epoch)
@@ -216,6 +212,21 @@ func NewSystem(cfg Config) (*System, error) {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
+	}
+	// The monitor comes first: it refuses invalid alert rules before
+	// anything else is built.
+	var monitor *fleet.Monitor
+	if cfg.EnableMonitor {
+		var err error
+		monitor, err = fleet.NewMonitor(fleet.MonitorConfig{
+			Clock:           simClock,
+			LivenessTimeout: time.Duration(cfg.MonitorLivenessMultiple) * cfg.HeartbeatInterval,
+			Rules:           cfg.AlertRules,
+			Registry:        reg,
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	tracer := obs.NewTracerWith(obs.TracerConfig{
 		Clock:       simClock,
@@ -290,6 +301,7 @@ func NewSystem(cfg Config) (*System, error) {
 		sim:         dsim,
 		bus:         bus,
 		world:       world,
+		monitor:     monitor,
 		topo:        topoSrv,
 		traj:        traj,
 		frames:      frames,
@@ -302,13 +314,7 @@ func NewSystem(cfg Config) (*System, error) {
 		drain: reg.Histogram("coralpie_system_shutdown_drain_seconds",
 			"graceful system shutdown duration", nil),
 	}
-	if cfg.EnableMonitor {
-		s.monitor = fleet.NewMonitor(fleet.MonitorConfig{
-			Clock:           simClock,
-			LivenessTimeout: time.Duration(cfg.MonitorLivenessMultiple) * cfg.HeartbeatInterval,
-			Rules:           cfg.AlertRules,
-			Registry:        reg,
-		})
+	if monitor != nil {
 		// Service agents. Components share the system registry, so the
 		// topology server's heartbeat carries the metric snapshot and
 		// every other agent omits it — federating the same registry once

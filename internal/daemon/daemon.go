@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"sync"
@@ -73,7 +74,7 @@ type step struct {
 // Start after, Shutdown (or Wait) at the end.
 type Runtime struct {
 	// Logger is bound to the role by Start; coral-node swaps in its camera's.
-	Logger      *obs.Logger
+	Logger      *slog.Logger
 	RPC         *rpc.Flags   // Node; nil otherwise
 	Fleet       *fleet.Flags // Node; nil otherwise
 	TraceSample int          // Trace; 0 otherwise
@@ -123,7 +124,7 @@ func Main(role, defaultObsListen string, opt Opt, run func(*Runtime) error) {
 		rt.Shutdown()
 	}
 	if err != nil {
-		obs.DefaultLogger().WithComponent(role).Error(err.Error())
+		slog.Error(err.Error(), "component", role)
 		os.Exit(1)
 	}
 }
@@ -135,7 +136,7 @@ func (rt *Runtime) Start(parent context.Context) error {
 	if err != nil {
 		return err
 	}
-	rt.Logger = base.WithComponent(rt.role)
+	rt.Logger = base.With("component", rt.role)
 	if rt.traceOut != "" {
 		rt.sinkFile, err = os.OpenFile(rt.traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -263,7 +264,7 @@ func (rt *Runtime) Shutdown() {
 					run = bounded(s.fn)
 				}
 				if err := run(ctx); err != nil {
-					rt.Logger.Warn(s.name, "err", err.Error())
+					rt.Logger.Warn(s.name, "err", err)
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -107,7 +108,10 @@ func TestRuntimeShutdownOrderAndNoGoroutineLeak(t *testing.T) {
 	signal.Stop(warm)
 	before := runtime.NumGoroutine()
 
-	monitor := fleet.NewMonitor(fleet.MonitorConfig{Registry: obs.NewRegistry()})
+	monitor, err := fleet.NewMonitor(fleet.MonitorConfig{Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	monSrv, err := fleet.ServeWith(monitor, "127.0.0.1:0", fleet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +315,8 @@ func TestEveryNonPositiveIntervalIsOff(t *testing.T) {
 func TestStartRejectsBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-log-level", "loud"},
-		{"-log-format", "xml"},
+		{"-log-level", "warning"},
+		{"-log-format", "yaml"},
 		{"-trace-out", filepath.Join(t.TempDir(), "missing", "spans.jsonl")},
 	} {
 		fs := flag.NewFlagSet("test-daemon", flag.ContinueOnError)
@@ -323,5 +328,54 @@ func TestStartRejectsBadFlags(t *testing.T) {
 			rt.Shutdown()
 			t.Errorf("Start accepted %v", args)
 		}
+	}
+}
+
+// TestJSONLogFormat: -log-format json makes the daemon's logger, and slog's
+// default that library code logs through, write one JSON object per line
+// with slog's keys and the daemon's component.
+func TestJSONLogFormat(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr, logger := os.Stderr, slog.Default()
+	os.Stderr = w
+	defer func() { os.Stderr = stderr; slog.SetDefault(logger) }()
+
+	fs := flag.NewFlagSet("test-daemon", flag.ContinueOnError)
+	rt := New(fs, "test-daemon", "", 0)
+	if err := fs.Parse([]string{"-log-format", "json"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rt.Logger.Info("hello", "n", 3)
+	rt.Shutdown()
+	slog.Warn("from the default")
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("want 2 lines, got %q", out)
+	}
+	var line map[string]any
+	if err := json.Unmarshal(lines[0], &line); err != nil {
+		t.Fatalf("not JSON: %v (%q)", err, lines[0])
+	}
+	for _, k := range []string{"time", "level", "msg", "component"} {
+		if _, ok := line[k].(string); !ok {
+			t.Errorf("line %q lacks string key %q", lines[0], k)
+		}
+	}
+	if line["level"] != "INFO" || line["msg"] != "hello" || line["component"] != "test-daemon" || line["n"] != 3.0 {
+		t.Errorf("line %q", lines[0])
+	}
+	if err := json.Unmarshal(lines[1], &line); err != nil || line["level"] != "WARN" {
+		t.Errorf("default logger's line %q: %v", lines[1], err)
 	}
 }

@@ -41,7 +41,6 @@ var jsonImportAllow = map[string]bool{
 	"internal/fleet/http.go: imports encoding/json":         true,
 	"internal/framestore/segment.go: imports encoding/json": true,
 	"internal/obs/http.go: imports encoding/json":           true,
-	"internal/obs/log.go: imports encoding/json":            true,
 	"internal/obs/registry.go: imports encoding/json":       true,
 	"internal/obs/trace.go: imports encoding/json":          true,
 	"internal/protocol/codec.go: imports encoding/json":     true,
@@ -114,6 +113,15 @@ var tcpLifecyclePackages = []string{"internal/rpc"}
 var tcpLifecycleAllow = map[string]bool{
 	"internal/obs/http.go: uses net.Listen": true,
 }
+
+// loggerPackages may build slog loggers and handlers and install slog's
+// default: obs, whose NewLogger and InitDefaultLogger are the one place a
+// log line's shape is chosen.
+var loggerPackages = []string{"internal/obs"}
+
+// loggerAllow lists "<file>: uses slog.<name>" and "<file>: imports log"
+// entries exempt from the one-logger rule.
+var loggerAllow = map[string]bool{}
 
 // unsetOptionAllow maps each "<file>: <Type>.<Field>" option that no
 // non-test caller sets to the one-line reason it stays an option.

@@ -271,6 +271,19 @@ func tcpLifecycles(files []srcFile) []string {
 	return out
 }
 
+// loggers reports every slog.New, NewTextHandler, NewJSONHandler and
+// SetDefault outside the packages allowed them, and every import of the
+// standard library's log under internal/: library code logs through an
+// injected *slog.Logger or slog's default, which obs builds. The cmd/
+// tools that log.Fatal are outside the rule.
+func loggers(files []srcFile) []string {
+	out := uses(except(files, func(f srcFile) bool { return contains(loggerPackages, f.dir) }),
+		"log/slog", "New", "NewTextHandler", "NewJSONHandler", "SetDefault")
+	out = append(out, importers(except(files, func(f srcFile) bool { return !strings.HasPrefix(f.dir, "internal/") }), "log")...)
+	sort.Strings(out)
+	return out
+}
+
 // importName returns the name f imports path under, "" when it does not.
 func importName(f srcFile, path string) string {
 	for _, imp := range f.ast.Imports {
@@ -531,6 +544,7 @@ func TestDesignRules(t *testing.T) {
 	check(t, "root contexts only in mains and the daemon runtime", rootContexts(files), rootContextAllow)
 	check(t, "no JSON frames on the request/response wires", jsonFrames(files), jsonFrameAllow)
 	check(t, "one TCP lifecycle", tcpLifecycles(files), tcpLifecycleAllow)
+	check(t, "one logger", loggers(files), loggerAllow)
 
 	setters := append(loadTree(t, root, "bench", "examples", "."), files...)
 	allow := make(map[string]bool)
@@ -781,6 +795,41 @@ func f() {
 	}
 	if got := tcpLifecycles(lifecycles); strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("TCP lifecycle rule on planted calls = %q, want %q", got, want)
+	}
+
+	// A renamed slog's constructors and SetDefault count, once per file per
+	// name, and so does an import of log under internal/; obs, slog's
+	// logging calls, a cmd/ tool's log and log/slog's own import do not.
+	logging := []srcFile{
+		parseFile(t, "internal/fleet/monitor.go", `package fleet
+import (
+	"log"
+	sl "log/slog"
+)
+func f(w io.Writer) {
+	l := sl.New(sl.NewJSONHandler(w, nil))
+	l = sl.New(sl.NewTextHandler(w, nil))
+	sl.SetDefault(l)
+	sl.Default().Warn("x")
+	sl.Info("y")
+	log.Print("z")
+}`),
+		parseFile(t, "internal/obs/log.go", `package obs
+import "log/slog"
+func f(w io.Writer) { slog.SetDefault(slog.New(slog.NewTextHandler(w, nil))) }`),
+		parseFile(t, "cmd/tool/main.go", `package main
+import "log"
+func main() { log.Fatal("x") }`),
+	}
+	want = []string{
+		"internal/fleet/monitor.go: imports log",
+		"internal/fleet/monitor.go: uses slog.New",
+		"internal/fleet/monitor.go: uses slog.NewJSONHandler",
+		"internal/fleet/monitor.go: uses slog.NewTextHandler",
+		"internal/fleet/monitor.go: uses slog.SetDefault",
+	}
+	if got := loggers(logging); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("logger rule on planted calls = %q, want %q", got, want)
 	}
 
 	// Setting a field: a keyed literal of its type (in its package, through

@@ -15,7 +15,7 @@ import (
 // (it is part of make race-stress). Correctness bar: no races, and every
 // accepted heartbeat is accounted for.
 func TestConcurrentIngestSweepFederate(t *testing.T) {
-	m := NewMonitor(MonitorConfig{
+	m := mustMonitor(t, MonitorConfig{
 		LivenessTimeout: 50 * time.Millisecond,
 		Registry:        obs.NewRegistry(),
 		Rules: []Rule{{
@@ -102,7 +102,7 @@ func TestConcurrentIngestSweepFederate(t *testing.T) {
 // TestConcurrentAgentStartStop exercises the agent's background loop
 // lifecycle under race: Start, concurrent pushes, idempotent Stop.
 func TestConcurrentAgentStartStop(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 

@@ -41,7 +41,7 @@ func series(snap obs.Snapshot, family string, labels ...string) (obs.MetricSnaps
 }
 
 func TestFederateCountersSumAcrossNodes(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	regA.Counter("coralpie_frames_total", "frames").Add(7)
@@ -68,7 +68,7 @@ func TestFederateCountersSumAcrossNodes(t *testing.T) {
 }
 
 func TestFederateGaugeTakesLatest(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	regA.Gauge("coralpie_queue_depth", "").Set(4)
@@ -85,7 +85,7 @@ func TestFederateGaugeTakesLatest(t *testing.T) {
 }
 
 func TestFederateHistogramsMergeBuckets(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 
 	bounds := []float64{0.1, 1}
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
@@ -123,7 +123,7 @@ func TestFederateHistogramsMergeBuckets(t *testing.T) {
 }
 
 func TestFederateSkipsMismatchedBucketBounds(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	regA.Histogram("coralpie_latency_seconds", "", []float64{0.1, 1}).Observe(0.5)
@@ -146,7 +146,7 @@ func TestFederateSkipsMismatchedBucketBounds(t *testing.T) {
 }
 
 func TestFederateKeepsExistingNodeLabel(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 
 	reg := obs.NewRegistry()
 	obs.RegisterBuildInfo(reg, "edge-7", "coral-node")
@@ -184,7 +184,7 @@ func TestFederateKeepsExistingNodeLabel(t *testing.T) {
 }
 
 func TestFederatedSnapshotRendersWithNodeLabels(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	regA.Counter("coralpie_frames_total", "frames").Add(1)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"time"
 
@@ -51,7 +52,7 @@ func (f *Flags) ResolveNodeID(component string) string {
 // node), builds an agent snapshotting reg and evaluating checks, and
 // starts the push loop. It returns a stop function (always non-nil) and
 // whether heartbeats are enabled.
-func (f *Flags) Start(ctx context.Context, component string, reg *obs.Registry, checks []obs.NamedCheck, logger *obs.Logger) (stop func(), enabled bool) {
+func (f *Flags) Start(ctx context.Context, component string, reg *obs.Registry, checks []obs.NamedCheck, logger *slog.Logger) (stop func(), enabled bool) {
 	if f.Monitor == "" {
 		return func() {}, false
 	}
@@ -70,7 +71,7 @@ func (f *Flags) Start(ctx context.Context, component string, reg *obs.Registry, 
 		logger.Info("fleet heartbeats started",
 			"monitor", f.Monitor,
 			"node", f.ResolveNodeID(component),
-			"interval", fmt.Sprint(f.Interval))
+			"interval", f.Interval)
 	}
 	return func() {
 		agent.Stop()

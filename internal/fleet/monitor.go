@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -51,7 +52,7 @@ type MonitorConfig struct {
 	// Registry receives the monitor's own telemetry; nil uses Default().
 	Registry *obs.Registry
 	// Logger receives liveness and alert transition lines; nil is quiet.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// MaxTransitions bounds both the liveness and the alert transition
 	// histories (oldest dropped). Zero means 1024.
 	MaxTransitions int
@@ -63,7 +64,7 @@ type MonitorConfig struct {
 type Monitor struct {
 	clk     clock.Clock
 	timeout time.Duration
-	log     *obs.Logger
+	log     *slog.Logger
 
 	mu          sync.Mutex
 	nodes       map[string]*nodeEntry
@@ -91,9 +92,14 @@ type nodeEntry struct {
 	heartbeats uint64 // accepted pushes
 }
 
-// NewMonitor builds a monitor; see MonitorConfig. Invalid rules panic —
-// callers are expected to have run ParseRule or Rule.Validate.
-func NewMonitor(cfg MonitorConfig) *Monitor {
+// NewMonitor builds a monitor; see MonitorConfig. It refuses an invalid
+// rule before registering any telemetry.
+func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
+	for _, r := range cfg.Rules {
+		if err := r.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -107,14 +113,9 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	for _, r := range cfg.Rules {
-		if err := r.Validate(); err != nil {
-			panic(err)
-		}
-	}
 	log := cfg.Logger
 	if log != nil {
-		log = log.WithComponent("fleet-monitor").WithClock(cfg.Clock)
+		log = log.With("component", "fleet-monitor")
 	}
 	m := &Monitor{
 		clk:        cfg.Clock,
@@ -140,7 +141,7 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		reg.Counter("coralpie_fleet_alert_transitions_total",
 			"alert firing/resolved transitions"),
 		m.alertsFired)
-	return m
+	return m, nil
 }
 
 // Ingest accepts one heartbeat. A heartbeat from a dead (or unknown)

@@ -10,7 +10,7 @@ import (
 func TestLivenessLifecycle(t *testing.T) {
 	clk := &stepClock{t: time.Unix(1000, 0)}
 	reg := obs.NewRegistry()
-	m := NewMonitor(MonitorConfig{
+	m := mustMonitor(t, MonitorConfig{
 		Clock:           clk,
 		LivenessTimeout: 6 * time.Second,
 		Registry:        reg,
@@ -86,7 +86,7 @@ func TestLivenessLifecycle(t *testing.T) {
 
 func TestIngestRejectsAnonymousHeartbeat(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := NewMonitor(MonitorConfig{Registry: reg})
+	m := mustMonitor(t, MonitorConfig{Registry: reg})
 	if err := m.Ingest(&Heartbeat{}); err == nil {
 		t.Fatal("heartbeat without node id accepted")
 	}
@@ -100,7 +100,7 @@ func TestIngestRejectsAnonymousHeartbeat(t *testing.T) {
 
 func TestTransitionHistoryBounded(t *testing.T) {
 	clk := &stepClock{t: time.Unix(0, 0)}
-	m := NewMonitor(MonitorConfig{
+	m := mustMonitor(t, MonitorConfig{
 		Clock:           clk,
 		LivenessTimeout: time.Second,
 		Registry:        obs.NewRegistry(),
@@ -131,7 +131,7 @@ func TestTransitionHistoryBounded(t *testing.T) {
 func TestMonitorGauges(t *testing.T) {
 	clk := &stepClock{t: time.Unix(0, 0)}
 	reg := obs.NewRegistry()
-	m := NewMonitor(MonitorConfig{
+	m := mustMonitor(t, MonitorConfig{
 		Clock:           clk,
 		LivenessTimeout: time.Second,
 		Registry:        reg,

@@ -131,7 +131,7 @@ func snapshotWith(node string, metric string, value int64) *Heartbeat {
 func TestThresholdRuleFiresAndResolves(t *testing.T) {
 	now := time.Unix(100, 0)
 	clk := &stepClock{t: now}
-	m := NewMonitor(MonitorConfig{
+	m := mustMonitor(t, MonitorConfig{
 		Clock:           clk,
 		LivenessTimeout: time.Hour, // liveness out of the way
 		Rules: []Rule{{
@@ -185,7 +185,7 @@ func TestThresholdRuleFiresAndResolves(t *testing.T) {
 
 func TestRateRuleMeasuresPerSecond(t *testing.T) {
 	clk := &stepClock{t: time.Unix(100, 0)}
-	m := NewMonitor(MonitorConfig{
+	m := mustMonitor(t, MonitorConfig{
 		Clock:           clk,
 		LivenessTimeout: time.Hour,
 		Rules: []Rule{{
@@ -232,16 +232,28 @@ func TestRateRuleMeasuresPerSecond(t *testing.T) {
 	}
 }
 
-func TestInvalidRulePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMonitor accepted an invalid rule")
-		}
-	}()
-	NewMonitor(MonitorConfig{
-		Registry: obs.NewRegistry(),
+func TestInvalidRuleRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	m, err := NewMonitor(MonitorConfig{
+		Registry: reg,
 		Rules:    []Rule{{Name: "x", Metric: "m", Kind: "nope", Op: ">"}},
 	})
+	if err == nil || m != nil {
+		t.Fatalf("NewMonitor with an invalid rule = %v, %v; want an error", m, err)
+	}
+	if snap := reg.Snapshot(); len(snap.Families) != 0 {
+		t.Errorf("a refused monitor registered telemetry: %+v", snap.Families)
+	}
+}
+
+// mustMonitor builds a monitor from a config whose rules are valid.
+func mustMonitor(t testing.TB, cfg MonitorConfig) *Monitor {
+	t.Helper()
+	m, err := NewMonitor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // stepClock is a manually advanced clock for deterministic sweeps.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"time"
 
@@ -42,7 +43,7 @@ func (wireCodec) WriteResponse(w io.Writer, _ *rpc.Request, resp *rpc.Response, 
 // ServerOptions tunes a heartbeat server beyond the defaults.
 type ServerOptions struct {
 	// Logger, when non-nil, logs each call with its trace.
-	Logger *obs.Logger
+	Logger *slog.Logger
 }
 
 // Server receives heartbeats over TCP and feeds them to a Monitor.

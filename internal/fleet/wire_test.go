@@ -9,7 +9,7 @@ import (
 )
 
 func TestWirePushRoundTrip(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestWirePushRoundTrip(t *testing.T) {
 }
 
 func TestWireRejectsAnonymousHeartbeat(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestWireRejectsAnonymousHeartbeat(t *testing.T) {
 // node whose monitor is unreachable gets push errors, not a crash, and
 // recovers as soon as the monitor appears on the same address.
 func TestWireLazyDialSurvivesDownMonitor(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestWireLazyDialSurvivesDownMonitor(t *testing.T) {
 }
 
 func TestAgentPushesThroughWire(t *testing.T) {
-	m := NewMonitor(MonitorConfig{Registry: obs.NewRegistry()})
+	m := mustMonitor(t, MonitorConfig{Registry: obs.NewRegistry()})
 	srv, err := ServeWith(m, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)

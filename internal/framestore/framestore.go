@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"slices"
 	"sync"
@@ -223,15 +224,15 @@ func OpenStoreConfig(dir string, cfg Config) (*Store, error) {
 	}
 	s.m.diskBytes.Set(s.disk)
 	if s.reload != (ReloadStats{}) {
-		obs.DefaultLogger().WithComponent("framestore").Info("reopened store",
+		slog.Info("reopened store", "component", "framestore",
 			"dir", dir,
-			"segments", fmt.Sprint(s.reload.Segments),
-			"frames", fmt.Sprint(s.reload.Frames),
-			"duplicates", fmt.Sprint(s.reload.DuplicateRecords),
-			"corruptRecords", fmt.Sprint(s.reload.CorruptRecords),
-			"tornTails", fmt.Sprint(s.reload.TornTails),
-			"truncatedBytes", fmt.Sprint(s.reload.TruncatedBytes),
-			"straySegments", fmt.Sprint(s.reload.StraySegments))
+			"segments", s.reload.Segments,
+			"frames", s.reload.Frames,
+			"duplicates", s.reload.DuplicateRecords,
+			"corruptRecords", s.reload.CorruptRecords,
+			"tornTails", s.reload.TornTails,
+			"truncatedBytes", s.reload.TruncatedBytes,
+			"straySegments", s.reload.StraySegments)
 	}
 	return s, nil
 }
@@ -358,8 +359,7 @@ func (s *Store) Put(rec protocol.FrameRecord) error {
 		// waiting on each other's.
 		sized, err := s.gcBySize()
 		if err != nil {
-			obs.DefaultLogger().WithComponent("framestore").Warn("retention gc",
-				"camera", cl.camera, "err", err.Error())
+			slog.Warn("retention gc", "component", "framestore", "camera", cl.camera, "err", err)
 		}
 		s.recordGC(aged.plus(sized))
 	}
@@ -434,8 +434,7 @@ func (s *Store) putDisk(cl *cameraLog, rec protocol.FrameRecord, hdr []byte, m s
 		}
 		if s.cfg.RetainAge > 0 {
 			if aged, err = s.gcCamera(cl); err != nil {
-				obs.DefaultLogger().WithComponent("framestore").Warn("retention gc",
-					"camera", cl.camera, "err", err.Error())
+				slog.Warn("retention gc", "component", "framestore", "camera", cl.camera, "err", err)
 				err = nil
 			}
 		}

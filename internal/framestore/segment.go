@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -15,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/recordlog"
 )
@@ -350,8 +350,8 @@ func (s *Store) openCamera(camera string, diskIDs []int64, r *recordlog.Reader[p
 			return nil, fmt.Errorf("framestore: remove stray segment: %w", err)
 		}
 		s.reload.StraySegments++
-		obs.DefaultLogger().WithComponent("framestore").Warn("deleted stray segment left by an interrupted gc",
-			"camera", camera, "segment", fmt.Sprint(id))
+		slog.Warn("deleted stray segment left by an interrupted gc",
+			"component", "framestore", "camera", camera, "segment", id)
 	}
 
 	for _, id := range m.Segments {
@@ -417,9 +417,8 @@ func (s *Store) indexSegment(cl *cameraLog, id int64, r *recordlog.Reader[protoc
 			return nil
 		}
 		s.reload.CorruptRecords++
-		obs.DefaultLogger().WithComponent("framestore").Warn("skipped damaged span",
-			"camera", cl.camera, "segment", fmt.Sprint(id),
-			"offset", fmt.Sprint(d.Offset), "next", fmt.Sprint(d.Next))
+		slog.Warn("skipped damaged span", "component", "framestore",
+			"camera", cl.camera, "segment", id, "offset", d.Offset, "next", d.Next)
 		return nil
 	}
 	kept, err := r.Replay(f)

@@ -1,243 +1,66 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/clock"
 )
 
-// LogLevel orders log severities.
-type LogLevel int
-
-// Log levels, least to most severe.
+// Log levels: slog's own, the -log-level values.
 const (
-	LevelDebug LogLevel = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
 
-// String returns the level's canonical lowercase name.
-func (l LogLevel) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
+// LogFormat names a line encoding: the -log-format values.
+type LogFormat string
 
-// ParseLevel parses a level name ("debug", "info", "warn", "error"),
-// case-insensitively.
-func ParseLevel(s string) (LogLevel, error) {
-	switch strings.ToLower(s) {
-	case "debug":
-		return LevelDebug, nil
-	case "info":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	default:
-		return LevelInfo, fmt.Errorf("obs: unknown log level %q", s)
-	}
-}
-
-// LogFormat selects the output encoding of a Logger.
-type LogFormat int
-
-// Log output formats.
+// Log line encodings.
 const (
-	// FormatText emits "<RFC3339Nano> LEVEL message key=value ...".
-	FormatText LogFormat = iota
-	// FormatJSON emits one JSON object per line with "ts", "level",
-	// "msg", and one member per field (keys sorted — deterministic).
-	FormatJSON
+	// FormatText writes `time=… level=INFO msg="…" key=value …`.
+	FormatText LogFormat = "text"
+	// FormatJSON writes one object per line: "time", "level", "msg", then
+	// one member per attribute.
+	FormatJSON LogFormat = "json"
 )
 
-// ParseLogFormat parses a format name ("text" or "json").
-func ParseLogFormat(s string) (LogFormat, error) {
-	switch strings.ToLower(s) {
-	case "text":
-		return FormatText, nil
-	case "json":
-		return FormatJSON, nil
-	default:
-		return FormatText, fmt.Errorf("obs: unknown log format %q", s)
+// Logger is the *slog.Logger NewLogger builds.
+type Logger struct{ *slog.Logger }
+
+// NewLogger returns a logger writing lines at or above level to w: the one
+// place this module builds a slog handler.
+func NewLogger(w io.Writer, level slog.Level, format LogFormat) Logger {
+	opts := &slog.HandlerOptions{Level: level}
+	if format == FormatJSON {
+		return Logger{slog.New(slog.NewJSONHandler(w, opts))}
 	}
+	return Logger{slog.New(slog.NewTextHandler(w, opts))}
 }
 
-// Logger is a leveled, structured logger. Derived loggers from With /
-// WithComponent / WithTrace share the parent's writer, mutex, level,
-// and format, adding bound fields; a line is the bound fields followed
-// by the per-call pairs. Loggers are safe for concurrent use.
-type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	level  LogLevel
-	format LogFormat
-	clk    clock.Clock
-	fields []Label
-}
-
-// NewLogger returns a logger writing lines at or above level to w.
-func NewLogger(w io.Writer, level LogLevel, format LogFormat) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, format: format, clk: clock.Real{}}
-}
-
-// WithClock returns a derived logger stamping lines from clk (nil
-// restores real time). Mostly for tests and simulations.
-func (l *Logger) WithClock(clk clock.Clock) *Logger {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	d := *l
-	d.clk = clk
-	return &d
-}
-
-// With returns a derived logger with the given key/value pairs bound to
-// every line. A trailing key without a value gets "".
-func (l *Logger) With(kv ...string) *Logger {
-	if len(kv) == 0 {
-		return l
-	}
-	d := *l
-	d.fields = append(append([]Label(nil), l.fields...), labelsOf(kv)...)
-	return &d
-}
-
-// WithComponent binds the conventional "component" field.
-func (l *Logger) WithComponent(name string) *Logger {
+// WithComponent binds the conventional "component" attribute.
+func (l Logger) WithComponent(name string) *slog.Logger {
 	return l.With("component", name)
 }
 
-// WithTrace binds the conventional "trace_id" field from a span
-// context; an invalid context returns l unchanged.
-func (l *Logger) WithTrace(sc SpanContext) *Logger {
-	if sc.TraceID == "" {
-		return l
-	}
-	return l.With("trace_id", sc.TraceID)
-}
-
-// Enabled reports whether lines at level would be written.
-func (l *Logger) Enabled(level LogLevel) bool { return level >= l.level }
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, kv ...string) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at LevelInfo.
-func (l *Logger) Info(msg string, kv ...string) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, kv ...string) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, kv ...string) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(level LogLevel, msg string, kv []string) {
-	if level < l.level {
-		return
-	}
-	ts := l.clk.Now().UTC().Format(time.RFC3339Nano)
-	pairs := append(append([]Label(nil), l.fields...), labelsOf(kv)...)
-
-	var line []byte
-	switch l.format {
-	case FormatJSON:
-		obj := make(map[string]string, len(pairs)+3)
-		obj["ts"] = ts
-		obj["level"] = level.String()
-		obj["msg"] = msg
-		for _, p := range pairs {
-			obj[p.Name] = p.Value
-		}
-		buf, err := json.Marshal(obj) // map keys marshal sorted
-		if err != nil {
-			return
-		}
-		line = append(buf, '\n')
-	default:
-		var b strings.Builder
-		b.WriteString(ts)
-		b.WriteByte(' ')
-		b.WriteString(strings.ToUpper(level.String()))
-		b.WriteByte(' ')
-		b.WriteString(quoteIfNeeded(msg))
-		for _, p := range pairs {
-			b.WriteByte(' ')
-			b.WriteString(p.Name)
-			b.WriteByte('=')
-			b.WriteString(quoteIfNeeded(p.Value))
-		}
-		b.WriteByte('\n')
-		line = []byte(b.String())
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, _ = l.w.Write(line)
-}
-
-// quoteIfNeeded quotes values that would break text-format tokenizing.
-func quoteIfNeeded(s string) string {
-	if s == "" {
-		return `""`
-	}
-	if strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.Quote(s)
-	}
-	return s
-}
-
-// defaultLogger is the process-wide logger, used by library code (e.g.
-// trajstore WAL recovery) that has no logger injected. Binaries replace
-// it early in main via SetDefaultLogger.
-var defaultLogger atomic.Pointer[Logger]
-
-func init() {
-	defaultLogger.Store(NewLogger(os.Stderr, LevelInfo, FormatText))
-}
-
-// DefaultLogger returns the process-wide logger.
-func DefaultLogger() *Logger { return defaultLogger.Load() }
-
-// SetDefaultLogger replaces the process-wide logger; nil is ignored.
-func SetDefaultLogger(l *Logger) {
-	if l != nil {
-		defaultLogger.Store(l)
-	}
-}
-
 // InitDefaultLogger parses -log-level / -log-format flag values, installs
-// a stderr logger as the process default, and returns it so binaries can
-// bind their component name.
-func InitDefaultLogger(level, format string) (*Logger, error) {
-	lvl, err := ParseLevel(level)
-	if err != nil {
-		return nil, err
+// a stderr logger as slog's default, and returns it so binaries can bind
+// their component name.
+func InitDefaultLogger(level, format string) (*slog.Logger, error) {
+	lvl, ok := map[string]slog.Level{
+		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn, "error": LevelError,
+	}[strings.ToLower(level)]
+	if !ok {
+		return nil, fmt.Errorf("obs: unknown log level %q", level)
 	}
-	f, err := ParseLogFormat(format)
-	if err != nil {
-		return nil, err
+	f := LogFormat(strings.ToLower(format))
+	if f != FormatText && f != FormatJSON {
+		return nil, fmt.Errorf("obs: unknown log format %q", format)
 	}
-	l := NewLogger(os.Stderr, lvl, f)
-	SetDefaultLogger(l)
+	l := NewLogger(os.Stderr, lvl, f).Logger
+	slog.SetDefault(l)
 	return l, nil
 }

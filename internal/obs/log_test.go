@@ -2,39 +2,13 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"log/slog"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/clock"
 )
-
-// fixedClock pins log timestamps for exact-output assertions.
-type fixedClock struct{ t time.Time }
-
-func (c fixedClock) Now() time.Time { return c.t }
-
-var _ clock.Clock = fixedClock{}
-
-func TestParseLevel(t *testing.T) {
-	cases := map[string]LogLevel{
-		"debug": LevelDebug, "info": LevelInfo, "INFO": LevelInfo,
-		"warn": LevelWarn, "warning": LevelWarn, "error": LevelError,
-	}
-	for in, want := range cases {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel should reject unknown levels")
-	}
-	if _, err := ParseLogFormat("yaml"); err == nil {
-		t.Fatal("ParseLogFormat should reject unknown formats")
-	}
-}
 
 func TestLoggerLevelGate(t *testing.T) {
 	var buf bytes.Buffer
@@ -50,109 +24,95 @@ func TestLoggerLevelGate(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2: %q", len(lines), buf.String())
 	}
-	if !l.Enabled(LevelError) || l.Enabled(LevelInfo) {
-		t.Fatal("Enabled gate wrong")
-	}
 }
 
 func TestLoggerTextFormat(t *testing.T) {
 	var buf bytes.Buffer
-	ts := time.Date(2020, 12, 7, 10, 0, 0, 0, time.UTC)
-	l := NewLogger(&buf, LevelInfo, FormatText).WithClock(fixedClock{ts}).
-		WithComponent("camnode").With("camera", "cam0")
-	l.Info("frame processed", "detections", "3", "note", "two words")
+	l := NewLogger(&buf, LevelInfo, FormatText).WithComponent("camnode").With("camera", "cam0")
+	l.Info("frame processed", "detections", 3, "note", "two words")
 
-	got := strings.TrimSpace(buf.String())
-	want := `2020-12-07T10:00:00Z INFO "frame processed" component=camnode camera=cam0 detections=3 note="two words"`
-	if got != want {
-		t.Fatalf("text line:\n got %q\nwant %q", got, want)
+	want := regexp.MustCompile(`^time=\S+ level=INFO msg="frame processed" component=camnode camera=cam0 detections=3 note="two words"\n$`)
+	if !want.MatchString(buf.String()) {
+		t.Fatalf("text line %q does not match %s", buf.String(), want)
 	}
 }
 
 func TestLoggerJSONFormat(t *testing.T) {
 	var buf bytes.Buffer
-	ts := time.Date(2020, 12, 7, 10, 0, 0, 0, time.UTC)
-	l := NewLogger(&buf, LevelDebug, FormatJSON).WithClock(fixedClock{ts}).
-		WithComponent("trajstore")
-	l.Warn("truncated torn wal tail", "offset", "512")
+	l := NewLogger(&buf, LevelDebug, FormatJSON).WithComponent("trajstore")
+	l.Warn("truncated torn wal tail", "offset", 512)
 
-	var m map[string]string
+	var m map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("not JSON: %v (%q)", err, buf.String())
 	}
-	for k, want := range map[string]string{
-		"ts": "2020-12-07T10:00:00Z", "level": "warn",
-		"msg": "truncated torn wal tail", "component": "trajstore", "offset": "512",
+	for k, want := range map[string]any{
+		"level": "WARN", "msg": "truncated torn wal tail", "component": "trajstore", "offset": 512.0,
 	} {
 		if m[k] != want {
-			t.Fatalf("field %q = %q, want %q (line %q)", k, m[k], want, buf.String())
+			t.Fatalf("field %q = %v, want %v (line %q)", k, m[k], want, buf.String())
+		}
+	}
+	if _, ok := m["time"].(string); !ok {
+		t.Fatalf("no time key: %q", buf.String())
+	}
+}
+
+// TestDefaultLoggerSwap: InitDefaultLogger installs the logger it returns
+// as slog's default, which library code without an injected logger uses.
+func TestDefaultLoggerSwap(t *testing.T) {
+	old := slog.Default()
+	defer slog.SetDefault(old)
+
+	l, err := InitDefaultLogger("warn", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slog.Default() != l {
+		t.Fatal("InitDefaultLogger did not install its logger as slog's default")
+	}
+}
+
+// TestParseLevel: InitDefaultLogger, the -log-level parser, takes the four
+// level names in any case, each gating from its own level up, and refuses
+// anything else, the dropped "warning" alias included.
+func TestParseLevel(t *testing.T) {
+	old := slog.Default()
+	defer slog.SetDefault(old)
+
+	ctx := context.Background()
+	for level, want := range map[string]slog.Level{
+		"debug": LevelDebug, "info": LevelInfo, "INFO": LevelInfo, "warn": LevelWarn, "error": LevelError,
+	} {
+		l, err := InitDefaultLogger(level, "text")
+		if err != nil {
+			t.Fatalf("InitDefaultLogger(%q): %v", level, err)
+		}
+		if !l.Enabled(ctx, want) || want > LevelDebug && l.Enabled(ctx, want-1) {
+			t.Fatalf("InitDefaultLogger(%q) does not log from %v up", level, want)
+		}
+	}
+	for _, level := range []string{"warning", "loud", ""} {
+		if _, err := InitDefaultLogger(level, "text"); err == nil {
+			t.Errorf("InitDefaultLogger(%q, \"text\") accepted", level)
 		}
 	}
 }
 
-func TestLoggerWithTrace(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo, FormatText).
-		WithClock(fixedClock{time.Unix(0, 0).UTC()}).
-		WithTrace(SpanContext{TraceID: "cam0#1", SpanID: "7"})
-	l.Info("matched")
-	if !strings.Contains(buf.String(), "trace_id=cam0#1") {
-		t.Fatalf("trace_id missing: %q", buf.String())
-	}
-	// A zero context binds nothing.
-	buf.Reset()
-	NewLogger(&buf, LevelInfo, FormatText).
-		WithClock(fixedClock{time.Unix(0, 0).UTC()}).
-		WithTrace(SpanContext{}).Info("x")
-	if strings.Contains(buf.String(), "trace_id") {
-		t.Fatalf("zero trace bound: %q", buf.String())
-	}
-}
-
-func TestLoggerWithDoesNotMutateParent(t *testing.T) {
-	var buf bytes.Buffer
-	base := NewLogger(&buf, LevelInfo, FormatText).WithClock(fixedClock{time.Unix(0, 0).UTC()})
-	a := base.With("k", "a")
-	_ = a.With("extra", "1") // must not leak into b
-	b := a.With("k2", "b")
-	buf.Reset()
-	b.Info("m")
-	line := strings.TrimSpace(buf.String())
-	if strings.Contains(line, "extra=1") {
-		t.Fatalf("sibling field leaked: %q", line)
-	}
-	if !strings.Contains(line, "k=a") || !strings.Contains(line, "k2=b") {
-		t.Fatalf("chained fields missing: %q", line)
-	}
-}
-
-func TestDefaultLoggerSwap(t *testing.T) {
-	old := DefaultLogger()
-	defer SetDefaultLogger(old)
-
-	var buf bytes.Buffer
-	SetDefaultLogger(NewLogger(&buf, LevelInfo, FormatText).WithClock(fixedClock{time.Unix(0, 0).UTC()}))
-	DefaultLogger().Info("hello")
-	if !strings.Contains(buf.String(), "hello") {
-		t.Fatalf("default logger not swapped: %q", buf.String())
-	}
-	SetDefaultLogger(nil) // ignored
-	if DefaultLogger() == nil {
-		t.Fatal("nil default installed")
-	}
-}
-
+// TestInitDefaultLogger: the two -log-format names, in any case, are
+// accepted; anything else is refused.
 func TestInitDefaultLogger(t *testing.T) {
-	old := DefaultLogger()
-	defer SetDefaultLogger(old)
+	old := slog.Default()
+	defer slog.SetDefault(old)
 
-	if _, err := InitDefaultLogger("info", "json"); err != nil {
-		t.Fatalf("InitDefaultLogger: %v", err)
+	for _, format := range []string{"text", "json", "JSON"} {
+		if _, err := InitDefaultLogger("info", format); err != nil {
+			t.Fatalf("InitDefaultLogger(\"info\", %q): %v", format, err)
+		}
 	}
-	if _, err := InitDefaultLogger("nope", "text"); err == nil {
-		t.Fatal("bad level should error")
-	}
-	if _, err := InitDefaultLogger("info", "nope"); err == nil {
-		t.Fatal("bad format should error")
+	for _, format := range []string{"yaml", ""} {
+		if _, err := InitDefaultLogger("info", format); err == nil {
+			t.Errorf("InitDefaultLogger(\"info\", %q) accepted", format)
+		}
 	}
 }

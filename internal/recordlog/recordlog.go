@@ -10,11 +10,9 @@ package recordlog
 
 import (
 	"fmt"
+	"log/slog"
 	"os"
 	"slices"
-	"strconv"
-
-	"repro/internal/obs"
 )
 
 // Damage is a span of a log that holds no intact record: from Offset, a
@@ -78,9 +76,8 @@ func (r *Reader[R]) Replay(f *os.File) (int64, error) {
 			if err := f.Truncate(d.Offset); err != nil {
 				return 0, fmt.Errorf("recordlog: truncate torn tail of %s: %w", f.Name(), err)
 			}
-			obs.DefaultLogger().WithComponent("recordlog").Warn("truncated torn tail", "file", f.Name(),
-				"offset", strconv.FormatInt(d.Offset, 10), "bytes", strconv.Itoa(len(d.Bytes)),
-				"note", "expected after a crash")
+			slog.Warn("truncated torn tail", "component", "recordlog", "file", f.Name(),
+				"offset", d.Offset, "bytes", len(d.Bytes), "note", "expected after a crash")
 			return d.Offset, nil
 		}
 		off = next

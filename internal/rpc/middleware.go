@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"log/slog"
 	"time"
 
 	"repro/internal/obs"
@@ -111,25 +112,25 @@ func WithRetry(cfg RetryConfig) Interceptor {
 // warn on error) with method, peer, duration, and the active trace.
 // A nil logger disables the middleware, and a success below the logger's
 // level costs no allocation.
-func WithServerLogging(logger *obs.Logger) Interceptor {
+func WithServerLogging(logger *slog.Logger) Interceptor {
 	return func(ctx context.Context, req *Request, next Handler) (*Response, error) {
 		start := time.Now()
 		resp, err := next(ctx, req)
-		if logger == nil || (err == nil && !logger.Enabled(obs.LevelDebug)) {
+		if logger == nil || (err == nil && !logger.Enabled(ctx, slog.LevelDebug)) {
 			return resp, err
 		}
-		l := logger
+		var args []any
 		if sc, ok := obs.SpanFromContext(ctx); ok {
-			l = l.WithTrace(sc)
+			args = append(args, "trace_id", sc.TraceID)
 		}
-		kv := []string{"method", req.Method, "dur", time.Since(start).String()}
+		args = append(args, "method", req.Method, "dur", time.Since(start))
 		if req.Addr != "" {
-			kv = append(kv, "addr", req.Addr)
+			args = append(args, "addr", req.Addr)
 		}
 		if err != nil {
-			l.Warn("rpc serve", append(kv, "err", err.Error())...)
+			logger.WarnContext(ctx, "rpc serve", append(args, "err", err)...)
 		} else {
-			l.Debug("rpc serve", kv...)
+			logger.DebugContext(ctx, "rpc serve", args...)
 		}
 		return resp, err
 	}

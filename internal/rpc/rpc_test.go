@@ -492,7 +492,7 @@ func TestServerLoggingSkipsDisabledLines(t *testing.T) {
 	req := &Request{Method: "best", Addr: "10.0.0.1:7"}
 	spanCtx := obs.ContextWithSpan(context.Background(), obs.SpanContext{TraceID: "cam#1", SpanID: "s1", Sampled: true})
 	var out bytes.Buffer
-	info := Bind(ok, WithServerLogging(obs.NewLogger(&out, obs.LevelInfo, obs.FormatText)))
+	info := Bind(ok, WithServerLogging(obs.NewLogger(&out, obs.LevelInfo, obs.FormatText).Logger))
 	for _, ctx := range []context.Context{context.Background(), spanCtx} {
 		if n := testing.AllocsPerRun(100, func() { _, _ = info(ctx, req) }); n != 0 {
 			t.Errorf("info logger, successful call: %v allocations, want 0", n)
@@ -502,22 +502,22 @@ func TestServerLoggingSkipsDisabledLines(t *testing.T) {
 		t.Errorf("info logger wrote %q for successful calls", out.String())
 	}
 
-	debug := Bind(ok, WithServerLogging(obs.NewLogger(&out, obs.LevelDebug, obs.FormatText)))
+	debug := Bind(ok, WithServerLogging(obs.NewLogger(&out, obs.LevelDebug, obs.FormatText).Logger))
 	if _, err := debug(spanCtx, req); err != nil {
 		t.Fatal(err)
 	}
-	line := regexp.MustCompile(`^\S+ DEBUG "rpc serve" trace_id=cam#1 method=best dur=\S+ addr=10\.0\.0\.1:7\n$`)
+	line := regexp.MustCompile(`^time=\S+ level=DEBUG msg="rpc serve" trace_id=cam#1 method=best dur=\S+ addr=10\.0\.0\.1:7\n$`)
 	if !line.MatchString(out.String()) {
 		t.Errorf("debug line %q does not match %s", out.String(), line)
 	}
 
 	out.Reset()
 	fail := Bind(func(context.Context, *Request) (*Response, error) { return nil, errors.New("boom") },
-		WithServerLogging(obs.NewLogger(&out, obs.LevelInfo, obs.FormatText)))
+		WithServerLogging(obs.NewLogger(&out, obs.LevelInfo, obs.FormatText).Logger))
 	if _, err := fail(context.Background(), req); err == nil {
 		t.Fatal("error swallowed")
 	}
-	if !regexp.MustCompile(` WARN "rpc serve" method=best dur=\S+ addr=10\.0\.0\.1:7 err=boom\n$`).MatchString(out.String()) {
+	if !regexp.MustCompile(` level=WARN msg="rpc serve" method=best dur=\S+ addr=10\.0\.0\.1:7 err=boom\n$`).MatchString(out.String()) {
 		t.Errorf("warn line %q", out.String())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"time"
 
@@ -229,7 +230,7 @@ type ServerOptions struct {
 	Interceptors []rpc.Interceptor
 	// Logger, when non-nil, logs each call (debug on success, warn on
 	// error) with its trace.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Registry receives the server's coralpie_query_* telemetry; nil
 	// selects the process-default registry.
 	Registry *obs.Registry

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -161,8 +162,8 @@ func (c envelopeCodec) ReadRequest(r io.Reader, buf *[]byte) (*rpc.Request, erro
 			if conn, ok := r.(net.Conn); ok {
 				peer = conn.RemoteAddr().String()
 			}
-			obs.DefaultLogger().WithComponent("transport").Warn("closing connection on an undecodable envelope",
-				"peer", peer, "err", err.Error())
+			slog.Warn("closing connection on an undecodable envelope",
+				"component", "transport", "peer", peer, "err", err)
 		}
 		return nil, err // EOF, peer reset, or an undecodable envelope
 	}

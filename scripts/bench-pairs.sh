@@ -2,7 +2,12 @@
 # bench-pairs.sh: time a change against a git revision on one benchmark
 # workload, in alternating pairs of untraced runs.
 #
-# Builds ./bench from REV and from the working tree, once each, then runs
+# Builds ./bench from REV and from the working tree, once each, the same
+# way on both sides: from an exported copy (the tree's tracked files and
+# its untracked files that are not ignored), with -trimpath -buildvcs=false,
+# so identical sources give identical binaries. It prints whether the two
+# binaries are identical and the filesystem type of the run directory
+# (frame_flood times that disk). Then it runs
 # PAIRS pairs of `bench -workload WORKLOAD -seconds SECONDS` (default 25):
 # REV first on odd pairs and the tree first on even ones, so drift on a
 # shared host falls on both sides. Each run's JSON result line is printed as it
@@ -29,17 +34,27 @@ root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-# An exported tree, not a worktree, as in des-diff.sh.
-mkdir "$tmp/src"
-git -C "$root" archive "$rev" | tar -x -C "$tmp/src"
-(cd "$tmp/src" && go build -o "$tmp/bench-rev" ./bench)
-(cd "$root" && go build -o "$tmp/bench-tree" ./bench)
+# Exported trees, not a worktree, as in des-diff.sh.
+mkdir "$tmp/rev" "$tmp/tree" "$tmp/run"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
+# The tree's files that exist: a deleted tracked file is left out.
+(cd "$root" && git ls-files -z -c -o --exclude-standard | while IFS= read -r -d '' f; do
+	if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+done | tar --null -T - -cf -) | tar -x -C "$tmp/tree"
+for side in rev tree; do
+	(cd "$tmp/$side" && go build -trimpath -buildvcs=false -o "$tmp/bench-$side" ./bench)
+done
+if cmp -s "$tmp/bench-rev" "$tmp/bench-tree"; then
+	echo "binaries: identical"
+else
+	echo "binaries: differ"
+fi
+echo "run directory: $tmp/run ($(stat -f -c %T "$tmp/run"))"
 
 run() { # side pair
-	local side=$1 dir=$root line
-	[ "$side" = rev ] && dir=$tmp/src
+	local side=$1 line
 	rm -rf "$tmp/out"
-	line=$(cd "$dir" && "$tmp/bench-$side" -workload "$workload" -seconds "$seconds" -out "$tmp/out" | awk 'END { print }')
+	line=$(cd "$tmp/run" && "$tmp/bench-$side" -workload "$workload" -seconds "$seconds" -out "$tmp/out" | awk 'END { print }')
 	echo "$side $2 $line" >>"$tmp/lines"
 	echo "pair $2 $side: $line"
 }
